@@ -69,6 +69,8 @@ from .linalg import (
     haar_random_state,
     hermitian_eig,
     matrix_sqrt_psd,
+    orbit_levels,
+    orbit_operators,
     partial_trace,
     pure_density,
     random_density,

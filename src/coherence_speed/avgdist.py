@@ -16,14 +16,17 @@ respect to the eigenprojector decomposition:
     sbar(t) = 2 (1 - B(t)) c_half(rho),
     B(t)    = 2 / (M (M - 1)) * sum_{m<n} cos((lambda_m - lambda_n) t).
 
-``avg_distance_bruteforce`` evaluates the sum literally (one fresh
-diagonalization per permutation) and is kept as an independent oracle
-for the closed form.
+``avg_distance_bruteforce`` evaluates the sum literally and is kept as
+an independent oracle for the closed form.  It builds every evolved
+state sigma_s = U_s rho U_s† of the orbit, with U_s diagonal in the
+eigenbasis of H (``orbit_operators``), and takes each sqrt(sigma_s)
+from its own eigendecomposition: one stacked diagonalization per chunk
+of the orbit, never sqrt(sigma_s) = U_s sqrt(rho) U_s†, which is the
+closed form's own derivation step.  Terms are summed in lexicographic
+order of the permutations.
 """
 
 from __future__ import annotations
-
-import itertools
 
 from dataclasses import dataclass
 
@@ -34,8 +37,10 @@ from .errors import DegenerateSpectrum, DimensionMismatch, SingleLevel, TooManyL
 from .linalg import (
     TOL_DEGEN,
     SpectralHamiltonian,
+    dagger,
     kahan_mean,
     matrix_sqrt_psd,
+    orbit_operators,
     validate_density,
 )
 from .metrics import hellinger
@@ -46,14 +51,6 @@ BRUTE_FORCE_CAP = 8  # 8! = 40320 permutations
 def permuted_hamiltonian(ham: SpectralHamiltonian, assignment) -> SpectralHamiltonian:
     """Member H_s of the isospectral family: level m goes to block assignment[m]."""
     return ham.permute_levels(assignment)
-
-
-def _permuted_unitary(levels: np.ndarray, projectors, assignment, t: float) -> np.ndarray:
-    """exp(-i H_s t) assembled directly from phases and projectors."""
-    u = np.zeros_like(projectors[0])
-    for m, block in enumerate(assignment):
-        u = u + np.exp(-1j * levels[m] * t) * projectors[block]
-    return u
 
 
 def avg_distance_bruteforce(rho, ham: SpectralHamiltonian, t: float,
@@ -68,15 +65,11 @@ def avg_distance_bruteforce(rho, ham: SpectralHamiltonian, t: float,
     if m_count > cap:
         raise TooManyLevels(f"{m_count} levels exceed brute-force cap {cap}")
     sqrt_rho = matrix_sqrt_psd(rho)
-    projs = ham.decomposition.projectors
-
-    def terms():
-        for s in itertools.permutations(range(m_count)):
-            u = _permuted_unitary(ham.levels, projs, s, t)
-            sigma = u @ rho @ u.conj().T
-            yield hellinger(rho, sigma, sqrt_rho=sqrt_rho)
-
-    return kahan_mean(terms())
+    terms = []
+    for u in orbit_operators(ham, lambda lam: np.exp(-1j * lam * t)):
+        sigma = u @ rho @ dagger(u)
+        terms.append(hellinger(rho, sigma, sqrt_rho=sqrt_rho))
+    return kahan_mean(np.concatenate(terms).tolist())
 
 
 def a_coefficient(eigenvalues, t: float, *, tol_degen: float = TOL_DEGEN) -> float:

@@ -21,7 +21,6 @@ work, whatever the pulse does.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Callable
 
@@ -32,8 +31,11 @@ from .coherence import c_half
 from .dynamics import HamiltonianPath, evolve
 from .errors import InvalidState, TooManyLevels, WindowTooWide
 from .linalg import (
+    dagger,
+    hermitian_eig,
     hermitianize,
     kahan_mean,
+    orbit_operators,
     spectral_projectors,
     unitary_exp,
     validate_density,
@@ -225,17 +227,11 @@ def qudit_battery_bound(rho, h0, v, dt: float,
     else:
         coef = b_coefficient(ham_v.levels, dt)
     bound = float(np.linalg.norm(h0) * np.sqrt(max(0.0, 2.0 * (1.0 - coef) * coh)))
-    projs = ham_v.decomposition.projectors
-
-    def works():
-        for s in itertools.permutations(range(m_count)):
-            v_s = np.zeros_like(projs[0])
-            for m, block in enumerate(s):
-                v_s = v_s + ham_v.levels[m] * projs[block]
-            ham_s = spectral_projectors(h0 + v_s)
-            u = unitary_exp(ham_s, dt)
-            rho_next = u @ rho @ u.conj().T
-            yield float(np.trace(h0 @ (rho - rho_next)).real)
-
-    avg = kahan_mean(works())
+    works = []
+    for v_s in orbit_operators(ham_v, lambda lam: lam):
+        w, vecs = hermitian_eig(h0 + v_s)
+        u = (vecs * np.exp(-1j * w * dt)[:, None, :]) @ dagger(vecs)
+        rho_next = u @ rho @ dagger(u)
+        works.append(np.trace(h0 @ (rho - rho_next), axis1=-2, axis2=-1).real)
+    avg = kahan_mean(np.concatenate(works).tolist())
     return avg, bound

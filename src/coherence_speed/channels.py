@@ -17,7 +17,6 @@ factor fixes |0>).
 
 from __future__ import annotations
 
-import itertools
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -37,9 +36,11 @@ from .errors import (
 from .linalg import (
     TOL_DEGEN,
     SpectralHamiltonian,
+    dagger,
     hermitianize,
     kahan_mean,
     matrix_sqrt_psd,
+    orbit_operators,
     partial_trace,
     pure_density,
     tensor,
@@ -231,18 +232,12 @@ def theorem3_bound(dilation: StinespringDilation, rho,
         coef = b_coefficient(ham.levels, dilation.duration)
     rhs = 2.0 * (1.0 - coef) * coh
     sqrt_rho = matrix_sqrt_psd(rho)
-    projs = ham.decomposition.projectors
     dims = (dilation.sys_dim, dilation.env_dim)
-
-    def terms():
-        for s in itertools.permutations(range(m_count)):
-            u = np.zeros_like(projs[0])
-            for m, block in enumerate(s):
-                u = u + np.exp(-1j * ham.levels[m] * dilation.duration) * projs[block]
-            out = partial_trace(u @ joint @ u.conj().T, dims, over=1)
-            yield hellinger(rho, hermitianize(out), sqrt_rho=sqrt_rho)
-
-    lhs = kahan_mean(terms())
+    terms = []
+    for u in orbit_operators(ham, lambda lam: np.exp(-1j * lam * dilation.duration)):
+        out = partial_trace(u @ joint @ dagger(u), dims, over=1)
+        terms.append(hellinger(rho, hermitianize(out), sqrt_rho=sqrt_rho))
+    lhs = kahan_mean(np.concatenate(terms).tolist())
     return lhs, rhs
 
 

@@ -75,7 +75,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--seed", type=int, metavar="N",
                         help="RNG seed (fallback: config, then COHERENCE_SPEED_SEED, then 0)")
     common.add_argument("--jobs", type=int, metavar="N",
-                        help="worker threads for trial loops (default: available cores)")
+                        help="worker threads for trial loops (default 1)")
     common.add_argument("--out", metavar="PATH",
                         help="report file (default: stdout for report commands)")
     common.add_argument("--format", choices=("csv", "json"), dest="fmt",
@@ -139,7 +139,7 @@ def _resolve_seed(ns, config: dict) -> int:
 def _resolve_common(ns, config: dict):
     seed = _resolve_seed(ns, config)
     tol = ns.tol if ns.tol is not None else config.get("tolerance")
-    jobs = ns.jobs if ns.jobs is not None else config.get("jobs", os.cpu_count() or 1)
+    jobs = ns.jobs if ns.jobs is not None else config.get("jobs", 1)
     out = ns.out if ns.out is not None else config.get("out")
     fmt = ns.fmt if ns.fmt is not None else config.get("format", "csv")
     return seed, tol, int(jobs), out, fmt

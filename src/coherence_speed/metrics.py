@@ -22,23 +22,28 @@ _ZERO = 1e-12
 
 
 def affinity(rho, sigma, *, sqrt_rho: np.ndarray | None = None,
-             sqrt_sigma: np.ndarray | None = None) -> float:
+             sqrt_sigma: np.ndarray | None = None) -> float | np.ndarray:
     """Overlap Tr sqrt(rho) sqrt(sigma), clipped into [0, 1].
 
+    Either state may be a stack (..., d, d), broadcast against the
+    other; the result is then an array of overlaps, each clipped.
     Precomputed square roots may be supplied to avoid repeated
     diagonalizations in tight loops.
     """
     a = matrix_sqrt_psd(rho) if sqrt_rho is None else sqrt_rho
     b = matrix_sqrt_psd(sigma) if sqrt_sigma is None else sqrt_sigma
-    if a.shape != b.shape:
+    if a.shape[-2:] != b.shape[-2:]:
         raise DimensionMismatch(f"shapes {a.shape} and {b.shape} differ")
-    val = np.trace(a @ b).real
-    return float(np.clip(val, 0.0, 1.0))
+    val = (a @ b).trace(axis1=-2, axis2=-1).real.clip(0.0, 1.0)
+    return float(val) if val.ndim == 0 else val
 
 
 def hellinger(rho, sigma, *, sqrt_rho: np.ndarray | None = None,
-              sqrt_sigma: np.ndarray | None = None) -> float:
-    """Squared-Hellinger distance 2 (1 - Tr sqrt(rho) sqrt(sigma)) in [0, 2]."""
+              sqrt_sigma: np.ndarray | None = None) -> float | np.ndarray:
+    """Squared-Hellinger distance 2 (1 - Tr sqrt(rho) sqrt(sigma)) in [0, 2].
+
+    Stacks of states give an array of distances, as for affinity.
+    """
     return 2.0 * (1.0 - affinity(rho, sigma, sqrt_rho=sqrt_rho, sqrt_sigma=sqrt_sigma))
 
 

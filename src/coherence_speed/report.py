@@ -9,6 +9,8 @@ round-trips IEEE doubles exactly.
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 from pathlib import Path
 
@@ -37,14 +39,21 @@ def _meta_line(key: str, value) -> str:
 
 def format_csv(rows: list[dict], metadata: dict,
                columns: list[str] | None = None) -> str:
-    """'#'-headed metadata, one unprefixed column row, then data rows."""
+    """'#'-headed metadata, one unprefixed column row, then data rows.
+
+    Cells holding a comma or a quote are quoted, so every row has one
+    cell per column.
+    """
     if columns is None:
         columns = list(rows[0]) if rows else []
-    lines = [_meta_line(k, v) for k, v in metadata.items()]
-    lines.append(",".join(columns))
+    buf = io.StringIO()
+    for k, v in metadata.items():
+        buf.write(_meta_line(k, v) + "\n")
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(columns)
     for row in rows:
-        lines.append(",".join(_cell(row.get(c)) for c in columns))
-    return "\n".join(lines) + "\n"
+        writer.writerow([_cell(row.get(c)) for c in columns])
+    return buf.getvalue()
 
 
 def _json_default(obj):

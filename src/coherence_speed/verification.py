@@ -60,7 +60,10 @@ from .errors import UnknownSuite
 from .linalg import (
     OrthogonalDecomposition,
     SpectralHamiltonian,
+    dagger,
     haar_random_state,
+    orbit_operators,
+    partial_trace,
     pure_density,
     random_density,
     random_unitary,
@@ -331,14 +334,14 @@ def check_thm3_dpi(*, seed=0, trials=None, dim=None, tol=None, jobs=1) -> CheckR
     def trial(i, rng):
         _, dilation, rho = _qubit_env_case(rng)
         joint = dilation.joint_input(rho)
-        m = len(dilation.levels)
+        dims = (dilation.sys_dim, dilation.env_dim)
         worst_s = -np.inf
-        for s in itertools.permutations(range(m)):
-            sys_dist = hellinger(permuted_channel_apply(dilation, s, rho), rho)
-            ham_s = dilation.hamiltonian.permute_levels(s)
-            u = unitary_exp(ham_s, dilation.duration)
-            joint_dist = hellinger(u @ joint @ u.conj().T, joint)
-            worst_s = max(worst_s, sys_dist - joint_dist)
+        for u in orbit_operators(dilation.hamiltonian,
+                                 lambda lam: np.exp(-1j * lam * dilation.duration)):
+            joint_s = u @ joint @ dagger(u)
+            sys_dist = hellinger(partial_trace(joint_s, dims, over=1), rho)
+            joint_dist = hellinger(joint_s, joint)
+            worst_s = max(worst_s, float(np.max(sys_dist - joint_dist)))
         return worst_s
 
     worst = max(_map_trials(trial, trials, _entropy(seed, 32), jobs))

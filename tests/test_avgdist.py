@@ -1,7 +1,11 @@
 """Closed form vs brute force for the permutation-averaged distance."""
 
+import itertools
+import tracemalloc
+
 import numpy as np
 import pytest
+from scipy.linalg import expm, sqrtm
 
 from coherence_speed.avgdist import (
     BRUTE_FORCE_CAP,
@@ -13,6 +17,8 @@ from coherence_speed.avgdist import (
     l1_upper_bound_check,
     permuted_hamiltonian,
 )
+from coherence_speed.battery import qudit_battery_bound
+from coherence_speed.channels import StinespringDilation, dilate, random_channel, theorem3_bound
 from coherence_speed.coherence import c_half
 from coherence_speed.errors import SingleLevel, TooManyLevels
 from coherence_speed.linalg import (
@@ -20,6 +26,7 @@ from coherence_speed.linalg import (
     haar_random_state,
     pure_density,
     random_density,
+    random_unitary,
 )
 
 
@@ -137,3 +144,119 @@ def test_l1_upper_bound_check_holds():
         t = float(rng.uniform(0.0, 8.0))
         sbar, bound = l1_upper_bound_check(rho, ham, t)
         assert sbar <= bound + 1e-10
+
+
+# Literal per-permutation references for the stacked orbit evaluations:
+# scipy's expm for every U_s, and sqrtm for every root at full rank or
+# the exact root V diag(sqrt p) V† of a known eigendecomposition when
+# the state is rank-deficient.
+
+def _root(basis, weights):
+    if np.min(weights) > 0.0:
+        return sqrtm((basis * weights) @ basis.conj().T)
+    return (basis * np.sqrt(weights)) @ basis.conj().T
+
+
+def _output_root(out):
+    """sqrtm of a channel output at full rank; a pure output is its own exact root."""
+    if np.max(np.abs(out @ out - out)) < 1e-12:
+        return out
+    return sqrtm(out)
+
+
+def _distance(root_a, root_b):
+    return 2.0 * (1.0 - float(np.clip(np.trace(root_a @ root_b).real, 0.0, 1.0)))
+
+
+def _evolutions(ham, t):
+    for s in itertools.permutations(range(ham.level_count)):
+        yield expm(-1j * t * ham.permute_levels(s).matrix())
+
+
+def _states(rng, d):
+    """(basis, weights) of a rank-1, a nearly rank-deficient and a full-rank state."""
+    for weights in ([1.0] + [0.0] * (d - 1), [1e-8] + [1.0] * (d - 1),
+                    list(rng.uniform(0.2, 1.0, d))):
+        p = np.asarray(weights)
+        yield random_unitary(d, rng), p / p.sum()
+
+
+def _hamiltonians(rng):
+    """A nondegenerate and a degenerate spectrum in random eigenbases."""
+    for values in (np.array([0.0, 0.7, 1.9, 3.2]), np.array([0.0, 1.1, 1.1, 2.6])):
+        yield SpectralHamiltonian.from_spectrum(values, random_unitary(4, rng))
+
+
+def test_brute_force_equals_literal_permutation_loop():
+    rng = np.random.default_rng(47)
+    for ham in _hamiltonians(rng):
+        for basis, p in _states(rng, ham.dim):
+            rho = (basis * p) @ basis.conj().T
+            t = float(rng.uniform(0.05, 8.0))
+            root = _root(basis, p)
+            want = np.mean([_distance(root, _root(u @ basis, p)) for u in _evolutions(ham, t)])
+            assert abs(avg_distance_bruteforce(rho, ham, t) - want) < 1e-12
+
+
+def test_theorem3_bound_equals_literal_permutation_loop():
+    rng = np.random.default_rng(48)
+    eye2 = np.eye(2)
+    h_sys = SpectralHamiltonian.from_spectrum(np.array([0.3, 1.4]), random_unitary(2, rng))
+    product = SpectralHamiltonian.from_matrix(np.kron(h_sys.matrix(), eye2))   # doubled levels
+    for dilation in (dilate(random_channel(2, 2, rng)),
+                     StinespringDilation(product, sys_dim=2, env_dim=2, env_state=eye2[0])):
+        for basis, p in _states(rng, 2):
+            rho = (basis * p) @ basis.conj().T
+            joint = dilation.joint_input(rho)
+            root = _root(basis, p)
+            terms = []
+            for u in _evolutions(dilation.hamiltonian, dilation.duration):
+                out = (u @ joint @ u.conj().T).reshape(2, 2, 2, 2).trace(axis1=1, axis2=3)
+                terms.append(_distance(root, _output_root((out + out.conj().T) / 2.0)))
+            lhs, _ = theorem3_bound(dilation, rho)
+            assert abs(lhs - np.mean(terms)) < 1e-12
+
+
+def test_qudit_battery_bound_equals_literal_permutation_loop():
+    rng = np.random.default_rng(49)
+    h0 = np.diag([0.0, 1.0, 2.0, 3.0]).astype(complex)
+    for ham in _hamiltonians(rng):
+        v = ham.matrix()
+        for basis, p in _states(rng, 4):
+            rho = (basis * p) @ basis.conj().T
+            dt = float(rng.uniform(0.01, 0.5))
+            works = []
+            for s in itertools.permutations(range(ham.level_count)):
+                u = expm(-1j * dt * (h0 + ham.permute_levels(s).matrix()))
+                works.append(np.trace(h0 @ (rho - u @ rho @ u.conj().T)).real)
+            avg, _ = qudit_battery_bound(rho, h0, v, dt)
+            assert abs(avg - np.mean(works)) < 1e-12
+
+
+def test_every_orbit_oracle_respects_the_cap():
+    ham = SpectralHamiltonian.from_spectrum(np.arange(4, dtype=float))
+    rho = random_density(4, rank=2, seed=50)
+    with pytest.raises(TooManyLevels):
+        avg_distance_bruteforce(rho, ham, 0.7, cap=3)
+    with pytest.raises(TooManyLevels):
+        qudit_battery_bound(rho, np.diag([0.0, 1.0, 2.0, 3.0]), ham.matrix(), 0.1, cap=3)
+    dilation = StinespringDilation(ham, sys_dim=2, env_dim=2, env_state=np.eye(2)[0])
+    with pytest.raises(TooManyLevels):
+        theorem3_bound(dilation, random_density(2, rank=2, seed=51), cap=3)
+
+
+def test_eight_level_orbit_runs_in_chunks():
+    # 8! = 40320 permutations at d = 9: one unchunked stack of 9 x 9
+    # complex matrices alone would take 52 MB
+    ham = SpectralHamiltonian.from_spectrum(np.r_[np.arange(8.0), 7.0],
+                                            random_unitary(9, 52))
+    rho = random_density(9, rank=3, seed=53)
+    tracemalloc.start()
+    try:
+        brute = avg_distance_bruteforce(rho, ham, 0.9)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2 ** 20
+    closed = avg_distance_closed(rho, ham, 0.9, include_brute=False).closed_form
+    assert abs(brute - closed) < 1e-9

@@ -1,11 +1,12 @@
 """End-to-end runs of the command-line interface via main(argv)."""
 
+import csv
 import json
 
 import numpy as np
 import pytest
 
-from coherence_speed.cli import main
+from coherence_speed.cli import _build_parser, _resolve_common, main
 
 
 def body_lines(path):
@@ -184,3 +185,21 @@ def test_verify_report_written(tmp_path, capsys):
     lines = body_lines(out)
     assert lines[0].startswith("check,passed,worst")
     assert len(lines) == 3   # header + two checks
+
+
+def test_jobs_default_to_one_thread():
+    parser = _build_parser()
+    ns = parser.parse_args(["verify", "thm2"])
+    assert _resolve_common(ns, {})[2] == 1
+    assert _resolve_common(ns, {"jobs": 3})[2] == 3
+    assert _resolve_common(parser.parse_args(["verify", "thm2", "--jobs", "2"]), {})[2] == 2
+
+
+def test_csv_details_with_commas_stay_in_one_cell(tmp_path, capsys):
+    out = tmp_path / "thm3.csv"
+    assert main(["verify", "thm3", "--trials", "2", "--out", str(out)]) == 0
+    rows = list(csv.reader(body_lines(out)))
+    assert all(len(row) == len(rows[0]) for row in rows)
+    detail = {row[0]: row[-1] for row in rows[1:]}
+    assert detail["qutrit-equality-construction"].startswith("completeness ")
+    assert ", witness " in detail["qutrit-equality-construction"]

@@ -1,17 +1,23 @@
 """Unit tests for the dense linear-algebra layer."""
 
+import itertools
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from coherence_speed.errors import BadPermutation, DimensionMismatch, NotPSD
+from coherence_speed.errors import BadPermutation, DimensionMismatch, NotHermitian, NotPSD
 from coherence_speed.linalg import (
+    ORBIT_CHUNK,
+    TOL_PSD,
     OrthogonalDecomposition,
     SpectralHamiltonian,
     haar_random_state,
     hermitian_eig,
     kahan_mean,
     matrix_sqrt_psd,
+    orbit_levels,
+    orbit_operators,
     partial_trace,
     pure_density,
     random_density,
@@ -20,6 +26,7 @@ from coherence_speed.linalg import (
     tensor,
     unitary_exp,
 )
+from coherence_speed.metrics import affinity
 
 
 def test_hermitian_eig_sorted_orthonormal_reconstructs():
@@ -156,3 +163,65 @@ def test_kahan_mean_compensates():
     # summing 0.1 ten million times drifts in naive fp; the compensated
     # mean should sit at 0.1 to the last ulp
     assert abs(kahan_mean(0.1 for _ in range(10 ** 6)) - 0.1) < 1e-15
+
+
+def test_orbit_levels_rebuild_every_permuted_hamiltonian():
+    rng = np.random.default_rng(11)
+    for m in range(1, 5):
+        for doubled in (False, True):
+            levels = np.sort(rng.uniform(0.0, 4.0, m)) + 0.1 * np.arange(m)
+            values = np.concatenate((levels, levels[-1:])) if doubled else levels
+            ham = SpectralHamiltonian.from_spectrum(values, random_unitary(len(values), rng))
+            assert ham.level_count == m
+            rows = orbit_levels(ham)
+            perms = list(itertools.permutations(range(m)))
+            assert rows.shape == (len(perms), ham.dim)
+            v = ham.eigenvectors
+            stacked = np.concatenate(list(orbit_operators(ham, lambda lam: lam)))
+            for k, s in enumerate(perms):
+                want = ham.permute_levels(s).matrix()
+                assert np.max(np.abs((v * rows[k]) @ v.conj().T - want)) < 1e-12
+                assert np.max(np.abs(stacked[k] - want)) < 1e-12
+
+
+def test_orbit_operators_chunk_in_lexicographic_order():
+    ham = SpectralHamiltonian.from_spectrum(np.arange(7, dtype=float))
+    chunks = list(orbit_operators(ham, lambda lam: lam))
+    assert [len(c) for c in chunks] == [ORBIT_CHUNK] * (5040 // ORBIT_CHUNK)
+    diagonals = np.concatenate([np.diagonal(c, axis1=1, axis2=2).real for c in chunks])
+    inverse = [np.argsort(s) for s in itertools.permutations(range(7))]
+    assert np.array_equal(diagonals, np.asarray(inverse, dtype=float))
+
+
+def test_matrix_sqrt_psd_stack_matches_each_matrix():
+    rng = np.random.default_rng(12)
+    stack = np.stack([random_density(4, rank=r, seed=rng) for r in (1, 2, 4)]
+                     + [np.diag([1.0 + 5e-11, -5e-11, 0.0, 0.0])])
+    roots = matrix_sqrt_psd(stack)
+    assert roots.shape == stack.shape
+    for rho, root in zip(stack, roots):
+        assert np.max(np.abs(root - matrix_sqrt_psd(rho))) < 1e-14
+    # the dead band zeroes the -5e-11 eigenvalue of the last matrix only
+    assert roots[-1][1, 1] == 0.0
+    overlaps = affinity(stack, stack[::-1])
+    for k, rho in enumerate(stack):
+        assert abs(overlaps[k] - affinity(rho, stack[::-1][k])) < 1e-14
+    # affinity of a state with itself reads 1 + roundoff and is clipped
+    assert np.all(affinity(stack, stack) <= 1.0)
+
+
+def test_matrix_sqrt_psd_stack_checks_every_matrix():
+    good = np.stack([np.eye(2) / 2.0] * 3)
+    bad_psd = good.copy()
+    bad_psd[1] = np.diag([1.0 + 2 * TOL_PSD, -2 * TOL_PSD])
+    with pytest.raises(NotPSD):
+        matrix_sqrt_psd(bad_psd)
+    bad_herm = good.astype(complex)
+    bad_herm[2, 0, 1] = 1e-6
+    with pytest.raises(NotHermitian):
+        matrix_sqrt_psd(bad_herm)
+    with pytest.raises(DimensionMismatch):
+        matrix_sqrt_psd(np.zeros((3, 2, 3)))
+    # a Hamiltonian is one matrix, never a stack
+    with pytest.raises(DimensionMismatch):
+        SpectralHamiltonian.from_matrix(good)
