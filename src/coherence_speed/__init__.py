@@ -18,7 +18,6 @@ from .avgdist import (
     b_coefficient,
     benchmark_overlap_check,
     l1_upper_bound_check,
-    permuted_hamiltonian,
 )
 from .battery import (
     BatteryConfig,
@@ -76,7 +75,6 @@ from .linalg import (
     random_density,
     random_hermitian,
     random_unitary,
-    spectral_projectors,
     tensor,
     unitary_exp,
 )

@@ -48,11 +48,6 @@ from .metrics import hellinger
 BRUTE_FORCE_CAP = 8  # 8! = 40320 permutations
 
 
-def permuted_hamiltonian(ham: SpectralHamiltonian, assignment) -> SpectralHamiltonian:
-    """Member H_s of the isospectral family: level m goes to block assignment[m]."""
-    return ham.permute_levels(assignment)
-
-
 def avg_distance_bruteforce(rho, ham: SpectralHamiltonian, t: float,
                             *, cap: int = BRUTE_FORCE_CAP) -> float:
     """Literal permutation average of D(rho, U_s rho U_s†) (compensated sum).

@@ -31,12 +31,12 @@ from .coherence import c_half
 from .dynamics import HamiltonianPath, evolve
 from .errors import InvalidState, TooManyLevels, WindowTooWide
 from .linalg import (
+    SpectralHamiltonian,
     dagger,
     hermitian_eig,
     hermitianize,
     kahan_mean,
     orbit_operators,
-    spectral_projectors,
     unitary_exp,
     validate_density,
     validate_state_vector,
@@ -126,7 +126,7 @@ class WorkRecord:
 
 def _branch_work(rho, epsilon: float, h_branch: np.ndarray, dt: float) -> float:
     """Energy drop Tr[eps |1><1| (rho - U rho U†)] for one branch."""
-    ham = spectral_projectors(h_branch)
+    ham = SpectralHamiltonian.from_matrix(h_branch)
     u = unitary_exp(ham, dt)
     rho_next = u @ rho @ u.conj().T
     return float(epsilon * np.trace(_P1 @ (rho - rho_next)).real)
@@ -148,7 +148,7 @@ def avg_extracted_work(rho_t, epsilon: float, eta_t: float, v_t: np.ndarray,
 
 def drive_coherence(rho_t, v_t: np.ndarray) -> float:
     """c_half of the state in the instantaneous drive eigenbasis."""
-    decomp = spectral_projectors(v_t).decomposition
+    decomp = SpectralHamiltonian.from_matrix(v_t).decomposition
     return c_half(rho_t, decomp)
 
 
@@ -217,7 +217,7 @@ def qudit_battery_bound(rho, h0, v, dt: float,
     """
     rho = validate_density(rho)
     h0 = hermitianize(np.asarray(h0, dtype=complex))
-    ham_v = spectral_projectors(np.asarray(v, dtype=complex))
+    ham_v = SpectralHamiltonian.from_matrix(np.asarray(v, dtype=complex))
     m_count = ham_v.level_count
     if m_count > cap:
         raise TooManyLevels(f"{m_count} drive levels exceed cap {cap}")

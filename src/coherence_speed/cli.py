@@ -74,8 +74,6 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="JSON config file (validated against the shipped schema)")
     common.add_argument("--seed", type=int, metavar="N",
                         help="RNG seed (fallback: config, then COHERENCE_SPEED_SEED, then 0)")
-    common.add_argument("--jobs", type=int, metavar="N",
-                        help="worker threads for trial loops (default 1)")
     common.add_argument("--out", metavar="PATH",
                         help="report file (default: stdout for report commands)")
     common.add_argument("--format", choices=("csv", "json"), dest="fmt",
@@ -139,10 +137,9 @@ def _resolve_seed(ns, config: dict) -> int:
 def _resolve_common(ns, config: dict):
     seed = _resolve_seed(ns, config)
     tol = ns.tol if ns.tol is not None else config.get("tolerance")
-    jobs = ns.jobs if ns.jobs is not None else config.get("jobs", 1)
     out = ns.out if ns.out is not None else config.get("out")
     fmt = ns.fmt if ns.fmt is not None else config.get("format", "csv")
-    return seed, tol, int(jobs), out, fmt
+    return seed, tol, out, fmt
 
 
 def _metadata(command: str, seed: int, tol, **extra) -> dict:
@@ -227,16 +224,14 @@ def _axis(spec, tau: float):
 # ---------------------------------------------------------------------------
 
 def _cmd_verify(ns, config: dict) -> int:
-    seed, tol, jobs, out, fmt = _resolve_common(ns, config)
+    seed, tol, out, fmt = _resolve_common(ns, config)
     section = config.get("verify", {})
     suite = ns.suite or section.get("suite")
     if suite is None:
         raise UsageError("verify needs a suite name (argument or verify.suite in config)")
-    if suite not in SUITES:
-        raise UsageError(f"unknown suite {suite!r}; choose from " + ", ".join(sorted(SUITES)))
     dim = ns.dim if ns.dim is not None else section.get("dim")
     trials = ns.trials if ns.trials is not None else section.get("trials")
-    results = run_suite(suite, seed=seed, trials=trials, dim=dim, tol=tol, jobs=jobs)
+    results = run_suite(suite, seed=seed, trials=trials, dim=dim, tol=tol)
     for res in results:
         print(res.line())
     if out:
@@ -256,7 +251,7 @@ def _cmd_verify(ns, config: dict) -> int:
 
 
 def _cmd_sweep(ns, config: dict) -> int:
-    seed, tol, jobs, out, fmt = _resolve_common(ns, config)
+    seed, tol, out, fmt = _resolve_common(ns, config)
     tol = 1e-9 if tol is None else tol
     section = config.get("sweep")
     if section is None:
@@ -302,7 +297,7 @@ def _cmd_sweep(ns, config: dict) -> int:
 
 
 def _cmd_battery(ns, config: dict) -> int:
-    seed, tol, jobs, out, fmt = _resolve_common(ns, config)
+    seed, tol, out, fmt = _resolve_common(ns, config)
     tol = 1e-9 if tol is None else tol
     section = config.get("battery", {})
     epsilon = float(section.get("epsilon", 1.0))
@@ -335,7 +330,7 @@ def _cmd_battery(ns, config: dict) -> int:
 
 
 def _cmd_channel(ns, config: dict) -> int:
-    seed, tol, jobs, out, fmt = _resolve_common(ns, config)
+    seed, tol, out, fmt = _resolve_common(ns, config)
     tol = 1e-9 if tol is None else tol
     section = config.get("channel", {})
     channel_spec = section.get("channel", "qutrit-equality")
@@ -386,7 +381,7 @@ def _cmd_channel(ns, config: dict) -> int:
 
 
 def _cmd_qsl(ns, config: dict) -> int:
-    seed, tol, jobs, out, fmt = _resolve_common(ns, config)
+    seed, tol, out, fmt = _resolve_common(ns, config)
     tol = 1e-9 if tol is None else tol
     section = config.get("qsl", {})
     spectrum = np.asarray(section.get("spectrum", [0.0, 1.0]), dtype=float)

@@ -106,13 +106,16 @@ def instantaneous_speed(psi, ham: SpectralHamiltonian) -> float:
 
 
 def energy_uncertainty(psi, h) -> float:
-    """Energy spread sqrt(<H^2> - <H>^2) computed from the dense matrix."""
+    """Energy spread ||(H - <H>) psi|| computed from the dense matrix.
+
+    Equals sqrt(<H^2> - <H>^2) without subtracting the two moments, which
+    cancel when the spread is small against the mean energy.
+    """
     psi = validate_state_vector(psi)
     mat = h.matrix() if isinstance(h, SpectralHamiltonian) else np.asarray(h, dtype=complex)
     hpsi = mat @ psi
     e = float(np.vdot(psi, hpsi).real)
-    e2 = float(np.vdot(hpsi, hpsi).real)
-    return float(np.sqrt(max(0.0, e2 - e * e)))
+    return float(np.linalg.norm(hpsi - e * psi))
 
 
 def evolve(psi0, path: HamiltonianPath) -> Trajectory:

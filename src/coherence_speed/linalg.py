@@ -359,11 +359,6 @@ class SpectralHamiltonian:
         )
 
 
-def spectral_projectors(h, tol_degen: float = TOL_DEGEN) -> SpectralHamiltonian:
-    """Eigenlevel grouping of a Hermitian matrix (see SpectralHamiltonian)."""
-    return SpectralHamiltonian.from_matrix(h, tol_degen)
-
-
 def unitary_exp(ham: SpectralHamiltonian, t: float) -> np.ndarray:
     """Evolution operator exp(-i H t) from spectral data (hbar = 1)."""
     v = ham.eigenvectors

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dynamics import energy_uncertainty
 from .errors import DimensionMismatch
 from .linalg import SpectralHamiltonian, matrix_sqrt_psd, validate_state_vector
 
@@ -103,10 +104,8 @@ def qsl_bounds(psi0, ham: SpectralHamiltonian, psi1) -> QslBounds:
     if ham.dim != len(psi0) or len(psi0) != len(psi1):
         raise DimensionMismatch("state/Hamiltonian dimensions differ")
     h = ham.matrix()
-    hpsi = h @ psi0
-    e = float(np.vdot(psi0, hpsi).real)
-    e2 = float(np.vdot(hpsi, hpsi).real)
-    stddev = float(np.sqrt(max(0.0, e2 - e * e)))
+    e = float(np.vdot(psi0, h @ psi0).real)
+    stddev = energy_uncertainty(psi0, h)
     mean_shifted = e - float(ham.eigenvalues[0])
     # arccos of the overlap magnitude loses half the working precision
     # near coinciding states (one ulp below 1 reads as a 2e-8 angle), so

@@ -15,7 +15,6 @@ from coherence_speed.avgdist import (
     b_coefficient,
     benchmark_overlap_check,
     l1_upper_bound_check,
-    permuted_hamiltonian,
 )
 from coherence_speed.battery import qudit_battery_bound
 from coherence_speed.channels import StinespringDilation, dilate, random_channel, theorem3_bound
@@ -120,7 +119,7 @@ def test_brute_force_capped():
 
 def test_permuted_hamiltonian_swaps_levels():
     ham = SpectralHamiltonian.from_spectrum(np.array([0.0, 1.0, 5.0]))
-    swapped = permuted_hamiltonian(ham, [1, 0, 2])
+    swapped = ham.permute_levels([1, 0, 2])
     # level values travel to the other eigenspaces; the set is unchanged
     np.testing.assert_allclose(np.sort(np.linalg.eigvalsh(swapped.matrix())),
                                [0.0, 1.0, 5.0], atol=1e-12)
@@ -131,7 +130,7 @@ def test_identity_permutation_leaves_distance_zero():
     ham = SpectralHamiltonian.from_spectrum(np.array([0.0, 1.3, 2.1]))
     psi = haar_random_state(3, 45)
     rho = pure_density(psi)
-    same = permuted_hamiltonian(ham, [0, 1, 2])
+    same = ham.permute_levels([0, 1, 2])
     assert np.max(np.abs(same.matrix() - ham.matrix())) < 1e-12
 
 

@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from coherence_speed.cli import _build_parser, _resolve_common, main
+from coherence_speed.cli import main
 
 
 def body_lines(path):
@@ -38,8 +38,20 @@ def test_verify_prints_one_line_per_check(capsys):
     assert out[0].startswith("PASS thm2-equality")
 
 
-def test_verify_unknown_suite_is_usage_error():
+def test_verify_unknown_suite_is_usage_error(tmp_path, capsys):
     assert main(["verify", "definitely-not-a-suite"]) == 2
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"verify": {"suite": "definitely-not-a-suite"}}))
+    assert main(["verify", "--config", str(cfg)]) == 2
+    assert "unknown suite 'definitely-not-a-suite'" in capsys.readouterr().err
+
+
+def test_trial_threads_are_not_configurable(tmp_path, capsys):
+    assert main(["verify", "thm2", "--jobs", "2"]) == 2
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"jobs": 2}))
+    assert main(["verify", "thm2", "--config", str(cfg)]) == 2
+    assert "error:" in capsys.readouterr().err
 
 
 def test_verify_failure_emits_machine_readable_list(capsys):
@@ -185,14 +197,6 @@ def test_verify_report_written(tmp_path, capsys):
     lines = body_lines(out)
     assert lines[0].startswith("check,passed,worst")
     assert len(lines) == 3   # header + two checks
-
-
-def test_jobs_default_to_one_thread():
-    parser = _build_parser()
-    ns = parser.parse_args(["verify", "thm2"])
-    assert _resolve_common(ns, {})[2] == 1
-    assert _resolve_common(ns, {"jobs": 3})[2] == 3
-    assert _resolve_common(parser.parse_args(["verify", "thm2", "--jobs", "2"]), {})[2] == 2
 
 
 def test_csv_details_with_commas_stay_in_one_cell(tmp_path, capsys):

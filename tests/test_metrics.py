@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from coherence_speed.dynamics import energy_uncertainty
 from coherence_speed.errors import DimensionMismatch
 from coherence_speed.linalg import (
     OrthogonalDecomposition,
@@ -128,6 +129,19 @@ def test_qsl_floor_on_random_evolutions():
         b = qsl_bounds(psi, ham, unitary_exp(ham, t) @ psi)
         if b.mt_time is not None:
             assert b.mt_time <= t + 1e-9
+
+
+def test_energy_spread_survives_a_shifted_spectrum():
+    # the plus state on levels (a, b) has spread (b - a) / 2 exactly; the
+    # moment form sqrt(<H^2> - <H>^2) loses it to cancellation at large shifts
+    psi = np.full(2, 1.0 / np.sqrt(2.0), dtype=complex)
+    for shift in (0.0, 100.0, 1e4):
+        lam = shift + np.array([0.0, 1e-3])
+        exact = (lam[1] - lam[0]) / 2.0
+        ham = SpectralHamiltonian.from_spectrum(lam)
+        assert abs(energy_uncertainty(psi, ham) - exact) <= 1e-9 * exact
+        b = qsl_bounds(psi, ham, unitary_exp(ham, 1.0) @ psi)
+        assert abs(b.energy_stddev - exact) <= 1e-9 * exact
 
 
 def test_qsl_degenerate_denominators_give_none():

@@ -1,4 +1,6 @@
-"""The check registry itself: determinism, parallel equivalence, registry."""
+"""The check registry itself: determinism, overrides, registry."""
+
+import inspect
 
 import numpy as np
 import pytest
@@ -8,10 +10,23 @@ from coherence_speed.verification import (
     SUITES,
     CheckResult,
     check_benchmark_identity,
+    check_coefficient_grid,
+    check_fd_convergence,
+    check_max_coherent_dominance,
+    check_qsl_mt_floor,
+    check_qudit_battery,
+    check_qutrit_equality_construction,
     check_thm1_equality,
     failures_as_dicts,
     run_suite,
 )
+
+
+# reported trial counts at a --trials 4 override, where they differ from 4
+_OWN_COUNTS = {"qutrit-equality-construction": 1,
+               "battery-trajectories": 18,      # 3 pulses x 3 states x 2 axes
+               "max-coherent-dominance": 5,     # 5 x max(1, trials // 5)
+               "qudit-battery": 8}              # two passes of trials each
 
 
 def test_every_suite_runs_and_passes_at_small_trial_counts():
@@ -20,6 +35,7 @@ def test_every_suite_runs_and_passes_at_small_trial_counts():
             assert isinstance(res, CheckResult)
             assert res.passed, f"{name}: {res.line()}"
             assert res.line().startswith("PASS ")
+            assert res.trials == _OWN_COUNTS.get(res.name, 4), res.line()
 
 
 def test_unknown_suite_lists_the_valid_names():
@@ -34,12 +50,6 @@ def test_same_seed_reproduces_worst_values():
     c = check_thm1_equality(seed=6, trials=12)
     assert a.worst == b.worst
     assert a.worst != c.worst
-
-
-def test_thread_pool_does_not_change_results():
-    a = check_benchmark_identity(seed=3, trials=16, jobs=1)
-    b = check_benchmark_identity(seed=3, trials=16, jobs=4)
-    assert a.worst == b.worst
 
 
 def test_dim_override_is_respected():
@@ -60,3 +70,29 @@ def test_failures_serialize_only_failed_checks():
 def test_tolerance_override_propagates():
     res = check_thm1_equality(seed=1, trials=5, tol=0.5)
     assert res.tol == 0.5 and res.passed
+
+
+def test_every_check_takes_the_same_keywords():
+    for fns in SUITES.values():
+        for fn in fns:
+            assert list(inspect.signature(fn).parameters) == ["seed", "trials", "dim", "tol"]
+
+
+@pytest.mark.parametrize("check, trials, reported_trials, reported_tol", [
+    (check_fd_convergence, 1, 1, 1.2),               # fixed window, tol ignored
+    (check_qutrit_equality_construction, 7, 1, 0.5),
+    (check_max_coherent_dominance, 12, 10, 0.5),     # 5 x (trials // 5)
+    (check_qudit_battery, 3, 6, 0.5),                # two passes of trials each
+    (check_coefficient_grid, 50, 50, 0.5),           # trials is the grid size
+])
+def test_irregular_checks_report_their_own_counts(check, trials, reported_trials,
+                                                  reported_tol):
+    res = check(seed=1, trials=trials, tol=0.5)
+    assert (res.trials, res.tol) == (reported_trials, reported_tol)
+    assert res.passed, res.line()
+
+
+def test_spread_floor_holds_for_close_levels_far_from_zero():
+    # seed 83 draws two levels 1.4e-3 apart near 2.83, where the moment form
+    # sqrt(<H^2> - <H>^2) of the spread overstated the minimum time by 1.3e-9
+    assert check_qsl_mt_floor(seed=83).passed
