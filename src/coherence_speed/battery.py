@@ -17,6 +17,14 @@ instantaneous drive eigenbasis:
 
 A diagonal state in that basis therefore yields no branch-averaged
 work, whatever the pulse does.
+
+``simulate_battery`` samples eta(t_k), V(t_k) and H(t_k) once per grid
+point and runs the whole protocol as stacked arrays: the trajectory
+through the stacked propagator of ``dynamics.evolve``, whose
+eigendecomposition of H(t_k) = H_1 also serves the plus branch, one
+stacked ``eigh`` for the minus branch and one for the drive basis.  The
+single-step functions below (``avg_extracted_work``, ``drive_coherence``,
+``work_bound``) compute each row on its own and serve as its oracles.
 """
 
 from __future__ import annotations
@@ -28,7 +36,7 @@ import numpy as np
 
 from .avgdist import BRUTE_FORCE_CAP, b_coefficient
 from .coherence import c_half
-from .dynamics import HamiltonianPath, evolve
+from .dynamics import _propagate
 from .errors import InvalidState, TooManyLevels, WindowTooWide
 from .linalg import (
     SpectralHamiltonian,
@@ -36,6 +44,7 @@ from .linalg import (
     hermitian_eig,
     hermitianize,
     kahan_mean,
+    matrix_sqrt_psd,
     orbit_operators,
     unitary_exp,
     validate_density,
@@ -52,14 +61,20 @@ _P1 = np.array([[0.0, 0.0], [0.0, 1.0]], dtype=complex)
 
 
 def spin_operator(axis) -> np.ndarray:
-    """n.sigma for a unit 3-vector n (eigenvalues exactly +-1)."""
-    n = np.asarray(axis, dtype=float).reshape(-1)
-    if n.shape != (3,):
-        raise InvalidState("axis must be a 3-vector")
-    nrm = float(np.linalg.norm(n))
-    if abs(nrm - 1.0) > 1e-9:
-        raise InvalidState(f"axis norm {nrm!r} differs from 1")
-    return n[0] * _SIGMA[0] + n[1] * _SIGMA[1] + n[2] * _SIGMA[2]
+    """n.sigma for a unit 3-vector n (eigenvalues exactly +-1).
+
+    A stack of axes (k, 3) gives the stack (k, 2, 2); every axis must
+    be unit length.
+    """
+    n = np.asarray(axis, dtype=float)
+    if n.ndim not in (1, 2) or n.shape[-1] != 3:
+        raise InvalidState("axis must be a 3-vector or a stack (k, 3) of them")
+    nrm = np.linalg.norm(n, axis=-1)
+    off = np.abs(nrm - 1.0) > 1e-9
+    if off.any():
+        raise InvalidState(f"axis norm {float(nrm[off].flat[0])!r} differs from 1")
+    return (n[..., 0, None, None] * _SIGMA[0] + n[..., 1, None, None] * _SIGMA[1]
+            + n[..., 2, None, None] * _SIGMA[2])
 
 
 def sin2_pulse(eta_max: float, tau: float) -> Callable[[float], float]:
@@ -164,6 +179,30 @@ def work_bound(rho_t, epsilon: float, eta_t: float, v_t: np.ndarray,
     return float(2.0 * epsilon * np.sin(x) * np.sqrt(drive_coherence(rho_t, v_t)))
 
 
+def _stacked_branch_work(rho, epsilon: float, w: np.ndarray, vecs: np.ndarray,
+                         dt: float) -> np.ndarray:
+    """_branch_work at every grid point from the branch eigendata (w, vecs)."""
+    u = (vecs * np.exp(-1j * w * dt)[:, None, :]) @ dagger(vecs)
+    rho_next = u @ rho @ dagger(u)
+    return epsilon * (rho - rho_next)[:, 1, 1].real    # Tr[|1><1| X] = X_11
+
+
+def _stacked_drive_coherence(rho, v: np.ndarray) -> np.ndarray:
+    """drive_coherence at every grid point: c_half in the eigenbasis of each V(t_k).
+
+    n.sigma has the two levels +-1, so each eigenvector column is its own
+    block, P_m = v_m v_m†; block traces Tr[(P_m sqrt(rho) P_m)^2] are
+    formed as in c_half.
+    """
+    _, basis = hermitian_eig(v)
+    cols = basis.swapaxes(-1, -2)[..., None]               # (k, m, d, 1)
+    proj = cols @ dagger(cols)
+    x = proj @ matrix_sqrt_psd(rho)[:, None] @ proj
+    flat = x.reshape(x.shape[:2] + (-1,))
+    traces = (flat.conj()[..., None, :] @ flat[..., None])[..., 0, 0].real
+    return np.maximum(0.0, 1.0 - traces.sum(axis=-1))
+
+
 def simulate_battery(config: BatteryConfig, psi0) -> list[WorkRecord]:
     """Evolve psi0 under H(t) = eps |1><1| + eta(t) V(t) and record work/bound rows.
 
@@ -179,27 +218,18 @@ def simulate_battery(config: BatteryConfig, psi0) -> list[WorkRecord]:
             raise InvalidState(f"pulse must vanish at t = {edge}")
     steps = max(1, int(round(config.tau / config.dt)))
     times = np.linspace(0.0, config.tau, steps + 1)
-
-    def sampler(t: float) -> np.ndarray:
-        v = spin_operator(config.drive_axis(t))
-        return config.epsilon * _P1 + config.pulse(t) * v
-
-    path = HamiltonianPath(times=times, sampler=sampler)
-    traj = evolve(psi0, path)
-    records: list[WorkRecord] = []
-    cumulative = 0.0
-    for k, t in enumerate(times):
-        rho = np.outer(traj.states[k], traj.states[k].conj())
-        eta = float(config.pulse(t))
-        v = spin_operator(config.drive_axis(t))
-        work = avg_extracted_work(rho, config.epsilon, eta, v, config.dt)
-        coh = drive_coherence(rho, v)
-        bound = float(2.0 * config.epsilon * np.sin(eta * config.dt) * np.sqrt(coh))
-        cumulative += work
-        records.append(WorkRecord(t=float(t), pulse_value=eta, avg_work=work,
-                                  bound=bound, coherence=coh,
-                                  cumulative_work=cumulative))
-    return records
+    etas = np.array([float(config.pulse(t)) for t in times])
+    drive = spin_operator([config.drive_axis(t) for t in times])
+    h0 = config.epsilon * _P1
+    states, w, vecs = _propagate(psi0, times, h0 + etas[:, None, None] * drive)
+    rho = states[:, :, None] * states.conj()[:, None, :]
+    w_minus, vecs_minus = hermitian_eig(h0 - etas[:, None, None] * drive)
+    work = 0.5 * (_stacked_branch_work(rho, config.epsilon, w, vecs, config.dt)
+                  + _stacked_branch_work(rho, config.epsilon, w_minus, vecs_minus, config.dt))
+    coh = _stacked_drive_coherence(rho, drive)
+    bound = 2.0 * config.epsilon * np.sin(etas * config.dt) * np.sqrt(coh)
+    columns = (times, etas, work, bound, coh, np.cumsum(work))
+    return [WorkRecord(*row) for row in zip(*(c.tolist() for c in columns))]
 
 
 def qudit_battery_bound(rho, h0, v, dt: float,

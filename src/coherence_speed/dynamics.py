@@ -9,6 +9,14 @@ the eigenspace weights r_m = ||P_m psi||^2 and the level gaps:
 
 with DeltaH the energy spread of the state.  Both routes are computed
 independently here so the identity can be checked rather than assumed.
+
+``evolve`` samples every H(t_k) of the grid into one (N+1, d, d) stack
+and diagonalizes it with one stacked ``eigh``; the step unitaries
+V exp(-i w dt) V† are formed as a stack, so Python runs only the
+sequential mat-vec.  Speeds and spreads along the trajectory come from
+the same stacked eigendata and dense stack, by the rules of
+``instantaneous_speed`` and ``energy_uncertainty`` (the single-step
+oracles).  The stacks hold about 48 N d^2 bytes.
 """
 
 from __future__ import annotations
@@ -21,14 +29,28 @@ import numpy as np
 
 from .errors import GridTooCoarse, InvalidState
 from .linalg import (
+    TOL_DEGEN,
     SpectralHamiltonian,
+    dagger,
+    hermitian_eig,
     hermitianize,
-    unitary_exp,
     validate_state_vector,
 )
 
 _WARN_STEP = 0.1
 _MAX_STEP = 1.0
+
+
+def _half_width(h: np.ndarray) -> float:
+    """Half spectral width (lambda_max - lambda_min) / 2 of a Hermitian matrix.
+
+    It is max|lambda - c| minimized over the shift c, so a global shift
+    of H, which changes only the phase, leaves it unchanged.
+    """
+    if not h.size:
+        return 0.0
+    w = np.linalg.eigvalsh(h)
+    return float(w[-1] - w[0]) / 2.0
 
 
 @dataclass
@@ -40,11 +62,11 @@ class HamiltonianPath:
 
     @staticmethod
     def _grid(t_final: float, dt: float | None, steps: int | None,
-              lam_max: float) -> np.ndarray:
+              half_width: float) -> np.ndarray:
         if steps is None:
             if dt is None:
-                # default grid: max|lambda| * dt <= 0.01
-                dt = 0.01 / lam_max if lam_max > 0 else t_final
+                # default grid: half spectral width * dt <= 0.01
+                dt = 0.01 / half_width if half_width > 0 else t_final
             steps = max(1, int(np.ceil(t_final / dt)))
         return np.linspace(0.0, t_final, steps + 1)
 
@@ -52,19 +74,20 @@ class HamiltonianPath:
     def constant(cls, h, t_final: float, *, dt: float | None = None,
                  steps: int | None = None) -> "HamiltonianPath":
         h = hermitianize(np.asarray(h, dtype=complex))
-        lam_max = float(np.max(np.abs(np.linalg.eigvalsh(h)))) if h.size else 0.0
-        times = cls._grid(t_final, dt, steps, lam_max)
+        times = cls._grid(t_final, dt, steps, _half_width(h))
         return cls(times=times, sampler=lambda t: h)
 
     @classmethod
     def linear(cls, h0, h1, t_final: float, *, dt: float | None = None,
                steps: int | None = None) -> "HamiltonianPath":
-        """Linear interpolation H(t) = (1 - t/T) H0 + (t/T) H1."""
+        """Linear interpolation H(t) = (1 - t/T) H0 + (t/T) H1.
+
+        The spectral width is convex in H, so the larger endpoint half
+        width bounds it along the whole path.
+        """
         h0 = hermitianize(np.asarray(h0, dtype=complex))
         h1 = hermitianize(np.asarray(h1, dtype=complex))
-        lam_max = max(float(np.max(np.abs(np.linalg.eigvalsh(h0)))),
-                      float(np.max(np.abs(np.linalg.eigvalsh(h1)))))
-        times = cls._grid(t_final, dt, steps, lam_max)
+        times = cls._grid(t_final, dt, steps, max(_half_width(h0), _half_width(h1)))
 
         def sampler(t: float) -> np.ndarray:
             x = t / t_final if t_final > 0 else 0.0
@@ -118,42 +141,73 @@ def energy_uncertainty(psi, h) -> float:
     return float(np.linalg.norm(hpsi - e * psi))
 
 
-def evolve(psi0, path: HamiltonianPath) -> Trajectory:
-    """Piecewise-constant-exponential integrator over the path's grid.
+def _propagate(psi0: np.ndarray, times: np.ndarray,
+               h: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """States on the grid from the samples h (N+1, d, d), with their eigendata (w, v).
 
-    Each step applies exp(-i H(t_k) dt_k) exactly (via the spectral
-    decomposition).  Raises GridTooCoarse when max|lambda| * dt exceeds
-    1; warns once above 0.1.
+    One stacked eigh (which rejects any non-Hermitian sample) gives
+    every step unitary V exp(-i w dt) V†.  The step guard is checked on
+    the whole grid before any propagation: GridTooCoarse when the half
+    spectral width (lambda_max - lambda_min) / 2 times dt exceeds 1, one
+    warning above 0.1.  Raises InvalidState when the norm drifts by more
+    than 1e-10 over the grid.
     """
-    psi0 = validate_state_vector(psi0)
-    times = np.asarray(path.times, dtype=float)
-    n = len(times) - 1
-    d = len(psi0)
-    states = np.empty((n + 1, d), dtype=complex)
-    speeds = np.empty(n + 1)
-    uncerts = np.empty(n + 1)
+    w, v = hermitian_eig(h)
+    dts = np.diff(times)
+    steps = (w[:-1, -1] - w[:-1, 0]) / 2.0 * dts
+    worst = float(steps.max()) if steps.size else 0.0
+    if worst > _MAX_STEP:
+        raise GridTooCoarse(f"half spectral width * dt = {worst:.3g} exceeds {_MAX_STEP}")
+    if worst > _WARN_STEP:
+        warnings.warn(f"half spectral width * dt = {worst:.3g} above {_WARN_STEP}; "
+                      "grid may be coarse", stacklevel=3)
+    u = (v[:-1] * np.exp(-1j * w[:-1] * dts[:, None])[:, None, :]) @ dagger(v[:-1])
+    states = np.empty((len(times), len(psi0)), dtype=complex)
     states[0] = psi0
-    warned = False
-    for k in range(n + 1):
-        h_k = hermitianize(np.asarray(path.sampler(times[k]), dtype=complex))
-        ham_k = SpectralHamiltonian.from_matrix(h_k)
-        speeds[k] = instantaneous_speed(states[k], ham_k)
-        uncerts[k] = energy_uncertainty(states[k], h_k)
-        if k < n:
-            dt_k = times[k + 1] - times[k]
-            lam_max = float(np.max(np.abs(ham_k.eigenvalues)))
-            step = lam_max * dt_k
-            if step > _MAX_STEP:
-                raise GridTooCoarse(f"max|lambda| * dt = {step:.3g} exceeds {_MAX_STEP}")
-            if step > _WARN_STEP and not warned:
-                warnings.warn(f"max|lambda| * dt = {step:.3g} above {_WARN_STEP}; "
-                              "grid may be coarse", stacklevel=2)
-                warned = True
-            states[k + 1] = unitary_exp(ham_k, dt_k) @ states[k]
+    for k in range(len(dts)):
+        states[k + 1] = u[k] @ states[k]
     drift = float(np.max(np.abs(np.linalg.norm(states, axis=1) - 1.0)))
     if drift > 1e-10:
         raise InvalidState(f"norm drift {drift:.3e} over the grid")
-    return Trajectory(times=times, states=states, speeds=speeds, uncertainties=uncerts)
+    return states, w, v
+
+
+def _stacked_speeds(w: np.ndarray, v: np.ndarray, states: np.ndarray) -> np.ndarray:
+    """instantaneous_speed at every grid point from the stacked eigendata.
+
+    Column weights |V† psi|^2 are summed per level, levels being split
+    where consecutive eigenvalues differ by more than TOL_DEGEN and
+    valued at their cluster mean, as SpectralHamiltonian groups them.
+    Unused level slots carry zero weight and drop out.
+    """
+    weights = np.abs(np.einsum("kji,kj->ki", v.conj(), states)) ** 2
+    level_of = np.zeros(w.shape, dtype=int)
+    level_of[:, 1:] = np.cumsum(np.diff(w, axis=1) > TOL_DEGEN, axis=1)
+    member = level_of[:, :, None] == np.arange(w.shape[1])   # (k, column, level)
+    r = np.einsum("kj,kjm->km", weights, member)
+    levels = np.einsum("kj,kjm->km", w, member) / np.maximum(member.sum(axis=1), 1)
+    gaps = (levels[:, :, None] - levels[:, None, :]) ** 2
+    return np.sqrt(np.maximum(0.0, np.einsum("kp,kpq,kq->k", r, gaps, r)))
+
+
+def evolve(psi0, path: HamiltonianPath) -> Trajectory:
+    """Piecewise-constant-exponential integrator over the path's grid.
+
+    Each step applies exp(-i H(t_k) dt_k) exactly, from one stacked
+    eigendecomposition of every sample.  Raises GridTooCoarse when the
+    half spectral width (lambda_max - lambda_min) / 2 times dt exceeds
+    1, before any step is taken; warns once above 0.1.  A global shift
+    of H changes only the phase and so does not move the guard.
+    """
+    psi0 = validate_state_vector(psi0)
+    times = np.asarray(path.times, dtype=float)
+    h = hermitianize(np.array([np.asarray(path.sampler(t), dtype=complex) for t in times]))
+    states, w, v = _propagate(psi0, times, h)
+    hpsi = np.einsum("kij,kj->ki", h, states)
+    energy = np.einsum("ki,ki->k", states.conj(), hpsi).real
+    uncerts = np.linalg.norm(hpsi - energy[:, None] * states, axis=1)
+    return Trajectory(times=times, states=states, speeds=_stacked_speeds(w, v, states),
+                      uncertainties=uncerts)
 
 
 def finite_difference_speed(trajectory: Trajectory, k: int) -> float:

@@ -12,12 +12,15 @@ from __future__ import annotations
 import csv
 import io
 import json
+import re
 from pathlib import Path
 
 import numpy as np
 
 
 def _cell(value) -> str:
+    if type(value) is float:    # most cells; checked before the isinstance chain
+        return format(value, ".17g")
     if value is None:
         return "nan"
     if isinstance(value, (bool, np.bool_)):
@@ -37,6 +40,25 @@ def _meta_line(key: str, value) -> str:
     return f"# {key}: {value}"
 
 
+_QUOTE_CHARS = re.compile('["\r\n]')
+
+
+def _csv_line(cells: list[str]) -> str:
+    """One CSV row as csv.writer writes it.
+
+    Rows with no cell that needs quoting (a comma, a quote, a line
+    break, or a lone empty cell) are a plain join; the rest go through
+    csv.writer.
+    """
+    line = ",".join(cells)
+    # a comma inside a cell shows as more commas than the join put in
+    if line.count(",") >= len(cells) or cells == [""] or _QUOTE_CHARS.search(line):
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerow(cells)
+        return buf.getvalue()
+    return line + "\n"
+
+
 def format_csv(rows: list[dict], metadata: dict,
                columns: list[str] | None = None) -> str:
     """'#'-headed metadata, one unprefixed column row, then data rows.
@@ -46,14 +68,10 @@ def format_csv(rows: list[dict], metadata: dict,
     """
     if columns is None:
         columns = list(rows[0]) if rows else []
-    buf = io.StringIO()
-    for k, v in metadata.items():
-        buf.write(_meta_line(k, v) + "\n")
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(columns)
-    for row in rows:
-        writer.writerow([_cell(row.get(c)) for c in columns])
-    return buf.getvalue()
+    lines = [_meta_line(k, v) + "\n" for k, v in metadata.items()]
+    lines.append(_csv_line([str(c) for c in columns]))
+    lines.extend(_csv_line([_cell(row.get(c)) for c in columns]) for row in rows)
+    return "".join(lines)
 
 
 def _json_default(obj):

@@ -1,5 +1,7 @@
 """Branch-averaged work extraction and its coherence ceiling."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,7 @@ from coherence_speed.battery import (
     spin_operator,
     work_bound,
 )
+from coherence_speed.dynamics import HamiltonianPath, evolve
 from coherence_speed.errors import InvalidState, WindowTooWide
 from coherence_speed.linalg import (
     haar_random_state,
@@ -24,9 +27,11 @@ from coherence_speed.linalg import (
     random_density,
     random_unitary,
 )
+from coherence_speed.verification import _battery_grid
 
 GROUND = np.array([1.0, 0.0], dtype=complex)
 PLUS = np.full(2, 1.0 / np.sqrt(2.0), dtype=complex)
+P1 = np.diag([0.0, 1.0]).astype(complex)
 
 
 def test_spin_operator_algebra():
@@ -40,6 +45,19 @@ def test_spin_operator_algebra():
         assert np.max(np.abs(s @ s - np.eye(2))) < 1e-12
     with pytest.raises(InvalidState):
         spin_operator((1.0, 1.0, 0.0))   # not unit length
+
+
+def test_spin_operator_stack_equals_one_axis_at_a_time():
+    rng = np.random.default_rng(76)
+    axes = rng.normal(size=(7, 3))
+    axes /= np.linalg.norm(axes, axis=1, keepdims=True)
+    stack = spin_operator(axes)
+    assert stack.shape == (7, 2, 2)
+    for n, s in zip(axes, stack):
+        np.testing.assert_array_equal(s, spin_operator(n))
+    axes[4] *= 1.01
+    with pytest.raises(InvalidState):
+        spin_operator(axes)
 
 
 def test_pulses_vanish_at_endpoints():
@@ -159,3 +177,25 @@ def test_qudit_bound_holds_and_vanishes_for_incoherent_states():
         diag = w @ np.diag(rng.dirichlet(np.ones(d))) @ w.conj().T
         avg0, _ = qudit_battery_bound(diag, h0, v, 1e-3)
         assert abs(avg0) < 1e-10
+
+
+def test_battery_rows_match_the_single_step_oracles():
+    # every 25th row of the 18 scenarios of the battery-bound suite
+    tau, pulses, states, axes = _battery_grid()
+    eps, dt = 1.0, 1e-3
+    for (_, pulse), (_, psi0), (_, axis) in itertools.product(pulses, states, axes):
+        config = BatteryConfig(epsilon=eps, tau=tau, dt=dt, pulse=pulse, drive_axis=axis)
+        records = simulate_battery(config, psi0)
+        times = np.linspace(0.0, tau, len(records))
+        traj = evolve(psi0, HamiltonianPath(
+            times=times, sampler=lambda t: eps * P1 + pulse(t) * spin_operator(axis(t))))
+        for k in range(0, len(records), 25):
+            rec, t = records[k], times[k]
+            rho = np.outer(traj.states[k], traj.states[k].conj())
+            eta, v = float(pulse(t)), spin_operator(axis(t))
+            assert rec.t == t and rec.pulse_value == eta
+            assert abs(rec.avg_work - avg_extracted_work(rho, eps, eta, v, dt)) <= 1e-14
+            assert abs(rec.coherence - drive_coherence(rho, v)) <= 1e-14
+            assert abs(rec.bound - work_bound(rho, eps, eta, v, dt)) <= 1e-14
+        np.testing.assert_array_equal([r.cumulative_work for r in records],
+                                      np.cumsum([r.avg_work for r in records]))

@@ -1,7 +1,10 @@
 """Piecewise-constant propagation and the instantaneous-speed identity."""
 
+import warnings
+
 import numpy as np
 import pytest
+import scipy.linalg
 
 from coherence_speed.dynamics import (
     HamiltonianPath,
@@ -14,10 +17,13 @@ from coherence_speed.dynamics import (
 )
 from coherence_speed.errors import GridTooCoarse, InvalidState
 from coherence_speed.linalg import (
+    TOL_DEGEN,
     SpectralHamiltonian,
     haar_random_state,
+    hermitianize,
     pure_density,
     random_hermitian,
+    random_unitary,
     unitary_exp,
 )
 from coherence_speed.metrics import hellinger
@@ -127,3 +133,116 @@ def test_trajectory_records_speeds_and_uncertainties():
     # equal superposition under a gap-1 qubit: Delta H = 1/2 throughout
     np.testing.assert_allclose(traj.uncertainties, 0.5, atol=1e-12)
     np.testing.assert_allclose(traj.speeds, np.sqrt(2.0) / 2.0, atol=1e-12)
+
+
+def _literal_evolve(psi0, path):
+    """Per-step oracle: one SpectralHamiltonian, exponential, speed and spread per grid point."""
+    states, speeds, spreads = [np.asarray(psi0, dtype=complex)], [], []
+    times = path.times
+    for k, t in enumerate(times):
+        h_k = hermitianize(np.asarray(path.sampler(t), dtype=complex))
+        ham_k = SpectralHamiltonian.from_matrix(h_k)
+        speeds.append(instantaneous_speed(states[k], ham_k))
+        spreads.append(energy_uncertainty(states[k], h_k))
+        if k + 1 < len(times):
+            states.append(unitary_exp(ham_k, times[k + 1] - t) @ states[k])
+    return np.array(states), np.array(speeds), np.array(spreads)
+
+
+def _spectrum_path(rng, lam0, lam1, steps=30):
+    """Linear path between two spectra in one random eigenbasis."""
+    d = len(lam0)
+    u = random_unitary(d, rng)
+    h0 = u @ np.diag(lam0) @ u.conj().T
+    h1 = u @ np.diag(lam1) @ u.conj().T
+    return HamiltonianPath.linear(h0, h1, 1.0, steps=steps)
+
+
+def _oracle_paths():
+    rng = np.random.default_rng(65)
+    for d in range(2, 7):
+        yield f"random d={d}", d, HamiltonianPath.linear(
+            random_hermitian(d, rng), random_hermitian(d, rng), 1.0, steps=30)
+        degenerate = np.repeat(np.sort(rng.uniform(-2.0, 2.0, 2)), [d // 2, d - d // 2])
+        yield f"degenerate d={d}", d, _spectrum_path(rng, degenerate, 1.5 * degenerate)
+        close = np.sort(rng.uniform(-2.0, 2.0, d))
+        close[1] = close[0] + 0.5 * TOL_DEGEN
+        yield f"near-degenerate d={d}", d, _spectrum_path(rng, close, close + 0.25)
+
+
+@pytest.mark.parametrize("label,d,path", list(_oracle_paths()),
+                         ids=[label for label, _, _ in _oracle_paths()])
+def test_stacked_evolve_matches_the_per_step_oracle(label, d, path):
+    psi0 = haar_random_state(d, np.random.default_rng(66))
+    traj = evolve(psi0, path)
+    states, speeds, spreads = _literal_evolve(psi0, path)
+    assert np.max(np.abs(traj.states - states)) <= 1e-13
+    assert np.max(np.abs(traj.speeds - speeds)) <= 1e-13
+    assert np.max(np.abs(traj.uncertainties - spreads)) <= 1e-13
+
+
+def test_near_degenerate_levels_merge_in_the_stacked_speeds():
+    # levels 0.5 TOL_DEGEN apart are one level: weight moving between them
+    # adds no speed, so the plus state on them sits still
+    lam = np.array([0.0, 0.5 * TOL_DEGEN])
+    path = HamiltonianPath.constant(np.diag(lam).astype(complex), 1.0, steps=10)
+    traj = evolve(np.full(2, 1.0 / np.sqrt(2.0), dtype=complex), path)
+    np.testing.assert_array_equal(traj.speeds, 0.0)
+
+
+def _expm_product(path, psi0):
+    psi = np.asarray(psi0, dtype=complex)
+    for t0, t1 in zip(path.times[:-1], path.times[1:]):
+        psi = scipy.linalg.expm(-1j * (t1 - t0) * path.sampler(t0)) @ psi
+    return psi
+
+
+def test_twenty_step_evolve_matches_the_expm_product():
+    rng = np.random.default_rng(67)
+    for d in (2, 3, 4, 6):
+        path = HamiltonianPath.linear(random_hermitian(d, rng, scale=0.5),
+                                      random_hermitian(d, rng, scale=0.5), 1.0, steps=20)
+        psi0 = haar_random_state(d, rng)
+        traj = evolve(psi0, path)
+        assert np.max(np.abs(traj.states[-1] - _expm_product(path, psi0))) < 1e-12
+
+
+def test_step_guard_ignores_a_global_shift():
+    # half width 1/2: 0.01 per step, although max|lambda| * dt = 2.02
+    h = np.diag([100.0, 101.0]).astype(complex)
+    psi0 = np.full(2, 1.0 / np.sqrt(2.0), dtype=complex)
+    path = HamiltonianPath.constant(h, 1.0, steps=50)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        traj = evolve(psi0, path)
+    assert np.max(np.abs(traj.states[-1] - _expm_product(path, psi0))) < 1e-10
+    np.testing.assert_allclose(traj.uncertainties, 0.5, atol=1e-12)
+
+
+def test_default_grid_does_not_depend_on_a_global_shift():
+    rng = np.random.default_rng(68)
+    h0, h1 = random_hermitian(3, rng), random_hermitian(3, rng)
+    shift = 100.0 * np.eye(3)
+    assert (len(HamiltonianPath.constant(h0 + shift, 1.0).times)
+            == len(HamiltonianPath.constant(h0, 1.0).times))
+    assert (len(HamiltonianPath.linear(h0 + shift, h1 + shift, 1.0).times)
+            == len(HamiltonianPath.linear(h0, h1, 1.0).times))
+    # half width 1 on the unit-interval default grid: 100 steps
+    assert len(HamiltonianPath.constant(np.diag([-1.0, 1.0]), 1.0).times) == 101
+
+
+def test_coarse_grid_raises_before_any_step_and_warns_once():
+    h = np.diag([-1.0, 1.0]).astype(complex)
+    psi = np.array([1, 0], dtype=complex)
+    calls = []
+
+    def sampler(t):
+        calls.append(t)
+        return h if t < 0.5 else 40.0 * h
+
+    with pytest.raises(GridTooCoarse, match="half spectral width"):
+        evolve(psi, HamiltonianPath(times=np.linspace(0.0, 1.0, 11), sampler=sampler))
+    assert len(calls) == 11          # the guard sees the whole grid, sampled once
+    with pytest.warns(UserWarning, match="half spectral width") as record:
+        evolve(psi, HamiltonianPath(times=np.linspace(0.0, 1.0, 6), sampler=lambda t: h))
+    assert len(record) == 1          # five coarse steps, one warning
