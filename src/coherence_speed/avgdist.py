@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coherence import c_half, c_l1
+from .coherence import _c_half, _c_l1
 from .errors import DegenerateSpectrum, DimensionMismatch, SingleLevel, TooManyLevels
 from .linalg import (
     TOL_DEGEN,
@@ -55,7 +55,11 @@ def avg_distance_bruteforce(rho, ham: SpectralHamiltonian, t: float,
     Permutations are enumerated in lexicographic order.  Raises
     TooManyLevels when the distinct level count exceeds ``cap``.
     """
-    rho = validate_density(rho)
+    return _bruteforce(validate_density(rho), ham, t, cap)
+
+
+def _bruteforce(rho: np.ndarray, ham: SpectralHamiltonian, t: float, cap: int) -> float:
+    """avg_distance_bruteforce of a state that has passed validate_density."""
     m_count = ham.level_count
     if m_count > cap:
         raise TooManyLevels(f"{m_count} levels exceed brute-force cap {cap}")
@@ -128,7 +132,7 @@ def avg_distance_closed(rho, ham: SpectralHamiltonian, t: float,
     A single-level Hamiltonian gives coefficient 1 and distance 0.
     """
     rho = validate_density(rho)
-    coh = c_half(rho, ham.decomposition)
+    coh = _c_half(rho, ham.decomposition)
     if ham.level_count == 1:
         coef = 1.0
     else:
@@ -136,7 +140,7 @@ def avg_distance_closed(rho, ham: SpectralHamiltonian, t: float,
     closed = 2.0 * (1.0 - coef) * coh
     if include_brute is None:
         include_brute = ham.level_count <= cap
-    brute = avg_distance_bruteforce(rho, ham, t, cap=cap) if include_brute else None
+    brute = _bruteforce(rho, ham, t, cap) if include_brute else None
     return AvgDistanceResult(t=float(t), brute_force=brute, closed_form=closed,
                              coefficient=coef, coherence=coh)
 
@@ -174,6 +178,6 @@ def l1_upper_bound_check(rho, ham: SpectralHamiltonian, t: float) -> tuple[float
     if ham.level_count != d:
         raise DegenerateSpectrum("bound stated for nondegenerate spectra only")
     coef = a_coefficient(lam, t)
-    sbar = 2.0 * (1.0 - coef) * c_half(rho, ham.decomposition)
-    bound = 4.0 * (1.0 - coef) / (d - 1.0) * c_l1(rho, ham.eigenvectors)
+    sbar = 2.0 * (1.0 - coef) * _c_half(rho, ham.decomposition)
+    bound = 4.0 * (1.0 - coef) / (d - 1.0) * _c_l1(rho, ham.eigenvectors)
     return sbar, bound

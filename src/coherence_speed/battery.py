@@ -46,6 +46,7 @@ from .linalg import (
     kahan_mean,
     matrix_sqrt_psd,
     orbit_operators,
+    require_hermitian,
     unitary_exp,
     validate_density,
     validate_state_vector,
@@ -221,7 +222,7 @@ def simulate_battery(config: BatteryConfig, psi0) -> list[WorkRecord]:
     etas = np.array([float(config.pulse(t)) for t in times])
     drive = spin_operator([config.drive_axis(t) for t in times])
     h0 = config.epsilon * _P1
-    states, w, vecs = _propagate(psi0, times, h0 + etas[:, None, None] * drive)
+    states, w, vecs = _propagate(psi0, times, require_hermitian(h0 + etas[:, None, None] * drive))
     rho = states[:, :, None] * states.conj()[:, None, :]
     w_minus, vecs_minus = hermitian_eig(h0 - etas[:, None, None] * drive)
     work = 0.5 * (_stacked_branch_work(rho, config.epsilon, w, vecs, config.dt)

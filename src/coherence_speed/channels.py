@@ -25,7 +25,7 @@ import numpy as np
 import scipy.linalg
 
 from .avgdist import BRUTE_FORCE_CAP, b_coefficient
-from .coherence import c_half
+from .coherence import _c_half
 from .errors import (
     DimensionMismatch,
     IncompleteKraus,
@@ -149,7 +149,10 @@ class StinespringDilation:
         return unitary_exp(self.hamiltonian, self.duration)
 
     def joint_input(self, rho) -> np.ndarray:
-        rho = validate_density(rho)
+        return self._joint(validate_density(rho))
+
+    def _joint(self, rho: np.ndarray) -> np.ndarray:
+        """rho x |env><env| for a state that has passed validate_density."""
         if rho.shape[0] != self.sys_dim:
             raise DimensionMismatch("state dimension does not match system")
         return tensor(rho, pure_density(self.env_state))
@@ -224,8 +227,8 @@ def theorem3_bound(dilation: StinespringDilation, rho,
     m_count = ham.level_count
     if m_count > cap:
         raise TooManyLevels(f"{m_count} levels exceed brute-force cap {cap}")
-    joint = dilation.joint_input(rho)
-    coh = c_half(joint, ham.decomposition)
+    joint = dilation._joint(rho)
+    coh = _c_half(joint, ham.decomposition)
     if m_count == 1:
         coef = 1.0
     else:

@@ -30,23 +30,21 @@ from .linalg import (
 )
 
 
-def _block_traces(rho, decomposition: OrthogonalDecomposition) -> np.ndarray:
-    """Tr[(P_m sqrt(rho) P_m)^2] for each block."""
-    rho = validate_density(rho)
+def c_half(rho, decomposition: OrthogonalDecomposition) -> float:
+    """Affinity coherence 1 - sum_m Tr[(P_m sqrt(rho) P_m)^2], in [0, 1)."""
+    return _c_half(validate_density(rho), decomposition)
+
+
+def _c_half(rho: np.ndarray, decomposition: OrthogonalDecomposition) -> float:
+    """c_half of a state that has passed validate_density."""
     if rho.shape[0] != decomposition.dim:
         raise DimensionMismatch("state dimension does not match decomposition")
     s = matrix_sqrt_psd(rho)
-    out = np.empty(decomposition.size)
+    traces = np.empty(decomposition.size)
     for m, p in enumerate(decomposition.projectors):
         x = p @ s @ p
-        out[m] = np.vdot(x, x).real  # = Tr[X^2] for Hermitian X
-    return out
-
-
-def c_half(rho, decomposition: OrthogonalDecomposition) -> float:
-    """Affinity coherence 1 - sum_m Tr[(P_m sqrt(rho) P_m)^2], in [0, 1)."""
-    val = 1.0 - float(np.sum(_block_traces(rho, decomposition)))
-    return max(0.0, val)
+        traces[m] = np.vdot(x, x).real  # = Tr[X^2] for Hermitian X
+    return max(0.0, 1.0 - float(np.sum(traces)))
 
 
 def closest_incoherent(rho, decomposition: OrthogonalDecomposition) -> np.ndarray:
@@ -79,7 +77,11 @@ def c_l1(rho, basis: np.ndarray | None = None) -> float:
 
     basis columns default to the computational basis.
     """
-    rho = validate_density(rho)
+    return _c_l1(validate_density(rho), basis)
+
+
+def _c_l1(rho: np.ndarray, basis: np.ndarray | None) -> float:
+    """c_l1 of a state that has passed validate_density."""
     if basis is not None:
         v = np.asarray(basis, dtype=complex)
         if v.shape != rho.shape:

@@ -27,13 +27,13 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import GridTooCoarse, InvalidState
+from .errors import DimensionMismatch, GridTooCoarse, InvalidState
 from .linalg import (
     TOL_DEGEN,
     SpectralHamiltonian,
     dagger,
-    hermitian_eig,
     hermitianize,
+    require_hermitian,
     validate_state_vector,
 )
 
@@ -45,17 +45,22 @@ def _half_width(h: np.ndarray) -> float:
     """Half spectral width (lambda_max - lambda_min) / 2 of a Hermitian matrix.
 
     It is max|lambda - c| minimized over the shift c, so a global shift
-    of H, which changes only the phase, leaves it unchanged.
+    of H, which changes only the phase, leaves it unchanged.  For a
+    stack, the largest over its matrices.
     """
     if not h.size:
         return 0.0
     w = np.linalg.eigvalsh(h)
-    return float(w[-1] - w[0]) / 2.0
+    return float((w[..., -1] - w[..., 0]).max()) / 2.0
 
 
 @dataclass
 class HamiltonianPath:
-    """Time grid plus a sampler t -> H(t) (dense Hermitian matrix)."""
+    """Time grid plus a sampler t -> H(t) (dense Hermitian matrix).
+
+    ``constant`` and ``linear`` raise NotHermitian on a matrix that is
+    not Hermitian within TOL_HERM, then keep its Hermitian part.
+    """
 
     times: np.ndarray
     sampler: Callable[[float], np.ndarray]
@@ -73,7 +78,7 @@ class HamiltonianPath:
     @classmethod
     def constant(cls, h, t_final: float, *, dt: float | None = None,
                  steps: int | None = None) -> "HamiltonianPath":
-        h = hermitianize(np.asarray(h, dtype=complex))
+        h = hermitianize(require_hermitian(h))
         times = cls._grid(t_final, dt, steps, _half_width(h))
         return cls(times=times, sampler=lambda t: h)
 
@@ -85,9 +90,11 @@ class HamiltonianPath:
         The spectral width is convex in H, so the larger endpoint half
         width bounds it along the whole path.
         """
-        h0 = hermitianize(np.asarray(h0, dtype=complex))
-        h1 = hermitianize(np.asarray(h1, dtype=complex))
-        times = cls._grid(t_final, dt, steps, max(_half_width(h0), _half_width(h1)))
+        if np.shape(h0) != np.shape(h1):
+            raise DimensionMismatch(f"endpoint shapes {np.shape(h0)} and {np.shape(h1)} differ")
+        ends = hermitianize(require_hermitian([h0, h1]))
+        h0, h1 = ends
+        times = cls._grid(t_final, dt, steps, _half_width(ends))
 
         def sampler(t: float) -> np.ndarray:
             x = t / t_final if t_final > 0 else 0.0
@@ -136,23 +143,28 @@ def energy_uncertainty(psi, h) -> float:
     """
     psi = validate_state_vector(psi)
     mat = h.matrix() if isinstance(h, SpectralHamiltonian) else np.asarray(h, dtype=complex)
+    return _energy_moments(psi, mat)[1]
+
+
+def _energy_moments(psi: np.ndarray, mat: np.ndarray) -> tuple[float, float]:
+    """Mean <H> and spread ||(H - <H>) psi|| of a validated unit vector under a dense H."""
     hpsi = mat @ psi
     e = float(np.vdot(psi, hpsi).real)
-    return float(np.linalg.norm(hpsi - e * psi))
+    return e, float(np.linalg.norm(hpsi - e * psi))
 
 
 def _propagate(psi0: np.ndarray, times: np.ndarray,
                h: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """States on the grid from the samples h (N+1, d, d), with their eigendata (w, v).
+    """States on the grid from the Hermitian samples h (N+1, d, d), with their eigendata (w, v).
 
-    One stacked eigh (which rejects any non-Hermitian sample) gives
-    every step unitary V exp(-i w dt) V†.  The step guard is checked on
+    The callers check the samples.  One stacked eigh gives every step
+    unitary V exp(-i w dt) V†.  The step guard is checked on
     the whole grid before any propagation: GridTooCoarse when the half
     spectral width (lambda_max - lambda_min) / 2 times dt exceeds 1, one
     warning above 0.1.  Raises InvalidState when the norm drifts by more
     than 1e-10 over the grid.
     """
-    w, v = hermitian_eig(h)
+    w, v = np.linalg.eigh(h)
     dts = np.diff(times)
     steps = (w[:-1, -1] - w[:-1, 0]) / 2.0 * dts
     worst = float(steps.max()) if steps.size else 0.0
@@ -194,14 +206,17 @@ def evolve(psi0, path: HamiltonianPath) -> Trajectory:
     """Piecewise-constant-exponential integrator over the path's grid.
 
     Each step applies exp(-i H(t_k) dt_k) exactly, from one stacked
-    eigendecomposition of every sample.  Raises GridTooCoarse when the
+    eigendecomposition of every sample.  Raises NotHermitian when a
+    sample is not Hermitian within TOL_HERM (each sample is then used by
+    its Hermitian part).  Raises GridTooCoarse when the
     half spectral width (lambda_max - lambda_min) / 2 times dt exceeds
     1, before any step is taken; warns once above 0.1.  A global shift
     of H changes only the phase and so does not move the guard.
     """
     psi0 = validate_state_vector(psi0)
     times = np.asarray(path.times, dtype=float)
-    h = hermitianize(np.array([np.asarray(path.sampler(t), dtype=complex) for t in times]))
+    h = hermitianize(require_hermitian([np.asarray(path.sampler(t), dtype=complex)
+                                        for t in times]))
     states, w, v = _propagate(psi0, times, h)
     hpsi = np.einsum("kij,kj->ki", h, states)
     energy = np.einsum("ki,ki->k", states.conj(), hpsi).real

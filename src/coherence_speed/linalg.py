@@ -59,17 +59,26 @@ def _square(a, *, stack: bool = False) -> np.ndarray:
     return a
 
 
+def require_hermitian(a, tol: float = TOL_HERM) -> np.ndarray:
+    """a as complex128, a square matrix or a stack (..., d, d), checked Hermitian.
+
+    Raises DimensionMismatch on any other shape and NotHermitian when
+    max|A - A†| exceeds tol (for any matrix of a stack).
+    """
+    a = _square(a, stack=True)
+    if not is_hermitian(a, tol):
+        dev = float(np.max(np.abs(a - dagger(a))))
+        raise NotHermitian(f"max |H - H†| = {dev:.3e} exceeds {tol:.1e}")
+    return a
+
+
 def hermitian_eig(h, *, tol: float = TOL_HERM) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues (ascending) and orthonormal eigenvector columns of a Hermitian matrix.
 
     A stack (..., d, d) is diagonalized matrix by matrix in one call; it
     raises NotHermitian when any of its matrices does.
     """
-    h = _square(h, stack=True)
-    if not is_hermitian(h, tol):
-        dev = float(np.max(np.abs(h - dagger(h))))
-        raise NotHermitian(f"max |H - H†| = {dev:.3e} exceeds {tol:.1e}")
-    w, v = np.linalg.eigh(h)
+    w, v = np.linalg.eigh(require_hermitian(h, tol))
     return w, v
 
 
@@ -176,13 +185,31 @@ def random_unitary(dim: int, seed) -> np.ndarray:
     return q * (d / np.abs(d))
 
 
+def _basis_projectors(vectors, groups: Sequence[Sequence[int]] | None) -> tuple[np.ndarray, ...]:
+    """V_g V_g† for each group g of columns of V (each column its own group by default)."""
+    v = np.asarray(vectors, dtype=complex)
+    if groups is None:
+        groups = [[i] for i in range(v.shape[1])]
+    projs = []
+    for g in groups:
+        cols = v[:, list(g)]
+        projs.append(cols @ cols.conj().T)
+    return tuple(projs)
+
+
 @dataclass
 class OrthogonalDecomposition:
     """Complete family of orthogonal projectors P_0..P_{M-1}.
 
-    Invariants (checked on construction): each P_m is Hermitian and
-    idempotent, distinct projectors annihilate each other, and the
-    family sums to the identity.
+    Invariants: each P_m is Hermitian and idempotent, distinct
+    projectors annihilate each other, and the family sums to the
+    identity.  A family built by a caller (the constructor,
+    ``from_basis``, ``computational``) is checked on construction, to
+    1e-8, from one matrix product of the stacked projectors.  Eigenspace
+    families the package builds itself from an orthonormal eigenbasis
+    (``SpectralHamiltonian.from_matrix``, ``from_spectrum`` without a
+    basis, ``permute_levels``) hold the invariants by construction and
+    are not checked again.
     """
 
     projectors: tuple[np.ndarray, ...]
@@ -194,20 +221,38 @@ class OrthogonalDecomposition:
         if not projs:
             raise ValueError("decomposition needs at least one projector")
         d = projs[0].shape[0]
-        for p in projs:
-            if p.shape != (d, d):
-                raise DimensionMismatch("projectors must share one square shape")
-            if np.max(np.abs(p - p.conj().T)) > self._CHECK_TOL:
-                raise ValueError("projector is not Hermitian")
-            if np.max(np.abs(p @ p - p)) > self._CHECK_TOL:
-                raise ValueError("projector is not idempotent")
-        for pa, pb in itertools.combinations(projs, 2):
-            if np.max(np.abs(pa @ pb)) > self._CHECK_TOL:
-                raise ValueError("projectors are not mutually orthogonal")
-        total = sum(projs)
-        if np.max(np.abs(total - np.eye(d))) > self._CHECK_TOL:
+        tol = self._CHECK_TOL
+        # projectors before the first one of another shape are checked first
+        m = next((k for k, p in enumerate(projs) if p.shape != (d, d)), len(projs))
+        if m:
+            rows = np.concatenate(projs[:m])
+            stack = rows.reshape(m, d, d)
+            # every product P_a P_b from one matrix product, as blocks (a, :, b, :)
+            prods = (rows @ np.concatenate(projs[:m], 1)).reshape(m, d, m, d)
+            diag = np.arange(m)
+            prods[diag, :, diag] -= stack
+            # bad[a, b]: max|P_a P_b - delta_ab P_a| > tol
+            bad = np.abs(prods).max(axis=(1, 3)) > tol
+            herm = np.abs(stack - dagger(stack)).max(axis=(1, 2)) > tol
+            first = np.flatnonzero(herm | bad.diagonal())
+            if first.size:
+                raise ValueError("projector is not Hermitian" if herm[first[0]]
+                                 else "projector is not idempotent")
+        if m < len(projs):
+            raise DimensionMismatch("projectors must share one square shape")
+        a, b = np.nonzero(bad)
+        if (a < b).any():
+            raise ValueError("projectors are not mutually orthogonal")
+        if np.abs(stack.sum(axis=0) - np.eye(d)).max() > tol:
             raise ValueError("projectors do not sum to the identity")
         self.projectors = projs
+
+    @classmethod
+    def _trusted(cls, projectors: tuple[np.ndarray, ...]) -> "OrthogonalDecomposition":
+        """A family built inside the package from an orthonormal eigenbasis, unchecked."""
+        dec = cls.__new__(cls)
+        dec.projectors = projectors
+        return dec
 
     @property
     def dim(self) -> int:
@@ -226,15 +271,7 @@ class OrthogonalDecomposition:
     def from_basis(cls, vectors: np.ndarray,
                    groups: Sequence[Sequence[int]] | None = None) -> "OrthogonalDecomposition":
         """Build projectors from orthonormal columns, optionally grouped into blocks."""
-        v = np.asarray(vectors, dtype=complex)
-        d = v.shape[0]
-        if groups is None:
-            groups = [[i] for i in range(v.shape[1])]
-        projs = []
-        for g in groups:
-            cols = v[:, list(g)]
-            projs.append(cols @ cols.conj().T)
-        return cls(tuple(projs))
+        return cls(_basis_projectors(vectors, groups))
 
     @classmethod
     def computational(cls, dim: int,
@@ -254,15 +291,18 @@ class OrthogonalDecomposition:
 
 
 def _cluster_levels(eigvals: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """Group ascending eigenvalues into distinct levels by consecutive gap > tol."""
-    splits = np.flatnonzero(np.diff(eigvals) > tol)
-    starts = np.concatenate(([0], splits + 1))
-    ends = np.concatenate((splits + 1, [len(eigvals)]))
-    level_of = np.zeros(len(eigvals), dtype=int)
-    levels = np.empty(len(starts))
-    for m, (a, b) in enumerate(zip(starts, ends)):
-        level_of[a:b] = m
-        levels[m] = float(np.mean(eigvals[a:b]))
+    """Group ascending eigenvalues into distinct levels by consecutive gap > tol.
+
+    A level is valued at the mean of its cluster; a singleton cluster
+    keeps its eigenvalue as is, which is what its mean gives.
+    """
+    split = np.diff(eigvals) > tol
+    starts = np.concatenate(([0], np.flatnonzero(split) + 1))
+    level_of = np.concatenate(([0], np.cumsum(split)))
+    levels = eigvals[starts].astype(float)
+    sizes = np.diff(starts, append=len(eigvals))
+    for m in np.flatnonzero(sizes > 1):
+        levels[m] = np.mean(eigvals[starts[m]:starts[m] + sizes[m]])
     return levels, level_of
 
 
@@ -275,6 +315,12 @@ class SpectralHamiltonian:
     levels        -- distinct eigenvalues after degeneracy grouping, ascending
     level_of      -- level index of each eigenvector column
     decomposition -- eigenspace projectors, one per distinct level
+
+    Input is validated where it enters: ``from_matrix`` checks
+    Hermiticity, ``from_spectrum`` the orthonormality of a caller's
+    basis, whose eigenspace family is then checked as a caller's
+    family.  The families built from an ``eigh`` eigenbasis, from the
+    computational basis and by ``permute_levels`` are trusted.
     """
 
     eigenvalues: np.ndarray
@@ -287,7 +333,7 @@ class SpectralHamiltonian:
     def from_matrix(cls, h, tol_degen: float = TOL_DEGEN) -> "SpectralHamiltonian":
         """Diagonalize a Hermitian matrix and group near-degenerate eigenvalues."""
         w, v = hermitian_eig(_square(h))
-        return cls._build(w, v, tol_degen)
+        return cls._build(w, v, tol_degen, trusted=True)
 
     @classmethod
     def from_spectrum(cls, eigenvalues, basis: np.ndarray | None = None,
@@ -308,13 +354,16 @@ class SpectralHamiltonian:
             if np.max(np.abs(v.conj().T @ v - np.eye(d))) > 1e-8:
                 raise ValueError("basis columns are not orthonormal")
         order = np.argsort(w, kind="stable")
-        return cls._build(w[order], v[:, order], tol_degen)
+        return cls._build(w[order], v[:, order], tol_degen, trusted=basis is None)
 
     @classmethod
-    def _build(cls, w: np.ndarray, v: np.ndarray, tol_degen: float) -> "SpectralHamiltonian":
+    def _build(cls, w: np.ndarray, v: np.ndarray, tol_degen: float,
+               *, trusted: bool) -> "SpectralHamiltonian":
         levels, level_of = _cluster_levels(w, tol_degen)
         groups = [np.flatnonzero(level_of == m) for m in range(len(levels))]
-        decomp = OrthogonalDecomposition.from_basis(v, groups)
+        projs = _basis_projectors(v, groups)
+        decomp = (OrthogonalDecomposition._trusted(projs) if trusted
+                  else OrthogonalDecomposition(projs))
         return cls(eigenvalues=np.asarray(w, dtype=float), eigenvectors=v,
                    levels=levels, level_of=level_of, decomposition=decomp)
 
@@ -355,7 +404,7 @@ class SpectralHamiltonian:
             eigenvectors=np.hstack(cols),
             levels=self.levels.copy(),
             level_of=np.asarray(lev_of, dtype=int),
-            decomposition=OrthogonalDecomposition(tuple(projs)),
+            decomposition=OrthogonalDecomposition._trusted(tuple(projs)),
         )
 
 

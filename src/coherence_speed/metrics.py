@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import energy_uncertainty
+from .dynamics import _energy_moments
 from .errors import DimensionMismatch
 from .linalg import SpectralHamiltonian, matrix_sqrt_psd, validate_state_vector
 
@@ -103,9 +103,7 @@ def qsl_bounds(psi0, ham: SpectralHamiltonian, psi1) -> QslBounds:
     psi1 = validate_state_vector(psi1)
     if ham.dim != len(psi0) or len(psi0) != len(psi1):
         raise DimensionMismatch("state/Hamiltonian dimensions differ")
-    h = ham.matrix()
-    e = float(np.vdot(psi0, h @ psi0).real)
-    stddev = energy_uncertainty(psi0, h)
+    e, stddev = _energy_moments(psi0, ham.matrix())
     mean_shifted = e - float(ham.eigenvalues[0])
     # arccos of the overlap magnitude loses half the working precision
     # near coinciding states (one ulp below 1 reads as a 2e-8 angle), so

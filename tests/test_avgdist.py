@@ -20,6 +20,7 @@ from coherence_speed.battery import qudit_battery_bound
 from coherence_speed.channels import StinespringDilation, dilate, random_channel, theorem3_bound
 from coherence_speed.coherence import c_half
 from coherence_speed.errors import SingleLevel, TooManyLevels
+from coherence_speed import avgdist, channels, coherence, linalg
 from coherence_speed.linalg import (
     SpectralHamiltonian,
     haar_random_state,
@@ -259,3 +260,29 @@ def test_eight_level_orbit_runs_in_chunks():
     assert peak < 32 * 2 ** 20
     closed = avg_distance_closed(rho, ham, 0.9, include_brute=False).closed_form
     assert abs(brute - closed) < 1e-9
+
+
+def test_each_entry_validates_its_state_once(monkeypatch):
+    calls = []
+
+    def counting(rho, **kwargs):
+        calls.append(1)
+        return linalg.validate_density(rho, **kwargs)
+
+    for module in (avgdist, coherence, channels):
+        monkeypatch.setattr(module, "validate_density", counting)
+    rng = np.random.default_rng(29)
+    ham = SpectralHamiltonian.from_spectrum(_spread_spectrum(rng, 4), random_unitary(4, rng))
+    rho = random_density(4, rank=2, seed=rng)
+    res = avg_distance_closed(rho, ham, 1.3, include_brute=True)
+    assert len(calls) == 1
+    calls.clear()
+    l1_upper_bound_check(rho, ham, 1.3)
+    assert len(calls) == 1
+    calls.clear()
+    dil = dilate(random_channel(2, 2, rng))
+    theorem3_bound(dil, random_density(2, rank=2, seed=rng))
+    assert len(calls) == 1
+    # the private paths give the public values bit for bit
+    assert res.coherence == c_half(rho, ham.decomposition)
+    assert res.brute_force == avg_distance_bruteforce(rho, ham, 1.3)

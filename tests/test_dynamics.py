@@ -15,7 +15,7 @@ from coherence_speed.dynamics import (
     instantaneous_speed,
     qubit_closed_form,
 )
-from coherence_speed.errors import GridTooCoarse, InvalidState
+from coherence_speed.errors import DimensionMismatch, GridTooCoarse, InvalidState, NotHermitian
 from coherence_speed.linalg import (
     TOL_DEGEN,
     SpectralHamiltonian,
@@ -246,3 +246,43 @@ def test_coarse_grid_raises_before_any_step_and_warns_once():
     with pytest.warns(UserWarning, match="half spectral width") as record:
         evolve(psi, HamiltonianPath(times=np.linspace(0.0, 1.0, 6), sampler=lambda t: h))
     assert len(record) == 1          # five coarse steps, one warning
+
+
+_SKEW = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: evolve(np.array([1.0, 0.0]),
+                   HamiltonianPath(times=np.linspace(0.0, 1.0, 11), sampler=lambda t: _SKEW)),
+    lambda: HamiltonianPath.constant(_SKEW, 1.0, steps=10),
+    lambda: HamiltonianPath.linear(_SKEW, np.eye(2), 1.0, steps=10),
+    lambda: HamiltonianPath.linear(np.eye(2), _SKEW, 1.0, steps=10),
+], ids=["evolve", "constant", "linear-start", "linear-end"])
+def test_non_hermitian_input_rejected_before_hermitianizing(build):
+    # the Hermitian part of [[0, 1], [0, 0]] is a valid Hamiltonian, so
+    # only a check on the raw matrix can see the fault
+    with pytest.raises(NotHermitian, match=r"1\.000e\+00"):
+        build()
+
+
+def test_non_square_input_rejected():
+    with pytest.raises(DimensionMismatch):
+        evolve(np.array([1.0, 0.0]), HamiltonianPath(times=np.linspace(0.0, 1.0, 3),
+                                                     sampler=lambda t: np.zeros((2, 3))))
+    with pytest.raises(DimensionMismatch):
+        HamiltonianPath.constant(np.zeros(2), 1.0, steps=2)
+    with pytest.raises(DimensionMismatch):
+        HamiltonianPath.linear(np.eye(2), np.eye(3), 1.0, steps=2)
+
+
+def test_near_hermitian_samples_evolve_as_their_hermitian_part():
+    rng = np.random.default_rng(67)
+    h = random_hermitian(3, rng)
+    h[0, 2] += 1e-12            # within TOL_HERM
+    psi0 = haar_random_state(3, rng)
+    times = np.linspace(0.0, 1.0, 21)
+    raw = evolve(psi0, HamiltonianPath(times=times, sampler=lambda t: h))
+    part = evolve(psi0, HamiltonianPath(times=times, sampler=lambda t: hermitianize(h)))
+    assert np.array_equal(raw.states, part.states)
+    const = evolve(psi0, HamiltonianPath.constant(h, 1.0, steps=20))
+    assert np.array_equal(const.states, part.states)

@@ -6,12 +6,15 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from coherence_speed.channels import dilate, qutrit_equality_channel, random_channel
 from coherence_speed.errors import BadPermutation, DimensionMismatch, NotHermitian, NotPSD
 from coherence_speed.linalg import (
     ORBIT_CHUNK,
+    TOL_DEGEN,
     TOL_PSD,
     OrthogonalDecomposition,
     SpectralHamiltonian,
+    _cluster_levels,
     haar_random_state,
     hermitian_eig,
     kahan_mean,
@@ -225,3 +228,169 @@ def test_matrix_sqrt_psd_stack_checks_every_matrix():
     # a Hamiltonian is one matrix, never a stack
     with pytest.raises(DimensionMismatch):
         SpectralHamiltonian.from_matrix(good)
+
+
+def _old_loop_check(projectors, tol=1e-8):
+    """The per-projector loop check that OrthogonalDecomposition made before its stacked check.
+
+    Returns the error (type, message) it raised, or None when it accepted.
+    """
+    projs = tuple(np.asarray(p, dtype=complex) for p in projectors)
+    if not projs:
+        return ValueError, "decomposition needs at least one projector"
+    d = projs[0].shape[0]
+    for p in projs:
+        if p.shape != (d, d):
+            return DimensionMismatch, "projectors must share one square shape"
+        if np.max(np.abs(p - p.conj().T)) > tol:
+            return ValueError, "projector is not Hermitian"
+        if np.max(np.abs(p @ p - p)) > tol:
+            return ValueError, "projector is not idempotent"
+    for pa, pb in itertools.combinations(projs, 2):
+        if np.max(np.abs(pa @ pb)) > tol:
+            return ValueError, "projectors are not mutually orthogonal"
+    total = sum(projs)
+    if np.max(np.abs(total - np.eye(d))) > tol:
+        return ValueError, "projectors do not sum to the identity"
+    return None
+
+
+def _new_check(projectors):
+    try:
+        OrthogonalDecomposition(tuple(projectors))
+    except (ValueError, DimensionMismatch) as exc:
+        return type(exc), str(exc)
+    return None
+
+
+def _faults(projs, rng):
+    """Perturbed copies of a valid family, one or two faults each, with a label."""
+    d = projs[0].shape[0]
+    m = len(projs)
+    k = int(rng.integers(m))
+    out = [("valid", list(projs))]
+    skew = [p.copy() for p in projs]
+    skew[k][0, d - 1] += 1e-6                          # not Hermitian
+    out.append(("non-hermitian", skew))
+    scaled = [p.copy() for p in projs]
+    scaled[k] = 1.001 * scaled[k]                      # Hermitian, not idempotent
+    out.append(("non-idempotent", scaled))
+    within = [p.copy() for p in projs]
+    within[k] = within[k] + 1e-10 * np.eye(d)          # every residual below 1e-8
+    out.append(("within-tolerance", within))
+    out.append(("incomplete", list(projs[:-1])))
+    if m >= 2:
+        # P_0 + P_1 and P_1 overlap; each is a projector
+        merged = [projs[0] + projs[1]] + list(projs[1:])
+        out.append(("overlapping", merged))
+        both = [p.copy() for p in merged]
+        both[-1] = 1.001 * both[-1]                    # overlap and a later non-idempotent
+        out.append(("overlap-then-idempotence", both))
+        both = [p.copy() for p in projs]
+        both[m - 1][0, d - 1] += 1e-6                 # a later non-Hermitian ...
+        both[0] = 1.001 * both[0]                      # ... behind an earlier non-idempotent
+        out.append(("idempotence-before-hermiticity", both))
+        shaped = list(projs)
+        shaped[m - 1] = np.eye(d + 1)                  # wrong shape after a non-Hermitian
+        shaped[0] = shaped[0] + 1e-6 * np.triu(np.ones((d, d)), 1)
+        out.append(("hermiticity-before-shape", shaped))
+        out.append(("shape", list(projs[:-1]) + [np.eye(d + 1)]))
+    return out
+
+
+def test_stacked_check_agrees_with_the_loop_check():
+    rng = np.random.default_rng(13)
+    seen = set()
+    for _ in range(60):
+        d = int(rng.integers(1, 9))
+        m = int(rng.integers(1, d + 1))
+        cuts = np.sort(rng.choice(np.arange(1, d), size=m - 1, replace=False)) if m > 1 else []
+        groups = np.split(np.arange(d), cuts)
+        projs = OrthogonalDecomposition.from_basis(random_unitary(d, rng), groups).projectors
+        for label, family in _faults(projs, rng):
+            want = _old_loop_check(family)
+            assert _new_check(family) == want, (label, d, m)
+            seen.add((label, want[1] if want else "accepted"))
+    # every message and both verdicts came up
+    messages = {msg for _, msg in seen}
+    assert {"accepted", "projector is not Hermitian", "projector is not idempotent",
+            "projectors are not mutually orthogonal", "projectors do not sum to the identity",
+            "projectors must share one square shape"} <= messages
+
+
+def _old_cluster_levels(eigvals, tol):
+    """The per-level loop _cluster_levels ran before singletons skipped np.mean."""
+    splits = np.flatnonzero(np.diff(eigvals) > tol)
+    starts = np.concatenate(([0], splits + 1))
+    ends = np.concatenate((splits + 1, [len(eigvals)]))
+    level_of = np.zeros(len(eigvals), dtype=int)
+    levels = np.empty(len(starts))
+    for m, (a, b) in enumerate(zip(starts, ends)):
+        level_of[a:b] = m
+        levels[m] = float(np.mean(eigvals[a:b]))
+    return levels, level_of
+
+
+def test_cluster_levels_bit_identical_to_the_loop():
+    rng = np.random.default_rng(14)
+    for _ in range(400):
+        sizes = rng.integers(1, 17, size=int(rng.integers(1, 6)))
+        centres = np.cumsum(rng.uniform(0.1, 3.0, len(sizes))) - 4.0
+        w = np.sort(np.concatenate([c + rng.uniform(0.0, 0.4, n) * TOL_DEGEN
+                                    for c, n in zip(centres, sizes)]))
+        levels, level_of = _cluster_levels(w, TOL_DEGEN)
+        want_levels, want_of = _old_cluster_levels(w, TOL_DEGEN)
+        assert levels.dtype == want_levels.dtype and level_of.dtype == want_of.dtype
+        assert np.array_equal(levels, want_levels)
+        assert np.array_equal(level_of, want_of)
+        assert len(levels) == len(sizes)
+
+
+def _assert_checked_family(dec: OrthogonalDecomposition):
+    rebuilt = OrthogonalDecomposition(dec.projectors)   # raises on any broken invariant
+    assert rebuilt.size == dec.size
+
+
+def test_trusted_families_pass_the_full_check():
+    rng = np.random.default_rng(15)
+    for d in range(1, 9):
+        for kind in ("random", "degenerate", "near-degenerate"):
+            if kind == "random":
+                h = random_hermitian(d, rng)
+            else:
+                lam = np.sort(rng.uniform(-2.0, 2.0, d))
+                if d > 1:
+                    lam[1] = lam[0] + (0.0 if kind == "degenerate" else 0.5 * TOL_DEGEN)
+                u = random_unitary(d, rng)
+                h = (u * lam) @ u.conj().T
+            ham = SpectralHamiltonian.from_matrix(h)
+            if kind != "random" and d > 1:
+                assert ham.level_count < d
+            _assert_checked_family(ham.decomposition)
+            perm = rng.permutation(ham.level_count)
+            _assert_checked_family(ham.permute_levels(perm).decomposition)
+        levels = np.repeat(np.arange(d // 2 + 1, dtype=float), 2)[:d]
+        _assert_checked_family(SpectralHamiltonian.from_spectrum(levels).decomposition)
+    for channel in (qutrit_equality_channel(), random_channel(2, 2, rng),
+                    random_channel(3, 2, rng)):
+        dil = dilate(channel)
+        _assert_checked_family(dil.hamiltonian.decomposition)
+        _assert_checked_family(dil.hamiltonian.permute_levels(
+            rng.permutation(dil.hamiltonian.level_count)).decomposition)
+
+
+def test_only_caller_families_run_the_check(monkeypatch):
+    calls = []
+    check = OrthogonalDecomposition.__post_init__
+    monkeypatch.setattr(OrthogonalDecomposition, "__post_init__",
+                        lambda self: calls.append(1) or check(self))
+    rng = np.random.default_rng(16)
+    ham = SpectralHamiltonian.from_matrix(random_hermitian(4, rng))
+    ham.permute_levels([3, 1, 0, 2])
+    SpectralHamiltonian.from_spectrum([0.0, 1.0, 1.0])
+    assert calls == []
+    basis = random_unitary(3, rng)
+    SpectralHamiltonian.from_spectrum([0.0, 1.0, 1.0], basis)
+    OrthogonalDecomposition.from_basis(basis, [[0], [1, 2]])
+    OrthogonalDecomposition.computational(3)
+    assert len(calls) == 3

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from coherence_speed import dynamics, linalg, metrics
 from coherence_speed.dynamics import energy_uncertainty
 from coherence_speed.errors import DimensionMismatch
 from coherence_speed.linalg import (
@@ -153,3 +154,22 @@ def test_qsl_degenerate_denominators_give_none():
     ground = np.array([1.0, 0.0, 0.0], dtype=complex)
     g = qsl_bounds(ground, ham, ground)
     assert g.mt_time is None and g.ml_time is None
+
+
+def test_qsl_bounds_validates_each_state_once(monkeypatch):
+    calls = []
+
+    def counting(psi, **kwargs):
+        calls.append(1)
+        return linalg.validate_state_vector(psi, **kwargs)
+
+    for module in (metrics, dynamics):
+        monkeypatch.setattr(module, "validate_state_vector", counting)
+    rng = np.random.default_rng(31)
+    ham = SpectralHamiltonian.from_spectrum([0.0, 0.4, 1.7])
+    psi0 = haar_random_state(3, rng)
+    bounds = qsl_bounds(psi0, ham, haar_random_state(3, rng))
+    assert len(calls) == 2
+    h = ham.matrix()
+    assert bounds.energy_stddev == energy_uncertainty(psi0, h)
+    assert bounds.mean_energy == float(np.vdot(psi0, h @ psi0).real) - ham.eigenvalues[0]
