@@ -2,10 +2,11 @@
 
 A channel given by Kraus operators {K_j} is lifted to a unitary U on
 system x environment with U (|psi> x |0>) = sum_j (K_j |psi>) x |j>.
-The generator H = i log U (principal branch, eigenphases in (-pi, pi],
-unit duration) defines an isospectral permuted family exactly as for
-closed systems; averaging the channel-level distance over that family
-is bounded by the closed form evaluated on the joint input:
+The generator H = i log U (principal branch, eigenphases in (-pi, pi]
+with those at -pi folded onto +pi, unit duration) defines an
+isospectral permuted family exactly as for closed systems; averaging
+the channel-level distance over that family is bounded by the closed
+form evaluated on the joint input:
 
     (1/M!) sum_s D(Phi_s(rho), rho)
         <= 2 (1 - B(T)) c_half(rho x |0><0|),
@@ -79,7 +80,11 @@ class KrausChannel:
 
 def apply_kraus(channel: KrausChannel, rho) -> np.ndarray:
     """sum_j K_j rho K_j†."""
-    rho = validate_density(rho)
+    return _apply_kraus(channel, validate_density(rho))
+
+
+def _apply_kraus(channel: KrausChannel, rho: np.ndarray) -> np.ndarray:
+    """apply_kraus for a state that has passed validate_density."""
     if rho.shape[0] != channel.dim:
         raise DimensionMismatch("state dimension does not match channel")
     out = np.zeros_like(rho)
@@ -171,7 +176,10 @@ def dilate(channel: KrausChannel, env_dim: int | None = None,
     The isometry V|psi> = sum_j (K_j|psi>) x |j> is completed to a
     unitary by an orthonormal basis of its column complement; the
     generator is the principal logarithm i log U with eigenphases
-    folded to (-pi, pi] and unit duration.
+    folded to (-pi + tol_degen, pi + tol_degen] and unit duration: a
+    phase within tol_degen of -pi is taken as its image near +pi, so
+    that an eigenvalue -1 of U, which rounding puts on either side of
+    the branch cut, gives one level.
     """
     d = channel.dim
     n_ops = len(channel.operators)
@@ -196,7 +204,8 @@ def dilate(channel: KrausChannel, env_dim: int | None = None,
     # Principal logarithm via the Schur form (U is normal).
     t_mat, z = scipy.linalg.schur(u, output="complex")
     phases = np.diagonal(t_mat)
-    lam = np.angle(phases.conj())  # in (-pi, pi]
+    lam = np.angle(phases.conj())  # in [-pi, pi]
+    lam = np.where(lam <= -np.pi + tol_degen, lam + 2.0 * np.pi, lam)
     h = hermitianize((z * lam) @ z.conj().T)
     ham = SpectralHamiltonian.from_matrix(h, tol_degen)
     env0 = np.zeros(d_env, dtype=complex)
@@ -266,14 +275,14 @@ class EqualityGapReport:
 def equality_gap_analysis(channel: KrausChannel, rho) -> EqualityGapReport:
     """Compare the channel-level and dilated distances for a pure input."""
     rho = validate_density(rho)
-    w = np.linalg.eigvalsh(hermitianize(np.asarray(rho, dtype=complex)))
+    w = np.linalg.eigvalsh(hermitianize(rho))
     if w[-1] < 1.0 - 1e-8:
         raise InvalidState("equality analysis requires a pure input state")
-    out = apply_kraus(channel, rho)
+    out = _apply_kraus(channel, rho)
     d_sys = hellinger(rho, out)
     dil = dilate(channel)
     u = dil.unitary()
-    joint0 = dil.joint_input(rho)
+    joint0 = dil._joint(rho)
     joint1 = u @ joint0 @ u.conj().T
     d_joint = hellinger(joint0, hermitianize(joint1))
     witness = float(np.trace(rho @ out).real)

@@ -50,7 +50,7 @@ from .linalg import (
     unitary_exp,
     validate_state_vector,
 )
-from .metrics import qsl_bounds
+from .metrics import _qsl_grid
 from .report import render_report, write_report
 from .schemas import validate_document
 from .verification import SUITES, failures_as_dicts, run_suite
@@ -391,11 +391,11 @@ def _cmd_qsl(ns, config: dict) -> int:
     t0 = float(section.get("t_start", 0.0))
     t1 = float(section.get("t_stop", np.pi))
     steps = int(section.get("t_steps", 101))
+    times = np.linspace(t0, t1, steps)
+    grid = _qsl_grid(psi0, ham, [unitary_exp(ham, float(t)) @ psi0 for t in times])
     rows = []
     worst = -np.inf
-    for t in np.linspace(t0, t1, steps):
-        psi_t = unitary_exp(ham, float(t)) @ psi0
-        bounds = qsl_bounds(psi0, ham, psi_t)
+    for t, bounds in zip(times, grid):
         rows.append({"t": float(t), "bures_angle": bounds.bures_angle,
                      "energy_mean": bounds.mean_energy,
                      "energy_stddev": bounds.energy_stddev,

@@ -204,12 +204,12 @@ class OrthogonalDecomposition:
     Invariants: each P_m is Hermitian and idempotent, distinct
     projectors annihilate each other, and the family sums to the
     identity.  A family built by a caller (the constructor,
-    ``from_basis``, ``computational``) is checked on construction, to
-    1e-8, from one matrix product of the stacked projectors.  Eigenspace
-    families the package builds itself from an orthonormal eigenbasis
-    (``SpectralHamiltonian.from_matrix``, ``from_spectrum`` without a
-    basis, ``permute_levels``) hold the invariants by construction and
-    are not checked again.
+    ``from_basis``, ``computational``) is checked on construction for
+    finite entries and then, to 1e-8, from one matrix product of the
+    stacked projectors.  Eigenspace families the package builds itself
+    from an orthonormal eigenbasis (``SpectralHamiltonian.from_matrix``,
+    ``from_spectrum`` without a basis, ``permute_levels``) hold the
+    invariants by construction and are not checked again.
     """
 
     projectors: tuple[np.ndarray, ...]
@@ -226,6 +226,9 @@ class OrthogonalDecomposition:
         m = next((k for k, p in enumerate(projs) if p.shape != (d, d)), len(projs))
         if m:
             rows = np.concatenate(projs[:m])
+            # NaN fails no `> tol` residual test below, so reject it here
+            if not np.isfinite(rows).all():
+                raise ValueError("projector entries are not all finite")
             stack = rows.reshape(m, d, d)
             # every product P_a P_b from one matrix product, as blocks (a, :, b, :)
             prods = (rows @ np.concatenate(projs[:m], 1)).reshape(m, d, m, d)

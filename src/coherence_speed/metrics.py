@@ -99,22 +99,35 @@ def qsl_bounds(psi0, ham: SpectralHamiltonian, psi1) -> QslBounds:
     mean_energy is measured from the bottom of the spectrum
     (H - lambda_min), the standard convention for the mean-energy bound.
     """
+    return _qsl_grid(psi0, ham, [psi1])[0]
+
+
+def _qsl_grid(psi0, ham: SpectralHamiltonian, targets) -> list[QslBounds]:
+    """qsl_bounds(psi0, ham, psi1) for each psi1 of targets, in order.
+
+    psi0 and every target are validated, in that order, before the
+    dimensions are compared; the energy moments of psi0, which every
+    target shares, are formed once.
+    """
     psi0 = validate_state_vector(psi0)
-    psi1 = validate_state_vector(psi1)
-    if ham.dim != len(psi0) or len(psi0) != len(psi1):
+    targets = [validate_state_vector(psi1) for psi1 in targets]
+    if ham.dim != len(psi0) or any(len(psi1) != len(psi0) for psi1 in targets):
         raise DimensionMismatch("state/Hamiltonian dimensions differ")
     e, stddev = _energy_moments(psi0, ham.matrix())
     mean_shifted = e - float(ham.eigenvalues[0])
-    # arccos of the overlap magnitude loses half the working precision
-    # near coinciding states (one ulp below 1 reads as a 2e-8 angle), so
-    # evaluate the same angle in phase-aligned difference form instead.
-    overlap = complex(np.vdot(psi0, psi1))
-    mag = abs(overlap)
-    aligned = psi1 * (overlap.conjugate() / mag) if mag > _ZERO else psi1
-    half_chord = float(np.linalg.norm(aligned - psi0))
-    half_sum = float(np.linalg.norm(aligned + psi0))
-    angle = min(2.0 * float(np.arctan2(half_chord, half_sum)), float(np.pi / 2))
-    mt = angle / stddev if stddev > _ZERO else None
-    ml = angle / mean_shifted if mean_shifted > _ZERO else None
-    return QslBounds(bures_angle=angle, mean_energy=mean_shifted,
-                     energy_stddev=stddev, mt_time=mt, ml_time=ml)
+    out = []
+    for psi1 in targets:
+        # arccos of the overlap magnitude loses half the working precision
+        # near coinciding states (one ulp below 1 reads as a 2e-8 angle), so
+        # evaluate the same angle in phase-aligned difference form instead.
+        overlap = complex(np.vdot(psi0, psi1))
+        mag = abs(overlap)
+        aligned = psi1 * (overlap.conjugate() / mag) if mag > _ZERO else psi1
+        half_chord = float(np.linalg.norm(aligned - psi0))
+        half_sum = float(np.linalg.norm(aligned + psi0))
+        angle = min(2.0 * float(np.arctan2(half_chord, half_sum)), float(np.pi / 2))
+        mt = angle / stddev if stddev > _ZERO else None
+        ml = angle / mean_shifted if mean_shifted > _ZERO else None
+        out.append(QslBounds(bures_angle=angle, mean_energy=mean_shifted,
+                             energy_stddev=stddev, mt_time=mt, ml_time=ml))
+    return out

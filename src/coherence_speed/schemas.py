@@ -6,7 +6,8 @@ import json
 from functools import lru_cache
 from importlib import resources
 
-import jsonschema
+from jsonschema.exceptions import best_match
+from jsonschema.validators import validator_for
 
 
 @lru_cache(maxsize=None)
@@ -17,6 +18,21 @@ def load_schema(name: str) -> dict:
     return json.loads(text)
 
 
+@lru_cache(maxsize=None)
+def _validator(name: str):
+    schema = load_schema(name)
+    return validator_for(schema)(schema)
+
+
 def validate_document(doc: dict, schema_name: str) -> None:
-    """Raise jsonschema.ValidationError with a JSON-path diagnostic on failure."""
-    jsonschema.validate(doc, load_schema(schema_name))
+    """Raise jsonschema.ValidationError with a JSON-path diagnostic on failure.
+
+    Every document is validated on every call.  The error raised is the
+    best match of all errors, as ``jsonschema.validate`` picks it.  The
+    shipped schemas are package data, so their own validity against the
+    metaschema is checked by the test suite, not here: each schema is
+    compiled into a validator once per process.
+    """
+    error = best_match(_validator(schema_name).iter_errors(doc))
+    if error is not None:
+        raise error

@@ -5,6 +5,8 @@ import json
 import numpy as np
 import pytest
 
+from coherence_speed import channels, linalg
+from coherence_speed.avgdist import b_coefficient
 from coherence_speed.channels import (
     EqualityGapReport,
     KrausChannel,
@@ -30,6 +32,7 @@ from coherence_speed.linalg import (
     haar_random_state,
     pure_density,
     random_density,
+    random_unitary,
 )
 
 
@@ -152,3 +155,29 @@ def test_load_rejects_malformed_document(tmp_path):
     path.write_text(json.dumps({"operators": "nope"}))
     with pytest.raises(Exception):
         load_channel(path)
+
+
+def test_dilation_eigenphases_at_pi_form_one_level():
+    # an eigenvalue -1 of U sits on the branch cut of the logarithm, where
+    # rounding gives -pi or +pi: it must still be one level, so B(1) = -1
+    for s in range(200):
+        v = random_unitary(3, s)
+        u = (v * np.array([-1.0, -1.0, 1.0])) @ v.conj().T
+        dil = dilate(KrausChannel((u,)))
+        assert len(dil.levels) == 2, s
+        assert abs(b_coefficient(dil.levels, dil.duration) + 1.0) < 1e-12, s
+        assert np.max(np.abs(dil.unitary() - u)) < 1e-12, s
+
+
+def test_equality_gap_analysis_validates_rho_once(monkeypatch):
+    calls = []
+
+    def counting(rho, **kwargs):
+        calls.append(1)
+        return linalg.validate_density(rho, **kwargs)
+
+    monkeypatch.setattr(channels, "validate_density", counting)
+    report = equality_gap_analysis(qutrit_equality_channel(),
+                                   pure_density(np.array([1, 0, 0], dtype=complex)))
+    assert len(calls) == 1
+    assert report.witness == 0.0 and abs(report.system_distance - 2.0) < 1e-12

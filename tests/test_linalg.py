@@ -394,3 +394,24 @@ def test_only_caller_families_run_the_check(monkeypatch):
     OrthogonalDecomposition.from_basis(basis, [[0], [1, 2]])
     OrthogonalDecomposition.computational(3)
     assert len(calls) == 3
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_families_are_rejected(bad):
+    # every residual test reads `max|...| > tol`, which NaN never passes
+    poisoned = np.eye(2, dtype=complex)
+    poisoned[0, 1] = bad
+    for family in ((np.full((2, 2), bad), np.eye(2)), (poisoned, np.zeros((2, 2)))):
+        with pytest.raises(ValueError, match="not all finite"):
+            OrthogonalDecomposition(family)
+    # an infinite basis entry times zero makes NaN (and a warning) in V V†
+    with pytest.raises(ValueError, match="not all finite"), np.errstate(invalid="ignore"):
+        OrthogonalDecomposition.from_basis(poisoned)
+
+
+def test_from_spectrum_rejects_a_nan_basis():
+    # the orthonormality residual of a NaN basis is NaN, which passes `> 1e-8`
+    basis = random_unitary(3, 17)
+    basis[1, 2] = np.nan
+    with pytest.raises(ValueError, match="not all finite"):
+        SpectralHamiltonian.from_spectrum([0.0, 1.0, 2.0], basis)

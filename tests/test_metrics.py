@@ -5,7 +5,7 @@ import pytest
 
 from coherence_speed import dynamics, linalg, metrics
 from coherence_speed.dynamics import energy_uncertainty
-from coherence_speed.errors import DimensionMismatch
+from coherence_speed.errors import DimensionMismatch, InvalidState
 from coherence_speed.linalg import (
     OrthogonalDecomposition,
     SpectralHamiltonian,
@@ -173,3 +173,29 @@ def test_qsl_bounds_validates_each_state_once(monkeypatch):
     h = ham.matrix()
     assert bounds.energy_stddev == energy_uncertainty(psi0, h)
     assert bounds.mean_energy == float(np.vdot(psi0, h @ psi0).real) - ham.eigenvalues[0]
+
+
+def test_qsl_grid_equals_a_loop_of_qsl_bounds():
+    rng = np.random.default_rng(32)
+    ham = SpectralHamiltonian.from_spectrum([0.0, 0.4, 0.4, 1.7])
+    cases = [haar_random_state(4, rng),
+             np.array([0.0, 0.0, 0.0, 1.0], dtype=complex),   # stationary: mt_time None
+             np.array([1.0, 0.0, 0.0, 0.0], dtype=complex)]   # ground: both None
+    grids = []
+    for psi0 in cases:
+        targets = [unitary_exp(ham, float(t)) @ psi0 for t in np.linspace(0.0, 4.0, 21)]
+        targets.append(haar_random_state(4, rng))
+        grids.append(metrics._qsl_grid(psi0, ham, targets))
+        assert grids[-1] == [qsl_bounds(psi0, ham, psi1) for psi1 in targets]
+    assert all(b.mt_time is not None for b in grids[0][1:])
+    assert all(b.mt_time is None and b.ml_time is not None for b in grids[1])
+    assert all(b.mt_time is None and b.ml_time is None for b in grids[2])
+
+
+def test_qsl_grid_validates_states_before_dimensions():
+    ham = SpectralHamiltonian.from_spectrum([0.0, 1.0])
+    good = np.array([1.0, 0.0], dtype=complex)
+    with pytest.raises(InvalidState):
+        metrics._qsl_grid(good, ham, [good, np.ones(3)])    # wrong norm and size
+    with pytest.raises(DimensionMismatch):
+        metrics._qsl_grid(good, ham, [good, np.array([1.0, 0.0, 0.0])])
