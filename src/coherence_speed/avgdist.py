@@ -22,12 +22,13 @@ state sigma_s = U_s rho U_s† of the orbit, with U_s diagonal in the
 eigenbasis of H (``orbit_operators``), and takes each sqrt(sigma_s)
 from its own eigendecomposition: one stacked diagonalization per chunk
 of the orbit, never sqrt(sigma_s) = U_s sqrt(rho) U_s†, which is the
-closed form's own derivation step.  Terms are summed in lexicographic
-order of the permutations.
+closed form's own derivation step.  The terms are averaged with
+``math.fsum``, a correctly rounded sum, so their order does not matter.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,7 +39,6 @@ from .linalg import (
     TOL_DEGEN,
     SpectralHamiltonian,
     dagger,
-    kahan_mean,
     matrix_sqrt_psd,
     orbit_operators,
     validate_density,
@@ -50,7 +50,7 @@ BRUTE_FORCE_CAP = 8  # 8! = 40320 permutations
 
 def avg_distance_bruteforce(rho, ham: SpectralHamiltonian, t: float,
                             *, cap: int = BRUTE_FORCE_CAP) -> float:
-    """Literal permutation average of D(rho, U_s rho U_s†) (compensated sum).
+    """Literal permutation average of D(rho, U_s rho U_s†) (correctly rounded sum).
 
     Permutations are enumerated in lexicographic order.  Raises
     TooManyLevels when the distinct level count exceeds ``cap``.
@@ -68,7 +68,8 @@ def _bruteforce(rho: np.ndarray, ham: SpectralHamiltonian, t: float, cap: int) -
     for u in orbit_operators(ham, lambda lam: np.exp(-1j * lam * t)):
         sigma = u @ rho @ dagger(u)
         terms.append(hellinger(rho, sigma, sqrt_rho=sqrt_rho))
-    return kahan_mean(np.concatenate(terms).tolist())
+    terms = np.concatenate(terms)
+    return math.fsum(terms) / len(terms)
 
 
 def a_coefficient(eigenvalues, t: float, *, tol_degen: float = TOL_DEGEN) -> float:

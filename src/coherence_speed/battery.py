@@ -29,13 +29,14 @@ single-step functions below (``avg_extracted_work``, ``drive_coherence``,
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from .avgdist import BRUTE_FORCE_CAP, b_coefficient
-from .coherence import c_half
+from .coherence import _block_traces, c_half
 from .dynamics import _propagate
 from .errors import InvalidState, TooManyLevels, WindowTooWide
 from .linalg import (
@@ -43,7 +44,6 @@ from .linalg import (
     dagger,
     hermitian_eig,
     hermitianize,
-    kahan_mean,
     matrix_sqrt_psd,
     orbit_operators,
     require_hermitian,
@@ -197,10 +197,7 @@ def _stacked_drive_coherence(rho, v: np.ndarray) -> np.ndarray:
     """
     _, basis = hermitian_eig(v)
     cols = basis.swapaxes(-1, -2)[..., None]               # (k, m, d, 1)
-    proj = cols @ dagger(cols)
-    x = proj @ matrix_sqrt_psd(rho)[:, None] @ proj
-    flat = x.reshape(x.shape[:2] + (-1,))
-    traces = (flat.conj()[..., None, :] @ flat[..., None])[..., 0, 0].real
+    _, traces = _block_traces(matrix_sqrt_psd(rho)[:, None], cols @ dagger(cols))
     return np.maximum(0.0, 1.0 - traces.sum(axis=-1))
 
 
@@ -264,5 +261,6 @@ def qudit_battery_bound(rho, h0, v, dt: float,
         u = (vecs * np.exp(-1j * w * dt)[:, None, :]) @ dagger(vecs)
         rho_next = u @ rho @ dagger(u)
         works.append(np.trace(h0 @ (rho - rho_next), axis1=-2, axis2=-1).real)
-    avg = kahan_mean(np.concatenate(works).tolist())
+    works = np.concatenate(works)
+    avg = math.fsum(works) / len(works)
     return avg, bound

@@ -19,6 +19,7 @@ factor fixes |0>).
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -39,7 +40,6 @@ from .linalg import (
     SpectralHamiltonian,
     dagger,
     hermitianize,
-    kahan_mean,
     matrix_sqrt_psd,
     orbit_operators,
     partial_trace,
@@ -249,7 +249,8 @@ def theorem3_bound(dilation: StinespringDilation, rho,
     for u in orbit_operators(ham, lambda lam: np.exp(-1j * lam * dilation.duration)):
         out = partial_trace(u @ joint @ dagger(u), dims, over=1)
         terms.append(hellinger(rho, hermitianize(out), sqrt_rho=sqrt_rho))
-    lhs = kahan_mean(np.concatenate(terms).tolist())
+    terms = np.concatenate(terms)
+    lhs = math.fsum(terms) / len(terms)
     return lhs, rhs
 
 
@@ -274,15 +275,20 @@ class EqualityGapReport:
 
 def equality_gap_analysis(channel: KrausChannel, rho) -> EqualityGapReport:
     """Compare the channel-level and dilated distances for a pure input."""
+    return _equality_gap(channel, dilate(channel), rho)
+
+
+def _equality_gap(channel: KrausChannel, dilation: StinespringDilation,
+                  rho) -> EqualityGapReport:
+    """equality_gap_analysis on a given unitary dilation of the channel."""
     rho = validate_density(rho)
     w = np.linalg.eigvalsh(hermitianize(rho))
     if w[-1] < 1.0 - 1e-8:
         raise InvalidState("equality analysis requires a pure input state")
     out = _apply_kraus(channel, rho)
     d_sys = hellinger(rho, out)
-    dil = dilate(channel)
-    u = dil.unitary()
-    joint0 = dil._joint(rho)
+    u = dilation.unitary()
+    joint0 = dilation._joint(rho)
     joint1 = u @ joint0 @ u.conj().T
     d_joint = hellinger(joint0, hermitianize(joint1))
     witness = float(np.trace(rho @ out).real)

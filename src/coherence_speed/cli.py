@@ -35,8 +35,8 @@ from .battery import (
     sin4_pulse,
 )
 from .channels import (
+    _equality_gap,
     dilate,
-    equality_gap_analysis,
     load_channel,
     qutrit_equality_channel,
     theorem3_bound,
@@ -189,13 +189,9 @@ def _density(spec, ham: SpectralHamiltonian, rng) -> np.ndarray:
     superposition.
     """
     if spec == "maximally-coherent":
-        m = ham.level_count
-        vec = np.zeros(ham.dim, dtype=complex)
-        col = 0
-        for p, b in zip(ham.decomposition.projectors,
-                        ham.decomposition.block_dims):
-            vec += (p @ ham.eigenvectors[:, col]) / np.sqrt(m)
-            col += b
+        # the first eigenvector column of each level block, equally weighted
+        first = np.flatnonzero(np.diff(ham.level_of, prepend=-1))
+        vec = (ham.eigenvectors[:, first] / np.sqrt(ham.level_count)).sum(axis=1)
         return pure_density(vec / np.linalg.norm(vec))
     if isinstance(spec, dict) and "density_rank" in spec:
         rank = int(spec["density_rank"])
@@ -350,7 +346,9 @@ def _cmd_channel(ns, config: dict) -> int:
     total = sum(k.conj().T @ k for k in channel.operators)
     completeness = float(np.max(np.abs(total - np.eye(channel.dim))))
     dilation = dilate(channel, section.get("env_dim"))
-    gap_report = equality_gap_analysis(channel, rho)
+    # the gap is defined on the default dilation (one environment level per Kraus operator)
+    default = dilation if dilation.env_dim == len(channel.operators) else dilate(channel)
+    gap_report = _equality_gap(channel, default, rho)
     row = {"sys_dim": channel.dim, "env_dim": dilation.env_dim,
            "levels": len(dilation.levels),
            "completeness_residual": completeness,

@@ -12,6 +12,9 @@ distance from rho to the closest incoherent state
     sigma* = (1/N) sum_m (P_m sqrt(rho) P_m)^2,   N = sum_m Tr[(P_m sqrt(rho) P_m)^2],
 
 so that c_half(rho) = 1 - [Tr sqrt(rho) sqrt(sigma*)]^2.
+
+Each function works on the decomposition's (M, d, d) projector stack
+as a whole, never on one projector at a time.
 """
 
 from __future__ import annotations
@@ -39,12 +42,20 @@ def _c_half(rho: np.ndarray, decomposition: OrthogonalDecomposition) -> float:
     """c_half of a state that has passed validate_density."""
     if rho.shape[0] != decomposition.dim:
         raise DimensionMismatch("state dimension does not match decomposition")
-    s = matrix_sqrt_psd(rho)
-    traces = np.empty(decomposition.size)
-    for m, p in enumerate(decomposition.projectors):
-        x = p @ s @ p
-        traces[m] = np.vdot(x, x).real  # = Tr[X^2] for Hermitian X
+    _, traces = _block_traces(matrix_sqrt_psd(rho), decomposition.projectors)
     return max(0.0, 1.0 - float(np.sum(traces)))
+
+
+def _block_traces(s: np.ndarray, projectors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Blocks X_m = P_m S P_m of a Hermitian S and their weights Tr[X_m^2].
+
+    projectors is a stack (..., M, d, d) and S broadcasts against it.
+    Tr[X^2] = <X, X> for Hermitian X, taken as a row-by-column product
+    of the flattened block, which rounds as np.vdot does.
+    """
+    x = projectors @ s @ projectors
+    flat = x.reshape(x.shape[:-2] + (-1,))
+    return x, (flat.conj()[..., None, :] @ flat[..., None])[..., 0, 0].real
 
 
 def closest_incoherent(rho, decomposition: OrthogonalDecomposition) -> np.ndarray:
@@ -56,20 +67,14 @@ def closest_incoherent(rho, decomposition: OrthogonalDecomposition) -> np.ndarra
     rho = validate_density(rho)
     if rho.shape[0] != decomposition.dim:
         raise DimensionMismatch("state dimension does not match decomposition")
-    s = matrix_sqrt_psd(rho)
-    d = rho.shape[0]
-    total = 0.0
-    acc = np.zeros((d, d), dtype=complex)
-    for p in decomposition.projectors:
-        x = p @ s @ p
-        w = np.vdot(x, x).real
-        if w < TOL_PSD:
-            continue
-        acc += x @ x
-        total += w
-    if total < TOL_PSD:
+    x, weights = _block_traces(matrix_sqrt_psd(rho), decomposition.projectors)
+    keep = weights >= TOL_PSD
+    if not keep.any():
         raise DegenerateInput("all block weights vanish")
-    return hermitianize(acc / total)
+    x = x[keep]
+    # running sum in block order: np.sum pairs terms differently from 8 on
+    total = np.cumsum(weights[keep])[-1]
+    return hermitianize((x @ x).sum(axis=0) / total)
 
 
 def c_l1(rho, basis: np.ndarray | None = None) -> float:
@@ -96,8 +101,7 @@ def coherence_vector(psi, ham: SpectralHamiltonian) -> np.ndarray:
     psi = validate_state_vector(psi)
     if ham.dim != len(psi):
         raise DimensionMismatch("state/Hamiltonian dimensions differ")
-    return np.array([float(np.vdot(psi, p @ psi).real)
-                     for p in ham.decomposition.projectors])
+    return ham.decomposition._weights(psi)
 
 
 def is_maximally_coherent(psi, decomposition: OrthogonalDecomposition,
@@ -106,11 +110,8 @@ def is_maximally_coherent(psi, decomposition: OrthogonalDecomposition,
     psi = validate_state_vector(psi)
     if decomposition.dim != len(psi):
         raise DimensionMismatch("state dimension does not match decomposition")
-    target = 1.0 / np.sqrt(decomposition.size)
-    for p in decomposition.projectors:
-        if abs(float(np.linalg.norm(p @ psi)) - target) > tol:
-            return False
-    return True
+    norms = np.linalg.norm(decomposition.projectors @ psi, axis=-1)
+    return not (np.abs(norms - 1.0 / np.sqrt(decomposition.size)) > tol).any()
 
 
 def is_refinement(fine: OrthogonalDecomposition, coarse: OrthogonalDecomposition,
@@ -118,18 +119,11 @@ def is_refinement(fine: OrthogonalDecomposition, coarse: OrthogonalDecomposition
     """True when every coarse projector is a sum of a subset of fine projectors."""
     if fine.dim != coarse.dim:
         raise DimensionMismatch("decompositions live on different spaces")
-    assigned: list[list[np.ndarray]] = [[] for _ in range(coarse.size)]
-    for q in fine.projectors:
-        home = None
-        for m, p in enumerate(coarse.projectors):
-            if np.max(np.abs(p @ q - q)) <= tol:
-                home = m
-                break
-        if home is None:
-            return False
-        assigned[home].append(q)
-    for m, p in enumerate(coarse.projectors):
-        total = sum(assigned[m]) if assigned[m] else np.zeros_like(p)
-        if np.linalg.norm(total - p) > tol:
-            return False
-    return True
+    p, q = coarse.projectors, fine.projectors
+    # inside[m, k]: fine block k lies in coarse block m; each goes to its first home
+    inside = ~(np.abs(p[:, None] @ q - q).max(axis=(-2, -1)) > tol)
+    if not inside.any(axis=0).all():
+        return False
+    home = inside.argmax(axis=0)
+    totals = np.einsum("mk,kij->mij", home == np.arange(len(p))[:, None], q)
+    return not (np.linalg.norm(totals - p, axis=(-2, -1)) > tol).any()

@@ -31,6 +31,7 @@ from .errors import DimensionMismatch, GridTooCoarse, InvalidState
 from .linalg import (
     TOL_DEGEN,
     SpectralHamiltonian,
+    _cluster_levels,
     dagger,
     hermitianize,
     require_hermitian,
@@ -129,8 +130,7 @@ def instantaneous_speed(psi, ham: SpectralHamiltonian) -> float:
     r_m are the eigenspace weights of psi; degenerate levels enter once.
     """
     psi = validate_state_vector(psi)
-    r = np.array([float(np.vdot(psi, p @ psi).real)
-                  for p in ham.decomposition.projectors])
+    r = ham.decomposition._weights(psi)
     a = gap_squared_matrix(ham.levels)
     return float(np.sqrt(max(0.0, r @ a @ r)))
 
@@ -187,17 +187,14 @@ def _propagate(psi0: np.ndarray, times: np.ndarray,
 def _stacked_speeds(w: np.ndarray, v: np.ndarray, states: np.ndarray) -> np.ndarray:
     """instantaneous_speed at every grid point from the stacked eigendata.
 
-    Column weights |V† psi|^2 are summed per level, levels being split
-    where consecutive eigenvalues differ by more than TOL_DEGEN and
-    valued at their cluster mean, as SpectralHamiltonian groups them.
-    Unused level slots carry zero weight and drop out.
+    Column weights |V† psi|^2 are summed per level, levels being
+    grouped by the rule of SpectralHamiltonian (``_cluster_levels`` at
+    TOL_DEGEN).  Unused level slots carry zero weight and drop out.
     """
     weights = np.abs(np.einsum("kji,kj->ki", v.conj(), states)) ** 2
-    level_of = np.zeros(w.shape, dtype=int)
-    level_of[:, 1:] = np.cumsum(np.diff(w, axis=1) > TOL_DEGEN, axis=1)
-    member = level_of[:, :, None] == np.arange(w.shape[1])   # (k, column, level)
+    levels, level_of = _cluster_levels(w, TOL_DEGEN)
+    member = level_of[:, :, None] == np.arange(levels.shape[1])   # (k, column, level)
     r = np.einsum("kj,kjm->km", weights, member)
-    levels = np.einsum("kj,kjm->km", w, member) / np.maximum(member.sum(axis=1), 1)
     gaps = (levels[:, :, None] - levels[:, None, :]) ** 2
     return np.sqrt(np.maximum(0.0, np.einsum("kp,kpq,kq->k", r, gaps, r)))
 

@@ -185,34 +185,45 @@ def random_unitary(dim: int, seed) -> np.ndarray:
     return q * (d / np.abs(d))
 
 
-def _basis_projectors(vectors, groups: Sequence[Sequence[int]] | None) -> tuple[np.ndarray, ...]:
-    """V_g V_g† for each group g of columns of V (each column its own group by default)."""
-    v = np.asarray(vectors, dtype=complex)
-    if groups is None:
-        groups = [[i] for i in range(v.shape[1])]
-    projs = []
-    for g in groups:
-        cols = v[:, list(g)]
-        projs.append(cols @ cols.conj().T)
-    return tuple(projs)
+def _block_stack(vectors: np.ndarray, groups: Sequence[Sequence[int]]) -> np.ndarray:
+    """V_g V_g† for each group g of columns of V, as one (M, d, d) stack.
+
+    Groups of one size are multiplied as one stack.  Padding smaller
+    groups with zero columns would make a single product, but one that
+    rounds differently from V_g V_g† itself.
+    """
+    d = len(vectors)
+    sizes = [len(g) for g in groups]
+    stack = np.zeros((len(sizes), d, d), dtype=complex)
+    for k in set(sizes) - {0}:
+        same = [m for m, n in enumerate(sizes) if n == k]
+        cols = vectors[:, np.concatenate([groups[m] for m in same])]
+        blocks = cols.reshape(d, len(same), k).swapaxes(0, 1)
+        stack[same] = blocks @ dagger(blocks)
+    return stack
 
 
 @dataclass
 class OrthogonalDecomposition:
-    """Complete family of orthogonal projectors P_0..P_{M-1}.
+    """Complete family of orthogonal projectors P_0..P_{M-1}, stored as one stack.
+
+    ``projectors`` is a complex (M, d, d) array whose m-th matrix is
+    P_m, so iterating over it yields the projectors.  The constructor
+    takes any sequence of d x d matrices.
 
     Invariants: each P_m is Hermitian and idempotent, distinct
     projectors annihilate each other, and the family sums to the
     identity.  A family built by a caller (the constructor,
-    ``from_basis``, ``computational``) is checked on construction for
-    finite entries and then, to 1e-8, from one matrix product of the
-    stacked projectors.  Eigenspace families the package builds itself
-    from an orthonormal eigenbasis (``SpectralHamiltonian.from_matrix``,
+    ``from_basis``, ``computational``, ``SpectralHamiltonian.from_spectrum``
+    with a caller's basis) is checked on construction for finite entries
+    and then, to 1e-8, from one matrix product of the stacked
+    projectors.  Eigenspace families the package builds itself from an
+    orthonormal eigenbasis (``SpectralHamiltonian.from_matrix``,
     ``from_spectrum`` without a basis, ``permute_levels``) hold the
     invariants by construction and are not checked again.
     """
 
-    projectors: tuple[np.ndarray, ...]
+    projectors: np.ndarray
 
     _CHECK_TOL = 1e-8
 
@@ -248,18 +259,18 @@ class OrthogonalDecomposition:
             raise ValueError("projectors are not mutually orthogonal")
         if np.abs(stack.sum(axis=0) - np.eye(d)).max() > tol:
             raise ValueError("projectors do not sum to the identity")
-        self.projectors = projs
+        self.projectors = stack
 
     @classmethod
-    def _trusted(cls, projectors: tuple[np.ndarray, ...]) -> "OrthogonalDecomposition":
-        """A family built inside the package from an orthonormal eigenbasis, unchecked."""
+    def _trusted(cls, stack: np.ndarray) -> "OrthogonalDecomposition":
+        """An (M, d, d) family built inside the package from an orthonormal eigenbasis."""
         dec = cls.__new__(cls)
-        dec.projectors = projectors
+        dec.projectors = stack
         return dec
 
     @property
     def dim(self) -> int:
-        return self.projectors[0].shape[0]
+        return self.projectors.shape[-1]
 
     @property
     def size(self) -> int:
@@ -268,13 +279,15 @@ class OrthogonalDecomposition:
 
     @property
     def block_dims(self) -> tuple[int, ...]:
-        return tuple(int(round(np.trace(p).real)) for p in self.projectors)
+        ranks = np.trace(self.projectors, axis1=1, axis2=2).real
+        return tuple(np.rint(ranks).astype(int).tolist())
 
     @classmethod
     def from_basis(cls, vectors: np.ndarray,
                    groups: Sequence[Sequence[int]] | None = None) -> "OrthogonalDecomposition":
         """Build projectors from orthonormal columns, optionally grouped into blocks."""
-        return cls(_basis_projectors(vectors, groups))
+        v = np.asarray(vectors, dtype=complex)
+        return cls(_block_stack(v, np.arange(v.shape[1])[:, None] if groups is None else groups))
 
     @classmethod
     def computational(cls, dim: int,
@@ -282,30 +295,43 @@ class OrthogonalDecomposition:
         """Rank-1 projectors onto the computational basis (or grouped blocks of it)."""
         return cls.from_basis(np.eye(dim, dtype=complex), groups)
 
+    def _weights(self, psi: np.ndarray) -> np.ndarray:
+        """Block weights <psi|P_m|psi> = ||P_m psi||^2 of a unit vector, one per block."""
+        x = (self.projectors @ psi)[:, :, None]
+        # a contiguous copy: r @ A @ r on a strided view of .real rounds differently
+        return (psi.conj() @ x)[:, 0].real.copy()
+
     def dephase(self, rho: np.ndarray) -> np.ndarray:
         """Block-diagonal part sum_m P_m rho P_m."""
         rho = _square(rho)
         if rho.shape[0] != self.dim:
             raise DimensionMismatch("state dimension does not match decomposition")
-        out = np.zeros_like(rho)
-        for p in self.projectors:
-            out += p @ rho @ p
-        return out
+        return (self.projectors @ rho @ self.projectors).sum(axis=0)
 
 
 def _cluster_levels(eigvals: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """Group ascending eigenvalues into distinct levels by consecutive gap > tol.
+    """Group ascending eigenvalues (..., d) into distinct levels by consecutive gap > tol.
 
-    A level is valued at the mean of its cluster; a singleton cluster
-    keeps its eigenvalue as is, which is what its mean gives.
+    Each row is grouped on its own.  Returns levels (..., M), M the
+    largest level count of any row (a row with fewer holds 0.0 in the
+    rest), and level_of (..., d), the level of each eigenvalue.  A level
+    is valued at the mean of its cluster; a singleton keeps its
+    eigenvalue as is, which is what its mean gives.
     """
-    split = np.diff(eigvals) > tol
-    starts = np.concatenate(([0], np.flatnonzero(split) + 1))
-    level_of = np.concatenate(([0], np.cumsum(split)))
-    levels = eigvals[starts].astype(float)
-    sizes = np.diff(starts, append=len(eigvals))
-    for m in np.flatnonzero(sizes > 1):
-        levels[m] = np.mean(eigvals[starts[m]:starts[m] + sizes[m]])
+    split = eigvals[..., 1:] - eigvals[..., :-1] > tol
+    level_of = np.zeros(eigvals.shape, dtype=int)
+    np.cumsum(split, axis=-1, out=level_of[..., 1:])
+    levels = np.array(eigvals, dtype=float)     # each eigenvalue its own level ...
+    if not split.all():                          # ... unless some clusters merge
+        levels = np.zeros(eigvals.shape[:-1] + (int(level_of[..., -1].max()) + 1,))
+        np.put_along_axis(levels, level_of, eigvals, axis=-1)
+        # a merged cluster, found where its second member joins it, gets its mean
+        joins = ~split
+        joins[..., 1:] &= split[..., :-1]
+        for *row, j in zip(*np.nonzero(joins)):
+            row = tuple(row)
+            m = level_of[row][j]
+            levels[row + (m,)] = np.mean(eigvals[row][level_of[row] == m])
     return levels, level_of
 
 
@@ -363,10 +389,9 @@ class SpectralHamiltonian:
     def _build(cls, w: np.ndarray, v: np.ndarray, tol_degen: float,
                *, trusted: bool) -> "SpectralHamiltonian":
         levels, level_of = _cluster_levels(w, tol_degen)
-        groups = [np.flatnonzero(level_of == m) for m in range(len(levels))]
-        projs = _basis_projectors(v, groups)
-        decomp = (OrthogonalDecomposition._trusted(projs) if trusted
-                  else OrthogonalDecomposition(projs))
+        stack = _block_stack(v, np.split(np.arange(len(w)), np.flatnonzero(np.diff(level_of)) + 1))
+        decomp = (OrthogonalDecomposition._trusted(stack) if trusted
+                  else OrthogonalDecomposition(stack))
         return cls(eigenvalues=np.asarray(w, dtype=float), eigenvectors=v,
                    levels=levels, level_of=level_of, decomposition=decomp)
 
@@ -394,20 +419,14 @@ class SpectralHamiltonian:
         m_count = self.level_count
         if sorted(s) != list(range(m_count)):
             raise BadPermutation(f"{assignment!r} is not a permutation of 0..{m_count - 1}")
-        cols, vals, lev_of = [], [], []
-        projs = []
-        for i in range(m_count):
-            block = np.flatnonzero(self.level_of == s[i])
-            cols.append(self.eigenvectors[:, block])
-            vals.extend([self.levels[i]] * len(block))
-            lev_of.extend([i] * len(block))
-            projs.append(self.decomposition.projectors[s[i]])
+        level_of = np.argsort(s)[self.level_of]      # new level of each eigenvector column
+        cols = np.argsort(level_of, kind="stable")   # regrouped by new level, in column order
         return SpectralHamiltonian(
-            eigenvalues=np.asarray(vals, dtype=float),
-            eigenvectors=np.hstack(cols),
+            eigenvalues=self.levels[level_of[cols]],
+            eigenvectors=self.eigenvectors[:, cols],
             levels=self.levels.copy(),
-            level_of=np.asarray(lev_of, dtype=int),
-            decomposition=OrthogonalDecomposition._trusted(tuple(projs)),
+            level_of=level_of[cols],
+            decomposition=OrthogonalDecomposition._trusted(self.decomposition.projectors[list(s)]),
         )
 
 
@@ -453,19 +472,3 @@ def orbit_operators(ham: SpectralHamiltonian,
     rows = orbit_levels(ham)
     for start in range(0, len(rows), ORBIT_CHUNK):
         yield (v * fn(rows[start:start + ORBIT_CHUNK])[:, None, :]) @ vh
-
-
-def kahan_mean(values) -> float:
-    """Compensated (Kahan) running mean of an iterable of floats."""
-    total = 0.0
-    comp = 0.0
-    count = 0
-    for v in values:
-        count += 1
-        y = float(v) - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
-    if count == 0:
-        raise ValueError("mean of empty iterable")
-    return total / count

@@ -157,6 +157,41 @@ def test_channel_from_file_reports_slack(tmp_path):
     assert row["avg_channel_distance"] <= row["coherence_ceiling"] + 1e-9
 
 
+@pytest.mark.parametrize("section, dilations", [
+    (None, 1), ({}, 1), ({"env_dim": 2}, 1), ({"env_dim": 3}, 2)])
+def test_channel_report_reuses_a_default_dilation(tmp_path, monkeypatch, section, dilations):
+    from coherence_speed import channels, cli
+    from coherence_speed.channels import random_channel, save_channel
+    argv = ["channel"]
+    if section is not None:
+        # a 2-Kraus channel: env_dim 2 is the default environment, 3 is not
+        chan_path = tmp_path / "chan22.json"
+        save_channel(random_channel(2, 2, 5), chan_path)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"channel": dict(section, channel={"path": str(chan_path)},
+                                                   state="plus")}))
+        argv += ["--config", str(cfg)]
+    # the reference body comes from the public gap analysis, which dilates on its own
+    reference = tmp_path / "reference.csv"
+    monkeypatch.setattr(cli, "_equality_gap", lambda channel, dilation, rho:
+                        channels.equality_gap_analysis(channel, rho))
+    assert main(argv + ["--out", str(reference)]) == 0
+    monkeypatch.undo()
+    calls = []
+    dilate = channels.dilate
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return dilate(*args, **kwargs)
+
+    monkeypatch.setattr(channels, "dilate", counting)
+    monkeypatch.setattr(cli, "dilate", counting)
+    out = tmp_path / "out.csv"
+    assert main(argv + ["--out", str(out)]) == 0
+    assert len(calls) == dilations
+    assert body_lines(out) == body_lines(reference)
+
+
 def test_qsl_grid_hits_the_orthogonality_point(tmp_path):
     out = tmp_path / "qsl.csv"
     assert main(["qsl", "--out", str(out)]) == 0

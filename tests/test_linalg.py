@@ -17,7 +17,6 @@ from coherence_speed.linalg import (
     _cluster_levels,
     haar_random_state,
     hermitian_eig,
-    kahan_mean,
     matrix_sqrt_psd,
     orbit_levels,
     orbit_operators,
@@ -160,12 +159,6 @@ def test_random_density_rank_and_trace():
 def test_partial_trace_dimension_check():
     with pytest.raises(DimensionMismatch):
         partial_trace(np.eye(6) / 6.0, (4, 2), over=0)
-
-
-def test_kahan_mean_compensates():
-    # summing 0.1 ten million times drifts in naive fp; the compensated
-    # mean should sit at 0.1 to the last ulp
-    assert abs(kahan_mean(0.1 for _ in range(10 ** 6)) - 0.1) < 1e-15
 
 
 def test_orbit_levels_rebuild_every_permuted_hamiltonian():
