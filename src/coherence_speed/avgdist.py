@@ -22,8 +22,10 @@ state sigma_s = U_s rho U_s† of the orbit, with U_s diagonal in the
 eigenbasis of H (``orbit_operators``), and takes each sqrt(sigma_s)
 from its own eigendecomposition: one stacked diagonalization per chunk
 of the orbit, never sqrt(sigma_s) = U_s sqrt(rho) U_s†, which is the
-closed form's own derivation step.  The terms are averaged with
-``math.fsum``, a correctly rounded sum, so their order does not matter.
+closed form's own derivation step.  ``_orbit_mean`` (capped at
+BRUTE_FORCE_CAP levels, averaged with the correctly rounded
+``math.fsum``) and ``_closed_form`` also serve ``channels.theorem3_bound``
+and ``battery.qudit_battery_bound``.
 """
 
 from __future__ import annotations
@@ -48,28 +50,42 @@ from .metrics import hellinger
 BRUTE_FORCE_CAP = 8  # 8! = 40320 permutations
 
 
-def avg_distance_bruteforce(rho, ham: SpectralHamiltonian, t: float,
-                            *, cap: int = BRUTE_FORCE_CAP) -> float:
+def avg_distance_bruteforce(rho, ham: SpectralHamiltonian, t: float) -> float:
     """Literal permutation average of D(rho, U_s rho U_s†) (correctly rounded sum).
 
     Permutations are enumerated in lexicographic order.  Raises
-    TooManyLevels when the distinct level count exceeds ``cap``.
+    TooManyLevels when the distinct level count exceeds BRUTE_FORCE_CAP.
     """
-    return _bruteforce(validate_density(rho), ham, t, cap)
+    return _bruteforce(validate_density(rho), ham, t)
 
 
-def _bruteforce(rho: np.ndarray, ham: SpectralHamiltonian, t: float, cap: int) -> float:
+def _bruteforce(rho: np.ndarray, ham: SpectralHamiltonian, t: float) -> float:
     """avg_distance_bruteforce of a state that has passed validate_density."""
-    m_count = ham.level_count
-    if m_count > cap:
-        raise TooManyLevels(f"{m_count} levels exceed brute-force cap {cap}")
     sqrt_rho = matrix_sqrt_psd(rho)
-    terms = []
-    for u in orbit_operators(ham, lambda lam: np.exp(-1j * lam * t)):
-        sigma = u @ rho @ dagger(u)
-        terms.append(hellinger(rho, sigma, sqrt_rho=sqrt_rho))
-    terms = np.concatenate(terms)
+    return _orbit_mean(ham, lambda lam: np.exp(-1j * lam * t),
+                       lambda u: hellinger(rho, u @ rho @ dagger(u), sqrt_rho=sqrt_rho))
+
+
+def _orbit_mean(ham: SpectralHamiltonian, fn, term) -> float:
+    """Correctly rounded mean of one term per member of the permutation orbit.
+
+    term maps each stack of ``orbit_operators(ham, fn)`` to the terms of
+    its members.  Raises TooManyLevels, before any orbit work, when the
+    distinct level count exceeds BRUTE_FORCE_CAP.
+    """
+    if ham.level_count > BRUTE_FORCE_CAP:
+        raise TooManyLevels(f"{ham.level_count} levels exceed brute-force cap {BRUTE_FORCE_CAP}")
+    terms = np.concatenate([term(ops) for ops in orbit_operators(ham, fn)])
     return math.fsum(terms) / len(terms)
+
+
+def _closed_form(rho: np.ndarray, ham: SpectralHamiltonian,
+                 t: float) -> tuple[float, float, float]:
+    """(B(t), c_half(rho), 2 (1 - B(t)) c_half(rho)) for a state that has passed
+    validate_density; a single level has B = 1 and distance 0."""
+    coh = _c_half(rho, ham.decomposition)
+    coef = 1.0 if ham.level_count == 1 else b_coefficient(ham.levels, t)
+    return coef, coh, 2.0 * (1.0 - coef) * coh
 
 
 def a_coefficient(eigenvalues, t: float, *, tol_degen: float = TOL_DEGEN) -> float:
@@ -125,23 +141,17 @@ class AvgDistanceResult:
 
 
 def avg_distance_closed(rho, ham: SpectralHamiltonian, t: float,
-                        *, include_brute: bool | None = None,
-                        cap: int = BRUTE_FORCE_CAP) -> AvgDistanceResult:
+                        *, include_brute: bool | None = None) -> AvgDistanceResult:
     """Closed form 2 (1 - B(t)) c_half(rho), optionally with the brute-force value.
 
     include_brute defaults to "when the level count is within the cap".
     A single-level Hamiltonian gives coefficient 1 and distance 0.
     """
     rho = validate_density(rho)
-    coh = _c_half(rho, ham.decomposition)
-    if ham.level_count == 1:
-        coef = 1.0
-    else:
-        coef = b_coefficient(ham.levels, t)
-    closed = 2.0 * (1.0 - coef) * coh
+    coef, coh, closed = _closed_form(rho, ham, t)
     if include_brute is None:
-        include_brute = ham.level_count <= cap
-    brute = _bruteforce(rho, ham, t, cap) if include_brute else None
+        include_brute = ham.level_count <= BRUTE_FORCE_CAP
+    brute = _bruteforce(rho, ham, t) if include_brute else None
     return AvgDistanceResult(t=float(t), brute_force=brute, closed_form=closed,
                              coefficient=coef, coherence=coh)
 
@@ -174,11 +184,10 @@ def l1_upper_bound_check(rho, ham: SpectralHamiltonian, t: float) -> tuple[float
     in the Hamiltonian eigenbasis; sbar <= bound.
     """
     rho = validate_density(rho)
-    lam = ham.levels
     d = ham.dim
     if ham.level_count != d:
         raise DegenerateSpectrum("bound stated for nondegenerate spectra only")
-    coef = a_coefficient(lam, t)
-    sbar = 2.0 * (1.0 - coef) * _c_half(rho, ham.decomposition)
-    bound = 4.0 * (1.0 - coef) / (d - 1.0) * _c_l1(rho, ham.eigenvectors)
-    return sbar, bound
+    if d < 2:
+        raise SingleLevel("need at least two eigenvalues")
+    coef, _, sbar = _closed_form(rho, ham, t)
+    return sbar, 4.0 * (1.0 - coef) / (d - 1.0) * _c_l1(rho, ham.eigenvectors)

@@ -29,23 +29,21 @@ single-step functions below (``avg_extracted_work``, ``drive_coherence``,
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .avgdist import BRUTE_FORCE_CAP, b_coefficient
+from .avgdist import _closed_form, _orbit_mean
 from .coherence import _block_traces, c_half
 from .dynamics import _propagate
-from .errors import InvalidState, TooManyLevels, WindowTooWide
+from .errors import DimensionMismatch, InvalidState, WindowTooWide
 from .linalg import (
     SpectralHamiltonian,
     dagger,
     hermitian_eig,
     hermitianize,
     matrix_sqrt_psd,
-    orbit_operators,
     require_hermitian,
     unitary_exp,
     validate_density,
@@ -230,8 +228,7 @@ def simulate_battery(config: BatteryConfig, psi0) -> list[WorkRecord]:
     return [WorkRecord(*row) for row in zip(*(c.tolist() for c in columns))]
 
 
-def qudit_battery_bound(rho, h0, v, dt: float,
-                        *, cap: int = BRUTE_FORCE_CAP) -> tuple[float, float]:
+def qudit_battery_bound(rho, h0, v, dt: float) -> tuple[float, float]:
     """Permutation-orbit average work and its ceiling for a d-level battery.
 
     The drive's distinct levels are reassigned to its eigenspaces in
@@ -241,26 +238,22 @@ def qudit_battery_bound(rho, h0, v, dt: float,
         bound = ||H0||_F sqrt(2 (1 - B_V(dt)) c_half_V(rho)),
 
     which reduces to the qubit form for V with spectrum +-1.  Stated
-    for pure rho (the trajectory states of the protocol).
+    for pure rho (the trajectory states of the protocol).  h0 and v
+    must be Hermitian (NotHermitian otherwise) and share rho's
+    dimension (DimensionMismatch otherwise).
     """
     rho = validate_density(rho)
-    h0 = hermitianize(np.asarray(h0, dtype=complex))
-    ham_v = SpectralHamiltonian.from_matrix(np.asarray(v, dtype=complex))
-    m_count = ham_v.level_count
-    if m_count > cap:
-        raise TooManyLevels(f"{m_count} drive levels exceed cap {cap}")
-    coh = c_half(rho, ham_v.decomposition)
-    if m_count == 1:
-        coef = 1.0
-    else:
-        coef = b_coefficient(ham_v.levels, dt)
-    bound = float(np.linalg.norm(h0) * np.sqrt(max(0.0, 2.0 * (1.0 - coef) * coh)))
-    works = []
-    for v_s in orbit_operators(ham_v, lambda lam: lam):
+    h0 = hermitianize(require_hermitian(h0))
+    ham_v = SpectralHamiltonian.from_matrix(v)
+    if not len(h0) == ham_v.dim == len(rho):
+        raise DimensionMismatch(f"h0, v and rho have dimensions {len(h0)}, "
+                                f"{ham_v.dim} and {len(rho)}")
+
+    def works(v_s):
         w, vecs = hermitian_eig(h0 + v_s)
         u = (vecs * np.exp(-1j * w * dt)[:, None, :]) @ dagger(vecs)
-        rho_next = u @ rho @ dagger(u)
-        works.append(np.trace(h0 @ (rho - rho_next), axis1=-2, axis2=-1).real)
-    works = np.concatenate(works)
-    avg = math.fsum(works) / len(works)
-    return avg, bound
+        return np.trace(h0 @ (rho - u @ rho @ dagger(u)), axis1=-2, axis2=-1).real
+
+    avg = _orbit_mean(ham_v, lambda lam: lam, works)
+    sbar = _closed_form(rho, ham_v, dt)[2]
+    return avg, float(np.linalg.norm(h0) * np.sqrt(max(0.0, sbar)))

@@ -19,29 +19,20 @@ factor fixes |0>).
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 import scipy.linalg
 
-from .avgdist import BRUTE_FORCE_CAP, b_coefficient
-from .coherence import _c_half
-from .errors import (
-    DimensionMismatch,
-    IncompleteKraus,
-    InvalidState,
-    TooManyKraus,
-    TooManyLevels,
-)
+from .avgdist import _closed_form, _orbit_mean
+from .errors import DimensionMismatch, IncompleteKraus, InvalidState, TooManyKraus
 from .linalg import (
     TOL_DEGEN,
     SpectralHamiltonian,
     dagger,
     hermitianize,
     matrix_sqrt_psd,
-    orbit_operators,
     partial_trace,
     pure_density,
     tensor,
@@ -223,8 +214,7 @@ def permuted_channel_apply(dilation: StinespringDilation, assignment, rho) -> np
                          (dilation.sys_dim, dilation.env_dim), over=1)
 
 
-def theorem3_bound(dilation: StinespringDilation, rho,
-                   *, cap: int = BRUTE_FORCE_CAP) -> tuple[float, float]:
+def theorem3_bound(dilation: StinespringDilation, rho) -> tuple[float, float]:
     """Permutation-averaged channel distance and its closed-form ceiling.
 
     Returns (lhs, rhs) with
@@ -232,26 +222,17 @@ def theorem3_bound(dilation: StinespringDilation, rho,
       rhs = 2 (1 - B(T)) c_half(rho x |0><0|).
     """
     rho = validate_density(rho)
-    ham = dilation.hamiltonian
-    m_count = ham.level_count
-    if m_count > cap:
-        raise TooManyLevels(f"{m_count} levels exceed brute-force cap {cap}")
     joint = dilation._joint(rho)
-    coh = _c_half(joint, ham.decomposition)
-    if m_count == 1:
-        coef = 1.0
-    else:
-        coef = b_coefficient(ham.levels, dilation.duration)
-    rhs = 2.0 * (1.0 - coef) * coh
     sqrt_rho = matrix_sqrt_psd(rho)
     dims = (dilation.sys_dim, dilation.env_dim)
-    terms = []
-    for u in orbit_operators(ham, lambda lam: np.exp(-1j * lam * dilation.duration)):
+
+    def distances(u):
         out = partial_trace(u @ joint @ dagger(u), dims, over=1)
-        terms.append(hellinger(rho, hermitianize(out), sqrt_rho=sqrt_rho))
-    terms = np.concatenate(terms)
-    lhs = math.fsum(terms) / len(terms)
-    return lhs, rhs
+        return hellinger(rho, hermitianize(out), sqrt_rho=sqrt_rho)
+
+    ham, duration = dilation.hamiltonian, dilation.duration
+    lhs = _orbit_mean(ham, lambda lam: np.exp(-1j * lam * duration), distances)
+    return lhs, _closed_form(joint, ham, duration)[2]
 
 
 @dataclass(frozen=True)

@@ -214,13 +214,13 @@ class OrthogonalDecomposition:
     Invariants: each P_m is Hermitian and idempotent, distinct
     projectors annihilate each other, and the family sums to the
     identity.  A family built by a caller (the constructor,
-    ``from_basis``, ``computational``, ``SpectralHamiltonian.from_spectrum``
-    with a caller's basis) is checked on construction for finite entries
-    and then, to 1e-8, from one matrix product of the stacked
-    projectors.  Eigenspace families the package builds itself from an
-    orthonormal eigenbasis (``SpectralHamiltonian.from_matrix``,
-    ``from_spectrum`` without a basis, ``permute_levels``) hold the
-    invariants by construction and are not checked again.
+    ``from_basis``, ``computational``) is checked on construction for
+    finite entries, then, to 1e-8, from one matrix product of the
+    stacked projectors, and last for empty blocks (trace below 1/2).
+    Eigenspace families the package builds itself from an orthonormal
+    eigenbasis (``SpectralHamiltonian.from_matrix``, ``from_spectrum``,
+    ``permute_levels``) hold the invariants by construction and are not
+    checked again.
     """
 
     projectors: np.ndarray
@@ -259,6 +259,9 @@ class OrthogonalDecomposition:
             raise ValueError("projectors are not mutually orthogonal")
         if np.abs(stack.sum(axis=0) - np.eye(d)).max() > tol:
             raise ValueError("projectors do not sum to the identity")
+        # a zero block passes every test above but adds a block to the family
+        if (np.einsum("mii->m", stack).real < 0.5).any():
+            raise ValueError("projector is empty (trace below 1/2)")
         self.projectors = stack
 
     @classmethod
@@ -346,10 +349,10 @@ class SpectralHamiltonian:
     decomposition -- eigenspace projectors, one per distinct level
 
     Input is validated where it enters: ``from_matrix`` checks
-    Hermiticity, ``from_spectrum`` the orthonormality of a caller's
-    basis, whose eigenspace family is then checked as a caller's
-    family.  The families built from an ``eigh`` eigenbasis, from the
-    computational basis and by ``permute_levels`` are trusted.
+    Hermiticity, ``from_spectrum`` that a caller's basis is finite and
+    orthonormal to 1e-8.  The eigenspace families built from such a
+    basis, from an ``eigh`` eigenbasis, from the computational basis
+    and by ``permute_levels`` are trusted.
     """
 
     eigenvalues: np.ndarray
@@ -362,15 +365,16 @@ class SpectralHamiltonian:
     def from_matrix(cls, h, tol_degen: float = TOL_DEGEN) -> "SpectralHamiltonian":
         """Diagonalize a Hermitian matrix and group near-degenerate eigenvalues."""
         w, v = hermitian_eig(_square(h))
-        return cls._build(w, v, tol_degen, trusted=True)
+        return cls._build(w, v, tol_degen)
 
     @classmethod
     def from_spectrum(cls, eigenvalues, basis: np.ndarray | None = None,
                       tol_degen: float = TOL_DEGEN) -> "SpectralHamiltonian":
         """Assemble from eigenvalues and an optional orthonormal eigenbasis.
 
-        Defaults to the computational basis.  Eigenvalues are sorted
-        ascending with the basis columns carried along.
+        Defaults to the computational basis; a caller's basis must be finite
+        and orthonormal to 1e-8.  Eigenvalues are sorted ascending with the
+        basis columns carried along.
         """
         w = np.asarray(eigenvalues, dtype=float).reshape(-1)
         d = len(w)
@@ -380,20 +384,21 @@ class SpectralHamiltonian:
             v = np.asarray(basis, dtype=complex)
             if v.shape != (d, d):
                 raise DimensionMismatch("basis shape does not match eigenvalue count")
+            if not np.isfinite(v).all():
+                raise ValueError("basis entries are not all finite")
             if np.max(np.abs(v.conj().T @ v - np.eye(d))) > 1e-8:
                 raise ValueError("basis columns are not orthonormal")
         order = np.argsort(w, kind="stable")
-        return cls._build(w[order], v[:, order], tol_degen, trusted=basis is None)
+        return cls._build(w[order], v[:, order], tol_degen)
 
     @classmethod
-    def _build(cls, w: np.ndarray, v: np.ndarray, tol_degen: float,
-               *, trusted: bool) -> "SpectralHamiltonian":
+    def _build(cls, w: np.ndarray, v: np.ndarray, tol_degen: float) -> "SpectralHamiltonian":
+        """From ascending eigenvalues and the orthonormal basis that carries them."""
         levels, level_of = _cluster_levels(w, tol_degen)
         stack = _block_stack(v, np.split(np.arange(len(w)), np.flatnonzero(np.diff(level_of)) + 1))
-        decomp = (OrthogonalDecomposition._trusted(stack) if trusted
-                  else OrthogonalDecomposition(stack))
         return cls(eigenvalues=np.asarray(w, dtype=float), eigenvectors=v,
-                   levels=levels, level_of=level_of, decomposition=decomp)
+                   levels=levels, level_of=level_of,
+                   decomposition=OrthogonalDecomposition._trusted(stack))
 
     @property
     def dim(self) -> int:

@@ -59,15 +59,13 @@ def _csv_line(cells: list[str]) -> str:
     return line + "\n"
 
 
-def format_csv(rows: list[dict], metadata: dict,
-               columns: list[str] | None = None) -> str:
+def format_csv(rows: list[dict], metadata: dict) -> str:
     """'#'-headed metadata, one unprefixed column row, then data rows.
 
-    Cells holding a comma or a quote are quoted, so every row has one
-    cell per column.
+    The columns are the keys of the first row.  Cells holding a comma or
+    a quote are quoted, so every row has one cell per column.
     """
-    if columns is None:
-        columns = list(rows[0]) if rows else []
+    columns = list(rows[0]) if rows else []
     lines = [_meta_line(k, v) + "\n" for k, v in metadata.items()]
     lines.append(_csv_line([str(c) for c in columns]))
     lines.extend(_csv_line([_cell(row.get(c)) for c in columns]) for row in rows)
@@ -90,23 +88,19 @@ def _json_default(obj):
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
-def format_json(rows: list[dict], metadata: dict,
-                columns: list[str] | None = None) -> str:
+def format_json(rows: list[dict], metadata: dict) -> str:
     """Rows as an array of objects plus a metadata object.
 
     Complex numbers serialize as [re, im]; missing values as null.
     """
-    if columns is not None:
-        rows = [{c: row.get(c) for c in columns} for row in rows]
     doc = {"metadata": metadata, "rows": rows}
     return json.dumps(doc, indent=2, default=_json_default) + "\n"
 
 
-def render_report(rows: list[dict], metadata: dict, fmt: str,
-                  columns: list[str] | None = None) -> str:
+def render_report(rows: list[dict], metadata: dict, fmt: str) -> str:
     if fmt == "json":
-        return format_json(rows, metadata, columns)
-    return format_csv(rows, metadata, columns)
+        return format_json(rows, metadata)
+    return format_csv(rows, metadata)
 
 
 def write_report(text: str, out: str | None) -> None:

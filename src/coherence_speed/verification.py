@@ -532,7 +532,14 @@ def check_speed_identity(i, rng, dim):
     return abs(v - np.sqrt(2.0) * energy_uncertainty(psi, ham.matrix()))
 
 
-def check_fd_convergence(*, seed=0, trials=None, dim=None, tol=None) -> CheckResult:
+# The difference quotient at interval dt errs by (dt/2) v'(t) + O(dt^2); below
+# this speed slope |v'(t_mid)| the O(dt^2) term competes with the first-order
+# one (the draws that failed at seeds 34, 42, 70 and 136 had 0.012 to 0.035).
+_FD_SLOPE_FLOOR = 0.25
+
+
+@_check("fd-convergence", tol=1.2, trials=5)
+def check_fd_convergence(seed, trials, dim, tol):
     """Difference-quotient speeds approach the closed form linearly in the
     sampling interval.
 
@@ -540,49 +547,45 @@ def check_fd_convergence(*, seed=0, trials=None, dim=None, tol=None) -> CheckRes
     so the integration error is negligible) and then subsampled at each
     candidate interval: a chord whose endpoints are one integrator step
     apart is exactly a constant-Hamiltonian arc and would show the
-    constant-H second order instead of the path's first order.  The
-    ratios must fall in [1.3, 3.2], reported as tolerance 1.2 whatever ``tol``.
+    constant-H second order instead of the path's first order.  A trial
+    redraws (up to 20 times) until the central-difference slope of the
+    fine trajectory's speeds at t_mid reaches _FD_SLOPE_FLOOR.  Error
+    ratios at halved intervals must lie within tol of 2 and not below 1.3.
     """
-    trials = 5 if trials is None else trials
-    t0 = time.perf_counter()
     rng = np.random.default_rng([seed, 52])
-    window = (1.3, 3.2)
     # dt_fine must divide every sampling interval so subsampled grids
     # pass through t_mid exactly
     t_final, t_mid, dt_fine = 0.2, 0.1, 2.5e-5
     dts = (1e-3, 5e-4, 2.5e-4)
+    steps = int(round(t_final / dt_fine))
+    k_fine = int(round(t_mid / dt_fine))
     ratios = []
     for _ in range(trials):
         for _ in range(20):
             d = dim if dim else int(rng.integers(2, 5))
             h0 = np.asarray(_nondegenerate_ham(rng, d).matrix())
             h1 = np.asarray(_nondegenerate_ham(rng, d).matrix())
-            steps = int(round(t_final / dt_fine))
             base = HamiltonianPath.linear(h0, h1, t_final, steps=steps)
             shifted = HamiltonianPath(
                 times=base.times, sampler=lambda t: base.sampler(t + dt_fine / 2.0))
             traj = evolve(haar_random_state(d, rng), shifted)
-            k_fine = int(round(t_mid / dt_fine))
-            ref = instantaneous_speed(
-                traj.states[k_fine],
-                SpectralHamiltonian.from_matrix(base.sampler(t_mid)))
-            errs = []
-            for dt in dts:
-                stride = int(round(dt / dt_fine))
-                view = Trajectory(times=traj.times[::stride],
-                                  states=traj.states[::stride],
-                                  speeds=traj.speeds[::stride],
-                                  uncertainties=traj.uncertainties[::stride])
-                errs.append(abs(finite_difference_speed(view, int(round(t_mid / dt)))
-                                - ref))
-            if errs[0] >= 1e-8:
+            slope = (traj.speeds[k_fine + 1] - traj.speeds[k_fine - 1]) / (2.0 * dt_fine)
+            if abs(slope) >= _FD_SLOPE_FLOOR:
                 break
+        ref = instantaneous_speed(traj.states[k_fine],
+                                  SpectralHamiltonian.from_matrix(base.sampler(t_mid)))
+        errs = []
+        for dt in dts:
+            stride = int(round(dt / dt_fine))
+            view = Trajectory(times=traj.times[::stride],
+                              states=traj.states[::stride],
+                              speeds=traj.speeds[::stride],
+                              uncertainties=traj.uncertainties[::stride])
+            errs.append(abs(finite_difference_speed(view, int(round(t_mid / dt))) - ref))
         ratios.extend((errs[0] / errs[1], errs[1] / errs[2]))
     worst = max(abs(r - 2.0) for r in ratios)
-    passed = all(window[0] <= r <= window[1] for r in ratios)
-    detail = "ratios " + ", ".join(f"{r:.2f}" for r in ratios)
-    return CheckResult("fd-convergence", passed, worst, 1.2, trials,
-                       time.perf_counter() - t0, detail=detail)
+    passed = worst <= tol and min(ratios) >= 1.3
+    return passed, worst, trials, "ratios " + ", ".join(f"{r:.2f}" for r in ratios)
 
 
 @_trials("qubit-closed-form", salt=53, trials=1000, tol=1e-12)

@@ -233,16 +233,20 @@ def test_qudit_battery_bound_equals_literal_permutation_loop():
             assert abs(avg - np.mean(works)) < 1e-12
 
 
-def test_every_orbit_oracle_respects_the_cap():
-    ham = SpectralHamiltonian.from_spectrum(np.arange(4, dtype=float))
-    rho = random_density(4, rank=2, seed=50)
-    with pytest.raises(TooManyLevels):
-        avg_distance_bruteforce(rho, ham, 0.7, cap=3)
-    with pytest.raises(TooManyLevels):
-        qudit_battery_bound(rho, np.diag([0.0, 1.0, 2.0, 3.0]), ham.matrix(), 0.1, cap=3)
-    dilation = StinespringDilation(ham, sys_dim=2, env_dim=2, env_state=np.eye(2)[0])
-    with pytest.raises(TooManyLevels):
-        theorem3_bound(dilation, random_density(2, rank=2, seed=51), cap=3)
+def test_every_orbit_oracle_respects_the_cap(monkeypatch):
+    n = BRUTE_FORCE_CAP + 1
+    orbits = []
+    monkeypatch.setattr(avgdist, "orbit_operators", lambda *a: orbits.append(a) or iter(()))
+    ham = SpectralHamiltonian.from_spectrum(np.arange(n, dtype=float), random_unitary(n, 50))
+    rho = random_density(n, rank=2, seed=50)
+    with pytest.raises(TooManyLevels, match=f"{n} levels exceed brute-force cap"):
+        avg_distance_bruteforce(rho, ham, 0.7)
+    with pytest.raises(TooManyLevels, match=f"{n} levels exceed brute-force cap"):
+        qudit_battery_bound(rho, np.diag(np.arange(n, dtype=float)), ham.matrix(), 0.1)
+    dilation = StinespringDilation(ham, sys_dim=3, env_dim=3, env_state=np.eye(3)[0])
+    with pytest.raises(TooManyLevels, match=f"{n} levels exceed brute-force cap"):
+        theorem3_bound(dilation, random_density(3, rank=2, seed=51))
+    assert orbits == []
 
 
 def test_eight_level_orbit_runs_in_chunks():

@@ -20,7 +20,7 @@ from coherence_speed.battery import (
     work_bound,
 )
 from coherence_speed.dynamics import HamiltonianPath, evolve
-from coherence_speed.errors import InvalidState, WindowTooWide
+from coherence_speed.errors import DimensionMismatch, InvalidState, NotHermitian, WindowTooWide
 from coherence_speed.linalg import (
     haar_random_state,
     pure_density,
@@ -177,6 +177,22 @@ def test_qudit_bound_holds_and_vanishes_for_incoherent_states():
         diag = w @ np.diag(rng.dirichlet(np.ones(d))) @ w.conj().T
         avg0, _ = qudit_battery_bound(diag, h0, v, 1e-3)
         assert abs(avg0) < 1e-10
+
+
+def test_qudit_bound_rejects_a_non_hermitian_storage_hamiltonian():
+    # the 0.5 off-diagonal defect used to be averaged away by hermitianizing
+    h0 = np.array([[0.0, 0.5], [0.0, 1.0]], dtype=complex)
+    with pytest.raises(NotHermitian):
+        qudit_battery_bound(pure_density(PLUS), h0, spin_operator([1.0, 0.0, 0.0]), 1e-2)
+
+
+@pytest.mark.parametrize("h0_dim, v_dim, rho_dim", [(2, 3, 3), (3, 2, 2), (2, 2, 3)])
+def test_qudit_bound_rejects_mismatched_dimensions(h0_dim, v_dim, rho_dim):
+    h0 = np.diag(np.arange(h0_dim, dtype=float))
+    v = np.diag(np.linspace(-1.0, 1.0, v_dim))
+    rho = np.eye(rho_dim) / rho_dim
+    with pytest.raises(DimensionMismatch, match="h0, v and rho have dimensions"):
+        qudit_battery_bound(rho, h0, v, 1e-2)
 
 
 def test_battery_rows_match_the_single_step_oracles():

@@ -381,12 +381,12 @@ def test_only_caller_families_run_the_check(monkeypatch):
     ham = SpectralHamiltonian.from_matrix(random_hermitian(4, rng))
     ham.permute_levels([3, 1, 0, 2])
     SpectralHamiltonian.from_spectrum([0.0, 1.0, 1.0])
-    assert calls == []
     basis = random_unitary(3, rng)
-    SpectralHamiltonian.from_spectrum([0.0, 1.0, 1.0], basis)
+    SpectralHamiltonian.from_spectrum([0.0, 1.0, 1.0], basis)   # checked as a basis
+    assert calls == []
     OrthogonalDecomposition.from_basis(basis, [[0], [1, 2]])
     OrthogonalDecomposition.computational(3)
-    assert len(calls) == 3
+    assert len(calls) == 2
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -408,3 +408,29 @@ def test_from_spectrum_rejects_a_nan_basis():
     basis[1, 2] = np.nan
     with pytest.raises(ValueError, match="not all finite"):
         SpectralHamiltonian.from_spectrum([0.0, 1.0, 2.0], basis)
+
+
+@pytest.mark.parametrize("offset, accepted", [(2e-8, False), (5e-9, True)])
+def test_from_spectrum_checks_the_basis_to_1e_8(offset, accepted):
+    # V diag(sqrt(1 + offset), 1, 1) has V†V - I = diag(offset, 0, 0)
+    basis = random_unitary(3, 18) * np.sqrt([1.0 + offset, 1.0, 1.0])
+    residual = np.max(np.abs(basis.conj().T @ basis - np.eye(3)))
+    assert abs(residual - offset) < 1e-15
+    if accepted:
+        ham = SpectralHamiltonian.from_spectrum([0.0, 1.0, 2.0], basis)
+        _assert_checked_family(ham.decomposition)
+    else:
+        with pytest.raises(ValueError, match="not orthonormal"):
+            SpectralHamiltonian.from_spectrum([0.0, 1.0, 2.0], basis)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: OrthogonalDecomposition([np.diag([1.0, 0.0]), np.diag([0.0, 1.0]),
+                                     np.zeros((2, 2))]),
+    lambda: OrthogonalDecomposition.from_basis(np.eye(2), [[0], [1], []]),
+], ids=["constructor", "from_basis"])
+def test_empty_blocks_are_rejected(build):
+    # a zero block is Hermitian, idempotent and orthogonal to every block,
+    # and would make the uniform superposition read as not maximally coherent
+    with pytest.raises(ValueError, match="projector is empty"):
+        build()

@@ -22,11 +22,11 @@ def test_csv_body_equals_a_csv_writer_rendering():
     rows = [[x, y] for x in awkward for y in awkward]
     rows.append(["", ""])
     columns = ["first", "second"]
-    text = format_csv([dict(zip(columns, r)) for r in rows], {"command": "test"}, columns)
+    text = format_csv([dict(zip(columns, r)) for r in rows], {"command": "test"})
     assert text.startswith("# command: test\n")
     assert text.split("\n", 1)[1] == _csv_writer_body(rows, columns)
     # a lone empty cell is quoted, so the row is not read back as a blank line
-    single = format_csv([{"only": ""}, {"only": "x,y"}, {"only": "z"}], {}, ["only"])
+    single = format_csv([{"only": ""}, {"only": "x,y"}, {"only": "z"}], {})
     assert single == _csv_writer_body([[""], ["x,y"], ["z"]], ["only"])
     assert list(csv.reader(io.StringIO(single))) == [["only"], [""], ["x,y"], ["z"]]
 

@@ -79,7 +79,7 @@ def test_every_check_takes_the_same_keywords():
 
 
 @pytest.mark.parametrize("check, trials, reported_trials, reported_tol", [
-    (check_fd_convergence, 1, 1, 1.2),               # fixed window, tol ignored
+    (check_fd_convergence, 1, 1, 0.5),               # tol bounds |ratio - 2|
     (check_qutrit_equality_construction, 7, 1, 0.5),
     (check_max_coherent_dominance, 12, 10, 0.5),     # 5 x (trials // 5)
     (check_qudit_battery, 3, 6, 0.5),                # two passes of trials each
@@ -90,6 +90,14 @@ def test_irregular_checks_report_their_own_counts(check, trials, reported_trials
     res = check(seed=1, trials=trials, tol=0.5)
     assert (res.trials, res.tol) == (reported_trials, reported_tol)
     assert res.passed, res.line()
+
+
+@pytest.mark.parametrize("seed, trials", [(34, 4), (42, 4), (70, 4), (136, 1)])
+def test_fd_convergence_skips_draws_without_a_first_order_term(seed, trials):
+    # without the slope floor, the last of these trials kept a draw whose
+    # speed slope at t_mid was 0.012-0.035 and whose ratios read 0.55 to 35
+    res = check_fd_convergence(seed=seed, trials=trials)
+    assert res.passed and res.worst < 0.1, res.line()
 
 
 def test_spread_floor_holds_for_close_levels_far_from_zero():
