@@ -88,17 +88,16 @@ def _closed_form(rho: np.ndarray, ham: SpectralHamiltonian,
     return coef, coh, 2.0 * (1.0 - coef) * coh
 
 
-def a_coefficient(eigenvalues, t: float, *, tol_degen: float = TOL_DEGEN) -> float:
+def a_coefficient(eigenvalues, t: float) -> float:
     """Oscillatory coefficient for a nondegenerate spectrum.
 
     A(t) = 2 / (d (d - 1)) * sum_{m<n} cos((lambda_m - lambda_n) t);
     requires pairwise-distinct eigenvalues.
     """
     lam = np.sort(np.asarray(eigenvalues, dtype=float).reshape(-1))
-    d = len(lam)
-    if d < 2:
+    if len(lam) < 2:
         raise SingleLevel("need at least two eigenvalues")
-    if np.min(np.diff(lam)) <= tol_degen:
+    if np.min(np.diff(lam)) <= TOL_DEGEN:
         raise DegenerateSpectrum("eigenvalues are not pairwise distinct; "
                                  "group levels and use b_coefficient")
     return _pair_cos_mean(lam, t)

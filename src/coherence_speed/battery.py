@@ -39,6 +39,8 @@ from .coherence import _block_traces, c_half
 from .dynamics import _propagate
 from .errors import DimensionMismatch, InvalidState, WindowTooWide
 from .linalg import (
+    TOL_NORM,
+    TOL_ZERO,
     SpectralHamiltonian,
     dagger,
     hermitian_eig,
@@ -69,7 +71,7 @@ def spin_operator(axis) -> np.ndarray:
     if n.ndim not in (1, 2) or n.shape[-1] != 3:
         raise InvalidState("axis must be a 3-vector or a stack (k, 3) of them")
     nrm = np.linalg.norm(n, axis=-1)
-    off = np.abs(nrm - 1.0) > 1e-9
+    off = np.abs(nrm - 1.0) > TOL_NORM
     if off.any():
         raise InvalidState(f"axis norm {float(nrm[off].flat[0])!r} differs from 1")
     return (n[..., 0, None, None] * _SIGMA[0] + n[..., 1, None, None] * _SIGMA[1]
@@ -108,7 +110,7 @@ def rotating_axis(period: float) -> Callable[[float], np.ndarray]:
 class BatteryConfig:
     """Protocol parameters: storage gap, pulse, drive axis, and grid step.
 
-    pulse must vanish at t = 0 and t = tau (checked to 1e-12 by
+    pulse must vanish at t = 0 and t = tau (checked to TOL_ZERO by
     simulate_battery); the drive axis must stay unit length.
     """
 
@@ -210,7 +212,7 @@ def simulate_battery(config: BatteryConfig, psi0) -> list[WorkRecord]:
     if len(psi0) != 2:
         raise InvalidState("battery protocol is a qubit model")
     for edge in (0.0, config.tau):
-        if abs(config.pulse(edge)) > 1e-12:
+        if abs(config.pulse(edge)) > TOL_ZERO:
             raise InvalidState(f"pulse must vanish at t = {edge}")
     steps = max(1, int(round(config.tau / config.dt)))
     times = np.linspace(0.0, config.tau, steps + 1)

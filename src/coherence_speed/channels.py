@@ -19,7 +19,7 @@ factor fixes |0>).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -29,6 +29,10 @@ from .avgdist import _closed_form, _orbit_mean
 from .errors import DimensionMismatch, IncompleteKraus, InvalidState, TooManyKraus
 from .linalg import (
     TOL_DEGEN,
+    TOL_NORM,
+    TOL_ORTH,
+    TOL_STRUCT,
+    TOL_ZERO,
     SpectralHamiltonian,
     dagger,
     hermitianize,
@@ -45,10 +49,11 @@ from .schemas import validate_document
 
 @dataclass
 class KrausChannel:
-    """Completely positive trace-preserving map as a tuple of Kraus operators."""
+    """CPTP map as a tuple of Kraus operators; completeness_residual is max|sum K†K - I|."""
 
     operators: tuple[np.ndarray, ...]
     label: str = ""
+    completeness_residual: float = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         ops = tuple(np.asarray(k, dtype=complex) for k in self.operators)
@@ -60,9 +65,10 @@ class KrausChannel:
                 raise DimensionMismatch("Kraus operators must share one square shape")
         total = sum(k.conj().T @ k for k in ops)
         defect = float(np.max(np.abs(total - np.eye(d))))
-        if defect > 1e-8:
+        if defect > TOL_STRUCT:
             raise IncompleteKraus(f"sum K†K deviates from identity by {defect:.3e}")
         self.operators = ops
+        self.completeness_residual = defect
 
     @property
     def dim(self) -> int:
@@ -134,7 +140,7 @@ class StinespringDilation:
         self.env_state = np.asarray(self.env_state, dtype=complex).reshape(-1)
         if len(self.env_state) != self.env_dim:
             raise DimensionMismatch("environment state dimension mismatch")
-        if abs(np.linalg.norm(self.env_state) - 1.0) > 1e-9:
+        if abs(np.linalg.norm(self.env_state) - 1.0) > TOL_NORM:
             raise InvalidState("environment state is not normalized")
 
     @property
@@ -160,15 +166,14 @@ class StinespringDilation:
         return partial_trace(u @ joint @ u.conj().T, (self.sys_dim, self.env_dim), over=1)
 
 
-def dilate(channel: KrausChannel, env_dim: int | None = None,
-           tol_degen: float = TOL_DEGEN) -> StinespringDilation:
+def dilate(channel: KrausChannel, env_dim: int | None = None) -> StinespringDilation:
     """Unitary dilation of a Kraus channel with env state |0>.
 
     The isometry V|psi> = sum_j (K_j|psi>) x |j> is completed to a
     unitary by an orthonormal basis of its column complement; the
     generator is the principal logarithm i log U with eigenphases
-    folded to (-pi + tol_degen, pi + tol_degen] and unit duration: a
-    phase within tol_degen of -pi is taken as its image near +pi, so
+    folded to (-pi + TOL_DEGEN, pi + TOL_DEGEN] and unit duration: a
+    phase within TOL_DEGEN of -pi is taken as its image near +pi, so
     that an eigenvalue -1 of U, which rounding puts on either side of
     the branch cut, gives one level.
     """
@@ -190,15 +195,15 @@ def dilate(channel: KrausChannel, env_dim: int | None = None,
         slots = [(c, j) for c in range(d) for j in range(1, d_env)]
         for col, (c, j) in enumerate(slots):
             u4[:, c, j] = comp[:, col]
-    if np.max(np.abs(u.conj().T @ u - np.eye(n))) > 1e-9:
+    if np.max(np.abs(u.conj().T @ u - np.eye(n))) > TOL_ORTH:
         raise InvalidState("unitary completion failed")
     # Principal logarithm via the Schur form (U is normal).
     t_mat, z = scipy.linalg.schur(u, output="complex")
     phases = np.diagonal(t_mat)
     lam = np.angle(phases.conj())  # in [-pi, pi]
-    lam = np.where(lam <= -np.pi + tol_degen, lam + 2.0 * np.pi, lam)
+    lam = np.where(lam <= -np.pi + TOL_DEGEN, lam + 2.0 * np.pi, lam)
     h = hermitianize((z * lam) @ z.conj().T)
-    ham = SpectralHamiltonian.from_matrix(h, tol_degen)
+    ham = SpectralHamiltonian.from_matrix(h)
     env0 = np.zeros(d_env, dtype=complex)
     env0[0] = 1.0
     return StinespringDilation(hamiltonian=ham, sys_dim=d, env_dim=d_env,
@@ -208,10 +213,7 @@ def dilate(channel: KrausChannel, env_dim: int | None = None,
 def permuted_channel_apply(dilation: StinespringDilation, assignment, rho) -> np.ndarray:
     """Channel obtained by permuting the dilation's level assignment."""
     ham_s = dilation.hamiltonian.permute_levels(assignment)
-    u = unitary_exp(ham_s, dilation.duration)
-    joint = dilation.joint_input(rho)
-    return partial_trace(u @ joint @ u.conj().T,
-                         (dilation.sys_dim, dilation.env_dim), over=1)
+    return replace(dilation, hamiltonian=ham_s).apply(rho)
 
 
 def theorem3_bound(dilation: StinespringDilation, rho) -> tuple[float, float]:
@@ -251,7 +253,7 @@ class EqualityGapReport:
 
     @property
     def witness_is_zero(self) -> bool:
-        return self.witness < 1e-12
+        return self.witness < TOL_ZERO
 
 
 def equality_gap_analysis(channel: KrausChannel, rho) -> EqualityGapReport:
@@ -264,7 +266,7 @@ def _equality_gap(channel: KrausChannel, dilation: StinespringDilation,
     """equality_gap_analysis on a given unitary dilation of the channel."""
     rho = validate_density(rho)
     w = np.linalg.eigvalsh(hermitianize(rho))
-    if w[-1] < 1.0 - 1e-8:
+    if w[-1] < 1.0 - TOL_STRUCT:
         raise InvalidState("equality analysis requires a pure input state")
     out = _apply_kraus(channel, rho)
     d_sys = hellinger(rho, out)

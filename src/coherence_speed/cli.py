@@ -43,6 +43,8 @@ from .channels import (
 )
 from .errors import CoherenceSpeedError, TooManyLevels
 from .linalg import (
+    TOL_REPORT,
+    TOL_ZERO,
     SpectralHamiltonian,
     haar_random_state,
     pure_density,
@@ -134,9 +136,10 @@ def _resolve_seed(ns, config: dict) -> int:
     return 0
 
 
-def _resolve_common(ns, config: dict):
+def _resolve_common(ns, config: dict, default_tol=None):
     seed = _resolve_seed(ns, config)
     tol = ns.tol if ns.tol is not None else config.get("tolerance")
+    tol = default_tol if tol is None else tol
     out = ns.out if ns.out is not None else config.get("out")
     fmt = ns.fmt if ns.fmt is not None else config.get("format", "csv")
     return seed, tol, out, fmt
@@ -210,9 +213,20 @@ def _axis(spec, tau: float):
         raise UsageError(f"unknown drive axis {spec!r}")
     vec = np.asarray(spec, dtype=float)
     norm = float(np.linalg.norm(vec))
-    if norm < 1e-12:
+    if norm < TOL_ZERO:
         raise UsageError("drive axis must be a nonzero 3-vector")
     return constant_axis(vec / norm)
+
+
+def _finish(rows: list[dict], meta: dict, fmt: str, out, failure: str | None) -> int:
+    """Write a report command's rows; print its failure line, if any, and return the exit code."""
+    write_report(render_report(rows, meta, fmt), out)
+    if out:
+        print(f"report written to {out}")
+    if failure is None:
+        return 0
+    print(failure, file=sys.stderr)
+    return 1
 
 
 # ---------------------------------------------------------------------------
@@ -247,8 +261,7 @@ def _cmd_verify(ns, config: dict) -> int:
 
 
 def _cmd_sweep(ns, config: dict) -> int:
-    seed, tol, out, fmt = _resolve_common(ns, config)
-    tol = 1e-9 if tol is None else tol
+    seed, tol, out, fmt = _resolve_common(ns, config, TOL_REPORT)
     section = config.get("sweep")
     if section is None:
         raise UsageError("sweep needs a config file with a sweep section "
@@ -282,19 +295,13 @@ def _cmd_sweep(ns, config: dict) -> int:
                      levels=ham.level_count, state=_state_label(state_spec),
                      brute_force=include_brute,
                      brute_force_cap=BRUTE_FORCE_CAP)
-    write_report(render_report(rows, meta, fmt), out)
-    if out:
-        print(f"report written to {out}")
-    if include_brute and worst_gap > tol:
-        print(f"sweep: worst identity gap {worst_gap:.3e} exceeds {tol:.1e}",
-              file=sys.stderr)
-        return 1
-    return 0
+    return _finish(rows, meta, fmt, out,
+                   f"sweep: worst identity gap {worst_gap:.3e} exceeds {tol:.1e}"
+                   if include_brute and worst_gap > tol else None)
 
 
 def _cmd_battery(ns, config: dict) -> int:
-    seed, tol, out, fmt = _resolve_common(ns, config)
-    tol = 1e-9 if tol is None else tol
+    seed, tol, out, fmt = _resolve_common(ns, config, TOL_REPORT)
     section = config.get("battery", {})
     epsilon = float(section.get("epsilon", 1.0))
     eta_max = float(section.get("eta_max", 1.0))
@@ -316,18 +323,12 @@ def _cmd_battery(ns, config: dict) -> int:
     meta = _metadata("battery", seed, tol, epsilon=epsilon, eta_max=eta_max,
                      tau=tau, dt=dt, pulse=pulse_name,
                      axis=_state_label(axis_spec), state=_state_label(state_spec))
-    write_report(render_report(rows, meta, fmt), out)
-    if out:
-        print(f"report written to {out}")
-    if worst > tol:
-        print(f"battery: work exceeded its ceiling by {worst:.3e}", file=sys.stderr)
-        return 1
-    return 0
+    return _finish(rows, meta, fmt, out,
+                   f"battery: work exceeded its ceiling by {worst:.3e}" if worst > tol else None)
 
 
 def _cmd_channel(ns, config: dict) -> int:
-    seed, tol, out, fmt = _resolve_common(ns, config)
-    tol = 1e-9 if tol is None else tol
+    seed, tol, out, fmt = _resolve_common(ns, config, TOL_REPORT)
     section = config.get("channel", {})
     channel_spec = section.get("channel", "qutrit-equality")
     if channel_spec == "qutrit-equality":
@@ -343,44 +344,35 @@ def _cmd_channel(ns, config: dict) -> int:
     rng = np.random.default_rng(seed)
     psi0 = _pure_state(section.get("state", "ground"), channel.dim, rng)
     rho = pure_density(psi0)
-    total = sum(k.conj().T @ k for k in channel.operators)
-    completeness = float(np.max(np.abs(total - np.eye(channel.dim))))
     dilation = dilate(channel, section.get("env_dim"))
     # the gap is defined on the default dilation (one environment level per Kraus operator)
     default = dilation if dilation.env_dim == len(channel.operators) else dilate(channel)
     gap_report = _equality_gap(channel, default, rho)
     row = {"sys_dim": channel.dim, "env_dim": dilation.env_dim,
            "levels": len(dilation.levels),
-           "completeness_residual": completeness,
+           "completeness_residual": channel.completeness_residual,
            "system_distance": gap_report.system_distance,
            "dilated_distance": gap_report.dilated_distance,
            "gap": gap_report.gap, "witness": gap_report.witness,
            "witness_is_zero": gap_report.witness_is_zero}
-    violated = False
+    failure = None
     try:
         lhs, rhs = theorem3_bound(dilation, rho)
         row.update(avg_channel_distance=lhs, coherence_ceiling=rhs,
                    slack=rhs - lhs)
-        violated = lhs > rhs + tol
+        if lhs > rhs + tol:
+            failure = ("channel: averaged distance exceeds the coherence ceiling "
+                       f"by {lhs - rhs:.3e}")
     except TooManyLevels as exc:
         print(f"note: bound columns omitted ({exc})", file=sys.stderr)
     meta = _metadata("channel", seed, tol, channel=label,
                      n_kraus=len(channel.operators),
                      state=_state_label(section.get("state", "ground")))
-    write_report(render_report([row], meta, fmt), out)
-    if out:
-        print(f"report written to {out}")
-    if violated:
-        print(f"channel: averaged distance exceeds the coherence ceiling "
-              f"by {row['avg_channel_distance'] - row['coherence_ceiling']:.3e}",
-              file=sys.stderr)
-        return 1
-    return 0
+    return _finish([row], meta, fmt, out, failure)
 
 
 def _cmd_qsl(ns, config: dict) -> int:
-    seed, tol, out, fmt = _resolve_common(ns, config)
-    tol = 1e-9 if tol is None else tol
+    seed, tol, out, fmt = _resolve_common(ns, config, TOL_REPORT)
     section = config.get("qsl", {})
     spectrum = np.asarray(section.get("spectrum", [0.0, 1.0]), dtype=float)
     ham = SpectralHamiltonian.from_spectrum(spectrum)
@@ -402,14 +394,9 @@ def _cmd_qsl(ns, config: dict) -> int:
             worst = max(worst, bounds.mt_time - t)
     meta = _metadata("qsl", seed, tol, spectrum=spectrum, dimension=ham.dim,
                      state=_state_label(section.get("state", "plus")))
-    write_report(render_report(rows, meta, fmt), out)
-    if out:
-        print(f"report written to {out}")
-    if worst > tol:
-        print(f"qsl: spread-based minimum time exceeded the elapsed time "
-              f"by {worst:.3e}", file=sys.stderr)
-        return 1
-    return 0
+    return _finish(rows, meta, fmt, out,
+                   f"qsl: spread-based minimum time exceeded the elapsed time by {worst:.3e}"
+                   if worst > tol else None)
 
 
 _COMMANDS = {

@@ -23,7 +23,9 @@ import numpy as np
 
 from .errors import DegenerateInput, DimensionMismatch
 from .linalg import (
+    TOL_NORM,
     TOL_PSD,
+    TOL_STRUCT,
     OrthogonalDecomposition,
     SpectralHamiltonian,
     hermitianize,
@@ -61,8 +63,8 @@ def _block_traces(s: np.ndarray, projectors: np.ndarray) -> tuple[np.ndarray, np
 def closest_incoherent(rho, decomposition: OrthogonalDecomposition) -> np.ndarray:
     """Block-diagonal state closest to rho in affinity distance.
 
-    Blocks whose weight Tr[(P_m sqrt(rho) P_m)^2] falls below the PSD
-    tolerance contribute nothing.
+    Blocks whose weight Tr[(P_m sqrt(rho) P_m)^2] falls below TOL_PSD
+    contribute nothing.
     """
     rho = validate_density(rho)
     if rho.shape[0] != decomposition.dim:
@@ -104,26 +106,24 @@ def coherence_vector(psi, ham: SpectralHamiltonian) -> np.ndarray:
     return ham.decomposition._weights(psi)
 
 
-def is_maximally_coherent(psi, decomposition: OrthogonalDecomposition,
-                          tol: float = 1e-9) -> bool:
-    """True when every block norm ||P_m psi|| equals 1/sqrt(M) within tol."""
+def is_maximally_coherent(psi, decomposition: OrthogonalDecomposition) -> bool:
+    """True when every block norm ||P_m psi|| equals 1/sqrt(M) within TOL_NORM."""
     psi = validate_state_vector(psi)
     if decomposition.dim != len(psi):
         raise DimensionMismatch("state dimension does not match decomposition")
     norms = np.linalg.norm(decomposition.projectors @ psi, axis=-1)
-    return not (np.abs(norms - 1.0 / np.sqrt(decomposition.size)) > tol).any()
+    return not (np.abs(norms - 1.0 / np.sqrt(decomposition.size)) > TOL_NORM).any()
 
 
-def is_refinement(fine: OrthogonalDecomposition, coarse: OrthogonalDecomposition,
-                  tol: float = 1e-8) -> bool:
-    """True when every coarse projector is a sum of a subset of fine projectors."""
+def is_refinement(fine: OrthogonalDecomposition, coarse: OrthogonalDecomposition) -> bool:
+    """True when every coarse projector is a sum of a subset of fine projectors (to TOL_STRUCT)."""
     if fine.dim != coarse.dim:
         raise DimensionMismatch("decompositions live on different spaces")
     p, q = coarse.projectors, fine.projectors
     # inside[m, k]: fine block k lies in coarse block m; each goes to its first home
-    inside = ~(np.abs(p[:, None] @ q - q).max(axis=(-2, -1)) > tol)
+    inside = ~(np.abs(p[:, None] @ q - q).max(axis=(-2, -1)) > TOL_STRUCT)
     if not inside.any(axis=0).all():
         return False
     home = inside.argmax(axis=0)
     totals = np.einsum("mk,kij->mij", home == np.arange(len(p))[:, None], q)
-    return not (np.linalg.norm(totals - p, axis=(-2, -1)) > tol).any()
+    return not (np.linalg.norm(totals - p, axis=(-2, -1)) > TOL_STRUCT).any()

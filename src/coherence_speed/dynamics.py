@@ -29,7 +29,8 @@ import numpy as np
 
 from .errors import DimensionMismatch, GridTooCoarse, InvalidState
 from .linalg import (
-    TOL_DEGEN,
+    TOL_DRIFT,
+    TOL_NORM,
     SpectralHamiltonian,
     _cluster_levels,
     dagger,
@@ -162,7 +163,7 @@ def _propagate(psi0: np.ndarray, times: np.ndarray,
     the whole grid before any propagation: GridTooCoarse when the half
     spectral width (lambda_max - lambda_min) / 2 times dt exceeds 1, one
     warning above 0.1.  Raises InvalidState when the norm drifts by more
-    than 1e-10 over the grid.
+    than TOL_DRIFT over the grid.
     """
     w, v = np.linalg.eigh(h)
     dts = np.diff(times)
@@ -179,7 +180,7 @@ def _propagate(psi0: np.ndarray, times: np.ndarray,
     for k in range(len(dts)):
         states[k + 1] = u[k] @ states[k]
     drift = float(np.max(np.abs(np.linalg.norm(states, axis=1) - 1.0)))
-    if drift > 1e-10:
+    if drift > TOL_DRIFT:
         raise InvalidState(f"norm drift {drift:.3e} over the grid")
     return states, w, v
 
@@ -192,7 +193,7 @@ def _stacked_speeds(w: np.ndarray, v: np.ndarray, states: np.ndarray) -> np.ndar
     TOL_DEGEN).  Unused level slots carry zero weight and drop out.
     """
     weights = np.abs(np.einsum("kji,kj->ki", v.conj(), states)) ** 2
-    levels, level_of = _cluster_levels(w, TOL_DEGEN)
+    levels, level_of = _cluster_levels(w)
     member = level_of[:, :, None] == np.arange(levels.shape[1])   # (k, column, level)
     r = np.einsum("kj,kjm->km", weights, member)
     gaps = (levels[:, :, None] - levels[:, None, :]) ** 2
@@ -242,7 +243,7 @@ def qubit_closed_form(alpha: complex, beta: complex, lam: float, gam: float,
     gam |1><1|:  D(t) = 4 |alpha|^2 |beta|^2 (1 - cos((lam - gam) t)).
     """
     w = abs(alpha) ** 2 + abs(beta) ** 2
-    if abs(w - 1.0) > 1e-9:
+    if abs(w - 1.0) > TOL_NORM:
         raise InvalidState("amplitudes are not normalized")
     return float(4.0 * (abs(alpha) ** 2) * (abs(beta) ** 2)
                  * (1.0 - np.cos((lam - gam) * t)))

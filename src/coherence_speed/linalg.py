@@ -6,6 +6,21 @@ the right call.  Tensor products follow the convention that the first
 factor is the outer (slow) index: ``kron(A, B)`` acts on basis vectors
 ``|a> x |b>`` ordered as ``a * dim_B + b``.  Units are hbar = 1
 throughout the package.
+
+Each numerical tolerance of the library is an absolute constant of this
+table, sized for d <= 16 in double precision; none is an argument.  The
+verification checks declare their own.  Columns: value, bound, sites.
+
+  TOL_HERM    1e-9   max|A - A†|: is_hermitian, require_hermitian and callers, validate_density
+  TOL_NORM    1e-9   a norm vs its target: states, env_state, qubit amplitudes, spin axes, blocks
+  TOL_TRACE   1e-9   |Tr rho - 1|: validate_density
+  TOL_ORTH    1e-9   max|U†U - I| of dilate's unitary completion
+  TOL_PSD     1e-10  dead band: matrix_sqrt_psd, validate_density, fidelity, closest_incoherent
+  TOL_DEGEN   1e-9   one level: _cluster_levels, a_coefficient, dilate's fold of -pi onto +pi
+  TOL_STRUCT  1e-8   caller structure: projector families, bases, Kraus sums, refinement, purity
+  TOL_DRIFT   1e-10  norm drift over an evolve grid
+  TOL_ZERO    1e-12  read as zero: qsl overlap and spreads, witness, pulse ends, CLI drive axis
+  TOL_REPORT  1e-9   pass tolerance of the sweep, battery, channel and qsl reports without --tol
 """
 
 from __future__ import annotations
@@ -26,14 +41,16 @@ from .errors import (
     NotPSD,
 )
 
-# Absolute tolerances sized for d <= 16 dense double precision.
 TOL_HERM = 1e-9
-TOL_ORTH = 1e-9
-TOL_TRACE = 1e-9
 TOL_NORM = 1e-9
-TOL_RECON = 1e-10
+TOL_TRACE = 1e-9
+TOL_ORTH = 1e-9
 TOL_PSD = 1e-10
 TOL_DEGEN = 1e-9
+TOL_STRUCT = 1e-8
+TOL_DRIFT = 1e-10
+TOL_ZERO = 1e-12
+TOL_REPORT = 1e-9
 
 
 def dagger(a: np.ndarray) -> np.ndarray:
@@ -46,9 +63,9 @@ def hermitianize(a: np.ndarray) -> np.ndarray:
     return (a + dagger(a)) / 2.0
 
 
-def is_hermitian(a: np.ndarray, tol: float = TOL_HERM) -> bool:
-    """True when max|A - A†| <= tol (for every matrix, for a stack)."""
-    return bool(np.abs(a - dagger(a)).max() <= tol)
+def is_hermitian(a: np.ndarray) -> bool:
+    """True when max|A - A†| <= TOL_HERM (for every matrix, for a stack)."""
+    return bool(np.abs(a - dagger(a)).max() <= TOL_HERM)
 
 
 def _square(a, *, stack: bool = False) -> np.ndarray:
@@ -59,66 +76,64 @@ def _square(a, *, stack: bool = False) -> np.ndarray:
     return a
 
 
-def require_hermitian(a, tol: float = TOL_HERM) -> np.ndarray:
+def require_hermitian(a) -> np.ndarray:
     """a as complex128, a square matrix or a stack (..., d, d), checked Hermitian.
 
     Raises DimensionMismatch on any other shape and NotHermitian when
-    max|A - A†| exceeds tol (for any matrix of a stack).
+    max|A - A†| exceeds TOL_HERM (for any matrix of a stack).
     """
     a = _square(a, stack=True)
-    if not is_hermitian(a, tol):
+    if not is_hermitian(a):
         dev = float(np.max(np.abs(a - dagger(a))))
-        raise NotHermitian(f"max |H - H†| = {dev:.3e} exceeds {tol:.1e}")
+        raise NotHermitian(f"max |H - H†| = {dev:.3e} exceeds {TOL_HERM:.1e}")
     return a
 
 
-def hermitian_eig(h, *, tol: float = TOL_HERM) -> tuple[np.ndarray, np.ndarray]:
+def hermitian_eig(h) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues (ascending) and orthonormal eigenvector columns of a Hermitian matrix.
 
     A stack (..., d, d) is diagonalized matrix by matrix in one call; it
     raises NotHermitian when any of its matrices does.
     """
-    w, v = np.linalg.eigh(require_hermitian(h, tol))
-    return w, v
+    return np.linalg.eigh(require_hermitian(h))
 
 
-def matrix_sqrt_psd(rho, *, tol_psd: float = TOL_PSD) -> np.ndarray:
+def matrix_sqrt_psd(rho) -> np.ndarray:
     """Hermitian square root of a PSD matrix, or of each matrix in a stack (..., d, d).
 
-    Eigenvalues within tol_psd of zero are treated as exact zeros
+    Eigenvalues within TOL_PSD of zero are treated as exact zeros
     (sqrt amplifies eigensolver noise on a singular matrix from 1e-16
-    to 1e-8 otherwise); anything below -tol_psd raises NotPSD.  Every
+    to 1e-8 otherwise); anything below -TOL_PSD raises NotPSD.  Every
     matrix of a stack gets its own eigendecomposition and these checks.
     """
     w, v = hermitian_eig(rho)
     low = w.min() if w.ndim > 1 else w[0]
-    if low < -tol_psd:
-        raise NotPSD(f"eigenvalue {low:.3e} below -{tol_psd:.1e}")
-    w = np.where(w < tol_psd, 0.0, w)
+    if low < -TOL_PSD:
+        raise NotPSD(f"eigenvalue {low:.3e} below -{TOL_PSD:.1e}")
+    w = np.where(w < TOL_PSD, 0.0, w)
     return hermitianize((v * np.sqrt(w)[..., None, :]) @ dagger(v))
 
 
-def validate_density(rho, *, tol_herm: float = TOL_HERM, tol_psd: float = TOL_PSD,
-                     tol_trace: float = TOL_TRACE) -> np.ndarray:
+def validate_density(rho) -> np.ndarray:
     """Check Hermiticity, positivity, and unit trace; return the array."""
     rho = _square(rho)
-    if not is_hermitian(rho, tol_herm):
+    if not is_hermitian(rho):
         raise NotHermitian("density matrix is not Hermitian within tolerance")
     w = np.linalg.eigvalsh(hermitianize(rho))
-    if w[0] < -tol_psd:
+    if w[0] < -TOL_PSD:
         raise NotPSD(f"density matrix has eigenvalue {w[0]:.3e}")
     tr = float(np.trace(rho).real)
-    if abs(tr - 1.0) > tol_trace:
-        raise InvalidState(f"trace {tr!r} differs from 1 beyond {tol_trace:.1e}")
+    if abs(tr - 1.0) > TOL_TRACE:
+        raise InvalidState(f"trace {tr!r} differs from 1 beyond {TOL_TRACE:.1e}")
     return rho
 
 
-def validate_state_vector(psi, *, tol_norm: float = TOL_NORM) -> np.ndarray:
+def validate_state_vector(psi) -> np.ndarray:
     """Check unit norm; return the vector as complex128."""
     psi = np.asarray(psi, dtype=complex).reshape(-1)
     nrm = float(np.linalg.norm(psi))
-    if abs(nrm - 1.0) > tol_norm:
-        raise InvalidState(f"state norm {nrm!r} differs from 1 beyond {tol_norm:.1e}")
+    if abs(nrm - 1.0) > TOL_NORM:
+        raise InvalidState(f"state norm {nrm!r} differs from 1 beyond {TOL_NORM:.1e}")
     return psi
 
 
@@ -215,7 +230,7 @@ class OrthogonalDecomposition:
     projectors annihilate each other, and the family sums to the
     identity.  A family built by a caller (the constructor,
     ``from_basis``, ``computational``) is checked on construction for
-    finite entries, then, to 1e-8, from one matrix product of the
+    finite entries, then, to TOL_STRUCT, from one matrix product of the
     stacked projectors, and last for empty blocks (trace below 1/2).
     Eigenspace families the package builds itself from an orthonormal
     eigenbasis (``SpectralHamiltonian.from_matrix``, ``from_spectrum``,
@@ -225,14 +240,11 @@ class OrthogonalDecomposition:
 
     projectors: np.ndarray
 
-    _CHECK_TOL = 1e-8
-
     def __post_init__(self) -> None:
         projs = tuple(np.asarray(p, dtype=complex) for p in self.projectors)
         if not projs:
             raise ValueError("decomposition needs at least one projector")
         d = projs[0].shape[0]
-        tol = self._CHECK_TOL
         # projectors before the first one of another shape are checked first
         m = next((k for k, p in enumerate(projs) if p.shape != (d, d)), len(projs))
         if m:
@@ -246,8 +258,8 @@ class OrthogonalDecomposition:
             diag = np.arange(m)
             prods[diag, :, diag] -= stack
             # bad[a, b]: max|P_a P_b - delta_ab P_a| > tol
-            bad = np.abs(prods).max(axis=(1, 3)) > tol
-            herm = np.abs(stack - dagger(stack)).max(axis=(1, 2)) > tol
+            bad = np.abs(prods).max(axis=(1, 3)) > TOL_STRUCT
+            herm = np.abs(stack - dagger(stack)).max(axis=(1, 2)) > TOL_STRUCT
             first = np.flatnonzero(herm | bad.diagonal())
             if first.size:
                 raise ValueError("projector is not Hermitian" if herm[first[0]]
@@ -257,7 +269,7 @@ class OrthogonalDecomposition:
         a, b = np.nonzero(bad)
         if (a < b).any():
             raise ValueError("projectors are not mutually orthogonal")
-        if np.abs(stack.sum(axis=0) - np.eye(d)).max() > tol:
+        if np.abs(stack.sum(axis=0) - np.eye(d)).max() > TOL_STRUCT:
             raise ValueError("projectors do not sum to the identity")
         # a zero block passes every test above but adds a block to the family
         if (np.einsum("mii->m", stack).real < 0.5).any():
@@ -312,8 +324,8 @@ class OrthogonalDecomposition:
         return (self.projectors @ rho @ self.projectors).sum(axis=0)
 
 
-def _cluster_levels(eigvals: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """Group ascending eigenvalues (..., d) into distinct levels by consecutive gap > tol.
+def _cluster_levels(eigvals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Group ascending eigenvalues (..., d) into distinct levels by consecutive gap > TOL_DEGEN.
 
     Each row is grouped on its own.  Returns levels (..., M), M the
     largest level count of any row (a row with fewer holds 0.0 in the
@@ -321,7 +333,7 @@ def _cluster_levels(eigvals: np.ndarray, tol: float) -> tuple[np.ndarray, np.nda
     is valued at the mean of its cluster; a singleton keeps its
     eigenvalue as is, which is what its mean gives.
     """
-    split = eigvals[..., 1:] - eigvals[..., :-1] > tol
+    split = eigvals[..., 1:] - eigvals[..., :-1] > TOL_DEGEN
     level_of = np.zeros(eigvals.shape, dtype=int)
     np.cumsum(split, axis=-1, out=level_of[..., 1:])
     levels = np.array(eigvals, dtype=float)     # each eigenvalue its own level ...
@@ -350,7 +362,7 @@ class SpectralHamiltonian:
 
     Input is validated where it enters: ``from_matrix`` checks
     Hermiticity, ``from_spectrum`` that a caller's basis is finite and
-    orthonormal to 1e-8.  The eigenspace families built from such a
+    orthonormal to TOL_STRUCT.  The eigenspace families built from such a
     basis, from an ``eigh`` eigenbasis, from the computational basis
     and by ``permute_levels`` are trusted.
     """
@@ -362,18 +374,17 @@ class SpectralHamiltonian:
     decomposition: OrthogonalDecomposition
 
     @classmethod
-    def from_matrix(cls, h, tol_degen: float = TOL_DEGEN) -> "SpectralHamiltonian":
+    def from_matrix(cls, h) -> "SpectralHamiltonian":
         """Diagonalize a Hermitian matrix and group near-degenerate eigenvalues."""
         w, v = hermitian_eig(_square(h))
-        return cls._build(w, v, tol_degen)
+        return cls._build(w, v)
 
     @classmethod
-    def from_spectrum(cls, eigenvalues, basis: np.ndarray | None = None,
-                      tol_degen: float = TOL_DEGEN) -> "SpectralHamiltonian":
+    def from_spectrum(cls, eigenvalues, basis: np.ndarray | None = None) -> "SpectralHamiltonian":
         """Assemble from eigenvalues and an optional orthonormal eigenbasis.
 
         Defaults to the computational basis; a caller's basis must be finite
-        and orthonormal to 1e-8.  Eigenvalues are sorted ascending with the
+        and orthonormal to TOL_STRUCT.  Eigenvalues are sorted ascending with the
         basis columns carried along.
         """
         w = np.asarray(eigenvalues, dtype=float).reshape(-1)
@@ -386,15 +397,15 @@ class SpectralHamiltonian:
                 raise DimensionMismatch("basis shape does not match eigenvalue count")
             if not np.isfinite(v).all():
                 raise ValueError("basis entries are not all finite")
-            if np.max(np.abs(v.conj().T @ v - np.eye(d))) > 1e-8:
+            if np.max(np.abs(v.conj().T @ v - np.eye(d))) > TOL_STRUCT:
                 raise ValueError("basis columns are not orthonormal")
         order = np.argsort(w, kind="stable")
-        return cls._build(w[order], v[:, order], tol_degen)
+        return cls._build(w[order], v[:, order])
 
     @classmethod
-    def _build(cls, w: np.ndarray, v: np.ndarray, tol_degen: float) -> "SpectralHamiltonian":
+    def _build(cls, w: np.ndarray, v: np.ndarray) -> "SpectralHamiltonian":
         """From ascending eigenvalues and the orthonormal basis that carries them."""
-        levels, level_of = _cluster_levels(w, tol_degen)
+        levels, level_of = _cluster_levels(w)
         stack = _block_stack(v, np.split(np.arange(len(w)), np.flatnonzero(np.diff(level_of)) + 1))
         return cls(eigenvalues=np.asarray(w, dtype=float), eigenvectors=v,
                    levels=levels, level_of=level_of,

@@ -17,9 +17,7 @@ import numpy as np
 
 from .dynamics import _energy_moments
 from .errors import DimensionMismatch
-from .linalg import SpectralHamiltonian, matrix_sqrt_psd, validate_state_vector
-
-_ZERO = 1e-12
+from .linalg import TOL_PSD, TOL_ZERO, SpectralHamiltonian, matrix_sqrt_psd, validate_state_vector
 
 
 def affinity(rho, sigma, *, sqrt_rho: np.ndarray | None = None,
@@ -62,9 +60,9 @@ def fidelity(rho, sigma) -> float:
         raise DimensionMismatch(f"shapes {s.shape} and {sig.shape} differ")
     m = s @ sig @ s
     w = np.linalg.eigvalsh((m + m.conj().T) / 2.0)
-    # same zero dead band as matrix_sqrt_psd: the sqrt of a ~1e-16
+    # the dead band of matrix_sqrt_psd: the sqrt of a ~1e-16
     # eigensolver ghost would otherwise contribute ~1e-8 to the sum
-    w = np.where(w < 1e-10, 0.0, w)
+    w = np.where(w < TOL_PSD, 0.0, w)
     val = float(np.sum(np.sqrt(w))) ** 2
     return float(np.clip(val, 0.0, 1.0))
 
@@ -122,12 +120,12 @@ def _qsl_grid(psi0, ham: SpectralHamiltonian, targets) -> list[QslBounds]:
         # evaluate the same angle in phase-aligned difference form instead.
         overlap = complex(np.vdot(psi0, psi1))
         mag = abs(overlap)
-        aligned = psi1 * (overlap.conjugate() / mag) if mag > _ZERO else psi1
+        aligned = psi1 * (overlap.conjugate() / mag) if mag > TOL_ZERO else psi1
         half_chord = float(np.linalg.norm(aligned - psi0))
         half_sum = float(np.linalg.norm(aligned + psi0))
         angle = min(2.0 * float(np.arctan2(half_chord, half_sum)), float(np.pi / 2))
-        mt = angle / stddev if stddev > _ZERO else None
-        ml = angle / mean_shifted if mean_shifted > _ZERO else None
+        mt = angle / stddev if stddev > TOL_ZERO else None
+        ml = angle / mean_shifted if mean_shifted > TOL_ZERO else None
         out.append(QslBounds(bures_angle=angle, mean_energy=mean_shifted,
                              energy_stddev=stddev, mt_time=mt, ml_time=ml))
     return out

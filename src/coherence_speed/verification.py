@@ -356,8 +356,7 @@ def check_thm3_product_equality(i, rng, dim):
 def check_qutrit_equality_construction(seed, trials, dim, tol):
     """The hand-built qutrit channel: complete, correct output, zero witness."""
     channel = qutrit_equality_channel()
-    total = sum(k.conj().T @ k for k in channel.operators)
-    completeness = float(np.max(np.abs(total - np.eye(3))))
+    completeness = channel.completeness_residual
     rho0 = pure_density(np.array([1.0, 0.0, 0.0], dtype=complex))
     out = apply_kraus(channel, rho0)
     target = np.diag([0.0, 0.5, 0.5]).astype(complex)

@@ -45,6 +45,13 @@ def test_completeness_enforced():
                       0.5 * np.eye(2, dtype=complex)))
 
 
+def test_completeness_residual_is_kept_from_the_check():
+    rng = np.random.default_rng(52)
+    for chan in (qutrit_equality_channel(), random_channel(2, 2, rng), random_channel(3, 2, rng)):
+        total = sum(k.conj().T @ k for k in chan.operators)
+        assert chan.completeness_residual == float(np.max(np.abs(total - np.eye(chan.dim))))
+
+
 def test_apply_kraus_is_cptp():
     rng = np.random.default_rng(51)
     for _ in range(15):

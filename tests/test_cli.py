@@ -2,6 +2,7 @@
 
 import csv
 import json
+import re
 
 import numpy as np
 import pytest
@@ -242,3 +243,35 @@ def test_csv_details_with_commas_stay_in_one_cell(tmp_path, capsys):
     detail = {row[0]: row[-1] for row in rows[1:]}
     assert detail["qutrit-equality-construction"].startswith("completeness ")
     assert ", witness " in detail["qutrit-equality-construction"]
+
+
+_NUM = r"-?\d\.\d{3}e[+-]\d\d"
+
+
+@pytest.mark.parametrize("command, section, code, err", [
+    ("sweep", {"sweep": {"spectrum": [0.0, 1.0], "t_steps": 5}}, 1,
+     rf"sweep: worst identity gap {_NUM} exceeds -1\.0e\+00"),
+    ("battery", None, 1, rf"battery: work exceeded its ceiling by {_NUM}"),
+    ("channel", "saved", 1,
+     rf"channel: averaged distance exceeds the coherence ceiling by {_NUM}"),
+    ("qsl", None, 1, rf"qsl: spread-based minimum time exceeded the elapsed time by {_NUM}"),
+    # no check applies: 9 levels are past the brute-force cap, and the default
+    # channel's joint Hamiltonian has too many levels for the bound columns
+    ("sweep", {"sweep": {"spectrum": list(range(9)), "t_steps": 5}}, 0, ""),
+    ("channel", None, 0,
+     r"note: bound columns omitted \(12 levels exceed brute-force cap 8\)"),
+])
+def test_report_commands_exit_1_on_a_failed_check(tmp_path, capsys, command, section, code, err):
+    from coherence_speed.channels import random_channel, save_channel
+    argv = [command, "--tol", "-1", "--out", str(tmp_path / "r.csv")]
+    if section == "saved":
+        save_channel(random_channel(2, 2, 5), tmp_path / "chan22.json")
+        section = {"channel": {"channel": {"path": str(tmp_path / "chan22.json")}}}
+    if section is not None:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(section))
+        argv += ["--config", str(cfg)]
+    assert main(argv) == code
+    captured = capsys.readouterr()
+    assert captured.out == f"report written to {tmp_path / 'r.csv'}\n"
+    assert re.fullmatch(err + ("\n" if err else ""), captured.err)

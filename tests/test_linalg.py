@@ -1,11 +1,13 @@
 """Unit tests for the dense linear-algebra layer."""
 
+import inspect
 import itertools
 
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from coherence_speed import avgdist, battery, channels, coherence, dynamics, linalg, metrics
 from coherence_speed.channels import dilate, qutrit_equality_channel, random_channel
 from coherence_speed.errors import BadPermutation, DimensionMismatch, NotHermitian, NotPSD
 from coherence_speed.linalg import (
@@ -29,6 +31,28 @@ from coherence_speed.linalg import (
     unitary_exp,
 )
 from coherence_speed.metrics import affinity
+
+
+def _tolerance_parameters():
+    """Parameters named *tol* of the public functions, classes and methods of the library."""
+    found = []
+    for mod in (linalg, coherence, avgdist, channels, metrics, dynamics, battery):
+        for name, obj in vars(mod).items():
+            if name.startswith("_") or getattr(obj, "__module__", None) != mod.__name__:
+                continue
+            members = [(name, obj)]
+            if inspect.isclass(obj):
+                members += [(f"{name}.{m}", getattr(obj, m)) for m in vars(obj)
+                            if not m.startswith("_") and callable(getattr(obj, m))]
+            for label, fn in members:
+                found += [f"{mod.__name__}.{label}({p})"
+                          for p in inspect.signature(fn).parameters if "tol" in p]
+    return found
+
+
+def test_no_function_takes_a_tolerance():
+    # every threshold is a constant of the linalg table, read where it applies
+    assert _tolerance_parameters() == []
 
 
 def test_hermitian_eig_sorted_orthonormal_reconstructs():
@@ -331,7 +355,7 @@ def test_cluster_levels_bit_identical_to_the_loop():
         centres = np.cumsum(rng.uniform(0.1, 3.0, len(sizes))) - 4.0
         w = np.sort(np.concatenate([c + rng.uniform(0.0, 0.4, n) * TOL_DEGEN
                                     for c, n in zip(centres, sizes)]))
-        levels, level_of = _cluster_levels(w, TOL_DEGEN)
+        levels, level_of = _cluster_levels(w)
         want_levels, want_of = _old_cluster_levels(w, TOL_DEGEN)
         assert levels.dtype == want_levels.dtype and level_of.dtype == want_of.dtype
         assert np.array_equal(levels, want_levels)

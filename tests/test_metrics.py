@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from coherence_speed import dynamics, linalg, metrics
 from coherence_speed.dynamics import energy_uncertainty
@@ -89,6 +90,35 @@ def test_fidelity_and_bures_angle_pure():
     assert abs(fidelity(pure_density(a), pure_density(a)) - 1.0) < 1e-12
     ang = bures_angle(pure_density(a), pure_density(b))
     assert abs(ang - np.arccos(ov)) < 1e-7
+
+
+def _density_with(u, p0, rng):
+    """U diag(p) U† with p_0 = p0 and the other eigenvalues drawn from [0.2, 1], renormalized."""
+    p = rng.uniform(0.2, 1.0, len(u))
+    p[0] = p0
+    p[1:] *= (1.0 - p0) / p[1:].sum()
+    return linalg.hermitianize((u * p) @ u.conj().T), p
+
+
+def test_fidelity_of_nearly_rank_deficient_states():
+    # p_0 puts the smallest eigenvalue of sqrt(rho) sigma sqrt(rho), to first order
+    # p_0 / (U† sigma^-1 U)_00 (p_0 q_0 when the states commute), at 1e-9..1e-7: above
+    # the dead band TOL_PSD, and dropping it would cost about 2 sqrt(1e-9) = 6e-5
+    rng = np.random.default_rng(27)
+    for _ in range(40):
+        d = int(rng.integers(2, 5))
+        u = linalg.random_unitary(d, rng)
+        small = 10.0 ** rng.uniform(-9.0, -7.0)
+        q = rng.uniform(0.2, 1.0, d)
+        q /= q.sum()
+        rho, p = _density_with(u, small / q[0], rng)
+        commuting = linalg.hermitianize((u * q) @ u.conj().T)
+        assert abs(fidelity(rho, commuting) - np.sum(np.sqrt(p * q)) ** 2) <= 1e-9
+        sigma = random_density(d, rank=d, seed=rng)
+        rho, _ = _density_with(u, small * (u.conj().T @ np.linalg.inv(sigma) @ u)[0, 0].real, rng)
+        s = scipy.linalg.sqrtm(rho)
+        want = np.trace(scipy.linalg.sqrtm(s @ sigma @ s)).real ** 2
+        assert abs(fidelity(rho, sigma) - want) <= 1e-9
 
 
 def test_shape_mismatch_raises():

@@ -297,12 +297,12 @@ def test_cluster_levels_groups_each_row_of_a_stack(rows):
         d = int(rng.integers(1, 9))
         stack = np.sort(np.round(rng.uniform(-2.0, 2.0, (rows, d)), 1)
                         + rng.uniform(0.0, 0.4, (rows, d)) * TOL_DEGEN, axis=-1)
-        levels, level_of = _cluster_levels(stack, TOL_DEGEN)
+        levels, level_of = _cluster_levels(stack)
         assert level_of.shape == stack.shape
-        width = max(len(_cluster_levels(w, TOL_DEGEN)[0]) for w in stack)
+        width = max(len(_cluster_levels(w)[0]) for w in stack)
         assert levels.shape == (rows, width)
         for w, got_levels, got_of in zip(stack, levels, level_of):
-            want_levels, want_of = _cluster_levels(w, TOL_DEGEN)
+            want_levels, want_of = _cluster_levels(w)
             assert np.array_equal(got_of, want_of)
             assert np.array_equal(got_levels[:len(want_levels)], want_levels)
             assert not got_levels[len(want_levels):].any()
