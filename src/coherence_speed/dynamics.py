@@ -68,25 +68,21 @@ class HamiltonianPath:
     sampler: Callable[[float], np.ndarray]
 
     @staticmethod
-    def _grid(t_final: float, dt: float | None, steps: int | None,
-              half_width: float) -> np.ndarray:
+    def _grid(t_final: float, steps: int | None, half_width: float) -> np.ndarray:
         if steps is None:
-            if dt is None:
-                # default grid: half spectral width * dt <= 0.01
-                dt = 0.01 / half_width if half_width > 0 else t_final
+            # default grid: half spectral width * dt <= 0.01
+            dt = 0.01 / half_width if half_width > 0 else t_final
             steps = max(1, int(np.ceil(t_final / dt)))
         return np.linspace(0.0, t_final, steps + 1)
 
     @classmethod
-    def constant(cls, h, t_final: float, *, dt: float | None = None,
-                 steps: int | None = None) -> "HamiltonianPath":
+    def constant(cls, h, t_final: float, *, steps: int | None = None) -> "HamiltonianPath":
         h = hermitianize(require_hermitian(h))
-        times = cls._grid(t_final, dt, steps, _half_width(h))
+        times = cls._grid(t_final, steps, _half_width(h))
         return cls(times=times, sampler=lambda t: h)
 
     @classmethod
-    def linear(cls, h0, h1, t_final: float, *, dt: float | None = None,
-               steps: int | None = None) -> "HamiltonianPath":
+    def linear(cls, h0, h1, t_final: float, *, steps: int | None = None) -> "HamiltonianPath":
         """Linear interpolation H(t) = (1 - t/T) H0 + (t/T) H1.
 
         The spectral width is convex in H, so the larger endpoint half
@@ -96,7 +92,7 @@ class HamiltonianPath:
             raise DimensionMismatch(f"endpoint shapes {np.shape(h0)} and {np.shape(h1)} differ")
         ends = hermitianize(require_hermitian([h0, h1]))
         h0, h1 = ends
-        times = cls._grid(t_final, dt, steps, _half_width(ends))
+        times = cls._grid(t_final, steps, _half_width(ends))
 
         def sampler(t: float) -> np.ndarray:
             x = t / t_final if t_final > 0 else 0.0

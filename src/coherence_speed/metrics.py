@@ -20,30 +20,28 @@ from .errors import DimensionMismatch
 from .linalg import TOL_PSD, TOL_ZERO, SpectralHamiltonian, matrix_sqrt_psd, validate_state_vector
 
 
-def affinity(rho, sigma, *, sqrt_rho: np.ndarray | None = None,
-             sqrt_sigma: np.ndarray | None = None) -> float | np.ndarray:
+def affinity(rho, sigma, *, sqrt_rho: np.ndarray | None = None) -> float | np.ndarray:
     """Overlap Tr sqrt(rho) sqrt(sigma), clipped into [0, 1].
 
     Either state may be a stack (..., d, d), broadcast against the
     other; the result is then an array of overlaps, each clipped.
-    Precomputed square roots may be supplied to avoid repeated
+    A precomputed sqrt(rho) may be supplied to avoid repeated
     diagonalizations in tight loops.
     """
     a = matrix_sqrt_psd(rho) if sqrt_rho is None else sqrt_rho
-    b = matrix_sqrt_psd(sigma) if sqrt_sigma is None else sqrt_sigma
+    b = matrix_sqrt_psd(sigma)
     if a.shape[-2:] != b.shape[-2:]:
         raise DimensionMismatch(f"shapes {a.shape} and {b.shape} differ")
     val = (a @ b).trace(axis1=-2, axis2=-1).real.clip(0.0, 1.0)
     return float(val) if val.ndim == 0 else val
 
 
-def hellinger(rho, sigma, *, sqrt_rho: np.ndarray | None = None,
-              sqrt_sigma: np.ndarray | None = None) -> float | np.ndarray:
+def hellinger(rho, sigma, *, sqrt_rho: np.ndarray | None = None) -> float | np.ndarray:
     """Squared-Hellinger distance 2 (1 - Tr sqrt(rho) sqrt(sigma)) in [0, 2].
 
     Stacks of states give an array of distances, as for affinity.
     """
-    return 2.0 * (1.0 - affinity(rho, sigma, sqrt_rho=sqrt_rho, sqrt_sigma=sqrt_sigma))
+    return 2.0 * (1.0 - affinity(rho, sigma, sqrt_rho=sqrt_rho))
 
 
 def d_affinity_half(rho, sigma) -> float:

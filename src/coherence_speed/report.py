@@ -12,7 +12,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-import re
 from pathlib import Path
 
 import numpy as np
@@ -40,25 +39,6 @@ def _meta_line(key: str, value) -> str:
     return f"# {key}: {value}"
 
 
-_QUOTE_CHARS = re.compile('["\r\n]')
-
-
-def _csv_line(cells: list[str]) -> str:
-    """One CSV row as csv.writer writes it.
-
-    Rows with no cell that needs quoting (a comma, a quote, a line
-    break, or a lone empty cell) are a plain join; the rest go through
-    csv.writer.
-    """
-    line = ",".join(cells)
-    # a comma inside a cell shows as more commas than the join put in
-    if line.count(",") >= len(cells) or cells == [""] or _QUOTE_CHARS.search(line):
-        buf = io.StringIO()
-        csv.writer(buf, lineterminator="\n").writerow(cells)
-        return buf.getvalue()
-    return line + "\n"
-
-
 def format_csv(rows: list[dict], metadata: dict) -> str:
     """'#'-headed metadata, one unprefixed column row, then data rows.
 
@@ -66,10 +46,12 @@ def format_csv(rows: list[dict], metadata: dict) -> str:
     a quote are quoted, so every row has one cell per column.
     """
     columns = list(rows[0]) if rows else []
-    lines = [_meta_line(k, v) + "\n" for k, v in metadata.items()]
-    lines.append(_csv_line([str(c) for c in columns]))
-    lines.extend(_csv_line([_cell(row.get(c)) for c in columns]) for row in rows)
-    return "".join(lines)
+    buf = io.StringIO()
+    buf.writelines(_meta_line(k, v) + "\n" for k, v in metadata.items())
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow([str(c) for c in columns])
+    writer.writerows([_cell(row.get(c)) for c in columns] for row in rows)
+    return buf.getvalue()
 
 
 def _json_default(obj):

@@ -2,28 +2,40 @@
 
 Every check draws its own ensemble from a named seed, measures a worst
 figure (an identity gap or an inequality violation), and compares it to
-the check's tolerance.  Checks are grouped into the suites the command
-line exposes; the acceptance tests call the same functions with the
-same defaults, so a green CLI run and a green test run mean the same
-thing.
+the check's tolerance.  The command line runs the suites; the
+acceptance tests call the same functions with the same defaults, so a
+green CLI run and a green test run mean the same thing.
 
-A check of independent trials declares the body of one trial,
-``body(i, rng, dim) -> figure``, with ``_trials(name, salt=, trials=,
-tol=)``.  Trial i draws from child i of ``SeedSequence([seed, salt])``,
-so give every check its own salt: no two checks may draw the same
-ensemble.  The worst figure is the maximum over the trials.  An identity
-reports a nonnegative gap and passes when worst < tol; an inequality
-(``inequality=True``) reports lhs - rhs and passes when worst <= tol.
-Any other check declares ``body(seed, trials, dim, tol) -> (passed,
-worst, trials_run, detail)`` with ``_check(name, tol=, trials=)``.  Both
-give ``check_*(*, seed=0, trials=None, dim=None, tol=None)``, where None
-means the declared default and ``dim`` fixes the dimension of every trial.
+A check is declared once, by its decorator, which names its suite, its
+salt and its default tolerance and trial count, and registers it in
+SUITES: suites and their checks run in declaration order.
+
+* ``_trials(suite, name, salt=, trials=, tol=, inequality=False, dims=())``
+  declares a check of independent trials from the body of one trial,
+  ``body(i, rng, dim) -> figure``.  Trial i draws from child i of
+  ``SeedSequence([seed, salt])``.  A check that declares ``dims`` gives
+  trial i the caller's ``dim`` if one is set and ``dims[i % len(dims)]``
+  otherwise; a check without ``dims`` passes ``dim`` through as given
+  (None unless the caller sets it).  The worst figure is the maximum
+  over the trials.  An identity reports a nonnegative gap and passes
+  when worst < tol; an inequality (``inequality=True``) reports
+  lhs - rhs and passes when worst <= tol.
+* ``_check(suite, name, salt=, tol=, trials=None)`` declares any other
+  check from ``body(rng, trials, dim, tol) -> (passed, worst,
+  trials_run, detail)``, where rng is ``default_rng([seed, salt])``.
+
+Every check declares its own salt, unique in this module, even a check
+that draws nothing, so no two checks draw the same ensemble.  Both
+decorators give ``check_*(*, seed=0, trials=None, dim=None, tol=None)``,
+where None means the declared default and ``dim`` fixes the dimension of
+every trial.
 """
 
 from __future__ import annotations
 
 import itertools
 import time
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -103,8 +115,12 @@ class CheckResult:
         return text
 
 
-def _check(name: str, *, tol: float, trials: int | None = None):
-    """Declare a check from ``body(seed, trials, dim, tol)`` (module docstring)."""
+# suite name -> its checks, filled by the declarations below
+SUITES: dict[str, tuple] = {}
+
+
+def _check(suite: str, name: str, *, salt: int, tol: float, trials: int | None = None):
+    """Declare a check from ``body(rng, trials, dim, tol)`` into its suite (module docstring)."""
     default_tol, default_trials = tol, trials
 
     def declare(body):
@@ -112,27 +128,31 @@ def _check(name: str, *, tol: float, trials: int | None = None):
             tol = default_tol if tol is None else tol
             t0 = time.perf_counter()
             passed, worst, trials_run, detail = body(
-                seed, default_trials if trials is None else trials, dim, tol)
+                np.random.default_rng([seed, salt]),
+                default_trials if trials is None else trials, dim, tol)
             return CheckResult(name, passed, worst, tol, trials_run,
                                time.perf_counter() - t0, detail)
 
         check.__name__ = check.__qualname__ = body.__name__
         check.__doc__ = body.__doc__
+        check.salt = salt
+        SUITES[suite] = SUITES.get(suite, ()) + (check,)
         return check
     return declare
 
 
-def _trials(name: str, *, salt: int, trials: int, tol: float, inequality: bool = False):
+def _trials(suite: str, name: str, *, salt: int, trials: int, tol: float,
+            inequality: bool = False, dims: Sequence[int] = ()):
     """Declare a check from one trial ``body(i, rng, dim)`` (module docstring)."""
     def declare(body):
-        def run(seed, n, dim, tol):
-            children = np.random.SeedSequence([seed, salt]).spawn(n)
-            worst = max(body(i, np.random.default_rng(child), dim)
-                        for i, child in enumerate(children))
+        def run(rng, n, dim, tol):
+            # child i of SeedSequence([seed, salt]), as rng was seeded with it
+            worst = max(body(i, child, dim if dim or not dims else dims[i % len(dims)])
+                        for i, child in enumerate(rng.spawn(n)))
             return (worst <= tol if inequality else worst < tol), worst, n, ""
 
         run.__name__, run.__doc__ = body.__name__, body.__doc__
-        return _check(name, tol=tol, trials=trials)(run)
+        return _check(suite, name, salt=salt, tol=tol, trials=trials)(run)
     return declare
 
 
@@ -163,15 +183,16 @@ def _random_decomposition(rng, d: int, m: int | None = None):
     return basis, groups, OrthogonalDecomposition.from_basis(basis, groups)
 
 
-# ---------------------------------------------------------------------------
-# thm1 suite
-# ---------------------------------------------------------------------------
+def _block_unitary(rng, basis, groups) -> np.ndarray:
+    """A unitary acting inside each group's span, with fresh random blocks."""
+    perm = [j for g in groups for j in g]
+    blocks = [random_unitary(len(g), rng) for g in groups]
+    return basis[:, perm] @ block_diag(*blocks) @ basis[:, perm].conj().T
 
-@_trials("thm1-equality", salt=11, trials=300, tol=1e-9)
-def check_thm1_equality(i, rng, dim):
+
+@_trials("thm1", "thm1-equality", salt=11, trials=300, tol=1e-9, dims=range(2, 7))
+def check_thm1_equality(i, rng, d):
     """Brute-force permutation average vs closed form, nondegenerate spectra."""
-    dims = (dim,) * 5 if dim else (2, 3, 4, 5, 6)
-    d = dims[i % len(dims)]
     ham = _nondegenerate_ham(rng, d)
     rho = random_density(d, rank=int(rng.integers(1, d + 1)), seed=rng)
     res = avg_distance_closed(rho, ham, float(rng.uniform(0.05, 8.0)),
@@ -179,10 +200,9 @@ def check_thm1_equality(i, rng, dim):
     return res.gap
 
 
-@_trials("benchmark-identity", salt=12, trials=100, tol=1e-10)
-def check_benchmark_identity(i, rng, dim):
+@_trials("thm1", "benchmark-identity", salt=12, trials=100, tol=1e-10, dims=range(2, 7))
+def check_benchmark_identity(i, rng, d):
     """Cosine-average coefficient vs the rescaled survival probability."""
-    d = dim if dim else 2 + i % 5
     lam = _spectrum(rng, d)
     phases = rng.uniform(0.0, 2.0 * np.pi, d)
     lhs, rhs = benchmark_overlap_check(lam, phases, float(rng.uniform(0.05, 8.0)))
@@ -194,10 +214,9 @@ def _recovered_coefficient(rho, ham, t):
     return 1.0 - res.brute_force / (2.0 * res.coherence)
 
 
-@_trials("coefficient-independence", salt=13, trials=200, tol=1e-9)
-def check_coefficient_independence(i, rng, dim):
+@_trials("thm1", "coefficient-independence", salt=13, trials=200, tol=1e-9, dims=range(2, 7))
+def check_coefficient_independence(i, rng, d):
     """The coefficient recovered from brute-force averages is state-independent."""
-    d = dim if dim else 2 + i % 5
     ham = _nondegenerate_ham(rng, d)
     t = float(rng.uniform(0.3, 6.0))
     states = []
@@ -209,12 +228,11 @@ def check_coefficient_independence(i, rng, dim):
                - _recovered_coefficient(states[1], ham, t))
 
 
-@_check("max-coherent-dominance", tol=1e-12, trials=1000)
-def check_max_coherent_dominance(seed, trials, dim, tol):
+@_check("thm1", "max-coherent-dominance", salt=14, tol=1e-12, trials=1000)
+def check_max_coherent_dominance(rng, trials, dim, tol):
     """Uniform-weight superpositions maximize the averaged distance."""
     outer = 5
     inner = max(1, trials // outer)
-    rng = np.random.default_rng([seed, 14])
     worst = -np.inf
     for j in range(outer):
         d = dim if dim else 2 + j % 5
@@ -233,8 +251,8 @@ def check_max_coherent_dominance(seed, trials, dim, tol):
     return worst <= tol, worst, outer * inner, ""
 
 
-@_check("coefficient-grid", tol=0.0, trials=10_000)
-def check_coefficient_grid(seed, trials, dim, tol):
+@_check("thm1", "coefficient-grid", salt=15, tol=0.0, trials=10_000)
+def check_coefficient_grid(rng, trials, dim, tol):
     """The coefficient never exceeds 1 and stays below it on a dense grid.
 
     An incommensurate four-level spectrum is scanned over 10^4 points in
@@ -245,7 +263,6 @@ def check_coefficient_grid(seed, trials, dim, tol):
     grid_vals = np.array([a_coefficient(lam, t) for t in ts])
     worst = float(np.max(grid_vals) - (1.0 - 1e-12))
 
-    rng = np.random.default_rng([seed, 15])
     cap = -np.inf
     for _ in range(50):
         d = dim if dim else int(rng.integers(2, 7))
@@ -256,11 +273,7 @@ def check_coefficient_grid(seed, trials, dim, tol):
     return passed, worst, trials, f"random-spectrum excess over 1: {cap:.1e}"
 
 
-# ---------------------------------------------------------------------------
-# thm2 suite
-# ---------------------------------------------------------------------------
-
-@_trials("thm2-equality", salt=21, trials=300, tol=1e-9)
+@_trials("thm2", "thm2-equality", salt=21, trials=300, tol=1e-9)
 def check_thm2_equality(i, rng, dim):
     """Brute force vs closed form with forced-degenerate spectra."""
     m = 2 + i % 4
@@ -281,10 +294,6 @@ def check_thm2_equality(i, rng, dim):
     return res.gap
 
 
-# ---------------------------------------------------------------------------
-# thm3 suite
-# ---------------------------------------------------------------------------
-
 def _qubit_env_case(rng):
     channel = random_channel(2, 2, rng)
     dilation = dilate(channel)
@@ -292,7 +301,7 @@ def _qubit_env_case(rng):
     return channel, dilation, rho
 
 
-@_trials("thm3-inequality", salt=31, trials=100, tol=1e-9, inequality=True)
+@_trials("thm3", "thm3-inequality", salt=31, trials=100, tol=1e-9, inequality=True)
 def check_thm3_inequality(i, rng, dim):
     """Channel-average distance never exceeds the dilated coherence ceiling."""
     _, dilation, rho = _qubit_env_case(rng)
@@ -300,7 +309,7 @@ def check_thm3_inequality(i, rng, dim):
     return lhs - rhs
 
 
-@_trials("thm3-dpi-per-permutation", salt=32, trials=50, tol=1e-10, inequality=True)
+@_trials("thm3", "thm3-dpi-per-permutation", salt=32, trials=50, tol=1e-10, inequality=True)
 def check_thm3_dpi(i, rng, dim):
     """Per-permutation contraction: system distance <= dilated distance."""
     _, dilation, rho = _qubit_env_case(rng)
@@ -316,7 +325,7 @@ def check_thm3_dpi(i, rng, dim):
     return worst_s
 
 
-@_trials("thm3-dilation-consistency", salt=33, trials=100, tol=1e-10)
+@_trials("thm3", "thm3-dilation-consistency", salt=33, trials=100, tol=1e-10)
 def check_thm3_dilation_consistency(i, rng, dim):
     """Kraus action and identity-permutation dilation action agree in distance."""
     channel, dilation, rho = _qubit_env_case(rng)
@@ -326,7 +335,7 @@ def check_thm3_dilation_consistency(i, rng, dim):
     return abs(direct - via_dilation)
 
 
-@_trials("thm3-product-equality", salt=34, trials=100, tol=1e-9)
+@_trials("thm3", "thm3-product-equality", salt=34, trials=100, tol=1e-9)
 def check_thm3_product_equality(i, rng, dim):
     """Non-interacting dilations with the environment in a stationary state
     saturate the bound: the permutation-averaged channel distance equals the
@@ -352,8 +361,8 @@ def check_thm3_product_equality(i, rng, dim):
     return abs(lhs - rhs)
 
 
-@_check("qutrit-equality-construction", tol=1e-14)
-def check_qutrit_equality_construction(seed, trials, dim, tol):
+@_check("thm3", "qutrit-equality-construction", salt=35, tol=1e-14)
+def check_qutrit_equality_construction(rng, trials, dim, tol):
     """The hand-built qutrit channel: complete, correct output, zero witness."""
     channel = qutrit_equality_channel()
     completeness = channel.completeness_residual
@@ -369,16 +378,11 @@ def check_qutrit_equality_construction(seed, trials, dim, tol):
     return passed, worst, 1, detail
 
 
-# ---------------------------------------------------------------------------
-# coherence-lemmas suite
-# ---------------------------------------------------------------------------
-
-@_check("faithfulness", tol=1e-12, trials=500)
-def check_faithfulness(seed, trials, dim, tol):
+@_check("coherence-lemmas", "faithfulness", salt=41, tol=1e-12, trials=500)
+def check_faithfulness(rng, trials, dim, tol):
     """Coherence vanishes exactly on block-diagonal states and only there."""
     worst_zero = -np.inf
     min_coherent = np.inf
-    rng = np.random.default_rng([seed, 41])
     n = 0
     while n < trials:
         d = dim if dim else 2 + n % 5
@@ -397,30 +401,28 @@ def check_faithfulness(seed, trials, dim, tol):
     return passed, worst_zero, trials, f"min coherent-side value {min_coherent:.1e}"
 
 
-@_trials("variational-identity", salt=42, trials=500, tol=1e-10)
-def check_variational_identity(i, rng, dim):
+@_trials("coherence-lemmas", "variational-identity", salt=42, trials=500, tol=1e-10,
+         dims=range(2, 7))
+def check_variational_identity(i, rng, d):
     """c_half equals the affinity distance to its closest incoherent state."""
-    d = dim if dim else 2 + i % 5
     _, _, decomp = _random_decomposition(rng, d)
     rho = random_density(d, rank=int(rng.integers(1, d + 1)), seed=rng)
     sigma = closest_incoherent(rho, decomp)
     return abs(c_half(rho, decomp) - (1.0 - affinity(rho, sigma) ** 2))
 
 
-@_trials("block-unitary-invariance", salt=43, trials=500, tol=1e-10)
-def check_block_unitary_invariance(i, rng, dim):
+@_trials("coherence-lemmas", "block-unitary-invariance", salt=43, trials=500, tol=1e-10,
+         dims=range(2, 7))
+def check_block_unitary_invariance(i, rng, d):
     """Unitaries acting inside blocks leave the coherence value unchanged."""
-    d = dim if dim else 2 + i % 5
     basis, groups, decomp = _random_decomposition(rng, d)
-    blocks = [random_unitary(len(g), rng) for g in groups]
-    perm = [j for g in groups for j in g]
-    u_grouped = basis[:, perm] @ block_diag(*blocks) @ basis[:, perm].conj().T
+    u_grouped = _block_unitary(rng, basis, groups)
     rho = random_density(d, rank=int(rng.integers(1, d + 1)), seed=rng)
     rotated = u_grouped @ rho @ u_grouped.conj().T
     return abs(c_half(rotated, decomp) - c_half(rho, decomp))
 
 
-@_trials("additivity", salt=44, trials=500, tol=1e-10)
+@_trials("coherence-lemmas", "additivity", salt=44, trials=500, tol=1e-10)
 def check_additivity(i, rng, dim):
     """Coherence of a weighted direct sum is the weighted sum of coherences."""
     d1 = dim if dim else int(rng.integers(2, 5))
@@ -454,11 +456,11 @@ def _refining_pair(rng, d: int):
     return fine, coarse
 
 
-@_trials("refinement-order", salt=45, trials=500, tol=1e-10, inequality=True)
-def check_refinement_order(i, rng, dim):
+@_trials("coherence-lemmas", "refinement-order", salt=45, trials=500, tol=1e-10,
+         inequality=True, dims=range(2, 7))
+def check_refinement_order(i, rng, d):
     """Finer decompositions see at least as much coherence, and the
     refinement predicate itself classifies built pairs correctly."""
-    d = dim if dim else 2 + i % 5
     fine, coarse = _refining_pair(rng, d)
     if not is_refinement(fine, coarse):
         return np.inf
@@ -471,52 +473,44 @@ def check_refinement_order(i, rng, dim):
     return c_half(rho, coarse) - c_half(rho, fine)
 
 
-@_trials("l1-comparison", salt=46, trials=500, tol=1e-10, inequality=True)
-def check_l1_comparison(i, rng, dim):
+@_trials("coherence-lemmas", "l1-comparison", salt=46, trials=500, tol=1e-10,
+         inequality=True, dims=range(2, 7))
+def check_l1_comparison(i, rng, d):
     """c_half never exceeds 2/(d-1) times the off-diagonal absolute sum."""
-    d = dim if dim else 2 + i % 5
     decomp = OrthogonalDecomposition.computational(d)
     rho = random_density(d, rank=int(rng.integers(1, d + 1)), seed=rng)
     return c_half(rho, decomp) - 2.0 / (d - 1.0) * c_l1(rho)
 
 
-@_trials("dephasing-monotonicity", salt=47, trials=500, tol=1e-10, inequality=True)
-def check_dephasing_monotonicity(i, rng, dim):
+@_trials("coherence-lemmas", "dephasing-monotonicity", salt=47, trials=500, tol=1e-10,
+         inequality=True, dims=range(2, 7))
+def check_dephasing_monotonicity(i, rng, d):
     """Dephasing in any refining decomposition cannot raise the coherence."""
-    d = dim if dim else 2 + i % 5
     fine, coarse = _refining_pair(rng, d)
     rho = random_density(d, rank=int(rng.integers(1, d + 1)), seed=rng)
     return c_half(fine.dephase(rho), coarse) - c_half(rho, coarse)
 
 
-@_trials("incoherent-mixture-monotonicity", salt=48, trials=200, tol=1e-10,
-         inequality=True)
-def check_incoherent_mixture_monotonicity(i, rng, dim):
+@_trials("coherence-lemmas", "incoherent-mixture-monotonicity", salt=48, trials=200,
+         tol=1e-10, inequality=True, dims=range(2, 7))
+def check_incoherent_mixture_monotonicity(i, rng, d):
     """Sampled strong monotonicity: random convex mixtures of block unitaries
     (an incoherent Kraus set) never raise the coherence."""
-    d = dim if dim else 2 + i % 5
     basis, groups, decomp = _random_decomposition(rng, d)
     rho = random_density(d, rank=int(rng.integers(1, d + 1)), seed=rng)
     n_terms = int(rng.integers(2, 5))
     weights = rng.uniform(0.05, 1.0, n_terms)
     weights /= weights.sum()
-    perm = [j for g in groups for j in g]
     out = np.zeros_like(rho)
     for w in weights:
-        blocks = [random_unitary(len(g), rng) for g in groups]
-        u = basis[:, perm] @ block_diag(*blocks) @ basis[:, perm].conj().T
+        u = _block_unitary(rng, basis, groups)
         out = out + w * (u @ rho @ u.conj().T)
     return c_half(out, decomp) - c_half(rho, decomp)
 
 
-# ---------------------------------------------------------------------------
-# speed-identity suite
-# ---------------------------------------------------------------------------
-
-@_trials("speed-identity", salt=51, trials=500, tol=1e-10)
-def check_speed_identity(i, rng, dim):
+@_trials("speed-identity", "speed-identity", salt=51, trials=500, tol=1e-10, dims=range(2, 9))
+def check_speed_identity(i, rng, d):
     """Gap-weighted speed equals sqrt(2) times the energy spread."""
-    d = dim if dim else 2 + i % 7
     if i % 3 == 0 and d >= 3:
         m = int(rng.integers(2, d))
         mult = np.ones(m, dtype=int)
@@ -537,8 +531,8 @@ def check_speed_identity(i, rng, dim):
 _FD_SLOPE_FLOOR = 0.25
 
 
-@_check("fd-convergence", tol=1.2, trials=5)
-def check_fd_convergence(seed, trials, dim, tol):
+@_check("speed-identity", "fd-convergence", salt=52, tol=1.2, trials=5)
+def check_fd_convergence(rng, trials, dim, tol):
     """Difference-quotient speeds approach the closed form linearly in the
     sampling interval.
 
@@ -551,7 +545,6 @@ def check_fd_convergence(seed, trials, dim, tol):
     fine trajectory's speeds at t_mid reaches _FD_SLOPE_FLOOR.  Error
     ratios at halved intervals must lie within tol of 2 and not below 1.3.
     """
-    rng = np.random.default_rng([seed, 52])
     # dt_fine must divide every sampling interval so subsampled grids
     # pass through t_mid exactly
     t_final, t_mid, dt_fine = 0.2, 0.1, 2.5e-5
@@ -587,7 +580,7 @@ def check_fd_convergence(seed, trials, dim, tol):
     return passed, worst, trials, "ratios " + ", ".join(f"{r:.2f}" for r in ratios)
 
 
-@_trials("qubit-closed-form", salt=53, trials=1000, tol=1e-12)
+@_trials("speed-identity", "qubit-closed-form", salt=53, trials=1000, tol=1e-12)
 def check_qubit_closed_form(i, rng, dim):
     """Two-level closed form vs direct distance between evolved pure states."""
     psi = haar_random_state(2, rng)
@@ -598,7 +591,7 @@ def check_qubit_closed_form(i, rng, dim):
     return abs(closed - hellinger(pure_density(psi), pure_density(psi_t)))
 
 
-@_trials("orthogonality-time", salt=54, trials=10, tol=1e-12, inequality=True)
+@_trials("speed-identity", "orthogonality-time", salt=54, trials=10, tol=1e-12, inequality=True)
 def check_orthogonality_time(i, rng, dim):
     """First distance maximum lands at pi over the level gap, within one step."""
     lam0 = float(rng.uniform(-2.0, 2.0))
@@ -613,10 +606,6 @@ def check_orthogonality_time(i, rng, dim):
     return abs(t_hat - t_true) - (ts[1] - ts[0])
 
 
-# ---------------------------------------------------------------------------
-# battery-bound suite
-# ---------------------------------------------------------------------------
-
 def _battery_grid():
     tau = 1.0
     pulses = (("sin2", sin2_pulse(1.0, tau)), ("sin4", sin4_pulse(1.0, tau)),
@@ -628,8 +617,8 @@ def _battery_grid():
     return tau, pulses, states, axes
 
 
-@_check("battery-trajectories", tol=1e-9)
-def check_battery_trajectories(seed, trials, dim, tol):
+@_check("battery-bound", "battery-trajectories", salt=63, tol=1e-9)
+def check_battery_trajectories(rng, trials, dim, tol):
     """Every step of every scenario respects the work ceiling; steps with no
     drive-basis coherence extract nothing."""
     tau, pulses, states, axes = _battery_grid()
@@ -648,7 +637,7 @@ def check_battery_trajectories(seed, trials, dim, tol):
     return passed, worst, combos, f"zero-coherence worst work {worst_zero:.1e}"
 
 
-@_trials("battery-interaction-invariance", salt=61, trials=200, tol=1e-12)
+@_trials("battery-bound", "battery-interaction-invariance", salt=61, trials=200, tol=1e-12)
 def check_battery_interaction_invariance(i, rng, dim):
     """Rotating state and drive together preserves the drive-basis coherence."""
     n = rng.normal(size=3)
@@ -661,11 +650,10 @@ def check_battery_interaction_invariance(i, rng, dim):
     return abs(c_lab - c_rot)
 
 
-@_check("qudit-battery", tol=1e-9, trials=100)
-def check_qudit_battery(seed, trials, dim, tol):
+@_check("battery-bound", "qudit-battery", salt=62, tol=1e-9, trials=100)
+def check_qudit_battery(rng, trials, dim, tol):
     """d-level generalization: reduces to the two-branch form, obeys its
     ceiling, and extracts nothing from drive-diagonal states."""
-    rng = np.random.default_rng([seed, 62])
     dt = 1e-3
     p1 = np.diag([0.0, 1.0]).astype(complex)
 
@@ -702,14 +690,10 @@ def check_qudit_battery(seed, trials, dim, tol):
     return passed, worst_bound, 2 * trials, detail
 
 
-# ---------------------------------------------------------------------------
-# qsl suite
-# ---------------------------------------------------------------------------
-
-@_trials("qsl-mt-floor", salt=71, trials=300, tol=1e-9, inequality=True)
-def check_qsl_mt_floor(i, rng, dim):
+@_trials("qsl", "qsl-mt-floor", salt=71, trials=300, tol=1e-9, inequality=True,
+         dims=range(2, 7))
+def check_qsl_mt_floor(i, rng, d):
     """Elapsed time never beats the spread-based minimum time."""
-    d = dim if dim else 2 + i % 5
     ham = _nondegenerate_ham(rng, d)
     psi0 = haar_random_state(d, rng)
     t = float(rng.uniform(0.05, 3.0))
@@ -720,11 +704,11 @@ def check_qsl_mt_floor(i, rng, dim):
     return bounds.mt_time - t
 
 
-@_trials("qsl-ml-orthogonality", salt=72, trials=100, tol=1e-9, inequality=True)
-def check_qsl_ml_orthogonality(i, rng, dim):
+@_trials("qsl", "qsl-ml-orthogonality", salt=72, trials=100, tol=1e-9, inequality=True,
+         dims=range(2, 7))
+def check_qsl_ml_orthogonality(i, rng, d):
     """At first orthogonality both minimum times hold, the mean-energy one
     tightly for equally spaced two-level spectra."""
-    d = dim if dim else 2 + i % 5
     g = float(rng.uniform(0.3, 3.0))
     basis = random_unitary(d, rng)
     ham = SpectralHamiltonian.from_spectrum(g * np.arange(d), basis)
@@ -735,31 +719,6 @@ def check_qsl_ml_orthogonality(i, rng, dim):
     if abs(bounds.bures_angle - np.pi / 2.0) > 1e-9:
         return np.inf
     return max(bounds.mt_time - t_orth, bounds.ml_time - t_orth)
-
-
-# ---------------------------------------------------------------------------
-# suite registry
-# ---------------------------------------------------------------------------
-
-SUITES: dict[str, tuple] = {
-    "thm1": (check_thm1_equality, check_benchmark_identity,
-             check_coefficient_independence, check_max_coherent_dominance,
-             check_coefficient_grid),
-    "thm2": (check_thm2_equality,),
-    "thm3": (check_thm3_inequality, check_thm3_dpi,
-             check_thm3_dilation_consistency, check_thm3_product_equality,
-             check_qutrit_equality_construction),
-    "coherence-lemmas": (check_faithfulness, check_variational_identity,
-                         check_block_unitary_invariance, check_additivity,
-                         check_refinement_order, check_l1_comparison,
-                         check_dephasing_monotonicity,
-                         check_incoherent_mixture_monotonicity),
-    "speed-identity": (check_speed_identity, check_fd_convergence,
-                       check_qubit_closed_form, check_orthogonality_time),
-    "battery-bound": (check_battery_trajectories,
-                      check_battery_interaction_invariance, check_qudit_battery),
-    "qsl": (check_qsl_mt_floor, check_qsl_ml_orthogonality),
-}
 
 
 def run_suite(suite: str, *, seed: int = 0, trials: int | None = None,

@@ -229,6 +229,9 @@ def test_default_grid_does_not_depend_on_a_global_shift():
             == len(HamiltonianPath.linear(h0, h1, 1.0).times))
     # half width 1 on the unit-interval default grid: 100 steps
     assert len(HamiltonianPath.constant(np.diag([-1.0, 1.0]), 1.0).times) == 101
+    # the grid is set by steps= or by this default, never by a step size
+    with pytest.raises(TypeError):
+        HamiltonianPath.constant(np.diag([-1.0, 1.0]), 1.0, dt=0.1)
 
 
 def test_coarse_grid_raises_before_any_step_and_warns_once():

@@ -58,9 +58,10 @@ def test_affinity_accepts_precomputed_roots():
     sig = random_density(4, rank=2, seed=rng)
     from coherence_speed.linalg import matrix_sqrt_psd
     direct = affinity(rho, sig)
-    cached = affinity(rho, sig, sqrt_rho=matrix_sqrt_psd(rho),
-                      sqrt_sigma=matrix_sqrt_psd(sig))
+    cached = affinity(rho, sig, sqrt_rho=matrix_sqrt_psd(rho))
     assert abs(direct - cached) < 1e-14
+    with pytest.raises(TypeError):
+        affinity(rho, sig, sqrt_sigma=matrix_sqrt_psd(sig))
 
 
 def test_hellinger_contracts_under_dephasing():

@@ -5,18 +5,21 @@ import inspect
 import numpy as np
 import pytest
 
+import coherence_speed.verification as verification
 from coherence_speed.errors import UnknownSuite
 from coherence_speed.verification import (
     SUITES,
     CheckResult,
     check_benchmark_identity,
     check_coefficient_grid,
+    check_faithfulness,
     check_fd_convergence,
     check_max_coherent_dominance,
     check_qsl_mt_floor,
     check_qudit_battery,
     check_qutrit_equality_construction,
     check_thm1_equality,
+    check_variational_identity,
     failures_as_dicts,
     run_suite,
 )
@@ -72,6 +75,13 @@ def test_tolerance_override_propagates():
     assert res.tol == 0.5 and res.passed
 
 
+def test_every_check_is_in_one_suite_and_has_its_own_salt():
+    checks = [fn for name, fn in vars(verification).items() if name.startswith("check_")]
+    registered = [fn for fns in SUITES.values() for fn in fns]
+    assert sorted(registered, key=id) == sorted(checks, key=id)
+    assert len({fn.salt for fn in registered}) == len(registered)
+
+
 def test_every_check_takes_the_same_keywords():
     for fns in SUITES.values():
         for fn in fns:
@@ -104,3 +114,39 @@ def test_spread_floor_holds_for_close_levels_far_from_zero():
     # seed 83 draws two levels 1.4e-3 apart near 2.83, where the moment form
     # sqrt(<H^2> - <H>^2) of the spread overstated the minimum time by 1.3e-9
     assert check_qsl_mt_floor(seed=83).passed
+
+
+def _drawn_dims(monkeypatch, **overrides):
+    drawn = []
+    real = verification.random_density
+
+    def recording(d, *args, **kwargs):
+        drawn.append(d)
+        return real(d, *args, **kwargs)
+
+    monkeypatch.setattr(verification, "random_density", recording)
+    check_variational_identity(trials=6, **overrides)
+    return drawn
+
+
+def test_dimension_cycle_and_dim_override(monkeypatch):
+    assert _drawn_dims(monkeypatch) == [2, 3, 4, 5, 6, 2]
+    assert _drawn_dims(monkeypatch, dim=4) == [4] * 6
+
+
+# worst values and details at seed 3, recorded before these checks took
+# their Generator from the declaration instead of seeding it themselves;
+# the worst values hold to the last bit for one numpy and BLAS build
+# (numpy 2.4 with its bundled OpenBLAS), a changed stream moves the details
+@pytest.mark.parametrize("check, trials, worst, detail", [
+    (check_max_coherent_dominance, 10, -0.2893723824787102, ""),
+    (check_coefficient_grid, 200, -0.06973987283173555,
+     "random-spectrum excess over 1: -4.4e-06"),
+    (check_faithfulness, 20, 1.7763568394002505e-15, "min coherent-side value 5.8e-02"),
+    (check_fd_convergence, 2, 1.4762331097761816e-05, "ratios 2.00, 2.00, 2.00, 2.00"),
+    (check_qudit_battery, 5, -0.00044927678989116433,
+     "reduction 3.2e-16, bound margin -4.5e-04, diagonal work 2.9e-15"),
+])
+def test_irregular_checks_keep_their_seeded_streams(check, trials, worst, detail):
+    res = check(seed=3, trials=trials)
+    assert (res.worst, res.detail) == (worst, detail)
