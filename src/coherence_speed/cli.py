@@ -65,6 +65,19 @@ class UsageError(Exception):
     """Bad arguments or config; maps to exit code 2."""
 
 
+def _checked(kind, ok, what: str):
+    """An argparse type: ``kind(text)``, a usage error (exit 2) unless ``ok``."""
+    def parse(text):
+        if not ok(value := kind(text)):
+            raise argparse.ArgumentTypeError(f"must be {what}, got {text}")
+        return value
+    parse.__name__ = kind.__name__      # argparse names it in "invalid int value"
+    return parse
+
+
+_SEED = _checked(int, lambda n: n >= 0, "at least 0")
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="coherence-speed",
@@ -74,13 +87,13 @@ def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", metavar="PATH",
                         help="JSON config file (validated against the shipped schema)")
-    common.add_argument("--seed", type=int, metavar="N",
+    common.add_argument("--seed", type=_SEED, metavar="N",
                         help="RNG seed (fallback: config, then COHERENCE_SPEED_SEED, then 0)")
     common.add_argument("--out", metavar="PATH",
                         help="report file (default: stdout for report commands)")
     common.add_argument("--format", choices=("csv", "json"), dest="fmt",
                         help="report format (default csv)")
-    common.add_argument("--tol", type=float, metavar="X",
+    common.add_argument("--tol", type=_checked(float, lambda x: x > 0, "above 0"), metavar="X",
                         help="tolerance override for pass/fail decisions")
 
     sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
@@ -89,9 +102,10 @@ def _build_parser() -> argparse.ArgumentParser:
                               help="run a named invariant suite")
     p_verify.add_argument("suite", nargs="?", choices=sorted(SUITES),
                           help="suite name (or set verify.suite in the config)")
-    p_verify.add_argument("--dim", type=int, metavar="N",
-                          help="fix the Hilbert-space dimension for all trials")
-    p_verify.add_argument("--trials", type=int, metavar="N",
+    p_verify.add_argument("--dim", type=int, choices=range(2, 17), metavar="N",
+                          help="dimension (2-16) of every check whose dimension varies")
+    p_verify.add_argument("--trials", type=_checked(int, lambda n: n >= 1, "at least 1"),
+                          metavar="N",
                           help="trial count override for every check of the suite")
 
     sub.add_parser("sweep", parents=[common],
@@ -129,10 +143,10 @@ def _resolve_seed(ns, config: dict) -> int:
     env = os.environ.get("COHERENCE_SPEED_SEED")
     if env is not None:
         try:
-            return int(env)
-        except ValueError as exc:
+            return _SEED(env)
+        except (ValueError, argparse.ArgumentTypeError) as exc:
             raise UsageError(
-                f"COHERENCE_SPEED_SEED must be an integer, got {env!r}") from exc
+                f"COHERENCE_SPEED_SEED must be a nonnegative integer, got {env!r}") from exc
     return 0
 
 

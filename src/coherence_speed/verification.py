@@ -7,35 +7,38 @@ acceptance tests call the same functions with the same defaults, so a
 green CLI run and a green test run mean the same thing.
 
 A check is declared once, by its decorator, which names its suite, its
-salt and its default tolerance and trial count, and registers it in
-SUITES: suites and their checks run in declaration order.
+salt, its default tolerance and trial count and its dimension rule, and
+registers it in SUITES: suites and their checks run in declaration order.
 
-* ``_trials(suite, name, salt=, trials=, tol=, inequality=False, dims=())``
+* ``_trials(suite, name, salt=, trials=, tol=, inequality=False, dims=None)``
   declares a check of independent trials from the body of one trial,
-  ``body(i, rng, dim) -> figure``.  Trial i draws from child i of
-  ``SeedSequence([seed, salt])``.  A check that declares ``dims`` gives
-  trial i the caller's ``dim`` if one is set and ``dims[i % len(dims)]``
-  otherwise; a check without ``dims`` passes ``dim`` through as given
-  (None unless the caller sets it).  The worst figure is the maximum
-  over the trials.  An identity reports a nonnegative gap and passes
-  when worst < tol; an inequality (``inequality=True``) reports
-  lhs - rhs and passes when worst <= tol.
-* ``_check(suite, name, salt=, tol=, trials=None)`` declares any other
-  check from ``body(rng, trials, dim, tol) -> (passed, worst,
+  ``body(i, rng, d) -> figure``; trial i draws from child i of
+  ``SeedSequence([seed, salt])``.  The worst figure is the maximum over
+  the trials.  An identity reports a nonnegative gap and passes when
+  worst < tol; an inequality (``inequality=True``) reports lhs - rhs and
+  passes when worst <= tol.
+* ``_check(suite, name, salt=, tol=, trials=None, dims=None)`` declares
+  any other check from ``body(rng, trials, dims, tol) -> (passed, worst,
   trials_run, detail)``, where rng is ``default_rng([seed, salt])``.
+
+``dims`` is a sequence cycled by trial or loop index, a draw ``rng -> d``
+made where the body asks, or the int a check is fixed at.  A body calls
+the picker ``dims(index=0, rng=None)``; a ``_trials`` body with a cycle or
+a fixed rule gets ``d = dims(i)``.  Only the decorator reads the caller's
+``dim``: it replaces a cycled or drawn dimension, a fixed check notes
+``dim fixed at N``, and thm2-equality (no rule: its multiplicities set its
+dimension) takes ``dims.dim`` as a floor and notes its ``dims.used``.
 
 Every check declares its own salt, unique in this module, even a check
 that draws nothing, so no two checks draw the same ensemble.  Both
 decorators give ``check_*(*, seed=0, trials=None, dim=None, tol=None)``,
-where None means the declared default and ``dim`` fixes the dimension of
-every trial.
+where None means the declared default.
 """
 
 from __future__ import annotations
 
 import itertools
 import time
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -119,40 +122,57 @@ class CheckResult:
 SUITES: dict[str, tuple] = {}
 
 
-def _check(suite: str, name: str, *, salt: int, tol: float, trials: int | None = None):
-    """Declare a check from ``body(rng, trials, dim, tol)`` into its suite (module docstring)."""
-    default_tol, default_trials = tol, trials
+class _Dims:
+    """One run's dimension picker: a declared ``dims`` rule and the caller's ``dim``."""
+
+    def __init__(self, rule, dim):
+        self.rule, self.dim, self.used = rule, dim, set()
+
+    def __call__(self, index: int = 0, rng=None) -> int:
+        rule = self.rule
+        if isinstance(rule, int) or self.dim:
+            return rule if isinstance(rule, int) else self.dim
+        return rule(rng) if callable(rule) else rule[index % len(rule)]
+
+
+def _check(suite: str, name: str, *, salt: int, tol: float, trials: int | None = None, dims=None):
+    """Declare a check from ``body(rng, trials, dims, tol)`` into its suite (module docstring)."""
+    default_tol, default_trials, rule = tol, trials, dims
 
     def declare(body):
         def check(*, seed=0, trials=None, dim=None, tol=None) -> CheckResult:
             tol = default_tol if tol is None else tol
+            dims = _Dims(rule, dim)
             t0 = time.perf_counter()
             passed, worst, trials_run, detail = body(
                 np.random.default_rng([seed, salt]),
-                default_trials if trials is None else trials, dim, tol)
+                default_trials if trials is None else trials, dims, tol)
+            if dim and (rule is None or isinstance(rule, int)):   # dim did not pick the dimension
+                note = f"dim fixed at {rule}" if rule else f"ran d = {sorted(dims.used)}"
+                detail = f"{detail}; {note}" if detail else note
             return CheckResult(name, passed, worst, tol, trials_run,
                                time.perf_counter() - t0, detail)
 
         check.__name__ = check.__qualname__ = body.__name__
         check.__doc__ = body.__doc__
-        check.salt = salt
+        check.salt, check.dims = salt, rule
         SUITES[suite] = SUITES.get(suite, ()) + (check,)
         return check
     return declare
 
 
 def _trials(suite: str, name: str, *, salt: int, trials: int, tol: float,
-            inequality: bool = False, dims: Sequence[int] = ()):
-    """Declare a check from one trial ``body(i, rng, dim)`` (module docstring)."""
+            inequality: bool = False, dims=None):
+    """Declare a check from one trial ``body(i, rng, d)`` (module docstring)."""
     def declare(body):
-        def run(rng, n, dim, tol):
+        def run(rng, n, pick, tol):
             # child i of SeedSequence([seed, salt]), as rng was seeded with it
-            worst = max(body(i, child, dim if dim or not dims else dims[i % len(dims)])
+            worst = max(body(i, child, pick if callable(dims) or dims is None else pick(i))
                         for i, child in enumerate(rng.spawn(n)))
             return (worst <= tol if inequality else worst < tol), worst, n, ""
 
         run.__name__, run.__doc__ = body.__name__, body.__doc__
-        return _check(suite, name, salt=salt, tol=tol, trials=trials)(run)
+        return _check(suite, name, salt=salt, tol=tol, trials=trials, dims=dims)(run)
     return declare
 
 
@@ -228,14 +248,14 @@ def check_coefficient_independence(i, rng, d):
                - _recovered_coefficient(states[1], ham, t))
 
 
-@_check("thm1", "max-coherent-dominance", salt=14, tol=1e-12, trials=1000)
-def check_max_coherent_dominance(rng, trials, dim, tol):
+@_check("thm1", "max-coherent-dominance", salt=14, tol=1e-12, trials=1000, dims=range(2, 7))
+def check_max_coherent_dominance(rng, trials, dims, tol):
     """Uniform-weight superpositions maximize the averaged distance."""
     outer = 5
     inner = max(1, trials // outer)
     worst = -np.inf
     for j in range(outer):
-        d = dim if dim else 2 + j % 5
+        d = dims(j)
         ham = _nondegenerate_ham(rng, d)
         t = float(rng.uniform(0.3, 6.0))
         while 1.0 - a_coefficient(ham.levels, t) <= 1e-3:
@@ -251,8 +271,9 @@ def check_max_coherent_dominance(rng, trials, dim, tol):
     return worst <= tol, worst, outer * inner, ""
 
 
-@_check("thm1", "coefficient-grid", salt=15, tol=0.0, trials=10_000)
-def check_coefficient_grid(rng, trials, dim, tol):
+@_check("thm1", "coefficient-grid", salt=15, tol=0.0, trials=10_000,
+        dims=lambda rng: int(rng.integers(2, 7)))
+def check_coefficient_grid(rng, trials, dims, tol):
     """The coefficient never exceeds 1 and stays below it on a dense grid.
 
     An incommensurate four-level spectrum is scanned over 10^4 points in
@@ -265,7 +286,7 @@ def check_coefficient_grid(rng, trials, dim, tol):
 
     cap = -np.inf
     for _ in range(50):
-        d = dim if dim else int(rng.integers(2, 7))
+        d = dims(rng=rng)
         lam_r = _spectrum(rng, d)
         for t in rng.uniform(0.0, 20.0, 20):
             cap = max(cap, a_coefficient(lam_r, float(t)) - 1.0)
@@ -274,19 +295,19 @@ def check_coefficient_grid(rng, trials, dim, tol):
 
 
 @_trials("thm2", "thm2-equality", salt=21, trials=300, tol=1e-9)
-def check_thm2_equality(i, rng, dim):
+def check_thm2_equality(i, rng, dims):
     """Brute force vs closed form with forced-degenerate spectra."""
     m = 2 + i % 4
     mult = rng.integers(1, 3, m)
     if not np.any(mult > 1):
         mult[int(rng.integers(m))] = 2
-    if dim:
-        # stretch multiplicities until the total dimension matches
-        while int(mult.sum()) < dim:
-            mult[int(rng.integers(m))] += 1
+    # a caller's dim is a floor: stretch multiplicities until the total reaches it
+    while int(mult.sum()) < (dims.dim or 0):
+        mult[int(rng.integers(m))] += 1
     levels = _spectrum(rng, m)
     vals = np.repeat(levels, mult)
     d = len(vals)
+    dims.used.add(d)
     ham = SpectralHamiltonian.from_spectrum(vals, random_unitary(d, rng))
     rho = random_density(d, rank=int(rng.integers(1, d + 1)), seed=rng)
     res = avg_distance_closed(rho, ham, float(rng.uniform(0.05, 8.0)),
@@ -301,16 +322,17 @@ def _qubit_env_case(rng):
     return channel, dilation, rho
 
 
-@_trials("thm3", "thm3-inequality", salt=31, trials=100, tol=1e-9, inequality=True)
-def check_thm3_inequality(i, rng, dim):
+@_trials("thm3", "thm3-inequality", salt=31, trials=100, tol=1e-9, inequality=True, dims=2)
+def check_thm3_inequality(i, rng, d):
     """Channel-average distance never exceeds the dilated coherence ceiling."""
     _, dilation, rho = _qubit_env_case(rng)
     lhs, rhs = theorem3_bound(dilation, rho)
     return lhs - rhs
 
 
-@_trials("thm3", "thm3-dpi-per-permutation", salt=32, trials=50, tol=1e-10, inequality=True)
-def check_thm3_dpi(i, rng, dim):
+@_trials("thm3", "thm3-dpi-per-permutation", salt=32, trials=50, tol=1e-10, inequality=True,
+         dims=2)
+def check_thm3_dpi(i, rng, d):
     """Per-permutation contraction: system distance <= dilated distance."""
     _, dilation, rho = _qubit_env_case(rng)
     joint = dilation.joint_input(rho)
@@ -325,8 +347,8 @@ def check_thm3_dpi(i, rng, dim):
     return worst_s
 
 
-@_trials("thm3", "thm3-dilation-consistency", salt=33, trials=100, tol=1e-10)
-def check_thm3_dilation_consistency(i, rng, dim):
+@_trials("thm3", "thm3-dilation-consistency", salt=33, trials=100, tol=1e-10, dims=2)
+def check_thm3_dilation_consistency(i, rng, d):
     """Kraus action and identity-permutation dilation action agree in distance."""
     channel, dilation, rho = _qubit_env_case(rng)
     direct = hellinger(apply_kraus(channel, rho), rho)
@@ -335,8 +357,8 @@ def check_thm3_dilation_consistency(i, rng, dim):
     return abs(direct - via_dilation)
 
 
-@_trials("thm3", "thm3-product-equality", salt=34, trials=100, tol=1e-9)
-def check_thm3_product_equality(i, rng, dim):
+@_trials("thm3", "thm3-product-equality", salt=34, trials=100, tol=1e-9, dims=2)
+def check_thm3_product_equality(i, rng, d):
     """Non-interacting dilations with the environment in a stationary state
     saturate the bound: the permutation-averaged channel distance equals the
     dilated closed form exactly."""
@@ -361,8 +383,8 @@ def check_thm3_product_equality(i, rng, dim):
     return abs(lhs - rhs)
 
 
-@_check("thm3", "qutrit-equality-construction", salt=35, tol=1e-14)
-def check_qutrit_equality_construction(rng, trials, dim, tol):
+@_check("thm3", "qutrit-equality-construction", salt=35, tol=1e-14, dims=3)
+def check_qutrit_equality_construction(rng, trials, dims, tol):
     """The hand-built qutrit channel: complete, correct output, zero witness."""
     channel = qutrit_equality_channel()
     completeness = channel.completeness_residual
@@ -378,14 +400,14 @@ def check_qutrit_equality_construction(rng, trials, dim, tol):
     return passed, worst, 1, detail
 
 
-@_check("coherence-lemmas", "faithfulness", salt=41, tol=1e-12, trials=500)
-def check_faithfulness(rng, trials, dim, tol):
+@_check("coherence-lemmas", "faithfulness", salt=41, tol=1e-12, trials=500, dims=range(2, 7))
+def check_faithfulness(rng, trials, dims, tol):
     """Coherence vanishes exactly on block-diagonal states and only there."""
     worst_zero = -np.inf
     min_coherent = np.inf
     n = 0
     while n < trials:
-        d = dim if dim else 2 + n % 5
+        d = dims(n)
         _, _, decomp = _random_decomposition(rng, d)
         rho = random_density(d, rank=int(rng.integers(1, d + 1)), seed=rng)
         off = float(np.linalg.norm(rho - decomp.dephase(rho)))
@@ -422,11 +444,11 @@ def check_block_unitary_invariance(i, rng, d):
     return abs(c_half(rotated, decomp) - c_half(rho, decomp))
 
 
-@_trials("coherence-lemmas", "additivity", salt=44, trials=500, tol=1e-10)
-def check_additivity(i, rng, dim):
+@_trials("coherence-lemmas", "additivity", salt=44, trials=500, tol=1e-10,
+         dims=lambda rng: int(rng.integers(2, 5)))
+def check_additivity(i, rng, dims):
     """Coherence of a weighted direct sum is the weighted sum of coherences."""
-    d1 = dim if dim else int(rng.integers(2, 5))
-    d2 = dim if dim else int(rng.integers(2, 5))
+    d1, d2 = dims(rng=rng), dims(rng=rng)
     _, _, dec1 = _random_decomposition(rng, d1)
     _, _, dec2 = _random_decomposition(rng, d2)
     rho = random_density(d1, rank=int(rng.integers(1, d1 + 1)), seed=rng)
@@ -531,8 +553,9 @@ def check_speed_identity(i, rng, d):
 _FD_SLOPE_FLOOR = 0.25
 
 
-@_check("speed-identity", "fd-convergence", salt=52, tol=1.2, trials=5)
-def check_fd_convergence(rng, trials, dim, tol):
+@_check("speed-identity", "fd-convergence", salt=52, tol=1.2, trials=5,
+        dims=lambda rng: int(rng.integers(2, 5)))
+def check_fd_convergence(rng, trials, dims, tol):
     """Difference-quotient speeds approach the closed form linearly in the
     sampling interval.
 
@@ -554,7 +577,7 @@ def check_fd_convergence(rng, trials, dim, tol):
     ratios = []
     for _ in range(trials):
         for _ in range(20):
-            d = dim if dim else int(rng.integers(2, 5))
+            d = dims(rng=rng)
             h0 = np.asarray(_nondegenerate_ham(rng, d).matrix())
             h1 = np.asarray(_nondegenerate_ham(rng, d).matrix())
             base = HamiltonianPath.linear(h0, h1, t_final, steps=steps)
@@ -580,8 +603,8 @@ def check_fd_convergence(rng, trials, dim, tol):
     return passed, worst, trials, "ratios " + ", ".join(f"{r:.2f}" for r in ratios)
 
 
-@_trials("speed-identity", "qubit-closed-form", salt=53, trials=1000, tol=1e-12)
-def check_qubit_closed_form(i, rng, dim):
+@_trials("speed-identity", "qubit-closed-form", salt=53, trials=1000, tol=1e-12, dims=2)
+def check_qubit_closed_form(i, rng, d):
     """Two-level closed form vs direct distance between evolved pure states."""
     psi = haar_random_state(2, rng)
     lam, gam = rng.uniform(-3.0, 3.0, 2)
@@ -591,8 +614,9 @@ def check_qubit_closed_form(i, rng, dim):
     return abs(closed - hellinger(pure_density(psi), pure_density(psi_t)))
 
 
-@_trials("speed-identity", "orthogonality-time", salt=54, trials=10, tol=1e-12, inequality=True)
-def check_orthogonality_time(i, rng, dim):
+@_trials("speed-identity", "orthogonality-time", salt=54, trials=10, tol=1e-12, inequality=True,
+         dims=2)
+def check_orthogonality_time(i, rng, d):
     """First distance maximum lands at pi over the level gap, within one step."""
     lam0 = float(rng.uniform(-2.0, 2.0))
     gap = float(rng.uniform(0.3, 3.0))
@@ -617,8 +641,8 @@ def _battery_grid():
     return tau, pulses, states, axes
 
 
-@_check("battery-bound", "battery-trajectories", salt=63, tol=1e-9)
-def check_battery_trajectories(rng, trials, dim, tol):
+@_check("battery-bound", "battery-trajectories", salt=63, tol=1e-9, dims=2)
+def check_battery_trajectories(rng, trials, dims, tol):
     """Every step of every scenario respects the work ceiling; steps with no
     drive-basis coherence extract nothing."""
     tau, pulses, states, axes = _battery_grid()
@@ -637,8 +661,9 @@ def check_battery_trajectories(rng, trials, dim, tol):
     return passed, worst, combos, f"zero-coherence worst work {worst_zero:.1e}"
 
 
-@_trials("battery-bound", "battery-interaction-invariance", salt=61, trials=200, tol=1e-12)
-def check_battery_interaction_invariance(i, rng, dim):
+@_trials("battery-bound", "battery-interaction-invariance", salt=61, trials=200, tol=1e-12,
+         dims=2)
+def check_battery_interaction_invariance(i, rng, d):
     """Rotating state and drive together preserves the drive-basis coherence."""
     n = rng.normal(size=3)
     v = spin_operator(n / np.linalg.norm(n))
@@ -650,8 +675,8 @@ def check_battery_interaction_invariance(i, rng, dim):
     return abs(c_lab - c_rot)
 
 
-@_check("battery-bound", "qudit-battery", salt=62, tol=1e-9, trials=100)
-def check_qudit_battery(rng, trials, dim, tol):
+@_check("battery-bound", "qudit-battery", salt=62, tol=1e-9, trials=100, dims=(3,))
+def check_qudit_battery(rng, trials, dims, tol):
     """d-level generalization: reduces to the two-branch form, obeys its
     ceiling, and extracts nothing from drive-diagonal states."""
     dt = 1e-3
@@ -668,7 +693,7 @@ def check_qudit_battery(rng, trials, dim, tol):
         two_branch = avg_extracted_work(rho, eps, eta, v, dt)
         worst_reduction = max(worst_reduction, abs(avg - two_branch))
 
-    d = dim if dim else 3
+    d = dims()
     worst_bound = -np.inf
     worst_diag = 0.0
     for _ in range(trials):

@@ -261,9 +261,13 @@ _NUM = r"-?\d\.\d{3}e[+-]\d\d"
     ("channel", None, 0,
      r"note: bound columns omitted \(12 levels exceed brute-force cap 8\)"),
 ])
-def test_report_commands_exit_1_on_a_failed_check(tmp_path, capsys, command, section, code, err):
+def test_report_commands_exit_1_on_a_failed_check(tmp_path, capsys, monkeypatch, command,
+                                                  section, code, err):
+    from coherence_speed import cli
     from coherence_speed.channels import random_channel, save_channel
-    argv = [command, "--tol", "-1", "--out", str(tmp_path / "r.csv")]
+    # --tol must be positive, so a default of -1 is what forces each report's failure
+    monkeypatch.setattr(cli, "TOL_REPORT", -1.0)
+    argv = [command, "--out", str(tmp_path / "r.csv")]
     if section == "saved":
         save_channel(random_channel(2, 2, 5), tmp_path / "chan22.json")
         section = {"channel": {"channel": {"path": str(tmp_path / "chan22.json")}}}
@@ -275,3 +279,32 @@ def test_report_commands_exit_1_on_a_failed_check(tmp_path, capsys, command, sec
     captured = capsys.readouterr()
     assert captured.out == f"report written to {tmp_path / 'r.csv'}\n"
     assert re.fullmatch(err + ("\n" if err else ""), captured.err)
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["verify", "thm1", "--dim", "0"], "argument --dim: invalid choice: 0"),
+    (["verify", "thm1", "--dim", "-2"], "argument --dim: invalid choice: -2"),
+    (["verify", "thm1", "--dim", "17"], "argument --dim: invalid choice: 17"),
+    (["verify", "thm1", "--trials", "0"], "argument --trials: must be at least 1, got 0"),
+    (["verify", "thm1", "--trials", "-1"], "argument --trials: must be at least 1, got -1"),
+    (["verify", "thm1", "--seed", "-1"], "argument --seed: must be at least 0, got -1"),
+    (["qsl", "--seed", "-1"], "argument --seed: must be at least 0, got -1"),
+    (["qsl", "--tol", "0"], "argument --tol: must be above 0, got 0"),
+    (["qsl", "--tol", "-1"], "argument --tol: must be above 0, got -1"),
+    (["qsl", "--tol", "nan"], "argument --tol: must be above 0, got nan"),
+    (["verify", "thm1", "--trials", "two"], "argument --trials: invalid int value: 'two'"),
+])
+def test_out_of_range_values_are_usage_errors(capsys, argv, message):
+    # rejected while parsing: no check runs, and no traceback reaches the user
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err and "usage:" in captured.err
+    assert "Traceback" not in captured.err
+
+
+def test_negative_seed_from_the_environment_is_a_usage_error(monkeypatch, capsys):
+    monkeypatch.setenv("COHERENCE_SPEED_SEED", "-1")
+    assert main(["qsl"]) == 2
+    assert capsys.readouterr().err == (
+        "error: COHERENCE_SPEED_SEED must be a nonnegative integer, got '-1'\n")

@@ -10,6 +10,7 @@ from coherence_speed.errors import UnknownSuite
 from coherence_speed.verification import (
     SUITES,
     CheckResult,
+    check_additivity,
     check_benchmark_identity,
     check_coefficient_grid,
     check_faithfulness,
@@ -19,6 +20,7 @@ from coherence_speed.verification import (
     check_qudit_battery,
     check_qutrit_equality_construction,
     check_thm1_equality,
+    check_thm2_equality,
     check_variational_identity,
     failures_as_dicts,
     run_suite,
@@ -55,11 +57,6 @@ def test_same_seed_reproduces_worst_values():
     assert a.worst != c.worst
 
 
-def test_dim_override_is_respected():
-    res = check_thm1_equality(seed=2, trials=6, dim=3)
-    assert res.passed
-
-
 def test_failures_serialize_only_failed_checks():
     good = check_benchmark_identity(seed=1, trials=5)
     bad = check_benchmark_identity(seed=1, trials=5, tol=1e-30)
@@ -80,6 +77,15 @@ def test_every_check_is_in_one_suite_and_has_its_own_salt():
     registered = [fn for fns in SUITES.values() for fn in fns]
     assert sorted(registered, key=id) == sorted(checks, key=id)
     assert len({fn.salt for fn in registered}) == len(registered)
+
+
+def test_every_check_declares_its_dimension_rule():
+    # thm2-equality alone derives its dimension (from its level multiplicities)
+    for fns in SUITES.values():
+        for fn in fns:
+            assert (fn.dims is None) == (fn.__name__ == "check_thm2_equality"), fn.__name__
+    # the decorator is the only place that applies a caller's dim
+    assert "dim if dim" not in inspect.getsource(verification)
 
 
 def test_every_check_takes_the_same_keywords():
@@ -116,17 +122,25 @@ def test_spread_floor_holds_for_close_levels_far_from_zero():
     assert check_qsl_mt_floor(seed=83).passed
 
 
+def _recorded(monkeypatch, name, position, check, **kwargs):
+    """Argument ``position`` of every call that ``check`` makes to ``verification.<name>``."""
+    seen = []
+    real = getattr(verification, name)
+
+    def recording(*args, **kw):
+        seen.append(args[position])
+        return real(*args, **kw)
+
+    monkeypatch.setattr(verification, name, recording)
+    res = check(**kwargs)
+    assert res.passed, res.line()
+    assert "dim fixed" not in res.detail and "ran d" not in res.detail
+    return seen
+
+
 def _drawn_dims(monkeypatch, **overrides):
-    drawn = []
-    real = verification.random_density
-
-    def recording(d, *args, **kwargs):
-        drawn.append(d)
-        return real(d, *args, **kwargs)
-
-    monkeypatch.setattr(verification, "random_density", recording)
-    check_variational_identity(trials=6, **overrides)
-    return drawn
+    return _recorded(monkeypatch, "random_density", 0, check_variational_identity,
+                     trials=6, **overrides)
 
 
 def test_dimension_cycle_and_dim_override(monkeypatch):
@@ -150,3 +164,45 @@ def test_dimension_cycle_and_dim_override(monkeypatch):
 def test_irregular_checks_keep_their_seeded_streams(check, trials, worst, detail):
     res = check(seed=3, trials=trials)
     assert (res.worst, res.detail) == (worst, detail)
+
+
+
+@pytest.mark.parametrize("check, name, position", [
+    pytest.param(check_thm1_equality, "random_density", 0, id="cycled-by-trial"),
+    pytest.param(check_faithfulness, "random_density", 0, id="cycled-by-loop-pass"),
+    pytest.param(check_additivity, "random_density", 0, id="drawn-twice-per-trial"),
+    pytest.param(check_coefficient_grid, "_spectrum", 1, id="drawn-per-loop-pass"),
+])
+def test_a_callers_dim_replaces_cycled_and_drawn_dimensions(monkeypatch, check, name, position):
+    assert len(set(_recorded(monkeypatch, name, position, check, trials=40))) > 1
+    assert set(_recorded(monkeypatch, name, position, check, trials=40, dim=3)) == {3}
+
+
+_FIXED = [fn for fns in SUITES.values() for fn in fns if isinstance(fn.dims, int)]
+
+
+def test_the_fixed_dimension_checks():
+    assert {fn.__name__: fn.dims for fn in _FIXED} == {
+        "check_thm3_inequality": 2, "check_thm3_dpi": 2,
+        "check_thm3_dilation_consistency": 2, "check_thm3_product_equality": 2,
+        "check_qutrit_equality_construction": 3, "check_qubit_closed_form": 2,
+        "check_orthogonality_time": 2, "check_battery_trajectories": 2,
+        "check_battery_interaction_invariance": 2}
+
+
+@pytest.mark.parametrize("check", _FIXED, ids=lambda fn: fn.__name__)
+def test_a_fixed_check_ignores_a_callers_dim_and_says_so(check):
+    plain, pinned = check(seed=0, trials=3), check(seed=0, trials=3, dim=3)
+    note = f"dim fixed at {check.dims}"
+    assert pinned.detail == (f"{plain.detail}; {note}" if plain.detail else note)
+    assert (pinned.passed, pinned.worst, pinned.trials) == (plain.passed, plain.worst,
+                                                            plain.trials)
+
+
+@pytest.mark.parametrize("dim, low", [(2, 3), (5, 5)])
+def test_thm2_takes_a_callers_dim_as_a_floor_and_names_the_dimensions_it_ran(dim, low):
+    # at seed 0 the 300 default trials run every dimension from the floor to 10
+    res = check_thm2_equality(seed=0, dim=dim)
+    assert res.passed, res.line()
+    assert res.detail == f"ran d = {list(range(low, 11))}"
+    assert check_thm2_equality(seed=0, trials=20).detail == ""
