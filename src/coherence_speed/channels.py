@@ -14,6 +14,10 @@ form evaluated on the joint input:
 with equality whenever every permuted evolution leaves the environment
 factor pure (in particular for product unitaries whose environment
 factor fixes |0>).
+
+A channel is one complex (K, d, d) stack of Kraus operators, built from
+any sequence of d x d matrices and checked once; the Kraus action, the
+dilation and the JSON form use it as a whole.
 """
 
 from __future__ import annotations
@@ -39,32 +43,34 @@ from .linalg import (
     matrix_sqrt_psd,
     partial_trace,
     pure_density,
+    random_unitary,
     tensor,
     unitary_exp,
     validate_density,
 )
 from .metrics import hellinger
-from .schemas import validate_document
+from .schemas import _complex_array, validate_document
 
 
 @dataclass
 class KrausChannel:
-    """CPTP map as a tuple of Kraus operators; completeness_residual is max|sum K†K - I|."""
+    """CPTP map as one (K, d, d) Kraus stack; completeness_residual is max|sum K†K - I|."""
 
-    operators: tuple[np.ndarray, ...]
+    operators: np.ndarray
     label: str = ""
     completeness_residual: float = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        ops = tuple(np.asarray(k, dtype=complex) for k in self.operators)
-        if not ops:
+        try:
+            ops = np.array(self.operators, dtype=complex)
+        except ValueError as exc:       # a ragged nesting of matrices
+            raise DimensionMismatch("Kraus operators must share one square shape") from exc
+        if ops.ndim and not len(ops):
             raise IncompleteKraus("need at least one Kraus operator")
-        d = ops[0].shape[0]
-        for k in ops:
-            if k.shape != (d, d):
-                raise DimensionMismatch("Kraus operators must share one square shape")
-        total = sum(k.conj().T @ k for k in ops)
-        defect = float(np.max(np.abs(total - np.eye(d))))
+        if ops.ndim != 3 or ops.shape[1] != ops.shape[2]:
+            raise DimensionMismatch("Kraus operators must share one square shape")
+        total = (dagger(ops) @ ops).sum(axis=0)
+        defect = float(np.max(np.abs(total - np.eye(ops.shape[1]))))
         if defect > TOL_STRUCT:
             raise IncompleteKraus(f"sum K†K deviates from identity by {defect:.3e}")
         self.operators = ops
@@ -72,7 +78,7 @@ class KrausChannel:
 
     @property
     def dim(self) -> int:
-        return self.operators[0].shape[0]
+        return self.operators.shape[-1]
 
 
 def apply_kraus(channel: KrausChannel, rho) -> np.ndarray:
@@ -84,15 +90,12 @@ def _apply_kraus(channel: KrausChannel, rho: np.ndarray) -> np.ndarray:
     """apply_kraus for a state that has passed validate_density."""
     if rho.shape[0] != channel.dim:
         raise DimensionMismatch("state dimension does not match channel")
-    out = np.zeros_like(rho)
-    for k in channel.operators:
-        out += k @ rho @ k.conj().T
-    return hermitianize(out)
+    return hermitianize((channel.operators @ rho @ dagger(channel.operators)).sum(axis=0))
 
 
 def dephasing_channel(decomposition) -> KrausChannel:
     """Full dephasing onto a projector family (Kraus operators = projectors)."""
-    return KrausChannel(tuple(decomposition.projectors), label="dephasing")
+    return KrausChannel(decomposition.projectors, label="dephasing")
 
 
 def qutrit_equality_channel() -> KrausChannel:
@@ -102,26 +105,16 @@ def qutrit_equality_channel() -> KrausChannel:
     output <0|Phi(|0><0|)|0> vanishes, which makes the dilated joint
     distance equal the channel-level distance (both maximal).
     """
-    k0 = np.zeros((3, 3), dtype=complex)
-    k0[1, 0] = 1.0 / np.sqrt(2.0)
-    k1 = np.zeros((3, 3), dtype=complex)
-    k1[2, 0] = 1.0 / np.sqrt(2.0)
-    k2 = np.zeros((3, 3), dtype=complex)
-    k2[1, 1] = 1.0
-    k3 = np.zeros((3, 3), dtype=complex)
-    k3[2, 2] = 1.0
-    return KrausChannel((k0, k1, k2, k3), label="qutrit-equality")
+    ops = np.zeros((4, 3, 3), dtype=complex)
+    ops[[0, 1, 2, 3], [1, 2, 1, 2], [0, 0, 1, 2]] = [1.0 / np.sqrt(2.0)] * 2 + [1.0] * 2
+    return KrausChannel(ops, label="qutrit-equality")
 
 
 def random_channel(dim: int, n_kraus: int, seed) -> KrausChannel:
     """Random CPTP map: slices of a Haar-random unitary dilation."""
-    from .linalg import random_unitary
-
-    w = random_unitary(dim * n_kraus, seed)
-    iso = w[:, [c * n_kraus for c in range(dim)]]
-    iso3 = iso.reshape(dim, n_kraus, dim)
-    ops = tuple(np.ascontiguousarray(iso3[:, j, :]) for j in range(n_kraus))
-    return KrausChannel(ops, label=f"random-{dim}x{n_kraus}")
+    iso = random_unitary(dim * n_kraus, seed)[:, ::n_kraus]  # <s|K_j|c> at [s * n_kraus + j, c]
+    return KrausChannel(iso.reshape(dim, n_kraus, dim).swapaxes(0, 1),
+                        label=f"random-{dim}x{n_kraus}")
 
 
 @dataclass
@@ -183,31 +176,21 @@ def dilate(channel: KrausChannel, env_dim: int | None = None) -> StinespringDila
     if n_ops > d_env:
         raise TooManyKraus(f"{n_ops} Kraus operators exceed environment dimension {d_env}")
     n = d * d_env
-    iso = np.zeros((n, d), dtype=complex)
-    iso3 = iso.reshape(d, d_env, d)
-    for j, k in enumerate(channel.operators):
-        iso3[:, j, :] = k
-    u = np.zeros((n, n), dtype=complex)
-    u4 = u.reshape(n, d, d_env)
-    u4[:, :, 0] = iso
-    if n > d:
-        comp = scipy.linalg.null_space(iso.conj().T)
-        slots = [(c, j) for c in range(d) for j in range(1, d_env)]
-        for col, (c, j) in enumerate(slots):
-            u4[:, c, j] = comp[:, col]
+    iso = np.zeros((n, d), dtype=complex)     # <s|K_j|c> at [s * d_env + j, c]
+    iso.reshape(d, d_env, d)[:, :n_ops] = channel.operators.swapaxes(0, 1)
+    u = np.zeros((n, n), dtype=complex)       # column c * d_env + j; the complement at j >= 1
+    u3 = u.reshape(n, d, d_env)
+    u3[:, :, 0] = iso
+    u3[:, :, 1:] = scipy.linalg.null_space(dagger(iso)).reshape(n, d, d_env - 1)
     if np.max(np.abs(u.conj().T @ u - np.eye(n))) > TOL_ORTH:
         raise InvalidState("unitary completion failed")
     # Principal logarithm via the Schur form (U is normal).
     t_mat, z = scipy.linalg.schur(u, output="complex")
-    phases = np.diagonal(t_mat)
-    lam = np.angle(phases.conj())  # in [-pi, pi]
+    lam = np.angle(np.diagonal(t_mat).conj())  # in [-pi, pi]
     lam = np.where(lam <= -np.pi + TOL_DEGEN, lam + 2.0 * np.pi, lam)
-    h = hermitianize((z * lam) @ z.conj().T)
-    ham = SpectralHamiltonian.from_matrix(h)
-    env0 = np.zeros(d_env, dtype=complex)
-    env0[0] = 1.0
+    ham = SpectralHamiltonian.from_matrix(hermitianize((z * lam) @ z.conj().T))
     return StinespringDilation(hamiltonian=ham, sys_dim=d, env_dim=d_env,
-                               env_state=env0, duration=1.0)
+                               env_state=np.eye(d_env)[0], duration=1.0)
 
 
 def permuted_channel_apply(dilation: StinespringDilation, assignment, rho) -> np.ndarray:
@@ -281,21 +264,14 @@ def _equality_gap(channel: KrausChannel, dilation: StinespringDilation,
 
 def channel_to_dict(channel: KrausChannel) -> dict:
     """JSON-ready dict: Kraus matrices as nested arrays of [re, im] pairs."""
-    return {
-        "label": channel.label,
-        "kraus": [[[[float(x.real), float(x.imag)] for x in row] for row in k]
-                  for k in channel.operators],
-    }
+    ops = channel.operators
+    return {"label": channel.label, "kraus": ops.view(float).reshape(*ops.shape, 2).tolist()}
 
 
 def channel_from_dict(doc: dict) -> KrausChannel:
     """Inverse of channel_to_dict; validates shape and completeness."""
     validate_document(doc, "channel.schema.json")
-    ops = []
-    for k in doc["kraus"]:
-        mat = np.array([[complex(re, im) for re, im in row] for row in k], dtype=complex)
-        ops.append(mat)
-    return KrausChannel(tuple(ops), label=doc.get("label", ""))
+    return KrausChannel(_complex_array(doc["kraus"]), label=doc.get("label", ""))
 
 
 def save_channel(channel: KrausChannel, path) -> None:
@@ -304,5 +280,4 @@ def save_channel(channel: KrausChannel, path) -> None:
 
 
 def load_channel(path) -> KrausChannel:
-    doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    return channel_from_dict(doc)
+    return channel_from_dict(json.loads(Path(path).read_text(encoding="utf-8")))

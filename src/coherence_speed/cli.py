@@ -54,7 +54,7 @@ from .linalg import (
 )
 from .metrics import _qsl_grid
 from .report import render_report, write_report
-from .schemas import validate_document
+from .schemas import _complex_array, validate_document
 from .verification import SUITES, failures_as_dicts, run_suite
 
 _PULSES = {"sin2": sin2_pulse, "sin4": sin4_pulse, "parabola": parabola_pulse}
@@ -185,7 +185,7 @@ def _pure_state(spec, dim: int, rng) -> np.ndarray:
     if spec in ("plus", "maximally-coherent"):
         return np.full(dim, 1.0 / np.sqrt(dim), dtype=complex)
     if isinstance(spec, dict) and "amplitudes" in spec:
-        vec = np.array([complex(re, im) for re, im in spec["amplitudes"]])
+        vec = _complex_array(spec["amplitudes"])
         if len(vec) != dim:
             raise UsageError(f"state has {len(vec)} amplitudes, expected {dim}")
         try:
@@ -264,7 +264,7 @@ def _cmd_verify(ns, config: dict) -> int:
                 for r in results]
         meta = _metadata("verify", seed, tol, suite=suite,
                          trials="default" if trials is None else trials,
-                         dim="mixed" if dim is None else dim)
+                         dim_override="none" if dim is None else dim)
         write_report(render_report(rows, meta, fmt), out)
         print(f"report written to {out}")
     failures = failures_as_dicts(results)

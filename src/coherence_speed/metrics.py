@@ -53,6 +53,7 @@ def d_affinity_half(rho, sigma) -> float:
 def fidelity(rho, sigma) -> float:
     """Uhlmann fidelity [Tr sqrt(sqrt(rho) sigma sqrt(rho))]^2, clipped into [0, 1]."""
     s = matrix_sqrt_psd(rho)
+    matrix_sqrt_psd(sigma)      # the checks affinity makes of sigma: NotHermitian, NotPSD
     sig = np.asarray(sigma, dtype=complex)
     if sig.shape != s.shape:
         raise DimensionMismatch(f"shapes {s.shape} and {sig.shape} differ")

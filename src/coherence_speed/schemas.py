@@ -6,8 +6,11 @@ import json
 from functools import lru_cache
 from importlib import resources
 
+import numpy as np
 from jsonschema.exceptions import best_match
 from jsonschema.validators import validator_for
+
+from .errors import DimensionMismatch
 
 
 @lru_cache(maxsize=None)
@@ -36,3 +39,12 @@ def validate_document(doc: dict, schema_name: str) -> None:
     error = best_match(_validator(schema_name).iter_errors(doc))
     if error is not None:
         raise error
+
+
+def _complex_array(pairs) -> np.ndarray:
+    """The schemas' nested [re, im] pairs as one complex array; DimensionMismatch if ragged."""
+    try:
+        parts = np.array(pairs, dtype=float)
+    except ValueError as exc:
+        raise DimensionMismatch("[re, im] pairs are not nested to one shape") from exc
+    return parts.view(complex)[..., 0]

@@ -4,6 +4,7 @@ import json
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from coherence_speed import channels, linalg
 from coherence_speed.avgdist import b_coefficient
@@ -22,6 +23,7 @@ from coherence_speed.channels import (
     theorem3_bound,
 )
 from coherence_speed.errors import (
+    DimensionMismatch,
     IncompleteKraus,
     InvalidState,
     TooManyKraus,
@@ -153,8 +155,8 @@ def test_save_load_roundtrip(tmp_path):
     back = load_channel(path)
     assert back.dim == 3
     assert len(back.operators) == len(chan.operators)
-    for a, b in zip(chan.operators, back.operators):
-        assert np.max(np.abs(a - b)) < 1e-15
+    assert back.operators.tobytes() == chan.operators.tobytes()
+    assert back.completeness_residual == chan.completeness_residual
 
 
 def test_load_rejects_malformed_document(tmp_path):
@@ -188,3 +190,119 @@ def test_equality_gap_analysis_validates_rho_once(monkeypatch):
                                    pure_density(np.array([1, 0, 0], dtype=complex)))
     assert len(calls) == 1
     assert report.witness == 0.0 and abs(report.system_distance - 2.0) < 1e-12
+
+
+# The loops below are the ones the package ran while a channel was a tuple of
+# Kraus matrices; each stacked path must agree with its loop bit for bit.
+
+def _loop_apply_kraus(ops, rho):
+    out = np.zeros_like(rho)
+    for k in ops:
+        out += k @ rho @ k.conj().T
+    return linalg.hermitianize(out)
+
+
+def _loop_residual(ops):
+    total = sum(k.conj().T @ k for k in ops)
+    return float(np.max(np.abs(total - np.eye(len(ops[0])))))
+
+
+def _loop_random_ops(dim, n_kraus, seed):
+    w = random_unitary(dim * n_kraus, seed)
+    iso3 = w[:, [c * n_kraus for c in range(dim)]].reshape(dim, n_kraus, dim)
+    return tuple(np.ascontiguousarray(iso3[:, j, :]) for j in range(n_kraus))
+
+
+def _loop_unitary(ops, d_env):
+    d = ops[0].shape[0]
+    n = d * d_env
+    iso = np.zeros((n, d), dtype=complex)
+    iso3 = iso.reshape(d, d_env, d)
+    for j, k in enumerate(ops):
+        iso3[:, j, :] = k
+    u = np.zeros((n, n), dtype=complex)
+    u4 = u.reshape(n, d, d_env)
+    u4[:, :, 0] = iso
+    if n > d:
+        comp = scipy.linalg.null_space(iso.conj().T)
+        slots = [(c, j) for c in range(d) for j in range(1, d_env)]
+        for col, (c, j) in enumerate(slots):
+            u4[:, c, j] = comp[:, col]
+    return u
+
+
+def _loop_to_dict(label, ops):
+    return {"label": label,
+            "kraus": [[[[float(x.real), float(x.imag)] for x in row] for row in k] for k in ops]}
+
+
+def _channels(seed, count):
+    """(d, K, seed) for random channels with d in 2..4 and K in 1..3."""
+    rng = np.random.default_rng(seed)
+    return [(int(rng.integers(2, 5)), int(rng.integers(1, 4)), int(rng.integers(10 ** 6)))
+            for _ in range(count)]
+
+
+def test_stacked_operators_match_the_loop_draw():
+    for d, k, s in _channels(61, 40):
+        chan = random_channel(d, k, s)
+        ops = _loop_random_ops(d, k, s)
+        assert chan.operators.shape == (k, d, d) and chan.operators.dtype == complex
+        assert chan.operators.tobytes() == np.stack(ops).tobytes()
+        assert chan.completeness_residual == _loop_residual(ops)
+
+
+def test_stacked_apply_kraus_matches_the_loop():
+    rng = np.random.default_rng(62)
+    for d, k, s in _channels(62, 40):
+        chan = random_channel(d, k, s)
+        rho = random_density(d, rank=int(rng.integers(1, d + 1)), seed=rng)
+        assert apply_kraus(chan, rho).tobytes() == _loop_apply_kraus(chan.operators, rho).tobytes()
+    chan = dephasing_channel(OrthogonalDecomposition.computational(3))
+    rho = random_density(3, rank=3, seed=rng)
+    assert apply_kraus(chan, rho).tobytes() == _loop_apply_kraus(chan.operators, rho).tobytes()
+
+
+def test_stacked_dilation_matches_the_loop_completion():
+    for d, k, s in _channels(63, 30):
+        chan = random_channel(d, k, s)
+        for env in (k, k + 1):
+            u = _loop_unitary(tuple(chan.operators), env)
+            t_mat, z = scipy.linalg.schur(u, output="complex")
+            lam = np.angle(np.diagonal(t_mat).conj())
+            lam = np.where(lam <= -np.pi + linalg.TOL_DEGEN, lam + 2.0 * np.pi, lam)
+            want = linalg.SpectralHamiltonian.from_matrix(
+                linalg.hermitianize((z * lam) @ z.conj().T))
+            got = dilate(chan, env).hamiltonian.matrix()
+            assert got.tobytes() == want.matrix().tobytes(), (d, k, env)
+
+
+def test_channel_to_dict_matches_the_loop():
+    for d, k, s in _channels(64, 20):
+        chan = random_channel(d, k, s)
+        assert channels.channel_to_dict(chan) == _loop_to_dict(chan.label, chan.operators)
+    chan = qutrit_equality_channel()
+    doc = channels.channel_to_dict(chan)
+    assert json.dumps(doc) == json.dumps(_loop_to_dict(chan.label, chan.operators))
+
+
+def test_constructor_takes_any_sequence_of_matrices():
+    chan = random_channel(3, 2, 9)
+    for ops in (tuple(chan.operators), list(chan.operators), chan.operators,
+                [k.tolist() for k in chan.operators]):
+        again = KrausChannel(ops)
+        assert again.operators.tobytes() == chan.operators.tobytes()
+        assert again.completeness_residual == chan.completeness_residual
+    with pytest.raises(IncompleteKraus):
+        KrausChannel(())
+    for bad in ((np.eye(2), np.eye(3)), (np.eye(2), np.ones(2)), np.eye(2), (np.ones((2, 3)),)):
+        with pytest.raises(DimensionMismatch):
+            KrausChannel(bad)
+
+
+def test_ragged_channel_file_is_a_dimension_mismatch(tmp_path):
+    path = tmp_path / "ragged.json"
+    # the second row of the Kraus matrix is one entry short; the schema allows it
+    path.write_text(json.dumps({"kraus": [[[[1, 0], [0, 0]], [[0, 0]]]]}))
+    with pytest.raises(DimensionMismatch):
+        load_channel(path)

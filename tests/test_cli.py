@@ -235,6 +235,27 @@ def test_verify_report_written(tmp_path, capsys):
     assert len(lines) == 3   # header + two checks
 
 
+@pytest.mark.parametrize("extra, value", [([], "none"), (["--dim", "3"], "3")])
+def test_verify_metadata_records_dim_as_an_override(tmp_path, capsys, extra, value):
+    # thm3 runs at d = 2 and 3 whatever --dim says, so the metadata names no dimension
+    out = tmp_path / "thm3.csv"
+    assert main(["verify", "thm3", "--trials", "1", "--out", str(out)] + extra) == 0
+    meta = [l for l in out.read_text().splitlines() if l.startswith("# dim")]
+    assert meta == [f"# dim_override: {value}"]
+
+
+def test_ragged_channel_file_is_a_usage_error(tmp_path, capsys):
+    chan_path = tmp_path / "ragged.json"
+    chan_path.write_text(json.dumps({"kraus": [[[[1, 0], [0, 0]], [[0, 0]]]]}))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"channel": {"channel": {"path": str(chan_path)}}}))
+    assert main(["channel", "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: channel {chan_path}: ")
+    assert "Traceback" not in captured.err
+
+
 def test_csv_details_with_commas_stay_in_one_cell(tmp_path, capsys):
     out = tmp_path / "thm3.csv"
     assert main(["verify", "thm3", "--trials", "2", "--out", str(out)]) == 0

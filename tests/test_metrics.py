@@ -6,7 +6,7 @@ import scipy.linalg
 
 from coherence_speed import dynamics, linalg, metrics
 from coherence_speed.dynamics import energy_uncertainty
-from coherence_speed.errors import DimensionMismatch, InvalidState
+from coherence_speed.errors import DimensionMismatch, InvalidState, NotHermitian, NotPSD
 from coherence_speed.linalg import (
     OrthogonalDecomposition,
     SpectralHamiltonian,
@@ -230,3 +230,13 @@ def test_qsl_grid_validates_states_before_dimensions():
         metrics._qsl_grid(good, ham, [good, np.ones(3)])    # wrong norm and size
     with pytest.raises(DimensionMismatch):
         metrics._qsl_grid(good, ham, [good, np.array([1.0, 0.0, 0.0])])
+
+
+def test_fidelity_checks_sigma_as_affinity_does():
+    rho = np.diag([0.7, 0.3]).astype(complex)
+    skew = np.array([[0.5, 0.4], [0.0, 0.5]])     # unit trace, not Hermitian
+    for distance in (fidelity, bures_angle, affinity):
+        with pytest.raises(NotHermitian):
+            distance(rho, skew)
+        with pytest.raises(NotPSD):
+            distance(rho, -rho)
