@@ -69,6 +69,9 @@ class KrausChannel:
             raise IncompleteKraus("need at least one Kraus operator")
         if ops.ndim != 3 or ops.shape[1] != ops.shape[2]:
             raise DimensionMismatch("Kraus operators must share one square shape")
+        # NaN fails no `> tol` residual test below, so reject it here
+        if not np.isfinite(ops).all():
+            raise IncompleteKraus("Kraus entries are not all finite")
         total = (dagger(ops) @ ops).sum(axis=0)
         defect = float(np.max(np.abs(total - np.eye(ops.shape[1]))))
         if defect > TOL_STRUCT:

@@ -10,8 +10,12 @@ the eigenspace weights r_m = ||P_m psi||^2 and the level gaps:
 with DeltaH the energy spread of the state.  Both routes are computed
 independently here so the identity can be checked rather than assumed.
 
-``evolve`` samples every H(t_k) of the grid into one (N+1, d, d) stack
-and diagonalizes it with one stacked ``eigh``; the step unitaries
+A ``HamiltonianPath`` built by ``constant`` or ``linear`` carries its
+(N+1, d, d) stack of samples H(t_k), built with one broadcast from the
+checked endpoints and trusted from then on.  A caller's path
+``HamiltonianPath(times, sampler)`` carries none: ``evolve`` samples it
+at every grid point and checks the stack once.  ``evolve`` diagonalizes
+the stack with one stacked ``eigh``; the step unitaries
 V exp(-i w dt) V† are formed as a stack, so Python runs only the
 sequential mat-vec.  Speeds and spreads along the trajectory come from
 the same stacked eigendata and dense stack, by the rules of
@@ -22,7 +26,7 @@ oracles).  The stacks hold about 48 N d^2 bytes.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -61,44 +65,62 @@ class HamiltonianPath:
     """Time grid plus a sampler t -> H(t) (dense Hermitian matrix).
 
     ``constant`` and ``linear`` raise NotHermitian on a matrix that is
-    not Hermitian within TOL_HERM, then keep its Hermitian part.
+    not Hermitian within TOL_HERM, then keep its Hermitian part; the
+    paths they build carry ``samples``, the (N+1, d, d) stack of H(t_k)
+    on ``times``, and ``evolve`` trusts it (so a new grid needs a new
+    path, not a reassigned ``times``).  A path built as
+    ``HamiltonianPath(times, sampler)`` has ``samples`` None: ``evolve``
+    samples it on its grid and checks the samples.
     """
 
     times: np.ndarray
     sampler: Callable[[float], np.ndarray]
+    samples: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     @staticmethod
-    def _grid(t_final: float, steps: int | None, half_width: float) -> np.ndarray:
+    def _grid(t_final: float, steps: int | None, h: np.ndarray) -> np.ndarray:
         if steps is None:
-            # default grid: half spectral width * dt <= 0.01
+            # default grid: half spectral width * dt <= 0.01; one step for a
+            # flat spectrum, whatever the duration (dt = 0 when t_final is)
+            half_width = _half_width(h)
             dt = 0.01 / half_width if half_width > 0 else t_final
-            steps = max(1, int(np.ceil(t_final / dt)))
+            steps = max(1, int(np.ceil(t_final / dt))) if dt else 1
         return np.linspace(0.0, t_final, steps + 1)
+
+    @classmethod
+    def _trusted(cls, times: np.ndarray, sampler: Callable[[float], np.ndarray],
+                 samples: np.ndarray) -> "HamiltonianPath":
+        """A path whose samples on ``times`` the package built from checked matrices."""
+        path = cls(times=times, sampler=sampler)
+        path.samples = samples
+        return path
 
     @classmethod
     def constant(cls, h, t_final: float, *, steps: int | None = None) -> "HamiltonianPath":
         h = hermitianize(require_hermitian(h))
-        times = cls._grid(t_final, steps, _half_width(h))
-        return cls(times=times, sampler=lambda t: h)
+        times = cls._grid(t_final, steps, h)
+        return cls._trusted(times, lambda t: h, np.broadcast_to(h, (len(times),) + h.shape))
 
     @classmethod
     def linear(cls, h0, h1, t_final: float, *, steps: int | None = None) -> "HamiltonianPath":
         """Linear interpolation H(t) = (1 - t/T) H0 + (t/T) H1.
 
         The spectral width is convex in H, so the larger endpoint half
-        width bounds it along the whole path.
+        width bounds it along the whole path.  The samples on the grid
+        come from the sampler's expression, broadcast over the grid.
         """
         if np.shape(h0) != np.shape(h1):
             raise DimensionMismatch(f"endpoint shapes {np.shape(h0)} and {np.shape(h1)} differ")
         ends = hermitianize(require_hermitian([h0, h1]))
         h0, h1 = ends
-        times = cls._grid(t_final, steps, _half_width(ends))
+        times = cls._grid(t_final, steps, ends)
 
         def sampler(t: float) -> np.ndarray:
             x = t / t_final if t_final > 0 else 0.0
             return (1.0 - x) * h0 + x * h1
 
-        return cls(times=times, sampler=sampler)
+        x = (times / t_final if t_final > 0 else np.zeros_like(times))[:, None, None]
+        return cls._trusted(times, sampler, (1.0 - x) * h0 + x * h1)
 
 
 @dataclass
@@ -200,17 +222,21 @@ def evolve(psi0, path: HamiltonianPath) -> Trajectory:
     """Piecewise-constant-exponential integrator over the path's grid.
 
     Each step applies exp(-i H(t_k) dt_k) exactly, from one stacked
-    eigendecomposition of every sample.  Raises NotHermitian when a
-    sample is not Hermitian within TOL_HERM (each sample is then used by
-    its Hermitian part).  Raises GridTooCoarse when the
+    eigendecomposition of every sample.  A path from ``constant`` or
+    ``linear`` brings its checked samples; a caller's path is sampled
+    here, after psi0 is checked, and raises NotHermitian when a sample
+    is not Hermitian within TOL_HERM (each sample is then used by its
+    Hermitian part).  Raises GridTooCoarse when the
     half spectral width (lambda_max - lambda_min) / 2 times dt exceeds
     1, before any step is taken; warns once above 0.1.  A global shift
     of H changes only the phase and so does not move the guard.
     """
     psi0 = validate_state_vector(psi0)
     times = np.asarray(path.times, dtype=float)
-    h = hermitianize(require_hermitian([np.asarray(path.sampler(t), dtype=complex)
-                                        for t in times]))
+    h = path.samples
+    if h is None:
+        h = hermitianize(require_hermitian([np.asarray(path.sampler(t), dtype=complex)
+                                            for t in times]))
     states, w, v = _propagate(psi0, times, h)
     hpsi = np.einsum("kij,kj->ki", h, states)
     energy = np.einsum("ki,ki->k", states.conj(), hpsi).real

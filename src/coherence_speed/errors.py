@@ -50,7 +50,7 @@ class TooManyKraus(CoherenceSpeedError):
 
 
 class IncompleteKraus(CoherenceSpeedError):
-    """Kraus operators fail the completeness relation beyond tolerance."""
+    """Kraus operators hold a non-finite entry or fail the completeness relation beyond tolerance."""
 
 
 class GridTooCoarse(CoherenceSpeedError):

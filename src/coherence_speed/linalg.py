@@ -129,9 +129,11 @@ def validate_density(rho) -> np.ndarray:
 
 
 def validate_state_vector(psi) -> np.ndarray:
-    """Check unit norm; return the vector as complex128."""
+    """Check finite entries and unit norm; return the vector as complex128."""
     psi = np.asarray(psi, dtype=complex).reshape(-1)
     nrm = float(np.linalg.norm(psi))
+    if math.isnan(nrm):             # a NaN entry; NaN fails the `>` test below
+        raise InvalidState("state entries are not all finite")
     if abs(nrm - 1.0) > TOL_NORM:
         raise InvalidState(f"state norm {nrm!r} differs from 1 beyond {TOL_NORM:.1e}")
     return psi

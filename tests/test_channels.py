@@ -306,3 +306,16 @@ def test_ragged_channel_file_is_a_dimension_mismatch(tmp_path):
     path.write_text(json.dumps({"kraus": [[[[1, 0], [0, 0]], [[0, 0]]]]}))
     with pytest.raises(DimensionMismatch):
         load_channel(path)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.nan)], ids=["nan", "inf", "nan-imag"])
+def test_non_finite_kraus_entries_are_rejected(bad, tmp_path):
+    # a NaN completeness residual fails no `> tol` test, and dilate would
+    # then end in scipy's ValueError
+    ops = np.array([[[bad, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]], dtype=complex)
+    with pytest.raises(IncompleteKraus, match="not all finite"):
+        KrausChannel(ops)
+    path = tmp_path / "nan.json"
+    path.write_text(json.dumps({"kraus": [[[[np.nan, 0], [0, 0]], [[0, 0], [1, 0]]]]}))
+    with pytest.raises(IncompleteKraus, match="not all finite"):
+        load_channel(path)

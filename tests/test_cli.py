@@ -256,6 +256,29 @@ def test_ragged_channel_file_is_a_usage_error(tmp_path, capsys):
     assert "Traceback" not in captured.err
 
 
+def test_nan_kraus_entry_is_a_usage_error(tmp_path, capsys):
+    chan_path = tmp_path / "nan.json"
+    chan_path.write_text(json.dumps({"kraus": [[[[float("nan"), 0], [0, 0]], [[0, 0], [1, 0]]]]}))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"channel": {"channel": {"path": str(chan_path)}}}))
+    assert main(["channel", "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: channel {chan_path}: ")
+    assert "Traceback" not in captured.err
+
+
+def test_nan_state_amplitude_is_a_usage_error(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"qsl": {"spectrum": [0, 1], "t_steps": 3,
+                                       "state": {"amplitudes": [[float("nan"), 0], [1, 0]]}}}))
+    out = tmp_path / "qsl.csv"
+    assert main(["qsl", "--config", str(cfg), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: state amplitudes: ")
+    assert not out.exists()
+
+
 def test_csv_details_with_commas_stay_in_one_cell(tmp_path, capsys):
     out = tmp_path / "thm3.csv"
     assert main(["verify", "thm3", "--trials", "2", "--out", str(out)]) == 0

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from coherence_speed import dynamics
 from coherence_speed.dynamics import (
     HamiltonianPath,
     energy_uncertainty,
@@ -289,3 +290,72 @@ def test_near_hermitian_samples_evolve_as_their_hermitian_part():
     assert np.array_equal(raw.states, part.states)
     const = evolve(psi0, HamiltonianPath.constant(h, 1.0, steps=20))
     assert np.array_equal(const.states, part.states)
+
+
+def _package_paths():
+    rng = np.random.default_rng(69)
+    for d in range(1, 6):
+        for t_final in (0.0, 0.3, 1.0, 2.7):
+            for steps in (None, 1, 7, 20):
+                h0 = random_hermitian(d, rng, scale=0.5)
+                h1 = random_hermitian(d, rng, scale=0.5)
+                yield HamiltonianPath.linear(h0, h1, t_final, steps=steps)
+                yield HamiltonianPath.constant(h0, t_final, steps=steps)
+
+
+def test_package_paths_carry_the_samplers_stack_bit_for_bit():
+    for path in _package_paths():
+        want = np.array([path.sampler(t) for t in path.times])
+        assert path.samples.shape == want.shape == (len(path.times),) + want.shape[1:]
+        # tobytes: the sign of a zero entry counts too
+        assert path.samples.tobytes() == want.tobytes()
+
+
+def test_evolve_reads_the_stack_of_a_package_path(monkeypatch):
+    calls = []
+
+    def counted(fn):
+        def wrapper(*args):
+            calls.append(fn)
+            return fn(*args)
+        return wrapper
+
+    rng = np.random.default_rng(70)
+    h0, h1 = random_hermitian(3, rng, scale=0.5), random_hermitian(3, rng, scale=0.5)
+    psi0 = haar_random_state(3, rng)
+    paths = [HamiltonianPath.linear(h0, h1, 1.0, steps=20),
+             HamiltonianPath.constant(h0, 1.0, steps=20)]
+    monkeypatch.setattr(dynamics, "require_hermitian", counted(dynamics.require_hermitian))
+    for path in paths:
+        path.sampler = counted(path.sampler)
+        evolve(psi0, path)
+    assert calls == []
+    # a caller's path is sampled once per grid point and checked once
+    evolve(psi0, HamiltonianPath(times=paths[0].times, sampler=paths[0].sampler))
+    assert len(calls) == len(paths[0].times) + 1
+
+
+def test_a_given_step_count_needs_no_spectral_width(monkeypatch):
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a) or eigvalsh(a))
+    rng = np.random.default_rng(71)
+    h0, h1 = random_hermitian(3, rng), random_hermitian(3, rng)
+    HamiltonianPath.linear(h0, h1, 1.0, steps=20)
+    HamiltonianPath.constant(h0, 1.0, steps=20)
+    assert calls == []
+    HamiltonianPath.linear(h0, h1, 1.0)     # the default grid reads the width
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("build", [
+    lambda h: HamiltonianPath.constant(h, 0.0),
+    lambda h: HamiltonianPath.linear(h, 2.0 * h, 0.0),
+], ids=["constant", "linear"])
+@pytest.mark.parametrize("h", [np.eye(2), np.diag([0.0, 1.0])], ids=["flat", "gapped"])
+def test_zero_duration_gets_the_one_step_grid(build, h):
+    path = build(h)
+    np.testing.assert_array_equal(path.times, [0.0, 0.0])
+    psi0 = np.full(2, 1.0 / np.sqrt(2.0), dtype=complex)
+    traj = evolve(psi0, path)
+    np.testing.assert_array_equal(traj.states, [psi0, psi0])

@@ -9,7 +9,13 @@ from scipy.linalg import expm
 
 from coherence_speed import avgdist, battery, channels, coherence, dynamics, linalg, metrics
 from coherence_speed.channels import dilate, qutrit_equality_channel, random_channel
-from coherence_speed.errors import BadPermutation, DimensionMismatch, NotHermitian, NotPSD
+from coherence_speed.errors import (
+    BadPermutation,
+    DimensionMismatch,
+    InvalidState,
+    NotHermitian,
+    NotPSD,
+)
 from coherence_speed.linalg import (
     ORBIT_CHUNK,
     TOL_DEGEN,
@@ -29,6 +35,7 @@ from coherence_speed.linalg import (
     random_unitary,
     tensor,
     unitary_exp,
+    validate_state_vector,
 )
 from coherence_speed.metrics import affinity
 
@@ -458,3 +465,17 @@ def test_empty_blocks_are_rejected(build):
     # and would make the uniform superposition read as not maximally coherent
     with pytest.raises(ValueError, match="projector is empty"):
         build()
+
+
+@pytest.mark.parametrize("psi", [
+    [np.nan, 1.0],
+    [1.0, complex(0.0, np.nan)],
+    [np.inf, 0.0],
+    [complex(np.inf, np.nan), 0.0],
+], ids=["nan", "nan-imag", "inf", "inf-nan"])
+def test_non_finite_state_vector_is_rejected(psi):
+    # a NaN norm fails no `> tol` test, so only a finiteness check sees it
+    with pytest.raises(InvalidState):
+        validate_state_vector(psi)
+    with pytest.raises(InvalidState):
+        pure_density(psi)
