@@ -21,6 +21,7 @@ from .avgdist import (
 )
 from .battery import (
     BatteryConfig,
+    BatteryRun,
     WorkRecord,
     avg_extracted_work,
     drive_coherence,

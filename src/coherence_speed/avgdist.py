@@ -30,6 +30,7 @@ and ``battery.qudit_battery_bound``.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -111,11 +112,16 @@ def b_coefficient(levels, t: float) -> float:
     return _pair_cos_mean(lam, t)
 
 
+@functools.lru_cache(maxsize=64)
+def _upper_pairs(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """np.triu_indices(d, k=1), the level pairs m < n in row order, built once per d."""
+    return np.triu_indices(d, k=1)
+
+
 def _pair_cos_mean(lam: np.ndarray, t: float) -> float:
     d = len(lam)
-    diffs = lam[:, None] - lam[None, :]
-    iu = np.triu_indices(d, k=1)
-    return float(2.0 * np.sum(np.cos(diffs[iu] * t)) / (d * (d - 1)))
+    m, n = _upper_pairs(d)
+    return float(2.0 * np.sum(np.cos((lam[m] - lam[n]) * t)) / (d * (d - 1)))
 
 
 @dataclass(frozen=True)

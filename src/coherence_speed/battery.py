@@ -19,23 +19,30 @@ A diagonal state in that basis therefore yields no branch-averaged
 work, whatever the pulse does.
 
 ``simulate_battery`` samples eta(t_k), V(t_k) and H(t_k) once per grid
-point and runs the whole protocol as stacked arrays: the trajectory
-through the stacked propagator of ``dynamics.evolve``, whose
-eigendecomposition of H(t_k) = H_1 also serves the plus branch, one
-stacked ``eigh`` for the minus branch and one for the drive basis.  The
-single-step functions below (``avg_extracted_work``, ``drive_coherence``,
-``work_bound``) compute each row on its own and serve as its oracles.
+point and runs the whole protocol on the (N+1, 2) state vectors of the
+trajectory, which is pure by construction, so it forms no density matrix
+and no square root.  The trajectory comes from the stacked propagator of
+``dynamics.evolve``, whose eigendecomposition (w, U) of H(t_k) = H_1 also
+serves the plus branch; one stacked ``eigh`` gives the minus branch and
+one the drive basis.  A branch moves psi to phi = U (exp(-i w dt) * U† psi)
+and extracts eps (|psi_1|^2 - |phi_1|^2).  With a = V† psi in the drive
+basis, c_half_V = 1 - sum_m |a_m|^4 / ||psi||^2, since
+sqrt(rho) = rho / ||psi|| for rho = psi psi†.  The run comes back as
+columns, a ``BatteryRun``.  The single-step functions below
+(``avg_extracted_work``, ``drive_coherence``, ``work_bound``) compute
+each row on its own from the density matrix, through U rho U† and the
+square root inside ``c_half``, and serve as its oracles.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable
 
 import numpy as np
 
 from .avgdist import _closed_form, _orbit_mean
-from .coherence import _block_traces, c_half
+from .coherence import c_half
 from .dynamics import _propagate
 from .errors import DimensionMismatch, InvalidState, WindowTooWide
 from .linalg import (
@@ -45,7 +52,6 @@ from .linalg import (
     dagger,
     hermitian_eig,
     hermitianize,
-    matrix_sqrt_psd,
     require_hermitian,
     unitary_exp,
     validate_density,
@@ -180,29 +186,51 @@ def work_bound(rho_t, epsilon: float, eta_t: float, v_t: np.ndarray,
     return float(2.0 * epsilon * np.sin(x) * np.sqrt(drive_coherence(rho_t, v_t)))
 
 
-def _stacked_branch_work(rho, epsilon: float, w: np.ndarray, vecs: np.ndarray,
-                         dt: float) -> np.ndarray:
-    """_branch_work at every grid point from the branch eigendata (w, vecs)."""
-    u = (vecs * np.exp(-1j * w * dt)[:, None, :]) @ dagger(vecs)
-    rho_next = u @ rho @ dagger(u)
-    return epsilon * (rho - rho_next)[:, 1, 1].real    # Tr[|1><1| X] = X_11
+def _stacked_branch_work(psi: np.ndarray, epsilon: float, w: np.ndarray,
+                         vecs: np.ndarray, dt: float) -> np.ndarray:
+    """_branch_work at every grid point from the states psi (k, 2) and branch eigendata.
 
-
-def _stacked_drive_coherence(rho, v: np.ndarray) -> np.ndarray:
-    """drive_coherence at every grid point: c_half in the eigenbasis of each V(t_k).
-
-    n.sigma has the two levels +-1, so each eigenvector column is its own
-    block, P_m = v_m v_m†; block traces Tr[(P_m sqrt(rho) P_m)^2] are
-    formed as in c_half.
+    Only the |1> amplitude of phi = U (exp(-i w dt) * U† psi) enters
+    Tr[|1><1| (rho - rho_next)] = |psi_1|^2 - |phi_1|^2.
     """
-    _, basis = hermitian_eig(v)
-    cols = basis.swapaxes(-1, -2)[..., None]               # (k, m, d, 1)
-    _, traces = _block_traces(matrix_sqrt_psd(rho)[:, None], cols @ dagger(cols))
-    return np.maximum(0.0, 1.0 - traces.sum(axis=-1))
+    a = np.einsum("kji,kj->ki", vecs.conj(), psi)
+    phi1 = np.einsum("kj,kj->k", vecs[:, 1, :], np.exp(-1j * w * dt) * a)
+    return epsilon * (np.abs(psi[:, 1]) ** 2 - np.abs(phi1) ** 2)
 
 
-def simulate_battery(config: BatteryConfig, psi0) -> list[WorkRecord]:
-    """Evolve psi0 under H(t) = eps |1><1| + eta(t) V(t) and record work/bound rows.
+@dataclass(frozen=True)
+class BatteryRun:
+    """A battery protocol as columns: one read-only float array per WorkRecord field.
+
+    Indexing and iteration give WorkRecords, built on demand.
+    """
+
+    t: np.ndarray
+    pulse_value: np.ndarray
+    avg_work: np.ndarray
+    bound: np.ndarray
+    coherence: np.ndarray
+    cumulative_work: np.ndarray
+
+    def __post_init__(self) -> None:
+        for column in self._columns():
+            column.flags.writeable = False
+
+    def _columns(self) -> tuple[np.ndarray, ...]:
+        return tuple(getattr(self, f.name) for f in fields(self))
+
+    def __len__(self) -> int:
+        return len(self.t)
+
+    def __getitem__(self, k: int) -> WorkRecord:
+        return WorkRecord(*(float(column[k]) for column in self._columns()))
+
+    def __iter__(self):
+        return map(WorkRecord, *(column.tolist() for column in self._columns()))
+
+
+def simulate_battery(config: BatteryConfig, psi0) -> BatteryRun:
+    """Evolve psi0 under H(t) = eps |1><1| + eta(t) V(t) and record work/bound columns.
 
     The trajectory uses the piecewise-constant exponential on the
     uniform grid 0..tau step dt; each row reports the branch-averaged
@@ -219,15 +247,15 @@ def simulate_battery(config: BatteryConfig, psi0) -> list[WorkRecord]:
     etas = np.array([float(config.pulse(t)) for t in times])
     drive = spin_operator([config.drive_axis(t) for t in times])
     h0 = config.epsilon * _P1
-    states, w, vecs = _propagate(psi0, times, require_hermitian(h0 + etas[:, None, None] * drive))
-    rho = states[:, :, None] * states.conj()[:, None, :]
+    psi, w, vecs = _propagate(psi0, times, require_hermitian(h0 + etas[:, None, None] * drive))
     w_minus, vecs_minus = hermitian_eig(h0 - etas[:, None, None] * drive)
-    work = 0.5 * (_stacked_branch_work(rho, config.epsilon, w, vecs, config.dt)
-                  + _stacked_branch_work(rho, config.epsilon, w_minus, vecs_minus, config.dt))
-    coh = _stacked_drive_coherence(rho, drive)
+    work = 0.5 * (_stacked_branch_work(psi, config.epsilon, w, vecs, config.dt)
+                  + _stacked_branch_work(psi, config.epsilon, w_minus, vecs_minus, config.dt))
+    # |a_m|^2 in the drive basis; their sum is ||psi||^2
+    a2 = np.abs(np.einsum("kji,kj->ki", hermitian_eig(drive)[1].conj(), psi)) ** 2
+    coh = np.maximum(0.0, 1.0 - (a2 * a2).sum(axis=1) / a2.sum(axis=1))
     bound = 2.0 * config.epsilon * np.sin(etas * config.dt) * np.sqrt(coh)
-    columns = (times, etas, work, bound, coh, np.cumsum(work))
-    return [WorkRecord(*row) for row in zip(*(c.tolist() for c in columns))]
+    return BatteryRun(times, etas, work, bound, coh, np.cumsum(work))
 
 
 def qudit_battery_bound(rho, h0, v, dt: float) -> tuple[float, float]:

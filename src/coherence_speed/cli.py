@@ -232,9 +232,9 @@ def _axis(spec, tau: float):
     return constant_axis(vec / norm)
 
 
-def _finish(rows: list[dict], meta: dict, fmt: str, out, failure: str | None) -> int:
-    """Write a report command's rows; print its failure line, if any, and return the exit code."""
-    write_report(render_report(rows, meta, fmt), out)
+def _finish(table, meta: dict, fmt: str, out, failure: str | None) -> int:
+    """Write a report command's table; print its failure line, if any, and return the exit code."""
+    write_report(render_report(table, meta, fmt), out)
     if out:
         print(f"report written to {out}")
     if failure is None:
@@ -329,15 +329,15 @@ def _cmd_battery(ns, config: dict) -> int:
     bat = BatteryConfig(epsilon=epsilon, tau=tau, dt=dt,
                         pulse=_PULSES[pulse_name](eta_max, tau),
                         drive_axis=_axis(axis_spec, tau))
-    records = simulate_battery(bat, psi0)
-    rows = [{"t": r.t, "eta": r.pulse_value, "avg_work": r.avg_work,
-             "bound": r.bound, "coherence": r.coherence,
-             "cumulative_work": r.cumulative_work} for r in records]
-    worst = max(abs(r.avg_work) - r.bound for r in records)
+    run = simulate_battery(bat, psi0)
+    columns = {"t": run.t, "eta": run.pulse_value, "avg_work": run.avg_work,
+               "bound": run.bound, "coherence": run.coherence,
+               "cumulative_work": run.cumulative_work}
+    worst = float(np.max(np.abs(run.avg_work) - run.bound))
     meta = _metadata("battery", seed, tol, epsilon=epsilon, eta_max=eta_max,
                      tau=tau, dt=dt, pulse=pulse_name,
                      axis=_state_label(axis_spec), state=_state_label(state_spec))
-    return _finish(rows, meta, fmt, out,
+    return _finish(columns, meta, fmt, out,
                    f"battery: work exceeded its ceiling by {worst:.3e}" if worst > tol else None)
 
 

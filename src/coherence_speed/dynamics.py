@@ -68,7 +68,8 @@ class HamiltonianPath:
     not Hermitian within TOL_HERM, then keep its Hermitian part; the
     paths they build carry ``samples``, the (N+1, d, d) stack of H(t_k)
     on ``times``, and ``evolve`` trusts it (so a new grid needs a new
-    path, not a reassigned ``times``).  A path built as
+    path, not a reassigned ``times``; ``evolve`` raises DimensionMismatch
+    when the lengths differ).  A path built as
     ``HamiltonianPath(times, sampler)`` has ``samples`` None: ``evolve``
     samples it on its grid and checks the samples.
     """
@@ -226,7 +227,8 @@ def evolve(psi0, path: HamiltonianPath) -> Trajectory:
     ``linear`` brings its checked samples; a caller's path is sampled
     here, after psi0 is checked, and raises NotHermitian when a sample
     is not Hermitian within TOL_HERM (each sample is then used by its
-    Hermitian part).  Raises GridTooCoarse when the
+    Hermitian part).  Raises DimensionMismatch when a package path's
+    ``times`` was reassigned to a grid of another length.  Raises GridTooCoarse when the
     half spectral width (lambda_max - lambda_min) / 2 times dt exceeds
     1, before any step is taken; warns once above 0.1.  A global shift
     of H changes only the phase and so does not move the guard.
@@ -237,6 +239,9 @@ def evolve(psi0, path: HamiltonianPath) -> Trajectory:
     if h is None:
         h = hermitianize(require_hermitian([np.asarray(path.sampler(t), dtype=complex)
                                             for t in times]))
+    elif len(h) != len(times):
+        raise DimensionMismatch(f"path holds {len(h)} samples for a grid of {len(times)} "
+                                "points; build a new path for a new grid")
     states, w, v = _propagate(psi0, times, h)
     hpsi = np.einsum("kij,kj->ki", h, states)
     energy = np.einsum("ki,ki->k", states.conj(), hpsi).real

@@ -39,18 +39,30 @@ def _meta_line(key: str, value) -> str:
     return f"# {key}: {value}"
 
 
-def format_csv(rows: list[dict], metadata: dict) -> str:
+def _column_cells(values) -> list[str]:
+    """The cells of one column; an all-float column is formatted in one C-level map."""
+    if isinstance(values, np.ndarray):
+        values = values.tolist()
+    if set(map(type, values)) <= {float}:
+        return list(map("%.17g".__mod__, values))
+    return list(map(_cell, values))
+
+
+def format_csv(table, metadata: dict) -> str:
     """'#'-headed metadata, one unprefixed column row, then data rows.
 
-    The columns are the keys of the first row.  Cells holding a comma or
-    a quote are quoted, so every row has one cell per column.
+    The table is a list of row dicts, whose columns are the keys of the
+    first row, or a dict of equal-length columns (sequences or arrays).
+    Cells holding a comma or a quote are quoted, so every row has one
+    cell per column.
     """
-    columns = list(rows[0]) if rows else []
+    columns = table if isinstance(table, dict) else {
+        c: [row.get(c) for row in table] for c in (table[0] if table else ())}
     buf = io.StringIO()
     buf.writelines(_meta_line(k, v) + "\n" for k, v in metadata.items())
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow([str(c) for c in columns])
-    writer.writerows([_cell(row.get(c)) for c in columns] for row in rows)
+    writer.writerows(zip(*map(_column_cells, columns.values())))
     return buf.getvalue()
 
 
@@ -70,19 +82,23 @@ def _json_default(obj):
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
-def format_json(rows: list[dict], metadata: dict) -> str:
+def format_json(table, metadata: dict) -> str:
     """Rows as an array of objects plus a metadata object.
 
-    Complex numbers serialize as [re, im]; missing values as null.
+    The table is as for format_csv.  Complex numbers serialize as
+    [re, im]; missing values as null.
     """
-    doc = {"metadata": metadata, "rows": rows}
+    if isinstance(table, dict):
+        values = (c.tolist() if isinstance(c, np.ndarray) else c for c in table.values())
+        table = [dict(zip(table, row)) for row in zip(*values)]
+    doc = {"metadata": metadata, "rows": table}
     return json.dumps(doc, indent=2, default=_json_default) + "\n"
 
 
-def render_report(rows: list[dict], metadata: dict, fmt: str) -> str:
+def render_report(table, metadata: dict, fmt: str) -> str:
     if fmt == "json":
-        return format_json(rows, metadata)
-    return format_csv(rows, metadata)
+        return format_json(table, metadata)
+    return format_csv(table, metadata)
 
 
 def write_report(text: str, out: str | None) -> None:

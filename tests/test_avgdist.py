@@ -290,3 +290,20 @@ def test_each_entry_validates_its_state_once(monkeypatch):
     # the private paths give the public values bit for bit
     assert res.coherence == c_half(rho, ham.decomposition)
     assert res.brute_force == avg_distance_bruteforce(rho, ham, 1.3)
+
+
+def _pairwise_cos_mean(lam, t):
+    d = len(lam)
+    gaps = np.array([lam[m] - lam[n] for m in range(d) for n in range(m + 1, d)])
+    return float(2.0 * np.sum(np.cos(gaps * t)) / (d * (d - 1)))
+
+
+def test_coefficients_equal_a_pairwise_sum_bit_for_bit():
+    # level counts interleaved, so every call after the first of a count reuses its pair index
+    rng = np.random.default_rng(95)
+    spectra = [_spread_spectrum(rng, d) for d in (2, 5, 3, 8, 4, 2, 7, 5, 6, 3)]
+    for t in np.linspace(-3.0, 11.0, 29):
+        for lam in spectra:
+            want = _pairwise_cos_mean(lam, float(t)).hex()
+            assert a_coefficient(lam[::-1], float(t)).hex() == want
+            assert b_coefficient(lam, float(t)).hex() == want

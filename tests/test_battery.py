@@ -1,5 +1,6 @@
 """Branch-averaged work extraction and its coherence ceiling."""
 
+import dataclasses
 import itertools
 
 import numpy as np
@@ -7,6 +8,8 @@ import pytest
 
 from coherence_speed.battery import (
     BatteryConfig,
+    BatteryRun,
+    WorkRecord,
     avg_extracted_work,
     constant_axis,
     drive_coherence,
@@ -215,3 +218,58 @@ def test_battery_rows_match_the_single_step_oracles():
             assert abs(rec.bound - work_bound(rho, eps, eta, v, dt)) <= 1e-14
         np.testing.assert_array_equal([r.cumulative_work for r in records],
                                       np.cumsum([r.avg_work for r in records]))
+
+
+@pytest.mark.parametrize("state, axis", [(GROUND, constant_axis((1.0, 0.0, 0.0))),
+                                         (np.array([1.0, 1.0j]) / np.sqrt(2.0), rotating_axis(1.0))],
+                         ids=["x-ground", "rotating-xy-circular"])
+def test_every_row_matches_the_density_matrix_oracles(state, axis):
+    # the default pulse; the oracles take rho = psi psi† through U rho U† and c_half's sqrt
+    config = BatteryConfig(epsilon=1.0, tau=1.0, dt=1e-3, pulse=sin2_pulse(1.0, 1.0),
+                           drive_axis=axis)
+    run = simulate_battery(config, state)
+    traj = evolve(state, HamiltonianPath(
+        times=run.t, sampler=lambda t: P1 + config.pulse(t) * spin_operator(axis(t))))
+    for k, psi in enumerate(traj.states):
+        rho = np.outer(psi, psi.conj())
+        eta, v = float(config.pulse(run.t[k])), spin_operator(axis(run.t[k]))
+        assert run.pulse_value[k] == eta
+        assert abs(run.avg_work[k] - avg_extracted_work(rho, 1.0, eta, v, 1e-3)) <= 1e-14
+        assert abs(run.coherence[k] - drive_coherence(rho, v)) <= 1e-14
+        assert abs(run.bound[k] - work_bound(rho, 1.0, eta, v, 1e-3)) <= 1e-14
+
+
+def test_rows_without_drive_extract_no_work():
+    # the pulse vanishes at both ends (exactly or to 1e-30); both branches are then the bare storage term
+    tau, pulses, states, axes = _battery_grid()
+    for (_, pulse), (_, psi0), (_, axis) in itertools.product(pulses, states, axes):
+        run = simulate_battery(BatteryConfig(1.0, tau, 1e-3, pulse, axis), psi0)
+        for k in (0, -1):
+            assert run.pulse_value[k] < 1e-30
+            assert abs(run.avg_work[k]) <= 1e-15
+            assert run.bound[k] <= 1e-30
+
+
+def test_battery_run_is_read_only_columns_that_index_as_records():
+    run = simulate_battery(BatteryConfig(1.0, 1.0, 0.05, sin2_pulse(1.0, 1.0),
+                                         rotating_axis(1.0)), PLUS)
+    names = [f.name for f in dataclasses.fields(WorkRecord)]
+    assert [f.name for f in dataclasses.fields(BatteryRun)] == names
+    assert len(run) == 21
+    records = list(run)
+    assert len(records) == 21
+    for k in (0, 7, 20, -1):
+        rec = run[k]
+        assert type(rec) is WorkRecord and rec == records[k]
+        for name in names:
+            value = getattr(rec, name)
+            assert type(value) is float and value == getattr(run, name)[k]
+    with pytest.raises(IndexError):
+        run[21]
+    for name in names:
+        column = getattr(run, name)
+        assert column.shape == (21,) and column.dtype == float
+        with pytest.raises(ValueError):
+            column[0] = 1.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        run.avg_work = np.zeros(21)

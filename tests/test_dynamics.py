@@ -359,3 +359,10 @@ def test_zero_duration_gets_the_one_step_grid(build, h):
     psi0 = np.full(2, 1.0 / np.sqrt(2.0), dtype=complex)
     traj = evolve(psi0, path)
     np.testing.assert_array_equal(traj.states, [psi0, psi0])
+
+
+def test_a_reassigned_grid_of_another_length_is_refused():
+    path = HamiltonianPath.constant(np.diag([0.0, 1.0]), 1.0, steps=10)
+    path.times = np.linspace(0.0, 1.0, 21)
+    with pytest.raises(DimensionMismatch, match="11 samples for a grid of 21 points"):
+        evolve(np.array([1.0, 0.0]), path)

@@ -1,15 +1,18 @@
 """The check registry itself: determinism, overrides, registry."""
 
 import inspect
+import itertools
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import coherence_speed.verification as verification
 from coherence_speed.errors import UnknownSuite
 from coherence_speed.verification import (
     SUITES,
     CheckResult,
+    _block_diag,
     check_additivity,
     check_benchmark_identity,
     check_coefficient_grid,
@@ -206,3 +209,16 @@ def test_thm2_takes_a_callers_dim_as_a_floor_and_names_the_dimensions_it_ran(dim
     assert res.passed, res.line()
     assert res.detail == f"ran d = {list(range(low, 11))}"
     assert check_thm2_equality(seed=0, trials=20).detail == ""
+
+
+def test_block_diag_equals_scipy_for_mixed_sizes_and_dtypes():
+    rng = np.random.default_rng(96)
+    complex_block = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+    blocks = [rng.normal(size=(2, 2)), complex_block, np.arange(4, dtype=np.int32).reshape(1, 4),
+              np.ones((3, 1), dtype=np.float32), np.zeros((2, 2))]
+    for k in range(1, len(blocks) + 1):
+        for chosen in itertools.permutations(blocks, k):
+            want = scipy.linalg.block_diag(*chosen)
+            got = _block_diag(*chosen)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
