@@ -10,12 +10,9 @@ the eigenspace weights r_m = ||P_m psi||^2 and the level gaps:
 with DeltaH the energy spread of the state.  Both routes are computed
 independently here so the identity can be checked rather than assumed.
 
-A ``HamiltonianPath`` built by ``constant`` or ``linear`` carries its
-(N+1, d, d) stack of samples H(t_k), built with one broadcast from the
-checked endpoints and trusted from then on.  A caller's path
-``HamiltonianPath(times, sampler)`` carries none: ``evolve`` samples it
-at every grid point and checks the stack once.  ``evolve`` diagonalizes
-the stack with one stacked ``eigh``; the step unitaries
+A ``HamiltonianPath`` is an immutable time grid and its (N+1, d, d)
+stack of samples H(t_k), checked once where it is built.  ``evolve``
+diagonalizes the stack with one stacked ``eigh``; the step unitaries
 V exp(-i w dt) V† are formed as a stack, so Python runs only the
 sequential mat-vec.  Speeds and spreads along the trajectory come from
 the same stacked eigendata and dense stack, by the rules of
@@ -26,8 +23,7 @@ oracles).  The stacks hold about 48 N d^2 bytes.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
-from typing import Callable
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -60,26 +56,58 @@ def _half_width(h: np.ndarray) -> float:
     return float((w[..., -1] - w[..., 0]).max()) / 2.0
 
 
-@dataclass
-class HamiltonianPath:
-    """Time grid plus a sampler t -> H(t) (dense Hermitian matrix).
+def _finite_times(times) -> np.ndarray:
+    """A float copy of times; ValueError unless every entry is finite."""
+    times = np.array(times, dtype=float)
+    if not np.isfinite(times).all():
+        raise ValueError("grid times are not all finite")
+    return times
 
-    ``constant`` and ``linear`` raise NotHermitian on a matrix that is
-    not Hermitian within TOL_HERM, then keep its Hermitian part; the
-    paths they build carry ``samples``, the (N+1, d, d) stack of H(t_k)
-    on ``times``, and ``evolve`` trusts it (so a new grid needs a new
-    path, not a reassigned ``times``; ``evolve`` raises DimensionMismatch
-    when the lengths differ).  A path built as
-    ``HamiltonianPath(times, sampler)`` has ``samples`` None: ``evolve``
-    samples it on its grid and checks the samples.
+
+def _linear_samples(ends: np.ndarray, t_final: float, times: np.ndarray) -> np.ndarray:
+    """(1 - t/T) H0 + (t/T) H1 at every t of times, in one broadcast (t/T = 0 when T <= 0)."""
+    x = (times / t_final if t_final > 0 else np.zeros_like(times))[:, None, None]
+    return (1.0 - x) * ends[0] + x * ends[1]
+
+
+@dataclass(frozen=True, eq=False)
+class HamiltonianPath:
+    """A time grid ``times`` (N+1,) and the samples H(t_k) ``samples`` (N+1, d, d), read-only.
+
+    ``HamiltonianPath(times, samples)`` checks a caller's input once:
+    ValueError unless ``times`` is 1-D and finite, DimensionMismatch
+    unless there is one square sample per grid point, NotHermitian when
+    a sample is not Hermitian within TOL_HERM; the samples are kept by
+    their Hermitian part.  ``constant`` and ``linear`` check their
+    matrices the same way and do not check the stack they build.
     """
 
     times: np.ndarray
-    sampler: Callable[[float], np.ndarray]
-    samples: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
+    samples: np.ndarray
+
+    def __post_init__(self) -> None:
+        times = _finite_times(self.times)
+        if times.ndim != 1:
+            raise ValueError(f"grid times must be one-dimensional, got shape {times.shape}")
+        samples = require_hermitian(self.samples)
+        if samples.shape[:-2] != times.shape:
+            raise DimensionMismatch(f"samples {samples.shape} for a grid of {len(times)} points")
+        self._store(times, hermitianize(samples))
+
+    def _store(self, times: np.ndarray, samples: np.ndarray) -> "HamiltonianPath":
+        for name, array in (("times", times), ("samples", samples)):
+            array.flags.writeable = False
+            object.__setattr__(self, name, array)
+        return self
+
+    @classmethod
+    def _trusted(cls, times: np.ndarray, samples: np.ndarray) -> "HamiltonianPath":
+        """A path whose samples on ``times`` the package built from checked matrices."""
+        return cls.__new__(cls)._store(times, samples)
 
     @staticmethod
     def _grid(t_final: float, steps: int | None, h: np.ndarray) -> np.ndarray:
+        _finite_times(t_final)
         if steps is None:
             # default grid: half spectral width * dt <= 0.01; one step for a
             # flat spectrum, whatever the duration (dt = 0 when t_final is)
@@ -89,39 +117,23 @@ class HamiltonianPath:
         return np.linspace(0.0, t_final, steps + 1)
 
     @classmethod
-    def _trusted(cls, times: np.ndarray, sampler: Callable[[float], np.ndarray],
-                 samples: np.ndarray) -> "HamiltonianPath":
-        """A path whose samples on ``times`` the package built from checked matrices."""
-        path = cls(times=times, sampler=sampler)
-        path.samples = samples
-        return path
-
-    @classmethod
     def constant(cls, h, t_final: float, *, steps: int | None = None) -> "HamiltonianPath":
         h = hermitianize(require_hermitian(h))
         times = cls._grid(t_final, steps, h)
-        return cls._trusted(times, lambda t: h, np.broadcast_to(h, (len(times),) + h.shape))
+        return cls._trusted(times, np.broadcast_to(h, (len(times),) + h.shape))
 
     @classmethod
     def linear(cls, h0, h1, t_final: float, *, steps: int | None = None) -> "HamiltonianPath":
         """Linear interpolation H(t) = (1 - t/T) H0 + (t/T) H1.
 
         The spectral width is convex in H, so the larger endpoint half
-        width bounds it along the whole path.  The samples on the grid
-        come from the sampler's expression, broadcast over the grid.
+        width bounds it along the whole path.
         """
         if np.shape(h0) != np.shape(h1):
             raise DimensionMismatch(f"endpoint shapes {np.shape(h0)} and {np.shape(h1)} differ")
         ends = hermitianize(require_hermitian([h0, h1]))
-        h0, h1 = ends
         times = cls._grid(t_final, steps, ends)
-
-        def sampler(t: float) -> np.ndarray:
-            x = t / t_final if t_final > 0 else 0.0
-            return (1.0 - x) * h0 + x * h1
-
-        x = (times / t_final if t_final > 0 else np.zeros_like(times))[:, None, None]
-        return cls._trusted(times, sampler, (1.0 - x) * h0 + x * h1)
+        return cls._trusted(times, _linear_samples(ends, t_final, times))
 
 
 @dataclass
@@ -223,30 +235,17 @@ def evolve(psi0, path: HamiltonianPath) -> Trajectory:
     """Piecewise-constant-exponential integrator over the path's grid.
 
     Each step applies exp(-i H(t_k) dt_k) exactly, from one stacked
-    eigendecomposition of every sample.  A path from ``constant`` or
-    ``linear`` brings its checked samples; a caller's path is sampled
-    here, after psi0 is checked, and raises NotHermitian when a sample
-    is not Hermitian within TOL_HERM (each sample is then used by its
-    Hermitian part).  Raises DimensionMismatch when a package path's
-    ``times`` was reassigned to a grid of another length.  Raises GridTooCoarse when the
-    half spectral width (lambda_max - lambda_min) / 2 times dt exceeds
-    1, before any step is taken; warns once above 0.1.  A global shift
-    of H changes only the phase and so does not move the guard.
+    eigendecomposition of the path's samples.  Raises GridTooCoarse when
+    the half spectral width (lambda_max - lambda_min) / 2 times dt
+    exceeds 1, before any step is taken; warns once above 0.1.  A global
+    shift of H changes only the phase and so does not move the guard.
     """
     psi0 = validate_state_vector(psi0)
-    times = np.asarray(path.times, dtype=float)
-    h = path.samples
-    if h is None:
-        h = hermitianize(require_hermitian([np.asarray(path.sampler(t), dtype=complex)
-                                            for t in times]))
-    elif len(h) != len(times):
-        raise DimensionMismatch(f"path holds {len(h)} samples for a grid of {len(times)} "
-                                "points; build a new path for a new grid")
-    states, w, v = _propagate(psi0, times, h)
-    hpsi = np.einsum("kij,kj->ki", h, states)
+    states, w, v = _propagate(psi0, path.times, path.samples)
+    hpsi = np.einsum("kij,kj->ki", path.samples, states)
     energy = np.einsum("ki,ki->k", states.conj(), hpsi).real
     uncerts = np.linalg.norm(hpsi - energy[:, None] * states, axis=1)
-    return Trajectory(times=times, states=states, speeds=_stacked_speeds(w, v, states),
+    return Trajectory(times=path.times, states=states, speeds=_stacked_speeds(w, v, states),
                       uncertainties=uncerts)
 
 

@@ -74,6 +74,7 @@ from .coherence import c_half, c_l1, closest_incoherent, is_refinement
 from .dynamics import (
     HamiltonianPath,
     Trajectory,
+    _linear_samples,
     energy_uncertainty,
     evolve,
     finite_difference_speed,
@@ -86,6 +87,7 @@ from .linalg import (
     SpectralHamiltonian,
     dagger,
     haar_random_state,
+    hermitianize,
     orbit_operators,
     partial_trace,
     pure_density,
@@ -582,23 +584,20 @@ def check_fd_convergence(rng, trials, dims, tol):
     # pass through t_mid exactly
     t_final, t_mid, dt_fine = 0.2, 0.1, 2.5e-5
     dts = (1e-3, 5e-4, 2.5e-4)
-    steps = int(round(t_final / dt_fine))
+    times = np.linspace(0.0, t_final, int(round(t_final / dt_fine)) + 1)
     k_fine = int(round(t_mid / dt_fine))
     ratios = []
     for _ in range(trials):
         for _ in range(20):
             d = dims(rng=rng)
-            h0 = np.asarray(_nondegenerate_ham(rng, d).matrix())
-            h1 = np.asarray(_nondegenerate_ham(rng, d).matrix())
-            base = HamiltonianPath.linear(h0, h1, t_final, steps=steps)
-            shifted = HamiltonianPath(
-                times=base.times, sampler=lambda t: base.sampler(t + dt_fine / 2.0))
+            ends = hermitianize(np.array([_nondegenerate_ham(rng, d).matrix() for _ in range(2)]))
+            shifted = HamiltonianPath(times, _linear_samples(ends, t_final, times + dt_fine / 2.0))
             traj = evolve(haar_random_state(d, rng), shifted)
             slope = (traj.speeds[k_fine + 1] - traj.speeds[k_fine - 1]) / (2.0 * dt_fine)
             if abs(slope) >= _FD_SLOPE_FLOOR:
                 break
-        ref = instantaneous_speed(traj.states[k_fine],
-                                  SpectralHamiltonian.from_matrix(base.sampler(t_mid)))
+        h_mid = _linear_samples(ends, t_final, np.array([t_mid]))[0]
+        ref = instantaneous_speed(traj.states[k_fine], SpectralHamiltonian.from_matrix(h_mid))
         errs = []
         for dt in dts:
             stride = int(round(dt / dt_fine))

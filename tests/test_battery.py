@@ -207,7 +207,7 @@ def test_battery_rows_match_the_single_step_oracles():
         records = simulate_battery(config, psi0)
         times = np.linspace(0.0, tau, len(records))
         traj = evolve(psi0, HamiltonianPath(
-            times=times, sampler=lambda t: eps * P1 + pulse(t) * spin_operator(axis(t))))
+            times, [eps * P1 + pulse(t) * spin_operator(axis(t)) for t in times]))
         for k in range(0, len(records), 25):
             rec, t = records[k], times[k]
             rho = np.outer(traj.states[k], traj.states[k].conj())
@@ -229,7 +229,7 @@ def test_every_row_matches_the_density_matrix_oracles(state, axis):
                            drive_axis=axis)
     run = simulate_battery(config, state)
     traj = evolve(state, HamiltonianPath(
-        times=run.t, sampler=lambda t: P1 + config.pulse(t) * spin_operator(axis(t))))
+        run.t, [P1 + config.pulse(t) * spin_operator(axis(t)) for t in run.t]))
     for k, psi in enumerate(traj.states):
         rho = np.outer(psi, psi.conj())
         eta, v = float(config.pulse(run.t[k])), spin_operator(axis(run.t[k]))

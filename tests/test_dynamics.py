@@ -1,5 +1,6 @@
 """Piecewise-constant propagation and the instantaneous-speed identity."""
 
+import dataclasses
 import warnings
 
 import numpy as np
@@ -93,8 +94,7 @@ def test_grid_too_coarse_rejected():
     h = 50.0 * np.diag([-1.0, 1.0]).astype(complex)
     psi = np.array([1, 0], dtype=complex)
     with pytest.raises(GridTooCoarse):
-        evolve(psi, HamiltonianPath(times=np.array([0.0, 0.5, 1.0]),
-                                    sampler=lambda t: h))
+        evolve(psi, HamiltonianPath(times=np.array([0.0, 0.5, 1.0]), samples=[h, h, h]))
 
 
 def test_qubit_closed_form_matches_hellinger():
@@ -121,9 +121,10 @@ def test_linear_path_interpolates_endpoints():
     h0 = np.diag([0.0, 1.0]).astype(complex)
     h1 = np.diag([1.0, 0.0]).astype(complex)
     path = HamiltonianPath.linear(h0, h1, 2.0, steps=20)
-    assert np.max(np.abs(path.sampler(0.0) - h0)) < 1e-15
-    assert np.max(np.abs(path.sampler(2.0) - h1)) < 1e-15
-    assert np.max(np.abs(path.sampler(1.0) - (h0 + h1) / 2.0)) < 1e-15
+    assert path.times[10] == 1.0
+    assert np.max(np.abs(path.samples[0] - h0)) < 1e-15
+    assert np.max(np.abs(path.samples[20] - h1)) < 1e-15
+    assert np.max(np.abs(path.samples[10] - (h0 + h1) / 2.0)) < 1e-15
 
 
 def test_trajectory_records_speeds_and_uncertainties():
@@ -141,7 +142,7 @@ def _literal_evolve(psi0, path):
     states, speeds, spreads = [np.asarray(psi0, dtype=complex)], [], []
     times = path.times
     for k, t in enumerate(times):
-        h_k = hermitianize(np.asarray(path.sampler(t), dtype=complex))
+        h_k = path.samples[k]
         ham_k = SpectralHamiltonian.from_matrix(h_k)
         speeds.append(instantaneous_speed(states[k], ham_k))
         spreads.append(energy_uncertainty(states[k], h_k))
@@ -193,8 +194,8 @@ def test_near_degenerate_levels_merge_in_the_stacked_speeds():
 
 def _expm_product(path, psi0):
     psi = np.asarray(psi0, dtype=complex)
-    for t0, t1 in zip(path.times[:-1], path.times[1:]):
-        psi = scipy.linalg.expm(-1j * (t1 - t0) * path.sampler(t0)) @ psi
+    for t0, t1, h in zip(path.times[:-1], path.times[1:], path.samples):
+        psi = scipy.linalg.expm(-1j * (t1 - t0) * h) @ psi
     return psi
 
 
@@ -238,17 +239,13 @@ def test_default_grid_does_not_depend_on_a_global_shift():
 def test_coarse_grid_raises_before_any_step_and_warns_once():
     h = np.diag([-1.0, 1.0]).astype(complex)
     psi = np.array([1, 0], dtype=complex)
-    calls = []
-
-    def sampler(t):
-        calls.append(t)
-        return h if t < 0.5 else 40.0 * h
-
+    times = np.linspace(0.0, 1.0, 11)
+    # only the last samples are coarse: the guard sees the whole grid first
+    path = HamiltonianPath(times, [h if t < 0.5 else 40.0 * h for t in times])
     with pytest.raises(GridTooCoarse, match="half spectral width"):
-        evolve(psi, HamiltonianPath(times=np.linspace(0.0, 1.0, 11), sampler=sampler))
-    assert len(calls) == 11          # the guard sees the whole grid, sampled once
+        evolve(psi, path)
     with pytest.warns(UserWarning, match="half spectral width") as record:
-        evolve(psi, HamiltonianPath(times=np.linspace(0.0, 1.0, 6), sampler=lambda t: h))
+        evolve(psi, HamiltonianPath(np.linspace(0.0, 1.0, 6), np.broadcast_to(h, (6, 2, 2))))
     assert len(record) == 1          # five coarse steps, one warning
 
 
@@ -257,7 +254,7 @@ _SKEW = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
 
 @pytest.mark.parametrize("build", [
     lambda: evolve(np.array([1.0, 0.0]),
-                   HamiltonianPath(times=np.linspace(0.0, 1.0, 11), sampler=lambda t: _SKEW)),
+                   HamiltonianPath(np.linspace(0.0, 1.0, 11), np.broadcast_to(_SKEW, (11, 2, 2)))),
     lambda: HamiltonianPath.constant(_SKEW, 1.0, steps=10),
     lambda: HamiltonianPath.linear(_SKEW, np.eye(2), 1.0, steps=10),
     lambda: HamiltonianPath.linear(np.eye(2), _SKEW, 1.0, steps=10),
@@ -269,10 +266,14 @@ def test_non_hermitian_input_rejected_before_hermitianizing(build):
         build()
 
 
+def test_a_callers_non_hermitian_sample_raises_at_construction():
+    with pytest.raises(NotHermitian, match=r"1\.000e\+00"):
+        HamiltonianPath(np.linspace(0.0, 1.0, 3), [np.eye(2), _SKEW, np.eye(2)])
+
+
 def test_non_square_input_rejected():
     with pytest.raises(DimensionMismatch):
-        evolve(np.array([1.0, 0.0]), HamiltonianPath(times=np.linspace(0.0, 1.0, 3),
-                                                     sampler=lambda t: np.zeros((2, 3))))
+        HamiltonianPath(times=np.linspace(0.0, 1.0, 3), samples=np.zeros((3, 2, 3)))
     with pytest.raises(DimensionMismatch):
         HamiltonianPath.constant(np.zeros(2), 1.0, steps=2)
     with pytest.raises(DimensionMismatch):
@@ -285,54 +286,66 @@ def test_near_hermitian_samples_evolve_as_their_hermitian_part():
     h[0, 2] += 1e-12            # within TOL_HERM
     psi0 = haar_random_state(3, rng)
     times = np.linspace(0.0, 1.0, 21)
-    raw = evolve(psi0, HamiltonianPath(times=times, sampler=lambda t: h))
-    part = evolve(psi0, HamiltonianPath(times=times, sampler=lambda t: hermitianize(h)))
+    raw = evolve(psi0, HamiltonianPath(times, [h] * 21))
+    part = evolve(psi0, HamiltonianPath(times, [hermitianize(h)] * 21))
     assert np.array_equal(raw.states, part.states)
     const = evolve(psi0, HamiltonianPath.constant(h, 1.0, steps=20))
     assert np.array_equal(const.states, part.states)
 
 
 def _package_paths():
+    """Package paths, each with a scalar rebuild of its stack, one grid point at a time."""
     rng = np.random.default_rng(69)
     for d in range(1, 6):
         for t_final in (0.0, 0.3, 1.0, 2.7):
             for steps in (None, 1, 7, 20):
                 h0 = random_hermitian(d, rng, scale=0.5)
                 h1 = random_hermitian(d, rng, scale=0.5)
-                yield HamiltonianPath.linear(h0, h1, t_final, steps=steps)
-                yield HamiltonianPath.constant(h0, t_final, steps=steps)
+                e0, e1 = hermitianize(h0), hermitianize(h1)
+                path = HamiltonianPath.linear(h0, h1, t_final, steps=steps)
+                xs = [t / t_final if t_final > 0 else 0.0 for t in path.times]
+                yield path, np.array([(1.0 - x) * e0 + x * e1 for x in xs])
+                path = HamiltonianPath.constant(h0, t_final, steps=steps)
+                yield path, np.array([e0 for _ in path.times])
 
 
 def test_package_paths_carry_the_samplers_stack_bit_for_bit():
-    for path in _package_paths():
-        want = np.array([path.sampler(t) for t in path.times])
+    # one broadcast gives (1 - t/T) H0 + (t/T) H1 exactly as the scalar rebuild does
+    for path, want in _package_paths():
         assert path.samples.shape == want.shape == (len(path.times),) + want.shape[1:]
         # tobytes: the sign of a zero entry counts too
         assert path.samples.tobytes() == want.tobytes()
 
 
-def test_evolve_reads_the_stack_of_a_package_path(monkeypatch):
-    calls = []
-
-    def counted(fn):
-        def wrapper(*args):
-            calls.append(fn)
-            return fn(*args)
-        return wrapper
-
+def test_only_a_callers_stack_is_checked_and_only_once(monkeypatch):
+    checked = []
+    require_hermitian = dynamics.require_hermitian
+    monkeypatch.setattr(dynamics, "require_hermitian",
+                        lambda a: checked.append(np.shape(a)) or require_hermitian(a))
     rng = np.random.default_rng(70)
     h0, h1 = random_hermitian(3, rng, scale=0.5), random_hermitian(3, rng, scale=0.5)
     psi0 = haar_random_state(3, rng)
     paths = [HamiltonianPath.linear(h0, h1, 1.0, steps=20),
              HamiltonianPath.constant(h0, 1.0, steps=20)]
-    monkeypatch.setattr(dynamics, "require_hermitian", counted(dynamics.require_hermitian))
+    assert checked == [(2, 3, 3), (3, 3)]       # the endpoints, never the stacks
+    paths.append(HamiltonianPath(paths[0].times, paths[0].samples))
+    assert checked[2:] == [(21, 3, 3)]          # a caller's stack, at construction
     for path in paths:
-        path.sampler = counted(path.sampler)
         evolve(psi0, path)
-    assert calls == []
-    # a caller's path is sampled once per grid point and checked once
-    evolve(psi0, HamiltonianPath(times=paths[0].times, sampler=paths[0].sampler))
-    assert len(calls) == len(paths[0].times) + 1
+    assert len(checked) == 3                    # evolve checks no stack
+
+
+def test_a_callers_copy_of_a_package_stack_evolves_bit_for_bit():
+    rng = np.random.default_rng(72)
+    for d in range(1, 6):
+        h0, h1 = random_hermitian(d, rng, scale=0.5), random_hermitian(d, rng, scale=0.5)
+        psi0 = haar_random_state(d, rng)
+        for path in (HamiltonianPath.linear(h0, h1, 1.0, steps=20),
+                     HamiltonianPath.constant(h0, 1.0)):
+            want = evolve(psi0, path)
+            got = evolve(psi0, HamiltonianPath(path.times, path.samples))
+            for name in ("times", "states", "speeds", "uncertainties"):
+                assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
 
 
 def test_a_given_step_count_needs_no_spectral_width(monkeypatch):
@@ -361,8 +374,54 @@ def test_zero_duration_gets_the_one_step_grid(build, h):
     np.testing.assert_array_equal(traj.states, [psi0, psi0])
 
 
-def test_a_reassigned_grid_of_another_length_is_refused():
-    path = HamiltonianPath.constant(np.diag([0.0, 1.0]), 1.0, steps=10)
-    path.times = np.linspace(0.0, 1.0, 21)
-    with pytest.raises(DimensionMismatch, match="11 samples for a grid of 21 points"):
-        evolve(np.array([1.0, 0.0]), path)
+def test_a_path_cannot_be_reassigned_or_written():
+    times = np.linspace(0.0, 1.0, 11)
+    paths = [HamiltonianPath.linear(np.diag([0.0, 1.0]), [[0.0, 2.0], [2.0, 3.0]], 1.0, steps=10),
+             HamiltonianPath.constant(np.diag([0.0, 1.0]), 1.0, steps=10),
+             HamiltonianPath(times, np.broadcast_to(np.eye(2), (11, 2, 2)))]
+    for path in paths:
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            path.times = times ** 2
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            path.samples = path.samples[::-1]
+        with pytest.raises(ValueError, match="read-only"):
+            path.times[3] = 0.09
+        with pytest.raises(ValueError, match="read-only"):
+            path.samples[3] = 0.0
+    assert [f.name for f in dataclasses.fields(HamiltonianPath)] == ["times", "samples"]
+
+
+def test_a_callers_arrays_are_copied_not_frozen():
+    times = np.linspace(0.0, 1.0, 5)
+    samples = np.array([np.diag([0.0, t]) for t in times])
+    path = HamiltonianPath(times, samples)
+    times[1], samples[1] = 0.9, 0.0             # the caller's arrays stay writeable
+    assert path.times[1] == 0.25 and path.samples[1, 1, 1] == 0.25
+
+
+def test_a_sampler_is_not_accepted():
+    with pytest.raises(TypeError):
+        HamiltonianPath(times=np.linspace(0.0, 1.0, 3), sampler=lambda t: np.eye(2))
+
+
+def test_a_callers_stack_has_one_sample_per_grid_point():
+    times = np.linspace(0.0, 1.0, 3)
+    for samples in (np.zeros((2, 2, 2)), np.zeros((4, 2, 2)), np.zeros((2, 2)),
+                    np.zeros((3, 1, 2, 2))):
+        with pytest.raises(DimensionMismatch, match="for a grid of 3 points"):
+            HamiltonianPath(times, samples)
+    with pytest.raises(ValueError, match="one-dimensional"):
+        HamiltonianPath(times[:, None], np.zeros((3, 1, 2, 2)))
+
+
+@pytest.mark.parametrize("build", [
+    lambda: HamiltonianPath.constant(np.diag([0.0, 1.0]), np.nan, steps=4),
+    lambda: HamiltonianPath.constant(np.diag([0.0, 1.0]), np.inf, steps=4),
+    lambda: HamiltonianPath.constant(np.diag([0.0, 1.0]), np.nan),
+    lambda: HamiltonianPath.linear(np.eye(2), np.diag([0.0, 1.0]), np.inf),
+    lambda: HamiltonianPath([0.0, np.nan, 1.0], np.zeros((3, 2, 2))),
+], ids=["constant-nan", "constant-inf", "constant-nan-default-grid",
+        "linear-inf-default-grid", "caller-nan"])
+def test_non_finite_grids_raise(build):
+    with pytest.raises(ValueError, match="grid times are not all finite"):
+        build()
