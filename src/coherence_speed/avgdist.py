@@ -26,6 +26,20 @@ closed form's own derivation step.  ``_orbit_mean`` (capped at
 BRUTE_FORCE_CAP levels, averaged with the correctly rounded
 ``math.fsum``) and ``_closed_form`` also serve ``channels.theorem3_bound``
 and ``battery.qudit_battery_bound``.
+
+For a pure state rho = |psi><psi| every sigma_s is pure too, and its
+affinity with rho is |<psi|U_s|psi>|^2, so ``_bruteforce_pure`` takes
+each term from the state vector with no square root and no dead band.
+It stays independent of the closed form for the same reasons: U_s is
+the full matrix from the same orbit stacks, psi is used as given, and
+no eigenspace weight r_m = <psi|P_m|psi> enters, since
+sum_m r_m exp(-i lambda_s(m) t) is one step from the closed form's own
+derivation.  Mixed states keep the literal square-root path; the path is
+chosen by what the caller holds (a vector or a matrix), never by
+thresholding eigenvalues of rho.
+
+``b_coefficient`` also takes an array of times and returns B at each of
+them from one (T, pairs) cosine array, bit for bit the per-point value.
 """
 
 from __future__ import annotations
@@ -67,6 +81,18 @@ def _bruteforce(rho: np.ndarray, ham: SpectralHamiltonian, t: float) -> float:
                        lambda u: hellinger(rho, u @ rho @ dagger(u), sqrt_rho=sqrt_rho))
 
 
+def _bruteforce_pure(psi: np.ndarray, ham: SpectralHamiltonian, t: float) -> float:
+    """_bruteforce of |psi><psi| from the unit vector psi: mean of 2 (1 - |<psi|U_s|psi>|^2).
+
+    Each overlap is taken with the full U_s of ``orbit_operators`` and
+    clipped into [0, 1], as affinity clips.  Raises TooManyLevels, before
+    any orbit work, above BRUTE_FORCE_CAP.
+    """
+    return _orbit_mean(ham, lambda lam: np.exp(-1j * lam * t),
+                       lambda u: 2.0 * (1.0 - np.clip(np.abs((u @ psi) @ psi.conj()) ** 2,
+                                                      0.0, 1.0)))
+
+
 def _orbit_mean(ham: SpectralHamiltonian, fn, term) -> float:
     """Correctly rounded mean of one term per member of the permutation orbit.
 
@@ -83,17 +109,19 @@ def _orbit_mean(ham: SpectralHamiltonian, fn, term) -> float:
 def _closed_form(rho: np.ndarray, ham: SpectralHamiltonian,
                  t: float) -> tuple[float, float, float]:
     """(B(t), c_half(rho), 2 (1 - B(t)) c_half(rho)) for a state that has passed
-    validate_density; a single level has B = 1 and distance 0."""
+    validate_density; a single level has B = 1 and distance 0.  For an array
+    of times, B and the distance are arrays, except on a single level."""
     coh = _c_half(rho, ham.decomposition)
     coef = 1.0 if ham.level_count == 1 else b_coefficient(ham.levels, t)
     return coef, coh, 2.0 * (1.0 - coef) * coh
 
 
-def a_coefficient(eigenvalues, t: float) -> float:
+def a_coefficient(eigenvalues, t):
     """Oscillatory coefficient for a nondegenerate spectrum.
 
     A(t) = 2 / (d (d - 1)) * sum_{m<n} cos((lambda_m - lambda_n) t);
-    requires pairwise-distinct eigenvalues.
+    requires pairwise-distinct eigenvalues.  An array of times gives an
+    array of coefficients of the same shape.
     """
     lam = np.sort(np.asarray(eigenvalues, dtype=float).reshape(-1))
     if len(lam) < 2:
@@ -104,8 +132,11 @@ def a_coefficient(eigenvalues, t: float) -> float:
     return _pair_cos_mean(lam, t)
 
 
-def b_coefficient(levels, t: float) -> float:
-    """Oscillatory coefficient over the distinct levels of a degenerate spectrum."""
+def b_coefficient(levels, t):
+    """Oscillatory coefficient over the distinct levels of a degenerate spectrum.
+
+    An array of times gives an array of coefficients of the same shape.
+    """
     lam = np.sort(np.asarray(levels, dtype=float).reshape(-1))
     if len(lam) < 2:
         raise SingleLevel("one distinct level: the averaged distance is identically 0")
@@ -118,10 +149,12 @@ def _upper_pairs(d: int) -> tuple[np.ndarray, np.ndarray]:
     return np.triu_indices(d, k=1)
 
 
-def _pair_cos_mean(lam: np.ndarray, t: float) -> float:
+def _pair_cos_mean(lam: np.ndarray, t):
+    """Mean of cos((lambda_m - lambda_n) t) over the pairs m < n: float, or array for array t."""
     d = len(lam)
     m, n = _upper_pairs(d)
-    return float(2.0 * np.sum(np.cos((lam[m] - lam[n]) * t)) / (d * (d - 1)))
+    mean = 2.0 * np.cos(np.multiply.outer(t, lam[m] - lam[n])).sum(axis=-1) / (d * (d - 1))
+    return float(mean) if np.ndim(mean) == 0 else mean
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,7 @@ import numpy as np
 from jsonschema import ValidationError
 
 from . import __version__
-from .avgdist import BRUTE_FORCE_CAP, avg_distance_closed
+from .avgdist import BRUTE_FORCE_CAP, _bruteforce, _bruteforce_pure, _closed_form
 from .battery import (
     BatteryConfig,
     constant_axis,
@@ -50,6 +50,7 @@ from .linalg import (
     pure_density,
     random_density,
     unitary_exp,
+    validate_density,
     validate_state_vector,
 )
 from .metrics import _qsl_grid
@@ -198,8 +199,8 @@ def _pure_state(spec, dim: int, rng) -> np.ndarray:
                      "(ground / plus / maximally-coherent / amplitudes / haar)")
 
 
-def _density(spec, ham: SpectralHamiltonian, rng) -> np.ndarray:
-    """Resolve a config state description to a density matrix.
+def _state(spec, ham: SpectralHamiltonian, rng) -> tuple[np.ndarray, np.ndarray | None]:
+    """Resolve a config state description to (rho, psi), psi None for a density_rank draw.
 
     'maximally-coherent' weights the Hamiltonian's level blocks equally,
     which for a nondegenerate spectrum reduces to the uniform
@@ -209,13 +210,15 @@ def _density(spec, ham: SpectralHamiltonian, rng) -> np.ndarray:
         # the first eigenvector column of each level block, equally weighted
         first = np.flatnonzero(np.diff(ham.level_of, prepend=-1))
         vec = (ham.eigenvectors[:, first] / np.sqrt(ham.level_count)).sum(axis=1)
-        return pure_density(vec / np.linalg.norm(vec))
-    if isinstance(spec, dict) and "density_rank" in spec:
+        psi = validate_state_vector(vec / np.linalg.norm(vec))
+    elif isinstance(spec, dict) and "density_rank" in spec:
         rank = int(spec["density_rank"])
         if not 1 <= rank <= ham.dim:
             raise UsageError(f"density_rank must be in 1..{ham.dim}")
-        return random_density(ham.dim, rank=rank, seed=rng)
-    return pure_density(_pure_state(spec, ham.dim, rng))
+        return random_density(ham.dim, rank=rank, seed=rng), None
+    else:
+        psi = _pure_state(spec, ham.dim, rng)
+    return pure_density(psi), psi
 
 
 def _axis(spec, tau: float):
@@ -284,34 +287,33 @@ def _cmd_sweep(ns, config: dict) -> int:
     ham = SpectralHamiltonian.from_spectrum(spectrum)
     rng = np.random.default_rng(seed)
     state_spec = section.get("state", "maximally-coherent")
-    rho = _density(state_spec, ham, rng)
+    rho, psi = _state(state_spec, ham, rng)
+    rho = validate_density(rho)
     t0 = float(section.get("t_start", 0.0))
     t1 = float(section.get("t_stop", 2.0 * np.pi))
-    steps = int(section.get("t_steps", 201))
+    if not np.isfinite(np.r_[spectrum, t0, t1]).all():
+        raise UsageError("sweep spectrum, t_start and t_stop must be finite")
+    times = np.linspace(t0, t1, int(section.get("t_steps", 201)))
     include_brute = (section.get("brute_force", True)
                      and ham.level_count <= BRUTE_FORCE_CAP)
-    rows = []
-    worst_gap = 0.0
-    for t in np.linspace(t0, t1, steps):
-        res = avg_distance_closed(rho, ham, float(t), include_brute=include_brute)
-        row = {"t": res.t}
-        if include_brute:
-            row["sbar_brute"] = res.brute_force
-        row["sbar_closed"] = res.closed_form
-        row["coefficient"] = res.coefficient
-        row["c_half"] = res.coherence
-        if include_brute:
-            row["gap"] = res.gap
-            worst_gap = max(worst_gap, res.gap)
-        rows.append(row)
+    coef, coh, closed = _closed_form(rho, ham, times)     # B(t) over the whole grid at once
+    brute = gap = None
+    if include_brute:
+        oracle, state = (_bruteforce, rho) if psi is None else (_bruteforce_pure, psi)
+        brute = np.array([oracle(state, ham, t) for t in times.tolist()])
+        gap = np.abs(brute - closed)
+    columns = {"t": times, "sbar_brute": brute, "sbar_closed": closed, "coefficient": coef,
+               "c_half": coh, "gap": gap}
+    columns = {k: np.broadcast_to(v, times.shape) for k, v in columns.items() if v is not None}
+    worst_gap = 0.0 if gap is None else float(gap.max(initial=0.0))
     meta = _metadata("sweep", seed, tol,
                      spectrum=spectrum, dimension=ham.dim,
                      levels=ham.level_count, state=_state_label(state_spec),
                      brute_force=include_brute,
                      brute_force_cap=BRUTE_FORCE_CAP)
-    return _finish(rows, meta, fmt, out,
+    return _finish(columns, meta, fmt, out,
                    f"sweep: worst identity gap {worst_gap:.3e} exceeds {tol:.1e}"
-                   if include_brute and worst_gap > tol else None)
+                   if gap is not None and worst_gap > tol else None)
 
 
 def _cmd_battery(ns, config: dict) -> int:

@@ -192,13 +192,13 @@ def _propagate(psi0: np.ndarray, times: np.ndarray,
     The callers check the samples.  One stacked eigh gives every step
     unitary V exp(-i w dt) V†.  The step guard is checked on
     the whole grid before any propagation: GridTooCoarse when the half
-    spectral width (lambda_max - lambda_min) / 2 times dt exceeds 1, one
+    spectral width (lambda_max - lambda_min) / 2 times |dt| exceeds 1, one
     warning above 0.1.  Raises InvalidState when the norm drifts by more
     than TOL_DRIFT over the grid.
     """
     w, v = np.linalg.eigh(h)
     dts = np.diff(times)
-    steps = (w[:-1, -1] - w[:-1, 0]) / 2.0 * dts
+    steps = (w[:-1, -1] - w[:-1, 0]) / 2.0 * np.abs(dts)
     worst = float(steps.max()) if steps.size else 0.0
     if worst > _MAX_STEP:
         raise GridTooCoarse(f"half spectral width * dt = {worst:.3g} exceeds {_MAX_STEP}")

@@ -80,10 +80,13 @@ def require_hermitian(a) -> np.ndarray:
     """a as complex128, a square matrix or a stack (..., d, d), checked Hermitian.
 
     Raises DimensionMismatch on any other shape and NotHermitian when
-    max|A - A†| exceeds TOL_HERM (for any matrix of a stack).
+    max|A - A†| exceeds TOL_HERM (for any matrix of a stack), or when
+    an entry is not finite, which the residual test also fails.
     """
     a = _square(a, stack=True)
     if not is_hermitian(a):
+        if not np.isfinite(a).all():
+            raise NotHermitian("matrix entries are not all finite")
         dev = float(np.max(np.abs(a - dagger(a))))
         raise NotHermitian(f"max |H - H†| = {dev:.3e} exceeds {TOL_HERM:.1e}")
     return a

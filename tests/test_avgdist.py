@@ -20,7 +20,7 @@ from coherence_speed.battery import qudit_battery_bound
 from coherence_speed.channels import StinespringDilation, dilate, random_channel, theorem3_bound
 from coherence_speed.coherence import c_half
 from coherence_speed.errors import SingleLevel, TooManyLevels
-from coherence_speed import avgdist, channels, coherence, linalg
+from coherence_speed import avgdist, channels, coherence, linalg, metrics
 from coherence_speed.linalg import (
     SpectralHamiltonian,
     haar_random_state,
@@ -246,6 +246,8 @@ def test_every_orbit_oracle_respects_the_cap(monkeypatch):
     dilation = StinespringDilation(ham, sys_dim=3, env_dim=3, env_state=np.eye(3)[0])
     with pytest.raises(TooManyLevels, match=f"{n} levels exceed brute-force cap"):
         theorem3_bound(dilation, random_density(3, rank=2, seed=51))
+    with pytest.raises(TooManyLevels, match=f"{n} levels exceed brute-force cap"):
+        avgdist._bruteforce_pure(haar_random_state(n, 50), ham, 0.7)
     assert orbits == []
 
 
@@ -307,3 +309,54 @@ def test_coefficients_equal_a_pairwise_sum_bit_for_bit():
             want = _pairwise_cos_mean(lam, float(t)).hex()
             assert a_coefficient(lam[::-1], float(t)).hex() == want
             assert b_coefficient(lam, float(t)).hex() == want
+
+
+def _pure_path_cases(rng):
+    """(psi, ham) at 2-7 levels, nondegenerate and with one doubled level, random bases."""
+    for m in range(2, 8):
+        for extra in (0, 1):
+            values = _spread_spectrum(rng, m)
+            values = np.sort(np.r_[values, values[int(rng.integers(m))]]) if extra else values
+            d = m + extra
+            yield haar_random_state(d, rng), SpectralHamiltonian.from_spectrum(
+                values, random_unitary(d, rng))
+
+
+def test_pure_path_equals_the_literal_oracle_on_pure_states():
+    rng = np.random.default_rng(96)
+    for psi, ham in _pure_path_cases(rng):
+        rho = pure_density(psi)
+        times = (1e-7, float(rng.uniform(0.05, 8.0))) if ham.level_count < 7 else (0.8,)
+        for t in times:
+            assert abs(avgdist._bruteforce_pure(psi, ham, t)
+                       - avg_distance_bruteforce(rho, ham, t)) < 1e-14
+
+
+def test_pure_path_takes_no_square_root(monkeypatch):
+    rng = np.random.default_rng(97)
+    cases = list(_pure_path_cases(rng))       # building a Hamiltonian may diagonalize
+    calls = []
+
+    def counting(fn):
+        return lambda *a, **k: calls.append(fn.__name__) or fn(*a, **k)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting(np.linalg.eigh))
+    for module in (avgdist, linalg, metrics, coherence):
+        monkeypatch.setattr(module, "matrix_sqrt_psd", counting(linalg.matrix_sqrt_psd),
+                            raising=False)
+    for psi, ham in cases[:8]:
+        avgdist._bruteforce_pure(psi, ham, 1.3)
+    assert calls == []
+    avg_distance_bruteforce(pure_density(cases[0][0]), cases[0][1], 1.3)
+    assert calls                              # the literal oracle is what was counted
+
+
+def test_a_grid_of_times_gives_the_per_point_coefficients_bit_for_bit():
+    rng = np.random.default_rng(98)
+    times = np.r_[np.linspace(0.0, 2.0 * np.pi, 201), rng.uniform(-40.0, 40.0, 50)]
+    for d in range(2, 9):
+        lam = _spread_spectrum(rng, d)
+        want = [_pairwise_cos_mean(lam, float(t)).hex() for t in times]
+        assert [v.hex() for v in b_coefficient(lam, times).tolist()] == want
+        assert [v.hex() for v in a_coefficient(lam, times).tolist()] == want
+    assert b_coefficient(lam, times[:250].reshape(10, 25)).shape == (10, 25)

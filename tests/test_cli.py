@@ -7,7 +7,14 @@ import re
 import numpy as np
 import pytest
 
+from coherence_speed.avgdist import avg_distance_closed
 from coherence_speed.cli import main
+from coherence_speed.linalg import (
+    SpectralHamiltonian,
+    haar_random_state,
+    pure_density,
+    random_density,
+)
 
 
 def body_lines(path):
@@ -112,6 +119,64 @@ def test_sweep_omits_brute_force_above_the_cap(tmp_path):
     header = body_lines(out)[0].split(",")
     assert "sbar_brute" not in header and "gap" not in header
     assert "sbar_closed" in header
+
+
+_SWEEP_COLUMNS = ["t", "sbar_brute", "sbar_closed", "coefficient", "c_half", "gap"]
+
+
+def _point_by_point_sweep(spectrum, state, seed, steps):
+    """The sweep body as one avg_distance_closed call per grid point, 17 digits per cell."""
+    ham = SpectralHamiltonian.from_spectrum(np.asarray(spectrum, dtype=float))
+    rng = np.random.default_rng(seed)
+    if "density_rank" in state:
+        rho = random_density(ham.dim, rank=state["density_rank"], seed=rng)
+    else:
+        rho = pure_density(haar_random_state(ham.dim, rng))
+    lines = [",".join(_SWEEP_COLUMNS)]
+    for t in np.linspace(0.0, 2.0 * np.pi, steps):
+        res = avg_distance_closed(rho, ham, float(t), include_brute=True)
+        cells = (res.t, res.brute_force, res.closed_form, res.coefficient, res.coherence, res.gap)
+        lines.append(",".join(format(c, ".17g") for c in cells))
+    return lines
+
+
+def _run_sweep(tmp_path, spectrum, state, seed, steps, fmt="csv"):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"sweep": {"spectrum": spectrum, "state": state,
+                                         "t_steps": steps}}))
+    out = tmp_path / f"sweep.{fmt}"
+    assert main(["sweep", "--config", str(cfg), "--seed", str(seed), "--format", fmt,
+                 "--out", str(out)]) == 0
+    return out
+
+
+@pytest.mark.parametrize("spectrum, rank", [
+    ([0.0, 0.7, 1.9, 2.4], 2), ([0.0, 0.7, 0.7, 2.4, 3.1], 3), ([0.0, 1.3], 1)])
+def test_a_mixed_sweep_is_the_point_by_point_loop_byte_for_byte(tmp_path, spectrum, rank):
+    state = {"density_rank": rank}
+    out = _run_sweep(tmp_path, spectrum, state, 8, 41)
+    assert body_lines(out) == _point_by_point_sweep(spectrum, state, 8, 41)
+
+
+@pytest.mark.parametrize("spectrum", [[0.0, 0.7, 1.9, 2.4, 3.3], [0.0, 1.1, 1.1, 2.6]])
+def test_a_pure_sweep_moves_only_its_oracle_columns_and_only_at_roundoff(tmp_path, spectrum):
+    state = {"haar": True}
+    got = [line.split(",") for line in body_lines(_run_sweep(tmp_path, spectrum, state, 5, 41))]
+    want = [line.split(",") for line in _point_by_point_sweep(spectrum, state, 5, 41)]
+    assert got[0] == want[0] == _SWEEP_COLUMNS
+    assert len(got) == len(want) == 42
+    for row, ref in zip(got[1:], want[1:]):
+        assert row[0] == ref[0] and row[2:5] == ref[2:5]     # t, sbar_closed, coefficient, c_half
+        for col in (1, 5):                                     # sbar_brute, gap
+            assert abs(float(row[col]) - float(ref[col])) <= 1e-14
+
+
+@pytest.mark.parametrize("state", [{"haar": True}, {"density_rank": 2}])
+def test_a_json_sweep_holds_the_csv_values(tmp_path, state):
+    csv_rows = rows_of(_run_sweep(tmp_path, [0.0, 0.6, 1.7], state, 3, 13))
+    doc = json.loads(_run_sweep(tmp_path, [0.0, 0.6, 1.7], state, 3, 13, "json").read_text())
+    assert doc["rows"] == csv_rows
+    assert all(list(row) == _SWEEP_COLUMNS for row in doc["rows"])
 
 
 def test_battery_default_rows_and_bound(tmp_path):
@@ -276,6 +341,19 @@ def test_nan_state_amplitude_is_a_usage_error(tmp_path, capsys):
     assert main(["qsl", "--config", str(cfg), "--out", str(out)]) == 2
     captured = capsys.readouterr()
     assert captured.err.startswith("error: state amplitudes: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("section", [
+    {"spectrum": [0.0, float("nan"), 1.0]}, {"spectrum": [0.0, 1.0], "t_stop": float("inf")}],
+    ids=["nan-level", "infinite-stop"])
+def test_a_non_finite_sweep_input_is_a_usage_error(tmp_path, capsys, section):
+    # the pure path takes no root that would fail on NaN, so the sweep checks its input
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"sweep": {**section, "t_steps": 3}}))
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: sweep spectrum, t_start and t_stop must be finite\n"
     assert not out.exists()
 
 

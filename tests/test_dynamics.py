@@ -425,3 +425,39 @@ def test_a_callers_stack_has_one_sample_per_grid_point():
 def test_non_finite_grids_raise(build):
     with pytest.raises(ValueError, match="grid times are not all finite"):
         build()
+
+
+_WIDE = np.diag([-50.0, 50.0]).astype(complex)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: HamiltonianPath([0.0, -1.0, -2.0], [_WIDE] * 3),
+    lambda: HamiltonianPath.constant(_WIDE, -2.0, steps=2),
+], ids=["reversed", "constant-negative-duration"])
+def test_a_decreasing_grid_is_guarded_by_its_step_size(build):
+    # half spectral width 50 times |dt| = 1 is 50, as on the forward grid [0, 1, 2]
+    with pytest.raises(GridTooCoarse, match=r"half spectral width \* dt = 50 exceeds"):
+        evolve(np.array([1.0, 0.0]), build())
+
+
+def test_a_reversed_grid_warns_and_evolves_backwards():
+    h = np.array([[0.3, 0.4], [0.4, -0.3]], dtype=complex)
+    psi = np.array([1.0, 0.0], dtype=complex)
+    with pytest.warns(UserWarning, match="half spectral width") as record:
+        back = evolve(psi, HamiltonianPath.constant(h, -1.0, steps=4))
+    assert len(record) == 1
+    want = scipy.linalg.expm(1j * h) @ psi
+    assert np.max(np.abs(back.states[-1] - want)) < 1e-12
+
+
+@pytest.mark.parametrize("build", [
+    lambda: HamiltonianPath([0.0, 1.0], [np.diag([np.nan, 0.0])] * 2),
+    lambda: HamiltonianPath([0.0, 1.0], [np.array([[0.0, np.inf], [0.0, 0.0]])] * 2),
+    lambda: HamiltonianPath.constant(np.diag([np.nan, 0.0]), 1.0, steps=4),
+    lambda: HamiltonianPath.linear(np.eye(2), np.diag([0.0, np.inf]), 1.0, steps=4),
+    lambda: HamiltonianPath.linear(np.diag([np.nan, 0.0]), np.eye(2), 1.0),
+], ids=["caller-nan", "caller-inf", "constant-nan", "linear-inf-end", "linear-nan-start"])
+def test_non_finite_samples_are_named_as_such(build):
+    with pytest.raises(NotHermitian, match="^matrix entries are not all finite$"), \
+            np.errstate(invalid="ignore"):
+        build()
