@@ -17,25 +17,32 @@ respect to the eigenprojector decomposition:
     B(t)    = 2 / (M (M - 1)) * sum_{m<n} cos((lambda_m - lambda_n) t).
 
 ``avg_distance_bruteforce`` evaluates the sum literally and is kept as
-an independent oracle for the closed form.  It builds every evolved
-state sigma_s = U_s rho U_s† of the orbit, with U_s diagonal in the
-eigenbasis of H (``orbit_operators``), and takes each sqrt(sigma_s)
-from its own eigendecomposition: one stacked diagonalization per chunk
-of the orbit, never sqrt(sigma_s) = U_s sqrt(rho) U_s†, which is the
-closed form's own derivation step.  ``_orbit_mean`` (capped at
-BRUTE_FORCE_CAP levels, averaged with the correctly rounded
-``math.fsum``) and ``_closed_form`` also serve ``channels.theorem3_bound``
-and ``battery.qudit_battery_bound``.
+an independent oracle for the closed form.  It works in the eigenbasis
+V of H, where every U_s is the diagonal phase row
+phi_s = exp(-i lambda_s t) of the orbit (``_orbit_diagonals``): it forms
+R = V† rho V and Q = V† sqrt(rho) V once, builds every evolved state
+S_s = phi_s R phi_s† elementwise (sigma_s = U_s rho U_s† in the basis V)
+and takes each term from S_s's own checked eigendecomposition, one
+stacked diagonalization per chunk of the orbit, as
+``hellinger(R, S_s, sqrt_rho=Q)``.  It never uses
+sqrt(S_s) = phi_s Q phi_s†, i.e. sqrt(sigma_s) = U_s sqrt(rho) U_s†,
+which is the closed form's own derivation step; the change of basis V
+is fixed and applies to rho as a whole, so it removes no dependence on
+s.  ``_orbit_mean`` (capped at BRUTE_FORCE_CAP levels, averaged with the
+correctly rounded ``math.fsum``) is the one loop over the orbit, and with
+``_closed_form`` also serves ``channels.theorem3_bound`` and
+``battery.qudit_battery_bound``, which build the full U_s from the same
+phase rows (``_eigenbasis_operators``).
 
 For a pure state rho = |psi><psi| every sigma_s is pure too, and its
 affinity with rho is |<psi|U_s|psi>|^2, so ``_bruteforce_pure`` takes
 each term from the state vector with no square root and no dead band.
-It stays independent of the closed form for the same reasons: U_s is
-the full matrix from the same orbit stacks, psi is used as given, and
+It stays independent of the closed form: U_s is the full matrix built
+from the same phase rows, psi is used as given, and
 no eigenspace weight r_m = <psi|P_m|psi> enters, since
 sum_m r_m exp(-i lambda_s(m) t) is one step from the closed form's own
-derivation.  Mixed states keep the literal square-root path; the path is
-chosen by what the caller holds (a vector or a matrix), never by
+derivation.  Mixed states keep the eigendecomposition of every S_s; the
+path is chosen by what the caller holds (a vector or a matrix), never by
 thresholding eigenvalues of rho.
 
 ``b_coefficient`` also takes an array of times and returns B at each of
@@ -55,9 +62,10 @@ from .errors import DegenerateSpectrum, DimensionMismatch, SingleLevel, TooManyL
 from .linalg import (
     TOL_DEGEN,
     SpectralHamiltonian,
+    _eigenbasis_operators,
+    _orbit_diagonals,
     dagger,
     matrix_sqrt_psd,
-    orbit_operators,
     validate_density,
 )
 from .metrics import hellinger
@@ -74,44 +82,55 @@ def avg_distance_bruteforce(rho, ham: SpectralHamiltonian, t: float) -> float:
     return _bruteforce(validate_density(rho), ham, t)
 
 
-def _bruteforce(rho: np.ndarray, ham: SpectralHamiltonian, t: float) -> float:
-    """avg_distance_bruteforce of a state that has passed validate_density."""
-    sqrt_rho = matrix_sqrt_psd(rho)
+def _bruteforce(rho: np.ndarray, ham: SpectralHamiltonian, t: float,
+                sqrt_rho: np.ndarray | None = None) -> float:
+    """avg_distance_bruteforce of a state that has passed validate_density, in the
+    eigenbasis of ham (module docstring); sqrt_rho, when given, is matrix_sqrt_psd(rho)."""
+    v = ham.eigenvectors
+    vh = dagger(v)
+    r = vh @ rho @ v
+    q = vh @ (matrix_sqrt_psd(rho) if sqrt_rho is None else sqrt_rho) @ v
     return _orbit_mean(ham, lambda lam: np.exp(-1j * lam * t),
-                       lambda u: hellinger(rho, u @ rho @ dagger(u), sqrt_rho=sqrt_rho))
+                       lambda phi: hellinger(r, phi[:, :, None] * r * phi.conj()[:, None, :],
+                                             sqrt_rho=q))
 
 
 def _bruteforce_pure(psi: np.ndarray, ham: SpectralHamiltonian, t: float) -> float:
     """_bruteforce of |psi><psi| from the unit vector psi: mean of 2 (1 - |<psi|U_s|psi>|^2).
 
-    Each overlap is taken with the full U_s of ``orbit_operators`` and
-    clipped into [0, 1], as affinity clips.  Raises TooManyLevels, before
-    any orbit work, above BRUTE_FORCE_CAP.
+    Each overlap is taken with the full U_s, built from the orbit's
+    phase rows, and clipped into [0, 1], as affinity clips.  Raises
+    TooManyLevels, before any orbit work, above BRUTE_FORCE_CAP.
     """
-    return _orbit_mean(ham, lambda lam: np.exp(-1j * lam * t),
-                       lambda u: 2.0 * (1.0 - np.clip(np.abs((u @ psi) @ psi.conj()) ** 2,
-                                                      0.0, 1.0)))
+    def terms(phi):
+        u = _eigenbasis_operators(ham, phi)
+        return 2.0 * (1.0 - np.clip(np.abs((u @ psi) @ psi.conj()) ** 2, 0.0, 1.0))
+
+    return _orbit_mean(ham, lambda lam: np.exp(-1j * lam * t), terms)
 
 
 def _orbit_mean(ham: SpectralHamiltonian, fn, term) -> float:
     """Correctly rounded mean of one term per member of the permutation orbit.
 
-    term maps each stack of ``orbit_operators(ham, fn)`` to the terms of
-    its members.  Raises TooManyLevels, before any orbit work, when the
-    distinct level count exceeds BRUTE_FORCE_CAP.
+    term maps each chunk of ``_orbit_diagonals(ham, fn)``, the members'
+    diagonals in the eigenbasis of ham, to their terms; a term that needs
+    the operators V diag(row) V† builds them with ``_eigenbasis_operators``.
+    Raises TooManyLevels, before any orbit work, when the distinct level
+    count exceeds BRUTE_FORCE_CAP.
     """
     if ham.level_count > BRUTE_FORCE_CAP:
         raise TooManyLevels(f"{ham.level_count} levels exceed brute-force cap {BRUTE_FORCE_CAP}")
-    terms = np.concatenate([term(ops) for ops in orbit_operators(ham, fn)])
+    terms = np.concatenate([term(rows) for rows in _orbit_diagonals(ham, fn)])
     return math.fsum(terms) / len(terms)
 
 
-def _closed_form(rho: np.ndarray, ham: SpectralHamiltonian,
-                 t: float) -> tuple[float, float, float]:
+def _closed_form(rho: np.ndarray, ham: SpectralHamiltonian, t,
+                 sqrt_rho: np.ndarray | None = None) -> tuple[float, float, float]:
     """(B(t), c_half(rho), 2 (1 - B(t)) c_half(rho)) for a state that has passed
     validate_density; a single level has B = 1 and distance 0.  For an array
-    of times, B and the distance are arrays, except on a single level."""
-    coh = _c_half(rho, ham.decomposition)
+    of times, B and the distance are arrays, except on a single level.
+    sqrt_rho, when given, is matrix_sqrt_psd(rho)."""
+    coh = _c_half(rho, ham.decomposition, sqrt_rho)
     coef = 1.0 if ham.level_count == 1 else b_coefficient(ham.levels, t)
     return coef, coh, 2.0 * (1.0 - coef) * coh
 
@@ -145,8 +164,11 @@ def b_coefficient(levels, t):
 
 @functools.lru_cache(maxsize=64)
 def _upper_pairs(d: int) -> tuple[np.ndarray, np.ndarray]:
-    """np.triu_indices(d, k=1), the level pairs m < n in row order, built once per d."""
-    return np.triu_indices(d, k=1)
+    """np.triu_indices(d, k=1), the level pairs m < n in row order, built once per d (read-only)."""
+    pairs = np.triu_indices(d, k=1)
+    for index in pairs:
+        index.flags.writeable = False
+    return pairs
 
 
 def _pair_cos_mean(lam: np.ndarray, t):
@@ -186,10 +208,11 @@ def avg_distance_closed(rho, ham: SpectralHamiltonian, t: float,
     A single-level Hamiltonian gives coefficient 1 and distance 0.
     """
     rho = validate_density(rho)
-    coef, coh, closed = _closed_form(rho, ham, t)
+    sqrt_rho = matrix_sqrt_psd(rho)         # one root serves c_half and the oracle
+    coef, coh, closed = _closed_form(rho, ham, t, sqrt_rho)
     if include_brute is None:
         include_brute = ham.level_count <= BRUTE_FORCE_CAP
-    brute = _bruteforce(rho, ham, t) if include_brute else None
+    brute = _bruteforce(rho, ham, t, sqrt_rho) if include_brute else None
     return AvgDistanceResult(t=float(t), brute_force=brute, closed_form=closed,
                              coefficient=coef, coherence=coh)
 

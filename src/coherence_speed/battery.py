@@ -49,6 +49,7 @@ from .linalg import (
     TOL_NORM,
     TOL_ZERO,
     SpectralHamiltonian,
+    _eigenbasis_operators,
     dagger,
     hermitian_eig,
     hermitianize,
@@ -279,8 +280,8 @@ def qudit_battery_bound(rho, h0, v, dt: float) -> tuple[float, float]:
         raise DimensionMismatch(f"h0, v and rho have dimensions {len(h0)}, "
                                 f"{ham_v.dim} and {len(rho)}")
 
-    def works(v_s):
-        w, vecs = hermitian_eig(h0 + v_s)
+    def works(lam):
+        w, vecs = hermitian_eig(h0 + _eigenbasis_operators(ham_v, lam))     # h0 + V_s
         u = (vecs * np.exp(-1j * w * dt)[:, None, :]) @ dagger(vecs)
         return np.trace(h0 @ (rho - u @ rho @ dagger(u)), axis1=-2, axis2=-1).real
 

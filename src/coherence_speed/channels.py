@@ -38,6 +38,7 @@ from .linalg import (
     TOL_STRUCT,
     TOL_ZERO,
     SpectralHamiltonian,
+    _eigenbasis_operators,
     dagger,
     hermitianize,
     matrix_sqrt_psd,
@@ -214,7 +215,8 @@ def theorem3_bound(dilation: StinespringDilation, rho) -> tuple[float, float]:
     sqrt_rho = matrix_sqrt_psd(rho)
     dims = (dilation.sys_dim, dilation.env_dim)
 
-    def distances(u):
+    def distances(phi):
+        u = _eigenbasis_operators(dilation.hamiltonian, phi)
         out = partial_trace(u @ joint @ dagger(u), dims, over=1)
         return hellinger(rho, hermitianize(out), sqrt_rho=sqrt_rho)
 

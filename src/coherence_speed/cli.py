@@ -246,6 +246,15 @@ def _finish(table, meta: dict, fmt: str, out, failure: str | None) -> int:
     return 1
 
 
+def _require_finite(command: str, spectrum: np.ndarray, t0: float, t1: float) -> None:
+    """UsageError naming the spectrum and time range unless all of them are finite.
+
+    Python's json reads NaN and Infinity, and the schemas accept them as numbers.
+    """
+    if not np.isfinite(np.r_[spectrum, t0, t1]).all():
+        raise UsageError(f"{command} spectrum, t_start and t_stop must be finite")
+
+
 # ---------------------------------------------------------------------------
 # commands
 # ---------------------------------------------------------------------------
@@ -284,15 +293,14 @@ def _cmd_sweep(ns, config: dict) -> int:
         raise UsageError("sweep needs a config file with a sweep section "
                          "(spectrum, optionally state and time grid)")
     spectrum = np.asarray(section["spectrum"], dtype=float)
+    t0 = float(section.get("t_start", 0.0))
+    t1 = float(section.get("t_stop", 2.0 * np.pi))
+    _require_finite("sweep", spectrum, t0, t1)
     ham = SpectralHamiltonian.from_spectrum(spectrum)
     rng = np.random.default_rng(seed)
     state_spec = section.get("state", "maximally-coherent")
     rho, psi = _state(state_spec, ham, rng)
     rho = validate_density(rho)
-    t0 = float(section.get("t_start", 0.0))
-    t1 = float(section.get("t_stop", 2.0 * np.pi))
-    if not np.isfinite(np.r_[spectrum, t0, t1]).all():
-        raise UsageError("sweep spectrum, t_start and t_stop must be finite")
     times = np.linspace(t0, t1, int(section.get("t_steps", 201)))
     include_brute = (section.get("brute_force", True)
                      and ham.level_count <= BRUTE_FORCE_CAP)
@@ -391,11 +399,12 @@ def _cmd_qsl(ns, config: dict) -> int:
     seed, tol, out, fmt = _resolve_common(ns, config, TOL_REPORT)
     section = config.get("qsl", {})
     spectrum = np.asarray(section.get("spectrum", [0.0, 1.0]), dtype=float)
+    t0 = float(section.get("t_start", 0.0))
+    t1 = float(section.get("t_stop", np.pi))
+    _require_finite("qsl", spectrum, t0, t1)
     ham = SpectralHamiltonian.from_spectrum(spectrum)
     rng = np.random.default_rng(seed)
     psi0 = _pure_state(section.get("state", "plus"), ham.dim, rng)
-    t0 = float(section.get("t_start", 0.0))
-    t1 = float(section.get("t_stop", np.pi))
     steps = int(section.get("t_steps", 101))
     times = np.linspace(t0, t1, steps)
     grid = _qsl_grid(psi0, ham, [unitary_exp(ham, float(t)) @ psi0 for t in times])

@@ -40,11 +40,14 @@ def c_half(rho, decomposition: OrthogonalDecomposition) -> float:
     return _c_half(validate_density(rho), decomposition)
 
 
-def _c_half(rho: np.ndarray, decomposition: OrthogonalDecomposition) -> float:
-    """c_half of a state that has passed validate_density."""
+def _c_half(rho: np.ndarray, decomposition: OrthogonalDecomposition,
+            sqrt_rho: np.ndarray | None = None) -> float:
+    """c_half of a state that has passed validate_density; sqrt_rho, when
+    given, is matrix_sqrt_psd(rho)."""
     if rho.shape[0] != decomposition.dim:
         raise DimensionMismatch("state dimension does not match decomposition")
-    _, traces = _block_traces(matrix_sqrt_psd(rho), decomposition.projectors)
+    s = matrix_sqrt_psd(rho) if sqrt_rho is None else sqrt_rho
+    _, traces = _block_traces(s, decomposition.projectors)
     return max(0.0, 1.0 - float(np.sum(traces)))
 
 

@@ -25,6 +25,7 @@ verification checks declare their own.  Columns: value, bound, sites.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -64,8 +65,15 @@ def hermitianize(a: np.ndarray) -> np.ndarray:
 
 
 def is_hermitian(a: np.ndarray) -> bool:
-    """True when max|A - A†| <= TOL_HERM (for every matrix, for a stack)."""
-    return bool(np.abs(a - dagger(a)).max() <= TOL_HERM)
+    """True when max|A - A†| <= TOL_HERM (for every matrix, for a stack).
+
+    A non-finite entry fails before the residual is formed, where
+    inf - inf would make numpy warn next to the caller's error.  The
+    ufunc reductions skip the Python wrappers of .all() and .max(), which
+    offsets part of the cost of the finiteness pass.
+    """
+    return (bool(np.logical_and.reduce(np.isfinite(a), axis=None))
+            and bool(np.maximum.reduce(np.abs(a - dagger(a)), axis=None) <= TOL_HERM))
 
 
 def _square(a, *, stack: bool = False) -> np.ndarray:
@@ -81,7 +89,7 @@ def require_hermitian(a) -> np.ndarray:
 
     Raises DimensionMismatch on any other shape and NotHermitian when
     max|A - A†| exceeds TOL_HERM (for any matrix of a stack), or when
-    an entry is not finite, which the residual test also fails.
+    an entry is not finite, which is_hermitian also fails.
     """
     a = _square(a, stack=True)
     if not is_hermitian(a):
@@ -101,20 +109,33 @@ def hermitian_eig(h) -> tuple[np.ndarray, np.ndarray]:
     return np.linalg.eigh(require_hermitian(h))
 
 
-def matrix_sqrt_psd(rho) -> np.ndarray:
-    """Hermitian square root of a PSD matrix, or of each matrix in a stack (..., d, d).
+def _sqrt_eig(rho) -> tuple[np.ndarray, np.ndarray]:
+    """Roots sqrt(w) of the eigenvalues and the eigenvectors of a PSD matrix or stack.
 
-    Eigenvalues within TOL_PSD of zero are treated as exact zeros
-    (sqrt amplifies eigensolver noise on a singular matrix from 1e-16
-    to 1e-8 otherwise); anything below -TOL_PSD raises NotPSD.  Every
-    matrix of a stack gets its own eigendecomposition and these checks.
+    Holds every check of matrix_sqrt_psd: NotHermitian (hermitian_eig),
+    NotPSD for an eigenvalue below -TOL_PSD, and the dead band, which
+    reads eigenvalues below TOL_PSD as exact zeros.
     """
     w, v = hermitian_eig(rho)
     low = w.min() if w.ndim > 1 else w[0]
     if low < -TOL_PSD:
         raise NotPSD(f"eigenvalue {low:.3e} below -{TOL_PSD:.1e}")
-    w = np.where(w < TOL_PSD, 0.0, w)
-    return hermitianize((v * np.sqrt(w)[..., None, :]) @ dagger(v))
+    return np.sqrt(np.where(w < TOL_PSD, 0.0, w)), v
+
+
+def matrix_sqrt_psd(rho) -> np.ndarray:
+    """Hermitian square root of a PSD matrix, or of each matrix in a stack (..., d, d).
+
+    Rebuilt as W diag(sqrt w) W† from ``_sqrt_eig``, which holds the
+    checks: eigenvalues within TOL_PSD of zero are treated as exact
+    zeros (sqrt amplifies eigensolver noise on a singular matrix from
+    1e-16 to 1e-8 otherwise); anything below -TOL_PSD raises NotPSD.
+    Every matrix of a stack gets its own eigendecomposition and these
+    checks.  Callers that only need a trace against the root, as
+    ``metrics.affinity`` does, take ``_sqrt_eig`` and skip the rebuild.
+    """
+    roots, v = _sqrt_eig(rho)
+    return hermitianize((v * roots[..., None, :]) @ dagger(v))
 
 
 def validate_density(rho) -> np.ndarray:
@@ -366,10 +387,10 @@ class SpectralHamiltonian:
     decomposition -- eigenspace projectors, one per distinct level
 
     Input is validated where it enters: ``from_matrix`` checks
-    Hermiticity, ``from_spectrum`` that a caller's basis is finite and
-    orthonormal to TOL_STRUCT.  The eigenspace families built from such a
-    basis, from an ``eigh`` eigenbasis, from the computational basis
-    and by ``permute_levels`` are trusted.
+    Hermiticity, ``from_spectrum`` that the eigenvalues are finite and a
+    caller's basis finite and orthonormal to TOL_STRUCT.  The eigenspace
+    families built from such a basis, from an ``eigh`` eigenbasis, from
+    the computational basis and by ``permute_levels`` are trusted.
     """
 
     eigenvalues: np.ndarray
@@ -388,11 +409,14 @@ class SpectralHamiltonian:
     def from_spectrum(cls, eigenvalues, basis: np.ndarray | None = None) -> "SpectralHamiltonian":
         """Assemble from eigenvalues and an optional orthonormal eigenbasis.
 
-        Defaults to the computational basis; a caller's basis must be finite
-        and orthonormal to TOL_STRUCT.  Eigenvalues are sorted ascending with the
-        basis columns carried along.
+        Defaults to the computational basis; the eigenvalues and a caller's
+        basis must be finite (ValueError otherwise), and the basis orthonormal
+        to TOL_STRUCT.  Eigenvalues are sorted ascending with the basis
+        columns carried along.
         """
         w = np.asarray(eigenvalues, dtype=float).reshape(-1)
+        if not np.isfinite(w).all():
+            raise ValueError("eigenvalues are not all finite")
         d = len(w)
         if basis is None:
             v = np.eye(d, dtype=complex)
@@ -459,10 +483,23 @@ def unitary_exp(ham: SpectralHamiltonian, t: float) -> np.ndarray:
 
 
 # Orbit members per stacked evaluation (5!): every orbit of up to 5
-# levels is one stack, and 8 levels at d = 16 hold stacks of 120 d x d
-# complex matrices (0.5 MB each) instead of one of 40320 (165 MB).
-# Larger stacks measured no faster for 6 and 7 levels.
+# levels is one chunk, and 8 levels at d = 16 hold chunks of 120 d x d
+# complex matrices (0.5 MB each) instead of one of 40320 (165 MB).  The
+# mixed-state oracle diagonalizes each chunk of evolved states in one
+# stacked eigh, which is most of its time at 6 and 7 levels; larger
+# chunks measured no faster there.
 ORBIT_CHUNK = 120
+
+
+@functools.lru_cache(maxsize=8)
+def _orbit_table(m_count: int) -> np.ndarray:
+    """Read-only (M!, M) table: row k is the inverse of the k-th assignment of
+    itertools.permutations(range(M)), i.e. the level on each block."""
+    perms = np.fromiter(itertools.chain.from_iterable(itertools.permutations(range(m_count))),
+                        dtype=np.intp, count=math.factorial(m_count) * m_count)
+    table = np.argsort(perms.reshape(-1, m_count), axis=1)
+    table.flags.writeable = False
+    return table
 
 
 def orbit_levels(ham: SpectralHamiltonian) -> np.ndarray:
@@ -472,12 +509,27 @@ def orbit_levels(ham: SpectralHamiltonian) -> np.ndarray:
     itertools.permutations(range(M)) (lexicographic order), which puts
     level m on block s[m] as permute_levels does, so that
     H_s = V diag(row_k) V† with V = ham.eigenvectors.  Shape (M!, d).
+    The permutation table is built once per level count.
     """
-    m_count = ham.level_count
-    perms = np.fromiter(itertools.chain.from_iterable(itertools.permutations(range(m_count))),
-                        dtype=np.intp, count=math.factorial(m_count) * m_count)
-    level_on_block = np.argsort(perms.reshape(-1, m_count), axis=1)  # inverse assignments
-    return ham.levels[level_on_block[:, ham.level_of]]
+    return ham.levels[_orbit_table(ham.level_count)[:, ham.level_of]]
+
+
+def _orbit_diagonals(ham: SpectralHamiltonian,
+                     fn: Callable[[np.ndarray], np.ndarray]) -> Iterator[np.ndarray]:
+    """fn of the orbit_levels rows, as lexicographic chunks of ORBIT_CHUNK rows.
+
+    Each row is the diagonal of an orbit operator in the eigenbasis of ham:
+    ``lambda lam: np.exp(-1j * lam * t)`` gives the phases of exp(-i H_s t).
+    """
+    rows = orbit_levels(ham)
+    for start in range(0, len(rows), ORBIT_CHUNK):
+        yield fn(rows[start:start + ORBIT_CHUNK])
+
+
+def _eigenbasis_operators(ham: SpectralHamiltonian, diagonals: np.ndarray) -> np.ndarray:
+    """V diag(row) V† for each row of diagonals (n, d), V = ham.eigenvectors."""
+    v = ham.eigenvectors
+    return (v * diagonals[:, None, :]) @ v.conj().T
 
 
 def orbit_operators(ham: SpectralHamiltonian,
@@ -486,10 +538,7 @@ def orbit_operators(ham: SpectralHamiltonian,
 
     fn maps a block of orbit_levels rows elementwise: ``lambda lam: lam``
     gives the permuted Hamiltonians H_s, ``lambda lam: np.exp(-1j * lam * t)``
-    their evolutions exp(-i H_s t).
+    their evolutions exp(-i H_s t).  Built from the chunks of _orbit_diagonals.
     """
-    v = ham.eigenvectors
-    vh = v.conj().T
-    rows = orbit_levels(ham)
-    for start in range(0, len(rows), ORBIT_CHUNK):
-        yield (v * fn(rows[start:start + ORBIT_CHUNK])[:, None, :]) @ vh
+    for diagonals in _orbit_diagonals(ham, fn):
+        yield _eigenbasis_operators(ham, diagonals)

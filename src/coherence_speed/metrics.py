@@ -17,7 +17,14 @@ import numpy as np
 
 from .dynamics import _energy_moments
 from .errors import DimensionMismatch
-from .linalg import TOL_PSD, TOL_ZERO, SpectralHamiltonian, matrix_sqrt_psd, validate_state_vector
+from .linalg import (
+    TOL_PSD,
+    TOL_ZERO,
+    SpectralHamiltonian,
+    _sqrt_eig,
+    matrix_sqrt_psd,
+    validate_state_vector,
+)
 
 
 def affinity(rho, sigma, *, sqrt_rho: np.ndarray | None = None) -> float | np.ndarray:
@@ -26,13 +33,18 @@ def affinity(rho, sigma, *, sqrt_rho: np.ndarray | None = None) -> float | np.nd
     Either state may be a stack (..., d, d), broadcast against the
     other; the result is then an array of overlaps, each clipped.
     A precomputed sqrt(rho) may be supplied to avoid repeated
-    diagonalizations in tight loops.
+    diagonalizations in tight loops.  sqrt(sigma) = W diag(sqrt w) W†
+    is never formed: sigma gets its own checked eigendecomposition
+    (``_sqrt_eig``, with the checks and dead band of matrix_sqrt_psd)
+    and the overlap is sum_j sqrt(w_j) Re (W† sqrt(rho) W)_jj.
     """
     a = matrix_sqrt_psd(rho) if sqrt_rho is None else sqrt_rho
-    b = matrix_sqrt_psd(sigma)
-    if a.shape[-2:] != b.shape[-2:]:
-        raise DimensionMismatch(f"shapes {a.shape} and {b.shape} differ")
-    val = (a @ b).trace(axis1=-2, axis2=-1).real.clip(0.0, 1.0)
+    roots, w = _sqrt_eig(sigma)
+    if a.shape[-2:] != w.shape[-2:]:
+        raise DimensionMismatch(f"shapes {a.shape} and {w.shape} differ")
+    # (W† a W)_jj = sum_i conj(W_ij) (a W)_ij
+    diag = ((a @ w) * w.conj()).sum(axis=-2).real
+    val = (roots * diag).sum(axis=-1).clip(0.0, 1.0)
     return float(val) if val.ndim == 0 else val
 
 
@@ -53,7 +65,7 @@ def d_affinity_half(rho, sigma) -> float:
 def fidelity(rho, sigma) -> float:
     """Uhlmann fidelity [Tr sqrt(sqrt(rho) sigma sqrt(rho))]^2, clipped into [0, 1]."""
     s = matrix_sqrt_psd(rho)
-    matrix_sqrt_psd(sigma)      # the checks affinity makes of sigma: NotHermitian, NotPSD
+    _sqrt_eig(sigma)            # the checks affinity makes of sigma: NotHermitian, NotPSD
     sig = np.asarray(sigma, dtype=complex)
     if sig.shape != s.shape:
         raise DimensionMismatch(f"shapes {s.shape} and {sig.shape} differ")

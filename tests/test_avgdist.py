@@ -1,6 +1,7 @@
 """Closed form vs brute force for the permutation-averaged distance."""
 
 import itertools
+import math
 import tracemalloc
 
 import numpy as np
@@ -236,7 +237,7 @@ def test_qudit_battery_bound_equals_literal_permutation_loop():
 def test_every_orbit_oracle_respects_the_cap(monkeypatch):
     n = BRUTE_FORCE_CAP + 1
     orbits = []
-    monkeypatch.setattr(avgdist, "orbit_operators", lambda *a: orbits.append(a) or iter(()))
+    monkeypatch.setattr(avgdist, "_orbit_diagonals", lambda *a: orbits.append(a) or iter(()))
     ham = SpectralHamiltonian.from_spectrum(np.arange(n, dtype=float), random_unitary(n, 50))
     rho = random_density(n, rank=2, seed=50)
     with pytest.raises(TooManyLevels, match=f"{n} levels exceed brute-force cap"):
@@ -292,6 +293,70 @@ def test_each_entry_validates_its_state_once(monkeypatch):
     # the private paths give the public values bit for bit
     assert res.coherence == c_half(rho, ham.decomposition)
     assert res.brute_force == avg_distance_bruteforce(rho, ham, 1.3)
+
+
+def _computational_basis_brute(rho, ham, t):
+    """The orbit average as formulated before the eigenbasis oracle: U_s from
+    orbit_operators, sigma_s = U_s rho U_s†, matrix_sqrt_psd of each, one trace."""
+    a = linalg.matrix_sqrt_psd(rho)
+    terms = []
+    for u in linalg.orbit_operators(ham, lambda lam: np.exp(-1j * lam * t)):
+        b = linalg.matrix_sqrt_psd(u @ rho @ linalg.dagger(u))
+        terms.extend(2.0 * (1.0 - np.clip((a @ b).trace(axis1=-2, axis2=-1).real, 0.0, 1.0)))
+    return math.fsum(terms) / len(terms)
+
+
+def _mixed_cases(rng):
+    """(rho, ham) at 2-6 levels, with and without a doubled level, over ranks 1..d."""
+    for m in range(2, 7):
+        for extra in (0, 1):
+            values = _spread_spectrum(rng, m)
+            values = np.sort(np.r_[values, values[int(rng.integers(m))]]) if extra else values
+            d = m + extra
+            ham = SpectralHamiltonian.from_spectrum(values, random_unitary(d, rng))
+            for rank in range(1, d + 1):
+                yield random_density(d, rank=rank, seed=rng), ham
+
+
+def test_eigenbasis_oracle_equals_the_computational_basis_orbit():
+    rng = np.random.default_rng(99)
+    for rho, ham in _mixed_cases(rng):
+        t = float(rng.uniform(0.05, 8.0))
+        assert abs(avgdist._bruteforce(rho, ham, t) - _computational_basis_brute(rho, ham, t)) < 1e-14
+
+
+def test_eigenbasis_oracle_diagonalizes_every_evolved_state(monkeypatch):
+    rng = np.random.default_rng(100)
+    cases = [next(c for c in _mixed_cases(rng) if c[1].level_count == m) for m in (2, 4, 6)]
+    shapes = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda a, *k: shapes.append(a.shape) or eigh(a, *k))
+    for rho, ham in cases:
+        shapes.clear()
+        avg_distance_bruteforce(rho, ham, 1.3)
+        d = ham.dim
+        # one root of rho, then stacks of evolved states covering the whole orbit
+        assert shapes[0] == (d, d)
+        assert all(len(s) == 3 and s[1:] == (d, d) for s in shapes[1:])
+        assert sum(s[0] for s in shapes[1:]) == math.factorial(ham.level_count)
+
+
+def test_avg_distance_closed_roots_rho_once(monkeypatch):
+    roots = []
+
+    def counting(rho):
+        roots.append(np.shape(rho))
+        return linalg.matrix_sqrt_psd(rho)
+
+    for module in (avgdist, coherence, metrics):
+        monkeypatch.setattr(module, "matrix_sqrt_psd", counting)
+    rng = np.random.default_rng(101)
+    ham = SpectralHamiltonian.from_spectrum(_spread_spectrum(rng, 4), random_unitary(4, rng))
+    rho = random_density(4, rank=3, seed=rng)
+    res = avg_distance_closed(rho, ham, 1.3, include_brute=True)
+    assert roots == [(4, 4)]
+    assert res.brute_force == avgdist._bruteforce(rho, ham, 1.3)
+    assert res.coherence == coherence._c_half(rho, ham.decomposition)
 
 
 def _pairwise_cos_mean(lam, t):

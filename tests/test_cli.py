@@ -357,6 +357,20 @@ def test_a_non_finite_sweep_input_is_a_usage_error(tmp_path, capsys, section):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("section", [
+    {"spectrum": [0.0, float("nan"), 1.0]}, {"spectrum": [0.0, float("inf")]},
+    {"spectrum": [0.0, 1.0], "t_stop": float("inf")}],
+    ids=["nan-level", "infinite-level", "infinite-stop"])
+def test_a_non_finite_qsl_input_names_the_spectrum(tmp_path, capsys, section):
+    # the state is valid: the error must not blame it
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"qsl": {**section, "t_steps": 3}}))
+    out = tmp_path / "qsl.csv"
+    assert main(["qsl", "--config", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: qsl spectrum, t_start and t_stop must be finite\n"
+    assert not out.exists()
+
+
 def test_csv_details_with_commas_stay_in_one_cell(tmp_path, capsys):
     out = tmp_path / "thm3.csv"
     assert main(["verify", "thm3", "--trials", "2", "--out", str(out)]) == 0

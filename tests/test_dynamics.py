@@ -456,8 +456,12 @@ def test_a_reversed_grid_warns_and_evolves_backwards():
     lambda: HamiltonianPath.constant(np.diag([np.nan, 0.0]), 1.0, steps=4),
     lambda: HamiltonianPath.linear(np.eye(2), np.diag([0.0, np.inf]), 1.0, steps=4),
     lambda: HamiltonianPath.linear(np.diag([np.nan, 0.0]), np.eye(2), 1.0),
-], ids=["caller-nan", "caller-inf", "constant-nan", "linear-inf-end", "linear-nan-start"])
+    lambda: HamiltonianPath([0.0, 1.0], [np.diag([np.inf, 0.0])] * 2),
+], ids=["caller-nan", "caller-inf", "constant-nan", "linear-inf-end", "linear-nan-start",
+        "caller-inf-diagonal"])
 def test_non_finite_samples_are_named_as_such(build):
+    # warnings as errors: inf - inf in the Hermiticity residual would warn first
     with pytest.raises(NotHermitian, match="^matrix entries are not all finite$"), \
-            np.errstate(invalid="ignore"):
+            warnings.catch_warnings():
+        warnings.simplefilter("error")
         build()

@@ -2,6 +2,7 @@
 
 import inspect
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -218,6 +219,27 @@ def test_orbit_operators_chunk_in_lexicographic_order():
     diagonals = np.concatenate([np.diagonal(c, axis1=1, axis2=2).real for c in chunks])
     inverse = [np.argsort(s) for s in itertools.permutations(range(7))]
     assert np.array_equal(diagonals, np.asarray(inverse, dtype=float))
+
+
+def _fresh_orbit_table(m):
+    perms = np.array(list(itertools.permutations(range(m))), dtype=np.intp).reshape(-1, m)
+    return np.argsort(perms, axis=1)
+
+
+def test_the_cached_orbit_table_is_a_fresh_build_and_read_only():
+    for m in range(1, 9):
+        table = linalg._orbit_table(m)
+        fresh = _fresh_orbit_table(m)
+        assert table.dtype == fresh.dtype and table.shape == fresh.shape
+        assert table.tobytes() == fresh.tobytes()
+        assert linalg._orbit_table(m) is table
+        with pytest.raises(ValueError, match="read-only"):
+            table[0, 0] = 1
+    assert not any(index.flags.writeable for index in avgdist._upper_pairs(5))
+    ham = SpectralHamiltonian.from_spectrum(np.array([0.0, 1.0, 1.0, 2.5]))
+    rows = orbit_levels(ham)
+    rows[0, 0] = 9.0            # a copy, which leaves the cached table as it was
+    assert linalg._orbit_table(3).tobytes() == _fresh_orbit_table(3).tobytes()
 
 
 def test_matrix_sqrt_psd_stack_matches_each_matrix():
@@ -439,6 +461,27 @@ def test_from_spectrum_rejects_a_nan_basis():
     basis[1, 2] = np.nan
     with pytest.raises(ValueError, match="not all finite"):
         SpectralHamiltonian.from_spectrum([0.0, 1.0, 2.0], basis)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_from_spectrum_rejects_non_finite_eigenvalues(bad):
+    for basis in (None, random_unitary(3, 18)):
+        with pytest.raises(ValueError, match="^eigenvalues are not all finite$"):
+            SpectralHamiltonian.from_spectrum([0.0, bad, 1.0], basis)
+
+
+@pytest.mark.parametrize("bad", [
+    np.diag([np.inf, 0.0]), np.array([[0.0, np.inf], [np.inf, 0.0]]),
+    np.array([[0.0, np.inf], [-np.inf, 0.0]]), np.diag([np.nan, 0.0])],
+    ids=["inf-diagonal", "inf-symmetric", "inf-antisymmetric", "nan"])
+def test_a_non_finite_matrix_fails_the_hermitian_check_without_a_warning(bad):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert not linalg.is_hermitian(bad.astype(complex))
+        with pytest.raises(NotHermitian, match="^matrix entries are not all finite$"):
+            SpectralHamiltonian.from_matrix(bad)
+        with pytest.raises(NotHermitian):
+            linalg.validate_density(bad)
 
 
 @pytest.mark.parametrize("offset, accepted", [(2e-8, False), (5e-9, True)])

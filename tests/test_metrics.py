@@ -64,6 +64,59 @@ def test_affinity_accepts_precomputed_roots():
         affinity(rho, sig, sqrt_sigma=matrix_sqrt_psd(sig))
 
 
+def _rebuilt_root_affinity(rho, sigma):
+    """Tr sqrt(rho) sqrt(sigma) from both rebuilt roots, clipped into [0, 1]."""
+    a, b = linalg.matrix_sqrt_psd(rho), linalg.matrix_sqrt_psd(sigma)
+    return np.clip((a @ b).trace(axis1=-2, axis2=-1).real, 0.0, 1.0)
+
+
+def _affinity_cases(rng):
+    """(rho, sigma) at d = 2..8 over ranks 1..d, and with a 1e-8 eigenvalue."""
+    for d in range(2, 9):
+        for rank in range(1, d + 1):
+            yield random_density(d, rank=rank, seed=rng), random_density(
+                d, rank=int(rng.integers(1, d + 1)), seed=rng)
+        u = linalg.random_unitary(d, rng)
+        p = np.r_[1e-8, rng.uniform(0.2, 1.0, d - 1)]
+        yield random_density(d, rank=d, seed=rng), (u * (p / p.sum())) @ u.conj().T
+
+
+def test_affinity_from_eigendata_matches_the_rebuilt_root():
+    rng = np.random.default_rng(25)
+    cases = list(_affinity_cases(rng))
+    for rho, sig in cases:
+        d = len(rho)
+        for a, b in ((rho, sig), (sig, rho)):
+            assert abs(affinity(a, b) - _rebuilt_root_affinity(a, b)) < d * 1e-15
+    for d in range(2, 9):
+        rhos = np.stack([rho for rho, _ in cases if len(rho) == d])
+        sigs = np.stack([sig for rho, sig in cases if len(rho) == d])
+        for a, b in ((rhos, sigs), (rhos[0], sigs), (rhos, sigs[-1])):
+            got = affinity(a, b)
+            assert got.shape == (len(rhos),)
+            assert np.max(np.abs(got - _rebuilt_root_affinity(a, b))) < d * 1e-15
+
+
+def test_the_dead_band_pair_still_reads_exactly_two():
+    # eigenvalues below TOL_PSD are exact zeros, so the overlap vanishes
+    # (the true distance at e = 5e-11 is 1.99997172)
+    e = 5e-11
+    assert hellinger(np.diag([1.0 - e, e]), np.diag([e, 1.0 - e])) == 2.0
+
+
+def test_affinity_never_forms_the_root_of_sigma(monkeypatch):
+    calls = []
+    monkeypatch.setattr(metrics, "matrix_sqrt_psd",
+                        lambda rho: calls.append(np.shape(rho)) or linalg.matrix_sqrt_psd(rho))
+    rng = np.random.default_rng(26)
+    rho, sig = random_density(4, rank=3, seed=rng), random_density(4, rank=2, seed=rng)
+    affinity(rho, sig)
+    assert calls == [(4, 4)]                  # the root of rho only
+    affinity(rho, np.stack([sig, rho]), sqrt_rho=linalg.matrix_sqrt_psd(rho))
+    fidelity(rho, sig)
+    assert calls == [(4, 4)] * 2
+
+
 def test_hellinger_contracts_under_dephasing():
     rng = np.random.default_rng(24)
     dec = OrthogonalDecomposition.computational(5, [[0, 1], [2], [3, 4]])
