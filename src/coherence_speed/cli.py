@@ -46,10 +46,11 @@ from .linalg import (
     TOL_REPORT,
     TOL_ZERO,
     SpectralHamiltonian,
+    dagger,
     haar_random_state,
+    matrix_sqrt_psd,
     pure_density,
     random_density,
-    unitary_exp,
     validate_density,
     validate_state_vector,
 )
@@ -301,14 +302,15 @@ def _cmd_sweep(ns, config: dict) -> int:
     state_spec = section.get("state", "maximally-coherent")
     rho, psi = _state(state_spec, ham, rng)
     rho = validate_density(rho)
+    sqrt_rho = matrix_sqrt_psd(rho)         # one root serves c_half and the mixed-state oracle
     times = np.linspace(t0, t1, int(section.get("t_steps", 201)))
     include_brute = (section.get("brute_force", True)
                      and ham.level_count <= BRUTE_FORCE_CAP)
-    coef, coh, closed = _closed_form(rho, ham, times)     # B(t) over the whole grid at once
+    coef, coh, closed = _closed_form(rho, ham, times, sqrt_rho)   # B(t) over the whole grid at once
     brute = gap = None
     if include_brute:
-        oracle, state = (_bruteforce, rho) if psi is None else (_bruteforce_pure, psi)
-        brute = np.array([oracle(state, ham, t) for t in times.tolist()])
+        brute = np.array([_bruteforce(rho, ham, t, sqrt_rho) if psi is None
+                          else _bruteforce_pure(psi, ham, t) for t in times.tolist()])
         gap = np.abs(brute - closed)
     columns = {"t": times, "sbar_brute": brute, "sbar_closed": closed, "coefficient": coef,
                "c_half": coh, "gap": gap}
@@ -407,7 +409,11 @@ def _cmd_qsl(ns, config: dict) -> int:
     psi0 = _pure_state(section.get("state", "plus"), ham.dim, rng)
     steps = int(section.get("t_steps", 101))
     times = np.linspace(t0, t1, steps)
-    grid = _qsl_grid(psi0, ham, [unitary_exp(ham, float(t)) @ psi0 for t in times])
+    # exp(-i H t) psi0 but for the global phase exp(-i w_0 t), which the Bures
+    # angle ignores; phases of w - w_0 keep their precision on a shifted spectrum
+    v, w = ham.eigenvectors, ham.eigenvalues
+    phases = np.exp(-1j * np.multiply.outer(times, w - w[0]))
+    grid = _qsl_grid(psi0, ham, (phases * (dagger(v) @ psi0)) @ v.T)
     rows = []
     worst = -np.inf
     for t, bounds in zip(times, grid):

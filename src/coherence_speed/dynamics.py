@@ -10,14 +10,18 @@ the eigenspace weights r_m = ||P_m psi||^2 and the level gaps:
 with DeltaH the energy spread of the state.  Both routes are computed
 independently here so the identity can be checked rather than assumed.
 
+Energy mean and spread of spectral input have one rule, ``_moments``,
+which reads only level gaps and so is exact under a constant shift;
+the dense ||(H - <H>) psi|| stays for a dense matrix, as an oracle.
+
 A ``HamiltonianPath`` is an immutable time grid and its (N+1, d, d)
 stack of samples H(t_k), checked once where it is built.  ``evolve``
 diagonalizes the stack with one stacked ``eigh``; the step unitaries
 V exp(-i w dt) V† are formed as a stack, so Python runs only the
 sequential mat-vec.  Speeds and spreads along the trajectory come from
-the same stacked eigendata and dense stack, by the rules of
-``instantaneous_speed`` and ``energy_uncertainty`` (the single-step
-oracles).  The stacks hold about 48 N d^2 bytes.
+the same stacked eigendata, by the rules of ``instantaneous_speed`` and
+of ``energy_uncertainty`` on spectral input (the single-step oracles).
+The stacks hold about 48 N d^2 bytes.
 """
 
 from __future__ import annotations
@@ -150,39 +154,61 @@ class Trajectory:
 
 
 def gap_squared_matrix(levels) -> np.ndarray:
-    """Symmetric zero-diagonal matrix of squared level gaps (lambda_p - lambda_q)^2."""
-    lam = np.asarray(levels, dtype=float).reshape(-1)
-    d = lam[:, None] - lam[None, :]
+    """Squared gaps (lambda_p - lambda_q)^2 of levels (..., M): a zero-diagonal (M, M) per row."""
+    lam = np.asarray(levels, dtype=float)
+    d = lam[..., :, None] - lam[..., None, :]
     return d * d
+
+
+def _check_dims(psi: np.ndarray, shape: tuple) -> None:
+    """DimensionMismatch unless the operator shape is (d, d) for the d entries of psi."""
+    if tuple(shape) != (len(psi), len(psi)):
+        raise DimensionMismatch("state/Hamiltonian dimensions differ")
 
 
 def instantaneous_speed(psi, ham: SpectralHamiltonian) -> float:
     """Distance speed sqrt(sum_{p,q} r_p r_q (lambda_p - lambda_q)^2).
 
     r_m are the eigenspace weights of psi; degenerate levels enter once.
+    Raises DimensionMismatch when psi and ham differ in dimension.
     """
     psi = validate_state_vector(psi)
+    _check_dims(psi, ham.eigenvectors.shape)
     r = ham.decomposition._weights(psi)
     a = gap_squared_matrix(ham.levels)
     return float(np.sqrt(max(0.0, r @ a @ r)))
 
 
 def energy_uncertainty(psi, h) -> float:
-    """Energy spread ||(H - <H>) psi|| computed from the dense matrix.
+    """Energy spread DeltaH of psi under a SpectralHamiltonian or a dense Hermitian matrix.
 
-    Equals sqrt(<H^2> - <H>^2) without subtracting the two moments, which
-    cancel when the spread is small against the mean energy.
+    Spectral input goes through ``_moments``, exact under a constant
+    shift.  A dense matrix gives ||(H - <H>) psi||, with an error of about
+    eps ||H|| / DeltaH relative.  Raises DimensionMismatch when psi and h
+    differ in dimension.
     """
     psi = validate_state_vector(psi)
-    mat = h.matrix() if isinstance(h, SpectralHamiltonian) else np.asarray(h, dtype=complex)
-    return _energy_moments(psi, mat)[1]
-
-
-def _energy_moments(psi: np.ndarray, mat: np.ndarray) -> tuple[float, float]:
-    """Mean <H> and spread ||(H - <H>) psi|| of a validated unit vector under a dense H."""
+    if isinstance(h, SpectralHamiltonian):
+        _check_dims(psi, h.eigenvectors.shape)
+        return float(_moments(np.abs(dagger(h.eigenvectors) @ psi) ** 2, h.eigenvalues)[1])
+    mat = require_hermitian(h)
+    _check_dims(psi, mat.shape)
     hpsi = mat @ psi
-    e = float(np.vdot(psi, hpsi).real)
-    return e, float(np.linalg.norm(hpsi - e * psi))
+    return float(np.linalg.norm(hpsi - np.vdot(psi, hpsi).real * psi))
+
+
+def _moments(a: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Energy mean and spread from weights a = |V† psi|^2 and ascending eigenvalues w (..., d).
+
+    With x = w - w_0: mean = sum a x, spread = sqrt(sum a (x - mean)^2).
+    Only gaps enter, so both are shift-exact, where the dense route errs
+    by about eps ||H|| / DeltaH relative.  Levels are not clustered: a
+    split below TOL_DEGEN adds its spread, as in the dense form.
+    """
+    x = w - w[..., :1]
+    mean = (a * x).sum(axis=-1)
+    dev = x - mean[..., None]
+    return mean, np.sqrt((a * dev * dev).sum(axis=-1))
 
 
 def _propagate(psi0: np.ndarray, times: np.ndarray,
@@ -216,19 +242,21 @@ def _propagate(psi0: np.ndarray, times: np.ndarray,
     return states, w, v
 
 
-def _stacked_speeds(w: np.ndarray, v: np.ndarray, states: np.ndarray) -> np.ndarray:
-    """instantaneous_speed at every grid point from the stacked eigendata.
+def _stacked_speeds(w: np.ndarray, v: np.ndarray,
+                    states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """instantaneous_speed and energy spread at every grid point from the stacked eigendata.
 
-    Column weights |V† psi|^2 are summed per level, levels being
-    grouped by the rule of SpectralHamiltonian (``_cluster_levels`` at
-    TOL_DEGEN).  Unused level slots carry zero weight and drop out.
+    Column weights |V† psi|^2 give the spread through ``_moments``; for
+    the speed they are summed per level, levels being grouped by the
+    rule of SpectralHamiltonian (``_cluster_levels`` at TOL_DEGEN).
+    Unused level slots carry zero weight and drop out.
     """
     weights = np.abs(np.einsum("kji,kj->ki", v.conj(), states)) ** 2
     levels, level_of = _cluster_levels(w)
     member = level_of[:, :, None] == np.arange(levels.shape[1])   # (k, column, level)
     r = np.einsum("kj,kjm->km", weights, member)
-    gaps = (levels[:, :, None] - levels[:, None, :]) ** 2
-    return np.sqrt(np.maximum(0.0, np.einsum("kp,kpq,kq->k", r, gaps, r)))
+    speeds = np.sqrt(np.maximum(0.0, np.einsum("kp,kpq,kq->k", r, gap_squared_matrix(levels), r)))
+    return speeds, _moments(weights, w)[1]
 
 
 def evolve(psi0, path: HamiltonianPath) -> Trajectory:
@@ -238,15 +266,13 @@ def evolve(psi0, path: HamiltonianPath) -> Trajectory:
     eigendecomposition of the path's samples.  Raises GridTooCoarse when
     the half spectral width (lambda_max - lambda_min) / 2 times dt
     exceeds 1, before any step is taken; warns once above 0.1.  A global
-    shift of H changes only the phase and so does not move the guard.
+    shift of H changes only the phase and so does not move the guard,
+    nor the speeds and spreads.
     """
     psi0 = validate_state_vector(psi0)
     states, w, v = _propagate(psi0, path.times, path.samples)
-    hpsi = np.einsum("kij,kj->ki", path.samples, states)
-    energy = np.einsum("ki,ki->k", states.conj(), hpsi).real
-    uncerts = np.linalg.norm(hpsi - energy[:, None] * states, axis=1)
-    return Trajectory(times=path.times, states=states, speeds=_stacked_speeds(w, v, states),
-                      uncertainties=uncerts)
+    speeds, uncerts = _stacked_speeds(w, v, states)
+    return Trajectory(times=path.times, states=states, speeds=speeds, uncertainties=uncerts)
 
 
 def finite_difference_speed(trajectory: Trajectory, k: int) -> float:

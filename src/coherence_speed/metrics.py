@@ -15,13 +15,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import _energy_moments
+from .dynamics import _moments
 from .errors import DimensionMismatch
 from .linalg import (
     TOL_PSD,
     TOL_ZERO,
     SpectralHamiltonian,
     _sqrt_eig,
+    dagger,
     matrix_sqrt_psd,
     validate_state_vector,
 )
@@ -107,6 +108,8 @@ def qsl_bounds(psi0, ham: SpectralHamiltonian, psi1) -> QslBounds:
 
     mean_energy is measured from the bottom of the spectrum
     (H - lambda_min), the standard convention for the mean-energy bound.
+    It and energy_stddev come from the level gaps, so a constant shift
+    of the spectrum leaves both unchanged.
     """
     return _qsl_grid(psi0, ham, [psi1])[0]
 
@@ -116,14 +119,14 @@ def _qsl_grid(psi0, ham: SpectralHamiltonian, targets) -> list[QslBounds]:
 
     psi0 and every target are validated, in that order, before the
     dimensions are compared; the energy moments of psi0, which every
-    target shares, are formed once.
+    target shares, are formed once, by ``_moments`` from the spectrum.
     """
     psi0 = validate_state_vector(psi0)
     targets = [validate_state_vector(psi1) for psi1 in targets]
     if ham.dim != len(psi0) or any(len(psi1) != len(psi0) for psi1 in targets):
         raise DimensionMismatch("state/Hamiltonian dimensions differ")
-    e, stddev = _energy_moments(psi0, ham.matrix())
-    mean_shifted = e - float(ham.eigenvalues[0])
+    weights = np.abs(dagger(ham.eigenvectors) @ psi0) ** 2
+    mean_shifted, stddev = (float(m) for m in _moments(weights, ham.eigenvalues))
     out = []
     for psi1 in targets:
         # arccos of the overlap magnitude loses half the working precision

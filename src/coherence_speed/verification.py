@@ -542,7 +542,11 @@ def check_incoherent_mixture_monotonicity(i, rng, d):
 
 @_trials("speed-identity", "speed-identity", salt=51, trials=500, tol=1e-10, dims=range(2, 9))
 def check_speed_identity(i, rng, d):
-    """Gap-weighted speed equals sqrt(2) times the energy spread."""
+    """Gap-weighted speed equals sqrt(2) times the energy spread.
+
+    The spread is dense on purpose: the spectral one shares the speed's
+    eigenvector weights, so the check would compare them with themselves.
+    """
     if i % 3 == 0 and d >= 3:
         m = int(rng.integers(2, d))
         mult = np.ones(m, dtype=int)

@@ -7,6 +7,7 @@ import re
 import numpy as np
 import pytest
 
+from coherence_speed import avgdist, cli, coherence, linalg, metrics
 from coherence_speed.avgdist import avg_distance_closed
 from coherence_speed.cli import main
 from coherence_speed.linalg import (
@@ -14,7 +15,9 @@ from coherence_speed.linalg import (
     haar_random_state,
     pure_density,
     random_density,
+    unitary_exp,
 )
+from coherence_speed.metrics import qsl_bounds
 
 
 def body_lines(path):
@@ -171,6 +174,22 @@ def test_a_pure_sweep_moves_only_its_oracle_columns_and_only_at_roundoff(tmp_pat
             assert abs(float(row[col]) - float(ref[col])) <= 1e-14
 
 
+def test_a_mixed_sweep_roots_rho_once(tmp_path, monkeypatch):
+    spectrum, state = [0.0, 0.7, 1.9, 2.4], {"density_rank": 2}
+    want = _point_by_point_sweep(spectrum, state, 8, 41)
+    roots = []
+
+    def counting(rho):
+        roots.append(np.shape(rho))
+        return linalg.matrix_sqrt_psd(rho)
+
+    for module in (cli, avgdist, coherence, metrics):
+        monkeypatch.setattr(module, "matrix_sqrt_psd", counting)
+    out = _run_sweep(tmp_path, spectrum, state, 8, 41)
+    assert roots == [(4, 4)]
+    assert body_lines(out) == want
+
+
 @pytest.mark.parametrize("state", [{"haar": True}, {"density_rank": 2}])
 def test_a_json_sweep_holds_the_csv_values(tmp_path, state):
     csv_rows = rows_of(_run_sweep(tmp_path, [0.0, 0.6, 1.7], state, 3, 13))
@@ -268,6 +287,34 @@ def test_qsl_grid_hits_the_orthogonality_point(tmp_path):
     assert abs(last["ml_time"] - np.pi) < 1e-9
     for r in rows:
         assert r["mt_time"] <= r["t"] + 1e-9
+
+
+def test_the_default_qsl_rows_are_the_unitary_exp_targets_bit_for_bit(tmp_path):
+    # on the default spectrum [0, 1] the lowest level is 0, so dropping the
+    # global phase exp(-i w_0 t) from the targets changes no bit
+    out = tmp_path / "qsl.json"
+    assert main(["qsl", "--format", "json", "--out", str(out)]) == 0
+    ham = SpectralHamiltonian.from_spectrum([0.0, 1.0])
+    psi0 = np.full(2, 1.0 / np.sqrt(2.0), dtype=complex)
+    rows = json.loads(out.read_text())["rows"]
+    assert len(rows) == 101
+    for row, t in zip(rows, np.linspace(0.0, np.pi, 101)):
+        b = qsl_bounds(psi0, ham, unitary_exp(ham, float(t)) @ psi0)
+        assert row == {"t": float(t), "bures_angle": b.bures_angle, "energy_mean": b.mean_energy,
+                       "energy_stddev": b.energy_stddev, "mt_time": b.mt_time,
+                       "ml_time": b.ml_time}
+
+
+@pytest.mark.parametrize("shift", [1e3, 1e4, 1e5, 1e6])
+def test_qsl_holds_on_a_shifted_two_level_spectrum(tmp_path, shift):
+    # the plus state has mean and spread both half the gap, whatever the shift
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"qsl": {"spectrum": [shift, shift + 0.001]}}))
+    out = tmp_path / "qsl.json"
+    assert main(["qsl", "--config", str(cfg), "--format", "json", "--out", str(out)]) == 0
+    for row in json.loads(out.read_text())["rows"]:
+        assert abs(row["energy_mean"] - row["energy_stddev"]) <= 1e-12 * row["energy_stddev"]
+        assert row["mt_time"] <= row["t"] + 1e-9
 
 
 def test_seed_env_fallback(tmp_path, monkeypatch):

@@ -57,8 +57,36 @@ def test_speed_identity_sqrt2_delta_h():
             ham = SpectralHamiltonian.from_matrix(random_hermitian(d, rng))
         psi = haar_random_state(d, rng)
         v = instantaneous_speed(psi, ham)
-        dh = energy_uncertainty(psi, ham)
+        dh = energy_uncertainty(psi, ham.matrix())     # the dense route, independent of the weights
         assert abs(v - np.sqrt(2.0) * dh) < 1e-10
+
+
+def test_spectral_spread_is_the_speed_over_sqrt2_at_any_shift():
+    # both routes read the same stored eigenvalues and take only their gaps,
+    # so a constant shift costs neither any precision
+    rng = np.random.default_rng(67)
+    worst = 0.0
+    for trial in range(300):
+        d = int(rng.integers(2, 7))
+        shift = (0.0, 1e2, 1e4, 1e6)[trial % 4]
+        ham = SpectralHamiltonian.from_spectrum(shift + rng.uniform(0.0, 4.0, d),
+                                                random_unitary(d, rng))
+        psi = haar_random_state(d, rng)
+        half_v = instantaneous_speed(psi, ham) / np.sqrt(2.0)
+        worst = max(worst, abs(energy_uncertainty(psi, ham) - half_v) / half_v)
+    assert worst <= 1e-12
+
+
+def test_a_mismatched_state_is_a_dimension_mismatch():
+    ham = SpectralHamiltonian.from_spectrum([0.0, 1.0])
+    psi = np.full(3, 1.0 / np.sqrt(3.0), dtype=complex)
+    for call in (lambda: instantaneous_speed(psi, ham),
+                 lambda: energy_uncertainty(psi, ham),
+                 lambda: energy_uncertainty(psi, ham.matrix())):
+        with pytest.raises(DimensionMismatch, match="state/Hamiltonian dimensions differ"):
+            call()
+    with pytest.raises(NotHermitian):
+        energy_uncertainty(psi[:2] * np.sqrt(1.5), np.array([[0.0, 1.0], [0.0, 1.0]]))
 
 
 def test_gap_squared_matrix_symmetric_zero_diagonal():

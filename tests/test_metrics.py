@@ -5,7 +5,7 @@ import pytest
 import scipy.linalg
 
 from coherence_speed import dynamics, linalg, metrics
-from coherence_speed.dynamics import energy_uncertainty
+from coherence_speed.dynamics import HamiltonianPath, energy_uncertainty, evolve
 from coherence_speed.errors import DimensionMismatch, InvalidState, NotHermitian, NotPSD
 from coherence_speed.linalg import (
     OrthogonalDecomposition,
@@ -217,16 +217,19 @@ def test_qsl_floor_on_random_evolutions():
 
 
 def test_energy_spread_survives_a_shifted_spectrum():
-    # the plus state on levels (a, b) has spread (b - a) / 2 exactly; the
-    # moment form sqrt(<H^2> - <H>^2) loses it to cancellation at large shifts
+    # the plus state on levels (a, b) has mean (b - a) / 2 above a and spread
+    # (b - a) / 2 exactly; routes through the dense H lose eps * shift to rounding
     psi = np.full(2, 1.0 / np.sqrt(2.0), dtype=complex)
-    for shift in (0.0, 100.0, 1e4):
+    for shift in (0.0, 100.0, 1e4, 1e6):
         lam = shift + np.array([0.0, 1e-3])
         exact = (lam[1] - lam[0]) / 2.0
         ham = SpectralHamiltonian.from_spectrum(lam)
-        assert abs(energy_uncertainty(psi, ham) - exact) <= 1e-9 * exact
+        assert abs(energy_uncertainty(psi, ham) - exact) <= 1e-12 * exact
         b = qsl_bounds(psi, ham, unitary_exp(ham, 1.0) @ psi)
-        assert abs(b.energy_stddev - exact) <= 1e-9 * exact
+        assert abs(b.energy_stddev - exact) <= 1e-12 * exact
+        assert abs(b.mean_energy - exact) <= 1e-12 * exact
+        traj = evolve(psi, HamiltonianPath.constant(np.diag(lam), 1.0, steps=10))
+        assert np.max(np.abs(traj.uncertainties - exact)) <= 1e-12 * exact
 
 
 def test_qsl_degenerate_denominators_give_none():
@@ -254,9 +257,12 @@ def test_qsl_bounds_validates_each_state_once(monkeypatch):
     psi0 = haar_random_state(3, rng)
     bounds = qsl_bounds(psi0, ham, haar_random_state(3, rng))
     assert len(calls) == 2
+    assert bounds.energy_stddev == energy_uncertainty(psi0, ham)
+    # the dense route agrees within its rounding budget, about eps * ||H||
     h = ham.matrix()
-    assert bounds.energy_stddev == energy_uncertainty(psi0, h)
-    assert bounds.mean_energy == float(np.vdot(psi0, h @ psi0).real) - ham.eigenvalues[0]
+    budget = 8.0 * np.finfo(float).eps * np.linalg.norm(h, 2)
+    assert abs(bounds.energy_stddev - energy_uncertainty(psi0, h)) <= budget
+    assert abs(bounds.mean_energy - (np.vdot(psi0, h @ psi0).real - ham.eigenvalues[0])) <= budget
 
 
 def test_qsl_grid_equals_a_loop_of_qsl_bounds():
