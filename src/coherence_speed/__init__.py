@@ -22,7 +22,6 @@ from .avgdist import (
 from .battery import (
     BatteryConfig,
     BatteryRun,
-    WorkRecord,
     avg_extracted_work,
     drive_coherence,
     qudit_battery_bound,

@@ -135,18 +135,6 @@ class BatteryConfig:
                    drive_axis=constant_axis((1.0, 0.0, 0.0)))
 
 
-@dataclass(frozen=True)
-class WorkRecord:
-    """One grid point of a battery protocol."""
-
-    t: float
-    pulse_value: float
-    avg_work: float
-    bound: float
-    coherence: float
-    cumulative_work: float
-
-
 def _branch_work(rho, epsilon: float, h_branch: np.ndarray, dt: float) -> float:
     """Energy drop Tr[eps |1><1| (rho - U rho U†)] for one branch."""
     ham = SpectralHamiltonian.from_matrix(h_branch)
@@ -201,10 +189,7 @@ def _stacked_branch_work(psi: np.ndarray, epsilon: float, w: np.ndarray,
 
 @dataclass(frozen=True)
 class BatteryRun:
-    """A battery protocol as columns: one read-only float array per WorkRecord field.
-
-    Indexing and iteration give WorkRecords, built on demand.
-    """
+    """A battery protocol as columns, one read-only float array per grid quantity."""
 
     t: np.ndarray
     pulse_value: np.ndarray
@@ -214,20 +199,8 @@ class BatteryRun:
     cumulative_work: np.ndarray
 
     def __post_init__(self) -> None:
-        for column in self._columns():
-            column.flags.writeable = False
-
-    def _columns(self) -> tuple[np.ndarray, ...]:
-        return tuple(getattr(self, f.name) for f in fields(self))
-
-    def __len__(self) -> int:
-        return len(self.t)
-
-    def __getitem__(self, k: int) -> WorkRecord:
-        return WorkRecord(*(float(column[k]) for column in self._columns()))
-
-    def __iter__(self):
-        return map(WorkRecord, *(column.tolist() for column in self._columns()))
+        for f in fields(self):
+            getattr(self, f.name).flags.writeable = False
 
 
 def simulate_battery(config: BatteryConfig, psi0) -> BatteryRun:
@@ -236,7 +209,11 @@ def simulate_battery(config: BatteryConfig, psi0) -> BatteryRun:
     The trajectory uses the piecewise-constant exponential on the
     uniform grid 0..tau step dt; each row reports the branch-averaged
     work over [t, t + dt], its coherence ceiling, and the running sum.
+    ValueError unless tau and dt are finite and positive.
     """
+    for name, value in (("tau", config.tau), ("dt", config.dt)):
+        if not 0 < value < np.inf:
+            raise ValueError(f"{name} must be finite and positive, got {value!r}")
     psi0 = validate_state_vector(psi0)
     if len(psi0) != 2:
         raise InvalidState("battery protocol is a qubit model")

@@ -50,7 +50,7 @@ from .linalg import (
     validate_density,
 )
 from .metrics import hellinger
-from .schemas import _complex_array, validate_document
+from .schemas import _complex_array, parse_json, validate_document
 
 
 @dataclass
@@ -285,4 +285,5 @@ def save_channel(channel: KrausChannel, path) -> None:
 
 
 def load_channel(path) -> KrausChannel:
-    return channel_from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+    """The channel saved at path; a non-finite entry fails the schema (see ``parse_json``)."""
+    return channel_from_dict(parse_json(Path(path).read_text(encoding="utf-8")))

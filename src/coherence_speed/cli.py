@@ -56,7 +56,7 @@ from .linalg import (
 )
 from .metrics import _qsl_grid
 from .report import render_report, write_report
-from .schemas import _complex_array, validate_document
+from .schemas import _complex_array, parse_json, validate_document
 from .verification import SUITES, failures_as_dicts, run_suite
 
 _PULSES = {"sin2": sin2_pulse, "sin4": sin4_pulse, "parabola": parabola_pulse}
@@ -78,6 +78,7 @@ def _checked(kind, ok, what: str):
 
 
 _SEED = _checked(int, lambda n: n >= 0, "at least 0")
+_TOL = _checked(float, lambda x: 0 < x < np.inf, "finite and above 0")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -95,7 +96,7 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="report file (default: stdout for report commands)")
     common.add_argument("--format", choices=("csv", "json"), dest="fmt",
                         help="report format (default csv)")
-    common.add_argument("--tol", type=_checked(float, lambda x: x > 0, "above 0"), metavar="X",
+    common.add_argument("--tol", type=_TOL, metavar="X",
                         help="tolerance override for pass/fail decisions")
 
     sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
@@ -124,7 +125,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def _load_config(path: str) -> dict:
     try:
         with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
+            doc = parse_json(fh.read())
     except OSError as exc:
         raise UsageError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
@@ -236,24 +237,15 @@ def _axis(spec, tau: float):
     return constant_axis(vec / norm)
 
 
-def _finish(table, meta: dict, fmt: str, out, failure: str | None) -> int:
+def _finish(columns: dict, meta: dict, fmt: str, out, failure: str | None) -> int:
     """Write a report command's table; print its failure line, if any, and return the exit code."""
-    write_report(render_report(table, meta, fmt), out)
+    write_report(render_report(columns, meta, fmt), out)
     if out:
         print(f"report written to {out}")
     if failure is None:
         return 0
     print(failure, file=sys.stderr)
     return 1
-
-
-def _require_finite(command: str, spectrum: np.ndarray, t0: float, t1: float) -> None:
-    """UsageError naming the spectrum and time range unless all of them are finite.
-
-    Python's json reads NaN and Infinity, and the schemas accept them as numbers.
-    """
-    if not np.isfinite(np.r_[spectrum, t0, t1]).all():
-        raise UsageError(f"{command} spectrum, t_start and t_stop must be finite")
 
 
 # ---------------------------------------------------------------------------
@@ -272,13 +264,13 @@ def _cmd_verify(ns, config: dict) -> int:
     for res in results:
         print(res.line())
     if out:
-        rows = [{"check": r.name, "passed": r.passed, "worst": r.worst,
-                 "tol": r.tol, "trials": r.trials, "detail": r.detail}
-                for r in results]
+        table = {"check": [r.name for r in results], "passed": [r.passed for r in results],
+                 "worst": [r.worst for r in results], "tol": [r.tol for r in results],
+                 "trials": [r.trials for r in results], "detail": [r.detail for r in results]}
         meta = _metadata("verify", seed, tol, suite=suite,
                          trials="default" if trials is None else trials,
                          dim_override="none" if dim is None else dim)
-        write_report(render_report(rows, meta, fmt), out)
+        write_report(render_report(table, meta, fmt), out)
         print(f"report written to {out}")
     failures = failures_as_dicts(results)
     if failures:
@@ -294,16 +286,14 @@ def _cmd_sweep(ns, config: dict) -> int:
         raise UsageError("sweep needs a config file with a sweep section "
                          "(spectrum, optionally state and time grid)")
     spectrum = np.asarray(section["spectrum"], dtype=float)
-    t0 = float(section.get("t_start", 0.0))
-    t1 = float(section.get("t_stop", 2.0 * np.pi))
-    _require_finite("sweep", spectrum, t0, t1)
     ham = SpectralHamiltonian.from_spectrum(spectrum)
     rng = np.random.default_rng(seed)
     state_spec = section.get("state", "maximally-coherent")
     rho, psi = _state(state_spec, ham, rng)
     rho = validate_density(rho)
     sqrt_rho = matrix_sqrt_psd(rho)         # one root serves c_half and the mixed-state oracle
-    times = np.linspace(t0, t1, int(section.get("t_steps", 201)))
+    times = np.linspace(float(section.get("t_start", 0.0)),
+                        float(section.get("t_stop", 2.0 * np.pi)), int(section.get("t_steps", 201)))
     include_brute = (section.get("brute_force", True)
                      and ham.level_count <= BRUTE_FORCE_CAP)
     coef, coh, closed = _closed_form(rho, ham, times, sqrt_rho)   # B(t) over the whole grid at once
@@ -364,8 +354,9 @@ def _cmd_channel(ns, config: dict) -> int:
         label = channel_spec["path"]
         try:
             channel = load_channel(label)
-        except (OSError, json.JSONDecodeError, ValidationError,
-                CoherenceSpeedError) as exc:
+        except ValidationError as exc:
+            raise UsageError(f"channel {label}: {exc.json_path}: {exc.message}") from exc
+        except (OSError, json.JSONDecodeError, CoherenceSpeedError) as exc:
             raise UsageError(f"channel {label}: {exc}") from exc
     rng = np.random.default_rng(seed)
     psi0 = _pure_state(section.get("state", "ground"), channel.dim, rng)
@@ -394,38 +385,32 @@ def _cmd_channel(ns, config: dict) -> int:
     meta = _metadata("channel", seed, tol, channel=label,
                      n_kraus=len(channel.operators),
                      state=_state_label(section.get("state", "ground")))
-    return _finish([row], meta, fmt, out, failure)
+    return _finish({name: [value] for name, value in row.items()}, meta, fmt, out, failure)
 
 
 def _cmd_qsl(ns, config: dict) -> int:
     seed, tol, out, fmt = _resolve_common(ns, config, TOL_REPORT)
     section = config.get("qsl", {})
     spectrum = np.asarray(section.get("spectrum", [0.0, 1.0]), dtype=float)
-    t0 = float(section.get("t_start", 0.0))
-    t1 = float(section.get("t_stop", np.pi))
-    _require_finite("qsl", spectrum, t0, t1)
     ham = SpectralHamiltonian.from_spectrum(spectrum)
     rng = np.random.default_rng(seed)
     psi0 = _pure_state(section.get("state", "plus"), ham.dim, rng)
-    steps = int(section.get("t_steps", 101))
-    times = np.linspace(t0, t1, steps)
+    times = np.linspace(float(section.get("t_start", 0.0)), float(section.get("t_stop", np.pi)),
+                        int(section.get("t_steps", 101)))
     # exp(-i H t) psi0 but for the global phase exp(-i w_0 t), which the Bures
     # angle ignores; phases of w - w_0 keep their precision on a shifted spectrum
     v, w = ham.eigenvectors, ham.eigenvalues
     phases = np.exp(-1j * np.multiply.outer(times, w - w[0]))
     grid = _qsl_grid(psi0, ham, (phases * (dagger(v) @ psi0)) @ v.T)
-    rows = []
-    worst = -np.inf
-    for t, bounds in zip(times, grid):
-        rows.append({"t": float(t), "bures_angle": bounds.bures_angle,
-                     "energy_mean": bounds.mean_energy,
-                     "energy_stddev": bounds.energy_stddev,
-                     "mt_time": bounds.mt_time, "ml_time": bounds.ml_time})
-        if bounds.mt_time is not None:
-            worst = max(worst, bounds.mt_time - t)
+    columns = {"t": times, "bures_angle": [b.bures_angle for b in grid],
+               "energy_mean": [b.mean_energy for b in grid],
+               "energy_stddev": [b.energy_stddev for b in grid],
+               "mt_time": [b.mt_time for b in grid], "ml_time": [b.ml_time for b in grid]}
+    worst = max((b.mt_time - t for t, b in zip(times.tolist(), grid) if b.mt_time is not None),
+                default=-np.inf)
     meta = _metadata("qsl", seed, tol, spectrum=spectrum, dimension=ham.dim,
                      state=_state_label(section.get("state", "plus")))
-    return _finish(rows, meta, fmt, out,
+    return _finish(columns, meta, fmt, out,
                    f"qsl: spread-based minimum time exceeded the elapsed time by {worst:.3e}"
                    if worst > tol else None)
 

@@ -267,9 +267,11 @@ def evolve(psi0, path: HamiltonianPath) -> Trajectory:
     the half spectral width (lambda_max - lambda_min) / 2 times dt
     exceeds 1, before any step is taken; warns once above 0.1.  A global
     shift of H changes only the phase and so does not move the guard,
-    nor the speeds and spreads.
+    nor the speeds and spreads.  A state whose length is not the path's
+    dimension raises DimensionMismatch first.
     """
     psi0 = validate_state_vector(psi0)
+    _check_dims(psi0, path.samples.shape[1:])
     states, w, v = _propagate(psi0, path.times, path.samples)
     speeds, uncerts = _stacked_speeds(w, v, states)
     return Trajectory(times=path.times, states=states, speeds=speeds, uncertainties=uncerts)

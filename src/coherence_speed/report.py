@@ -18,8 +18,6 @@ import numpy as np
 
 
 def _cell(value) -> str:
-    if type(value) is float:    # most cells; checked before the isinstance chain
-        return format(value, ".17g")
     if value is None:
         return "nan"
     if isinstance(value, (bool, np.bool_)):
@@ -48,16 +46,13 @@ def _column_cells(values) -> list[str]:
     return list(map(_cell, values))
 
 
-def format_csv(table, metadata: dict) -> str:
+def format_csv(columns: dict, metadata: dict) -> str:
     """'#'-headed metadata, one unprefixed column row, then data rows.
 
-    The table is a list of row dicts, whose columns are the keys of the
-    first row, or a dict of equal-length columns (sequences or arrays).
+    The table is a dict of equal-length columns (sequences or arrays).
     Cells holding a comma or a quote are quoted, so every row has one
     cell per column.
     """
-    columns = table if isinstance(table, dict) else {
-        c: [row.get(c) for row in table] for c in (table[0] if table else ())}
     buf = io.StringIO()
     buf.writelines(_meta_line(k, v) + "\n" for k, v in metadata.items())
     writer = csv.writer(buf, lineterminator="\n")
@@ -82,23 +77,20 @@ def _json_default(obj):
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
-def format_json(table, metadata: dict) -> str:
-    """Rows as an array of objects plus a metadata object.
+def format_json(columns: dict, metadata: dict) -> str:
+    """The rows of a dict of columns as an array of objects, plus a metadata object.
 
-    The table is as for format_csv.  Complex numbers serialize as
-    [re, im]; missing values as null.
+    Complex numbers serialize as [re, im]; missing values as null.
     """
-    if isinstance(table, dict):
-        values = (c.tolist() if isinstance(c, np.ndarray) else c for c in table.values())
-        table = [dict(zip(table, row)) for row in zip(*values)]
-    doc = {"metadata": metadata, "rows": table}
+    values = (c.tolist() if isinstance(c, np.ndarray) else c for c in columns.values())
+    doc = {"metadata": metadata, "rows": [dict(zip(columns, row)) for row in zip(*values)]}
     return json.dumps(doc, indent=2, default=_json_default) + "\n"
 
 
-def render_report(table, metadata: dict, fmt: str) -> str:
+def render_report(columns: dict, metadata: dict, fmt: str) -> str:
     if fmt == "json":
-        return format_json(table, metadata)
-    return format_csv(table, metadata)
+        return format_json(columns, metadata)
+    return format_csv(columns, metadata)
 
 
 def write_report(text: str, out: str | None) -> None:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 from functools import lru_cache
 from importlib import resources
 
@@ -25,6 +26,18 @@ def load_schema(name: str) -> dict:
 def _validator(name: str):
     schema = load_schema(name)
     return validator_for(schema)(schema)
+
+
+def _finite_or_text(text: str):
+    return text if math.isinf(value := float(text)) else value
+
+
+def parse_json(text: str):
+    """json.loads, but NaN, Infinity and a literal past the float range (1e999) stay text.
+
+    The schemas type every number "number", so these fail there with their JSON path.
+    """
+    return json.loads(text, parse_constant=str, parse_float=_finite_or_text)
 
 
 def validate_document(doc: dict, schema_name: str) -> None:

@@ -9,7 +9,6 @@ import pytest
 from coherence_speed.battery import (
     BatteryConfig,
     BatteryRun,
-    WorkRecord,
     avg_extracted_work,
     constant_axis,
     drive_coherence,
@@ -73,15 +72,12 @@ def test_pulses_vanish_at_endpoints():
 
 
 def test_default_run_respects_the_ceiling():
-    records = simulate_battery(BatteryConfig.default(), GROUND)
-    assert len(records) == 1001
-    for r in records:
-        assert abs(r.avg_work) <= r.bound + 1e-9
-        assert r.coherence >= -1e-14
+    run = simulate_battery(BatteryConfig.default(), GROUND)
+    assert run.t.shape == (1001,)
+    assert np.all(np.abs(run.avg_work) <= run.bound + 1e-9)
+    assert np.all(run.coherence >= -1e-14)
     # cumulative column is the running sum of the work column
-    total = np.cumsum([r.avg_work for r in records])
-    np.testing.assert_allclose([r.cumulative_work for r in records], total,
-                               atol=1e-14)
+    np.testing.assert_allclose(run.cumulative_work, np.cumsum(run.avg_work), atol=1e-14)
 
 
 def test_commuting_drive_extracts_nothing():
@@ -90,26 +86,26 @@ def test_commuting_drive_extracts_nothing():
     config = BatteryConfig(epsilon=1.0, tau=1.0, dt=1e-3,
                            pulse=sin2_pulse(1.0, 1.0),
                            drive_axis=constant_axis((0.0, 0.0, 1.0)))
-    for r in simulate_battery(config, GROUND):
-        assert r.coherence < 1e-14
-        assert abs(r.avg_work) < 1e-10
+    run = simulate_battery(config, GROUND)
+    assert np.all(run.coherence < 1e-14)
+    assert np.all(np.abs(run.avg_work) < 1e-10)
 
 
 def test_drive_eigenstate_starts_with_zero_coherence():
     config = BatteryConfig(epsilon=1.0, tau=1.0, dt=1e-3,
                            pulse=sin4_pulse(1.0, 1.0),
                            drive_axis=constant_axis((1.0, 0.0, 0.0)))
-    first = simulate_battery(config, PLUS)[0]
-    assert first.coherence < 1e-14
-    assert abs(first.avg_work) < 1e-10
+    run = simulate_battery(config, PLUS)
+    assert run.coherence[0] < 1e-14
+    assert abs(run.avg_work[0]) < 1e-10
 
 
 def test_rotating_axis_run_respects_the_ceiling():
     config = BatteryConfig(epsilon=1.0, tau=1.0, dt=1e-3,
                            pulse=parabola_pulse(1.0, 1.0),
                            drive_axis=rotating_axis(1.0))
-    for r in simulate_battery(config, PLUS):
-        assert abs(r.avg_work) <= r.bound + 1e-9
+    run = simulate_battery(config, PLUS)
+    assert np.all(np.abs(run.avg_work) <= run.bound + 1e-9)
 
 
 def test_pulse_must_vanish_at_the_edges():
@@ -204,20 +200,19 @@ def test_battery_rows_match_the_single_step_oracles():
     eps, dt = 1.0, 1e-3
     for (_, pulse), (_, psi0), (_, axis) in itertools.product(pulses, states, axes):
         config = BatteryConfig(epsilon=eps, tau=tau, dt=dt, pulse=pulse, drive_axis=axis)
-        records = simulate_battery(config, psi0)
-        times = np.linspace(0.0, tau, len(records))
+        run = simulate_battery(config, psi0)
+        times = np.linspace(0.0, tau, len(run.t))
         traj = evolve(psi0, HamiltonianPath(
             times, [eps * P1 + pulse(t) * spin_operator(axis(t)) for t in times]))
-        for k in range(0, len(records), 25):
-            rec, t = records[k], times[k]
+        for k in range(0, len(times), 25):
+            t = times[k]
             rho = np.outer(traj.states[k], traj.states[k].conj())
             eta, v = float(pulse(t)), spin_operator(axis(t))
-            assert rec.t == t and rec.pulse_value == eta
-            assert abs(rec.avg_work - avg_extracted_work(rho, eps, eta, v, dt)) <= 1e-14
-            assert abs(rec.coherence - drive_coherence(rho, v)) <= 1e-14
-            assert abs(rec.bound - work_bound(rho, eps, eta, v, dt)) <= 1e-14
-        np.testing.assert_array_equal([r.cumulative_work for r in records],
-                                      np.cumsum([r.avg_work for r in records]))
+            assert run.t[k] == t and run.pulse_value[k] == eta
+            assert abs(run.avg_work[k] - avg_extracted_work(rho, eps, eta, v, dt)) <= 1e-14
+            assert abs(run.coherence[k] - drive_coherence(rho, v)) <= 1e-14
+            assert abs(run.bound[k] - work_bound(rho, eps, eta, v, dt)) <= 1e-14
+        np.testing.assert_array_equal(run.cumulative_work, np.cumsum(run.avg_work))
 
 
 @pytest.mark.parametrize("state, axis", [(GROUND, constant_axis((1.0, 0.0, 0.0))),
@@ -250,22 +245,11 @@ def test_rows_without_drive_extract_no_work():
             assert run.bound[k] <= 1e-30
 
 
-def test_battery_run_is_read_only_columns_that_index_as_records():
+def test_battery_run_is_read_only_columns():
     run = simulate_battery(BatteryConfig(1.0, 1.0, 0.05, sin2_pulse(1.0, 1.0),
                                          rotating_axis(1.0)), PLUS)
-    names = [f.name for f in dataclasses.fields(WorkRecord)]
+    names = ["t", "pulse_value", "avg_work", "bound", "coherence", "cumulative_work"]
     assert [f.name for f in dataclasses.fields(BatteryRun)] == names
-    assert len(run) == 21
-    records = list(run)
-    assert len(records) == 21
-    for k in (0, 7, 20, -1):
-        rec = run[k]
-        assert type(rec) is WorkRecord and rec == records[k]
-        for name in names:
-            value = getattr(rec, name)
-            assert type(value) is float and value == getattr(run, name)[k]
-    with pytest.raises(IndexError):
-        run[21]
     for name in names:
         column = getattr(run, name)
         assert column.shape == (21,) and column.dtype == float
@@ -273,3 +257,18 @@ def test_battery_run_is_read_only_columns_that_index_as_records():
             column[0] = 1.0
     with pytest.raises(dataclasses.FrozenInstanceError):
         run.avg_work = np.zeros(21)
+
+
+@pytest.mark.parametrize("tau, dt, message", [
+    (np.inf, 1e-3, "tau must be finite and positive, got inf"),
+    (np.nan, 1e-3, "tau must be finite and positive, got nan"),
+    (-1.0, 1e-3, "tau must be finite and positive, got -1.0"),
+    (1.0, np.nan, "dt must be finite and positive, got nan"),
+    (1.0, np.inf, "dt must be finite and positive, got inf"),
+    (1.0, 0.0, "dt must be finite and positive, got 0.0"),
+    (1.0, -1e-3, "dt must be finite and positive, got -0.001")],
+    ids=["inf-tau", "nan-tau", "negative-tau", "nan-dt", "inf-dt", "zero-dt", "negative-dt"])
+def test_a_grid_that_is_not_finite_and_positive_is_rejected(tau, dt, message):
+    with pytest.raises(ValueError) as info:
+        simulate_battery(BatteryConfig.default(tau=tau, dt=dt), GROUND)
+    assert str(info.value) == message

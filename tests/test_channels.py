@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 import scipy.linalg
+from jsonschema import ValidationError
 
 from coherence_speed import channels, linalg
 from coherence_speed.avgdist import b_coefficient
@@ -308,14 +309,20 @@ def test_ragged_channel_file_is_a_dimension_mismatch(tmp_path):
         load_channel(path)
 
 
-@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.nan)], ids=["nan", "inf", "nan-imag"])
-def test_non_finite_kraus_entries_are_rejected(bad, tmp_path):
+@pytest.mark.parametrize("bad, where", [(np.nan, "$.kraus[0][0][0][0]"),
+                                        (np.inf, "$.kraus[0][0][0][0]"),
+                                        (complex(0.0, np.nan), "$.kraus[0][0][0][1]")],
+                         ids=["nan", "inf", "nan-imag"])
+def test_non_finite_kraus_entries_are_rejected(bad, where, tmp_path):
     # a NaN completeness residual fails no `> tol` test, and dilate would
     # then end in scipy's ValueError
     ops = np.array([[[bad, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]], dtype=complex)
     with pytest.raises(IncompleteKraus, match="not all finite"):
         KrausChannel(ops)
+    # in a file, json's NaN or Infinity token fails the schema's "number" at its path
     path = tmp_path / "nan.json"
-    path.write_text(json.dumps({"kraus": [[[[np.nan, 0], [0, 0]], [[0, 0], [1, 0]]]]}))
-    with pytest.raises(IncompleteKraus, match="not all finite"):
+    path.write_text(json.dumps({"kraus": ops.view(float).reshape(2, 2, 2, 2).tolist()}))
+    with pytest.raises(ValidationError) as info:
         load_channel(path)
+    assert info.value.json_path == where
+    assert info.value.message.endswith("is not of type 'number'")

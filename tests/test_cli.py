@@ -18,6 +18,7 @@ from coherence_speed.linalg import (
     unitary_exp,
 )
 from coherence_speed.metrics import qsl_bounds
+from coherence_speed.schemas import load_schema
 
 
 def body_lines(path):
@@ -305,6 +306,19 @@ def test_the_default_qsl_rows_are_the_unitary_exp_targets_bit_for_bit(tmp_path):
                        "ml_time": b.ml_time}
 
 
+def test_an_undefined_qsl_bound_is_nan_in_csv_and_null_in_json(tmp_path):
+    # a ground state on a degenerate ground level is stationary: no spread, no mean above ground
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"qsl": {"spectrum": [0.0, 0.0, 1.0], "state": "ground",
+                                       "t_steps": 4}}))
+    csv_out, json_out = tmp_path / "qsl.csv", tmp_path / "qsl.json"
+    assert main(["qsl", "--config", str(cfg), "--out", str(csv_out)]) == 0
+    assert main(["qsl", "--config", str(cfg), "--format", "json", "--out", str(json_out)]) == 0
+    assert [line.split(",")[-2:] for line in body_lines(csv_out)[1:]] == [["nan", "nan"]] * 4
+    rows = json.loads(json_out.read_text())["rows"]
+    assert [(r["mt_time"], r["ml_time"], r["bures_angle"]) for r in rows] == [(None, None, 0.0)] * 4
+
+
 @pytest.mark.parametrize("shift", [1e3, 1e4, 1e5, 1e6])
 def test_qsl_holds_on_a_shifted_two_level_spectrum(tmp_path, shift):
     # the plus state has mean and spread both half the gap, whatever the shift
@@ -387,35 +401,125 @@ def test_nan_state_amplitude_is_a_usage_error(tmp_path, capsys):
     out = tmp_path / "qsl.csv"
     assert main(["qsl", "--config", str(cfg), "--out", str(out)]) == 2
     captured = capsys.readouterr()
-    assert captured.err.startswith("error: state amplitudes: ")
+    assert captured.err == (f"error: config {cfg}: $.qsl.state.amplitudes[0][0]: "
+                            "'NaN' is not of type 'number'\n")
     assert not out.exists()
 
 
-@pytest.mark.parametrize("section", [
-    {"spectrum": [0.0, float("nan"), 1.0]}, {"spectrum": [0.0, 1.0], "t_stop": float("inf")}],
+@pytest.mark.parametrize("section, where", [
+    ({"spectrum": [0.0, float("nan"), 1.0]}, "spectrum[1]: 'NaN'"),
+    ({"spectrum": [0.0, 1.0], "t_stop": float("inf")}, "t_stop: 'Infinity'")],
     ids=["nan-level", "infinite-stop"])
-def test_a_non_finite_sweep_input_is_a_usage_error(tmp_path, capsys, section):
-    # the pure path takes no root that would fail on NaN, so the sweep checks its input
+def test_a_non_finite_sweep_input_is_a_usage_error(tmp_path, capsys, section, where):
+    # the pure path takes no root that would fail on NaN, so the config read rejects it
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"sweep": {**section, "t_steps": 3}}))
     out = tmp_path / "sweep.csv"
     assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 2
-    assert capsys.readouterr().err == "error: sweep spectrum, t_start and t_stop must be finite\n"
+    assert capsys.readouterr().err == (
+        f"error: config {cfg}: $.sweep.{where} is not of type 'number'\n")
     assert not out.exists()
 
 
-@pytest.mark.parametrize("section", [
-    {"spectrum": [0.0, float("nan"), 1.0]}, {"spectrum": [0.0, float("inf")]},
-    {"spectrum": [0.0, 1.0], "t_stop": float("inf")}],
+@pytest.mark.parametrize("section, where", [
+    ({"spectrum": [0.0, float("nan"), 1.0]}, "spectrum[1]: 'NaN'"),
+    ({"spectrum": [0.0, float("inf")]}, "spectrum[1]: 'Infinity'"),
+    ({"spectrum": [0.0, 1.0], "t_stop": float("inf")}, "t_stop: 'Infinity'")],
     ids=["nan-level", "infinite-level", "infinite-stop"])
-def test_a_non_finite_qsl_input_names_the_spectrum(tmp_path, capsys, section):
+def test_a_non_finite_qsl_input_names_the_spectrum(tmp_path, capsys, section, where):
     # the state is valid: the error must not blame it
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"qsl": {**section, "t_steps": 3}}))
     out = tmp_path / "qsl.csv"
     assert main(["qsl", "--config", str(cfg), "--out", str(out)]) == 2
-    assert capsys.readouterr().err == "error: qsl spectrum, t_start and t_stop must be finite\n"
+    assert capsys.readouterr().err == (
+        f"error: config {cfg}: $.qsl.{where} is not of type 'number'\n")
     assert not out.exists()
+
+
+_MARK = "@"     # where a case puts its non-finite token
+
+# every number position of the two shipped schemas: the pointer of its schema
+# node, the command that reads it, and a document holding the mark there
+_NUMBER_POSITIONS = {
+    "$.tolerance": ("config", "/properties/tolerance", "qsl", {"tolerance": _MARK}),
+    "$.sweep.spectrum[1]": ("config", "/properties/sweep/properties/spectrum/items", "sweep",
+                            {"sweep": {"spectrum": [0, _MARK]}}),
+    "$.sweep.t_start": ("config", "/properties/sweep/properties/t_start", "sweep",
+                        {"sweep": {"spectrum": [0, 1], "t_start": _MARK}}),
+    "$.sweep.t_stop": ("config", "/properties/sweep/properties/t_stop", "sweep",
+                       {"sweep": {"spectrum": [0, 1], "t_stop": _MARK}}),
+    "$.qsl.spectrum[1]": ("config", "/properties/qsl/properties/spectrum/items", "qsl",
+                          {"qsl": {"spectrum": [0, _MARK, 1]}}),
+    "$.qsl.t_start": ("config", "/properties/qsl/properties/t_start", "qsl",
+                      {"qsl": {"spectrum": [0, 1], "t_start": _MARK}}),
+    "$.qsl.t_stop": ("config", "/properties/qsl/properties/t_stop", "qsl",
+                     {"qsl": {"spectrum": [0, 1], "t_stop": _MARK}}),
+    "$.battery.epsilon": ("config", "/properties/battery/properties/epsilon", "battery",
+                          {"battery": {"epsilon": _MARK}}),
+    "$.battery.eta_max": ("config", "/properties/battery/properties/eta_max", "battery",
+                          {"battery": {"eta_max": _MARK}}),
+    "$.battery.tau": ("config", "/properties/battery/properties/tau", "battery",
+                      {"battery": {"tau": _MARK}}),
+    "$.battery.dt": ("config", "/properties/battery/properties/dt", "battery",
+                     {"battery": {"dt": _MARK}}),
+    "$.battery.axis[0]": ("config", "/$defs/axis/oneOf/1/prefixItems/0", "battery",
+                          {"battery": {"axis": [_MARK, 0, 0]}}),
+    "$.battery.axis[1]": ("config", "/$defs/axis/oneOf/1/prefixItems/1", "battery",
+                          {"battery": {"axis": [0, _MARK, 1]}}),
+    "$.battery.axis[2]": ("config", "/$defs/axis/oneOf/1/prefixItems/2", "battery",
+                          {"battery": {"axis": [1, 0, _MARK]}}),
+    "$.qsl.state.amplitudes[0][0]": (
+        "config", "/$defs/state/oneOf/1/properties/amplitudes/items/prefixItems/0", "qsl",
+        {"qsl": {"spectrum": [0, 1], "state": {"amplitudes": [[_MARK, 0], [1, 0]]}}}),
+    "$.qsl.state.amplitudes[1][1]": (
+        "config", "/$defs/state/oneOf/1/properties/amplitudes/items/prefixItems/1", "qsl",
+        {"qsl": {"spectrum": [0, 1], "state": {"amplitudes": [[1, 0], [0, _MARK]]}}}),
+    "$.kraus[0][0][0][0]": ("channel", "/properties/kraus/items/items/items/prefixItems/0",
+                            "channel", {"kraus": [[[[_MARK, 0], [0, 0]], [[0, 0], [1, 0]]]]}),
+    "$.kraus[0][1][1][1]": ("channel", "/properties/kraus/items/items/items/prefixItems/1",
+                            "channel", {"kraus": [[[[1, 0], [0, 0]], [[0, 0], [1, _MARK]]]]}),
+}
+
+
+@pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity", "1e999"])
+@pytest.mark.parametrize("where", list(_NUMBER_POSITIONS))
+def test_a_non_finite_number_fails_the_schema_at_its_path(tmp_path, capsys, where, token):
+    schema, _, command, doc = _NUMBER_POSITIONS[where]
+    text = json.dumps(doc).replace(f'"{_MARK}"', token)
+    cfg = tmp_path / "cfg.json"
+    if schema == "channel":
+        (tmp_path / "kraus.json").write_text(text)
+        text = json.dumps({"channel": {"channel": {"path": str(tmp_path / "kraus.json")}}})
+    cfg.write_text(text)
+    out = tmp_path / "report.csv"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert not out.exists()
+    assert f": {where}: '{token}' is not of type 'number'\n" in captured.err
+
+
+def _number_nodes(node, pointer=""):
+    """The JSON pointers of every schema node typed "number"."""
+    if isinstance(node, dict):
+        if node.get("type") == "number":
+            yield pointer
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return
+    for key, child in items:
+        yield from _number_nodes(child, f"{pointer}/{key}")
+
+
+@pytest.mark.parametrize("schema", ["config", "channel"])
+def test_every_number_of_the_schemas_has_a_non_finite_case(schema):
+    # a numeric key added to a schema without a case here would skip the boundary check
+    nodes = set(_number_nodes(load_schema(f"{schema}.schema.json")))
+    covered = {pointer for kind, pointer, _, _ in _NUMBER_POSITIONS.values() if kind == schema}
+    assert nodes and nodes == covered
 
 
 def test_csv_details_with_commas_stay_in_one_cell(tmp_path, capsys):
@@ -472,10 +576,11 @@ def test_report_commands_exit_1_on_a_failed_check(tmp_path, capsys, monkeypatch,
     (["verify", "thm1", "--trials", "-1"], "argument --trials: must be at least 1, got -1"),
     (["verify", "thm1", "--seed", "-1"], "argument --seed: must be at least 0, got -1"),
     (["qsl", "--seed", "-1"], "argument --seed: must be at least 0, got -1"),
-    (["qsl", "--tol", "0"], "argument --tol: must be above 0, got 0"),
-    (["qsl", "--tol", "-1"], "argument --tol: must be above 0, got -1"),
-    (["qsl", "--tol", "nan"], "argument --tol: must be above 0, got nan"),
+    (["qsl", "--tol", "0"], "argument --tol: must be finite and above 0, got 0"),
+    (["qsl", "--tol", "-1"], "argument --tol: must be finite and above 0, got -1"),
+    (["qsl", "--tol", "nan"], "argument --tol: must be finite and above 0, got nan"),
     (["verify", "thm1", "--trials", "two"], "argument --trials: invalid int value: 'two'"),
+    (["qsl", "--tol", "inf"], "argument --tol: must be finite and above 0, got inf"),
 ])
 def test_out_of_range_values_are_usage_errors(capsys, argv, message):
     # rejected while parsing: no check runs, and no traceback reaches the user

@@ -89,6 +89,16 @@ def test_a_mismatched_state_is_a_dimension_mismatch():
         energy_uncertainty(psi[:2] * np.sqrt(1.5), np.array([[0.0, 1.0], [0.0, 1.0]]))
 
 
+def test_evolve_rejects_a_state_of_the_wrong_length_before_stepping():
+    # dt = 0.25 on a unit gap is above the warning threshold, so stepping would warn first
+    path = HamiltonianPath.constant(np.diag([0.0, 1.0]), 1.0, steps=4)
+    psi = np.full(3, 1.0 / np.sqrt(3.0), dtype=complex)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DimensionMismatch, match="state/Hamiltonian dimensions differ"):
+            evolve(psi, path)
+
+
 def test_gap_squared_matrix_symmetric_zero_diagonal():
     a = gap_squared_matrix([0.0, 1.0, 2.5])
     assert np.max(np.abs(a - a.T)) == 0.0

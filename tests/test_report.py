@@ -23,11 +23,11 @@ def test_csv_body_equals_a_csv_writer_rendering():
     rows = [[x, y] for x in awkward for y in awkward]
     rows.append(["", ""])
     columns = ["first", "second"]
-    text = format_csv([dict(zip(columns, r)) for r in rows], {"command": "test"})
+    text = format_csv(dict(zip(columns, zip(*rows))), {"command": "test"})
     assert text.startswith("# command: test\n")
     assert text.split("\n", 1)[1] == _csv_writer_body(rows, columns)
     # a lone empty cell is quoted, so the row is not read back as a blank line
-    single = format_csv([{"only": ""}, {"only": "x,y"}, {"only": "z"}], {})
+    single = format_csv({"only": ["", "x,y", "z"]}, {})
     assert single == _csv_writer_body([[""], ["x,y"], ["z"]], ["only"])
     assert list(csv.reader(io.StringIO(single))) == [["only"], [""], ["x,y"], ["z"]]
 
@@ -35,7 +35,7 @@ def test_csv_body_equals_a_csv_writer_rendering():
 def test_csv_cells_keep_their_formats():
     row = {"f": 0.1, "npf": np.float64(1.0) / 3.0, "i": np.int64(7), "b": True,
            "nb": np.bool_(False), "none": None, "s": "text"}
-    body = format_csv([row], {}).splitlines()
+    body = format_csv({name: [value] for name, value in row.items()}, {}).splitlines()
     assert body == ["f,npf,i,b,nb,none,s",
                     "0.10000000000000001,0.33333333333333331,7,true,false,nan,text"]
 
@@ -58,25 +58,22 @@ def test_a_float_table_is_written_as_its_cells():
         columns[name] = col
     want = _cell_rendering({k: v.tolist() for k, v in columns.items()})
     assert format_csv(columns, {}) == want
-    rows = [dict(zip(names, r)) for r in zip(*(c.tolist() for c in columns.values()))]
-    assert format_csv(rows, {}) == want
     assert format_csv({k: v.tolist() for k, v in columns.items()}, {}) == want
 
 
 def test_mixed_float_and_none_columns_keep_their_cells():
     # like qsl: an undefined minimum time is None and is written as nan
-    rows = [{"t": 0.1 * k, "bures_angle": 0.05 * k,
-             "mt_time": None if k % 3 == 0 else 0.1 * k,
-             "ml_time": None if k % 4 == 0 else np.float64(0.1 * k)} for k in range(50)]
-    columns = {c: [row[c] for row in rows] for c in rows[0]}
-    text = format_csv(rows, {"command": "qsl"})
+    columns = {"t": [0.1 * k for k in range(50)], "bures_angle": [0.05 * k for k in range(50)],
+               "mt_time": [None if k % 3 == 0 else 0.1 * k for k in range(50)],
+               "ml_time": [None if k % 4 == 0 else np.float64(0.1 * k) for k in range(50)]}
+    text = format_csv(columns, {"command": "qsl"})
     assert text == "# command: qsl\n" + _cell_rendering(columns)
-    assert format_csv(columns, {"command": "qsl"}) == text
     assert "\n0,0,nan,nan\n" in text
 
 
 def test_a_column_table_writes_the_json_of_its_rows():
     columns = {"t": np.linspace(0.0, 1.0, 5), "n": [1, 2, 3, 4, 5], "x": [0.5, None, 1.5, 2.0, 3.0]}
-    rows = [dict(zip(columns, r)) for r in zip(columns["t"].tolist(), columns["n"], columns["x"])]
-    assert format_json(columns, {"command": "test"}) == format_json(rows, {"command": "test"})
-    assert json.loads(format_json(columns, {}))["rows"][1] == {"t": 0.25, "n": 2, "x": None}
+    doc = json.loads(format_json(columns, {"command": "test"}))
+    assert doc["metadata"] == {"command": "test"}
+    assert doc["rows"] == [{"t": t, "n": n, "x": x} for t, n, x in
+                           zip([0.0, 0.25, 0.5, 0.75, 1.0], columns["n"], columns["x"])]
