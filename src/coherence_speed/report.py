@@ -37,11 +37,17 @@ def _meta_line(key: str, value) -> str:
     return f"# {key}: {value}"
 
 
+def _column_values(columns: dict) -> list:
+    return [c.tolist() if isinstance(c, np.ndarray) else c for c in columns.values()]
+
+
+def _all_float(values) -> bool:
+    return set(map(type, values)) <= {float}
+
+
 def _column_cells(values) -> list[str]:
     """The cells of one column; an all-float column is formatted in one C-level map."""
-    if isinstance(values, np.ndarray):
-        values = values.tolist()
-    if set(map(type, values)) <= {float}:
+    if _all_float(values):
         return list(map("%.17g".__mod__, values))
     return list(map(_cell, values))
 
@@ -51,13 +57,20 @@ def format_csv(columns: dict, metadata: dict) -> str:
 
     The table is a dict of equal-length columns (sequences or arrays).
     Cells holding a comma or a quote are quoted, so every row has one
-    cell per column.
+    cell per column.  A table of Python floats only is written through
+    one row template, since a "%.17g" cell never needs quoting; any
+    other table keeps csv's quoting rules.
     """
     buf = io.StringIO()
     buf.writelines(_meta_line(k, v) + "\n" for k, v in metadata.items())
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow([str(c) for c in columns])
-    writer.writerows(zip(*map(_column_cells, columns.values())))
+    values = _column_values(columns)
+    if all(map(_all_float, values)):
+        template = ",".join(["%.17g"] * len(values)) + "\n"
+        buf.writelines(map(template.__mod__, zip(*values)))
+    else:
+        writer.writerows(zip(*map(_column_cells, values)))
     return buf.getvalue()
 
 
@@ -77,14 +90,38 @@ def _json_default(obj):
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
+_JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+_CELL_INDENT = "\n" + " " * 6       # a row's keys sit three levels deep
+
+
+def _json_cells(values) -> list[str]:
+    """The JSON texts of one column, each laid out as json.dumps(indent=2) lays it out in a row."""
+    if _all_float(values):
+        texts = list(map(float.__repr__, values))
+        return list(map(_JSON_NONFINITE.get, texts, texts))
+    return [json.dumps(v, indent=2, default=_json_default).replace("\n", _CELL_INDENT)
+            for v in values]
+
+
+def _json_key(key) -> str:
+    """The key as json spells it, a non-str key converted as json converts it."""
+    return json.dumps({key: 0})[1:-len(": 0}")]
+
+
 def format_json(columns: dict, metadata: dict) -> str:
     """The rows of a dict of columns as an array of objects, plus a metadata object.
 
-    Complex numbers serialize as [re, im]; missing values as null.
+    Complex numbers serialize as [re, im]; missing values as null.  The
+    text equals json.dumps(indent=2) of that document, but each row is
+    filled into one template from its columns' cell texts.
     """
-    values = (c.tolist() if isinstance(c, np.ndarray) else c for c in columns.values())
-    doc = {"metadata": metadata, "rows": [dict(zip(columns, row)) for row in zip(*values)]}
-    return json.dumps(doc, indent=2, default=_json_default) + "\n"
+    meta = json.dumps(metadata, indent=2, default=_json_default).replace("\n", "\n  ")
+    rows = list(zip(*map(_json_cells, _column_values(columns))))
+    if not rows:
+        return f'{{\n  "metadata": {meta},\n  "rows": []\n}}\n'
+    slots = ",".join(f"\n      {_json_key(k).replace('%', '%%')}: %s" for k in columns)
+    template = f"\n    {{{slots}\n    }}"
+    return f'{{\n  "metadata": {meta},\n  "rows": [{",".join(map(template.__mod__, rows))}\n  ]\n}}\n'
 
 
 def render_report(columns: dict, metadata: dict, fmt: str) -> str:

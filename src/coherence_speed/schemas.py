@@ -32,12 +32,20 @@ def _finite_or_text(text: str):
     return text if math.isinf(value := float(text)) else value
 
 
-def parse_json(text: str):
-    """json.loads, but NaN, Infinity and a literal past the float range (1e999) stay text.
+def _int_or_text(text: str):
+    return text if math.isinf(float(text)) else int(text)
 
-    The schemas type every number "number", so these fail there with their JSON path.
+
+def parse_json(text: str):
+    """json.loads, but NaN, Infinity and a literal past the float range stay text.
+
+    Past the float range means 1e999, or an integer literal of magnitude
+    1.8e308 or more, which is kept as text before ``int`` is tried (so a
+    5,000-digit one meets no digit limit).  The schemas type every number
+    "number" or "integer", so each of these fails there with its JSON path.
     """
-    return json.loads(text, parse_constant=str, parse_float=_finite_or_text)
+    return json.loads(text, parse_constant=str, parse_float=_finite_or_text,
+                      parse_int=_int_or_text)
 
 
 def validate_document(doc: dict, schema_name: str) -> None:

@@ -522,6 +522,37 @@ def test_every_number_of_the_schemas_has_a_non_finite_case(schema):
     assert nodes and nodes == covered
 
 
+def _digits(n, sign=""):
+    return sign + "1" + "0" * (n - 1)
+
+
+# 401 digits is past the float range; 5,001 is past int()'s default digit limit
+@pytest.mark.parametrize("where, command, doc, literal, kind", [
+    ("$.battery.dt", "battery", {"battery": {"dt": _MARK}}, _digits(401), "number"),
+    ("$.qsl.spectrum[0]", "qsl", {"qsl": {"spectrum": [_MARK, 1]}}, _digits(401), "number"),
+    ("$.qsl.spectrum[0]", "qsl", {"qsl": {"spectrum": [_MARK, 1]}}, _digits(401, "-"), "number"),
+    ("$.battery.dt", "battery", {"battery": {"dt": _MARK}}, _digits(5001), "number"),
+    ("$.seed", "qsl", {"seed": _MARK}, _digits(401), "integer"),
+], ids=["dt-401-digits", "level-401-digits", "level-minus-401-digits", "dt-5001-digits",
+        "seed-401-digits"])
+def test_an_integer_past_the_float_range_fails_the_schema_at_its_path(
+        tmp_path, capsys, where, command, doc, literal, kind):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc).replace(f'"{_MARK}"', literal))
+    assert main([command, "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f": {where}: '{literal}' is not of type '{kind}'\n" in captured.err
+
+
+def test_an_integer_inside_the_float_range_is_still_an_int(tmp_path, capsys):
+    # 1.7e308 written out in full: finite as a float, so parsed as the int it is
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"seed": 17' + "0" * 307 + ', "qsl": {"spectrum": [0, 1], "t_steps": 2}}')
+    assert main(["qsl", "--config", str(cfg)]) == 0
+    assert f"seed: 17{'0' * 307}\n" in capsys.readouterr().out
+
+
 def test_csv_details_with_commas_stay_in_one_cell(tmp_path, capsys):
     out = tmp_path / "thm3.csv"
     assert main(["verify", "thm3", "--trials", "2", "--out", str(out)]) == 0

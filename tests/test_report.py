@@ -6,7 +6,7 @@ import json
 
 import numpy as np
 
-from coherence_speed.report import _cell, format_csv, format_json
+from coherence_speed.report import _cell, _json_default, format_csv, format_json
 
 
 def _csv_writer_body(rows, columns):
@@ -77,3 +77,48 @@ def test_a_column_table_writes_the_json_of_its_rows():
     assert doc["metadata"] == {"command": "test"}
     assert doc["rows"] == [{"t": t, "n": n, "x": x} for t, n, x in
                            zip([0.0, 0.25, 0.5, 0.75, 1.0], columns["n"], columns["x"])]
+
+
+def _stdlib_json(columns, metadata):
+    values = [c.tolist() if isinstance(c, np.ndarray) else c for c in columns.values()]
+    rows = [dict(zip(columns, row)) for row in zip(*values)]
+    return json.dumps({"metadata": metadata, "rows": rows}, indent=2, default=_json_default) + "\n"
+
+
+_EVERY_CELL = [0.5, float("nan"), float("inf"), float("-inf"), -0.0, 5e-324, 1e16,
+               np.float64(0.1), np.float32(0.1), 7, np.int64(-7), True, np.bool_(False), None,
+               'say "hi"', "back\\slash", "two\nlines", "100% %s", "naïve ✓", "",
+               1 - 2j, np.complex128(0.5j), [1.0, [2, None]], np.arange(3)]
+
+
+def test_json_body_equals_json_dumps_for_every_kind_of_cell():
+    meta = {"command": "test", "spectrum": np.array([0.0, 1.0]), "seed": np.int64(3), "p%": "1%"}
+    n = len(_EVERY_CELL)
+    columns = {"mixed": _EVERY_CELL, "a%b": [0.25 * k for k in range(n)],
+               'q"uote': np.array([0.0, -0.0, float("nan"), float("inf"), float("-inf"), 5e-324,
+                                   1e16, 1e-300] + [1.0 / 3.0] * (n - 8)),
+               "naïve": [None] * n, "%%s": list(reversed(_EVERY_CELL))}
+    assert format_json(columns, meta) == _stdlib_json(columns, meta)
+    for k, cell in enumerate(_EVERY_CELL):
+        one = {"only": [cell]}
+        assert format_json(one, {}) == _stdlib_json(one, {}), k
+
+
+def test_json_body_of_an_empty_table_equals_json_dumps():
+    for columns in ({}, {"t": []}, {"t": np.zeros(0), "x": []}):
+        for meta in ({}, {"command": "test"}):
+            assert format_json(columns, meta) == _stdlib_json(columns, meta)
+
+
+def test_a_float_table_with_an_awkward_header_is_a_csv_writer_rendering():
+    # the row-template side: every cell a Python float, a header that csv must quote
+    columns = {"a%b,c": [0.1, -0.0, float("nan")], "%s": [1e16, 5e-324, float("inf")]}
+    rows = [[format(v, ".17g") for v in row] for row in zip(*columns.values())]
+    assert format_csv(columns, {}) == _csv_writer_body(rows, list(columns))
+
+
+def test_a_float_and_text_table_is_a_csv_writer_rendering():
+    # the csv.writer side: one text column sends the whole table through csv's quoting
+    columns = {"t": [0.5, 1.0 / 3.0, float("-inf")], "note": ["a,b", 'q"x', "100%"]}
+    rows = [[format(t, ".17g"), note] for t, note in zip(*columns.values())]
+    assert format_csv(columns, {}) == _csv_writer_body(rows, list(columns))

@@ -111,6 +111,11 @@ MALFORMED_CLI = {
     "seed-negative": (["qsl", "--seed", "-1"], None),
     "trials-zero": (["verify", "thm1", "--trials", "0"], None),
     "dim-zero": (["verify", "thm1", "--dim", "0"], None),
+    # integer literals past the float range (the last also past int()'s digit limit)
+    "battery-dt-401-digits": (["battery"], '{"battery": {"dt": 1%s}}' % ("0" * 400)),
+    "qsl-level-401-digits": (["qsl"], '{"qsl": {"spectrum": [1%s, 1]}}' % ("0" * 400)),
+    "battery-dt-5001-digits": (["battery"], '{"battery": {"dt": 1%s}}' % ("0" * 5000)),
+    "seed-401-digits": (["qsl"], '{"seed": 1%s}' % ("0" * 400)),
 }
 
 
