@@ -398,16 +398,17 @@ def _cmd_qsl(ns, config: dict) -> int:
     times = np.linspace(float(section.get("t_start", 0.0)), float(section.get("t_stop", np.pi)),
                         int(section.get("t_steps", 101)))
     # exp(-i H t) psi0 but for the global phase exp(-i w_0 t), which the Bures
-    # angle ignores; phases of w - w_0 keep their precision on a shifted spectrum
+    # angle ignores; phases of w - w_0 keep their precision on a shifted spectrum.
+    # Evolved in the checked eigenbasis, the rows are unit vectors and are not revalidated.
     v, w = ham.eigenvectors, ham.eigenvalues
     phases = np.exp(-1j * np.multiply.outer(times, w - w[0]))
-    grid = _qsl_grid(psi0, ham, (phases * (dagger(v) @ psi0)) @ v.T)
-    columns = {"t": times, "bures_angle": [b.bures_angle for b in grid],
-               "energy_mean": [b.mean_energy for b in grid],
-               "energy_stddev": [b.energy_stddev for b in grid],
-               "mt_time": [b.mt_time for b in grid], "ml_time": [b.ml_time for b in grid]}
-    worst = max((b.mt_time - t for t, b in zip(times.tolist(), grid) if b.mt_time is not None),
-                default=-np.inf)
+    angles, mean, stddev = _qsl_grid(psi0, ham, (phases * (dagger(v) @ psi0)) @ v.T)
+    n = len(times)
+    mt = angles / stddev if stddev > TOL_ZERO else [None] * n
+    columns = {"t": times, "bures_angle": angles, "energy_mean": np.full(n, mean),
+               "energy_stddev": np.full(n, stddev), "mt_time": mt,
+               "ml_time": angles / mean if mean > TOL_ZERO else [None] * n}
+    worst = float(np.max(mt - times)) if stddev > TOL_ZERO else -np.inf
     meta = _metadata("qsl", seed, tol, spectrum=spectrum, dimension=ham.dim,
                      state=_state_label(section.get("state", "plus")))
     return _finish(columns, meta, fmt, out,

@@ -234,8 +234,8 @@ def _propagate(psi0: np.ndarray, times: np.ndarray,
     u = (v[:-1] * np.exp(-1j * w[:-1] * dts[:, None])[:, None, :]) @ dagger(v[:-1])
     states = np.empty((len(times), len(psi0)), dtype=complex)
     states[0] = psi0
-    for k in range(len(dts)):
-        states[k + 1] = u[k] @ states[k]
+    for u_k, src, dst in zip(u, states, states[1:]):
+        np.matmul(u_k, src, out=dst)
     drift = float(np.max(np.abs(np.linalg.norm(states, axis=1) - 1.0)))
     if drift > TOL_DRIFT:
         raise InvalidState(f"norm drift {drift:.3e} over the grid")

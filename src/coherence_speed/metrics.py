@@ -106,40 +106,55 @@ class QslBounds:
 def qsl_bounds(psi0, ham: SpectralHamiltonian, psi1) -> QslBounds:
     """Speed-limit times for evolving psi0 to psi1 under the given Hamiltonian.
 
-    mean_energy is measured from the bottom of the spectrum
-    (H - lambda_min), the standard convention for the mean-energy bound.
-    It and energy_stddev come from the level gaps, so a constant shift
-    of the spectrum leaves both unchanged.
-    """
-    return _qsl_grid(psi0, ham, [psi1])[0]
-
-
-def _qsl_grid(psi0, ham: SpectralHamiltonian, targets) -> list[QslBounds]:
-    """qsl_bounds(psi0, ham, psi1) for each psi1 of targets, in order.
-
-    psi0 and every target are validated, in that order, before the
-    dimensions are compared; the energy moments of psi0, which every
-    target shares, are formed once, by ``_moments`` from the spectrum.
+    psi0 and psi1 are validated, in that order, before the dimensions
+    are compared; the bounds are row 0 of ``_qsl_grid``.  mean_energy
+    is measured from the bottom of the spectrum (H - lambda_min), the
+    standard convention for the mean-energy bound.  It and
+    energy_stddev come from the level gaps, so a constant shift of the
+    spectrum leaves both unchanged.
     """
     psi0 = validate_state_vector(psi0)
-    targets = [validate_state_vector(psi1) for psi1 in targets]
-    if ham.dim != len(psi0) or any(len(psi1) != len(psi0) for psi1 in targets):
+    psi1 = validate_state_vector(psi1)
+    if ham.dim != len(psi0) or len(psi1) != len(psi0):
         raise DimensionMismatch("state/Hamiltonian dimensions differ")
+    angles, mean, stddev = _qsl_grid(psi0, ham, psi1[None])
+    angle = float(angles[0])
+    return QslBounds(bures_angle=angle, mean_energy=mean, energy_stddev=stddev,
+                     mt_time=angle / stddev if stddev > TOL_ZERO else None,
+                     ml_time=angle / mean if mean > TOL_ZERO else None)
+
+
+_SIGNS = np.array([[-1.0], [1.0]], dtype=complex)
+_PAIR = np.dtype((np.float64, 2))       # a complex number viewed as (re, im)
+_HALF_PI = np.array(np.pi / 2)         # 0-d, so no ufunc call converts a Python float
+
+
+def _qsl_grid(psi0: np.ndarray, ham: SpectralHamiltonian,
+              targets: np.ndarray) -> tuple[np.ndarray, float, float]:
+    """Bures angles from psi0 to each row of targets (n, d) in one array pass, with the moments.
+
+    Returns the angles and the energy mean above the ground level and
+    the energy spread of psi0, which every row shares (``_moments``).
+    Nothing is validated: psi0 is a checked state of the Hamiltonian's
+    dimension and the rows are unit vectors, such as states evolved
+    from psi0 in the trusted eigenbasis.  Each angle equals, bit for
+    bit, the one a loop over the rows takes from np.vdot, abs and
+    np.linalg.norm: the overlaps come from the same zdotc, the phases
+    from real divisions and the norms from the same ddot.
+    """
     weights = np.abs(dagger(ham.eigenvectors) @ psi0) ** 2
-    mean_shifted, stddev = (float(m) for m in _moments(weights, ham.eigenvalues))
-    out = []
-    for psi1 in targets:
-        # arccos of the overlap magnitude loses half the working precision
-        # near coinciding states (one ulp below 1 reads as a 2e-8 angle), so
-        # evaluate the same angle in phase-aligned difference form instead.
-        overlap = complex(np.vdot(psi0, psi1))
-        mag = abs(overlap)
-        aligned = psi1 * (overlap.conjugate() / mag) if mag > TOL_ZERO else psi1
-        half_chord = float(np.linalg.norm(aligned - psi0))
-        half_sum = float(np.linalg.norm(aligned + psi0))
-        angle = min(2.0 * float(np.arctan2(half_chord, half_sum)), float(np.pi / 2))
-        mt = angle / stddev if stddev > TOL_ZERO else None
-        ml = angle / mean_shifted if mean_shifted > TOL_ZERO else None
-        out.append(QslBounds(bures_angle=angle, mean_energy=mean_shifted,
-                             energy_stddev=stddev, mt_time=mt, ml_time=ml))
-    return out
+    mean, stddev = _moments(weights, ham.eigenvalues)
+    # arccos of the overlap magnitude loses half the working precision
+    # near coinciding states (one ulp below 1 reads as a 2e-8 angle), so
+    # evaluate the same angle in phase-aligned difference form instead:
+    # rotate each row by conj(overlap) / |overlap| unless the overlap vanishes.
+    conj = np.conj(np.vecdot(psi0, targets)).view(_PAIR)
+    mag = np.hypot(conj[:, :1], conj[:, 1:])
+    phase = np.empty(len(targets), dtype=complex)
+    phase.fill(1.0)
+    np.divide(conj, mag, out=phase.view(_PAIR), where=mag > TOL_ZERO)
+    # (aligned - psi0, aligned + psi0) for each row, and their norms
+    pair = (targets * phase[:, None])[:, None, :] + psi0 * _SIGNS
+    norms = np.sqrt(np.vecdot(pair.real, pair.real) + np.vecdot(pair.imag, pair.imag))
+    angles = np.arctan2(norms[:, 0], norms[:, 1])
+    return np.minimum(angles + angles, _HALF_PI), float(mean), float(stddev)

@@ -7,7 +7,7 @@ import re
 import numpy as np
 import pytest
 
-from coherence_speed import avgdist, cli, coherence, linalg, metrics
+from coherence_speed import avgdist, cli, coherence, dynamics, linalg, metrics
 from coherence_speed.avgdist import avg_distance_closed
 from coherence_speed.cli import main
 from coherence_speed.linalg import (
@@ -304,6 +304,27 @@ def test_the_default_qsl_rows_are_the_unitary_exp_targets_bit_for_bit(tmp_path):
         assert row == {"t": float(t), "bures_angle": b.bures_angle, "energy_mean": b.mean_energy,
                        "energy_stddev": b.energy_stddev, "mt_time": b.mt_time,
                        "ml_time": b.ml_time}
+
+
+def test_a_qsl_report_validates_its_evolved_targets_not_at_all(tmp_path, monkeypatch):
+    calls, validate = [], linalg.validate_state_vector
+
+    def counting(psi, **kwargs):
+        calls.append(1)
+        return validate(psi, **kwargs)
+
+    for module in (cli, dynamics, linalg, metrics):
+        monkeypatch.setattr(module, "validate_state_vector", counting)
+    state = {"amplitudes": [[0.5, 0.0], [0.0, 0.5], [-0.5, 0.0], [0.3, 0.4]]}
+    per_grid = []
+    for steps in (3, 1001):
+        cfg = tmp_path / f"cfg-{steps}.json"
+        cfg.write_text(json.dumps({"qsl": {"spectrum": [-0.4, 0.0, 0.7, 1.3], "state": state,
+                                           "t_steps": steps}}))
+        calls.clear()
+        assert main(["qsl", "--config", str(cfg), "--out", str(tmp_path / "qsl.csv")]) == 0
+        per_grid.append(len(calls))
+    assert per_grid == [1, 1]      # the amplitudes, once where they enter
 
 
 def test_an_undefined_qsl_bound_is_nan_in_csv_and_null_in_json(tmp_path):

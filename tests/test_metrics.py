@@ -265,30 +265,73 @@ def test_qsl_bounds_validates_each_state_once(monkeypatch):
     assert abs(bounds.mean_energy - (np.vdot(psi0, h @ psi0).real - ham.eigenvalues[0])) <= budget
 
 
-def test_qsl_grid_equals_a_loop_of_qsl_bounds():
+def _qsl_angle_loop(psi0, targets) -> list[float]:
+    """The angles target by target, as qsl_bounds once took them: the reference for _qsl_grid."""
+    out = []
+    for psi1 in targets:
+        psi1 = linalg.validate_state_vector(psi1)
+        overlap = complex(np.vdot(psi0, psi1))
+        mag = abs(overlap)
+        aligned = psi1 * (overlap.conjugate() / mag) if mag > linalg.TOL_ZERO else psi1
+        half_chord = float(np.linalg.norm(aligned - psi0))
+        half_sum = float(np.linalg.norm(aligned + psi0))
+        out.append(min(2.0 * float(np.arctan2(half_chord, half_sum)), float(np.pi / 2)))
+    return out
+
+
+def test_qsl_grid_equals_the_per_target_loop_bit_for_bit():
     rng = np.random.default_rng(32)
-    ham = SpectralHamiltonian.from_spectrum([0.0, 0.4, 0.4, 1.7])
-    cases = [haar_random_state(4, rng),
-             np.array([0.0, 0.0, 0.0, 1.0], dtype=complex),   # stationary: mt_time None
-             np.array([1.0, 0.0, 0.0, 0.0], dtype=complex)]   # ground: both None
-    grids = []
-    for psi0 in cases:
-        targets = [unitary_exp(ham, float(t)) @ psi0 for t in np.linspace(0.0, 4.0, 21)]
-        targets.append(haar_random_state(4, rng))
-        grids.append(metrics._qsl_grid(psi0, ham, targets))
-        assert grids[-1] == [qsl_bounds(psi0, ham, psi1) for psi1 in targets]
-    assert all(b.mt_time is not None for b in grids[0][1:])
-    assert all(b.mt_time is None and b.ml_time is not None for b in grids[1])
-    assert all(b.mt_time is None and b.ml_time is None for b in grids[2])
+    for d in range(1, 9):
+        for _ in range(6):
+            ham = SpectralHamiltonian.from_spectrum(np.sort(rng.normal(size=d)))
+            psi0 = haar_random_state(d, rng)
+            times = rng.uniform(0.0, 6.0, 10)
+            targets = np.array([unitary_exp(ham, float(t)) @ psi0 for t in times]
+                               + [haar_random_state(d, rng) for _ in range(5)])
+            angles, _, _ = metrics._qsl_grid(psi0, ham, targets)
+            assert angles.tolist() == _qsl_angle_loop(psi0, targets)
 
 
-def test_qsl_grid_validates_states_before_dimensions():
+def test_qsl_grid_edge_targets_equal_the_per_target_loop():
+    rng = np.random.default_rng(33)
+    ham = SpectralHamiltonian.from_spectrum([-0.3, 0.4, 0.4, 1.7])
+    stationary = np.array([0.0, 0.0, 0.0, 1.0], dtype=complex)
+    ground = np.array([1.0, 0.0, 0.0, 0.0], dtype=complex)
+    for psi0 in (haar_random_state(4, rng), stationary, ground):
+        orthogonal = haar_random_state(4, rng)
+        orthogonal -= np.vdot(psi0, orthogonal) * psi0
+        orthogonal /= np.linalg.norm(orthogonal)
+        # past orthogonal: the overlap -1e-13 is below TOL_ZERO, so the row is not
+        # rotated, its chord outgrows its sum and the pi/2 cap binds
+        beyond = np.sqrt(1.0 - 1e-26) * orthogonal - 1e-13 * psi0
+        targets = np.array([psi0, orthogonal, -1j * psi0, beyond]
+                           + [unitary_exp(ham, float(t)) @ psi0 for t in np.linspace(0.0, 4.0, 9)])
+        assert abs(np.vdot(psi0, orthogonal)) <= linalg.TOL_ZERO
+        angles, mean, stddev = metrics._qsl_grid(psi0, ham, targets)
+        assert angles.tolist() == _qsl_angle_loop(psi0, targets)
+        assert angles[0] == 0.0 and abs(angles[1] - np.pi / 2) < 1e-15 and angles[2] < 1e-15
+        assert angles[3] == np.pi / 2
+        bounds = qsl_bounds(psi0, ham, targets[-1])
+        assert (bounds.bures_angle, bounds.mean_energy, bounds.energy_stddev) == (
+            angles[-1], mean, stddev)
+        empty, *moments = metrics._qsl_grid(psi0, ham, np.empty((0, 4), dtype=complex))
+        assert empty.shape == (0,) and moments == [mean, stddev]
+    assert qsl_bounds(stationary, ham, stationary).mt_time is None
+    ground_bounds = qsl_bounds(ground, ham, ground)
+    assert ground_bounds.mt_time is None and ground_bounds.ml_time is None
+
+
+def test_qsl_bounds_validates_states_before_dimensions():
     ham = SpectralHamiltonian.from_spectrum([0.0, 1.0])
     good = np.array([1.0, 0.0], dtype=complex)
     with pytest.raises(InvalidState):
-        metrics._qsl_grid(good, ham, [good, np.ones(3)])    # wrong norm and size
+        qsl_bounds(np.ones(3), ham, good)                  # wrong norm and size
+    with pytest.raises(InvalidState):
+        qsl_bounds(good, ham, np.ones(3))
     with pytest.raises(DimensionMismatch):
-        metrics._qsl_grid(good, ham, [good, np.array([1.0, 0.0, 0.0])])
+        qsl_bounds(good, ham, np.array([1.0, 0.0, 0.0]))
+    with pytest.raises(DimensionMismatch):
+        qsl_bounds(np.array([1.0, 0.0, 0.0]), ham, np.array([1.0, 0.0, 0.0]))
 
 
 def test_fidelity_checks_sigma_as_affinity_does():

@@ -64,6 +64,9 @@ REPORTS = {
     "qsl-ci": ("qsl", {"qsl": {"spectrum": [0.0, 0.4, 1.7], "t_steps": 21}}),
     "qsl-shifted-1e6": ("qsl", {"qsl": {"spectrum": [1000000.0, 1000000.001]}}),
     "qsl-degenerate-ground": ("qsl", {"qsl": {"spectrum": [0.0, 0.0, 1.0], "state": "ground"}}),
+    "qsl-4-level-complex": ("qsl", {"qsl": {"spectrum": [-0.6, 0.2, 0.9, 1.5], "state": {
+        "amplitudes": [[0.5, 0.0], [0.0, 0.5], [-0.5, 0.0], [0.3, 0.4]]}}}),
+    "qsl-one-step": ("qsl", {"qsl": {"spectrum": [0.0, 0.4, 1.7], "t_steps": 1}}),
 }
 VERIFY_OUT = ("thm2", "qsl", "battery-bound")
 
