@@ -54,7 +54,7 @@ from .linalg import (
     validate_density,
     validate_state_vector,
 )
-from .metrics import _qsl_grid
+from .metrics import _limit_times, _qsl_grid
 from .report import render_report, write_report
 from .schemas import _complex_array, parse_json, validate_document
 from .verification import SUITES, failures_as_dicts, run_suite
@@ -403,12 +403,13 @@ def _cmd_qsl(ns, config: dict) -> int:
     v, w = ham.eigenvectors, ham.eigenvalues
     phases = np.exp(-1j * np.multiply.outer(times, w - w[0]))
     angles, mean, stddev = _qsl_grid(psi0, ham, (phases * (dagger(v) @ psi0)) @ v.T)
+    mt, ml = _limit_times(angles, mean, stddev)
     n = len(times)
-    mt = angles / stddev if stddev > TOL_ZERO else [None] * n
     columns = {"t": times, "bures_angle": angles, "energy_mean": np.full(n, mean),
-               "energy_stddev": np.full(n, stddev), "mt_time": mt,
-               "ml_time": angles / mean if mean > TOL_ZERO else [None] * n}
-    worst = float(np.max(mt - times)) if stddev > TOL_ZERO else -np.inf
+               "energy_stddev": np.full(n, stddev),
+               "mt_time": [None] * n if mt is None else mt,
+               "ml_time": [None] * n if ml is None else ml}
+    worst = -np.inf if mt is None else float(np.max(mt - times))
     meta = _metadata("qsl", seed, tol, spectrum=spectrum, dimension=ham.dim,
                      state=_state_label(section.get("state", "plus")))
     return _finish(columns, meta, fmt, out,

@@ -155,8 +155,7 @@ def validate_density(rho) -> np.ndarray:
 def validate_state_vector(psi) -> np.ndarray:
     """Check finite entries and unit norm; return the vector as complex128."""
     psi = np.asarray(psi, dtype=complex).reshape(-1)
-    re, im = psi.real, psi.imag     # np.linalg.norm's own sum, without its dispatch
-    nrm = math.sqrt(re.dot(re) + im.dot(im))
+    nrm = float(np.linalg.norm(psi))
     if math.isnan(nrm):             # a NaN entry; NaN fails the `>` test below
         raise InvalidState("state entries are not all finite")
     if abs(nrm - 1.0) > TOL_NORM:

@@ -118,15 +118,24 @@ def qsl_bounds(psi0, ham: SpectralHamiltonian, psi1) -> QslBounds:
     if ham.dim != len(psi0) or len(psi1) != len(psi0):
         raise DimensionMismatch("state/Hamiltonian dimensions differ")
     angles, mean, stddev = _qsl_grid(psi0, ham, psi1[None])
-    angle = float(angles[0])
+    angle = angles.item()
+    mt, ml = _limit_times(angle, mean, stddev)
     return QslBounds(bures_angle=angle, mean_energy=mean, energy_stddev=stddev,
-                     mt_time=angle / stddev if stddev > TOL_ZERO else None,
-                     ml_time=angle / mean if mean > TOL_ZERO else None)
+                     mt_time=mt, ml_time=ml)
+
+
+def _limit_times(angles, mean: float, stddev: float):
+    """(mt_time, ml_time): angles / stddev and angles / mean, for one angle or an array.
+
+    Either is None, "no bound", when its denominator is at most
+    TOL_ZERO (a stationary state, the ground state).
+    """
+    return (angles / stddev if stddev > TOL_ZERO else None,
+            angles / mean if mean > TOL_ZERO else None)
 
 
 _SIGNS = np.array([[-1.0], [1.0]], dtype=complex)
 _PAIR = np.dtype((np.float64, 2))       # a complex number viewed as (re, im)
-_HALF_PI = np.array(np.pi / 2)         # 0-d, so no ufunc call converts a Python float
 
 
 def _qsl_grid(psi0: np.ndarray, ham: SpectralHamiltonian,
@@ -139,8 +148,11 @@ def _qsl_grid(psi0: np.ndarray, ham: SpectralHamiltonian,
     dimension and the rows are unit vectors, such as states evolved
     from psi0 in the trusted eigenbasis.  Each angle equals, bit for
     bit, the one a loop over the rows takes from np.vdot, abs and
-    np.linalg.norm: the overlaps come from the same zdotc, the phases
-    from real divisions and the norms from the same ddot.
+    np.linalg.norm: the conjugated overlaps come from the same zdotc
+    with its arguments swapped, the phases from real divisions by the
+    same hypot and the norms from the same ddot.  A single row takes
+    its phase in Python scalars, as that loop did, rather than through
+    the masked division.
     """
     weights = np.abs(dagger(ham.eigenvectors) @ psi0) ** 2
     mean, stddev = _moments(weights, ham.eigenvalues)
@@ -148,13 +160,19 @@ def _qsl_grid(psi0: np.ndarray, ham: SpectralHamiltonian,
     # near coinciding states (one ulp below 1 reads as a 2e-8 angle), so
     # evaluate the same angle in phase-aligned difference form instead:
     # rotate each row by conj(overlap) / |overlap| unless the overlap vanishes.
-    conj = np.conj(np.vecdot(psi0, targets)).view(_PAIR)
-    mag = np.hypot(conj[:, :1], conj[:, 1:])
-    phase = np.empty(len(targets), dtype=complex)
-    phase.fill(1.0)
-    np.divide(conj, mag, out=phase.view(_PAIR), where=mag > TOL_ZERO)
+    conj = np.vecdot(targets, psi0)     # <psi1|psi0>, the conjugated overlap of each row
+    if len(conj) == 1:
+        c = conj.item()
+        mag = abs(c)
+        phase = c / mag if mag > TOL_ZERO else 1.0
+    else:
+        pairs = conj.view(_PAIR)
+        mag = np.hypot(pairs[:, :1], pairs[:, 1:])
+        phase = np.ones(len(conj), dtype=complex)
+        np.divide(pairs, mag, out=phase.view(_PAIR), where=mag > TOL_ZERO)
+        phase = phase[:, None]
     # (aligned - psi0, aligned + psi0) for each row, and their norms
-    pair = (targets * phase[:, None])[:, None, :] + psi0 * _SIGNS
+    pair = (targets * phase)[:, None, :] + psi0 * _SIGNS
     norms = np.sqrt(np.vecdot(pair.real, pair.real) + np.vecdot(pair.imag, pair.imag))
     angles = np.arctan2(norms[:, 0], norms[:, 1])
-    return np.minimum(angles + angles, _HALF_PI), float(mean), float(stddev)
+    return np.minimum(angles + angles, np.pi / 2), float(mean), float(stddev)

@@ -290,6 +290,9 @@ def test_qsl_grid_equals_the_per_target_loop_bit_for_bit():
                                + [haar_random_state(d, rng) for _ in range(5)])
             angles, _, _ = metrics._qsl_grid(psi0, ham, targets)
             assert angles.tolist() == _qsl_angle_loop(psi0, targets)
+            # a single row takes its phase in scalars, not through the masked division
+            assert [metrics._qsl_grid(psi0, ham, row[None])[0].item()
+                    for row in targets] == angles.tolist()
 
 
 def test_qsl_grid_edge_targets_equal_the_per_target_loop():
@@ -311,6 +314,8 @@ def test_qsl_grid_edge_targets_equal_the_per_target_loop():
         assert angles.tolist() == _qsl_angle_loop(psi0, targets)
         assert angles[0] == 0.0 and abs(angles[1] - np.pi / 2) < 1e-15 and angles[2] < 1e-15
         assert angles[3] == np.pi / 2
+        assert [metrics._qsl_grid(psi0, ham, row[None])[0].item()
+                for row in targets] == angles.tolist()
         bounds = qsl_bounds(psi0, ham, targets[-1])
         assert (bounds.bures_angle, bounds.mean_energy, bounds.energy_stddev) == (
             angles[-1], mean, stddev)

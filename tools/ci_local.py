@@ -7,21 +7,21 @@ runner would run it, with three differences:
 - ``coherence-speed`` is a shim for ``python -m coherence_speed.cli``,
   and ``src`` is on ``PYTHONPATH``, so nothing needs installing;
 - every ``/tmp`` path in a body, and ``TMPDIR``, points into one
-  temporary directory, removed afterwards unless ``--keep`` is given;
+  temporary directory, removed afterwards;
 - each step's exit code and wall time are printed, one line a step,
   and the last 20 lines of its output when it fails.
 
 Usage::
 
-    python tools/ci_local.py            # every step
-    python tools/ci_local.py -k battery # the steps whose name holds "battery"
+    python tools/ci_local.py
 
-The exit code is 0 when every step that ran exited 0, else 1.
+The exit code is 0 when every step exited 0, else 1.  A job that
+installs other package versions (the numpy-floor job) runs here
+against the packages already installed, since its Install is skipped.
 """
 
 from __future__ import annotations
 
-import argparse
 import os
 import shutil
 import subprocess
@@ -67,12 +67,7 @@ def steps(text: str) -> list[tuple[str, str]]:
     return out
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("-k", dest="match", default="",
-                        help="run only the steps whose name contains this text")
-    parser.add_argument("--keep", action="store_true", help="keep the temporary directory")
-    ns = parser.parse_args(argv)
+def main() -> int:
     workdir = Path(tempfile.mkdtemp(prefix="ci-local-"))
     shim = workdir / "bin" / "coherence-speed"
     shim.parent.mkdir()
@@ -87,7 +82,7 @@ def main(argv=None) -> int:
     failed = ran = 0
     try:
         for name, body in steps(WORKFLOW.read_text()):
-            if name in SKIPPED or ns.match not in name:
+            if name in SKIPPED:
                 continue
             start = time.perf_counter()
             proc = subprocess.run(["bash", "--noprofile", "--norc", "-eo", "pipefail", "-c",
@@ -100,10 +95,7 @@ def main(argv=None) -> int:
             if proc.returncode:
                 print(textwrap.indent("\n".join(proc.stdout.splitlines()[-20:]), "    "))
     finally:
-        if ns.keep:
-            print(f"workdir kept at {workdir}")
-        else:
-            shutil.rmtree(workdir, ignore_errors=True)
+        shutil.rmtree(workdir, ignore_errors=True)
     print(f"{ran - failed} of {ran} steps exited 0")
     return 1 if failed else 0
 
