@@ -62,6 +62,7 @@ from .errors import DegenerateSpectrum, DimensionMismatch, SingleLevel, TooManyL
 from .linalg import (
     TOL_DEGEN,
     SpectralHamiltonian,
+    _density_root,
     _eigenbasis_operators,
     _orbit_diagonals,
     dagger,
@@ -207,8 +208,7 @@ def avg_distance_closed(rho, ham: SpectralHamiltonian, t: float,
     include_brute defaults to "when the level count is within the cap".
     A single-level Hamiltonian gives coefficient 1 and distance 0.
     """
-    rho = validate_density(rho)
-    sqrt_rho = matrix_sqrt_psd(rho)         # one root serves c_half and the oracle
+    rho, sqrt_rho = _density_root(rho)      # one root serves c_half and the oracle
     coef, coh, closed = _closed_form(rho, ham, t, sqrt_rho)
     if include_brute is None:
         include_brute = ham.level_count <= BRUTE_FORCE_CAP

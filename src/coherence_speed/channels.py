@@ -38,10 +38,10 @@ from .linalg import (
     TOL_STRUCT,
     TOL_ZERO,
     SpectralHamiltonian,
+    _density_root,
     _eigenbasis_operators,
     dagger,
     hermitianize,
-    matrix_sqrt_psd,
     partial_trace,
     pure_density,
     random_unitary,
@@ -210,9 +210,8 @@ def theorem3_bound(dilation: StinespringDilation, rho) -> tuple[float, float]:
       lhs = (1/M!) sum_s D(Phi_s(rho), rho),
       rhs = 2 (1 - B(T)) c_half(rho x |0><0|).
     """
-    rho = validate_density(rho)
+    rho, sqrt_rho = _density_root(rho)
     joint = dilation._joint(rho)
-    sqrt_rho = matrix_sqrt_psd(rho)
     dims = (dilation.sys_dim, dilation.env_dim)
 
     def distances(phi):

@@ -46,12 +46,11 @@ from .linalg import (
     TOL_REPORT,
     TOL_ZERO,
     SpectralHamiltonian,
+    _density_root,
     dagger,
     haar_random_state,
-    matrix_sqrt_psd,
     pure_density,
     random_density,
-    validate_density,
     validate_state_vector,
 )
 from .metrics import _limit_times, _qsl_grid
@@ -290,8 +289,7 @@ def _cmd_sweep(ns, config: dict) -> int:
     rng = np.random.default_rng(seed)
     state_spec = section.get("state", "maximally-coherent")
     rho, psi = _state(state_spec, ham, rng)
-    rho = validate_density(rho)
-    sqrt_rho = matrix_sqrt_psd(rho)         # one root serves c_half and the mixed-state oracle
+    rho, sqrt_rho = _density_root(rho)      # one root serves c_half and the mixed-state oracle
     times = np.linspace(float(section.get("t_start", 0.0)),
                         float(section.get("t_stop", 2.0 * np.pi)), int(section.get("t_steps", 201)))
     include_brute = (section.get("brute_force", True)

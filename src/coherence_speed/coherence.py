@@ -28,6 +28,7 @@ from .linalg import (
     TOL_STRUCT,
     OrthogonalDecomposition,
     SpectralHamiltonian,
+    _density_root,
     hermitianize,
     matrix_sqrt_psd,
     validate_density,
@@ -37,7 +38,8 @@ from .linalg import (
 
 def c_half(rho, decomposition: OrthogonalDecomposition) -> float:
     """Affinity coherence 1 - sum_m Tr[(P_m sqrt(rho) P_m)^2], in [0, 1)."""
-    return _c_half(validate_density(rho), decomposition)
+    rho, sqrt_rho = _density_root(rho)
+    return _c_half(rho, decomposition, sqrt_rho)
 
 
 def _c_half(rho: np.ndarray, decomposition: OrthogonalDecomposition,
@@ -69,10 +71,10 @@ def closest_incoherent(rho, decomposition: OrthogonalDecomposition) -> np.ndarra
     Blocks whose weight Tr[(P_m sqrt(rho) P_m)^2] falls below TOL_PSD
     contribute nothing.
     """
-    rho = validate_density(rho)
+    rho, sqrt_rho = _density_root(rho)
     if rho.shape[0] != decomposition.dim:
         raise DimensionMismatch("state dimension does not match decomposition")
-    x, weights = _block_traces(matrix_sqrt_psd(rho), decomposition.projectors)
+    x, weights = _block_traces(sqrt_rho, decomposition.projectors)
     keep = weights >= TOL_PSD
     if not keep.any():
         raise DegenerateInput("all block weights vanish")

@@ -11,11 +11,13 @@ Each numerical tolerance of the library is an absolute constant of this
 table, sized for d <= 16 in double precision; none is an argument.  The
 verification checks declare their own.  Columns: value, bound, sites.
 
-  TOL_HERM    1e-9   max|A - A†|: is_hermitian, require_hermitian and callers, validate_density
+  TOL_HERM    1e-9   max|A - A†|: is_hermitian, require_hermitian and callers, validate_density,
+                     _density_root
   TOL_NORM    1e-9   a norm vs its target: states, env_state, qubit amplitudes, spin axes, blocks
-  TOL_TRACE   1e-9   |Tr rho - 1|: validate_density
+  TOL_TRACE   1e-9   |Tr rho - 1|: validate_density, _density_root
   TOL_ORTH    1e-9   max|U†U - I| of dilate's unitary completion
-  TOL_PSD     1e-10  dead band: matrix_sqrt_psd, validate_density, fidelity, closest_incoherent
+  TOL_PSD     1e-10  dead band: matrix_sqrt_psd, validate_density, _density_root, fidelity,
+                     closest_incoherent
   TOL_DEGEN   1e-9   one level: _cluster_levels, a_coefficient, dilate's fold of -pi onto +pi
   TOL_STRUCT  1e-8   caller structure: projector families, bases, Kraus sums, refinement, purity
   TOL_DRIFT   1e-10  norm drift over an evolve grid
@@ -120,7 +122,17 @@ def _sqrt_eig(rho) -> tuple[np.ndarray, np.ndarray]:
     low = w.min() if w.ndim > 1 else w[0]
     if low < -TOL_PSD:
         raise NotPSD(f"eigenvalue {low:.3e} below -{TOL_PSD:.1e}")
-    return np.sqrt(np.where(w < TOL_PSD, 0.0, w)), v
+    return _band_sqrt(w), v
+
+
+def _band_sqrt(w: np.ndarray) -> np.ndarray:
+    """sqrt(w) with the dead band: eigenvalues below TOL_PSD read as exact zeros."""
+    return np.sqrt(np.where(w < TOL_PSD, 0.0, w))
+
+
+def _rebuild(roots: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """W diag(roots) W†, Hermitian part, for one matrix or a stack."""
+    return hermitianize((v * roots[..., None, :]) @ dagger(v))
 
 
 def matrix_sqrt_psd(rho) -> np.ndarray:
@@ -134,8 +146,7 @@ def matrix_sqrt_psd(rho) -> np.ndarray:
     checks.  Callers that only need a trace against the root, as
     ``metrics.affinity`` does, take ``_sqrt_eig`` and skip the rebuild.
     """
-    roots, v = _sqrt_eig(rho)
-    return hermitianize((v * roots[..., None, :]) @ dagger(v))
+    return _rebuild(*_sqrt_eig(rho))
 
 
 def validate_density(rho) -> np.ndarray:
@@ -150,6 +161,24 @@ def validate_density(rho) -> np.ndarray:
     if abs(tr - 1.0) > TOL_TRACE:
         raise InvalidState(f"trace {tr!r} differs from 1 beyond {TOL_TRACE:.1e}")
     return rho
+
+
+def _density_root(rho) -> tuple[np.ndarray, np.ndarray]:
+    """validate_density(rho) and its matrix_sqrt_psd, bit for bit, from one eigh.
+
+    The checks, their order and errors are validate_density's, but
+    positivity is read from eigh(rho), which reads the lower triangle: for
+    a state Hermitian only to TOL_HERM the lower triangle alone decides."""
+    rho = _square(rho)
+    if not is_hermitian(rho):
+        raise NotHermitian("density matrix is not Hermitian within tolerance")
+    w, v = np.linalg.eigh(rho)
+    if w[0] < -TOL_PSD:
+        raise NotPSD(f"density matrix has eigenvalue {w[0]:.3e}")
+    tr = float(np.trace(rho).real)
+    if abs(tr - 1.0) > TOL_TRACE:
+        raise InvalidState(f"trace {tr!r} differs from 1 beyond {TOL_TRACE:.1e}")
+    return rho, _rebuild(_band_sqrt(w), v)
 
 
 def validate_state_vector(psi) -> np.ndarray:
@@ -384,7 +413,9 @@ class SpectralHamiltonian:
     eigenvectors  -- orthonormal columns matching eigenvalues
     levels        -- distinct eigenvalues after degeneracy grouping, ascending
     level_of      -- level index of each eigenvector column
-    decomposition -- eigenspace projectors, one per distinct level
+    decomposition -- eigenspace projectors, one per distinct level,
+                     built on first read (most callers read only the
+                     eigendata) and kept
 
     Input is validated where it enters: ``from_matrix`` checks
     Hermiticity, ``from_spectrum`` that the eigenvalues are finite and a
@@ -397,7 +428,6 @@ class SpectralHamiltonian:
     eigenvectors: np.ndarray
     levels: np.ndarray
     level_of: np.ndarray
-    decomposition: OrthogonalDecomposition
 
     @classmethod
     def from_matrix(cls, h) -> "SpectralHamiltonian":
@@ -435,10 +465,14 @@ class SpectralHamiltonian:
     def _build(cls, w: np.ndarray, v: np.ndarray) -> "SpectralHamiltonian":
         """From ascending eigenvalues and the orthonormal basis that carries them."""
         levels, level_of = _cluster_levels(w)
-        stack = _block_stack(v, np.split(np.arange(len(w)), np.flatnonzero(np.diff(level_of)) + 1))
         return cls(eigenvalues=np.asarray(w, dtype=float), eigenvectors=v,
-                   levels=levels, level_of=level_of,
-                   decomposition=OrthogonalDecomposition._trusted(stack))
+                   levels=levels, level_of=level_of)
+
+    @functools.cached_property
+    def decomposition(self) -> OrthogonalDecomposition:
+        """Eigenspace projectors V_m V_m†, one per level, from the ascending level_of."""
+        groups = np.split(np.arange(self.dim), np.flatnonzero(np.diff(self.level_of)) + 1)
+        return OrthogonalDecomposition._trusted(_block_stack(self.eigenvectors, groups))
 
     @property
     def dim(self) -> int:
@@ -466,13 +500,15 @@ class SpectralHamiltonian:
             raise BadPermutation(f"{assignment!r} is not a permutation of 0..{m_count - 1}")
         level_of = np.argsort(s)[self.level_of]      # new level of each eigenvector column
         cols = np.argsort(level_of, kind="stable")   # regrouped by new level, in column order
-        return SpectralHamiltonian(
+        out = SpectralHamiltonian(
             eigenvalues=self.levels[level_of[cols]],
             eigenvectors=self.eigenvectors[:, cols],
             levels=self.levels.copy(),
             level_of=level_of[cols],
-            decomposition=OrthogonalDecomposition._trusted(self.decomposition.projectors[list(s)]),
         )
+        # the parent's blocks, reordered: set in place of the lazy build
+        out.decomposition = OrthogonalDecomposition._trusted(self.decomposition.projectors[list(s)])
+        return out
 
 
 def unitary_exp(ham: SpectralHamiltonian, t: float) -> np.ndarray:

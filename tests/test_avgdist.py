@@ -269,27 +269,31 @@ def test_eight_level_orbit_runs_in_chunks():
     assert abs(brute - closed) < 1e-9
 
 
+def _counting(calls, fn):
+    """fn, recording its name and the shape of its argument in calls."""
+    def counted(rho):
+        calls.append((fn.__name__, np.shape(rho)))
+        return fn(rho)
+    return counted
+
+
 def test_each_entry_validates_its_state_once(monkeypatch):
     calls = []
-
-    def counting(rho, **kwargs):
-        calls.append(1)
-        return linalg.validate_density(rho, **kwargs)
-
     for module in (avgdist, coherence, channels):
-        monkeypatch.setattr(module, "validate_density", counting)
+        for name in ("validate_density", "_density_root"):
+            monkeypatch.setattr(module, name, _counting(calls, getattr(linalg, name)))
     rng = np.random.default_rng(29)
     ham = SpectralHamiltonian.from_spectrum(_spread_spectrum(rng, 4), random_unitary(4, rng))
     rho = random_density(4, rank=2, seed=rng)
     res = avg_distance_closed(rho, ham, 1.3, include_brute=True)
-    assert len(calls) == 1
+    assert calls == [("_density_root", (4, 4))]
     calls.clear()
     l1_upper_bound_check(rho, ham, 1.3)
-    assert len(calls) == 1
+    assert calls == [("validate_density", (4, 4))]
     calls.clear()
     dil = dilate(random_channel(2, 2, rng))
     theorem3_bound(dil, random_density(2, rank=2, seed=rng))
-    assert len(calls) == 1
+    assert calls == [("_density_root", (2, 2))]
     # the private paths give the public values bit for bit
     assert res.coherence == c_half(rho, ham.decomposition)
     assert res.brute_force == avg_distance_bruteforce(rho, ham, 1.3)
@@ -343,18 +347,15 @@ def test_eigenbasis_oracle_diagonalizes_every_evolved_state(monkeypatch):
 
 def test_avg_distance_closed_roots_rho_once(monkeypatch):
     roots = []
-
-    def counting(rho):
-        roots.append(np.shape(rho))
-        return linalg.matrix_sqrt_psd(rho)
-
     for module in (avgdist, coherence, metrics):
-        monkeypatch.setattr(module, "matrix_sqrt_psd", counting)
+        monkeypatch.setattr(module, "matrix_sqrt_psd", _counting(roots, linalg.matrix_sqrt_psd))
+    for module in (avgdist, coherence):
+        monkeypatch.setattr(module, "_density_root", _counting(roots, linalg._density_root))
     rng = np.random.default_rng(101)
     ham = SpectralHamiltonian.from_spectrum(_spread_spectrum(rng, 4), random_unitary(4, rng))
     rho = random_density(4, rank=3, seed=rng)
     res = avg_distance_closed(rho, ham, 1.3, include_brute=True)
-    assert roots == [(4, 4)]
+    assert roots == [("_density_root", (4, 4))]
     assert res.brute_force == avgdist._bruteforce(rho, ham, 1.3)
     assert res.coherence == coherence._c_half(rho, ham.decomposition)
 

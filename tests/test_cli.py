@@ -180,14 +180,15 @@ def test_a_mixed_sweep_roots_rho_once(tmp_path, monkeypatch):
     want = _point_by_point_sweep(spectrum, state, 8, 41)
     roots = []
 
-    def counting(rho):
-        roots.append(np.shape(rho))
-        return linalg.matrix_sqrt_psd(rho)
+    def counting(fn):
+        return lambda rho: roots.append((fn.__name__, np.shape(rho))) or fn(rho)
 
-    for module in (cli, avgdist, coherence, metrics):
-        monkeypatch.setattr(module, "matrix_sqrt_psd", counting)
+    for module in (avgdist, coherence, metrics):
+        monkeypatch.setattr(module, "matrix_sqrt_psd", counting(linalg.matrix_sqrt_psd))
+    for module in (cli, avgdist, coherence):
+        monkeypatch.setattr(module, "_density_root", counting(linalg._density_root))
     out = _run_sweep(tmp_path, spectrum, state, 8, 41)
-    assert roots == [(4, 4)]
+    assert roots == [("_density_root", (4, 4))]
     assert body_lines(out) == want
 
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.linalg import block_diag
 
+from coherence_speed import linalg
 from coherence_speed.coherence import (
     c_half,
     c_l1,
@@ -12,7 +13,7 @@ from coherence_speed.coherence import (
     is_maximally_coherent,
     is_refinement,
 )
-from coherence_speed.errors import DimensionMismatch
+from coherence_speed.errors import DimensionMismatch, NotPSD
 from coherence_speed.linalg import (
     OrthogonalDecomposition,
     SpectralHamiltonian,
@@ -124,3 +125,47 @@ def test_coherence_vector_block_weights():
 def test_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
         c_half(np.eye(3) / 3.0, rank1(2))
+
+
+def test_c_half_and_closest_incoherent_diagonalize_rho_once(monkeypatch):
+    calls = []
+
+    def counting(owner, name):
+        fn = getattr(owner, name)
+        monkeypatch.setattr(owner, name, lambda *a, **k: calls.append(name) or fn(*a, **k))
+
+    rng = np.random.default_rng(32)
+    cases = [(random_density(d, rank=r, seed=rng), rank1(d)) for d, r in ((2, 1), (4, 4), (7, 3))]
+    counting(linalg, "is_hermitian")
+    counting(np.linalg, "eigh")
+    counting(np.linalg, "eigvalsh")
+    for rho, dec in cases:
+        for fn in (c_half, closest_incoherent):
+            calls.clear()
+            fn(rho, dec)
+            assert sorted(calls) == ["eigh", "is_hermitian"]
+
+
+def _edge(upper, lower):
+    """diag(1, 0, 0) with one off-diagonal pair, Hermitian to within TOL_HERM."""
+    rho = np.diag([1.0, 0.0, 0.0]).astype(complex)
+    rho[1, 2], rho[2, 1] = upper, lower
+    return rho
+
+
+def test_the_lower_triangle_alone_decides_positivity():
+    # c_half and closest_incoherent read positivity from the eigh that roots rho,
+    # which reads the lower triangle; validate_density reads the Hermitian part
+    dec = rank1(3)
+    upper_only = _edge(8e-10, 0.0)      # Hermitian part: eigenvalue -4e-10
+    with pytest.raises(NotPSD, match="density matrix has eigenvalue -4.000e-10"):
+        linalg.validate_density(upper_only)
+    assert c_half(upper_only, dec) == 0.0
+    assert np.array_equal(closest_incoherent(upper_only, dec), np.diag([1.0, 0.0, 0.0]))
+    lower_negative = _edge(-4e-10, 5e-10)   # lower triangle: eigenvalue -5e-10
+    linalg.validate_density(lower_negative)
+    with pytest.raises(NotPSD, match="eigenvalue -5.000e-10 below -1.0e-10"):
+        linalg.matrix_sqrt_psd(lower_negative)
+    for fn in (c_half, closest_incoherent):
+        with pytest.raises(NotPSD, match="density matrix has eigenvalue -5.000e-10"):
+            fn(lower_negative, dec)

@@ -522,3 +522,114 @@ def test_non_finite_state_vector_is_rejected(psi):
         validate_state_vector(psi)
     with pytest.raises(InvalidState):
         pure_density(psi)
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except Exception as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def _malformed_densities(d):
+    base = random_density(d, rank=d, seed=d)
+    skew = base.copy()
+    skew[0, 1] += 1e-3
+    u = random_unitary(d, d)
+    w = np.full(d, 1.0 / (d - 1))
+    w[0] = -0.05
+    nan = base.copy()
+    nan[0, 0] = np.nan
+    negative = linalg.hermitianize((u * (w / w.sum())) @ u.conj().T)
+    # the last two fail two checks each: the first in order must raise
+    return [skew, negative, 1.5 * base, nan, base[:, :-1], np.full((d, d), np.inf),
+            1.5 * negative, 1.5 * skew]
+
+
+def test_density_root_is_validate_density_then_matrix_sqrt_psd():
+    rng = np.random.default_rng(18)
+    for d in range(1, 9):
+        for rank in range(1, d + 1):
+            rho = random_density(d, rank=rank, seed=rng)
+            # eigenvalues inside and just outside the dead band, then a state
+            # Hermitian only to 1e-10 (eigh reads its lower triangle)
+            u = random_unitary(d, rng)
+            w = np.r_[np.ones(rank), np.geomspace(5e-11, 5e-10, d - rank)]
+            banded = linalg.hermitianize((u * (w / w.sum())) @ u.conj().T)
+            nudged = rho + np.triu(np.full((d, d), 1e-10), 1)
+            for state in (rho, banded, nudged):
+                checked, root = linalg._density_root(state)
+                assert np.array_equal(checked, linalg.validate_density(state))
+                assert root.tobytes() == matrix_sqrt_psd(state).tobytes()
+        for bad in _malformed_densities(max(d, 2)):
+            want = _outcome(linalg.validate_density, bad)
+            assert isinstance(want, str) and _outcome(linalg._density_root, bad) == want
+
+
+def _eager_stack(w, v):
+    """The projector stack SpectralHamiltonian._build made for every operator
+    before the stack was built on first read, with the _block_stack of then."""
+    _, level_of = _cluster_levels(w)
+    groups = np.split(np.arange(len(w)), np.flatnonzero(np.diff(level_of)) + 1)
+    d = len(v)
+    sizes = [len(g) for g in groups]
+    stack = np.zeros((len(sizes), d, d), dtype=complex)
+    for k in set(sizes) - {0}:
+        same = [m for m, n in enumerate(sizes) if n == k]
+        cols = v[:, np.concatenate([groups[m] for m in same])]
+        blocks = cols.reshape(d, len(same), k).swapaxes(0, 1)
+        stack[same] = blocks @ blocks.conj().swapaxes(-1, -2)
+    return stack
+
+
+def _spectra(rng, d):
+    """Distinct, degenerate and nearly degenerate (merged and just split) levels."""
+    lam = np.sort(rng.uniform(-2.0, 2.0, d))
+    out = [lam]
+    for gap in (0.0, 0.5 * TOL_DEGEN, 2.0 * TOL_DEGEN):
+        near = lam.copy()
+        near[1::2] = near[::2][:len(near[1::2])] + gap
+        out.append(near)
+    return out
+
+
+def test_lazy_projector_stack_matches_the_eager_build_bit_for_bit():
+    rng = np.random.default_rng(19)
+    merged = 0
+    for d in range(1, 9):
+        for lam in _spectra(rng, d):
+            u = random_unitary(d, rng)
+            hams = [SpectralHamiltonian.from_matrix((u * lam) @ u.conj().T),
+                    SpectralHamiltonian.from_spectrum(rng.permutation(lam), u),
+                    SpectralHamiltonian.from_spectrum(lam)]
+            for ham in hams:
+                merged += ham.level_count < d
+                want = _eager_stack(ham.eigenvalues, ham.eigenvectors)
+                assert ham.decomposition.projectors.tobytes() == want.tobytes()
+                s = rng.permutation(ham.level_count)
+                child = SpectralHamiltonian.from_spectrum(ham.eigenvalues, ham.eigenvectors)
+                assert (child.permute_levels(s).decomposition.projectors.tobytes()
+                        == want[list(s)].tobytes())
+    assert merged > 30
+
+
+def test_only_the_projector_readers_build_the_stack(monkeypatch):
+    calls = []
+    build = linalg._block_stack
+    monkeypatch.setattr(linalg, "_block_stack", lambda *a: calls.append(1) or build(*a))
+    rng = np.random.default_rng(20)
+    psi0, psi1 = haar_random_state(4, rng), haar_random_state(4, rng)
+    hams = [SpectralHamiltonian.from_matrix(random_hermitian(4, rng)),
+            SpectralHamiltonian.from_spectrum([0.0, 1.0, 1.0, 2.5], random_unitary(4, rng)),
+            SpectralHamiltonian.from_spectrum([0.0, 1.0, 1.0, 2.5])]
+    for ham in hams:
+        metrics.qsl_bounds(psi0, ham, psi1)
+        dynamics.energy_uncertainty(psi0, ham)
+        unitary_exp(ham, 0.7)
+    assert calls == []
+    for ham in hams:
+        dec = ham.decomposition
+        assert ham.decomposition is dec
+        dynamics.instantaneous_speed(psi0, ham)
+        ham.permute_levels(np.arange(ham.level_count)[::-1]).decomposition
+    assert len(calls) == len(hams)

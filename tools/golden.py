@@ -26,6 +26,7 @@ takes about 35 s on a 2-core host, most of it in the suites.
 from __future__ import annotations
 
 import contextlib
+import functools
 import io
 import json
 import re
@@ -37,10 +38,18 @@ from pathlib import Path
 import numpy as np
 
 from coherence_speed import cli
+from coherence_speed.avgdist import avg_distance_closed
 from coherence_speed.battery import BatteryConfig, simulate_battery
-from coherence_speed.channels import KrausChannel, random_channel, save_channel
+from coherence_speed.channels import (
+    KrausChannel,
+    dilate,
+    random_channel,
+    save_channel,
+    theorem3_bound,
+)
+from coherence_speed.coherence import c_half, closest_incoherent
 from coherence_speed.dynamics import HamiltonianPath, energy_uncertainty, evolve, instantaneous_speed
-from coherence_speed.linalg import SpectralHamiltonian
+from coherence_speed.linalg import OrthogonalDecomposition, SpectralHamiltonian
 from coherence_speed.verification import SUITES, run_suite
 
 SEEDS = (0, 1, 34, 83)
@@ -122,6 +131,39 @@ MALFORMED_CLI = {
 }
 
 
+def _densities() -> dict:
+    """Malformed 3 x 3 densities, and two Hermitian only to within 1e-9 whose
+    Hermitian part and lower triangle disagree on positivity."""
+    base = np.diag([0.5, 0.3, 0.2]).astype(complex)
+    skew = base.copy()
+    skew[0, 1] = 1e-3
+    nan = base.copy()
+    nan[0, 0] = NAN
+
+    def edge(upper, lower):
+        rho = np.diag([1.0, 0.0, 0.0]).astype(complex)
+        rho[1, 2], rho[2, 1] = upper, lower
+        return rho
+
+    return {"skew": skew, "negative-eigenvalue": np.diag([1.05, 0.0, -0.05]),
+            "trace-1.5": 1.5 * base, "nan-entry": nan, "non-square": np.ones((3, 2)) / 3.0,
+            "edge-upper-8e-10-lower-0": edge(8e-10, 0.0),
+            "edge-upper-minus-4e-10-lower-5e-10": edge(-4e-10, 5e-10)}
+
+
+def _density_cases() -> dict:
+    """Each of _densities through every entry that validates a density and roots it."""
+    dec = OrthogonalDecomposition.computational(3)
+    ham = SpectralHamiltonian.from_spectrum([0.0, 0.7, 1.9])
+    dil = dilate(random_channel(3, 2, 5))
+    entries = {"c_half": lambda rho: c_half(rho, dec),
+               "closest_incoherent": lambda rho: closest_incoherent(rho, dec).tolist(),
+               "avg_distance_closed": lambda rho: avg_distance_closed(rho, ham, 1.3),
+               "theorem3_bound": lambda rho: theorem3_bound(dil, rho)}
+    return {f"{entry}-{name}": functools.partial(fn, rho)
+            for entry, fn in entries.items() for name, rho in _densities().items()}
+
+
 def _library_cases():
     """Malformed library calls, each a thunk."""
     gapped = np.diag([0.0, 1.0])
@@ -160,6 +202,7 @@ def _library_cases():
         "battery-zero-dt": lambda: battery(1.0, 0.0),
         "battery-negative-dt": lambda: battery(1.0, -1e-3),
         "battery-negative-tau": lambda: battery(-1.0, 1e-3),
+        **_density_cases(),
     }
 
 
