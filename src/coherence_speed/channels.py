@@ -18,10 +18,21 @@ factor fixes |0>).
 A channel is one complex (K, d, d) stack of Kraus operators, built from
 any sequence of d x d matrices and checked once; the Kraus action, the
 dilation and the JSON form use it as a whole.
+
+Finiteness is checked where data enters and trusted inside.  A
+``KrausChannel`` rejects a non-finite entry on construction, so
+``dilate`` hands its arrays to LAPACK (zgesdd for the complement,
+zgees for the Schur form) without scipy's ``check_finite`` pass; its
+completion check still rejects a non-finite unitary, which only a
+reassigned ``operators`` can give.  ``theorem3_bound`` checks its state
+once, with ``_density_root``; the channel outputs of the orbit and the
+joint input are Hermitian by construction and are rooted without a
+further Hermiticity check.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -40,16 +51,18 @@ from .linalg import (
     SpectralHamiltonian,
     _density_root,
     _eigenbasis_operators,
+    _lower_hermitian,
+    _psd_sqrt_eig,
+    _rebuild,
+    _trace_second,
     dagger,
     hermitianize,
     partial_trace,
-    pure_density,
     random_unitary,
-    tensor,
     unitary_exp,
     validate_density,
 )
-from .metrics import hellinger
+from .metrics import _hellinger_hermitian, hellinger
 from .schemas import _complex_array, parse_json, validate_document
 
 
@@ -121,9 +134,14 @@ def random_channel(dim: int, n_kraus: int, seed) -> KrausChannel:
                         label=f"random-{dim}x{n_kraus}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class StinespringDilation:
-    """Unitary model of a channel: evolve rho x env under exp(-i H T), trace out env."""
+    """Unitary model of a channel: evolve rho x env under exp(-i H T), trace out env.
+
+    Immutable: the environment state is checked once, on construction
+    (finite entries, unit norm), kept as a read-only copy and trusted
+    from then on.
+    """
 
     hamiltonian: SpectralHamiltonian
     sys_dim: int
@@ -134,11 +152,16 @@ class StinespringDilation:
     def __post_init__(self) -> None:
         if self.hamiltonian.dim != self.sys_dim * self.env_dim:
             raise DimensionMismatch("Hamiltonian dimension is not sys_dim * env_dim")
-        self.env_state = np.asarray(self.env_state, dtype=complex).reshape(-1)
-        if len(self.env_state) != self.env_dim:
+        env = np.array(self.env_state, dtype=complex).reshape(-1)
+        if len(env) != self.env_dim:
             raise DimensionMismatch("environment state dimension mismatch")
-        if abs(np.linalg.norm(self.env_state) - 1.0) > TOL_NORM:
+        # NaN fails no `> tol` test below, so reject it here
+        if not np.isfinite(env).all():
+            raise InvalidState("environment state entries are not all finite")
+        if abs(np.linalg.norm(env) - 1.0) > TOL_NORM:
             raise InvalidState("environment state is not normalized")
+        env.flags.writeable = False
+        object.__setattr__(self, "env_state", env)
 
     @property
     def levels(self) -> np.ndarray:
@@ -151,10 +174,16 @@ class StinespringDilation:
         return self._joint(validate_density(rho))
 
     def _joint(self, rho: np.ndarray) -> np.ndarray:
-        """rho x |env><env| for a state that has passed validate_density."""
+        """rho x |env><env| for a state that has passed validate_density.
+
+        The products np.kron(rho, np.outer(env, env*)) forms, as one
+        broadcast; env_state is the read-only state checked on construction.
+        """
         if rho.shape[0] != self.sys_dim:
             raise DimensionMismatch("state dimension does not match system")
-        return tensor(rho, pure_density(self.env_state))
+        env = self.env_state[:, None] * self.env_state.conj()
+        n = self.sys_dim * self.env_dim
+        return (rho[:, None, :, None] * env[:, None, :]).reshape(n, n)
 
     def apply(self, rho) -> np.ndarray:
         """Channel action Tr_env[U (rho x env) U†]."""
@@ -173,6 +202,17 @@ def dilate(channel: KrausChannel, env_dim: int | None = None) -> StinespringDila
     phase within TOL_DEGEN of -pi is taken as its image near +pi, so
     that an eigenvalue -1 of U, which rounding puts on either side of
     the branch cut, gives one level.
+
+    The complement is scipy.linalg.null_space(V†) and the logarithm
+    comes from scipy.linalg.schur(U, output="complex"), bit for bit,
+    but from their LAPACK routines (zgesdd, zgees) called directly:
+    the channel's entries were checked finite on construction, so
+    nothing screens them again before LAPACK.  The completion check
+    rejects a non-finite U (a channel whose ``operators`` were
+    reassigned) before max|U†U - I| is formed; a rank other than d, or
+    a LAPACK failure, leaves the complement empty and fails the
+    residual.  The generator's matrix is Hermitian by construction and
+    is diagonalized without a Hermiticity check.
     """
     d = channel.dim
     n_ops = len(channel.operators)
@@ -185,16 +225,79 @@ def dilate(channel: KrausChannel, env_dim: int | None = None) -> StinespringDila
     u = np.zeros((n, n), dtype=complex)       # column c * d_env + j; the complement at j >= 1
     u3 = u.reshape(n, d, d_env)
     u3[:, :, 0] = iso
-    u3[:, :, 1:] = scipy.linalg.null_space(dagger(iso)).reshape(n, d, d_env - 1)
+    complement = _null_space(dagger(iso), d)
+    if complement is not None:
+        u3[:, :, 1:] = complement.reshape(n, d, d_env - 1)
+    if not np.isfinite(u).all():
+        raise InvalidState("unitary completion failed: entries are not all finite")
     if np.max(np.abs(u.conj().T @ u - np.eye(n))) > TOL_ORTH:
         raise InvalidState("unitary completion failed")
     # Principal logarithm via the Schur form (U is normal).
-    t_mat, z = scipy.linalg.schur(u, output="complex")
+    t_mat, z = _schur(u)
     lam = np.angle(np.diagonal(t_mat).conj())  # in [-pi, pi]
     lam = np.where(lam <= -np.pi + TOL_DEGEN, lam + 2.0 * np.pi, lam)
-    ham = SpectralHamiltonian.from_matrix(hermitianize((z * lam) @ z.conj().T))
+    ham = SpectralHamiltonian._build(*np.linalg.eigh(hermitianize((z * lam) @ z.conj().T)))
     return StinespringDilation(hamiltonian=ham, sys_dim=d, env_dim=d_env,
                                env_state=np.eye(d_env)[0], duration=1.0)
+
+
+def _null_space(a: np.ndarray, rank: int) -> np.ndarray | None:
+    """scipy.linalg.null_space(a) for a complex (m, n) a of the given rank, else None.
+
+    The same zgesdd call (full matrices, the workspace scipy queries)
+    and the same rank rule: singular values above max(s) * eps * max(m, n).
+    None when LAPACK fails (a NaN entry gives info -4) or the rule
+    finds another rank.  a is overwritten.
+    """
+    gesdd, _ = _lapack(("gesdd", "gesdd_lwork"), ilp64="preferred")
+    _, s, vt, info = gesdd(a, compute_uv=1, lwork=_gesdd_lwork(*a.shape),
+                           full_matrices=1, overwrite_a=1)
+    if info or np.count_nonzero(s > s.max() * (np.finfo(float).eps * max(a.shape))) != rank:
+        return None
+    return vt[rank:].T.conj()
+
+
+def _schur(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """scipy.linalg.schur(a, output="complex") of a finite complex square a: (T, Z).
+
+    The same unsorted zgees call, with the workspace scipy queries;
+    raises LinAlgError as scipy does when the QR iteration fails.
+    """
+    gees, = _lapack(("gees",))
+    t_mat, _, _, z, _, info = gees(_unsorted, a, lwork=_gees_lwork(len(a)), sort_t=0)
+    if info:
+        raise np.linalg.LinAlgError("Schur form not found. Possibly ill-conditioned.")
+    return t_mat, z
+
+
+def _unsorted(x) -> None:
+    """The eigenvalue selector zgees takes and, unsorted, never calls."""
+
+
+@functools.lru_cache(maxsize=64)
+def _lapack(names: tuple[str, ...], **kwargs) -> list:
+    """The complex128 LAPACK wrappers of scipy.linalg.get_lapack_funcs, looked up once."""
+    return scipy.linalg.get_lapack_funcs(names, (np.zeros(1, dtype=complex),), **kwargs)
+
+
+@functools.lru_cache(maxsize=64)
+def _gesdd_lwork(m: int, n: int) -> int:
+    """zgesdd's optimal workspace for an (m, n) matrix, the value scipy.linalg.svd passes."""
+    _, query = _lapack(("gesdd", "gesdd_lwork"), ilp64="preferred")
+    work, info = query(m, n, compute_uv=1, full_matrices=1)
+    if info:
+        raise ValueError(f"Internal work array size computation failed: {info}")
+    return int(work.real)
+
+
+@functools.lru_cache(maxsize=64)
+def _gees_lwork(n: int) -> int:
+    """zgees's optimal workspace for an n x n matrix, the value scipy.linalg.schur passes.
+
+    The query reads only n, never the matrix entries.
+    """
+    gees, = _lapack(("gees",))
+    return int(gees(_unsorted, np.zeros((n, n), dtype=complex), lwork=-1)[-2][0].real)
 
 
 def permuted_channel_apply(dilation: StinespringDilation, assignment, rho) -> np.ndarray:
@@ -209,19 +312,27 @@ def theorem3_bound(dilation: StinespringDilation, rho) -> tuple[float, float]:
     Returns (lhs, rhs) with
       lhs = (1/M!) sum_s D(Phi_s(rho), rho),
       rhs = 2 (1 - B(T)) c_half(rho x |0><0|).
+
+    rho is checked once (``_density_root``), and the joint input is built
+    from the Hermitian matrix of its lower triangle, the one whose
+    positivity that check read (``_lower_hermitian``: rho itself when
+    exactly Hermitian).  Each orbit term is the squared-Hellinger
+    distance of a channel output, made Hermitian by ``hermitianize``,
+    from rho; it and the joint are rooted without a Hermiticity check.
     """
     rho, sqrt_rho = _density_root(rho)
-    joint = dilation._joint(rho)
+    joint = dilation._joint(_lower_hermitian(rho))
     dims = (dilation.sys_dim, dilation.env_dim)
 
     def distances(phi):
         u = _eigenbasis_operators(dilation.hamiltonian, phi)
-        out = partial_trace(u @ joint @ dagger(u), dims, over=1)
-        return hellinger(rho, hermitianize(out), sqrt_rho=sqrt_rho)
+        out = _trace_second(u @ joint @ dagger(u), *dims)
+        return _hellinger_hermitian(sqrt_rho, hermitianize(out))
 
     ham, duration = dilation.hamiltonian, dilation.duration
     lhs = _orbit_mean(ham, lambda lam: np.exp(-1j * lam * duration), distances)
-    return lhs, _closed_form(joint, ham, duration)[2]
+    sqrt_joint = _rebuild(*_psd_sqrt_eig(joint))
+    return lhs, _closed_form(joint, ham, duration, sqrt_joint)[2]
 
 
 @dataclass(frozen=True)

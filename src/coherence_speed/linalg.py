@@ -12,10 +12,11 @@ table, sized for d <= 16 in double precision; none is an argument.  The
 verification checks declare their own.  Columns: value, bound, sites.
 
   TOL_HERM    1e-9   max|A - A†|: is_hermitian, require_hermitian and callers, validate_density,
-                     _density_root
+                     _density_root; not applied to operands Hermitian by construction:
+                     theorem3_bound's channel outputs and joint (_psd_sqrt_eig), dilate's generator
   TOL_NORM    1e-9   a norm vs its target: states, env_state, qubit amplitudes, spin axes, blocks
   TOL_TRACE   1e-9   |Tr rho - 1|: validate_density, _density_root
-  TOL_ORTH    1e-9   max|U†U - I| of dilate's unitary completion
+  TOL_ORTH    1e-9   max|U†U - I| of dilate's unitary completion, once U is checked finite
   TOL_PSD     1e-10  dead band: matrix_sqrt_psd, validate_density, _density_root, fidelity,
                      closest_incoherent
   TOL_DEGEN   1e-9   one level: _cluster_levels, a_coefficient, dilate's fold of -pi onto +pi
@@ -114,11 +115,22 @@ def hermitian_eig(h) -> tuple[np.ndarray, np.ndarray]:
 def _sqrt_eig(rho) -> tuple[np.ndarray, np.ndarray]:
     """Roots sqrt(w) of the eigenvalues and the eigenvectors of a PSD matrix or stack.
 
-    Holds every check of matrix_sqrt_psd: NotHermitian (hermitian_eig),
-    NotPSD for an eigenvalue below -TOL_PSD, and the dead band, which
-    reads eigenvalues below TOL_PSD as exact zeros.
+    Holds every check of matrix_sqrt_psd: NotHermitian (require_hermitian),
+    then those of ``_psd_sqrt_eig``.
     """
-    w, v = hermitian_eig(rho)
+    return _psd_sqrt_eig(require_hermitian(rho))
+
+
+def _psd_sqrt_eig(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """_sqrt_eig of a complex matrix or stack that is Hermitian by construction.
+
+    One eigh, NotPSD for an eigenvalue below -TOL_PSD, and the dead
+    band, which reads eigenvalues below TOL_PSD as exact zeros; no
+    Hermiticity check.  For package-built operands only: a
+    ``hermitianize`` output, or a Kronecker product of exactly Hermitian
+    factors.
+    """
+    w, v = np.linalg.eigh(h)
     low = w.min() if w.ndim > 1 else w[0]
     if low < -TOL_PSD:
         raise NotPSD(f"eigenvalue {low:.3e} below -{TOL_PSD:.1e}")
@@ -181,6 +193,23 @@ def _density_root(rho) -> tuple[np.ndarray, np.ndarray]:
     return rho, _rebuild(_band_sqrt(w), v)
 
 
+def _lower_hermitian(rho: np.ndarray) -> np.ndarray:
+    """The Hermitian matrix whose lower triangle eigh reads from rho.
+
+    rho itself when it equals its conjugate transpose entry by entry;
+    otherwise a new matrix with rho's strictly lower triangle, its
+    conjugate above the diagonal, and the real part of rho's diagonal.
+    A state Hermitian only to TOL_HERM is thus used as ``_density_root``
+    judged it.
+    """
+    if (rho == dagger(rho)).all():
+        return rho
+    low = np.tril(rho, -1)
+    h = low + dagger(low)
+    np.fill_diagonal(h, rho.diagonal().real)
+    return h
+
+
 def validate_state_vector(psi) -> np.ndarray:
     """Check finite entries and unit norm; return the vector as complex128."""
     psi = np.asarray(psi, dtype=complex).reshape(-1)
@@ -216,10 +245,14 @@ def partial_trace(rho, dims: tuple[int, int], over: int) -> np.ndarray:
         raise DimensionMismatch(f"shape {rho.shape} incompatible with dims {dims}")
     if over not in (0, 1):
         raise ValueError("over must be 0 (first factor) or 1 (second factor)")
-    r = rho.reshape(rho.shape[:-2] + (d0, d1, d0, d1))
     if over == 1:
-        return np.einsum("...ijkj->...ik", r)
-    return np.einsum("...ijil->...jl", r)
+        return _trace_second(rho, d0, d1)
+    return np.einsum("...ijil->...jl", rho.reshape(rho.shape[:-2] + (d0, d1, d0, d1)))
+
+
+def _trace_second(rho: np.ndarray, d0: int, d1: int) -> np.ndarray:
+    """partial_trace(rho, (d0, d1), over=1) of a complex stack (..., d0 d1, d0 d1), unchecked."""
+    return np.einsum("...ijkj->...ik", rho.reshape(rho.shape[:-2] + (d0, d1, d0, d1)))
 
 
 def haar_random_state(dim: int, seed) -> np.ndarray:
@@ -264,6 +297,10 @@ def _block_stack(vectors: np.ndarray, groups: Sequence[Sequence[int]]) -> np.nda
     """
     d = len(vectors)
     sizes = [len(g) for g in groups]
+    if len(set(sizes)) == 1 and sizes[0]:      # one size: the loop below in one pass
+        cols = vectors[:, np.concatenate(groups)]
+        blocks = cols.reshape(d, len(sizes), sizes[0]).swapaxes(0, 1)
+        return blocks @ dagger(blocks)
     stack = np.zeros((len(sizes), d, d), dtype=complex)
     for k in set(sizes) - {0}:
         same = [m for m, n in enumerate(sizes) if n == k]
@@ -471,7 +508,11 @@ class SpectralHamiltonian:
     @functools.cached_property
     def decomposition(self) -> OrthogonalDecomposition:
         """Eigenspace projectors V_m V_m†, one per level, from the ascending level_of."""
-        groups = np.split(np.arange(self.dim), np.flatnonzero(np.diff(self.level_of)) + 1)
+        cols = np.arange(self.dim)
+        if self.level_count == self.dim:        # each level on its own column: no split
+            groups = cols[:, None]
+        else:
+            groups = np.split(cols, np.flatnonzero(np.diff(self.level_of)) + 1)
         return OrthogonalDecomposition._trusted(_block_stack(self.eigenvectors, groups))
 
     @property

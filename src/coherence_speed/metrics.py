@@ -21,6 +21,7 @@ from .linalg import (
     TOL_PSD,
     TOL_ZERO,
     SpectralHamiltonian,
+    _psd_sqrt_eig,
     _sqrt_eig,
     dagger,
     matrix_sqrt_psd,
@@ -40,7 +41,11 @@ def affinity(rho, sigma, *, sqrt_rho: np.ndarray | None = None) -> float | np.nd
     and the overlap is sum_j sqrt(w_j) Re (W† sqrt(rho) W)_jj.
     """
     a = matrix_sqrt_psd(rho) if sqrt_rho is None else sqrt_rho
-    roots, w = _sqrt_eig(sigma)
+    return _overlap(a, *_sqrt_eig(sigma))
+
+
+def _overlap(a: np.ndarray, roots: np.ndarray, w: np.ndarray) -> float | np.ndarray:
+    """affinity from sqrt(rho) = a and the ``_sqrt_eig`` of sigma (or of each of a stack)."""
     if a.shape[-2:] != w.shape[-2:]:
         raise DimensionMismatch(f"shapes {a.shape} and {w.shape} differ")
     # (W† a W)_jj = sum_i conj(W_ij) (a W)_ij
@@ -55,6 +60,13 @@ def hellinger(rho, sigma, *, sqrt_rho: np.ndarray | None = None) -> float | np.n
     Stacks of states give an array of distances, as for affinity.
     """
     return 2.0 * (1.0 - affinity(rho, sigma, sqrt_rho=sqrt_rho))
+
+
+def _hellinger_hermitian(sqrt_rho: np.ndarray, sigma: np.ndarray) -> float | np.ndarray:
+    """hellinger(rho, sigma, sqrt_rho=sqrt_rho) for a sigma stack that is exactly
+    Hermitian (a ``hermitianize`` output): the same eigh, NotPSD test, dead band
+    and diagonal sum, without the Hermiticity check (``_psd_sqrt_eig``)."""
+    return 2.0 * (1.0 - _overlap(sqrt_rho, *_psd_sqrt_eig(sigma)))
 
 
 def d_affinity_half(rho, sigma) -> float:

@@ -1,13 +1,15 @@
 """Kraus channels, unitary dilations, and the open-system bound."""
 
+import dataclasses
 import json
+import warnings
 
 import numpy as np
 import pytest
 import scipy.linalg
 from jsonschema import ValidationError
 
-from coherence_speed import channels, linalg
+from coherence_speed import avgdist, channels, linalg, metrics
 from coherence_speed.avgdist import b_coefficient
 from coherence_speed.channels import (
     EqualityGapReport,
@@ -27,6 +29,7 @@ from coherence_speed.errors import (
     DimensionMismatch,
     IncompleteKraus,
     InvalidState,
+    NotPSD,
     TooManyKraus,
     TooManyLevels,
 )
@@ -264,18 +267,25 @@ def test_stacked_apply_kraus_matches_the_loop():
     assert apply_kraus(chan, rho).tobytes() == _loop_apply_kraus(chan.operators, rho).tobytes()
 
 
-def test_stacked_dilation_matches_the_loop_completion():
-    for d, k, s in _channels(63, 30):
-        chan = random_channel(d, k, s)
+def _loop_dilation(chan, env):
+    """The generator of _loop_unitary's completion, from scipy.linalg.schur and a checked eigh."""
+    u = _loop_unitary(tuple(chan.operators), env)
+    t_mat, z = scipy.linalg.schur(u, output="complex")
+    lam = np.angle(np.diagonal(t_mat).conj())
+    lam = np.where(lam <= -np.pi + linalg.TOL_DEGEN, lam + 2.0 * np.pi, lam)
+    return linalg.SpectralHamiltonian.from_matrix(linalg.hermitianize((z * lam) @ z.conj().T))
+
+
+def test_stacked_dilation_equals_the_loop_completion_bit_for_bit():
+    cases = [(random_channel(d, k, s), k) for d, k, s in _channels(63, 30)]
+    # the qutrit channel has an eigenvalue -1 of U on the branch cut
+    for chan, k in cases + [(qutrit_equality_channel(), 4)]:
         for env in (k, k + 1):
-            u = _loop_unitary(tuple(chan.operators), env)
-            t_mat, z = scipy.linalg.schur(u, output="complex")
-            lam = np.angle(np.diagonal(t_mat).conj())
-            lam = np.where(lam <= -np.pi + linalg.TOL_DEGEN, lam + 2.0 * np.pi, lam)
-            want = linalg.SpectralHamiltonian.from_matrix(
-                linalg.hermitianize((z * lam) @ z.conj().T))
-            got = dilate(chan, env).hamiltonian.matrix()
-            assert got.tobytes() == want.matrix().tobytes(), (d, k, env)
+            want = _loop_dilation(chan, env)
+            got = dilate(chan, env).hamiltonian
+            for name in ("eigenvalues", "eigenvectors", "levels", "level_of"):
+                assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), (name, env)
+            assert got.matrix().tobytes() == want.matrix().tobytes(), (chan.label, env)
 
 
 def test_channel_to_dict_matches_the_loop():
@@ -326,3 +336,143 @@ def test_non_finite_kraus_entries_are_rejected(bad, where, tmp_path):
         load_channel(path)
     assert info.value.json_path == where
     assert info.value.message.endswith("is not of type 'number'")
+
+
+def _theorem3_composition(dilation, rho):
+    """theorem3_bound as the package once composed it from checked parts: the reference.
+
+    validate_density and matrix_sqrt_psd of rho, np.kron for the joint,
+    partial_trace and hellinger (with its Hermiticity check) for every
+    orbit term, and matrix_sqrt_psd of the joint inside _closed_form.
+    """
+    rho = linalg.validate_density(rho)
+    sqrt_rho = linalg.matrix_sqrt_psd(rho)
+    joint = linalg.tensor(rho, pure_density(dilation.env_state))
+    dims = (dilation.sys_dim, dilation.env_dim)
+    ham, duration = dilation.hamiltonian, dilation.duration
+
+    def distances(phi):
+        u = linalg._eigenbasis_operators(ham, phi)
+        out = linalg.partial_trace(u @ joint @ linalg.dagger(u), dims, over=1)
+        return metrics.hellinger(rho, linalg.hermitianize(out), sqrt_rho=sqrt_rho)
+
+    lhs = avgdist._orbit_mean(ham, lambda lam: np.exp(-1j * lam * duration), distances)
+    return lhs, avgdist._closed_form(joint, ham, duration)[2]
+
+
+def _outcome(fn, *args):
+    """(lhs, rhs) as float.hex, or the exception's type and message."""
+    try:
+        return tuple(float(x).hex() for x in fn(*args))
+    except Exception as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _minus_one_channel(seed):
+    """A unitary channel whose U has eigenvalues -1, -1, 1: the -pi fold with 2 levels."""
+    v = random_unitary(3, seed)
+    return KrausChannel(((v * np.array([-1.0, -1.0, 1.0])) @ v.conj().T,))
+
+
+def test_theorem3_bound_equals_the_checked_composition_bit_for_bit():
+    rng = np.random.default_rng(65)
+    # (d, K, env_dim): env_dim K and K + 1, up to 6 joint levels, and 9 for 3 x 2 at env 3
+    shapes = [(2, 1, 1), (2, 1, 2), (2, 2, 2), (2, 2, 3), (2, 3, 3),
+              (3, 1, 1), (3, 1, 2), (3, 2, 2), (3, 2, 3)]
+    cases = [(random_channel(d, k, rng), env) for d, k, env in shapes]
+    cases += [(qutrit_equality_channel(), None), (_minus_one_channel(3), None)]
+    outcomes = []
+    for chan, env in cases:
+        dil = dilate(chan, env)
+        for rank in range(1, chan.dim + 1):
+            rho = random_density(chan.dim, rank=rank, seed=rng)
+            got = _outcome(theorem3_bound, dil, rho)
+            assert got == _outcome(_theorem3_composition, dil, rho), (chan.label, env, rank)
+            outcomes.append(got[0])
+    # 9 and 12 levels (3 x 2 at env 3, the qutrit channel) pass the cap: both raise
+    assert outcomes.count("TooManyLevels") == 6 and len(outcomes) == 28
+
+
+def test_theorem3_bound_reads_rho_as_its_lower_triangle():
+    dil = dilate(random_channel(3, 2, 5))
+    diag = np.diag([1.0, 0.0, 0.0]).astype(complex)
+    # Hermitian part: eigenvalue -4e-10; the lower triangle is diag(1, 0, 0)
+    upper_only = diag.copy()
+    upper_only[1, 2] = 8e-10
+    assert linalg._lower_hermitian(upper_only).tobytes() == diag.tobytes()
+    assert theorem3_bound(dil, upper_only) == theorem3_bound(dil, diag)
+    # lower triangle: eigenvalue -5e-10, which the entry check names
+    lower_negative = diag.copy()
+    lower_negative[1, 2], lower_negative[2, 1] = -4e-10, 5e-10
+    with pytest.raises(NotPSD, match="density matrix has eigenvalue -5.000e-10"):
+        theorem3_bound(dil, lower_negative)
+    # an exactly Hermitian state is used as given, not copied
+    rho = random_density(3, rank=2, seed=66)
+    assert linalg._lower_hermitian(rho) is rho
+    skew = rho + 1e-10j * np.diag([1.0, 0.0, 0.0])
+    completed = linalg._lower_hermitian(skew)
+    assert completed.tobytes() == rho.tobytes() and not np.array_equal(skew, completed)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.nan)],
+                         ids=["nan", "inf", "nan-imag"])
+def test_dilate_rejects_non_finite_operators_reassigned_after_the_check(bad):
+    # KrausChannel checks finiteness on construction; a reassigned stack reaches
+    # LAPACK unscreened, and the completion check must still name it
+    for k, env in ((2, None), (2, 3), (1, None)):
+        for where in (np.s_[:], np.s_[0, 1, 0]):
+            chan = random_channel(2, k, 67)
+            ops = chan.operators.copy()
+            ops[where] = bad
+            chan.operators = ops
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(InvalidState, match="entries are not all finite"):
+                    dilate(chan, env)
+
+
+def test_a_bound_call_checks_hermiticity_once(monkeypatch):
+    calls = []
+
+    def counting(owner, name):
+        fn = getattr(owner, name)
+        monkeypatch.setattr(owner, name, lambda *a, **k: calls.append(name) or fn(*a, **k))
+
+    def forbidden(*a, **k):
+        raise AssertionError("dilate calls LAPACK directly")
+
+    rng = np.random.default_rng(68)
+    # up to 5 joint levels: the orbit is one stacked eigh
+    cases = [(random_channel(d, k, rng), random_density(d, rank=r, seed=rng))
+             for d, k, r in ((2, 2, 1), (2, 2, 2), (3, 1, 3))]
+    counting(linalg, "is_hermitian")
+    counting(np.linalg, "eigh")
+    monkeypatch.setattr(scipy.linalg, "null_space", forbidden)
+    monkeypatch.setattr(scipy.linalg, "schur", forbidden)
+    for chan, rho in cases:
+        calls.clear()
+        dil = dilate(chan)
+        assert calls == ["eigh"]
+        calls.clear()
+        theorem3_bound(dil, rho)
+        assert sorted(calls) == ["eigh"] * 3 + ["is_hermitian"]
+
+
+def test_a_dilation_checks_its_environment_state_once_and_keeps_it():
+    # the joint input trusts env_state, so it cannot change after the check
+    ham = dilate(random_channel(2, 2, 69)).hamiltonian
+    given = np.array([1.0, 0.0])
+    dil = channels.StinespringDilation(ham, 2, 2, given)
+    given[0] = 2.0
+    assert dil.env_state.tolist() == [1.0, 0.0]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        dil.env_state = np.array([2.0, 0.0])
+    with pytest.raises(ValueError, match="read-only"):
+        dil.env_state[0] = 2.0
+    for bad, match in (([np.nan, 0.0], "not all finite"), ([np.inf, 0.0], "not all finite"),
+                       ([1.0, 1.0], "not normalized")):
+        with pytest.raises(InvalidState, match=match):
+            channels.StinespringDilation(ham, 2, 2, bad)
+    rho = random_density(2, rank=2, seed=69)
+    want = linalg.tensor(rho, pure_density([1.0, 0.0]))
+    assert dil.joint_input(rho).tobytes() == want.tobytes()

@@ -8,7 +8,11 @@ It records
 - PASS/FAIL, trials, detail and the worst value (as ``float.hex``) of
   every check of every suite at seeds 0, 1, 34 and 83;
 - the exit code and stderr, or the exception and warnings, for a fixed
-  list of malformed inputs to the CLI and to the library.
+  list of malformed inputs to the CLI and to the library;
+- ``float.hex`` of (lhs, rhs) from direct ``theorem3_bound`` calls on
+  random 2 x 2 and 3 x 2 channels at env_dim 2 and 3, on a unitary
+  channel with the eigenvalue -1 (the -pi fold), and the outcome and
+  dilated levels of the qutrit channel.
 
 Run it on two source trees back to back and diff the two files::
 
@@ -43,13 +47,20 @@ from coherence_speed.battery import BatteryConfig, simulate_battery
 from coherence_speed.channels import (
     KrausChannel,
     dilate,
+    qutrit_equality_channel,
     random_channel,
     save_channel,
     theorem3_bound,
 )
 from coherence_speed.coherence import c_half, closest_incoherent
 from coherence_speed.dynamics import HamiltonianPath, energy_uncertainty, evolve, instantaneous_speed
-from coherence_speed.linalg import OrthogonalDecomposition, SpectralHamiltonian
+from coherence_speed.linalg import (
+    OrthogonalDecomposition,
+    SpectralHamiltonian,
+    pure_density,
+    random_density,
+    random_unitary,
+)
 from coherence_speed.verification import SUITES, run_suite
 
 SEEDS = (0, 1, 34, 83)
@@ -206,6 +217,30 @@ def _library_cases():
     }
 
 
+def _theorem3_cases() -> dict:
+    """Direct theorem3_bound calls, each a thunk giving (lhs, rhs) as float.hex."""
+    def bound(channel, env_dim, rho):
+        return tuple(float(x).hex() for x in theorem3_bound(dilate(channel, env_dim), rho))
+
+    cases = {}
+    for dim in (2, 3):
+        for seed in (0, 1, 2):
+            rank = 1 + seed % dim
+            for env_dim in (2, 3):
+                cases[f"random_channel({dim}, 2, {seed}) env_dim {env_dim} rank {rank}"] = (
+                    functools.partial(bound, random_channel(dim, 2, seed), env_dim,
+                                      random_density(dim, rank, seed)))
+    v = random_unitary(3, 0)
+    minus_one = KrausChannel(((v * np.array([-1.0, -1.0, 1.0])) @ v.conj().T,))
+    cases["unitary with eigenvalues -1, -1, 1"] = functools.partial(
+        bound, minus_one, None, random_density(3, 2, 0))
+    qutrit = qutrit_equality_channel()
+    cases["qutrit-equality"] = functools.partial(bound, qutrit, None,
+                                                 pure_density([1.0, 0.0, 0.0]))
+    cases["qutrit-equality levels"] = lambda: [float(x).hex() for x in dilate(qutrit).levels]
+    return cases
+
+
 def _canon(text: str, tmp: str) -> list[str]:
     """The lines of text without timestamps or per-check times, the scratch path as <tmp>."""
     lines = []
@@ -302,7 +337,8 @@ def malformed(tmp: Path) -> dict:
 def main() -> int:
     with tempfile.TemporaryDirectory() as scratch:
         tmp = Path(scratch)
-        doc = {"reports": reports(tmp), "malformed": malformed(tmp), "suites": suites()}
+        doc = {"reports": reports(tmp), "malformed": malformed(tmp), "suites": suites(),
+               "theorem3": {name: _call(thunk) for name, thunk in _theorem3_cases().items()}}
     json.dump(doc, sys.stdout, indent=1, sort_keys=True)
     sys.stdout.write("\n")
     return 0
