@@ -18,13 +18,18 @@ instantaneous drive eigenbasis:
 A diagonal state in that basis therefore yields no branch-averaged
 work, whatever the pulse does.
 
-``simulate_battery`` samples eta(t_k), V(t_k) and H(t_k) once per grid
-point and runs the whole protocol on the (N+1, 2) state vectors of the
-trajectory, which is pure by construction, so it forms no density matrix
-and no square root.  The trajectory comes from the stacked propagator of
-``dynamics.evolve``, whose eigendecomposition (w, U) of H(t_k) = H_1 also
-serves the plus branch; one stacked ``eigh`` gives the minus branch and
-one the drive basis.  A branch moves psi to phi = U (exp(-i w dt) * U† psi)
+``simulate_battery`` calls the pulse and the drive axis once each, on
+the whole (N+1,) grid of times: a pulse returns (N+1,) values or one
+value for every point, an axis (N+1, 3) unit vectors or one 3-vector,
+a fixed axis.  The package's pulses and axes take a time or an array of
+times and give the same bits either way.  The whole protocol then runs
+on the (N+1, 2) state vectors of the trajectory, which is pure by
+construction, so it forms no density matrix and no square root.  The
+trajectory comes from the stacked propagator of ``dynamics.evolve``,
+whose eigendecomposition (w, U) of H(t_k) = H_1 also serves the plus
+branch; one stacked ``eigh`` gives the minus branch, and the drive basis
+comes from one ``eigh`` for a fixed axis or one stacked ``eigh`` per
+grid otherwise.  A branch moves psi to phi = U (exp(-i w dt) * U† psi)
 and extracts eps (|psi_1|^2 - |phi_1|^2).  With a = V† psi in the drive
 basis, c_half_V = 1 - sum_m |a_m|^4 / ||psi||^2, since
 sqrt(rho) = rho / ||psi|| for rho = psi psi†.  The run comes back as
@@ -36,6 +41,7 @@ square root inside ``c_half``, and serve as its oracles.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 from typing import Callable
 
@@ -85,40 +91,57 @@ def spin_operator(axis) -> np.ndarray:
             + n[..., 2, None, None] * _SIGMA[2])
 
 
-def sin2_pulse(eta_max: float, tau: float) -> Callable[[float], float]:
-    """eta(t) = eta_max sin^2(pi t / tau)."""
-    return lambda t: eta_max * np.sin(np.pi * t / tau) ** 2
+def _libm_pow(x, p: int) -> np.ndarray:
+    """x ** p entry by entry through libm pow (``math.pow``), for a scalar or an array.
+
+    numpy's array power rounds differently from libm pow at some points
+    (sin^4 on a 1,001-point grid at numpy 2.4: 55 of them), while a scalar
+    ``np.float64 ** p`` is libm pow; this keeps a pulse on a grid equal
+    to the pulse at each of its points.
+    """
+    x = np.asarray(x, dtype=float)
+    return np.array([math.pow(v, p) for v in x.ravel().tolist()]).reshape(x.shape)
 
 
-def sin4_pulse(eta_max: float, tau: float) -> Callable[[float], float]:
-    """eta(t) = eta_max sin^4(pi t / tau)."""
-    return lambda t: eta_max * np.sin(np.pi * t / tau) ** 4
+def sin2_pulse(eta_max: float, tau: float) -> Callable:
+    """eta(t) = eta_max sin^2(pi t / tau), at a time t or on an array of times."""
+    return lambda t: eta_max * _libm_pow(np.sin(np.pi * t / tau), 2)
 
 
-def parabola_pulse(eta_max: float, tau: float) -> Callable[[float], float]:
-    """eta(t) = eta_max 4 t (tau - t) / tau^2."""
+def sin4_pulse(eta_max: float, tau: float) -> Callable:
+    """eta(t) = eta_max sin^4(pi t / tau), at a time t or on an array of times."""
+    return lambda t: eta_max * _libm_pow(np.sin(np.pi * t / tau), 4)
+
+
+def parabola_pulse(eta_max: float, tau: float) -> Callable:
+    """eta(t) = eta_max 4 t (tau - t) / tau^2, at a time t or on an array of times."""
     return lambda t: eta_max * 4.0 * t * (tau - t) / (tau * tau)
 
 
-def constant_axis(n) -> Callable[[float], np.ndarray]:
+def constant_axis(n) -> Callable:
+    """The fixed axis n / |n|: one 3-vector, whether t is a time or an array of times."""
     v = np.asarray(n, dtype=float) / np.linalg.norm(n)
     return lambda t: v
 
 
-def rotating_axis(period: float) -> Callable[[float], np.ndarray]:
-    """Axis sweeping the x-y plane once per period."""
-    def axis(t: float) -> np.ndarray:
-        phi = 2.0 * np.pi * t / period
-        return np.array([np.cos(phi), np.sin(phi), 0.0])
+def rotating_axis(period: float) -> Callable:
+    """Axis sweeping the x-y plane once per period: a 3-vector at a time t, (..., 3) on an array."""
+    def axis(t) -> np.ndarray:
+        phi = 2.0 * np.pi * np.asarray(t) / period
+        return np.stack((np.cos(phi), np.sin(phi), np.zeros_like(phi)), axis=-1)
     return axis
 
 
-@dataclass
+@dataclass(frozen=True)
 class BatteryConfig:
-    """Protocol parameters: storage gap, pulse, drive axis, and grid step.
+    """Protocol parameters: storage gap, pulse, drive axis, and grid step; immutable.
 
-    pulse must vanish at t = 0 and t = tau (checked to TOL_ZERO by
-    simulate_battery); the drive axis must stay unit length.
+    ``simulate_battery`` calls pulse and drive_axis once each, with the
+    whole (N+1,) grid of times.  pulse returns (N+1,) values or one value
+    for every point, and must vanish at t = 0 and t = tau (checked to
+    TOL_ZERO on the first and last values); drive_axis returns (N+1, 3)
+    unit vectors or one unit 3-vector, a fixed axis.  Any other shape
+    raises DimensionMismatch.
     """
 
     epsilon: float
@@ -203,13 +226,27 @@ class BatteryRun:
             getattr(self, f.name).flags.writeable = False
 
 
+def _sampled(values, grid_shape: tuple, name: str) -> np.ndarray:
+    """A config callable's output on the grid: grid_shape, or one sample for every point.
+
+    DimensionMismatch for any other shape.
+    """
+    values = np.asarray(values, dtype=float)
+    if values.shape not in (grid_shape, grid_shape[1:]):
+        raise DimensionMismatch(f"{name} gave shape {values.shape} on a grid of "
+                                f"{grid_shape[0]} points; expected {grid_shape} or {grid_shape[1:]}")
+    return values
+
+
 def simulate_battery(config: BatteryConfig, psi0) -> BatteryRun:
     """Evolve psi0 under H(t) = eps |1><1| + eta(t) V(t) and record work/bound columns.
 
     The trajectory uses the piecewise-constant exponential on the
     uniform grid 0..tau step dt; each row reports the branch-averaged
     work over [t, t + dt], its coherence ceiling, and the running sum.
-    ValueError unless tau and dt are finite and positive.
+    The pulse and the drive axis are called once each, with that grid
+    (see ``BatteryConfig``).  ValueError unless tau and dt are finite
+    and positive.
     """
     for name, value in (("tau", config.tau), ("dt", config.dt)):
         if not 0 < value < np.inf:
@@ -217,20 +254,25 @@ def simulate_battery(config: BatteryConfig, psi0) -> BatteryRun:
     psi0 = validate_state_vector(psi0)
     if len(psi0) != 2:
         raise InvalidState("battery protocol is a qubit model")
-    for edge in (0.0, config.tau):
-        if abs(config.pulse(edge)) > TOL_ZERO:
-            raise InvalidState(f"pulse must vanish at t = {edge}")
     steps = max(1, int(round(config.tau / config.dt)))
+    # linspace makes times[0] exactly 0 and times[-1] exactly tau
     times = np.linspace(0.0, config.tau, steps + 1)
-    etas = np.array([float(config.pulse(t)) for t in times])
-    drive = spin_operator([config.drive_axis(t) for t in times])
+    etas = np.empty_like(times)
+    etas[...] = _sampled(config.pulse(times), times.shape, "pulse")
+    for value, edge in ((etas[0], 0.0), (etas[-1], config.tau)):
+        if abs(value) > TOL_ZERO:
+            raise InvalidState(f"pulse must vanish at t = {edge}")
+    # one axis gives one drive operator, broadcast along the grid
+    drive = spin_operator(_sampled(config.drive_axis(times), times.shape + (3,), "drive_axis"))
     h0 = config.epsilon * _P1
-    psi, w, vecs = _propagate(psi0, times, require_hermitian(h0 + etas[:, None, None] * drive))
-    w_minus, vecs_minus = hermitian_eig(h0 - etas[:, None, None] * drive)
+    pulsed = etas[:, None, None] * drive
+    psi, w, vecs = _propagate(psi0, times, require_hermitian(h0 + pulsed))
+    w_minus, vecs_minus = hermitian_eig(h0 - pulsed)
     work = 0.5 * (_stacked_branch_work(psi, config.epsilon, w, vecs, config.dt)
                   + _stacked_branch_work(psi, config.epsilon, w_minus, vecs_minus, config.dt))
+    basis = np.broadcast_to(hermitian_eig(drive)[1].conj(), (len(times), 2, 2))
     # |a_m|^2 in the drive basis; their sum is ||psi||^2
-    a2 = np.abs(np.einsum("kji,kj->ki", hermitian_eig(drive)[1].conj(), psi)) ** 2
+    a2 = np.abs(np.einsum("kji,kj->ki", basis, psi)) ** 2
     coh = np.maximum(0.0, 1.0 - (a2 * a2).sum(axis=1) / a2.sum(axis=1))
     bound = 2.0 * config.epsilon * np.sin(etas * config.dt) * np.sqrt(coh)
     return BatteryRun(times, etas, work, bound, coh, np.cumsum(work))

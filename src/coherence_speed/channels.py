@@ -20,11 +20,12 @@ any sequence of d x d matrices and checked once; the Kraus action, the
 dilation and the JSON form use it as a whole.
 
 Finiteness is checked where data enters and trusted inside.  A
-``KrausChannel`` rejects a non-finite entry on construction, so
-``dilate`` hands its arrays to LAPACK (zgesdd for the complement,
-zgees for the Schur form) without scipy's ``check_finite`` pass; its
-completion check still rejects a non-finite unitary, which only a
-reassigned ``operators`` can give.  ``theorem3_bound`` checks its state
+``KrausChannel`` rejects a non-finite entry on construction and is
+frozen, with a read-only stack, so ``dilate`` hands its arrays to LAPACK
+(zgesdd for the complement, zgees for the Schur form) without scipy's
+``check_finite`` pass; its completion check still rejects a non-finite
+unitary, which only a stack set past the frozen dataclass
+(``object.__setattr__``) can give.  ``theorem3_bound`` checks its state
 once, with ``_density_root``; the channel outputs of the orbit and the
 joint input are Hermitian by construction and are rooted without a
 further Hermiticity check.
@@ -38,7 +39,6 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
-import scipy.linalg
 
 from .avgdist import _closed_form, _orbit_mean
 from .errors import DimensionMismatch, IncompleteKraus, InvalidState, TooManyKraus
@@ -66,9 +66,13 @@ from .metrics import _hellinger_hermitian, hellinger
 from .schemas import _complex_array, parse_json, validate_document
 
 
-@dataclass
+@dataclass(frozen=True)
 class KrausChannel:
-    """CPTP map as one (K, d, d) Kraus stack; completeness_residual is max|sum K†K - I|."""
+    """CPTP map as one (K, d, d) Kraus stack; completeness_residual is max|sum K†K - I|.
+
+    Immutable: the stack is checked once, on construction, and kept as a
+    read-only copy, so no field can be reassigned past the check.
+    """
 
     operators: np.ndarray
     label: str = ""
@@ -90,8 +94,9 @@ class KrausChannel:
         defect = float(np.max(np.abs(total - np.eye(ops.shape[1]))))
         if defect > TOL_STRUCT:
             raise IncompleteKraus(f"sum K†K deviates from identity by {defect:.3e}")
-        self.operators = ops
-        self.completeness_residual = defect
+        ops.flags.writeable = False
+        object.__setattr__(self, "operators", ops)
+        object.__setattr__(self, "completeness_residual", defect)
 
     @property
     def dim(self) -> int:
@@ -208,8 +213,8 @@ def dilate(channel: KrausChannel, env_dim: int | None = None) -> StinespringDila
     but from their LAPACK routines (zgesdd, zgees) called directly:
     the channel's entries were checked finite on construction, so
     nothing screens them again before LAPACK.  The completion check
-    rejects a non-finite U (a channel whose ``operators`` were
-    reassigned) before max|U†U - I| is formed; a rank other than d, or
+    rejects a non-finite U (a stack set past the frozen dataclass) before
+    max|U†U - I| is formed; a rank other than d, or
     a LAPACK failure, leaves the complement empty and fails the
     residual.  The generator's matrix is Hermitian by construction and
     is diagonalized without a Hermiticity check.
@@ -276,7 +281,13 @@ def _unsorted(x) -> None:
 
 @functools.lru_cache(maxsize=64)
 def _lapack(names: tuple[str, ...], **kwargs) -> list:
-    """The complex128 LAPACK wrappers of scipy.linalg.get_lapack_funcs, looked up once."""
+    """The complex128 LAPACK wrappers of scipy.linalg.get_lapack_funcs, looked up once.
+
+    scipy is imported here, on the first ``dilate``, so importing the
+    package (and the command line) does not load it.
+    """
+    import scipy.linalg
+
     return scipy.linalg.get_lapack_funcs(names, (np.zeros(1, dtype=complex),), **kwargs)
 
 

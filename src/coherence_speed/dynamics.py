@@ -27,7 +27,7 @@ The stacks hold about 48 N d^2 bytes.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -140,14 +140,23 @@ class HamiltonianPath:
         return cls._trusted(times, _linear_samples(ends, t_final, times))
 
 
-@dataclass
+@dataclass(frozen=True)
 class Trajectory:
-    """States and closed-form speeds on the grid of a HamiltonianPath."""
+    """States and closed-form speeds on the grid of a HamiltonianPath; immutable.
+
+    Each field is kept as a read-only view of the array given, not a copy.
+    """
 
     times: np.ndarray
     states: np.ndarray          # shape (len(times), d)
     speeds: np.ndarray          # instantaneous distance speed at each grid point
     uncertainties: np.ndarray   # energy spread DeltaH at each grid point
+
+    def __post_init__(self) -> None:
+        for f in fields(self):
+            view = np.asarray(getattr(self, f.name)).view()
+            view.flags.writeable = False
+            object.__setattr__(self, f.name, view)
 
     def __len__(self) -> int:
         return len(self.times)
@@ -234,8 +243,11 @@ def _propagate(psi0: np.ndarray, times: np.ndarray,
     u = (v[:-1] * np.exp(-1j * w[:-1] * dts[:, None])[:, None, :]) @ dagger(v[:-1])
     states = np.empty((len(times), len(psi0)), dtype=complex)
     states[0] = psi0
-    for u_k, src, dst in zip(u, states, states[1:]):
-        np.matmul(u_k, src, out=dst)
+    # row views taken once; ndarray.dot writes each step in place without a
+    # ufunc call per step, and must stay bit for bit what np.matmul gives
+    rows = list(states)
+    for u_k, src, dst in zip(list(u), rows, rows[1:]):
+        u_k.dot(src, dst)
     drift = float(np.max(np.abs(np.linalg.norm(states, axis=1) - 1.0)))
     if drift > TOL_DRIFT:
         raise InvalidState(f"norm drift {drift:.3e} over the grid")

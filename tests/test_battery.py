@@ -272,3 +272,86 @@ def test_a_grid_that_is_not_finite_and_positive_is_rejected(tau, dt, message):
     with pytest.raises(ValueError) as info:
         simulate_battery(BatteryConfig.default(tau=tau, dt=dt), GROUND)
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize("tau", [1.0, 2.5, 0.7])
+def test_package_pulses_and_axes_on_a_grid_equal_their_points_bit_for_bit(tau):
+    # the per-point forms are those of a scalar time: a scalar np.float64 power is libm pow
+    for dt in (1e-3, 0.02):
+        times = np.linspace(0.0, tau, int(round(tau / dt)) + 1)
+        per_point = {
+            sin2_pulse: lambda t: 1.3 * np.sin(np.pi * t / tau) ** 2,
+            sin4_pulse: lambda t: 1.3 * np.sin(np.pi * t / tau) ** 4,
+            parabola_pulse: lambda t: 1.3 * 4.0 * t * (tau - t) / (tau * tau),
+        }
+        for make, form in per_point.items():
+            pulse = make(1.3, tau)
+            points = np.array([pulse(t) for t in times])
+            assert points.tobytes() == np.array([form(t) for t in times]).tobytes()
+            assert pulse(times).shape == times.shape
+            assert pulse(times).tobytes() == points.tobytes()
+        for axis in (constant_axis((1.0, 0.0, 0.0)), constant_axis((0.3, -0.5, 0.8)),
+                     rotating_axis(tau)):
+            points = np.array([axis(t) for t in times])
+            assert np.broadcast_to(axis(times), points.shape).tobytes() == points.tobytes()
+        phi = [2.0 * np.pi * t / tau for t in times]
+        want = np.array([[np.cos(p), np.sin(p), 0.0] for p in phi])
+        assert rotating_axis(tau)(times).tobytes() == want.tobytes()
+        assert constant_axis((0.3, -0.5, 0.8))(times).shape == (3,)
+
+
+@pytest.mark.parametrize("n", [(1.0, 0.0, 0.0), (0.3, -0.5, 0.8)], ids=["x", "vector"])
+def test_a_fixed_axis_run_equals_the_per_point_axis_run_bit_for_bit(n):
+    # one 3-vector gives one drive eigenbasis; the same axis repeated per point gives 2,501
+    fixed = constant_axis(n)
+    for state in (GROUND, PLUS):
+        runs = [simulate_battery(BatteryConfig(1.0, 2.5, 1e-3, sin4_pulse(1.0, 2.5), axis), state)
+                for axis in (fixed, lambda t: np.tile(fixed(t), (len(t), 1)))]
+        for f in dataclasses.fields(BatteryRun):
+            assert getattr(runs[0], f.name).tobytes() == getattr(runs[1], f.name).tobytes()
+
+
+def test_the_pulse_and_the_axis_are_called_once_with_the_grid():
+    calls = []
+
+    def pulse(t):
+        calls.append(("pulse", np.shape(t)))
+        return sin2_pulse(1.0, 1.0)(t)
+
+    def axis(t):
+        calls.append(("axis", np.shape(t)))
+        return rotating_axis(1.0)(t)
+
+    run = simulate_battery(BatteryConfig(1.0, 1.0, 0.05, pulse, axis), PLUS)
+    assert calls == [("pulse", (21,)), ("axis", (21,))]
+    np.testing.assert_array_equal(run.pulse_value, sin2_pulse(1.0, 1.0)(run.t))
+
+
+def test_a_scalar_pulse_value_holds_for_every_point():
+    run = simulate_battery(BatteryConfig(1.0, 1.0, 0.05, lambda t: 0.0,
+                                         constant_axis((1.0, 0.0, 0.0))), PLUS)
+    assert run.pulse_value.shape == (21,) and not run.pulse_value.any()
+    assert np.all(np.abs(run.avg_work) <= 1e-15) and not run.bound.any()
+
+
+@pytest.mark.parametrize("pulse, axis, message", [
+    (lambda t: np.zeros(len(t) - 1), constant_axis((1.0, 0.0, 0.0)),
+     r"pulse gave shape \(20,\) on a grid of 21 points; expected \(21,\) or \(\)"),
+    (lambda t: np.zeros((len(t), 1)), constant_axis((1.0, 0.0, 0.0)),
+     r"pulse gave shape \(21, 1\)"),
+    (sin2_pulse(1.0, 1.0), lambda t: np.array([1.0, 0.0]),
+     r"drive_axis gave shape \(2,\) on a grid of 21 points; expected \(21, 3\) or \(3,\)"),
+    (sin2_pulse(1.0, 1.0), lambda t: np.tile([1.0, 0.0, 0.0], (len(t) - 1, 1)),
+     r"drive_axis gave shape \(20, 3\)")],
+    ids=["short-pulse", "column-pulse", "two-vector-axis", "short-axis"])
+def test_a_callable_of_another_shape_is_rejected(pulse, axis, message):
+    with pytest.raises(DimensionMismatch, match=message):
+        simulate_battery(BatteryConfig(1.0, 1.0, 0.05, pulse, axis), PLUS)
+
+
+def test_a_config_cannot_be_reassigned():
+    config = BatteryConfig.default()
+    for name, value in (("dt", 0.5), ("tau", 2.0), ("pulse", lambda t: 0.3)):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(config, name, value)
+    assert config.dt == 1e-3 and config.tau == 1.0

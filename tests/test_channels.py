@@ -417,14 +417,15 @@ def test_theorem3_bound_reads_rho_as_its_lower_triangle():
 @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.nan)],
                          ids=["nan", "inf", "nan-imag"])
 def test_dilate_rejects_non_finite_operators_reassigned_after_the_check(bad):
-    # KrausChannel checks finiteness on construction; a reassigned stack reaches
-    # LAPACK unscreened, and the completion check must still name it
+    # KrausChannel checks finiteness on construction and is frozen; a stack set
+    # past the frozen dataclass reaches LAPACK unscreened, and the completion
+    # check must still name it
     for k, env in ((2, None), (2, 3), (1, None)):
         for where in (np.s_[:], np.s_[0, 1, 0]):
             chan = random_channel(2, k, 67)
             ops = chan.operators.copy()
             ops[where] = bad
-            chan.operators = ops
+            object.__setattr__(chan, "operators", ops)
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 with pytest.raises(InvalidState, match="entries are not all finite"):
@@ -476,3 +477,24 @@ def test_a_dilation_checks_its_environment_state_once_and_keeps_it():
     rho = random_density(2, rank=2, seed=69)
     want = linalg.tensor(rho, pure_density([1.0, 0.0]))
     assert dil.joint_input(rho).tobytes() == want.tobytes()
+
+
+def test_a_channel_cannot_be_reassigned_or_written():
+    # a stack doubled after construction used to give outputs of trace 4
+    chan = random_channel(2, 2, 1)
+    rho = random_density(2, rank=2, seed=3)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        chan.operators = 2.0 * chan.operators
+    with pytest.raises(ValueError, match="read-only"):
+        chan.operators *= 2.0
+    with pytest.raises(ValueError, match="read-only"):
+        chan.operators[0] = 0.0
+    for name in ("label", "completeness_residual"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(chan, name, getattr(chan, name))
+    assert abs(np.trace(apply_kraus(chan, rho)).real - 1.0) < 1e-12
+    # a caller's stack is copied, and stays writeable
+    ops = chan.operators.copy()
+    again = KrausChannel(ops)
+    ops[0] = 0.0
+    assert again.operators.tobytes() == chan.operators.tobytes()

@@ -2,7 +2,11 @@
 
 import csv
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -649,3 +653,14 @@ def test_negative_seed_from_the_environment_is_a_usage_error(monkeypatch, capsys
     assert main(["qsl"]) == 2
     assert capsys.readouterr().err == (
         "error: COHERENCE_SPEED_SEED must be a nonnegative integer, got '-1'\n")
+
+
+def test_importing_the_command_line_leaves_scipy_unloaded():
+    # scipy.linalg is imported on the first dilate, not with the package
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = ("import sys, coherence_speed.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          check=True)
+    assert done.stdout == "[]\n"

@@ -10,6 +10,7 @@ import scipy.linalg
 from coherence_speed import dynamics
 from coherence_speed.dynamics import (
     HamiltonianPath,
+    Trajectory,
     energy_uncertainty,
     evolve,
     finite_difference_speed,
@@ -503,3 +504,19 @@ def test_non_finite_samples_are_named_as_such(build):
             warnings.catch_warnings():
         warnings.simplefilter("error")
         build()
+
+
+def test_a_trajectory_cannot_be_reassigned_or_written_and_copies_nothing():
+    path = HamiltonianPath.linear(np.diag([0.0, 1.0]), [[0.0, 0.2], [0.2, 0.3]], 1.0, steps=10)
+    traj = evolve(np.array([1.0, 0.0]), path)
+    assert np.shares_memory(traj.times, path.times)     # a view of the path's grid, not a copy
+    for name in ("times", "states", "speeds", "uncertainties"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(traj, name, getattr(traj, name).copy())
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(traj, name)[0] = 0.0
+    # a caller's arrays are viewed, not frozen: they stay writeable
+    speeds = np.zeros(11)
+    view = Trajectory(traj.times, traj.states, speeds, speeds)
+    speeds[0] = 1.0
+    assert view.speeds[0] == 1.0 and np.shares_memory(view.speeds, speeds)

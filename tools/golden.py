@@ -3,8 +3,9 @@
 It records
 
 - every report body (CSV and JSON) at the default and the CI configs,
-  and ``verify --out`` for three suites, each with its exit code, stdout
-  and stderr;
+  at three more battery protocols (sin^4 and parabola pulses, a 3-vector
+  and the rotating axis, tau = 2.5), and ``verify --out`` for three
+  suites, each with its exit code, stdout and stderr;
 - PASS/FAIL, trials, detail and the worst value (as ``float.hex``) of
   every check of every suite at seeds 0, 1, 34 and 83;
 - the exit code and stderr, or the exception and warnings, for a fixed
@@ -77,6 +78,13 @@ REPORTS = {
     "battery-default": ("battery", None),
     "battery-rotating": ("battery", {"battery": {"axis": "rotating-xy", "state": {
         "amplitudes": [[0.7071067811865476, 0], [0, 0.7071067811865476]]}}}),
+    # pulse and axis kinds past the defaults, and a tau that is not 1: the grid
+    # and per-point samples of a pulse differ wherever array and libm power do
+    "battery-sin4-vector-axis": ("battery", {"battery": {
+        "pulse": "sin4", "axis": [0.3, -0.5, 0.8], "tau": 2.5, "dt": 0.02, "state": "plus"}}),
+    "battery-parabola-rotating": ("battery", {"battery": {
+        "pulse": "parabola", "axis": "rotating-xy", "tau": 2.5, "dt": 0.02, "eta_max": 1.5}}),
+    "battery-sin2-tau-2.5": ("battery", {"battery": {"tau": 2.5, "state": "plus"}}),
     "channel-default": ("channel", None),
     "channel-saved": ("channel", {"channel": {"channel": {"path": "@/channel.json"},
                                               "env_dim": 3, "state": "plus"}}),
