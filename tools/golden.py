@@ -9,7 +9,9 @@ It records
 - PASS/FAIL, trials, detail and the worst value (as ``float.hex``) of
   every check of every suite at seeds 0, 1, 34 and 83;
 - the exit code and stderr, or the exception and warnings, for a fixed
-  list of malformed inputs to the CLI and to the library;
+  list of malformed inputs to the CLI and to the library, and the
+  outcome of each density entry on malformed, near-Hermitian and pure
+  3 x 3 states;
 - ``float.hex`` of (lhs, rhs) from direct ``theorem3_bound`` calls on
   random 2 x 2 and 3 x 2 channels at env_dim 2 and 3, on a unitary
   channel with the eigenvalue -1 (the -pi fold), and the outcome and
@@ -43,25 +45,33 @@ from pathlib import Path
 import numpy as np
 
 from coherence_speed import cli
-from coherence_speed.avgdist import avg_distance_closed
-from coherence_speed.battery import BatteryConfig, simulate_battery
+from coherence_speed.avgdist import (
+    avg_distance_bruteforce,
+    avg_distance_closed,
+    l1_upper_bound_check,
+)
+from coherence_speed.battery import BatteryConfig, qudit_battery_bound, simulate_battery
 from coherence_speed.channels import (
     KrausChannel,
+    apply_kraus,
     dilate,
+    equality_gap_analysis,
     qutrit_equality_channel,
     random_channel,
     save_channel,
     theorem3_bound,
 )
-from coherence_speed.coherence import c_half, closest_incoherent
+from coherence_speed.coherence import c_half, c_l1, closest_incoherent
 from coherence_speed.dynamics import HamiltonianPath, energy_uncertainty, evolve, instantaneous_speed
 from coherence_speed.linalg import (
     OrthogonalDecomposition,
     SpectralHamiltonian,
     pure_density,
     random_density,
+    random_hermitian,
     random_unitary,
 )
+from coherence_speed.metrics import fidelity, hellinger
 from coherence_speed.verification import SUITES, run_suite
 
 SEEDS = (0, 1, 34, 83)
@@ -75,6 +85,11 @@ REPORTS = {
     "sweep-7-level": ("sweep", {"sweep": {"spectrum": [0.0, 0.7, 1.9, 2.6, 3.4, 4.1, 5.3]}}),
     "sweep-density-rank-2": ("sweep", {"sweep": {"spectrum": [0.0, 0.7, 1.9, 2.4],
                                                  "state": {"density_rank": 2}}}),
+    # a pure state held as a vector (the pure oracle) and a rank-1 draw held as a matrix
+    "sweep-haar": ("sweep", {"sweep": {"spectrum": [0.0, 0.7, 1.9, 2.4], "t_steps": 21,
+                                       "state": {"haar": True}}}),
+    "sweep-density-rank-1": ("sweep", {"sweep": {"spectrum": [0.0, 0.7, 1.9, 2.4], "t_steps": 21,
+                                                 "state": {"density_rank": 1}}}),
     "battery-default": ("battery", None),
     "battery-rotating": ("battery", {"battery": {"axis": "rotating-xy", "state": {
         "amplitudes": [[0.7071067811865476, 0], [0, 0.7071067811865476]]}}}),
@@ -151,8 +166,8 @@ MALFORMED_CLI = {
 
 
 def _densities() -> dict:
-    """Malformed 3 x 3 densities, and two Hermitian only to within 1e-9 whose
-    Hermitian part and lower triangle disagree on positivity."""
+    """Malformed 3 x 3 densities, two Hermitian only to within 1e-9 whose
+    Hermitian part and lower triangle disagree on positivity, and a pure state."""
     base = np.diag([0.5, 0.3, 0.2]).astype(complex)
     skew = base.copy()
     skew[0, 1] = 1e-3
@@ -167,18 +182,31 @@ def _densities() -> dict:
     return {"skew": skew, "negative-eigenvalue": np.diag([1.05, 0.0, -0.05]),
             "trace-1.5": 1.5 * base, "nan-entry": nan, "non-square": np.ones((3, 2)) / 3.0,
             "edge-upper-8e-10-lower-0": edge(8e-10, 0.0),
-            "edge-upper-minus-4e-10-lower-5e-10": edge(-4e-10, 5e-10)}
+            "edge-upper-minus-4e-10-lower-5e-10": edge(-4e-10, 5e-10),
+            "pure": pure_density(np.array([0.6, 0.48j, -0.64]))}
 
 
 def _density_cases() -> dict:
-    """Each of _densities through every entry that validates a density and roots it."""
+    """Each of _densities through every entry that checks a density, roots it or both."""
     dec = OrthogonalDecomposition.computational(3)
     ham = SpectralHamiltonian.from_spectrum([0.0, 0.7, 1.9])
-    dil = dilate(random_channel(3, 2, 5))
+    chan = random_channel(3, 2, 5)
+    dil = dilate(chan)
+    h0, drive = np.diag([0.0, 1.0, 2.5]), random_hermitian(3, 4)
+    sigma = np.diag([0.5, 0.3, 0.2]).astype(complex)
     entries = {"c_half": lambda rho: c_half(rho, dec),
                "closest_incoherent": lambda rho: closest_incoherent(rho, dec).tolist(),
                "avg_distance_closed": lambda rho: avg_distance_closed(rho, ham, 1.3),
-               "theorem3_bound": lambda rho: theorem3_bound(dil, rho)}
+               "avg_distance_bruteforce": lambda rho: avg_distance_bruteforce(rho, ham, 1.3),
+               "l1_upper_bound_check": lambda rho: l1_upper_bound_check(rho, ham, 1.3),
+               "qudit_battery_bound": lambda rho: qudit_battery_bound(rho, h0, drive, 0.3),
+               "theorem3_bound": lambda rho: theorem3_bound(dil, rho),
+               "equality_gap_analysis": lambda rho: equality_gap_analysis(chan, rho),
+               "c_l1": c_l1,
+               "apply_kraus": lambda rho: apply_kraus(chan, rho).tolist(),
+               "fidelity": lambda rho: fidelity(rho, sigma),
+               "hellinger-first": lambda rho: hellinger(rho, sigma),
+               "hellinger-second": lambda rho: hellinger(sigma, rho)}
     return {f"{entry}-{name}": functools.partial(fn, rho)
             for entry, fn in entries.items() for name, rho in _densities().items()}
 
