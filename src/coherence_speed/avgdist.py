@@ -23,8 +23,8 @@ phi_s = exp(-i lambda_s t) of the orbit (``_orbit_diagonals``): it forms
 R = V† rho V and Q = V† sqrt(rho) V once, builds every evolved state
 S_s = phi_s R phi_s† elementwise (sigma_s = U_s rho U_s† in the basis V)
 and takes each term from S_s's own checked eigendecomposition, one
-stacked diagonalization per chunk of the orbit, as
-``hellinger(R, S_s, sqrt_rho=Q)``.  It never uses
+stacked diagonalization per chunk of the orbit, with Q as the root of
+R.  It never uses
 sqrt(S_s) = phi_s Q phi_s†, i.e. sqrt(sigma_s) = U_s sqrt(rho) U_s†,
 which is the closed form's own derivation step; the change of basis V
 is fixed and applies to rho as a whole, so it removes no dependence on
@@ -42,8 +42,8 @@ from the same phase rows, psi is used as given, and
 no eigenspace weight r_m = <psi|P_m|psi> enters, since
 sum_m r_m exp(-i lambda_s(m) t) is one step from the closed form's own
 derivation.  Mixed states keep the eigendecomposition of every S_s; the
-path is chosen by what the caller holds (a vector or a matrix), never by
-thresholding eigenvalues of rho.
+path is chosen by what the checked state (``linalg._Density``) holds, a
+vector or only a matrix, never by thresholding eigenvalues of rho.
 
 ``b_coefficient`` also takes an array of times and returns B at each of
 them from one (T, pairs) cosine array, bit for bit the per-point value.
@@ -62,14 +62,14 @@ from .errors import DegenerateSpectrum, DimensionMismatch, SingleLevel, TooManyL
 from .linalg import (
     TOL_DEGEN,
     SpectralHamiltonian,
-    _density_root,
+    _Density,
     _eigenbasis_operators,
     _orbit_diagonals,
+    _read_only,
+    _sqrt_eig,
     dagger,
-    matrix_sqrt_psd,
-    validate_density,
 )
-from .metrics import hellinger
+from .metrics import _hellinger
 
 BRUTE_FORCE_CAP = 8  # 8! = 40320 permutations
 
@@ -80,20 +80,20 @@ def avg_distance_bruteforce(rho, ham: SpectralHamiltonian, t: float) -> float:
     Permutations are enumerated in lexicographic order.  Raises
     TooManyLevels when the distinct level count exceeds BRUTE_FORCE_CAP.
     """
-    return _bruteforce(validate_density(rho), ham, t)
+    return _bruteforce(_Density.of(rho), ham, t)
 
 
-def _bruteforce(rho: np.ndarray, ham: SpectralHamiltonian, t: float,
-                sqrt_rho: np.ndarray | None = None) -> float:
-    """avg_distance_bruteforce of a state that has passed validate_density, in the
-    eigenbasis of ham (module docstring); sqrt_rho, when given, is matrix_sqrt_psd(rho)."""
+def _bruteforce(state: _Density, ham: SpectralHamiltonian, t: float) -> float:
+    """avg_distance_bruteforce of a checked state, in the eigenbasis of ham (module
+    docstring); from the state's vector (``_bruteforce_pure``) when it keeps one."""
+    if state.psi is not None:
+        return _bruteforce_pure(state.psi, ham, t)
     v = ham.eigenvectors
     vh = dagger(v)
-    r = vh @ rho @ v
-    q = vh @ (matrix_sqrt_psd(rho) if sqrt_rho is None else sqrt_rho) @ v
-    return _orbit_mean(ham, lambda lam: np.exp(-1j * lam * t),
-                       lambda phi: hellinger(r, phi[:, :, None] * r * phi.conj()[:, None, :],
-                                             sqrt_rho=q))
+    r = vh @ state.rho @ v
+    q = vh @ state.root @ v
+    return _orbit_mean(ham, lambda lam: np.exp(-1j * lam * t), lambda phi: _hellinger(
+        q, *_sqrt_eig(phi[:, :, None] * r * phi.conj()[:, None, :])))     # S_s, its own eigh
 
 
 def _bruteforce_pure(psi: np.ndarray, ham: SpectralHamiltonian, t: float) -> float:
@@ -125,13 +125,11 @@ def _orbit_mean(ham: SpectralHamiltonian, fn, term) -> float:
     return math.fsum(terms) / len(terms)
 
 
-def _closed_form(rho: np.ndarray, ham: SpectralHamiltonian, t,
-                 sqrt_rho: np.ndarray | None = None) -> tuple[float, float, float]:
-    """(B(t), c_half(rho), 2 (1 - B(t)) c_half(rho)) for a state that has passed
-    validate_density; a single level has B = 1 and distance 0.  For an array
-    of times, B and the distance are arrays, except on a single level.
-    sqrt_rho, when given, is matrix_sqrt_psd(rho)."""
-    coh = _c_half(rho, ham.decomposition, sqrt_rho)
+def _closed_form(root: np.ndarray, ham: SpectralHamiltonian, t) -> tuple[float, float, float]:
+    """(B(t), c_half(rho), 2 (1 - B(t)) c_half(rho)) from root = sqrt(rho), the root of
+    a checked state; a single level has B = 1 and distance 0.  For an array
+    of times, B and the distance are arrays, except on a single level."""
+    coh = _c_half(root, ham.decomposition)
     coef = 1.0 if ham.level_count == 1 else b_coefficient(ham.levels, t)
     return coef, coh, 2.0 * (1.0 - coef) * coh
 
@@ -166,10 +164,7 @@ def b_coefficient(levels, t):
 @functools.lru_cache(maxsize=64)
 def _upper_pairs(d: int) -> tuple[np.ndarray, np.ndarray]:
     """np.triu_indices(d, k=1), the level pairs m < n in row order, built once per d (read-only)."""
-    pairs = np.triu_indices(d, k=1)
-    for index in pairs:
-        index.flags.writeable = False
-    return pairs
+    return tuple(_read_only(index) for index in np.triu_indices(d, k=1))
 
 
 def _pair_cos_mean(lam: np.ndarray, t):
@@ -208,11 +203,11 @@ def avg_distance_closed(rho, ham: SpectralHamiltonian, t: float,
     include_brute defaults to "when the level count is within the cap".
     A single-level Hamiltonian gives coefficient 1 and distance 0.
     """
-    rho, sqrt_rho = _density_root(rho)      # one root serves c_half and the oracle
-    coef, coh, closed = _closed_form(rho, ham, t, sqrt_rho)
+    state = _Density.of(rho)        # one root serves c_half and the oracle
+    coef, coh, closed = _closed_form(state.root, ham, t)
     if include_brute is None:
         include_brute = ham.level_count <= BRUTE_FORCE_CAP
-    brute = _bruteforce(rho, ham, t, sqrt_rho) if include_brute else None
+    brute = _bruteforce(state, ham, t) if include_brute else None
     return AvgDistanceResult(t=float(t), brute_force=brute, closed_form=closed,
                              coefficient=coef, coherence=coh)
 
@@ -244,11 +239,11 @@ def l1_upper_bound_check(rho, ham: SpectralHamiltonian, t: float) -> tuple[float
     Returns (sbar, bound) with bound = 4 (1 - A(t)) / (d - 1) * c_l1(rho)
     in the Hamiltonian eigenbasis; sbar <= bound.
     """
-    rho = validate_density(rho)
+    state = _Density.of(rho)
     d = ham.dim
     if ham.level_count != d:
         raise DegenerateSpectrum("bound stated for nondegenerate spectra only")
     if d < 2:
         raise SingleLevel("need at least two eigenvalues")
-    coef, _, sbar = _closed_form(rho, ham, t)
-    return sbar, 4.0 * (1.0 - coef) / (d - 1.0) * _c_l1(rho, ham.eigenvectors)
+    coef, _, sbar = _closed_form(state.root, ham, t)
+    return sbar, 4.0 * (1.0 - coef) / (d - 1.0) * _c_l1(state.rho, ham.eigenvectors)

@@ -55,7 +55,9 @@ from .linalg import (
     TOL_NORM,
     TOL_ZERO,
     SpectralHamiltonian,
+    _Density,
     _eigenbasis_operators,
+    _read_only,
     dagger,
     hermitian_eig,
     hermitianize,
@@ -119,8 +121,8 @@ def parabola_pulse(eta_max: float, tau: float) -> Callable:
 
 
 def constant_axis(n) -> Callable:
-    """The fixed axis n / |n|: one 3-vector, whether t is a time or an array of times."""
-    v = np.asarray(n, dtype=float) / np.linalg.norm(n)
+    """The fixed axis n / |n|: one read-only 3-vector, whether t is a time or an array of times."""
+    v = _read_only(np.asarray(n, dtype=float) / np.linalg.norm(n))     # shared by every call
     return lambda t: v
 
 
@@ -210,7 +212,7 @@ def _stacked_branch_work(psi: np.ndarray, epsilon: float, w: np.ndarray,
     return epsilon * (np.abs(psi[:, 1]) ** 2 - np.abs(phi1) ** 2)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BatteryRun:
     """A battery protocol as columns, one read-only float array per grid quantity."""
 
@@ -292,7 +294,8 @@ def qudit_battery_bound(rho, h0, v, dt: float) -> tuple[float, float]:
     must be Hermitian (NotHermitian otherwise) and share rho's
     dimension (DimensionMismatch otherwise).
     """
-    rho = validate_density(rho)
+    state = _Density.of(rho)
+    rho = state.rho
     h0 = hermitianize(require_hermitian(h0))
     ham_v = SpectralHamiltonian.from_matrix(v)
     if not len(h0) == ham_v.dim == len(rho):
@@ -305,5 +308,5 @@ def qudit_battery_bound(rho, h0, v, dt: float) -> tuple[float, float]:
         return np.trace(h0 @ (rho - u @ rho @ dagger(u)), axis1=-2, axis2=-1).real
 
     avg = _orbit_mean(ham_v, lambda lam: lam, works)
-    sbar = _closed_form(rho, ham_v, dt)[2]
+    sbar = _closed_form(state.root, ham_v, dt)[2]
     return avg, float(np.linalg.norm(h0) * np.sqrt(max(0.0, sbar)))

@@ -25,10 +25,10 @@ frozen, with a read-only stack, so ``dilate`` hands its arrays to LAPACK
 (zgesdd for the complement, zgees for the Schur form) without scipy's
 ``check_finite`` pass; its completion check still rejects a non-finite
 unitary, which only a stack set past the frozen dataclass
-(``object.__setattr__``) can give.  ``theorem3_bound`` checks its state
-once, with ``_density_root``; the channel outputs of the orbit and the
-joint input are Hermitian by construction and are rooted without a
-further Hermiticity check.
+(``object.__setattr__``) can give.  ``theorem3_bound`` and the gap
+analysis check their state once (``linalg._Density``); the channel
+outputs of the orbit and the joint input are Hermitian by construction
+and are rooted without a further Hermiticity check.
 """
 
 from __future__ import annotations
@@ -49,11 +49,13 @@ from .linalg import (
     TOL_STRUCT,
     TOL_ZERO,
     SpectralHamiltonian,
-    _density_root,
+    _Density,
     _eigenbasis_operators,
     _lower_hermitian,
     _psd_sqrt_eig,
+    _read_only,
     _rebuild,
+    _sqrt_eig,
     _trace_second,
     dagger,
     hermitianize,
@@ -62,11 +64,11 @@ from .linalg import (
     unitary_exp,
     validate_density,
 )
-from .metrics import _hellinger_hermitian, hellinger
+from .metrics import _hellinger, hellinger
 from .schemas import _complex_array, parse_json, validate_document
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KrausChannel:
     """CPTP map as one (K, d, d) Kraus stack; completeness_residual is max|sum K†K - I|.
 
@@ -94,8 +96,7 @@ class KrausChannel:
         defect = float(np.max(np.abs(total - np.eye(ops.shape[1]))))
         if defect > TOL_STRUCT:
             raise IncompleteKraus(f"sum K†K deviates from identity by {defect:.3e}")
-        ops.flags.writeable = False
-        object.__setattr__(self, "operators", ops)
+        object.__setattr__(self, "operators", _read_only(ops))
         object.__setattr__(self, "completeness_residual", defect)
 
     @property
@@ -139,7 +140,7 @@ def random_channel(dim: int, n_kraus: int, seed) -> KrausChannel:
                         label=f"random-{dim}x{n_kraus}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StinespringDilation:
     """Unitary model of a channel: evolve rho x env under exp(-i H T), trace out env.
 
@@ -165,8 +166,7 @@ class StinespringDilation:
             raise InvalidState("environment state entries are not all finite")
         if abs(np.linalg.norm(env) - 1.0) > TOL_NORM:
             raise InvalidState("environment state is not normalized")
-        env.flags.writeable = False
-        object.__setattr__(self, "env_state", env)
+        object.__setattr__(self, "env_state", _read_only(env))
 
     @property
     def levels(self) -> np.ndarray:
@@ -324,26 +324,30 @@ def theorem3_bound(dilation: StinespringDilation, rho) -> tuple[float, float]:
       lhs = (1/M!) sum_s D(Phi_s(rho), rho),
       rhs = 2 (1 - B(T)) c_half(rho x |0><0|).
 
-    rho is checked once (``_density_root``), and the joint input is built
+    rho is checked once (``_Density.of``), and the joint input is built
     from the Hermitian matrix of its lower triangle, the one whose
     positivity that check read (``_lower_hermitian``: rho itself when
     exactly Hermitian).  Each orbit term is the squared-Hellinger
     distance of a channel output, made Hermitian by ``hermitianize``,
     from rho; it and the joint are rooted without a Hermiticity check.
     """
-    rho, sqrt_rho = _density_root(rho)
-    joint = dilation._joint(_lower_hermitian(rho))
+    return _theorem3_bound(dilation, _Density.of(rho))
+
+
+def _theorem3_bound(dilation: StinespringDilation, state: _Density) -> tuple[float, float]:
+    """theorem3_bound of a checked state."""
+    joint = dilation._joint(_lower_hermitian(state.rho))
     dims = (dilation.sys_dim, dilation.env_dim)
 
     def distances(phi):
         u = _eigenbasis_operators(dilation.hamiltonian, phi)
         out = _trace_second(u @ joint @ dagger(u), *dims)
-        return _hellinger_hermitian(sqrt_rho, hermitianize(out))
+        return _hellinger(state.root, *_psd_sqrt_eig(hermitianize(out)))
 
     ham, duration = dilation.hamiltonian, dilation.duration
     lhs = _orbit_mean(ham, lambda lam: np.exp(-1j * lam * duration), distances)
     sqrt_joint = _rebuild(*_psd_sqrt_eig(joint))
-    return lhs, _closed_form(joint, ham, duration, sqrt_joint)[2]
+    return lhs, _closed_form(sqrt_joint, ham, duration)[2]
 
 
 @dataclass(frozen=True)
@@ -367,18 +371,18 @@ class EqualityGapReport:
 
 def equality_gap_analysis(channel: KrausChannel, rho) -> EqualityGapReport:
     """Compare the channel-level and dilated distances for a pure input."""
-    return _equality_gap(channel, dilate(channel), rho)
+    return _equality_gap(channel, dilate(channel), _Density.of(rho))
 
 
 def _equality_gap(channel: KrausChannel, dilation: StinespringDilation,
-                  rho) -> EqualityGapReport:
-    """equality_gap_analysis on a given unitary dilation of the channel."""
-    rho = validate_density(rho)
-    w = np.linalg.eigvalsh(hermitianize(rho))
-    if w[-1] < 1.0 - TOL_STRUCT:
+                  state: _Density) -> EqualityGapReport:
+    """equality_gap_analysis of a checked state on a given unitary dilation of the channel;
+    purity is read from its eigenvalues, rho taken by its lower triangle as in theorem3_bound."""
+    if state.eigenvalues[-1] < 1.0 - TOL_STRUCT:
         raise InvalidState("equality analysis requires a pure input state")
+    rho = _lower_hermitian(state.rho)
     out = _apply_kraus(channel, rho)
-    d_sys = hellinger(rho, out)
+    d_sys = _hellinger(state.root, *_sqrt_eig(out))
     u = dilation.unitary()
     joint0 = dilation._joint(rho)
     joint1 = u @ joint0 @ u.conj().T

@@ -24,7 +24,7 @@ import numpy as np
 from jsonschema import ValidationError
 
 from . import __version__
-from .avgdist import BRUTE_FORCE_CAP, _bruteforce, _bruteforce_pure, _closed_form
+from .avgdist import BRUTE_FORCE_CAP, _bruteforce, _closed_form
 from .battery import (
     BatteryConfig,
     constant_axis,
@@ -36,17 +36,17 @@ from .battery import (
 )
 from .channels import (
     _equality_gap,
+    _theorem3_bound,
     dilate,
     load_channel,
     qutrit_equality_channel,
-    theorem3_bound,
 )
 from .errors import CoherenceSpeedError, TooManyLevels
 from .linalg import (
     TOL_REPORT,
     TOL_ZERO,
     SpectralHamiltonian,
-    _density_root,
+    _Density,
     dagger,
     haar_random_state,
     pure_density,
@@ -200,8 +200,8 @@ def _pure_state(spec, dim: int, rng) -> np.ndarray:
                      "(ground / plus / maximally-coherent / amplitudes / haar)")
 
 
-def _state(spec, ham: SpectralHamiltonian, rng) -> tuple[np.ndarray, np.ndarray | None]:
-    """Resolve a config state description to (rho, psi), psi None for a density_rank draw.
+def _state(spec, ham: SpectralHamiltonian, rng) -> _Density:
+    """Resolve a config state description to a checked state, with psi unless a density_rank draw.
 
     'maximally-coherent' weights the Hamiltonian's level blocks equally,
     which for a nondegenerate spectrum reduces to the uniform
@@ -216,10 +216,10 @@ def _state(spec, ham: SpectralHamiltonian, rng) -> tuple[np.ndarray, np.ndarray 
         rank = int(spec["density_rank"])
         if not 1 <= rank <= ham.dim:
             raise UsageError(f"density_rank must be in 1..{ham.dim}")
-        return random_density(ham.dim, rank=rank, seed=rng), None
+        return _Density.of(random_density(ham.dim, rank=rank, seed=rng))
     else:
         psi = _pure_state(spec, ham.dim, rng)
-    return pure_density(psi), psi
+    return _Density.of(pure_density(psi), psi)
 
 
 def _axis(spec, tau: float):
@@ -288,17 +288,15 @@ def _cmd_sweep(ns, config: dict) -> int:
     ham = SpectralHamiltonian.from_spectrum(spectrum)
     rng = np.random.default_rng(seed)
     state_spec = section.get("state", "maximally-coherent")
-    rho, psi = _state(state_spec, ham, rng)
-    rho, sqrt_rho = _density_root(rho)      # one root serves c_half and the mixed-state oracle
+    state = _state(state_spec, ham, rng)    # one root serves c_half and the mixed-state oracle
     times = np.linspace(float(section.get("t_start", 0.0)),
                         float(section.get("t_stop", 2.0 * np.pi)), int(section.get("t_steps", 201)))
     include_brute = (section.get("brute_force", True)
                      and ham.level_count <= BRUTE_FORCE_CAP)
-    coef, coh, closed = _closed_form(rho, ham, times, sqrt_rho)   # B(t) over the whole grid at once
+    coef, coh, closed = _closed_form(state.root, ham, times)   # B(t) over the whole grid at once
     brute = gap = None
     if include_brute:
-        brute = np.array([_bruteforce(rho, ham, t, sqrt_rho) if psi is None
-                          else _bruteforce_pure(psi, ham, t) for t in times.tolist()])
+        brute = np.array([_bruteforce(state, ham, t) for t in times.tolist()])
         gap = np.abs(brute - closed)
     columns = {"t": times, "sbar_brute": brute, "sbar_closed": closed, "coefficient": coef,
                "c_half": coh, "gap": gap}
@@ -358,11 +356,11 @@ def _cmd_channel(ns, config: dict) -> int:
             raise UsageError(f"channel {label}: {exc}") from exc
     rng = np.random.default_rng(seed)
     psi0 = _pure_state(section.get("state", "ground"), channel.dim, rng)
-    rho = pure_density(psi0)
     dilation = dilate(channel, section.get("env_dim"))
     # the gap is defined on the default dilation (one environment level per Kraus operator)
     default = dilation if dilation.env_dim == len(channel.operators) else dilate(channel)
-    gap_report = _equality_gap(channel, default, rho)
+    state = _Density.of(pure_density(psi0), psi0)     # checked once, for the gap and the bound
+    gap_report = _equality_gap(channel, default, state)
     row = {"sys_dim": channel.dim, "env_dim": dilation.env_dim,
            "levels": len(dilation.levels),
            "completeness_residual": channel.completeness_residual,
@@ -372,7 +370,7 @@ def _cmd_channel(ns, config: dict) -> int:
            "witness_is_zero": gap_report.witness_is_zero}
     failure = None
     try:
-        lhs, rhs = theorem3_bound(dilation, rho)
+        lhs, rhs = _theorem3_bound(dilation, state)
         row.update(avg_channel_distance=lhs, coherence_ceiling=rhs,
                    slack=rhs - lhs)
         if lhs > rhs + tol:

@@ -28,9 +28,8 @@ from .linalg import (
     TOL_STRUCT,
     OrthogonalDecomposition,
     SpectralHamiltonian,
-    _density_root,
+    _Density,
     hermitianize,
-    matrix_sqrt_psd,
     validate_density,
     validate_state_vector,
 )
@@ -38,18 +37,14 @@ from .linalg import (
 
 def c_half(rho, decomposition: OrthogonalDecomposition) -> float:
     """Affinity coherence 1 - sum_m Tr[(P_m sqrt(rho) P_m)^2], in [0, 1)."""
-    rho, sqrt_rho = _density_root(rho)
-    return _c_half(rho, decomposition, sqrt_rho)
+    return _c_half(_Density.of(rho).root, decomposition)
 
 
-def _c_half(rho: np.ndarray, decomposition: OrthogonalDecomposition,
-            sqrt_rho: np.ndarray | None = None) -> float:
-    """c_half of a state that has passed validate_density; sqrt_rho, when
-    given, is matrix_sqrt_psd(rho)."""
-    if rho.shape[0] != decomposition.dim:
+def _c_half(root: np.ndarray, decomposition: OrthogonalDecomposition) -> float:
+    """c_half from the root sqrt(rho) of a checked state (or of a package-built joint)."""
+    if len(root) != decomposition.dim:
         raise DimensionMismatch("state dimension does not match decomposition")
-    s = matrix_sqrt_psd(rho) if sqrt_rho is None else sqrt_rho
-    _, traces = _block_traces(s, decomposition.projectors)
+    _, traces = _block_traces(root, decomposition.projectors)
     return max(0.0, 1.0 - float(np.sum(traces)))
 
 
@@ -71,10 +66,10 @@ def closest_incoherent(rho, decomposition: OrthogonalDecomposition) -> np.ndarra
     Blocks whose weight Tr[(P_m sqrt(rho) P_m)^2] falls below TOL_PSD
     contribute nothing.
     """
-    rho, sqrt_rho = _density_root(rho)
-    if rho.shape[0] != decomposition.dim:
+    state = _Density.of(rho)
+    if len(state.rho) != decomposition.dim:
         raise DimensionMismatch("state dimension does not match decomposition")
-    x, weights = _block_traces(sqrt_rho, decomposition.projectors)
+    x, weights = _block_traces(state.root, decomposition.projectors)
     keep = weights >= TOL_PSD
     if not keep.any():
         raise DegenerateInput("all block weights vanish")

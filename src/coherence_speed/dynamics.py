@@ -37,6 +37,7 @@ from .linalg import (
     TOL_NORM,
     SpectralHamiltonian,
     _cluster_levels,
+    _read_only,
     dagger,
     hermitianize,
     require_hermitian,
@@ -100,8 +101,7 @@ class HamiltonianPath:
 
     def _store(self, times: np.ndarray, samples: np.ndarray) -> "HamiltonianPath":
         for name, array in (("times", times), ("samples", samples)):
-            array.flags.writeable = False
-            object.__setattr__(self, name, array)
+            object.__setattr__(self, name, _read_only(array))
         return self
 
     @classmethod
@@ -140,7 +140,7 @@ class HamiltonianPath:
         return cls._trusted(times, _linear_samples(ends, t_final, times))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Trajectory:
     """States and closed-form speeds on the grid of a HamiltonianPath; immutable.
 
@@ -154,9 +154,7 @@ class Trajectory:
 
     def __post_init__(self) -> None:
         for f in fields(self):
-            view = np.asarray(getattr(self, f.name)).view()
-            view.flags.writeable = False
-            object.__setattr__(self, f.name, view)
+            object.__setattr__(self, f.name, _read_only(np.asarray(getattr(self, f.name))))
 
     def __len__(self) -> int:
         return len(self.times)

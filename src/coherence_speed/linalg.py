@@ -11,14 +11,14 @@ Each numerical tolerance of the library is an absolute constant of this
 table, sized for d <= 16 in double precision; none is an argument.  The
 verification checks declare their own.  Columns: value, bound, sites.
 
-  TOL_HERM    1e-9   max|A - A†|: is_hermitian, require_hermitian and callers, validate_density,
-                     _density_root; not applied to operands Hermitian by construction:
+  TOL_HERM    1e-9   max|A - A†|: is_hermitian, require_hermitian and callers, _Density.of
+                     (validate_density); not applied to operands Hermitian by construction:
                      theorem3_bound's channel outputs and joint (_psd_sqrt_eig), dilate's generator
   TOL_NORM    1e-9   a norm vs its target: states, env_state, qubit amplitudes, spin axes, blocks
-  TOL_TRACE   1e-9   |Tr rho - 1|: validate_density, _density_root
+  TOL_TRACE   1e-9   |Tr rho - 1|: _Density.of (validate_density)
   TOL_ORTH    1e-9   max|U†U - I| of dilate's unitary completion, once U is checked finite
-  TOL_PSD     1e-10  dead band: matrix_sqrt_psd, validate_density, _density_root, fidelity,
-                     closest_incoherent
+  TOL_PSD     1e-10  dead band: matrix_sqrt_psd, _Density.of (validate_density) and its root,
+                     fidelity, closest_incoherent
   TOL_DEGEN   1e-9   one level: _cluster_levels, a_coefficient, dilate's fold of -pi onto +pi
   TOL_STRUCT  1e-8   caller structure: projector families, bases, Kraus sums, refinement, purity
   TOL_DRIFT   1e-10  norm drift over an evolve grid
@@ -162,45 +162,58 @@ def matrix_sqrt_psd(rho) -> np.ndarray:
 
 
 def validate_density(rho) -> np.ndarray:
-    """Check Hermiticity, positivity, and unit trace; return the array."""
+    """The checks of ``_Density.of`` (Hermiticity, positivity, unit trace); return the array."""
     rho = _square(rho)
-    if not is_hermitian(rho):
-        raise NotHermitian("density matrix is not Hermitian within tolerance")
-    w = np.linalg.eigvalsh(hermitianize(rho))
-    if w[0] < -TOL_PSD:
-        raise NotPSD(f"density matrix has eigenvalue {w[0]:.3e}")
-    tr = float(np.trace(rho).real)
-    if abs(tr - 1.0) > TOL_TRACE:
-        raise InvalidState(f"trace {tr!r} differs from 1 beyond {TOL_TRACE:.1e}")
+    _Density.of(rho)
     return rho
 
 
-def _density_root(rho) -> tuple[np.ndarray, np.ndarray]:
-    """validate_density(rho) and its matrix_sqrt_psd, bit for bit, from one eigh.
+def _read_only(a: np.ndarray) -> np.ndarray:
+    """A read-only view of a, which itself stays as it is."""
+    view = a.view()
+    view.flags.writeable = False
+    return view
 
-    The checks, their order and errors are validate_density's, but
-    positivity is read from eigh(rho), which reads the lower triangle: for
-    a state Hermitian only to TOL_HERM the lower triangle alone decides."""
-    rho = _square(rho)
-    if not is_hermitian(rho):
-        raise NotHermitian("density matrix is not Hermitian within tolerance")
-    w, v = np.linalg.eigh(rho)
-    if w[0] < -TOL_PSD:
-        raise NotPSD(f"density matrix has eigenvalue {w[0]:.3e}")
-    tr = float(np.trace(rho).real)
-    if abs(tr - 1.0) > TOL_TRACE:
-        raise InvalidState(f"trace {tr!r} differs from 1 beyond {TOL_TRACE:.1e}")
-    return rho, _rebuild(_band_sqrt(w), v)
+
+@dataclass(frozen=True, eq=False)
+class _Density:
+    """A density matrix checked once, where it enters, and the eigendata of that check.
+
+    ``of`` raises NotHermitian (beyond TOL_HERM, or a non-finite entry), NotPSD (an
+    eigenvalue below -TOL_PSD), then InvalidState (trace beyond TOL_TRACE); positivity
+    is read from the one eigh of rho, which reads the lower triangle.  It keeps rho as
+    given, w and V, all read-only, and psi, the unit vector of a pure state, only when
+    the caller held one.  ``root``, built on first read, is matrix_sqrt_psd(rho) bit for bit.
+    """
+
+    rho: np.ndarray
+    eigenvalues: np.ndarray
+    eigenvectors: np.ndarray
+    psi: np.ndarray | None = None
+
+    @classmethod
+    def of(cls, rho, psi: np.ndarray | None = None) -> "_Density":
+        rho = _square(rho)
+        if not is_hermitian(rho):
+            raise NotHermitian("density matrix is not Hermitian within tolerance")
+        w, v = np.linalg.eigh(rho)
+        if w[0] < -TOL_PSD:
+            raise NotPSD(f"density matrix has eigenvalue {w[0]:.3e}")
+        tr = float(np.trace(rho).real)
+        if abs(tr - 1.0) > TOL_TRACE:
+            raise InvalidState(f"trace {tr!r} differs from 1 beyond {TOL_TRACE:.1e}")
+        return cls(_read_only(rho), _read_only(w), _read_only(v), psi)
+
+    @functools.cached_property
+    def root(self) -> np.ndarray:
+        return _read_only(_rebuild(_band_sqrt(self.eigenvalues), self.eigenvectors))
 
 
 def _lower_hermitian(rho: np.ndarray) -> np.ndarray:
-    """The Hermitian matrix whose lower triangle eigh reads from rho.
+    """The Hermitian matrix whose lower triangle eigh reads from rho, as ``_Density.of`` judged it.
 
-    rho itself when it equals its conjugate transpose entry by entry;
-    otherwise a new matrix with rho's strictly lower triangle, its
-    conjugate above the diagonal, and the real part of rho's diagonal.
-    A state Hermitian only to TOL_HERM is thus used as ``_density_root``
-    judged it.
+    rho itself when it equals its conjugate transpose entry by entry; else rho's strictly
+    lower triangle, its conjugate above the diagonal and the real part of rho's diagonal.
     """
     if (rho == dagger(rho)).all():
         return rho
@@ -310,7 +323,7 @@ def _block_stack(vectors: np.ndarray, groups: Sequence[Sequence[int]]) -> np.nda
     return stack
 
 
-@dataclass
+@dataclass(eq=False)
 class OrthogonalDecomposition:
     """Complete family of orthogonal projectors P_0..P_{M-1}, stored as one stack.
 
@@ -442,7 +455,7 @@ def _cluster_levels(eigvals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return levels, level_of
 
 
-@dataclass
+@dataclass(eq=False)
 class SpectralHamiltonian:
     """Hermitian operator carried as its full spectral data.
 
@@ -574,9 +587,7 @@ def _orbit_table(m_count: int) -> np.ndarray:
     itertools.permutations(range(M)), i.e. the level on each block."""
     perms = np.fromiter(itertools.chain.from_iterable(itertools.permutations(range(m_count))),
                         dtype=np.intp, count=math.factorial(m_count) * m_count)
-    table = np.argsort(perms.reshape(-1, m_count), axis=1)
-    table.flags.writeable = False
-    return table
+    return _read_only(np.argsort(perms.reshape(-1, m_count), axis=1))
 
 
 def orbit_levels(ham: SpectralHamiltonian) -> np.ndarray:

@@ -21,7 +21,6 @@ from .linalg import (
     TOL_PSD,
     TOL_ZERO,
     SpectralHamiltonian,
-    _psd_sqrt_eig,
     _sqrt_eig,
     dagger,
     matrix_sqrt_psd,
@@ -29,19 +28,17 @@ from .linalg import (
 )
 
 
-def affinity(rho, sigma, *, sqrt_rho: np.ndarray | None = None) -> float | np.ndarray:
+def affinity(rho, sigma) -> float | np.ndarray:
     """Overlap Tr sqrt(rho) sqrt(sigma), clipped into [0, 1].
 
     Either state may be a stack (..., d, d), broadcast against the
     other; the result is then an array of overlaps, each clipped.
-    A precomputed sqrt(rho) may be supplied to avoid repeated
-    diagonalizations in tight loops.  sqrt(sigma) = W diag(sqrt w) W†
-    is never formed: sigma gets its own checked eigendecomposition
-    (``_sqrt_eig``, with the checks and dead band of matrix_sqrt_psd)
-    and the overlap is sum_j sqrt(w_j) Re (W† sqrt(rho) W)_jj.
+    sqrt(sigma) = W diag(sqrt w) W† is never formed: sigma gets its own
+    checked eigendecomposition (``_sqrt_eig``, with the checks and dead
+    band of matrix_sqrt_psd) and the overlap is
+    sum_j sqrt(w_j) Re (W† sqrt(rho) W)_jj.
     """
-    a = matrix_sqrt_psd(rho) if sqrt_rho is None else sqrt_rho
-    return _overlap(a, *_sqrt_eig(sigma))
+    return _overlap(matrix_sqrt_psd(rho), *_sqrt_eig(sigma))
 
 
 def _overlap(a: np.ndarray, roots: np.ndarray, w: np.ndarray) -> float | np.ndarray:
@@ -54,19 +51,17 @@ def _overlap(a: np.ndarray, roots: np.ndarray, w: np.ndarray) -> float | np.ndar
     return float(val) if val.ndim == 0 else val
 
 
-def hellinger(rho, sigma, *, sqrt_rho: np.ndarray | None = None) -> float | np.ndarray:
+def hellinger(rho, sigma) -> float | np.ndarray:
     """Squared-Hellinger distance 2 (1 - Tr sqrt(rho) sqrt(sigma)) in [0, 2].
 
     Stacks of states give an array of distances, as for affinity.
     """
-    return 2.0 * (1.0 - affinity(rho, sigma, sqrt_rho=sqrt_rho))
+    return 2.0 * (1.0 - affinity(rho, sigma))
 
 
-def _hellinger_hermitian(sqrt_rho: np.ndarray, sigma: np.ndarray) -> float | np.ndarray:
-    """hellinger(rho, sigma, sqrt_rho=sqrt_rho) for a sigma stack that is exactly
-    Hermitian (a ``hermitianize`` output): the same eigh, NotPSD test, dead band
-    and diagonal sum, without the Hermiticity check (``_psd_sqrt_eig``)."""
-    return 2.0 * (1.0 - _overlap(sqrt_rho, *_psd_sqrt_eig(sigma)))
+def _hellinger(a: np.ndarray, roots: np.ndarray, w: np.ndarray) -> float | np.ndarray:
+    """hellinger from sqrt(rho) = a and the ``_sqrt_eig`` or ``_psd_sqrt_eig`` of sigma."""
+    return 2.0 * (1.0 - _overlap(a, roots, w))
 
 
 def d_affinity_half(rho, sigma) -> float:

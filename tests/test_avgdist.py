@@ -18,8 +18,15 @@ from coherence_speed.avgdist import (
     l1_upper_bound_check,
 )
 from coherence_speed.battery import qudit_battery_bound
-from coherence_speed.channels import StinespringDilation, dilate, random_channel, theorem3_bound
-from coherence_speed.coherence import c_half
+from coherence_speed.channels import (
+    StinespringDilation,
+    dilate,
+    equality_gap_analysis,
+    qutrit_equality_channel,
+    random_channel,
+    theorem3_bound,
+)
+from coherence_speed.coherence import c_half, closest_incoherent
 from coherence_speed.errors import SingleLevel, TooManyLevels
 from coherence_speed import avgdist, channels, coherence, linalg, metrics
 from coherence_speed.linalg import (
@@ -269,32 +276,41 @@ def test_eight_level_orbit_runs_in_chunks():
     assert abs(brute - closed) < 1e-9
 
 
-def _counting(calls, fn):
-    """fn, recording its name and the shape of its argument in calls."""
-    def counted(rho):
-        calls.append((fn.__name__, np.shape(rho)))
-        return fn(rho)
-    return counted
+def _counting_states(monkeypatch):
+    """The shape of every density checked as a state (``_Density.of``), in call order."""
+    calls = []
+    of = linalg._Density.of
+    monkeypatch.setattr(linalg._Density, "of",
+                        lambda rho, psi=None: calls.append(np.shape(rho)) or of(rho, psi))
+    return calls
 
 
 def test_each_entry_validates_its_state_once(monkeypatch):
-    calls = []
-    for module in (avgdist, coherence, channels):
-        for name in ("validate_density", "_density_root"):
-            monkeypatch.setattr(module, name, _counting(calls, getattr(linalg, name)))
+    states = _counting_states(monkeypatch)
     rng = np.random.default_rng(29)
     ham = SpectralHamiltonian.from_spectrum(_spread_spectrum(rng, 4), random_unitary(4, rng))
     rho = random_density(4, rank=2, seed=rng)
-    res = avg_distance_closed(rho, ham, 1.3, include_brute=True)
-    assert calls == [("_density_root", (4, 4))]
-    calls.clear()
-    l1_upper_bound_check(rho, ham, 1.3)
-    assert calls == [("validate_density", (4, 4))]
-    calls.clear()
     dil = dilate(random_channel(2, 2, rng))
-    theorem3_bound(dil, random_density(2, rank=2, seed=rng))
-    assert calls == [("_density_root", (2, 2))]
+    rho2 = random_density(2, rank=2, seed=rng)
+    pure4, pure3 = pure_density(haar_random_state(4, rng)), pure_density([1.0, 0.0, 0.0])
+    h0, v = np.diag([0.0, 0.4, 1.1, 1.5]), ham.matrix()
+    qutrit = qutrit_equality_channel()
+    entries = {
+        "avg_distance_closed": lambda: avg_distance_closed(rho, ham, 1.3, include_brute=True),
+        "avg_distance_bruteforce": lambda: avg_distance_bruteforce(rho, ham, 1.3),
+        "l1_upper_bound_check": lambda: l1_upper_bound_check(rho, ham, 1.3),
+        "c_half": lambda: c_half(rho, ham.decomposition),
+        "closest_incoherent": lambda: closest_incoherent(rho, ham.decomposition),
+        "qudit_battery_bound": lambda: qudit_battery_bound(pure4, h0, v, 0.2),
+        "theorem3_bound": lambda: theorem3_bound(dil, rho2),
+        "equality_gap_analysis": lambda: equality_gap_analysis(qutrit, pure3),
+    }
+    for name, entry in entries.items():
+        states.clear()
+        entry()
+        assert len(states) == 1, name
     # the private paths give the public values bit for bit
+    res = avg_distance_closed(rho, ham, 1.3, include_brute=True)
     assert res.coherence == c_half(rho, ham.decomposition)
     assert res.brute_force == avg_distance_bruteforce(rho, ham, 1.3)
 
@@ -326,7 +342,8 @@ def test_eigenbasis_oracle_equals_the_computational_basis_orbit():
     rng = np.random.default_rng(99)
     for rho, ham in _mixed_cases(rng):
         t = float(rng.uniform(0.05, 8.0))
-        assert abs(avgdist._bruteforce(rho, ham, t) - _computational_basis_brute(rho, ham, t)) < 1e-14
+        assert abs(avgdist._bruteforce(linalg._Density.of(rho), ham, t)
+                   - _computational_basis_brute(rho, ham, t)) < 1e-14
 
 
 def test_eigenbasis_oracle_diagonalizes_every_evolved_state(monkeypatch):
@@ -346,18 +363,20 @@ def test_eigenbasis_oracle_diagonalizes_every_evolved_state(monkeypatch):
 
 
 def test_avg_distance_closed_roots_rho_once(monkeypatch):
+    # every root the package rebuilds, matrix_sqrt_psd's and a state's, goes through _rebuild
     roots = []
-    for module in (avgdist, coherence, metrics):
-        monkeypatch.setattr(module, "matrix_sqrt_psd", _counting(roots, linalg.matrix_sqrt_psd))
-    for module in (avgdist, coherence):
-        monkeypatch.setattr(module, "_density_root", _counting(roots, linalg._density_root))
+    rebuild = linalg._rebuild
+    monkeypatch.setattr(linalg, "_rebuild", lambda w, v: roots.append(v.shape) or rebuild(w, v))
+    states = _counting_states(monkeypatch)
     rng = np.random.default_rng(101)
     ham = SpectralHamiltonian.from_spectrum(_spread_spectrum(rng, 4), random_unitary(4, rng))
     rho = random_density(4, rank=3, seed=rng)
     res = avg_distance_closed(rho, ham, 1.3, include_brute=True)
-    assert roots == [("_density_root", (4, 4))]
-    assert res.brute_force == avgdist._bruteforce(rho, ham, 1.3)
-    assert res.coherence == coherence._c_half(rho, ham.decomposition)
+    assert states == [(4, 4)] and roots == [(4, 4)]
+    monkeypatch.undo()
+    state = linalg._Density.of(rho)
+    assert res.brute_force == avgdist._bruteforce(state, ham, 1.3)
+    assert res.coherence == coherence._c_half(linalg.matrix_sqrt_psd(rho), ham.decomposition)
 
 
 def _pairwise_cos_mean(lam, t):

@@ -300,6 +300,18 @@ def test_package_pulses_and_axes_on_a_grid_equal_their_points_bit_for_bit(tau):
         assert constant_axis((0.3, -0.5, 0.8))(times).shape == (3,)
 
 
+def test_a_fixed_axis_cannot_be_written_through_a_call():
+    # every call hands out the same 3-vector, so a write would move the axis for later calls
+    axis = constant_axis((1.0, 0.0, 0.0))
+    with pytest.raises(ValueError, match="read-only"):
+        axis(0.0)[:] = (0.0, 0.0, 2.0)
+    with pytest.raises(ValueError, match="read-only"):
+        axis(np.linspace(0.0, 1.0, 5))[0] = 2.0
+    assert axis(0.5).tolist() == [1.0, 0.0, 0.0]
+    run = simulate_battery(BatteryConfig(1.0, 1.0, 0.05, sin2_pulse(1.0, 1.0), axis), PLUS)
+    assert np.isfinite(run.avg_work).all()
+
+
 @pytest.mark.parametrize("n", [(1.0, 0.0, 0.0), (0.3, -0.5, 0.8)], ids=["x", "vector"])
 def test_a_fixed_axis_run_equals_the_per_point_axis_run_bit_for_bit(n):
     # one 3-vector gives one drive eigenbasis; the same axis repeated per point gives 2,501

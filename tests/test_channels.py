@@ -183,16 +183,18 @@ def test_dilation_eigenphases_at_pi_form_one_level():
 
 
 def test_equality_gap_analysis_validates_rho_once(monkeypatch):
-    calls = []
-
-    def counting(rho, **kwargs):
-        calls.append(1)
-        return linalg.validate_density(rho, **kwargs)
-
-    monkeypatch.setattr(channels, "validate_density", counting)
+    # one checked state, whose eigenvalues give purity and whose root the system distance
+    states, sqrt_shapes = [], []
+    of, sqrt_psd = linalg._Density.of, linalg.matrix_sqrt_psd
+    monkeypatch.setattr(linalg._Density, "of",
+                        lambda rho, psi=None: states.append(np.shape(rho)) or of(rho, psi))
+    monkeypatch.setattr(metrics, "matrix_sqrt_psd",
+                        lambda rho: sqrt_shapes.append(np.shape(rho)) or sqrt_psd(rho))
+    monkeypatch.setattr(np.linalg, "eigvalsh", None)
     report = equality_gap_analysis(qutrit_equality_channel(),
                                    pure_density(np.array([1, 0, 0], dtype=complex)))
-    assert len(calls) == 1
+    assert states == [(3, 3)]
+    assert sqrt_shapes == [(12, 12)]          # the joint input's, never rho's
     assert report.witness == 0.0 and abs(report.system_distance - 2.0) < 1e-12
 
 
@@ -342,8 +344,9 @@ def _theorem3_composition(dilation, rho):
     """theorem3_bound as the package once composed it from checked parts: the reference.
 
     validate_density and matrix_sqrt_psd of rho, np.kron for the joint,
-    partial_trace and hellinger (with its Hermiticity check) for every
-    orbit term, and matrix_sqrt_psd of the joint inside _closed_form.
+    partial_trace and the overlap with the root of rho, from a Hermiticity-checked
+    eigh (``_sqrt_eig``), for every orbit term, and matrix_sqrt_psd of the joint
+    for _closed_form.
     """
     rho = linalg.validate_density(rho)
     sqrt_rho = linalg.matrix_sqrt_psd(rho)
@@ -354,10 +357,10 @@ def _theorem3_composition(dilation, rho):
     def distances(phi):
         u = linalg._eigenbasis_operators(ham, phi)
         out = linalg.partial_trace(u @ joint @ linalg.dagger(u), dims, over=1)
-        return metrics.hellinger(rho, linalg.hermitianize(out), sqrt_rho=sqrt_rho)
+        return 2.0 * (1.0 - metrics._overlap(sqrt_rho, *linalg._sqrt_eig(linalg.hermitianize(out))))
 
     lhs = avgdist._orbit_mean(ham, lambda lam: np.exp(-1j * lam * duration), distances)
-    return lhs, avgdist._closed_form(joint, ham, duration)[2]
+    return lhs, avgdist._closed_form(linalg.matrix_sqrt_psd(joint), ham, duration)[2]
 
 
 def _outcome(fn, *args):

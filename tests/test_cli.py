@@ -179,21 +179,43 @@ def test_a_pure_sweep_moves_only_its_oracle_columns_and_only_at_roundoff(tmp_pat
             assert abs(float(row[col]) - float(ref[col])) <= 1e-14
 
 
+def _counting_states(monkeypatch):
+    """The shape of every density checked as a state (``_Density.of``), in call order."""
+    calls = []
+    of = linalg._Density.of
+    monkeypatch.setattr(linalg._Density, "of",
+                        lambda rho, psi=None: calls.append(np.shape(rho)) or of(rho, psi))
+    return calls
+
+
 def test_a_mixed_sweep_roots_rho_once(tmp_path, monkeypatch):
     spectrum, state = [0.0, 0.7, 1.9, 2.4], {"density_rank": 2}
     want = _point_by_point_sweep(spectrum, state, 8, 41)
+    # every root the package rebuilds, matrix_sqrt_psd's and a state's, goes through _rebuild
     roots = []
-
-    def counting(fn):
-        return lambda rho: roots.append((fn.__name__, np.shape(rho))) or fn(rho)
-
-    for module in (avgdist, coherence, metrics):
-        monkeypatch.setattr(module, "matrix_sqrt_psd", counting(linalg.matrix_sqrt_psd))
-    for module in (cli, avgdist, coherence):
-        monkeypatch.setattr(module, "_density_root", counting(linalg._density_root))
+    rebuild = linalg._rebuild
+    monkeypatch.setattr(linalg, "_rebuild", lambda w, v: roots.append(v.shape) or rebuild(w, v))
+    states = _counting_states(monkeypatch)
     out = _run_sweep(tmp_path, spectrum, state, 8, 41)
-    assert roots == [("_density_root", (4, 4))]
+    assert states == [(4, 4)] and roots == [(4, 4)]
     assert body_lines(out) == want
+
+
+@pytest.mark.parametrize("env_dim, dim", [(None, 3), (2, 2), (3, 2)])
+def test_the_channel_report_checks_its_state_once(tmp_path, monkeypatch, env_dim, dim):
+    # the gap analysis and the bound share one checked state of the input; the
+    # default is the qutrit channel, the others a saved 2 x 2 channel
+    from coherence_speed.channels import random_channel, save_channel
+    argv = ["channel", "--out", str(tmp_path / "out.csv")]
+    if env_dim is not None:
+        save_channel(random_channel(2, 2, 5), tmp_path / "chan.json")
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"channel": {"channel": {"path": str(tmp_path / "chan.json")},
+                                               "env_dim": env_dim, "state": "plus"}}))
+        argv += ["--config", str(cfg)]
+    states = _counting_states(monkeypatch)
+    assert main(argv) == 0
+    assert states == [(dim, dim)]
 
 
 @pytest.mark.parametrize("state", [{"haar": True}, {"density_rank": 2}])
@@ -264,8 +286,8 @@ def test_channel_report_reuses_a_default_dilation(tmp_path, monkeypatch, section
         argv += ["--config", str(cfg)]
     # the reference body comes from the public gap analysis, which dilates on its own
     reference = tmp_path / "reference.csv"
-    monkeypatch.setattr(cli, "_equality_gap", lambda channel, dilation, rho:
-                        channels.equality_gap_analysis(channel, rho))
+    monkeypatch.setattr(cli, "_equality_gap", lambda channel, dilation, state:
+                        channels.equality_gap_analysis(channel, state.rho))
     assert main(argv + ["--out", str(reference)]) == 0
     monkeypatch.undo()
     calls = []

@@ -154,18 +154,40 @@ def _edge(upper, lower):
 
 
 def test_the_lower_triangle_alone_decides_positivity():
-    # c_half and closest_incoherent read positivity from the eigh that roots rho,
-    # which reads the lower triangle; validate_density reads the Hermitian part
+    # every entry checks a density as validate_density does, from one eigh, which
+    # reads the lower triangle: each edge density has one outcome across all of them
+    from coherence_speed.avgdist import (
+        avg_distance_bruteforce,
+        avg_distance_closed,
+        l1_upper_bound_check,
+    )
+    from coherence_speed.battery import qudit_battery_bound
+    from coherence_speed.channels import (
+        dilate,
+        equality_gap_analysis,
+        random_channel,
+        theorem3_bound,
+    )
     dec = rank1(3)
+    ham = SpectralHamiltonian.from_spectrum([0.0, 0.7, 1.9])
+    chan = random_channel(3, 2, 5)
+    dil = dilate(chan)
+    entries = [linalg.validate_density, lambda rho: c_half(rho, dec),
+               lambda rho: closest_incoherent(rho, dec),
+               lambda rho: avg_distance_closed(rho, ham, 1.3),
+               lambda rho: avg_distance_bruteforce(rho, ham, 1.3),
+               lambda rho: l1_upper_bound_check(rho, ham, 1.3),
+               lambda rho: qudit_battery_bound(rho, np.diag([0.0, 1.0, 2.5]), ham.matrix(), 0.3),
+               lambda rho: theorem3_bound(dil, rho),
+               lambda rho: equality_gap_analysis(chan, rho)]
     upper_only = _edge(8e-10, 0.0)      # Hermitian part: eigenvalue -4e-10
-    with pytest.raises(NotPSD, match="density matrix has eigenvalue -4.000e-10"):
-        linalg.validate_density(upper_only)
+    for fn in entries:                  # lower triangle: diag(1, 0, 0), a pure state
+        fn(upper_only)
     assert c_half(upper_only, dec) == 0.0
     assert np.array_equal(closest_incoherent(upper_only, dec), np.diag([1.0, 0.0, 0.0]))
     lower_negative = _edge(-4e-10, 5e-10)   # lower triangle: eigenvalue -5e-10
-    linalg.validate_density(lower_negative)
+    for fn in entries:
+        with pytest.raises(NotPSD, match="density matrix has eigenvalue -5.000e-10"):
+            fn(lower_negative)
     with pytest.raises(NotPSD, match="eigenvalue -5.000e-10 below -1.0e-10"):
         linalg.matrix_sqrt_psd(lower_negative)
-    for fn in (c_half, closest_incoherent):
-        with pytest.raises(NotPSD, match="density matrix has eigenvalue -5.000e-10"):
-            fn(lower_negative, dec)

@@ -557,13 +557,15 @@ def test_density_root_is_validate_density_then_matrix_sqrt_psd():
             w = np.r_[np.ones(rank), np.geomspace(5e-11, 5e-10, d - rank)]
             banded = linalg.hermitianize((u * (w / w.sum())) @ u.conj().T)
             nudged = rho + np.triu(np.full((d, d), 1e-10), 1)
-            for state in (rho, banded, nudged):
-                checked, root = linalg._density_root(state)
-                assert np.array_equal(checked, linalg.validate_density(state))
-                assert root.tobytes() == matrix_sqrt_psd(state).tobytes()
+            for given in (rho, banded, nudged):
+                state = linalg._Density.of(given)
+                assert linalg.validate_density(given) is given
+                assert state.rho.tobytes() == given.tobytes() and not state.rho.flags.writeable
+                assert state.root.tobytes() == matrix_sqrt_psd(given).tobytes()
+                assert state.root is state.root and state.psi is None
         for bad in _malformed_densities(max(d, 2)):
             want = _outcome(linalg.validate_density, bad)
-            assert isinstance(want, str) and _outcome(linalg._density_root, bad) == want
+            assert isinstance(want, str) and _outcome(linalg._Density.of, bad) == want
 
 
 def _eager_stack(w, v):
@@ -633,3 +635,29 @@ def test_only_the_projector_readers_build_the_stack(monkeypatch):
         dynamics.instantaneous_speed(psi0, ham)
         ham.permute_levels(np.arange(ham.level_count)[::-1]).decomposition
     assert len(calls) == len(hams)
+
+
+def _array_holders():
+    """Two distinct instances of each package class that holds arrays, as thunks."""
+    path = dynamics.HamiltonianPath.constant(np.diag([0.0, 1.0]), 1.0, steps=8)
+    config = battery.BatteryConfig.default(tau=0.5, dt=0.05)
+    return {
+        "KrausChannel": lambda: random_channel(2, 2, 1),
+        "StinespringDilation": lambda: dilate(random_channel(2, 2, 1)),
+        "BatteryRun": lambda: battery.simulate_battery(config, [1.0, 0.0]),
+        "Trajectory": lambda: dynamics.evolve([1.0, 0.0], path),
+        "SpectralHamiltonian": lambda: SpectralHamiltonian.from_spectrum([0.0, 1.0]),
+        "OrthogonalDecomposition": lambda: OrthogonalDecomposition.computational(2),
+        "_Density": lambda: linalg._Density.of(np.eye(2) / 2.0),
+    }
+
+
+@pytest.mark.parametrize("name", list(_array_holders()))
+def test_equality_of_array_holders_is_identity(name):
+    # a generated __eq__ would compare the arrays and raise on their truth value
+    make = _array_holders()[name]
+    x, other = make(), make()
+    assert type(x).__name__ == name
+    assert (x == x) is True and (x != x) is False
+    assert (x == other) is False and (x != other) is True
+    assert len({x, other}) == 2

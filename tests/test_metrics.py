@@ -52,16 +52,14 @@ def test_affinity_pure_states_is_squared_overlap():
         assert abs(affinity(pure_density(a), pure_density(b)) - want) < 1e-10
 
 
-def test_affinity_accepts_precomputed_roots():
+def test_affinity_and_hellinger_take_no_precomputed_root():
     rng = np.random.default_rng(23)
     rho = random_density(4, rank=3, seed=rng)
     sig = random_density(4, rank=2, seed=rng)
-    from coherence_speed.linalg import matrix_sqrt_psd
-    direct = affinity(rho, sig)
-    cached = affinity(rho, sig, sqrt_rho=matrix_sqrt_psd(rho))
-    assert abs(direct - cached) < 1e-14
-    with pytest.raises(TypeError):
-        affinity(rho, sig, sqrt_sigma=matrix_sqrt_psd(sig))
+    for fn in (affinity, hellinger):
+        for keyword in ("sqrt_rho", "sqrt_sigma"):
+            with pytest.raises(TypeError, match=keyword):
+                fn(rho, sig, **{keyword: linalg.matrix_sqrt_psd(rho)})
 
 
 def _rebuilt_root_affinity(rho, sigma):
@@ -112,9 +110,9 @@ def test_affinity_never_forms_the_root_of_sigma(monkeypatch):
     rho, sig = random_density(4, rank=3, seed=rng), random_density(4, rank=2, seed=rng)
     affinity(rho, sig)
     assert calls == [(4, 4)]                  # the root of rho only
-    affinity(rho, np.stack([sig, rho]), sqrt_rho=linalg.matrix_sqrt_psd(rho))
+    affinity(rho, np.stack([sig, rho]))
     fidelity(rho, sig)
-    assert calls == [(4, 4)] * 2
+    assert calls == [(4, 4)] * 3
 
 
 def test_hellinger_contracts_under_dephasing():
