@@ -202,7 +202,8 @@ class _Density:
         tr = float(np.trace(rho).real)
         if abs(tr - 1.0) > TOL_TRACE:
             raise InvalidState(f"trace {tr!r} differs from 1 beyond {TOL_TRACE:.1e}")
-        return cls(_read_only(rho), _read_only(w), _read_only(v), psi)
+        w.flags.writeable = v.flags.writeable = False     # the state's own arrays
+        return cls(_read_only(rho), w, v, psi)
 
     @functools.cached_property
     def root(self) -> np.ndarray:

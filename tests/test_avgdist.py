@@ -28,7 +28,7 @@ from coherence_speed.channels import (
 )
 from coherence_speed.coherence import c_half, closest_incoherent
 from coherence_speed.errors import SingleLevel, TooManyLevels
-from coherence_speed import avgdist, channels, coherence, linalg, metrics
+from coherence_speed import avgdist, coherence, linalg, metrics
 from coherence_speed.linalg import (
     SpectralHamiltonian,
     haar_random_state,

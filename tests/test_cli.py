@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from coherence_speed import avgdist, cli, coherence, dynamics, linalg, metrics
+from coherence_speed import cli, dynamics, linalg, metrics
 from coherence_speed.avgdist import avg_distance_closed
 from coherence_speed.cli import main
 from coherence_speed.linalg import (
