@@ -359,7 +359,7 @@ def _cmd_channel(ns, config: dict) -> int:
     dilation = dilate(channel, section.get("env_dim"))
     # the gap is defined on the default dilation (one environment level per Kraus operator)
     default = dilation if dilation.env_dim == len(channel.operators) else dilate(channel)
-    state = _Density.of(pure_density(psi0), psi0)     # checked once, for the gap and the bound
+    state = _Density.of(pure_density(psi0))     # checked once, for the gap and the bound
     gap_report = _equality_gap(channel, default, state)
     row = {"sys_dim": channel.dim, "env_dim": dilation.env_dim,
            "levels": len(dilation.levels),
