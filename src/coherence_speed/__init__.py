@@ -17,7 +17,6 @@ from .avgdist import (
     avg_distance_closed,
     b_coefficient,
     benchmark_overlap_check,
-    l1_upper_bound_check,
 )
 from .battery import (
     BatteryConfig,
@@ -34,7 +33,6 @@ from .channels import (
     KrausChannel,
     StinespringDilation,
     apply_kraus,
-    dephasing_channel,
     dilate,
     equality_gap_analysis,
     load_channel,
@@ -48,8 +46,6 @@ from .coherence import (
     c_half,
     c_l1,
     closest_incoherent,
-    coherence_vector,
-    is_maximally_coherent,
     is_refinement,
 )
 from .dynamics import (
@@ -68,14 +64,11 @@ from .linalg import (
     haar_random_state,
     hermitian_eig,
     matrix_sqrt_psd,
-    orbit_levels,
-    orbit_operators,
     partial_trace,
     pure_density,
     random_density,
     random_hermitian,
     random_unitary,
-    tensor,
     unitary_exp,
 )
 from .metrics import (

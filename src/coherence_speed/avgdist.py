@@ -57,7 +57,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coherence import _c_half, _c_l1
+from .coherence import _c_half
 from .errors import DegenerateSpectrum, DimensionMismatch, SingleLevel, TooManyLevels
 from .linalg import (
     TOL_DEGEN,
@@ -232,18 +232,3 @@ def benchmark_overlap_check(eigenvalues, phases, t: float) -> tuple[float, float
     rhs = d / (d - 1.0) * (overlap - 1.0 / d)
     return lhs, float(rhs)
 
-
-def l1_upper_bound_check(rho, ham: SpectralHamiltonian, t: float) -> tuple[float, float]:
-    """Averaged distance vs its off-diagonal-sum ceiling for nondegenerate spectra.
-
-    Returns (sbar, bound) with bound = 4 (1 - A(t)) / (d - 1) * c_l1(rho)
-    in the Hamiltonian eigenbasis; sbar <= bound.
-    """
-    state = _Density.of(rho)
-    d = ham.dim
-    if ham.level_count != d:
-        raise DegenerateSpectrum("bound stated for nondegenerate spectra only")
-    if d < 2:
-        raise SingleLevel("need at least two eigenvalues")
-    coef, _, sbar = _closed_form(state.root, ham, t)
-    return sbar, 4.0 * (1.0 - coef) / (d - 1.0) * _c_l1(state.rho, ham.eigenvectors)

@@ -37,6 +37,7 @@ import functools
 import json
 from dataclasses import dataclass, field, replace
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -114,11 +115,6 @@ def _apply_kraus(channel: KrausChannel, rho: np.ndarray) -> np.ndarray:
     if rho.shape[0] != channel.dim:
         raise DimensionMismatch("state dimension does not match channel")
     return hermitianize((channel.operators @ rho @ dagger(channel.operators)).sum(axis=0))
-
-
-def dephasing_channel(decomposition) -> KrausChannel:
-    """Full dephasing onto a projector family (Kraus operators = projectors)."""
-    return KrausChannel(decomposition.projectors, label="dephasing")
 
 
 def qutrit_equality_channel() -> KrausChannel:
@@ -331,23 +327,25 @@ def theorem3_bound(dilation: StinespringDilation, rho) -> tuple[float, float]:
     distance of a channel output, made Hermitian by ``hermitianize``,
     from rho; it and the joint are rooted without a Hermiticity check.
     """
-    return _theorem3_bound(dilation, _Density.of(rho))
+    average, rhs = _theorem3_bound(dilation, _Density.of(rho))
+    return average(), rhs
 
 
-def _theorem3_bound(dilation: StinespringDilation, state: _Density) -> tuple[float, float]:
-    """theorem3_bound of a checked state."""
+def _theorem3_bound(dilation: StinespringDilation,
+                    state: _Density) -> tuple[Callable[[], float], float]:
+    """theorem3_bound of a checked state: the ceiling, taken first since it needs no
+    orbit, and the orbit average as a call, which raises TooManyLevels past the cap."""
     joint = dilation._joint(_lower_hermitian(state.rho))
     dims = (dilation.sys_dim, dilation.env_dim)
+    ham, duration = dilation.hamiltonian, dilation.duration
+    rhs = _closed_form(_rebuild(*_psd_sqrt_eig(joint)), ham, duration)[2]
 
     def distances(phi):
-        u = _eigenbasis_operators(dilation.hamiltonian, phi)
+        u = _eigenbasis_operators(ham, phi)
         out = _trace_second(u @ joint @ dagger(u), *dims)
         return _hellinger(state.root, *_psd_sqrt_eig(hermitianize(out)))
 
-    ham, duration = dilation.hamiltonian, dilation.duration
-    lhs = _orbit_mean(ham, lambda lam: np.exp(-1j * lam * duration), distances)
-    sqrt_joint = _rebuild(*_psd_sqrt_eig(joint))
-    return lhs, _closed_form(sqrt_joint, ham, duration)[2]
+    return lambda: _orbit_mean(ham, lambda lam: np.exp(-1j * lam * duration), distances), rhs
 
 
 @dataclass(frozen=True)

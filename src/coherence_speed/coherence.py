@@ -23,15 +23,12 @@ import numpy as np
 
 from .errors import DegenerateInput, DimensionMismatch
 from .linalg import (
-    TOL_NORM,
     TOL_PSD,
     TOL_STRUCT,
     OrthogonalDecomposition,
-    SpectralHamiltonian,
     _Density,
     hermitianize,
     validate_density,
-    validate_state_vector,
 )
 
 
@@ -84,11 +81,7 @@ def c_l1(rho, basis: np.ndarray | None = None) -> float:
 
     basis columns default to the computational basis.
     """
-    return _c_l1(validate_density(rho), basis)
-
-
-def _c_l1(rho: np.ndarray, basis: np.ndarray | None) -> float:
-    """c_l1 of a state that has passed validate_density."""
+    rho = validate_density(rho)
     if basis is not None:
         v = np.asarray(basis, dtype=complex)
         if v.shape != rho.shape:
@@ -96,23 +89,6 @@ def _c_l1(rho: np.ndarray, basis: np.ndarray | None) -> float:
         rho = v.conj().T @ rho @ v
     a = np.abs(rho)
     return float(a.sum() - np.trace(a))
-
-
-def coherence_vector(psi, ham: SpectralHamiltonian) -> np.ndarray:
-    """Eigenspace weights ||P_m psi||^2 of a pure state, one per distinct level."""
-    psi = validate_state_vector(psi)
-    if ham.dim != len(psi):
-        raise DimensionMismatch("state/Hamiltonian dimensions differ")
-    return ham.decomposition._weights(psi)
-
-
-def is_maximally_coherent(psi, decomposition: OrthogonalDecomposition) -> bool:
-    """True when every block norm ||P_m psi|| equals 1/sqrt(M) within TOL_NORM."""
-    psi = validate_state_vector(psi)
-    if decomposition.dim != len(psi):
-        raise DimensionMismatch("state dimension does not match decomposition")
-    norms = np.linalg.norm(decomposition.projectors @ psi, axis=-1)
-    return not (np.abs(norms - 1.0 / np.sqrt(decomposition.size)) > TOL_NORM).any()
 
 
 def is_refinement(fine: OrthogonalDecomposition, coarse: OrthogonalDecomposition) -> bool:

@@ -241,13 +241,8 @@ def pure_density(psi) -> np.ndarray:
     return np.outer(psi, psi.conj())
 
 
-def tensor(a, b) -> np.ndarray:
-    """Kronecker product with the first factor as the outer (slow) index."""
-    return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
-
-
 def partial_trace(rho, dims: tuple[int, int], over: int) -> np.ndarray:
-    """Trace out one tensor factor of a bipartite operator.
+    """Trace out one factor of a bipartite operator.
 
     dims = (d_first, d_second) under the outer-first convention;
     over = 0 removes the first factor, over = 1 the second.  A stack
@@ -324,13 +319,14 @@ def _block_stack(vectors: np.ndarray, groups: Sequence[Sequence[int]]) -> np.nda
     return stack
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class OrthogonalDecomposition:
     """Complete family of orthogonal projectors P_0..P_{M-1}, stored as one stack.
 
-    ``projectors`` is a complex (M, d, d) array whose m-th matrix is
-    P_m, so iterating over it yields the projectors.  The constructor
-    takes any sequence of d x d matrices.
+    ``projectors`` is a read-only complex (M, d, d) array whose m-th
+    matrix is P_m, so iterating over it yields the projectors.  The
+    constructor takes any sequence of d x d matrices.  The class is
+    frozen, so no family can be reassigned or written past its check.
 
     Invariants: each P_m is Hermitian and idempotent, distinct
     projectors annihilate each other, and the family sums to the
@@ -380,28 +376,18 @@ class OrthogonalDecomposition:
         # a zero block passes every test above but adds a block to the family
         if (np.einsum("mii->m", stack).real < 0.5).any():
             raise ValueError("projector is empty (trace below 1/2)")
-        self.projectors = stack
+        object.__setattr__(self, "projectors", _read_only(stack))
 
     @classmethod
     def _trusted(cls, stack: np.ndarray) -> "OrthogonalDecomposition":
         """An (M, d, d) family built inside the package from an orthonormal eigenbasis."""
         dec = cls.__new__(cls)
-        dec.projectors = stack
+        object.__setattr__(dec, "projectors", _read_only(stack))
         return dec
 
     @property
     def dim(self) -> int:
         return self.projectors.shape[-1]
-
-    @property
-    def size(self) -> int:
-        """Number of blocks M."""
-        return len(self.projectors)
-
-    @property
-    def block_dims(self) -> tuple[int, ...]:
-        ranks = np.trace(self.projectors, axis1=1, axis2=2).real
-        return tuple(np.rint(ranks).astype(int).tolist())
 
     @classmethod
     def from_basis(cls, vectors: np.ndarray,
@@ -591,26 +577,18 @@ def _orbit_table(m_count: int) -> np.ndarray:
     return _read_only(np.argsort(perms.reshape(-1, m_count), axis=1))
 
 
-def orbit_levels(ham: SpectralHamiltonian) -> np.ndarray:
-    """Level value on each eigenvector column for every member of the permutation orbit.
-
-    Row k belongs to the k-th assignment s of
-    itertools.permutations(range(M)) (lexicographic order), which puts
-    level m on block s[m] as permute_levels does, so that
-    H_s = V diag(row_k) V† with V = ham.eigenvectors.  Shape (M!, d).
-    The permutation table is built once per level count.
-    """
-    return ham.levels[_orbit_table(ham.level_count)[:, ham.level_of]]
-
-
 def _orbit_diagonals(ham: SpectralHamiltonian,
                      fn: Callable[[np.ndarray], np.ndarray]) -> Iterator[np.ndarray]:
-    """fn of the orbit_levels rows, as lexicographic chunks of ORBIT_CHUNK rows.
+    """fn of the orbit's level rows, as lexicographic chunks of ORBIT_CHUNK rows.
 
-    Each row is the diagonal of an orbit operator in the eigenbasis of ham:
-    ``lambda lam: np.exp(-1j * lam * t)`` gives the phases of exp(-i H_s t).
+    Row k holds the level value on each eigenvector column for the k-th
+    assignment s of itertools.permutations(range(M)), which puts level m
+    on block s[m] as permute_levels does, so that H_s = V diag(row_k) V†
+    with V = ham.eigenvectors: ``lambda lam: lam`` gives the diagonals of
+    the H_s, ``lambda lam: np.exp(-1j * lam * t)`` the phases of
+    exp(-i H_s t).  The permutation table is built once per level count.
     """
-    rows = orbit_levels(ham)
+    rows = ham.levels[_orbit_table(ham.level_count)[:, ham.level_of]]
     for start in range(0, len(rows), ORBIT_CHUNK):
         yield fn(rows[start:start + ORBIT_CHUNK])
 
@@ -619,15 +597,3 @@ def _eigenbasis_operators(ham: SpectralHamiltonian, diagonals: np.ndarray) -> np
     """V diag(row) V† for each row of diagonals (n, d), V = ham.eigenvectors."""
     v = ham.eigenvectors
     return (v * diagonals[:, None, :]) @ v.conj().T
-
-
-def orbit_operators(ham: SpectralHamiltonian,
-                    fn: Callable[[np.ndarray], np.ndarray]) -> Iterator[np.ndarray]:
-    """V diag(fn(row)) V† for every orbit member, as lexicographic stacks of ORBIT_CHUNK.
-
-    fn maps a block of orbit_levels rows elementwise: ``lambda lam: lam``
-    gives the permuted Hamiltonians H_s, ``lambda lam: np.exp(-1j * lam * t)``
-    their evolutions exp(-i H_s t).  Built from the chunks of _orbit_diagonals.
-    """
-    for diagonals in _orbit_diagonals(ham, fn):
-        yield _eigenbasis_operators(ham, diagonals)

@@ -85,17 +85,18 @@ from .errors import UnknownSuite
 from .linalg import (
     OrthogonalDecomposition,
     SpectralHamiltonian,
+    _eigenbasis_operators,
+    _orbit_diagonals,
     dagger,
     haar_random_state,
     hermitianize,
-    orbit_operators,
     partial_trace,
     pure_density,
     random_density,
     random_unitary,
     unitary_exp,
 )
-from .metrics import hellinger, affinity, qsl_bounds
+from .metrics import d_affinity_half, hellinger, qsl_bounds
 
 
 @dataclass(frozen=True)
@@ -347,9 +348,10 @@ def check_thm3_dpi(i, rng, d):
     _, dilation, rho = _qubit_env_case(rng)
     joint = dilation.joint_input(rho)
     dims = (dilation.sys_dim, dilation.env_dim)
+    ham = dilation.hamiltonian
     worst_s = -np.inf
-    for u in orbit_operators(dilation.hamiltonian,
-                             lambda lam: np.exp(-1j * lam * dilation.duration)):
+    for phases in _orbit_diagonals(ham, lambda lam: np.exp(-1j * lam * dilation.duration)):
+        u = _eigenbasis_operators(ham, phases)
         joint_s = u @ joint @ dagger(u)
         sys_dist = hellinger(partial_trace(joint_s, dims, over=1), rho)
         joint_dist = hellinger(joint_s, joint)
@@ -440,7 +442,7 @@ def check_variational_identity(i, rng, d):
     _, _, decomp = _random_decomposition(rng, d)
     rho = random_density(d, rank=int(rng.integers(1, d + 1)), seed=rng)
     sigma = closest_incoherent(rho, decomp)
-    return abs(c_half(rho, decomp) - (1.0 - affinity(rho, sigma) ** 2))
+    return abs(c_half(rho, decomp) - d_affinity_half(rho, sigma))
 
 
 @_trials("coherence-lemmas", "block-unitary-invariance", salt=43, trials=500, tol=1e-10,

@@ -15,7 +15,6 @@ from coherence_speed.channels import (
     EqualityGapReport,
     KrausChannel,
     apply_kraus,
-    dephasing_channel,
     dilate,
     equality_gap_analysis,
     load_channel,
@@ -72,7 +71,7 @@ def test_apply_kraus_is_cptp():
 
 def test_dephasing_channel_kills_off_diagonals():
     rng = np.random.default_rng(52)
-    chan = dephasing_channel(OrthogonalDecomposition.computational(4))
+    chan = KrausChannel(OrthogonalDecomposition.computational(4).projectors)
     rho = random_density(4, rank=4, seed=rng)
     out = apply_kraus(chan, rho)
     assert np.max(np.abs(out - np.diag(np.diag(out)))) < 1e-12
@@ -264,7 +263,7 @@ def test_stacked_apply_kraus_matches_the_loop():
         chan = random_channel(d, k, s)
         rho = random_density(d, rank=int(rng.integers(1, d + 1)), seed=rng)
         assert apply_kraus(chan, rho).tobytes() == _loop_apply_kraus(chan.operators, rho).tobytes()
-    chan = dephasing_channel(OrthogonalDecomposition.computational(3))
+    chan = KrausChannel(OrthogonalDecomposition.computational(3).projectors)
     rho = random_density(3, rank=3, seed=rng)
     assert apply_kraus(chan, rho).tobytes() == _loop_apply_kraus(chan.operators, rho).tobytes()
 
@@ -350,7 +349,7 @@ def _theorem3_composition(dilation, rho):
     """
     rho = linalg.validate_density(rho)
     sqrt_rho = linalg.matrix_sqrt_psd(rho)
-    joint = linalg.tensor(rho, pure_density(dilation.env_state))
+    joint = np.kron(rho, pure_density(dilation.env_state))
     dims = (dilation.sys_dim, dilation.env_dim)
     ham, duration = dilation.hamiltonian, dilation.duration
 
@@ -478,7 +477,7 @@ def test_a_dilation_checks_its_environment_state_once_and_keeps_it():
         with pytest.raises(InvalidState, match=match):
             channels.StinespringDilation(ham, 2, 2, bad)
     rho = random_density(2, rank=2, seed=69)
-    want = linalg.tensor(rho, pure_density([1.0, 0.0]))
+    want = np.kron(rho, pure_density([1.0, 0.0]))
     assert dil.joint_input(rho).tobytes() == want.tobytes()
 
 

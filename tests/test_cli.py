@@ -12,8 +12,10 @@ import numpy as np
 import pytest
 
 from coherence_speed import cli, dynamics, linalg, metrics
-from coherence_speed.avgdist import avg_distance_closed
+from coherence_speed.avgdist import avg_distance_closed, b_coefficient
+from coherence_speed.channels import dilate, qutrit_equality_channel
 from coherence_speed.cli import main
+from coherence_speed.coherence import c_half
 from coherence_speed.linalg import (
     SpectralHamiltonian,
     haar_random_state,
@@ -252,8 +254,14 @@ def test_channel_default_audit_is_equality_case(tmp_path):
     assert row["witness"] == 0.0 and row["witness_is_zero"] is True
     assert abs(row["gap"]) < 1e-10
     assert row["completeness_residual"] < 1e-15
-    # the joint Hamiltonian has too many levels for the bound columns
-    assert "avg_channel_distance" not in row
+    # the joint Hamiltonian has too many levels for the orbit columns, but the
+    # ceiling 2 (1 - B(T)) c_half(rho x |0><0|) needs no orbit
+    assert "avg_channel_distance" not in row and "slack" not in row
+    dilation = dilate(qutrit_equality_channel())
+    joint = np.kron(pure_density([1.0, 0.0, 0.0]), pure_density(dilation.env_state))
+    ceiling = (2.0 * (1.0 - b_coefficient(dilation.levels, dilation.duration))
+               * c_half(joint, dilation.hamiltonian.decomposition))
+    assert len(dilation.levels) == 12 and abs(row["coherence_ceiling"] - ceiling) < 1e-12
 
 
 def test_channel_from_file_reports_slack(tmp_path):
@@ -442,6 +450,20 @@ def test_nan_kraus_entry_is_a_usage_error(tmp_path, capsys):
     assert "Traceback" not in captured.err
 
 
+def test_amplitudes_within_the_norm_tolerance_are_normalized(tmp_path):
+    # a norm of 1 + 8e-10 passes TOL_NORM, but its square, the trace of the
+    # density, is 1 + 1.6e-9, past TOL_TRACE
+    bodies = []
+    for first in (1.0000000008, 1.0):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"sweep": {"spectrum": [0.0, 1.0], "t_steps": 5,
+                                             "state": {"amplitudes": [[first, 0], [0, 0]]}}}))
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
+        bodies.append(body_lines(out))
+    assert bodies[0] == bodies[1]
+
+
 def test_nan_state_amplitude_is_a_usage_error(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"qsl": {"spectrum": [0, 1], "t_steps": 3,
@@ -622,10 +644,10 @@ _NUM = r"-?\d\.\d{3}e[+-]\d\d"
      rf"channel: averaged distance exceeds the coherence ceiling by {_NUM}"),
     ("qsl", None, 1, rf"qsl: spread-based minimum time exceeded the elapsed time by {_NUM}"),
     # no check applies: 9 levels are past the brute-force cap, and the default
-    # channel's joint Hamiltonian has too many levels for the bound columns
+    # channel's joint Hamiltonian has too many levels for the orbit columns
     ("sweep", {"sweep": {"spectrum": list(range(9)), "t_steps": 5}}, 0, ""),
-    ("channel", None, 0,
-     r"note: bound columns omitted \(12 levels exceed brute-force cap 8\)"),
+    ("channel", None, 0, r"note: bound columns omitted: avg_channel_distance, slack "
+                         r"\(12 levels exceed brute-force cap 8\)"),
 ])
 def test_report_commands_exit_1_on_a_failed_check(tmp_path, capsys, monkeypatch, command,
                                                   section, code, err):

@@ -9,15 +9,12 @@ from coherence_speed.coherence import (
     c_half,
     c_l1,
     closest_incoherent,
-    coherence_vector,
-    is_maximally_coherent,
     is_refinement,
 )
 from coherence_speed.errors import DimensionMismatch, NotPSD
 from coherence_speed.linalg import (
     OrthogonalDecomposition,
     SpectralHamiltonian,
-    haar_random_state,
     pure_density,
     random_density,
     random_unitary,
@@ -45,8 +42,6 @@ def test_uniform_superposition_hits_maximum():
         psi = np.full(d, 1.0 / np.sqrt(d), dtype=complex)
         c = c_half(pure_density(psi), rank1(d))
         assert abs(c - (1.0 - 1.0 / d)) < 1e-12
-        assert is_maximally_coherent(psi, rank1(d))
-    assert not is_maximally_coherent(np.array([1.0, 0.0], dtype=complex), rank1(2))
 
 
 def test_closest_incoherent_is_the_variational_minimizer():
@@ -109,19 +104,6 @@ def test_l1_bound():
         assert c_half(rho, rank1(d)) <= 2.0 / (d - 1.0) * c_l1(rho) + 1e-10
 
 
-def test_coherence_vector_block_weights():
-    rng = np.random.default_rng(37)
-    ham = SpectralHamiltonian.from_spectrum(np.array([0.0, 1.0, 1.0, 2.5]))
-    psi = haar_random_state(4, rng)
-    r = coherence_vector(psi, ham)
-    assert len(r) == ham.level_count
-    assert abs(np.sum(r) - 1.0) < 1e-10
-    assert np.all(r >= -1e-12)
-    # weights are the squared block norms
-    for m, p in enumerate(ham.decomposition.projectors):
-        assert abs(r[m] - np.linalg.norm(p @ psi) ** 2) < 1e-10
-
-
 def test_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
         c_half(np.eye(3) / 3.0, rank1(2))
@@ -159,7 +141,6 @@ def test_the_lower_triangle_alone_decides_positivity():
     from coherence_speed.avgdist import (
         avg_distance_bruteforce,
         avg_distance_closed,
-        l1_upper_bound_check,
     )
     from coherence_speed.battery import qudit_battery_bound
     from coherence_speed.channels import (
@@ -176,7 +157,6 @@ def test_the_lower_triangle_alone_decides_positivity():
                lambda rho: closest_incoherent(rho, dec),
                lambda rho: avg_distance_closed(rho, ham, 1.3),
                lambda rho: avg_distance_bruteforce(rho, ham, 1.3),
-               lambda rho: l1_upper_bound_check(rho, ham, 1.3),
                lambda rho: qudit_battery_bound(rho, np.diag([0.0, 1.0, 2.5]), ham.matrix(), 0.3),
                lambda rho: theorem3_bound(dil, rho),
                lambda rho: equality_gap_analysis(chan, rho)]

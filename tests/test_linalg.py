@@ -1,5 +1,6 @@
 """Unit tests for the dense linear-algebra layer."""
 
+import dataclasses
 import inspect
 import itertools
 import warnings
@@ -27,14 +28,11 @@ from coherence_speed.linalg import (
     haar_random_state,
     hermitian_eig,
     matrix_sqrt_psd,
-    orbit_levels,
-    orbit_operators,
     partial_trace,
     pure_density,
     random_density,
     random_hermitian,
     random_unitary,
-    tensor,
     unitary_exp,
     validate_state_vector,
 )
@@ -103,7 +101,7 @@ def test_tensor_partial_trace_roundtrip():
     for _ in range(10):
         a = random_density(3, rank=2, seed=rng)
         b = random_density(2, rank=2, seed=rng)
-        ab = tensor(a, b)
+        ab = np.kron(a, b)
         assert abs(np.trace(ab).real - 1.0) < 1e-12
         assert np.max(np.abs(partial_trace(ab, (3, 2), over=1) - a)) < 1e-12
         assert np.max(np.abs(partial_trace(ab, (3, 2), over=0) - b)) < 1e-12
@@ -113,8 +111,8 @@ def test_decomposition_invariants_and_dephase():
     rng = np.random.default_rng(6)
     dec = OrthogonalDecomposition.from_basis(random_unitary(5, rng),
                                              [[0, 1], [2], [3, 4]])
-    assert dec.size == 3
-    assert dec.block_dims == (2, 1, 2)
+    assert len(dec.projectors) == 3
+    assert np.array_equal(np.trace(dec.projectors, axis1=1, axis2=2).real.round(), [2, 1, 2])
     assert np.max(np.abs(sum(dec.projectors) - np.eye(5))) < 1e-10
     rho = random_density(5, rank=3, seed=rng)
     deph = dec.dephase(rho)
@@ -130,11 +128,33 @@ def test_decomposition_rejects_incomplete_family():
         OrthogonalDecomposition((np.outer(e[0], e[0]), np.outer(e[1], e[1])))
 
 
+def _decompositions():
+    """A checked family and the two trusted ones: a lazy eigenspace build and a permuted one."""
+    ham = SpectralHamiltonian.from_spectrum([0.0, 1.0, 1.0, 2.5], random_unitary(4, 70))
+    return (OrthogonalDecomposition.computational(3), ham.decomposition,
+            ham.permute_levels([2, 0, 1]).decomposition)
+
+
+def test_a_decomposition_cannot_be_reassigned():
+    for dec in _decompositions():
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            dec.projectors = 2.0 * dec.projectors
+
+
+def test_a_decomposition_stack_cannot_be_written_in_place():
+    for dec in _decompositions():
+        with pytest.raises(ValueError, match="read-only"):
+            dec.projectors[0] = 0.0
+        with pytest.raises(ValueError, match="read-only"):
+            dec.projectors *= 2.0
+
+
 def test_from_spectrum_clusters_degenerate_levels():
     ham = SpectralHamiltonian.from_spectrum(np.array([0.0, 1.0, 1.0, 2.0]))
     assert ham.dim == 4
     assert ham.level_count == 3
-    assert ham.decomposition.block_dims == (1, 2, 1)
+    assert np.array_equal(np.trace(ham.decomposition.projectors, axis1=1, axis2=2).real.round(),
+                          [1, 2, 1])
     np.testing.assert_allclose(ham.levels, [0.0, 1.0, 2.0])
 
 
@@ -201,11 +221,11 @@ def test_orbit_levels_rebuild_every_permuted_hamiltonian():
             values = np.concatenate((levels, levels[-1:])) if doubled else levels
             ham = SpectralHamiltonian.from_spectrum(values, random_unitary(len(values), rng))
             assert ham.level_count == m
-            rows = orbit_levels(ham)
+            rows = np.concatenate(list(linalg._orbit_diagonals(ham, lambda lam: lam)))
             perms = list(itertools.permutations(range(m)))
             assert rows.shape == (len(perms), ham.dim)
             v = ham.eigenvectors
-            stacked = np.concatenate(list(orbit_operators(ham, lambda lam: lam)))
+            stacked = linalg._eigenbasis_operators(ham, rows)
             for k, s in enumerate(perms):
                 want = ham.permute_levels(s).matrix()
                 assert np.max(np.abs((v * rows[k]) @ v.conj().T - want)) < 1e-12
@@ -214,7 +234,8 @@ def test_orbit_levels_rebuild_every_permuted_hamiltonian():
 
 def test_orbit_operators_chunk_in_lexicographic_order():
     ham = SpectralHamiltonian.from_spectrum(np.arange(7, dtype=float))
-    chunks = list(orbit_operators(ham, lambda lam: lam))
+    chunks = [linalg._eigenbasis_operators(ham, rows)
+              for rows in linalg._orbit_diagonals(ham, lambda lam: lam)]
     assert [len(c) for c in chunks] == [ORBIT_CHUNK] * (5040 // ORBIT_CHUNK)
     diagonals = np.concatenate([np.diagonal(c, axis1=1, axis2=2).real for c in chunks])
     inverse = [np.argsort(s) for s in itertools.permutations(range(7))]
@@ -237,7 +258,7 @@ def test_the_cached_orbit_table_is_a_fresh_build_and_read_only():
             table[0, 0] = 1
     assert not any(index.flags.writeable for index in avgdist._upper_pairs(5))
     ham = SpectralHamiltonian.from_spectrum(np.array([0.0, 1.0, 1.0, 2.5]))
-    rows = orbit_levels(ham)
+    rows = next(linalg._orbit_diagonals(ham, lambda lam: lam))
     rows[0, 0] = 9.0            # a copy, which leaves the cached table as it was
     assert linalg._orbit_table(3).tobytes() == _fresh_orbit_table(3).tobytes()
 
@@ -394,7 +415,7 @@ def test_cluster_levels_bit_identical_to_the_loop():
 
 def _assert_checked_family(dec: OrthogonalDecomposition):
     rebuilt = OrthogonalDecomposition(dec.projectors)   # raises on any broken invariant
-    assert rebuilt.size == dec.size
+    assert len(rebuilt.projectors) == len(dec.projectors)
 
 
 def test_trusted_families_pass_the_full_check():

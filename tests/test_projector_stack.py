@@ -14,8 +14,6 @@ import pytest
 from coherence_speed.coherence import (
     c_half,
     closest_incoherent,
-    coherence_vector,
-    is_maximally_coherent,
     is_refinement,
 )
 from coherence_speed.dynamics import gap_squared_matrix, instantaneous_speed
@@ -75,14 +73,6 @@ def _loop_weights(psi, projectors):
 def _loop_speed(psi, ham):
     r = _loop_weights(psi, ham.decomposition.projectors)
     return float(np.sqrt(max(0.0, r @ gap_squared_matrix(ham.levels) @ r)))
-
-
-def _loop_is_maximally_coherent(psi, projectors, tol=1e-9):
-    target = 1.0 / np.sqrt(len(projectors))
-    for p in projectors:
-        if abs(float(np.linalg.norm(p @ psi)) - target) > tol:
-            return False
-    return True
 
 
 def _loop_is_refinement(fine, coarse, tol=1e-8):
@@ -162,7 +152,6 @@ def test_the_stack_is_the_stored_form():
     dec = OrthogonalDecomposition(family)
     family[0][0, 0] = 7.0
     assert dec.projectors[0, 0, 0] == 1.0
-    assert checked.block_dims == (2, 1, 2)
 
 
 def test_block_stack_is_bit_identical_to_each_block_product():
@@ -215,22 +204,9 @@ def test_dephase_and_block_weights_match_the_loops():
         for state in (psi, block / np.linalg.norm(block)):
             assert np.max(np.abs(dec._weights(state)
                                  - _loop_weights(state, dec.projectors))) <= 1e-15
-            assert is_maximally_coherent(state, dec) == _loop_is_maximally_coherent(
-                state, dec.projectors)
-        # equal weight on every block, then on the first block only
-        m = len(groups)
-        equal = sum(basis[:, g[0]] for g in groups) / np.sqrt(m)
-        assert is_maximally_coherent(equal, dec)
-        assert _loop_is_maximally_coherent(equal, dec.projectors)
-        if m >= 3:
-            rest = np.linspace(1.0, 2.0, m - 1)
-            amps = np.sqrt(np.concatenate(([1.0 / m], rest / rest.sum() * (m - 1) / m)))
-            partial = sum(a * basis[:, g[0]] for a, g in zip(amps, groups))
-            assert not is_maximally_coherent(partial, dec)
-            assert not _loop_is_maximally_coherent(partial, dec.projectors)
 
 
-def test_coherence_vector_and_speed_match_the_loops():
+def test_block_weights_and_speed_match_the_loops():
     rng = np.random.default_rng(66)
     for d in range(1, 9):
         for _ in range(10):
@@ -241,7 +217,7 @@ def test_coherence_vector_and_speed_match_the_loops():
                         SpectralHamiltonian.from_spectrum(w, basis)):
                 psi = haar_random_state(d, rng)
                 want = _loop_weights(psi, ham.decomposition.projectors)
-                assert np.max(np.abs(coherence_vector(psi, ham) - want)) <= 1e-15
+                assert np.max(np.abs(ham.decomposition._weights(psi) - want)) <= 1e-15
                 assert abs(instantaneous_speed(psi, ham) - _loop_speed(psi, ham)) <= 1e-15
 
 

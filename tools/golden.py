@@ -45,11 +45,7 @@ from pathlib import Path
 import numpy as np
 
 from coherence_speed import cli
-from coherence_speed.avgdist import (
-    avg_distance_bruteforce,
-    avg_distance_closed,
-    l1_upper_bound_check,
-)
+from coherence_speed.avgdist import avg_distance_bruteforce, avg_distance_closed
 from coherence_speed.battery import BatteryConfig, qudit_battery_bound, simulate_battery
 from coherence_speed.channels import (
     KrausChannel,
@@ -198,7 +194,6 @@ def _density_cases() -> dict:
                "closest_incoherent": lambda rho: closest_incoherent(rho, dec).tolist(),
                "avg_distance_closed": lambda rho: avg_distance_closed(rho, ham, 1.3),
                "avg_distance_bruteforce": lambda rho: avg_distance_bruteforce(rho, ham, 1.3),
-               "l1_upper_bound_check": lambda rho: l1_upper_bound_check(rho, ham, 1.3),
                "qudit_battery_bound": lambda rho: qudit_battery_bound(rho, h0, drive, 0.3),
                "theorem3_bound": lambda rho: theorem3_bound(dil, rho),
                "equality_gap_analysis": lambda rho: equality_gap_analysis(chan, rho),
