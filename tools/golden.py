@@ -9,8 +9,9 @@ It records
 - PASS/FAIL, trials, detail and the worst value (as ``float.hex``) of
   every check of every suite at seeds 0, 1, 34 and 83;
 - the exit code and stderr, or the exception and warnings, for a fixed
-  list of malformed inputs to the CLI and to the library, and the
-  outcome of each density entry on malformed, near-Hermitian and pure
+  list of malformed inputs to the CLI and to the library (among them
+  non-finite times, pulse and axis samples, and a ``SpectralHamiltonian``
+  built raw, written or reassigned), and the outcome of each density entry on malformed, near-Hermitian and pure
   3 x 3 states;
 - ``float.hex`` of (lhs, rhs) from direct ``theorem3_bound`` calls on
   random 2 x 2 and 3 x 2 channels at env_dim 2 and 3, on a unitary
@@ -40,13 +41,19 @@ import re
 import sys
 import tempfile
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from coherence_speed import cli
 from coherence_speed.avgdist import avg_distance_bruteforce, avg_distance_closed
-from coherence_speed.battery import BatteryConfig, qudit_battery_bound, simulate_battery
+from coherence_speed.battery import (
+    BatteryConfig,
+    qudit_battery_bound,
+    simulate_battery,
+    spin_operator,
+)
 from coherence_speed.channels import (
     KrausChannel,
     apply_kraus,
@@ -221,6 +228,21 @@ def _library_cases():
     def battery(tau, dt):
         return simulate_battery(BatteryConfig.default(tau=tau, dt=dt), [1.0, 0.0]).t.shape
 
+    def sampled(**fields):      # the grid 0, 0.25, ..., 1, with a NaN sample at t = 0.5
+        config = replace(BatteryConfig.default(dt=0.25), **fields)
+        return simulate_battery(config, [1.0, 0.0]).t.shape
+
+    def spectral(change):       # Theorem 1 for the plus state on a Hamiltonian after change(h)
+        h = SpectralHamiltonian.from_spectrum([0.0, 1.0, 2.0])
+        h = change(h) or h
+        return avg_distance_closed(pure_density(np.ones(3) / np.sqrt(3.0)), h, 0.7)
+
+    def write(h):
+        h.eigenvectors[:] = 2.0 * np.eye(3)
+
+    mixed = random_density(3, 2, 7)
+    three = SpectralHamiltonian.from_spectrum([0.0, 0.7, 1.9])
+
     return {
         "evolve-3-entry-state-on-2-levels": lambda: evolve(
             np.ones(3) / np.sqrt(3.0), HamiltonianPath.constant(gapped, 1.0, steps=4)),
@@ -244,6 +266,27 @@ def _library_cases():
         "battery-zero-dt": lambda: battery(1.0, 0.0),
         "battery-negative-dt": lambda: battery(1.0, -1e-3),
         "battery-negative-tau": lambda: battery(-1.0, 1e-3),
+        "battery-nan-epsilon": lambda: sampled(epsilon=NAN),
+        "battery-nan-pulse-sample": lambda: sampled(pulse=lambda t: np.where(t == 0.5, NAN, 0.0)),
+        "battery-nan-axis-sample": lambda: sampled(
+            drive_axis=lambda t: np.where((t == 0.5)[:, None], NAN, [1.0, 0.0, 0.0])),
+        "spin-operator-nan-axis": lambda: spin_operator([NAN, 0.0, 0.0]).tolist(),
+        "avg-distance-closed-nan-t": lambda: avg_distance_closed(mixed, three, NAN),
+        "avg-distance-closed-nan-t-no-brute": lambda: avg_distance_closed(
+            mixed, three, NAN, include_brute=False),
+        "avg-distance-bruteforce-nan-t": lambda: avg_distance_bruteforce(mixed, three, NAN),
+        "avg-distance-bruteforce-infinite-t": lambda: avg_distance_bruteforce(mixed, three, INF),
+        "stinespring-nan-duration": lambda: theorem3_bound(
+            replace(dilate(random_channel(2, 2, 0)), duration=NAN), random_density(2, 2, 0)),
+        "qudit-battery-nan-dt": lambda: qudit_battery_bound(
+            pure_density(np.ones(3) / np.sqrt(3.0)), np.diag([0.0, 1.0, 2.5]),
+            random_hermitian(3, 4), NAN),
+        "spectral-raw-constructor-2I": lambda: spectral(lambda h: SpectralHamiltonian(
+            np.array([0.0, 1.0, 2.0]), 2.0 * np.eye(3, dtype=complex),
+            np.array([0.0, 1.0, 2.0]), np.arange(3))),
+        "spectral-eigenvectors-written": lambda: spectral(write),
+        "spectral-eigenvalues-reassigned": lambda: spectral(
+            lambda h: setattr(h, "eigenvalues", np.array([0.0, 0.0, 2.0]))),
         **_density_cases(),
     }
 
