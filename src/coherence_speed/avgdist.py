@@ -20,11 +20,12 @@ respect to the eigenprojector decomposition:
 an independent oracle for the closed form.  It works in the eigenbasis
 V of H, where every U_s is the diagonal phase row
 phi_s = exp(-i lambda_s t) of the orbit (``_orbit_diagonals``): it forms
-R = V† rho V and Q = V† sqrt(rho) V once, builds every evolved state
+R = V† rho V, rho by the lower triangle its check read (``_lower_hermitian``),
+and Q = V† sqrt(rho) V once, builds every evolved state
 S_s = phi_s R phi_s† elementwise (sigma_s = U_s rho U_s† in the basis V)
-and takes each term from S_s's own checked eigendecomposition, one
-stacked diagonalization per chunk of the orbit, with Q as the root of
-R.  It never uses
+and takes each term from S_s's own eigendecomposition, with NotPSD and the
+dead band but no second Hermiticity check (``_psd_sqrt_eig``), one stacked
+diagonalization per chunk of the orbit, with Q as the root of R.  It never uses
 sqrt(S_s) = phi_s Q phi_s†, i.e. sqrt(sigma_s) = U_s sqrt(rho) U_s†,
 which is the closed form's own derivation step; the change of basis V
 is fixed and applies to rho as a whole, so it removes no dependence on
@@ -64,9 +65,11 @@ from .linalg import (
     SpectralHamiltonian,
     _Density,
     _eigenbasis_operators,
+    _lower_hermitian,
     _orbit_diagonals,
+    _psd_sqrt_eig,
     _read_only,
-    _sqrt_eig,
+    _require_finite,
     dagger,
 )
 from .metrics import _hellinger
@@ -78,8 +81,10 @@ def avg_distance_bruteforce(rho, ham: SpectralHamiltonian, t: float) -> float:
     """Literal permutation average of D(rho, U_s rho U_s†) (correctly rounded sum).
 
     Permutations are enumerated in lexicographic order.  Raises
-    TooManyLevels when the distinct level count exceeds BRUTE_FORCE_CAP.
+    TooManyLevels when the distinct level count exceeds BRUTE_FORCE_CAP,
+    and ValueError unless t is finite.
     """
+    _require_finite("t", t)
     return _bruteforce(_Density.of(rho), ham, t)
 
 
@@ -90,10 +95,10 @@ def _bruteforce(state: _Density, ham: SpectralHamiltonian, t: float) -> float:
         return _bruteforce_pure(state.psi, ham, t)
     v = ham.eigenvectors
     vh = dagger(v)
-    r = vh @ state.rho @ v
+    r = vh @ _lower_hermitian(state.rho) @ v
     q = vh @ state.root @ v
     return _orbit_mean(ham, lambda lam: np.exp(-1j * lam * t), lambda phi: _hellinger(
-        q, *_sqrt_eig(phi[:, :, None] * r * phi.conj()[:, None, :])))     # S_s, its own eigh
+        q, *_psd_sqrt_eig(phi[:, :, None] * r * phi.conj()[:, None, :])))     # S_s, its own eigh
 
 
 def _bruteforce_pure(psi: np.ndarray, ham: SpectralHamiltonian, t: float) -> float:
@@ -202,7 +207,9 @@ def avg_distance_closed(rho, ham: SpectralHamiltonian, t: float,
 
     include_brute defaults to "when the level count is within the cap".
     A single-level Hamiltonian gives coefficient 1 and distance 0.
+    ValueError unless t is finite.
     """
+    _require_finite("t", t)
     state = _Density.of(rho)        # one root serves c_half and the oracle
     coef, coh, closed = _closed_form(state.root, ham, t)
     if include_brute is None:

@@ -58,8 +58,8 @@ from .linalg import (
     _Density,
     _eigenbasis_operators,
     _read_only,
+    _require_finite,
     dagger,
-    hermitian_eig,
     hermitianize,
     require_hermitian,
     unitary_exp,
@@ -80,12 +80,14 @@ def spin_operator(axis) -> np.ndarray:
     """n.sigma for a unit 3-vector n (eigenvalues exactly +-1).
 
     A stack of axes (k, 3) gives the stack (k, 2, 2); every axis must
-    be unit length.
+    be finite and unit length (InvalidState otherwise).
     """
     n = np.asarray(axis, dtype=float)
     if n.ndim not in (1, 2) or n.shape[-1] != 3:
         raise InvalidState("axis must be a 3-vector or a stack (k, 3) of them")
     nrm = np.linalg.norm(n, axis=-1)
+    if np.isnan(nrm).any():         # a NaN entry; NaN fails the `>` test below
+        raise InvalidState("axis entries are not all finite")
     off = np.abs(nrm - 1.0) > TOL_NORM
     if off.any():
         raise InvalidState(f"axis norm {float(nrm[off].flat[0])!r} differs from 1")
@@ -143,7 +145,7 @@ class BatteryConfig:
     for every point, and must vanish at t = 0 and t = tau (checked to
     TOL_ZERO on the first and last values); drive_axis returns (N+1, 3)
     unit vectors or one unit 3-vector, a fixed axis.  Any other shape
-    raises DimensionMismatch.
+    raises DimensionMismatch, and a non-finite sample ValueError.
     """
 
     epsilon: float
@@ -231,12 +233,14 @@ class BatteryRun:
 def _sampled(values, grid_shape: tuple, name: str) -> np.ndarray:
     """A config callable's output on the grid: grid_shape, or one sample for every point.
 
-    DimensionMismatch for any other shape.
+    DimensionMismatch for any other shape; ValueError for a non-finite sample.
     """
     values = np.asarray(values, dtype=float)
     if values.shape not in (grid_shape, grid_shape[1:]):
         raise DimensionMismatch(f"{name} gave shape {values.shape} on a grid of "
                                 f"{grid_shape[0]} points; expected {grid_shape} or {grid_shape[1:]}")
+    if not np.isfinite(values).all():
+        raise ValueError(f"{name} gave samples that are not all finite")
     return values
 
 
@@ -248,11 +252,13 @@ def simulate_battery(config: BatteryConfig, psi0) -> BatteryRun:
     work over [t, t + dt], its coherence ceiling, and the running sum.
     The pulse and the drive axis are called once each, with that grid
     (see ``BatteryConfig``).  ValueError unless tau and dt are finite
-    and positive.
+    and positive and epsilon is finite; the branch Hamiltonians built
+    from these checked values are not checked again.
     """
     for name, value in (("tau", config.tau), ("dt", config.dt)):
         if not 0 < value < np.inf:
             raise ValueError(f"{name} must be finite and positive, got {value!r}")
+    _require_finite("epsilon", config.epsilon)
     psi0 = validate_state_vector(psi0)
     if len(psi0) != 2:
         raise InvalidState("battery protocol is a qubit model")
@@ -268,11 +274,11 @@ def simulate_battery(config: BatteryConfig, psi0) -> BatteryRun:
     drive = spin_operator(_sampled(config.drive_axis(times), times.shape + (3,), "drive_axis"))
     h0 = config.epsilon * _P1
     pulsed = etas[:, None, None] * drive
-    psi, w, vecs = _propagate(psi0, times, require_hermitian(h0 + pulsed))
-    w_minus, vecs_minus = hermitian_eig(h0 - pulsed)
+    psi, w, vecs = _propagate(psi0, times, h0 + pulsed)
+    w_minus, vecs_minus = np.linalg.eigh(h0 - pulsed)
     work = 0.5 * (_stacked_branch_work(psi, config.epsilon, w, vecs, config.dt)
                   + _stacked_branch_work(psi, config.epsilon, w_minus, vecs_minus, config.dt))
-    basis = np.broadcast_to(hermitian_eig(drive)[1].conj(), (len(times), 2, 2))
+    basis = np.broadcast_to(np.linalg.eigh(drive)[1].conj(), (len(times), 2, 2))
     # |a_m|^2 in the drive basis; their sum is ||psi||^2
     a2 = np.abs(np.einsum("kji,kj->ki", basis, psi)) ** 2
     coh = np.maximum(0.0, 1.0 - (a2 * a2).sum(axis=1) / a2.sum(axis=1))
@@ -292,7 +298,8 @@ def qudit_battery_bound(rho, h0, v, dt: float) -> tuple[float, float]:
     which reduces to the qubit form for V with spectrum +-1.  Stated
     for pure rho (the trajectory states of the protocol).  h0 and v
     must be Hermitian (NotHermitian otherwise) and share rho's
-    dimension (DimensionMismatch otherwise).
+    dimension (DimensionMismatch otherwise), and dt be finite (ValueError
+    otherwise); each member's h0 + V_s is not checked again.
     """
     state = _Density.of(rho)
     rho = state.rho
@@ -301,9 +308,10 @@ def qudit_battery_bound(rho, h0, v, dt: float) -> tuple[float, float]:
     if not len(h0) == ham_v.dim == len(rho):
         raise DimensionMismatch(f"h0, v and rho have dimensions {len(h0)}, "
                                 f"{ham_v.dim} and {len(rho)}")
+    _require_finite("dt", dt)
 
     def works(lam):
-        w, vecs = hermitian_eig(h0 + _eigenbasis_operators(ham_v, lam))     # h0 + V_s
+        w, vecs = np.linalg.eigh(h0 + _eigenbasis_operators(ham_v, lam))     # h0 + V_s
         u = (vecs * np.exp(-1j * w * dt)[:, None, :]) @ dagger(vecs)
         return np.trace(h0 @ (rho - u @ rho @ dagger(u)), axis1=-2, axis2=-1).real
 

@@ -27,7 +27,7 @@ frozen, with a read-only stack, so ``dilate`` hands its arrays to LAPACK
 unitary, which only a stack set past the frozen dataclass
 (``object.__setattr__``) can give.  ``theorem3_bound`` and the gap
 analysis check their state once (``linalg._Density``); the channel
-outputs of the orbit and the joint input are Hermitian by construction
+outputs, the joint input and its evolution are built from checked values
 and are rooted without a further Hermiticity check.
 """
 
@@ -56,7 +56,7 @@ from .linalg import (
     _psd_sqrt_eig,
     _read_only,
     _rebuild,
-    _sqrt_eig,
+    _require_finite,
     _trace_second,
     dagger,
     hermitianize,
@@ -65,7 +65,7 @@ from .linalg import (
     unitary_exp,
     validate_density,
 )
-from .metrics import _hellinger, hellinger
+from .metrics import _hellinger
 from .schemas import _complex_array, parse_json, validate_document
 
 
@@ -140,9 +140,9 @@ def random_channel(dim: int, n_kraus: int, seed) -> KrausChannel:
 class StinespringDilation:
     """Unitary model of a channel: evolve rho x env under exp(-i H T), trace out env.
 
-    Immutable: the environment state is checked once, on construction
-    (finite entries, unit norm), kept as a read-only copy and trusted
-    from then on.
+    Immutable: the environment state (finite entries, unit norm, kept as a
+    read-only copy) and the duration (finite, ValueError otherwise) are
+    checked once, on construction, and trusted from then on.
     """
 
     hamiltonian: SpectralHamiltonian
@@ -162,6 +162,7 @@ class StinespringDilation:
             raise InvalidState("environment state entries are not all finite")
         if abs(np.linalg.norm(env) - 1.0) > TOL_NORM:
             raise InvalidState("environment state is not normalized")
+        _require_finite("duration", self.duration)
         object.__setattr__(self, "env_state", _read_only(env))
 
     @property
@@ -380,11 +381,11 @@ def _equality_gap(channel: KrausChannel, dilation: StinespringDilation,
         raise InvalidState("equality analysis requires a pure input state")
     rho = _lower_hermitian(state.rho)
     out = _apply_kraus(channel, rho)
-    d_sys = _hellinger(state.root, *_sqrt_eig(out))
+    d_sys = _hellinger(state.root, *_psd_sqrt_eig(out))
     u = dilation.unitary()
     joint0 = dilation._joint(rho)
     joint1 = u @ joint0 @ u.conj().T
-    d_joint = hellinger(joint0, hermitianize(joint1))
+    d_joint = _hellinger(_rebuild(*_psd_sqrt_eig(joint0)), *_psd_sqrt_eig(hermitianize(joint1)))
     witness = float(np.trace(rho @ out).real)
     return EqualityGapReport(system_distance=d_sys, dilated_distance=d_joint,
                              gap=d_joint - d_sys, witness=witness)

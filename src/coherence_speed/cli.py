@@ -21,7 +21,6 @@ import sys
 from datetime import datetime, timezone
 
 import numpy as np
-from jsonschema import ValidationError
 
 from . import __version__
 from .avgdist import BRUTE_FORCE_CAP, _bruteforce, _closed_form
@@ -122,6 +121,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _load_config(path: str) -> dict:
+    from jsonschema import ValidationError
     try:
         with open(path, encoding="utf-8") as fh:
             doc = parse_json(fh.read())
@@ -343,6 +343,7 @@ def _cmd_battery(ns, config: dict) -> int:
 
 
 def _cmd_channel(ns, config: dict) -> int:
+    from jsonschema import ValidationError
     seed, tol, out, fmt = _resolve_common(ns, config, TOL_REPORT)
     section = config.get("channel", {})
     channel_spec = section.get("channel", "qutrit-equality")

@@ -222,12 +222,12 @@ def _propagate(psi0: np.ndarray, times: np.ndarray,
                h: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """States on the grid from the Hermitian samples h (N+1, d, d), with their eigendata (w, v).
 
-    The callers check the samples.  One stacked eigh gives every step
-    unitary V exp(-i w dt) V†.  The step guard is checked on
-    the whole grid before any propagation: GridTooCoarse when the half
-    spectral width (lambda_max - lambda_min) / 2 times |dt| exceeds 1, one
-    warning above 0.1.  Raises InvalidState when the norm drifts by more
-    than TOL_DRIFT over the grid.
+    The samples were checked where they entered, or built from checked
+    values.  One stacked eigh gives every step unitary V exp(-i w dt) V†.
+    The step guard is checked on the whole grid before any propagation:
+    GridTooCoarse when the half spectral width (lambda_max - lambda_min) / 2
+    times |dt| exceeds 1, one warning above 0.1.  Raises InvalidState when
+    the norm drifts by more than TOL_DRIFT over the grid.
     """
     w, v = np.linalg.eigh(h)
     dts = np.diff(times)

@@ -11,9 +11,9 @@ Each numerical tolerance of the library is an absolute constant of this
 table, sized for d <= 16 in double precision; none is an argument.  The
 verification checks declare their own.  Columns: value, bound, sites.
 
-  TOL_HERM    1e-9   max|A - A†|: is_hermitian, require_hermitian and callers, _Density.of
-                     (validate_density); not applied to operands Hermitian by construction:
-                     theorem3_bound's channel outputs and joint (_psd_sqrt_eig), dilate's generator
+  TOL_HERM    1e-9   max|A - A†| of a caller's matrix, where it enters: is_hermitian,
+                     require_hermitian, _Density.of (validate_density); an operand the package
+                     builds from checked values is trusted and not checked again
   TOL_NORM    1e-9   a norm vs its target: states, env_state, qubit amplitudes, spin axes, blocks
   TOL_TRACE   1e-9   |Tr rho - 1|: _Density.of (validate_density)
   TOL_ORTH    1e-9   max|U†U - I| of dilate's unitary completion, once U is checked finite
@@ -112,23 +112,14 @@ def hermitian_eig(h) -> tuple[np.ndarray, np.ndarray]:
     return np.linalg.eigh(require_hermitian(h))
 
 
-def _sqrt_eig(rho) -> tuple[np.ndarray, np.ndarray]:
-    """Roots sqrt(w) of the eigenvalues and the eigenvectors of a PSD matrix or stack.
-
-    Holds every check of matrix_sqrt_psd: NotHermitian (require_hermitian),
-    then those of ``_psd_sqrt_eig``.
-    """
-    return _psd_sqrt_eig(require_hermitian(rho))
-
-
 def _psd_sqrt_eig(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """_sqrt_eig of a complex matrix or stack that is Hermitian by construction.
+    """Roots sqrt(w) of the eigenvalues and the eigenvectors of a complex PSD matrix or stack.
 
-    One eigh, NotPSD for an eigenvalue below -TOL_PSD, and the dead
-    band, which reads eigenvalues below TOL_PSD as exact zeros; no
-    Hermiticity check.  For package-built operands only: a
-    ``hermitianize`` output, or a Kronecker product of exactly Hermitian
-    factors.
+    One eigh, which reads the lower triangle, NotPSD for an eigenvalue
+    below -TOL_PSD, and the dead band, which reads eigenvalues below
+    TOL_PSD as exact zeros; no Hermiticity check.  A caller's matrix
+    passes ``require_hermitian`` first; an operand the package built from
+    checked values comes as it is.
     """
     w, v = np.linalg.eigh(h)
     low = w.min() if w.ndim > 1 else w[0]
@@ -150,15 +141,15 @@ def _rebuild(roots: np.ndarray, v: np.ndarray) -> np.ndarray:
 def matrix_sqrt_psd(rho) -> np.ndarray:
     """Hermitian square root of a PSD matrix, or of each matrix in a stack (..., d, d).
 
-    Rebuilt as W diag(sqrt w) W† from ``_sqrt_eig``, which holds the
-    checks: eigenvalues within TOL_PSD of zero are treated as exact
-    zeros (sqrt amplifies eigensolver noise on a singular matrix from
-    1e-16 to 1e-8 otherwise); anything below -TOL_PSD raises NotPSD.
-    Every matrix of a stack gets its own eigendecomposition and these
-    checks.  Callers that only need a trace against the root, as
-    ``metrics.affinity`` does, take ``_sqrt_eig`` and skip the rebuild.
+    Rebuilt as W diag(sqrt w) W† from ``_psd_sqrt_eig`` of the checked
+    matrix (NotHermitian from ``require_hermitian``): eigenvalues within
+    TOL_PSD of zero are treated as exact zeros (sqrt amplifies eigensolver
+    noise on a singular matrix from 1e-16 to 1e-8 otherwise); anything
+    below -TOL_PSD raises NotPSD.  Every matrix of a stack gets its own
+    eigendecomposition and these checks.  Callers that only need a trace
+    against the root, as ``metrics.affinity`` does, skip the rebuild.
     """
-    return _rebuild(*_sqrt_eig(rho))
+    return _rebuild(*_psd_sqrt_eig(require_hermitian(rho)))
 
 
 def validate_density(rho) -> np.ndarray:
@@ -222,6 +213,12 @@ def _lower_hermitian(rho: np.ndarray) -> np.ndarray:
     h = low + dagger(low)
     np.fill_diagonal(h, rho.diagonal().real)
     return h
+
+
+def _require_finite(name: str, value) -> None:
+    """ValueError naming the argument unless the real scalar value is finite."""
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value!r}")
 
 
 def validate_state_vector(psi) -> np.ndarray:
@@ -442,7 +439,7 @@ def _cluster_levels(eigvals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return levels, level_of
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class SpectralHamiltonian:
     """Hermitian operator carried as its full spectral data.
 
@@ -456,15 +453,19 @@ class SpectralHamiltonian:
 
     Input is validated where it enters: ``from_matrix`` checks
     Hermiticity, ``from_spectrum`` that the eigenvalues are finite and a
-    caller's basis finite and orthonormal to TOL_STRUCT.  The eigenspace
-    families built from such a basis, from an ``eigh`` eigenbasis, from
-    the computational basis and by ``permute_levels`` are trusted.
+    caller's basis finite and orthonormal to TOL_STRUCT.  They and
+    ``permute_levels`` are the only builders (calling the class raises
+    TypeError); the class is frozen and its arrays read-only views, so
+    its eigenspace families are trusted.
     """
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
     levels: np.ndarray
     level_of: np.ndarray
+
+    def __init__(self, *args, **kwargs) -> None:
+        raise TypeError("build a SpectralHamiltonian with from_matrix or from_spectrum")
 
     @classmethod
     def from_matrix(cls, h) -> "SpectralHamiltonian":
@@ -501,9 +502,15 @@ class SpectralHamiltonian:
     @classmethod
     def _build(cls, w: np.ndarray, v: np.ndarray) -> "SpectralHamiltonian":
         """From ascending eigenvalues and the orthonormal basis that carries them."""
-        levels, level_of = _cluster_levels(w)
-        return cls(eigenvalues=np.asarray(w, dtype=float), eigenvectors=v,
-                   levels=levels, level_of=level_of)
+        return cls._trusted(np.asarray(w, dtype=float), v, *_cluster_levels(w))
+
+    @classmethod
+    def _trusted(cls, *arrays: np.ndarray) -> "SpectralHamiltonian":
+        """From eigenvalues, eigenvectors, levels and level_of built inside the package."""
+        ham = cls.__new__(cls)
+        for name, value in zip(("eigenvalues", "eigenvectors", "levels", "level_of"), arrays):
+            object.__setattr__(ham, name, _read_only(value))
+        return ham
 
     @functools.cached_property
     def decomposition(self) -> OrthogonalDecomposition:
@@ -541,14 +548,11 @@ class SpectralHamiltonian:
             raise BadPermutation(f"{assignment!r} is not a permutation of 0..{m_count - 1}")
         level_of = np.argsort(s)[self.level_of]      # new level of each eigenvector column
         cols = np.argsort(level_of, kind="stable")   # regrouped by new level, in column order
-        out = SpectralHamiltonian(
-            eigenvalues=self.levels[level_of[cols]],
-            eigenvectors=self.eigenvectors[:, cols],
-            levels=self.levels.copy(),
-            level_of=level_of[cols],
-        )
+        out = SpectralHamiltonian._trusted(self.levels[level_of[cols]], self.eigenvectors[:, cols],
+                                           self.levels, level_of[cols])
         # the parent's blocks, reordered: set in place of the lazy build
-        out.decomposition = OrthogonalDecomposition._trusted(self.decomposition.projectors[list(s)])
+        object.__setattr__(out, "decomposition",
+                           OrthogonalDecomposition._trusted(self.decomposition.projectors[list(s)]))
         return out
 
 

@@ -21,9 +21,10 @@ from .linalg import (
     TOL_PSD,
     TOL_ZERO,
     SpectralHamiltonian,
-    _sqrt_eig,
+    _psd_sqrt_eig,
     dagger,
     matrix_sqrt_psd,
+    require_hermitian,
     validate_state_vector,
 )
 
@@ -34,15 +35,15 @@ def affinity(rho, sigma) -> float | np.ndarray:
     Either state may be a stack (..., d, d), broadcast against the
     other; the result is then an array of overlaps, each clipped.
     sqrt(sigma) = W diag(sqrt w) W† is never formed: sigma gets its own
-    checked eigendecomposition (``_sqrt_eig``, with the checks and dead
-    band of matrix_sqrt_psd) and the overlap is
+    checked eigendecomposition (``_psd_sqrt_eig`` after ``require_hermitian``,
+    the checks and dead band of matrix_sqrt_psd) and the overlap is
     sum_j sqrt(w_j) Re (W† sqrt(rho) W)_jj.
     """
-    return _overlap(matrix_sqrt_psd(rho), *_sqrt_eig(sigma))
+    return _overlap(matrix_sqrt_psd(rho), *_psd_sqrt_eig(require_hermitian(sigma)))
 
 
 def _overlap(a: np.ndarray, roots: np.ndarray, w: np.ndarray) -> float | np.ndarray:
-    """affinity from sqrt(rho) = a and the ``_sqrt_eig`` of sigma (or of each of a stack)."""
+    """affinity from sqrt(rho) = a and the ``_psd_sqrt_eig`` of sigma (or of each of a stack)."""
     if a.shape[-2:] != w.shape[-2:]:
         raise DimensionMismatch(f"shapes {a.shape} and {w.shape} differ")
     # (W† a W)_jj = sum_i conj(W_ij) (a W)_ij
@@ -60,7 +61,7 @@ def hellinger(rho, sigma) -> float | np.ndarray:
 
 
 def _hellinger(a: np.ndarray, roots: np.ndarray, w: np.ndarray) -> float | np.ndarray:
-    """hellinger from sqrt(rho) = a and the ``_sqrt_eig`` or ``_psd_sqrt_eig`` of sigma."""
+    """hellinger from sqrt(rho) = a and the ``_psd_sqrt_eig`` of sigma."""
     return 2.0 * (1.0 - _overlap(a, roots, w))
 
 
@@ -73,7 +74,7 @@ def d_affinity_half(rho, sigma) -> float:
 def fidelity(rho, sigma) -> float:
     """Uhlmann fidelity [Tr sqrt(sqrt(rho) sigma sqrt(rho))]^2, clipped into [0, 1]."""
     s = matrix_sqrt_psd(rho)
-    _sqrt_eig(sigma)            # the checks affinity makes of sigma: NotHermitian, NotPSD
+    _psd_sqrt_eig(require_hermitian(sigma))     # affinity's checks of sigma: NotHermitian, NotPSD
     sig = np.asarray(sigma, dtype=complex)
     if sig.shape != s.shape:
         raise DimensionMismatch(f"shapes {s.shape} and {sig.shape} differ")

@@ -1,4 +1,7 @@
-"""JSON schema loading and validation for config and channel documents."""
+"""JSON schema loading and validation for config and channel documents.
+
+``jsonschema`` is imported on the first validation, not with the package.
+"""
 
 from __future__ import annotations
 
@@ -8,8 +11,6 @@ from functools import lru_cache
 from importlib import resources
 
 import numpy as np
-from jsonschema.exceptions import best_match
-from jsonschema.validators import validator_for
 
 from .errors import DimensionMismatch
 
@@ -24,6 +25,7 @@ def load_schema(name: str) -> dict:
 
 @lru_cache(maxsize=None)
 def _validator(name: str):
+    from jsonschema.validators import validator_for
     schema = load_schema(name)
     return validator_for(schema)(schema)
 
@@ -57,6 +59,7 @@ def validate_document(doc: dict, schema_name: str) -> None:
     metaschema is checked by the test suite, not here: each schema is
     compiled into a validator once per process.
     """
+    from jsonschema.exceptions import best_match
     error = best_match(_validator(schema_name).iter_errors(doc))
     if error is not None:
         raise error

@@ -433,3 +433,25 @@ def test_a_grid_of_times_gives_the_per_point_coefficients_bit_for_bit():
         assert [v.hex() for v in b_coefficient(lam, times).tolist()] == want
         assert [v.hex() for v in a_coefficient(lam, times).tolist()] == want
     assert b_coefficient(lam, times[:250].reshape(10, 25)).shape == (10, 25)
+
+
+def test_near_hermitian_states_pass_the_mixed_oracle():
+    # states Hermitian only to within 0.9e-9 pass the check; their evolved states,
+    # rotated into the eigenbasis, were once checked again and failed beyond 1e-9
+    rng = np.random.default_rng(0)
+    ham = SpectralHamiltonian.from_spectrum(_spread_spectrum(rng, 4), random_unitary(4, rng))
+    upper = np.triu_indices(4, 1)
+    worst = 0.0
+    for _ in range(200):
+        rho = random_density(4, rank=4, seed=rng)
+        rho[upper] += 0.9e-9 * np.exp(2j * np.pi * rng.random(6))
+        worst = max(worst, avg_distance_closed(rho, ham, 0.7, include_brute=True).gap)
+    assert worst <= 1e-12
+
+
+@pytest.mark.parametrize("t", [float("nan"), float("inf"), -float("inf")])
+@pytest.mark.parametrize("entry", [avg_distance_closed, avg_distance_bruteforce])
+def test_a_non_finite_time_is_rejected_where_it_enters(entry, t):
+    ham = SpectralHamiltonian.from_spectrum([0.0, 0.7, 1.9])
+    with pytest.raises(ValueError, match=f"t must be finite, got {t!r}"):
+        entry(random_density(3, 2, 7), ham, t)

@@ -361,6 +361,40 @@ def test_a_callable_of_another_shape_is_rejected(pulse, axis, message):
         simulate_battery(BatteryConfig(1.0, 1.0, 0.05, pulse, axis), PLUS)
 
 
+def _nan_at_half(t, value):
+    """value at every grid time but t = 0.5, NaN there."""
+    return np.where((t == 0.5).reshape(t.shape + (1,) * (np.ndim(value))), np.nan, value)
+
+
+@pytest.mark.parametrize("fields, message", [
+    ({"pulse": lambda t: _nan_at_half(t, 0.0)}, "pulse gave samples that are not all finite"),
+    ({"pulse": lambda t: np.inf}, "pulse gave samples that are not all finite"),
+    ({"drive_axis": lambda t: _nan_at_half(t, [1.0, 0.0, 0.0])},
+     "drive_axis gave samples that are not all finite"),
+    ({"epsilon": np.nan}, "epsilon must be finite, got nan")],
+    ids=["nan-pulse-sample", "infinite-pulse", "nan-axis-sample", "nan-epsilon"])
+def test_a_non_finite_protocol_value_is_rejected_where_it_enters(fields, message):
+    # each reached the drive Hamiltonians, and only their Hermiticity check stopped it
+    config = dataclasses.replace(BatteryConfig.default(dt=0.05), **fields)
+    with pytest.raises(ValueError) as info:
+        simulate_battery(config, PLUS)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("axis", [[np.nan, 0.0, 0.0], [[1.0, 0.0, 0.0], [0.0, np.nan, 1.0]]],
+                         ids=["one-axis", "stack"])
+def test_a_nan_axis_is_rejected(axis):
+    # NaN fails no norm test, so n.sigma came back as a NaN matrix
+    with pytest.raises(InvalidState, match="axis entries are not all finite"):
+        spin_operator(axis)
+
+
+@pytest.mark.parametrize("dt", [np.nan, np.inf])
+def test_a_non_finite_qudit_window_is_rejected(dt):
+    with pytest.raises(ValueError, match=f"dt must be finite, got {dt!r}"):
+        qudit_battery_bound(pure_density(PLUS), P1, spin_operator([1.0, 0.0, 0.0]), dt)
+
+
 def test_a_config_cannot_be_reassigned():
     config = BatteryConfig.default()
     for name, value in (("dt", 0.5), ("tau", 2.0), ("pulse", lambda t: 0.3)):

@@ -181,19 +181,32 @@ def test_dilation_eigenphases_at_pi_form_one_level():
         assert np.max(np.abs(dil.unitary() - u)) < 1e-12, s
 
 
+@pytest.mark.parametrize("duration", [float("nan"), float("inf")])
+def test_a_non_finite_duration_is_rejected(duration):
+    # a NaN duration gave theorem3_bound (nan, nan)
+    dil = dilate(random_channel(2, 2, 0))
+    with pytest.raises(ValueError, match=f"duration must be finite, got {duration!r}"):
+        dataclasses.replace(dil, duration=duration)
+    with pytest.raises(ValueError, match="duration must be finite"):
+        channels.StinespringDilation(dil.hamiltonian, 2, 2, [1.0, 0.0], duration)
+
+
 def test_equality_gap_analysis_validates_rho_once(monkeypatch):
     # one checked state, whose eigenvalues give purity and whose root the system distance
     states, sqrt_shapes = [], []
-    of, sqrt_psd = linalg._Density.of, linalg.matrix_sqrt_psd
+    of, psd_sqrt_eig = linalg._Density.of, linalg._psd_sqrt_eig
     monkeypatch.setattr(linalg._Density, "of",
                         lambda rho, psi=None: states.append(np.shape(rho)) or of(rho, psi))
-    monkeypatch.setattr(metrics, "matrix_sqrt_psd",
-                        lambda rho: sqrt_shapes.append(np.shape(rho)) or sqrt_psd(rho))
+    monkeypatch.setattr(channels, "_psd_sqrt_eig",
+                        lambda h: sqrt_shapes.append(np.shape(h)) or psd_sqrt_eig(h))
+    for module in (linalg, metrics):
+        monkeypatch.setattr(module, "matrix_sqrt_psd", None)
     monkeypatch.setattr(np.linalg, "eigvalsh", None)
     report = equality_gap_analysis(qutrit_equality_channel(),
                                    pure_density(np.array([1, 0, 0], dtype=complex)))
     assert states == [(3, 3)]
-    assert sqrt_shapes == [(12, 12)]          # the joint input's, never rho's
+    # the output and the joint before and after the unitary, never rho
+    assert sqrt_shapes == [(3, 3), (12, 12), (12, 12)]
     assert report.witness == 0.0 and abs(report.system_distance - 2.0) < 1e-12
 
 
@@ -344,8 +357,8 @@ def _theorem3_composition(dilation, rho):
 
     validate_density and matrix_sqrt_psd of rho, np.kron for the joint,
     partial_trace and the overlap with the root of rho, from a Hermiticity-checked
-    eigh (``_sqrt_eig``), for every orbit term, and matrix_sqrt_psd of the joint
-    for _closed_form.
+    eigh (``require_hermitian``, then ``_psd_sqrt_eig``), for every orbit term, and
+    matrix_sqrt_psd of the joint for _closed_form.
     """
     rho = linalg.validate_density(rho)
     sqrt_rho = linalg.matrix_sqrt_psd(rho)
@@ -356,7 +369,8 @@ def _theorem3_composition(dilation, rho):
     def distances(phi):
         u = linalg._eigenbasis_operators(ham, phi)
         out = linalg.partial_trace(u @ joint @ linalg.dagger(u), dims, over=1)
-        return 2.0 * (1.0 - metrics._overlap(sqrt_rho, *linalg._sqrt_eig(linalg.hermitianize(out))))
+        out = linalg.require_hermitian(linalg.hermitianize(out))
+        return 2.0 * (1.0 - metrics._overlap(sqrt_rho, *linalg._psd_sqrt_eig(out)))
 
     lhs = avgdist._orbit_mean(ham, lambda lam: np.exp(-1j * lam * duration), distances)
     return lhs, avgdist._closed_form(linalg.matrix_sqrt_psd(joint), ham, duration)[2]

@@ -700,11 +700,12 @@ def test_negative_seed_from_the_environment_is_a_usage_error(monkeypatch, capsys
 
 
 def test_importing_the_command_line_leaves_scipy_unloaded():
-    # scipy.linalg is imported on the first dilate, not with the package
+    # scipy.linalg is imported on the first dilate and jsonschema on the first
+    # document read, not with the package
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    code = ("import sys, coherence_speed.cli; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    code = ("import sys, coherence_speed.cli; print(sorted(m for m in sys.modules "
+            "if m.split('.')[0] in ('scipy', 'jsonschema')))")
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                           check=True)
     assert done.stdout == "[]\n"

@@ -149,6 +149,51 @@ def test_a_decomposition_stack_cannot_be_written_in_place():
             dec.projectors *= 2.0
 
 
+def _hamiltonians():
+    """Each builder's operator: from a matrix, from a spectrum, and a permute_levels child."""
+    ham = SpectralHamiltonian.from_spectrum([0.0, 1.0, 1.0, 2.5], random_unitary(4, 71))
+    return (SpectralHamiltonian.from_matrix(random_hermitian(3, 71)), ham,
+            ham.permute_levels([2, 0, 1]))
+
+
+_SPECTRAL_FIELDS = ("eigenvalues", "eigenvectors", "levels", "level_of")
+
+
+def test_a_hamiltonian_cannot_be_reassigned():
+    for ham in _hamiltonians():
+        for name in _SPECTRAL_FIELDS + ("decomposition",):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(ham, name, getattr(ham, name))
+
+
+def test_a_hamiltonians_arrays_cannot_be_written_in_place():
+    for ham in _hamiltonians():
+        for name in _SPECTRAL_FIELDS:
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(ham, name)[0] = 0
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(ham, name)[...] *= 2
+
+
+def test_a_hamiltonian_has_no_raw_constructor():
+    # the unchecked eigenvectors 2 I gave coherence, closed form and brute force 0.0
+    with pytest.raises(TypeError, match="from_matrix or from_spectrum"):
+        SpectralHamiltonian(np.array([0.0, 1.0]), 2.0 * np.eye(2, dtype=complex),
+                            np.array([0.0, 1.0]), np.arange(2))
+    with pytest.raises(TypeError):
+        SpectralHamiltonian()
+
+
+def test_written_eigenvectors_cannot_reach_the_theorem_1_oracles():
+    ham = SpectralHamiltonian.from_spectrum([0.0, 1.0, 2.0])
+    plus = pure_density(np.ones(3) / np.sqrt(3.0))
+    with pytest.raises(ValueError, match="read-only"):
+        ham.eigenvectors[:] = 2.0 * np.eye(3)
+    res = avgdist.avg_distance_closed(plus, ham, 0.7)
+    assert res.coherence == pytest.approx(2.0 / 3.0)
+    assert res.gap < 1e-12 and res.closed_form == pytest.approx(0.5779326589025698)
+
+
 def test_from_spectrum_clusters_degenerate_levels():
     ham = SpectralHamiltonian.from_spectrum(np.array([0.0, 1.0, 1.0, 2.0]))
     assert ham.dim == 4
