@@ -1,7 +1,4 @@
-"""JSON schema loading and validation for config and channel documents.
-
-``jsonschema`` is imported on the first validation, not with the package.
-"""
+"""JSON schema loading and validation for config and channel documents."""
 
 from __future__ import annotations
 
@@ -25,7 +22,7 @@ def load_schema(name: str) -> dict:
 
 @lru_cache(maxsize=None)
 def _validator(name: str):
-    from jsonschema.validators import validator_for
+    from jsonschema.validators import validator_for    # not at import: the CLI loads without it
     schema = load_schema(name)
     return validator_for(schema)(schema)
 

@@ -363,7 +363,7 @@ def test_a_callable_of_another_shape_is_rejected(pulse, axis, message):
 
 def _nan_at_half(t, value):
     """value at every grid time but t = 0.5, NaN there."""
-    return np.where((t == 0.5).reshape(t.shape + (1,) * (np.ndim(value))), np.nan, value)
+    return np.where((t == 0.5).reshape(t.shape + (1,) * np.ndim(value)), np.nan, value)
 
 
 @pytest.mark.parametrize("fields, message", [
