@@ -454,7 +454,7 @@ class SpectralHamiltonian:
     Input is validated where it enters: ``from_matrix`` checks
     Hermiticity, ``from_spectrum`` that the eigenvalues are finite and a
     caller's basis finite and orthonormal to TOL_STRUCT.  They and
-    ``permute_levels`` are the only builders (calling the class raises
+    ``permute_levels`` are the only ways to make one (calling the class raises
     TypeError); the class is frozen and its arrays read-only views, so
     its eigenspace families are trusted.
     """

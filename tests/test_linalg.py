@@ -150,7 +150,7 @@ def test_a_decomposition_stack_cannot_be_written_in_place():
 
 
 def _hamiltonians():
-    """Each builder's operator: from a matrix, from a spectrum, and a permute_levels child."""
+    """One operator from each entry: from a matrix, from a spectrum, and a permute_levels child."""
     ham = SpectralHamiltonian.from_spectrum([0.0, 1.0, 1.0, 2.5], random_unitary(4, 71))
     return (SpectralHamiltonian.from_matrix(random_hermitian(3, 71)), ham,
             ham.permute_levels([2, 0, 1]))
