@@ -11,8 +11,11 @@ It records
 - the exit code and stderr, or the exception and warnings, for a fixed
   list of malformed inputs to the CLI and to the library (among them
   non-finite times, pulse and axis samples, and a ``SpectralHamiltonian``
-  built raw, written or reassigned), and the outcome of each density entry on malformed, near-Hermitian and pure
-  3 x 3 states;
+  built raw, written or reassigned, and a zero or NaN ``constant_axis``),
+  and the outcome of each density entry on malformed, near-Hermitian and
+  pure 3 x 3 states;
+- three exact outputs: ``fidelity`` of a pair inside the dead band, and
+  the bytes of ``unitary_exp`` and ``matrix()`` for three Hamiltonians;
 - ``float.hex`` of (lhs, rhs) from direct ``theorem3_bound`` calls on
   random 2 x 2 and 3 x 2 channels at env_dim 2 and 3, on a unitary
   channel with the eigenvalue -1 (the -pi fold), and the outcome and
@@ -50,6 +53,7 @@ from coherence_speed import cli
 from coherence_speed.avgdist import avg_distance_bruteforce, avg_distance_closed
 from coherence_speed.battery import (
     BatteryConfig,
+    constant_axis,
     qudit_battery_bound,
     simulate_battery,
     spin_operator,
@@ -69,10 +73,12 @@ from coherence_speed.dynamics import HamiltonianPath, energy_uncertainty, evolve
 from coherence_speed.linalg import (
     OrthogonalDecomposition,
     SpectralHamiltonian,
+    hermitianize,
     pure_density,
     random_density,
     random_hermitian,
     random_unitary,
+    unitary_exp,
 )
 from coherence_speed.metrics import fidelity, hellinger
 from coherence_speed.verification import SUITES, run_suite
@@ -213,8 +219,35 @@ def _density_cases() -> dict:
             for entry, fn in entries.items() for name, rho in _densities().items()}
 
 
+def _near_band_fidelity() -> float:
+    """fidelity of rho with smallest eigenvalue 2.3e-9 and a full-rank sigma, d = 2.
+
+    The first draw of default_rng(27) in test_metrics' near-rank-deficient
+    fidelity test: sqrt(rho) sigma sqrt(rho) has an eigenvalue 5.8e-11,
+    inside the dead band.
+    """
+    rng = np.random.default_rng(27)
+    rng.integers(2, 5)                  # d = 2
+    u = random_unitary(2, rng)
+    rng.uniform(size=5)                 # that test's weight draws
+    sigma = random_density(2, 2, rng)
+    return fidelity(hermitianize((u * np.array([2.3e-9, 1.0 - 2.3e-9])) @ u.conj().T), sigma)
+
+
+def _spectral_bytes() -> dict:
+    """The bytes of unitary_exp(h, 0.7) and h.matrix() for three Hamiltonians, as hex."""
+    def exact(h):
+        return [unitary_exp(h, 0.7).tobytes().hex(), h.matrix().tobytes().hex()]
+
+    hams = {"3-level": SpectralHamiltonian.from_spectrum([0.0, 0.7, 1.9]),
+            "random-4": SpectralHamiltonian.from_matrix(random_hermitian(4, 4)),
+            "degenerate-5-in-random-basis": SpectralHamiltonian.from_spectrum(
+                [0.0, 1.0, 1.0, 2.5, -0.5], random_unitary(5, 3))}
+    return {f"spectral-bytes-{name}": functools.partial(exact, h) for name, h in hams.items()}
+
+
 def _library_cases():
-    """Malformed library calls, each a thunk."""
+    """Malformed library calls, each a thunk, and a few exact outputs."""
     gapped = np.diag([0.0, 1.0])
     plus = np.full(2, 1.0 / np.sqrt(2.0), dtype=complex)
 
@@ -271,6 +304,9 @@ def _library_cases():
         "battery-nan-axis-sample": lambda: sampled(
             drive_axis=lambda t: np.where((t == 0.5)[:, None], NAN, [1.0, 0.0, 0.0])),
         "spin-operator-nan-axis": lambda: spin_operator([NAN, 0.0, 0.0]).tolist(),
+        "constant-axis-zero": lambda: constant_axis((0.0, 0.0, 0.0))(0.0).tolist(),
+        "constant-axis-nan": lambda: constant_axis((NAN, 0.0, 0.0))(0.0).tolist(),
+        "fidelity-near-band-seed-27-d-2": _near_band_fidelity,
         "avg-distance-closed-nan-t": lambda: avg_distance_closed(mixed, three, NAN),
         "avg-distance-closed-nan-t-no-brute": lambda: avg_distance_closed(
             mixed, three, NAN, include_brute=False),
@@ -287,6 +323,7 @@ def _library_cases():
         "spectral-eigenvectors-written": lambda: spectral(write),
         "spectral-eigenvalues-reassigned": lambda: spectral(
             lambda h: setattr(h, "eigenvalues", np.array([0.0, 0.0, 2.0]))),
+        **_spectral_bytes(),
         **_density_cases(),
     }
 
