@@ -62,7 +62,6 @@ from .linalg import (
     OrthogonalDecomposition,
     SpectralHamiltonian,
     haar_random_state,
-    hermitian_eig,
     matrix_sqrt_psd,
     partial_trace,
     pure_density,

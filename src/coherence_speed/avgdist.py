@@ -109,7 +109,7 @@ def _bruteforce_pure(psi: np.ndarray, ham: SpectralHamiltonian, t: float) -> flo
     TooManyLevels, before any orbit work, above BRUTE_FORCE_CAP.
     """
     def terms(phi):
-        u = _eigenbasis_operators(ham, phi)
+        u = _eigenbasis_operators(ham.eigenvectors, phi)
         return 2.0 * (1.0 - np.clip(np.abs((u @ psi) @ psi.conj()) ** 2, 0.0, 1.0))
 
     return _orbit_mean(ham, lambda lam: np.exp(-1j * lam * t), terms)

@@ -123,8 +123,15 @@ def parabola_pulse(eta_max: float, tau: float) -> Callable:
 
 
 def constant_axis(n) -> Callable:
-    """The fixed axis n / |n|: one read-only 3-vector, whether t is a time or an array of times."""
-    v = _read_only(np.asarray(n, dtype=float) / np.linalg.norm(n))     # shared by every call
+    """The fixed axis n / |n|: one read-only 3-vector, whether t is a time or an array of times.
+
+    InvalidState unless |n| is finite and above zero.
+    """
+    n = np.asarray(n, dtype=float)
+    nrm = np.linalg.norm(n)
+    if not 0.0 < nrm < np.inf:      # NaN fails this too
+        raise InvalidState(f"axis norm {float(nrm)!r} is not finite and above zero")
+    v = _read_only(n / nrm)     # shared by every call
     return lambda t: v
 
 
@@ -311,8 +318,8 @@ def qudit_battery_bound(rho, h0, v, dt: float) -> tuple[float, float]:
     _require_finite("dt", dt)
 
     def works(lam):
-        w, vecs = np.linalg.eigh(h0 + _eigenbasis_operators(ham_v, lam))     # h0 + V_s
-        u = (vecs * np.exp(-1j * w * dt)[:, None, :]) @ dagger(vecs)
+        w, vecs = np.linalg.eigh(h0 + _eigenbasis_operators(ham_v.eigenvectors, lam))  # h0 + V_s
+        u = _eigenbasis_operators(vecs, np.exp(-1j * w * dt))
         return np.trace(h0 @ (rho - u @ rho @ dagger(u)), axis1=-2, axis2=-1).real
 
     avg = _orbit_mean(ham_v, lambda lam: lam, works)

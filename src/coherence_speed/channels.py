@@ -238,7 +238,7 @@ def dilate(channel: KrausChannel, env_dim: int | None = None) -> StinespringDila
     t_mat, z = _schur(u)
     lam = np.angle(np.diagonal(t_mat).conj())  # in [-pi, pi]
     lam = np.where(lam <= -np.pi + TOL_DEGEN, lam + 2.0 * np.pi, lam)
-    ham = SpectralHamiltonian._build(*np.linalg.eigh(hermitianize((z * lam) @ z.conj().T)))
+    ham = SpectralHamiltonian._build(*np.linalg.eigh(hermitianize(_eigenbasis_operators(z, lam))))
     return StinespringDilation(hamiltonian=ham, sys_dim=d, env_dim=d_env,
                                env_state=np.eye(d_env)[0], duration=1.0)
 
@@ -342,7 +342,7 @@ def _theorem3_bound(dilation: StinespringDilation,
     rhs = _closed_form(_rebuild(*_psd_sqrt_eig(joint)), ham, duration)[2]
 
     def distances(phi):
-        u = _eigenbasis_operators(ham, phi)
+        u = _eigenbasis_operators(ham.eigenvectors, phi)
         out = _trace_second(u @ joint @ dagger(u), *dims)
         return _hellinger(state.root, *_psd_sqrt_eig(hermitianize(out)))
 

@@ -76,18 +76,9 @@ def closest_incoherent(rho, decomposition: OrthogonalDecomposition) -> np.ndarra
     return hermitianize((x @ x).sum(axis=0) / total)
 
 
-def c_l1(rho, basis: np.ndarray | None = None) -> float:
-    """Sum of off-diagonal magnitudes sum_{i != j} |rho_ij| in the given basis.
-
-    basis columns default to the computational basis.
-    """
-    rho = validate_density(rho)
-    if basis is not None:
-        v = np.asarray(basis, dtype=complex)
-        if v.shape != rho.shape:
-            raise DimensionMismatch("basis shape does not match state")
-        rho = v.conj().T @ rho @ v
-    a = np.abs(rho)
+def c_l1(rho) -> float:
+    """Sum of off-diagonal magnitudes sum_{i != j} |rho_ij| in the computational basis."""
+    a = np.abs(validate_density(rho))
     return float(a.sum() - np.trace(a))
 
 

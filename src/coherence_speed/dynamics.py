@@ -37,6 +37,7 @@ from .linalg import (
     TOL_NORM,
     SpectralHamiltonian,
     _cluster_levels,
+    _eigenbasis_operators,
     _read_only,
     dagger,
     hermitianize,
@@ -238,7 +239,7 @@ def _propagate(psi0: np.ndarray, times: np.ndarray,
     if worst > _WARN_STEP:
         warnings.warn(f"half spectral width * dt = {worst:.3g} above {_WARN_STEP}; "
                       "grid may be coarse", stacklevel=3)
-    u = (v[:-1] * np.exp(-1j * w[:-1] * dts[:, None])[:, None, :]) @ dagger(v[:-1])
+    u = _eigenbasis_operators(v[:-1], np.exp(-1j * w[:-1] * dts[:, None]))
     states = np.empty((len(times), len(psi0)), dtype=complex)
     states[0] = psi0
     # row views taken once; ndarray.dot writes each step in place without a

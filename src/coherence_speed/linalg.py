@@ -11,14 +11,14 @@ Each numerical tolerance of the library is an absolute constant of this
 table, sized for d <= 16 in double precision; none is an argument.  The
 verification checks declare their own.  Columns: value, bound, sites.
 
-  TOL_HERM    1e-9   max|A - A†| of a caller's matrix, where it enters: is_hermitian,
-                     require_hermitian, _Density.of (validate_density); an operand the package
-                     builds from checked values is trusted and not checked again
+  TOL_HERM    1e-9   max|A - A†| of a caller's matrix, where it enters: is_hermitian, and
+                     require_hermitian, the one NotHermitian of every entry; an operand the
+                     package builds from checked values is trusted and not checked again
   TOL_NORM    1e-9   a norm vs its target: states, env_state, qubit amplitudes, spin axes, blocks
   TOL_TRACE   1e-9   |Tr rho - 1|: _Density.of (validate_density)
   TOL_ORTH    1e-9   max|U†U - I| of dilate's unitary completion, once U is checked finite
-  TOL_PSD     1e-10  dead band: matrix_sqrt_psd, _Density.of (validate_density) and its root,
-                     fidelity, closest_incoherent
+  TOL_PSD     1e-10  _psd_eigh, the one NotPSD (an eigenvalue below -TOL_PSD), and _band_sqrt,
+                     the one dead band (below TOL_PSD reads as zero); closest_incoherent's weights
   TOL_DEGEN   1e-9   one level: _cluster_levels, a_coefficient, dilate's fold of -pi onto +pi
   TOL_STRUCT  1e-8   caller structure: projector families, bases, Kraus sums, refinement, purity
   TOL_DRIFT   1e-10  norm drift over an evolve grid
@@ -103,28 +103,24 @@ def require_hermitian(a) -> np.ndarray:
     return a
 
 
-def hermitian_eig(h) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues (ascending) and orthonormal eigenvector columns of a Hermitian matrix.
+def _psd_eigh(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues (ascending) and eigenvectors of a complex PSD matrix or stack (..., d, d).
 
-    A stack (..., d, d) is diagonalized matrix by matrix in one call; it
-    raises NotHermitian when any of its matrices does.
-    """
-    return np.linalg.eigh(require_hermitian(h))
-
-
-def _psd_sqrt_eig(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Roots sqrt(w) of the eigenvalues and the eigenvectors of a complex PSD matrix or stack.
-
-    One eigh, which reads the lower triangle, NotPSD for an eigenvalue
-    below -TOL_PSD, and the dead band, which reads eigenvalues below
-    TOL_PSD as exact zeros; no Hermiticity check.  A caller's matrix
-    passes ``require_hermitian`` first; an operand the package built from
-    checked values comes as it is.
+    The one positivity check of the package: one eigh, which reads the
+    lower triangle, and NotPSD for an eigenvalue below -TOL_PSD; no
+    Hermiticity check.  A caller's matrix passes ``require_hermitian``
+    first; an operand the package built from checked values comes as it is.
     """
     w, v = np.linalg.eigh(h)
     low = w.min() if w.ndim > 1 else w[0]
     if low < -TOL_PSD:
         raise NotPSD(f"eigenvalue {low:.3e} below -{TOL_PSD:.1e}")
+    return w, v
+
+
+def _psd_sqrt_eig(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Roots ``_band_sqrt(w)`` of the eigenvalues and the eigenvectors from ``_psd_eigh(h)``."""
+    w, v = _psd_eigh(h)
     return _band_sqrt(w), v
 
 
@@ -133,9 +129,18 @@ def _band_sqrt(w: np.ndarray) -> np.ndarray:
     return np.sqrt(np.where(w < TOL_PSD, 0.0, w))
 
 
+def _eigenbasis_operators(v: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """V diag(x) V† for eigenvectors V (d, d) or a stack (k, d, d), and x (..., d).
+
+    A stack of rows x (n, d) against one V gives the stack (n, d, d).
+    Every product of this form in the package is this one expression.
+    """
+    return (v * x[..., None, :]) @ dagger(v)
+
+
 def _rebuild(roots: np.ndarray, v: np.ndarray) -> np.ndarray:
     """W diag(roots) W†, Hermitian part, for one matrix or a stack."""
-    return hermitianize((v * roots[..., None, :]) @ dagger(v))
+    return hermitianize(_eigenbasis_operators(v, roots))
 
 
 def matrix_sqrt_psd(rho) -> np.ndarray:
@@ -170,9 +175,9 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 class _Density:
     """A density matrix checked once, where it enters, and the eigendata of that check.
 
-    ``of`` raises NotHermitian (beyond TOL_HERM, or a non-finite entry), NotPSD (an
-    eigenvalue below -TOL_PSD), then InvalidState (trace beyond TOL_TRACE); positivity
-    is read from the one eigh of rho, which reads the lower triangle.  It keeps rho as
+    ``of`` raises NotHermitian from ``require_hermitian``, NotPSD from ``_psd_eigh``, whose
+    one eigh of rho reads the lower triangle, then InvalidState (trace beyond TOL_TRACE),
+    with the messages every other entry gives for the same matrix.  It keeps rho as
     given, w and V, all read-only, and psi, the unit vector of a pure state, only when
     the caller held one.  ``root``, built on first read, is matrix_sqrt_psd(rho) bit for bit.
     """
@@ -184,12 +189,8 @@ class _Density:
 
     @classmethod
     def of(cls, rho, psi: np.ndarray | None = None) -> "_Density":
-        rho = _square(rho)
-        if not is_hermitian(rho):
-            raise NotHermitian("density matrix is not Hermitian within tolerance")
-        w, v = np.linalg.eigh(rho)
-        if w[0] < -TOL_PSD:
-            raise NotPSD(f"density matrix has eigenvalue {w[0]:.3e}")
+        rho = require_hermitian(_square(rho))
+        w, v = _psd_eigh(rho)
         tr = float(np.trace(rho).real)
         if abs(tr - 1.0) > TOL_TRACE:
             raise InvalidState(f"trace {tr!r} differs from 1 beyond {TOL_TRACE:.1e}")
@@ -470,8 +471,7 @@ class SpectralHamiltonian:
     @classmethod
     def from_matrix(cls, h) -> "SpectralHamiltonian":
         """Diagonalize a Hermitian matrix and group near-degenerate eigenvalues."""
-        w, v = hermitian_eig(_square(h))
-        return cls._build(w, v)
+        return cls._build(*np.linalg.eigh(require_hermitian(_square(h))))
 
     @classmethod
     def from_spectrum(cls, eigenvalues, basis: np.ndarray | None = None) -> "SpectralHamiltonian":
@@ -532,8 +532,7 @@ class SpectralHamiltonian:
 
     def matrix(self) -> np.ndarray:
         """Reconstruct the dense Hermitian matrix."""
-        v = self.eigenvectors
-        return hermitianize((v * self.eigenvalues) @ v.conj().T)
+        return hermitianize(_eigenbasis_operators(self.eigenvectors, self.eigenvalues))
 
     def permute_levels(self, assignment: Sequence[int]) -> "SpectralHamiltonian":
         """New operator with level value m attached to projector block assignment[m].
@@ -558,9 +557,7 @@ class SpectralHamiltonian:
 
 def unitary_exp(ham: SpectralHamiltonian, t: float) -> np.ndarray:
     """Evolution operator exp(-i H t) from spectral data (hbar = 1)."""
-    v = ham.eigenvectors
-    phases = np.exp(-1j * ham.eigenvalues * t)
-    return (v * phases) @ v.conj().T
+    return _eigenbasis_operators(ham.eigenvectors, np.exp(-1j * ham.eigenvalues * t))
 
 
 # Orbit members per stacked evaluation (5!): every orbit of up to 5
@@ -595,9 +592,3 @@ def _orbit_diagonals(ham: SpectralHamiltonian,
     rows = ham.levels[_orbit_table(ham.level_count)[:, ham.level_of]]
     for start in range(0, len(rows), ORBIT_CHUNK):
         yield fn(rows[start:start + ORBIT_CHUNK])
-
-
-def _eigenbasis_operators(ham: SpectralHamiltonian, diagonals: np.ndarray) -> np.ndarray:
-    """V diag(row) V† for each row of diagonals (n, d), V = ham.eigenvectors."""
-    v = ham.eigenvectors
-    return (v * diagonals[:, None, :]) @ v.conj().T

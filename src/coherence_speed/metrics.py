@@ -18,9 +18,10 @@ import numpy as np
 from .dynamics import _moments
 from .errors import DimensionMismatch
 from .linalg import (
-    TOL_PSD,
     TOL_ZERO,
     SpectralHamiltonian,
+    _band_sqrt,
+    _psd_eigh,
     _psd_sqrt_eig,
     dagger,
     matrix_sqrt_psd,
@@ -74,16 +75,14 @@ def d_affinity_half(rho, sigma) -> float:
 def fidelity(rho, sigma) -> float:
     """Uhlmann fidelity [Tr sqrt(sqrt(rho) sigma sqrt(rho))]^2, clipped into [0, 1]."""
     s = matrix_sqrt_psd(rho)
-    _psd_sqrt_eig(require_hermitian(sigma))     # affinity's checks of sigma: NotHermitian, NotPSD
-    sig = np.asarray(sigma, dtype=complex)
+    sig = require_hermitian(sigma)
+    _psd_eigh(sig)      # with require_hermitian, affinity's checks of sigma
     if sig.shape != s.shape:
         raise DimensionMismatch(f"shapes {s.shape} and {sig.shape} differ")
     m = s @ sig @ s
-    w = np.linalg.eigvalsh((m + m.conj().T) / 2.0)
     # the dead band of matrix_sqrt_psd: the sqrt of a ~1e-16
     # eigensolver ghost would otherwise contribute ~1e-8 to the sum
-    w = np.where(w < TOL_PSD, 0.0, w)
-    val = float(np.sum(np.sqrt(w))) ** 2
+    val = float(np.sum(_band_sqrt(np.linalg.eigvalsh((m + m.conj().T) / 2.0)))) ** 2
     return float(np.clip(val, 0.0, 1.0))
 
 

@@ -351,7 +351,7 @@ def check_thm3_dpi(i, rng, d):
     ham = dilation.hamiltonian
     worst_s = -np.inf
     for phases in _orbit_diagonals(ham, lambda lam: np.exp(-1j * lam * dilation.duration)):
-        u = _eigenbasis_operators(ham, phases)
+        u = _eigenbasis_operators(ham.eigenvectors, phases)
         joint_s = u @ joint @ dagger(u)
         sys_dist = hellinger(partial_trace(joint_s, dims, over=1), rho)
         joint_dist = hellinger(joint_s, joint)

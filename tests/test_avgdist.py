@@ -308,7 +308,7 @@ def _computational_basis_brute(rho, ham, t):
     a = linalg.matrix_sqrt_psd(rho)
     terms = []
     for phi in linalg._orbit_diagonals(ham, lambda lam: np.exp(-1j * lam * t)):
-        u = linalg._eigenbasis_operators(ham, phi)
+        u = linalg._eigenbasis_operators(ham.eigenvectors, phi)
         b = linalg.matrix_sqrt_psd(u @ rho @ linalg.dagger(u))
         terms.extend(2.0 * (1.0 - np.clip((a @ b).trace(axis1=-2, axis2=-1).real, 0.0, 1.0)))
     return math.fsum(terms) / len(terms)

@@ -2,6 +2,7 @@
 
 import dataclasses
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -387,6 +388,16 @@ def test_a_nan_axis_is_rejected(axis):
     # NaN fails no norm test, so n.sigma came back as a NaN matrix
     with pytest.raises(InvalidState, match="axis entries are not all finite"):
         spin_operator(axis)
+
+
+@pytest.mark.parametrize("n, norm", [((0.0, 0.0, 0.0), "0.0"), ((np.nan, 0.0, 0.0), "nan"),
+                                     ((0.0, np.inf, 0.0), "inf")], ids=["zero", "nan", "inf"])
+def test_a_zero_or_non_finite_fixed_axis_is_rejected_where_it_enters(n, norm):
+    # n / |n| came back as a NaN axis, with a divide warning for the zero vector
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidState, match=f"^axis norm {norm} is not finite and above zero$"):
+            constant_axis(n)
 
 
 @pytest.mark.parametrize("dt", [np.nan, np.inf])

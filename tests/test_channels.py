@@ -367,7 +367,7 @@ def _theorem3_composition(dilation, rho):
     ham, duration = dilation.hamiltonian, dilation.duration
 
     def distances(phi):
-        u = linalg._eigenbasis_operators(ham, phi)
+        u = linalg._eigenbasis_operators(ham.eigenvectors, phi)
         out = linalg.partial_trace(u @ joint @ linalg.dagger(u), dims, over=1)
         out = linalg.require_hermitian(linalg.hermitianize(out))
         return 2.0 * (1.0 - metrics._overlap(sqrt_rho, *linalg._psd_sqrt_eig(out)))
@@ -420,7 +420,7 @@ def test_theorem3_bound_reads_rho_as_its_lower_triangle():
     # lower triangle: eigenvalue -5e-10, which the entry check names
     lower_negative = diag.copy()
     lower_negative[1, 2], lower_negative[2, 1] = -4e-10, 5e-10
-    with pytest.raises(NotPSD, match="density matrix has eigenvalue -5.000e-10"):
+    with pytest.raises(NotPSD, match="eigenvalue -5.000e-10 below -1.0e-10"):
         theorem3_bound(dil, lower_negative)
     # an exactly Hermitian state is used as given, not copied
     rho = random_density(3, rank=2, seed=66)

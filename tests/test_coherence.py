@@ -167,7 +167,7 @@ def test_the_lower_triangle_alone_decides_positivity():
     assert np.array_equal(closest_incoherent(upper_only, dec), np.diag([1.0, 0.0, 0.0]))
     lower_negative = _edge(-4e-10, 5e-10)   # lower triangle: eigenvalue -5e-10
     for fn in entries:
-        with pytest.raises(NotPSD, match="density matrix has eigenvalue -5.000e-10"):
+        with pytest.raises(NotPSD, match="eigenvalue -5.000e-10 below -1.0e-10"):
             fn(lower_negative)
     with pytest.raises(NotPSD, match="eigenvalue -5.000e-10 below -1.0e-10"):
         linalg.matrix_sqrt_psd(lower_negative)

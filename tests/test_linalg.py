@@ -26,7 +26,6 @@ from coherence_speed.linalg import (
     SpectralHamiltonian,
     _cluster_levels,
     haar_random_state,
-    hermitian_eig,
     matrix_sqrt_psd,
     partial_trace,
     pure_density,
@@ -61,12 +60,13 @@ def test_no_function_takes_a_tolerance():
     assert _tolerance_parameters() == []
 
 
-def test_hermitian_eig_sorted_orthonormal_reconstructs():
+def test_from_matrix_sorted_orthonormal_reconstructs():
     rng = np.random.default_rng(3)
     for _ in range(20):
         d = int(rng.integers(2, 9))
         h = random_hermitian(d, rng)
-        w, v = hermitian_eig(h)
+        ham = SpectralHamiltonian.from_matrix(h)
+        w, v = ham.eigenvalues, ham.eigenvectors
         assert np.all(np.diff(w) >= 0)
         assert np.max(np.abs(v.conj().T @ v - np.eye(d))) < 1e-9
         assert np.max(np.abs((v * w) @ v.conj().T - h)) < 1e-9
@@ -270,7 +270,7 @@ def test_orbit_levels_rebuild_every_permuted_hamiltonian():
             perms = list(itertools.permutations(range(m)))
             assert rows.shape == (len(perms), ham.dim)
             v = ham.eigenvectors
-            stacked = linalg._eigenbasis_operators(ham, rows)
+            stacked = linalg._eigenbasis_operators(v, rows)
             for k, s in enumerate(perms):
                 want = ham.permute_levels(s).matrix()
                 assert np.max(np.abs((v * rows[k]) @ v.conj().T - want)) < 1e-12
@@ -279,7 +279,7 @@ def test_orbit_levels_rebuild_every_permuted_hamiltonian():
 
 def test_orbit_operators_chunk_in_lexicographic_order():
     ham = SpectralHamiltonian.from_spectrum(np.arange(7, dtype=float))
-    chunks = [linalg._eigenbasis_operators(ham, rows)
+    chunks = [linalg._eigenbasis_operators(ham.eigenvectors, rows)
               for rows in linalg._orbit_diagonals(ham, lambda lam: lam)]
     assert [len(c) for c in chunks] == [ORBIT_CHUNK] * (5040 // ORBIT_CHUNK)
     diagonals = np.concatenate([np.diagonal(c, axis1=1, axis2=2).real for c in chunks])
@@ -632,6 +632,54 @@ def test_density_root_is_validate_density_then_matrix_sqrt_psd():
         for bad in _malformed_densities(max(d, 2)):
             want = _outcome(linalg.validate_density, bad)
             assert isinstance(want, str) and _outcome(linalg._Density.of, bad) == want
+
+
+def test_a_malformed_density_gets_one_message_from_every_entry():
+    # one Hermiticity check (require_hermitian) and one positivity check (_psd_eigh)
+    raised = set()
+    for d in range(2, 6):
+        dec = OrthogonalDecomposition.computational(d)
+        mixed = np.eye(d) / d
+        entries = [linalg.validate_density, lambda bad: coherence.c_half(bad, dec),
+                   matrix_sqrt_psd, lambda bad: affinity(mixed, bad),
+                   lambda bad: metrics.fidelity(bad, mixed), lambda bad: metrics.fidelity(mixed, bad)]
+        for bad in _malformed_densities(d):
+            want = _outcome(linalg.validate_density, bad)
+            if want.startswith(("NotPSD: ", "NotHermitian: ")):
+                raised.add(want.split(":")[0])
+                for fn in entries:
+                    assert _outcome(fn, bad) == want
+    assert raised == {"NotPSD", "NotHermitian"}
+
+
+def test_eigendata_rebuilds_equal_the_parent_expressions_bit_for_bit():
+    # every V diag(x) V† of the package is _eigenbasis_operators; here are the seven
+    # expressions it replaced, each written out on the arguments of its site
+    dagger, herm = linalg.dagger, linalg.hermitianize
+    rng = np.random.default_rng(30)
+
+    def same(got, want):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    for d in range(1, 17):
+        lam = rng.uniform(-np.pi, np.pi, d)
+        for ham in (SpectralHamiltonian.from_matrix(random_hermitian(d, rng)),
+                    SpectralHamiltonian.from_spectrum(lam, random_unitary(d, rng))):
+            v, w = ham.eigenvectors, ham.eigenvalues
+            same(ham.matrix(), herm((v * w) @ v.conj().T))                      # matrix()
+            same(unitary_exp(ham, 0.7), (v * np.exp(-1j * w * 0.7)) @ v.conj().T)  # unitary_exp
+            rows = np.exp(-1j * rng.uniform(-3.0, 3.0, (5, d)))                  # orbit operators
+            same(linalg._eigenbasis_operators(v, rows), (v * rows[:, None, :]) @ v.conj().T)
+        ws, vs = np.linalg.eigh(np.stack([random_hermitian(d, rng) for _ in range(4)]))
+        roots = np.sqrt(rng.uniform(0.0, 1.0, (4, d)))
+        for r, vv in ((roots[0], vs[0]), (roots, vs)):                          # _rebuild
+            same(linalg._rebuild(r, vv), herm((vv * r[..., None, :]) @ dagger(vv)))
+        x = np.exp(-1j * ws[:-1] * rng.uniform(0.01, 0.1, 3)[:, None])           # _propagate
+        same(linalg._eigenbasis_operators(vs[:-1], x), (vs[:-1] * x[:, None, :]) @ dagger(vs[:-1]))
+        x = np.exp(-1j * ws * 0.3)                                                # qudit battery
+        same(linalg._eigenbasis_operators(vs, x), (vs * x[:, None, :]) @ dagger(vs))
+        z = np.asfortranarray(random_unitary(d, rng))      # dilate's Schur vectors, column-major
+        same(herm(linalg._eigenbasis_operators(z, lam)), herm((z * lam) @ z.conj().T))
 
 
 def _eager_stack(w, v):
