@@ -125,14 +125,25 @@ def parabola_pulse(eta_max: float, tau: float) -> Callable:
 def constant_axis(n) -> Callable:
     """The fixed axis n / |n|: one read-only 3-vector, whether t is a time or an array of times.
 
-    InvalidState unless |n| is finite and above zero.
+    InvalidState unless n is finite and nonzero (``_unit``).
+    """
+    v = _read_only(_unit(n))     # shared by every call
+    return lambda t: v
+
+
+def _unit(n) -> np.ndarray:
+    """n / |n| for a real vector n; InvalidState unless |n| is finite and above zero.
+
+    n is first scaled by the power of two that puts max|n| in [1/2, 1).
+    That is exact, so |n| cannot overflow and the quotient has the bits of
+    the unscaled n / |n|.  A zero, NaN or infinite max|n| leaves n as it is.
     """
     n = np.asarray(n, dtype=float)
+    n = np.ldexp(n, -np.frexp(np.max(np.abs(n), initial=0.0))[1])
     nrm = np.linalg.norm(n)
     if not 0.0 < nrm < np.inf:      # NaN fails this too
         raise InvalidState(f"axis norm {float(nrm)!r} is not finite and above zero")
-    v = _read_only(n / nrm)     # shared by every call
-    return lambda t: v
+    return n / nrm
 
 
 def rotating_axis(period: float) -> Callable:

@@ -21,20 +21,22 @@ dilation and the JSON form use it as a whole.
 
 Finiteness is checked where data enters and trusted inside.  A
 ``KrausChannel`` rejects a non-finite entry on construction and is
-frozen, with a read-only stack, so ``dilate`` hands its arrays to LAPACK
-(zgesdd for the complement, zgees for the Schur form) without scipy's
-``check_finite`` pass; its completion check still rejects a non-finite
-unitary, which only a stack set past the frozen dataclass
-(``object.__setattr__``) can give.  ``theorem3_bound`` and the gap
-analysis check their state once (``linalg._Density``); the channel
-outputs, the joint input and its evolution are built from checked values
-and are rooted without a further Hermiticity check.
+frozen, with a read-only stack.  ``dilate`` needs numpy alone (an SVD for
+the complement, a Cayley transform for the logarithm); it checks its
+isometry finite before the SVD, since only a stack set past the frozen
+dataclass (``object.__setattr__``) can make it otherwise.
+``theorem3_bound`` and the gap analysis check their state once
+(``linalg._Density``); the channel outputs, the joint input and its
+evolution are built from checked values and are rooted without a
+further Hermiticity check.
 """
 
 from __future__ import annotations
 
-import functools
+import bisect
+import cmath
 import json
+import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable
@@ -198,23 +200,16 @@ def dilate(channel: KrausChannel, env_dim: int | None = None) -> StinespringDila
     """Unitary dilation of a Kraus channel with env state |0>.
 
     The isometry V|psi> = sum_j (K_j|psi>) x |j> is completed to a
-    unitary by an orthonormal basis of its column complement; the
-    generator is the principal logarithm i log U with eigenphases
-    folded to (-pi + TOL_DEGEN, pi + TOL_DEGEN] and unit duration: a
-    phase within TOL_DEGEN of -pi is taken as its image near +pi, so
-    that an eigenvalue -1 of U, which rounding puts on either side of
-    the branch cut, gives one level.
+    unitary by an orthonormal basis of its column complement: the right
+    singular vectors of V† past its rank d, from a full SVD, where
+    singular values above max(s) * eps * d * d_env count toward the rank.
+    The generator is the principal logarithm i log U (``_principal_log``)
+    with unit duration.
 
-    The complement is scipy.linalg.null_space(V†) and the logarithm
-    comes from scipy.linalg.schur(U, output="complex"), bit for bit,
-    but from their LAPACK routines (zgesdd, zgees) called directly:
-    the channel's entries were checked finite on construction, so
-    nothing screens them again before LAPACK.  The completion check
-    rejects a non-finite U (a stack set past the frozen dataclass) before
-    max|U†U - I| is formed; a rank other than d, or
-    a LAPACK failure, leaves the complement empty and fails the
-    residual.  The generator's matrix is Hermitian by construction and
-    is diagonalized without a Hermiticity check.
+    The isometry is checked finite before the SVD, which would raise
+    LinAlgError on a NaN; only a stack set past the frozen dataclass can
+    fail that check.  A rank other than d leaves the complement empty,
+    and max|U†U - I| above TOL_ORTH then rejects the completion.
     """
     d = channel.dim
     n_ops = len(channel.operators)
@@ -224,88 +219,50 @@ def dilate(channel: KrausChannel, env_dim: int | None = None) -> StinespringDila
     n = d * d_env
     iso = np.zeros((n, d), dtype=complex)     # <s|K_j|c> at [s * d_env + j, c]
     iso.reshape(d, d_env, d)[:, :n_ops] = channel.operators.swapaxes(0, 1)
+    if not np.isfinite(iso).all():
+        raise InvalidState("unitary completion failed: entries are not all finite")
     u = np.zeros((n, n), dtype=complex)       # column c * d_env + j; the complement at j >= 1
     u3 = u.reshape(n, d, d_env)
     u3[:, :, 0] = iso
-    complement = _null_space(dagger(iso), d)
-    if complement is not None:
-        u3[:, :, 1:] = complement.reshape(n, d, d_env - 1)
-    if not np.isfinite(u).all():
-        raise InvalidState("unitary completion failed: entries are not all finite")
-    if np.max(np.abs(u.conj().T @ u - np.eye(n))) > TOL_ORTH:
+    _, s, vh = np.linalg.svd(dagger(iso))
+    if np.count_nonzero(s > s.max() * (np.finfo(float).eps * n)) == d:
+        u3[:, :, 1:] = dagger(vh[d:]).reshape(n, d, d_env - 1)
+    if np.max(np.abs(dagger(u) @ u - np.eye(n))) > TOL_ORTH:
         raise InvalidState("unitary completion failed")
-    # Principal logarithm via the Schur form (U is normal).
-    t_mat, z = _schur(u)
-    lam = np.angle(np.diagonal(t_mat).conj())  # in [-pi, pi]
-    lam = np.where(lam <= -np.pi + TOL_DEGEN, lam + 2.0 * np.pi, lam)
-    ham = SpectralHamiltonian._build(*np.linalg.eigh(hermitianize(_eigenbasis_operators(z, lam))))
-    return StinespringDilation(hamiltonian=ham, sys_dim=d, env_dim=d_env,
-                               env_state=np.eye(d_env)[0], duration=1.0)
+    return StinespringDilation(hamiltonian=SpectralHamiltonian._build(*_principal_log(u)),
+                               sys_dim=d, env_dim=d_env, env_state=np.eye(d_env)[0],
+                               duration=1.0)
 
 
-def _null_space(a: np.ndarray, rank: int) -> np.ndarray | None:
-    """scipy.linalg.null_space(a) for a complex (m, n) a of the given rank, else None.
+def _principal_log(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending levels and orthonormal eigenvectors of H = i log U, U unitary.
 
-    The same zgesdd call (full matrices, the workspace scipy queries)
-    and the same rank rule: singular values above max(s) * eps * max(m, n).
-    None when LAPACK fails (a NaN entry gives info -4) or the rule
-    finds another rank.  a is overwritten.
+    The eigenphases are folded to (-pi + TOL_DEGEN, pi + TOL_DEGEN]: a
+    phase within TOL_DEGEN of -pi is taken as its image near +pi, so that
+    an eigenvalue -1 of U, which rounding puts on either side of the
+    branch cut, gives one level.
+
+    A Cayley transform, four LAPACK calls.  U' = e^{i beta} U puts -1 at
+    the middle of the widest gap of U's eigenphases (``eigvals``); then
+    C = i (I + U')^-1 (U' - I) is Hermitian with eigenvalues
+    -tan(phi / 2) for the phases phi of U', which is one-to-one on the
+    circle without -1.  So distinct phases stay distinct, a cluster gets
+    orthonormal vectors from ``eigh(C)``, and the levels, beta + 2 arctan
+    of its ascending eigenvalues, ascend too; those above pi + TOL_DEGEN,
+    a tail, lose 2 pi and move to the front.  C is diagonalized without a
+    Hermiticity check; the bookkeeping is in Python scalars.
     """
-    gesdd, _ = _lapack(("gesdd", "gesdd_lwork"), ilp64="preferred")
-    _, s, vt, info = gesdd(a, compute_uv=1, lwork=_gesdd_lwork(*a.shape),
-                           full_matrices=1, overwrite_a=1)
-    if info or np.count_nonzero(s > s.max() * (np.finfo(float).eps * max(a.shape))) != rank:
-        return None
-    return vt[rank:].T.conj()
-
-
-def _schur(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """scipy.linalg.schur(a, output="complex") of a finite complex square a: (T, Z).
-
-    The same unsorted zgees call, with the workspace scipy queries;
-    raises LinAlgError as scipy does when the QR iteration fails.
-    """
-    gees, = _lapack(("gees",))
-    t_mat, _, _, z, _, info = gees(_unsorted, a, lwork=_gees_lwork(len(a)), sort_t=0)
-    if info:
-        raise np.linalg.LinAlgError("Schur form not found. Possibly ill-conditioned.")
-    return t_mat, z
-
-
-def _unsorted(x) -> None:
-    """The eigenvalue selector zgees takes and, unsorted, never calls."""
-
-
-@functools.lru_cache(maxsize=64)
-def _lapack(names: tuple[str, ...], **kwargs) -> list:
-    """The complex128 LAPACK wrappers of scipy.linalg.get_lapack_funcs, looked up once.
-
-    scipy is imported here, on the first ``dilate``, so importing the
-    package (and the command line) does not load it.
-    """
-    import scipy.linalg
-
-    return scipy.linalg.get_lapack_funcs(names, (np.zeros(1, dtype=complex),), **kwargs)
-
-
-@functools.lru_cache(maxsize=64)
-def _gesdd_lwork(m: int, n: int) -> int:
-    """zgesdd's optimal workspace for an (m, n) matrix, the value scipy.linalg.svd passes."""
-    _, query = _lapack(("gesdd", "gesdd_lwork"), ilp64="preferred")
-    work, info = query(m, n, compute_uv=1, full_matrices=1)
-    if info:
-        raise ValueError(f"Internal work array size computation failed: {info}")
-    return int(work.real)
-
-
-@functools.lru_cache(maxsize=64)
-def _gees_lwork(n: int) -> int:
-    """zgees's optimal workspace for an n x n matrix, the value scipy.linalg.schur passes.
-
-    The query reads only n, never the matrix entries.
-    """
-    gees, = _lapack(("gees",))
-    return int(gees(_unsorted, np.zeros((n, n), dtype=complex), lwork=-1)[-2][0].real)
+    phases = sorted(np.angle(np.linalg.eigvals(u)).tolist())
+    gap, start = max(zip([b - a for a, b in zip(phases, phases[1:])] +
+                         [phases[0] + 2.0 * math.pi - phases[-1]], phases))
+    beta = (math.pi - start - 0.5 * gap) % (2.0 * math.pi)
+    eye = np.eye(len(u))
+    rotated = cmath.exp(1j * beta) * u
+    tau, v = np.linalg.eigh(1j * np.linalg.solve(eye + rotated, rotated - eye))
+    lam = [beta + 2.0 * math.atan(t) for t in tau.tolist()]
+    m = bisect.bisect_right(lam, math.pi + TOL_DEGEN)
+    return (np.array([x - 2.0 * math.pi for x in lam[m:]] + lam[:m]),
+            np.concatenate((v[:, m:], v[:, :m]), axis=1))
 
 
 def permuted_channel_apply(dilation: StinespringDilation, assignment, rho) -> np.ndarray:

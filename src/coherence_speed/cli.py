@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from datetime import datetime, timezone
@@ -26,6 +27,7 @@ from . import __version__
 from .avgdist import BRUTE_FORCE_CAP, _bruteforce, _closed_form
 from .battery import (
     BatteryConfig,
+    _unit,
     constant_axis,
     parabola_pulse,
     rotating_axis,
@@ -233,10 +235,9 @@ def _axis(spec, tau: float):
             return rotating_axis(tau)
         raise UsageError(f"unknown drive axis {spec!r}")
     vec = np.asarray(spec, dtype=float)
-    norm = float(np.linalg.norm(vec))
-    if norm < TOL_ZERO:
+    if math.hypot(*vec) < TOL_ZERO:     # hypot, like _unit, cannot overflow
         raise UsageError("drive axis must be a nonzero 3-vector")
-    return constant_axis(vec / norm)
+    return constant_axis(_unit(vec))
 
 
 def _finish(columns: dict, meta: dict, fmt: str, out, failure: str | None) -> int:

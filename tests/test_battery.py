@@ -400,6 +400,21 @@ def test_a_zero_or_non_finite_fixed_axis_is_rejected_where_it_enters(n, norm):
             constant_axis(n)
 
 
+def test_a_fixed_axis_past_the_norm_range_keeps_its_direction():
+    # |n| overflowed to inf for entries above about 1e154, and n / |n| to the zero axis;
+    # scaling by a power of two first is exact, so an ordinary axis keeps n / |n| bit for bit
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for big, ordinary in (((1e200, 1e200, 0.0), (1.0, 1.0, 0.0)),
+                              ((0.0, -1e300, 0.0), (0.0, -1.0, 0.0)),
+                              ((3.0 * 2.0 ** 1000, 0.0, 2.0 ** 1001), (3.0, 0.0, 2.0)),
+                              ((3.0 * 2.0 ** -1040, 0.0, 2.0 ** -1039), (3.0, 0.0, 2.0))):
+            assert constant_axis(big)(0.0).tobytes() == constant_axis(ordinary)(0.0).tobytes()
+    rng = np.random.default_rng(71)
+    for n in rng.normal(size=(200, 3)) * np.exp2(rng.integers(-60, 60, size=(200, 1))):
+        assert constant_axis(n)(0.0).tobytes() == (n / np.linalg.norm(n)).tobytes()
+
+
 @pytest.mark.parametrize("dt", [np.nan, np.inf])
 def test_a_non_finite_qudit_window_is_rejected(dt):
     with pytest.raises(ValueError, match=f"dt must be finite, got {dt!r}"):

@@ -282,24 +282,33 @@ def test_stacked_apply_kraus_matches_the_loop():
 
 
 def _loop_dilation(chan, env):
-    """The generator of _loop_unitary's completion, from scipy.linalg.schur and a checked eigh."""
+    """_loop_unitary's completion U and its generator from scipy.linalg.schur and a checked eigh."""
     u = _loop_unitary(tuple(chan.operators), env)
     t_mat, z = scipy.linalg.schur(u, output="complex")
     lam = np.angle(np.diagonal(t_mat).conj())
     lam = np.where(lam <= -np.pi + linalg.TOL_DEGEN, lam + 2.0 * np.pi, lam)
-    return linalg.SpectralHamiltonian.from_matrix(linalg.hermitianize((z * lam) @ z.conj().T))
+    return u, linalg.SpectralHamiltonian.from_matrix(linalg.hermitianize((z * lam) @ z.conj().T))
 
 
-def test_stacked_dilation_equals_the_loop_completion_bit_for_bit():
+def test_stacked_dilation_equals_the_loop_completion_bit_for_bit(monkeypatch):
+    # U is the loop's completion bit for bit; its logarithm, a Cayley transform, is held
+    # to scipy's Schur form: the same levels to 1e-13, grouped the same, and U rebuilt
+    completions = []
+    log = channels._principal_log
+    monkeypatch.setattr(channels, "_principal_log", lambda u: completions.append(u) or log(u))
     cases = [(random_channel(d, k, s), k) for d, k, s in _channels(63, 30)]
-    # the qutrit channel has an eigenvalue -1 of U on the branch cut
-    for chan, k in cases + [(qutrit_equality_channel(), 4)]:
+    # the qutrit channel and the unitary channels have an eigenvalue -1 of U on the branch cut
+    cases += [(qutrit_equality_channel(), 4)] + [(_minus_one_channel(s), 1) for s in range(5)]
+    for chan, k in cases:
         for env in (k, k + 1):
-            want = _loop_dilation(chan, env)
+            u, want = _loop_dilation(chan, env)
             got = dilate(chan, env).hamiltonian
-            for name in ("eigenvalues", "eigenvectors", "levels", "level_of"):
-                assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), (name, env)
-            assert got.matrix().tobytes() == want.matrix().tobytes(), (chan.label, env)
+            assert completions.pop().tobytes() == u.tobytes(), (chan.label, env)
+            assert got.level_of.tobytes() == want.level_of.tobytes(), (chan.label, env)
+            assert len(got.levels) == len(want.levels), (chan.label, env)
+            assert np.max(np.abs(got.levels - want.levels)) <= 1e-13, (chan.label, env)
+            rebuilt = linalg._eigenbasis_operators(got.eigenvectors, np.exp(-1j * got.eigenvalues))
+            assert np.max(np.abs(rebuilt - u)) <= 1e-13, (chan.label, env)
 
 
 def test_channel_to_dict_matches_the_loop():
@@ -339,7 +348,7 @@ def test_ragged_channel_file_is_a_dimension_mismatch(tmp_path):
                          ids=["nan", "inf", "nan-imag"])
 def test_non_finite_kraus_entries_are_rejected(bad, where, tmp_path):
     # a NaN completeness residual fails no `> tol` test, and dilate would
-    # then end in scipy's ValueError
+    # then end in numpy's LinAlgError
     ops = np.array([[[bad, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]], dtype=complex)
     with pytest.raises(IncompleteKraus, match="not all finite"):
         KrausChannel(ops)
@@ -434,8 +443,8 @@ def test_theorem3_bound_reads_rho_as_its_lower_triangle():
                          ids=["nan", "inf", "nan-imag"])
 def test_dilate_rejects_non_finite_operators_reassigned_after_the_check(bad):
     # KrausChannel checks finiteness on construction and is frozen; a stack set
-    # past the frozen dataclass reaches LAPACK unscreened, and the completion
-    # check must still name it
+    # past the frozen dataclass must still be named before the SVD, which would
+    # raise LinAlgError on a NaN
     for k, env in ((2, None), (2, 3), (1, None)):
         for where in (np.s_[:], np.s_[0, 1, 0]):
             chan = random_channel(2, k, 67)
@@ -446,6 +455,20 @@ def test_dilate_rejects_non_finite_operators_reassigned_after_the_check(bad):
                 warnings.simplefilter("error")
                 with pytest.raises(InvalidState, match="entries are not all finite"):
                     dilate(chan, env)
+
+
+def test_dilate_rejects_a_stack_that_completes_to_no_unitary():
+    # reached only past the frozen dataclass: a finite stack scaled by 1.5 completes
+    # to a matrix that is not unitary, and two equal singular Kraus operators leave V
+    # of rank 1, so no complement is formed
+    scaled = random_channel(2, 2, 70)
+    object.__setattr__(scaled, "operators", 1.5 * scaled.operators)
+    damping = KrausChannel((np.diag([1.0, 0.0]), np.array([[0.0, 1.0], [0.0, 0.0]])))
+    object.__setattr__(damping, "operators", damping.operators[[0, 0]])
+    for chan in (scaled, damping):
+        for env in (None, 3):
+            with pytest.raises(InvalidState, match="^unitary completion failed$"):
+                dilate(chan, env)
 
 
 def test_a_bound_call_checks_hermiticity_once(monkeypatch):

@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -237,6 +238,20 @@ def test_battery_default_rows_and_bound(tmp_path):
         assert abs(r["avg_work"]) <= r["bound"] + 1e-9
     # default protocol starts in the ground state with the pulse off
     assert rows[0]["eta"] == 0.0 and rows[0]["avg_work"] == 0.0
+
+
+def test_a_battery_axis_past_the_norm_range_gives_the_unit_axis_body(tmp_path):
+    # |n| of [1e200, 1e200, 0] overflowed: a warning, then exit 2 on a zero axis
+    bodies = []
+    for axis in ([1e200, 1e200, 0], [1, 1, 0]):
+        cfg, out = tmp_path / "cfg.json", tmp_path / "bat.csv"
+        cfg.write_text(json.dumps({"battery": {"axis": axis}}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["battery", "--config", str(cfg), "--out", str(out)]) == 0
+        bodies.append("".join(line for line in out.read_text().splitlines(True)
+                              if not line.startswith("#")))
+    assert bodies[0] == bodies[1] and bodies[0].count("\n") == 1002
 
 
 def test_battery_rejects_mixed_states(tmp_path, capsys):
@@ -700,12 +715,21 @@ def test_negative_seed_from_the_environment_is_a_usage_error(monkeypatch, capsys
 
 
 def test_importing_the_command_line_leaves_scipy_unloaded():
-    # scipy.linalg is imported on the first dilate and jsonschema on the first
-    # document read, not with the package
+    # jsonschema is imported on the first document read, not with the package;
+    # scipy never is, not even by channel and verify thm3, which dilate
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    code = ("import sys, coherence_speed.cli; print(sorted(m for m in sys.modules "
-            "if m.split('.')[0] in ('scipy', 'jsonschema')))")
-    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
-                          check=True)
-    assert done.stdout == "[]\n"
+    probe = ("import sys; from coherence_speed.cli import main; "
+             "code = main(sys.argv[1:]) if len(sys.argv) > 1 else 0; "
+             "print(code, sorted(m for m in sys.modules "
+             "if m.split('.')[0] in ('scipy', 'jsonschema')), file=sys.stderr)")
+
+    def loaded(*argv):
+        done = subprocess.run([sys.executable, "-c", probe, *argv], env=env, capture_output=True,
+                              text=True, check=True)
+        return done.stderr.splitlines()[-1]
+
+    assert loaded() == "0 []"
+    for argv in (["channel"], ["verify", "thm3"]):
+        code, modules = loaded(*argv).split(" ", 1)
+        assert code == "0" and "scipy" not in modules, (argv, modules)

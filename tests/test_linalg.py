@@ -653,7 +653,7 @@ def test_a_malformed_density_gets_one_message_from_every_entry():
 
 
 def test_eigendata_rebuilds_equal_the_parent_expressions_bit_for_bit():
-    # every V diag(x) V† of the package is _eigenbasis_operators; here are the seven
+    # every V diag(x) V† of the package is _eigenbasis_operators; here are the six
     # expressions it replaced, each written out on the arguments of its site
     dagger, herm = linalg.dagger, linalg.hermitianize
     rng = np.random.default_rng(30)
@@ -678,8 +678,6 @@ def test_eigendata_rebuilds_equal_the_parent_expressions_bit_for_bit():
         same(linalg._eigenbasis_operators(vs[:-1], x), (vs[:-1] * x[:, None, :]) @ dagger(vs[:-1]))
         x = np.exp(-1j * ws * 0.3)                                                # qudit battery
         same(linalg._eigenbasis_operators(vs, x), (vs * x[:, None, :]) @ dagger(vs))
-        z = np.asfortranarray(random_unitary(d, rng))      # dilate's Schur vectors, column-major
-        same(herm(linalg._eigenbasis_operators(z, lam)), herm((z * lam) @ z.conj().T))
 
 
 def _eager_stack(w, v):

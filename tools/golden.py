@@ -11,7 +11,7 @@ It records
 - the exit code and stderr, or the exception and warnings, for a fixed
   list of malformed inputs to the CLI and to the library (among them
   non-finite times, pulse and axis samples, and a ``SpectralHamiltonian``
-  built raw, written or reassigned, and a zero or NaN ``constant_axis``),
+  built raw, written or reassigned, and a zero, NaN or 1e200 ``constant_axis``),
   and the outcome of each density entry on malformed, near-Hermitian and
   pure 3 x 3 states;
 - three exact outputs: ``fidelity`` of a pair inside the dead band, and
@@ -306,6 +306,7 @@ def _library_cases():
         "spin-operator-nan-axis": lambda: spin_operator([NAN, 0.0, 0.0]).tolist(),
         "constant-axis-zero": lambda: constant_axis((0.0, 0.0, 0.0))(0.0).tolist(),
         "constant-axis-nan": lambda: constant_axis((NAN, 0.0, 0.0))(0.0).tolist(),
+        "constant-axis-1e200": lambda: constant_axis((1e200, 1e200, 0.0))(0.0).tolist(),
         "fidelity-near-band-seed-27-d-2": _near_band_fidelity,
         "avg-distance-closed-nan-t": lambda: avg_distance_closed(mixed, three, NAN),
         "avg-distance-closed-nan-t-no-brute": lambda: avg_distance_closed(
