@@ -19,7 +19,7 @@ respect to the eigenprojector decomposition:
 ``avg_distance_bruteforce`` evaluates the sum literally and is kept as
 an independent oracle for the closed form.  It works in the eigenbasis
 V of H, where every U_s is the diagonal phase row
-phi_s = exp(-i lambda_s t) of the orbit (``_orbit_diagonals``): it forms
+phi_s = exp(-i lambda_s t) of the orbit (``_orbit_rows``): it forms
 R = V† rho V, rho by the lower triangle its check read (``_lower_hermitian``),
 and Q = V† sqrt(rho) V once, builds every evolved state
 S_s = phi_s R phi_s† elementwise (sigma_s = U_s rho U_s† in the basis V)
@@ -29,10 +29,10 @@ diagonalization per chunk of the orbit, with Q as the root of R.  It never uses
 sqrt(S_s) = phi_s Q phi_s†, i.e. sqrt(sigma_s) = U_s sqrt(rho) U_s†,
 which is the closed form's own derivation step; the change of basis V
 is fixed and applies to rho as a whole, so it removes no dependence on
-s.  ``_orbit_mean`` (capped at BRUTE_FORCE_CAP levels, averaged with the
-correctly rounded ``math.fsum``) is the one loop over the orbit, and with
-``_closed_form`` also serves ``channels.theorem3_bound`` and
-``battery.qudit_battery_bound``, which build the full U_s from the same
+s.  ``_orbit_means`` (capped at BRUTE_FORCE_CAP levels, averaged with the
+correctly rounded ``math.fsum``) is the one loop over orbits (``_orbit_mean``
+for one), and with ``_closed_form`` also serves ``channels.theorem3_bound``
+and ``battery.qudit_battery_bound``, which build the full U_s from the same
 phase rows (``_eigenbasis_operators``).
 
 For a pure state rho = |psi><psi| every sigma_s is pure too, and its
@@ -53,6 +53,7 @@ them from one (T, pairs) cosine array, bit for bit the per-point value.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -66,7 +67,7 @@ from .linalg import (
     _Density,
     _eigenbasis_operators,
     _lower_hermitian,
-    _orbit_diagonals,
+    _orbit_rows,
     _psd_sqrt_eig,
     _read_only,
     _require_finite,
@@ -118,16 +119,24 @@ def _bruteforce_pure(psi: np.ndarray, ham: SpectralHamiltonian, t: float) -> flo
 def _orbit_mean(ham: SpectralHamiltonian, fn, term) -> float:
     """Correctly rounded mean of one term per member of the permutation orbit.
 
-    term maps each chunk of ``_orbit_diagonals(ham, fn)``, the members'
+    term maps each chunk of ``_orbit_rows([ham], fn)``, fn of the members'
     diagonals in the eigenbasis of ham, to their terms; a term that needs
     the operators V diag(row) V† builds them with ``_eigenbasis_operators``.
     Raises TooManyLevels, before any orbit work, when the distinct level
     count exceeds BRUTE_FORCE_CAP.
     """
-    if ham.level_count > BRUTE_FORCE_CAP:
-        raise TooManyLevels(f"{ham.level_count} levels exceed brute-force cap {BRUTE_FORCE_CAP}")
-    terms = np.concatenate([term(rows) for rows in _orbit_diagonals(ham, fn)])
-    return math.fsum(terms) / len(terms)
+    return _orbit_means([ham], lambda lam, owner: fn(lam), lambda rows, owner: term(rows))[0]
+
+
+def _orbit_means(hams, fn, term) -> list[float]:
+    """_orbit_mean of each Hamiltonian, all of one dimension, over their orbits in one list
+    (``linalg._orbit_rows``): fn and term also take the Hamiltonian of each row, as owner."""
+    counts = [ham.level_count for ham in hams]
+    if max(counts) > BRUTE_FORCE_CAP:
+        raise TooManyLevels(f"{max(counts)} levels exceed brute-force cap {BRUTE_FORCE_CAP}")
+    terms = np.concatenate([term(rows, owner) for rows, owner in _orbit_rows(hams, fn)]).tolist()
+    ends = [0, *itertools.accumulate(math.factorial(m) for m in counts)]
+    return [math.fsum(terms[a:b]) / (b - a) for a, b in zip(ends, ends[1:])]
 
 
 def _closed_form(root: np.ndarray, ham: SpectralHamiltonian, t) -> tuple[float, float, float]:

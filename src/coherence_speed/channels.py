@@ -39,11 +39,11 @@ import json
 import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
-from .avgdist import _closed_form, _orbit_mean
+from .avgdist import _closed_form, _orbit_means
 from .errors import DimensionMismatch, IncompleteKraus, InvalidState, TooManyKraus
 from .linalg import (
     TOL_DEGEN,
@@ -54,6 +54,7 @@ from .linalg import (
     SpectralHamiltonian,
     _Density,
     _eigenbasis_operators,
+    _haar_unitaries,
     _lower_hermitian,
     _psd_sqrt_eig,
     _read_only,
@@ -63,7 +64,6 @@ from .linalg import (
     dagger,
     hermitianize,
     partial_trace,
-    random_unitary,
     unitary_exp,
     validate_density,
 )
@@ -133,9 +133,16 @@ def qutrit_equality_channel() -> KrausChannel:
 
 def random_channel(dim: int, n_kraus: int, seed) -> KrausChannel:
     """Random CPTP map: slices of a Haar-random unitary dilation."""
-    iso = random_unitary(dim * n_kraus, seed)[:, ::n_kraus]  # <s|K_j|c> at [s * n_kraus + j, c]
-    return KrausChannel(iso.reshape(dim, n_kraus, dim).swapaxes(0, 1),
-                        label=f"random-{dim}x{n_kraus}")
+    return _random_channels([np.random.default_rng(seed)], dim, n_kraus)[0]
+
+
+def _random_channels(rngs, dim: int, n_kraus: int) -> list[KrausChannel]:
+    """random_channel of each generator, its Ginibre draw in turn, then one stacked QR."""
+    n = dim * n_kraus
+    iso = _haar_unitaries(np.array([rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+                                    for rng in rngs]))[:, :, ::n_kraus]  # <s|K_j|c> at [s K + j, c]
+    return [KrausChannel(k.reshape(dim, n_kraus, dim).swapaxes(0, 1),
+                         label=f"random-{dim}x{n_kraus}") for k in iso]
 
 
 @dataclass(frozen=True, eq=False)
@@ -211,58 +218,65 @@ def dilate(channel: KrausChannel, env_dim: int | None = None) -> StinespringDila
     fail that check.  A rank other than d leaves the complement empty,
     and max|U†U - I| above TOL_ORTH then rejects the completion.
     """
-    d = channel.dim
-    n_ops = len(channel.operators)
+    return _dilate([channel], env_dim)[0]
+
+
+def _dilate(channels, env_dim: int | None = None) -> list[StinespringDilation]:
+    """dilate of each channel of one shape: one SVD, rank rule, check and logarithm."""
+    ops = np.array([channel.operators for channel in channels])
+    n_ops, d = ops.shape[1:3]
     d_env = n_ops if env_dim is None else int(env_dim)
     if n_ops > d_env:
         raise TooManyKraus(f"{n_ops} Kraus operators exceed environment dimension {d_env}")
     n = d * d_env
-    iso = np.zeros((n, d), dtype=complex)     # <s|K_j|c> at [s * d_env + j, c]
-    iso.reshape(d, d_env, d)[:, :n_ops] = channel.operators.swapaxes(0, 1)
+    iso = np.zeros((len(ops), n, d), dtype=complex)     # <s|K_j|c> at [s * d_env + j, c]
+    iso.reshape(-1, d, d_env, d)[:, :, :n_ops] = ops.swapaxes(1, 2)
     if not np.isfinite(iso).all():
         raise InvalidState("unitary completion failed: entries are not all finite")
-    u = np.zeros((n, n), dtype=complex)       # column c * d_env + j; the complement at j >= 1
-    u3 = u.reshape(n, d, d_env)
-    u3[:, :, 0] = iso
+    u = np.zeros((len(ops), n, n), dtype=complex)   # column c * d_env + j; the complement at j >= 1
+    u4 = u.reshape(-1, n, d, d_env)
+    u4[..., 0] = iso
     _, s, vh = np.linalg.svd(dagger(iso))
-    if np.count_nonzero(s > s.max() * (np.finfo(float).eps * n)) == d:
-        u3[:, :, 1:] = dagger(vh[d:]).reshape(n, d, d_env - 1)
-    if np.max(np.abs(dagger(u) @ u - np.eye(n))) > TOL_ORTH:
+    if (s > s[..., :1] * (np.finfo(float).eps * n)).all():    # rank d: s descends from max(s)
+        u4[..., 1:] = dagger(vh[:, d:]).reshape(len(u), n, d, d_env - 1)
+    if np.abs(dagger(u) @ u - np.eye(n)).max() > TOL_ORTH:
         raise InvalidState("unitary completion failed")
-    return StinespringDilation(hamiltonian=SpectralHamiltonian._build(*_principal_log(u)),
-                               sys_dim=d, env_dim=d_env, env_state=np.eye(d_env)[0],
-                               duration=1.0)
+    return [StinespringDilation(hamiltonian=SpectralHamiltonian._build(w, v), sys_dim=d,
+                                env_dim=d_env, env_state=np.eye(d_env)[0], duration=1.0)
+            for w, v in _principal_log(u)]
 
 
-def _principal_log(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Ascending levels and orthonormal eigenvectors of H = i log U, U unitary.
+def _principal_log(u: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Ascending levels and orthonormal eigenvectors of H = i log U, per U of a stack (n, N, N).
 
     The eigenphases are folded to (-pi + TOL_DEGEN, pi + TOL_DEGEN]: a
     phase within TOL_DEGEN of -pi is taken as its image near +pi, so that
     an eigenvalue -1 of U, which rounding puts on either side of the
     branch cut, gives one level.
 
-    A Cayley transform, four LAPACK calls.  U' = e^{i beta} U puts -1 at
-    the middle of the widest gap of U's eigenphases (``eigvals``); then
-    C = i (I + U')^-1 (U' - I) is Hermitian with eigenvalues
-    -tan(phi / 2) for the phases phi of U', which is one-to-one on the
-    circle without -1.  So distinct phases stay distinct, a cluster gets
-    orthonormal vectors from ``eigh(C)``, and the levels, beta + 2 arctan
-    of its ascending eigenvalues, ascend too; those above pi + TOL_DEGEN,
-    a tail, lose 2 pi and move to the front.  C is diagonalized without a
-    Hermiticity check; the bookkeeping is in Python scalars.
+    A Cayley transform, four stacked LAPACK calls.  U' = e^{i beta} U puts -1
+    at the middle of the widest gap of U's eigenphases (``eigvals``); then
+    C = i (I + U')^-1 (U' - I) is Hermitian with eigenvalues -tan(phi / 2)
+    for the phases phi of U', which is one-to-one on the circle without -1.
+    So distinct phases stay distinct, a cluster gets orthonormal vectors from
+    ``eigh(C)``, and the levels, beta + 2 arctan of its ascending eigenvalues,
+    ascend too; those above pi + TOL_DEGEN, a tail, lose 2 pi and move to the
+    front.  C is diagonalized without a Hermiticity check; the bookkeeping is
+    in Python scalars, row by row (``math.atan``: np.arctan may round apart).
     """
-    phases = sorted(np.angle(np.linalg.eigvals(u)).tolist())
-    gap, start = max(zip([b - a for a, b in zip(phases, phases[1:])] +
-                         [phases[0] + 2.0 * math.pi - phases[-1]], phases))
-    beta = (math.pi - start - 0.5 * gap) % (2.0 * math.pi)
-    eye = np.eye(len(u))
-    rotated = cmath.exp(1j * beta) * u
-    tau, v = np.linalg.eigh(1j * np.linalg.solve(eye + rotated, rotated - eye))
-    lam = [beta + 2.0 * math.atan(t) for t in tau.tolist()]
-    m = bisect.bisect_right(lam, math.pi + TOL_DEGEN)
-    return (np.array([x - 2.0 * math.pi for x in lam[m:]] + lam[:m]),
-            np.concatenate((v[:, m:], v[:, :m]), axis=1))
+    betas = []
+    for phases in map(sorted, np.angle(np.linalg.eigvals(u)).tolist()):
+        gap, start = max(zip([b - a for a, b in zip(phases, phases[1:])] +
+                             [phases[0] + 2.0 * math.pi - phases[-1]], phases))
+        betas.append((math.pi - start - 0.5 * gap) % (2.0 * math.pi))
+    eye = np.eye(u.shape[-1])
+    rotated = np.array([cmath.exp(1j * beta) for beta in betas])[:, None, None] * u
+    taus, vs = np.linalg.eigh(1j * np.linalg.solve(eye + rotated, rotated - eye))
+    for beta, tau, v in zip(betas, taus.tolist(), vs):
+        lam = [beta + 2.0 * math.atan(t) for t in tau]
+        m = bisect.bisect_right(lam, math.pi + TOL_DEGEN)
+        yield (np.array([x - 2.0 * math.pi for x in lam[m:]] + lam[:m]),
+               np.concatenate((v[:, m:], v[:, :m]), axis=1))
 
 
 def permuted_channel_apply(dilation: StinespringDilation, assignment, rho) -> np.ndarray:
@@ -285,25 +299,30 @@ def theorem3_bound(dilation: StinespringDilation, rho) -> tuple[float, float]:
     distance of a channel output, made Hermitian by ``hermitianize``,
     from rho; it and the joint are rooted without a Hermiticity check.
     """
-    average, rhs = _theorem3_bound(dilation, _Density.of(rho))
-    return average(), rhs
+    average, rhs = _theorem3_bound([dilation], [_Density.of(rho)])
+    return average()[0], rhs[0]
 
 
-def _theorem3_bound(dilation: StinespringDilation,
-                    state: _Density) -> tuple[Callable[[], float], float]:
-    """theorem3_bound of a checked state: the ceiling, taken first since it needs no
-    orbit, and the orbit average as a call, which raises TooManyLevels past the cap."""
-    joint = dilation._joint(_lower_hermitian(state.rho))
-    dims = (dilation.sys_dim, dilation.env_dim)
-    ham, duration = dilation.hamiltonian, dilation.duration
-    rhs = _closed_form(_rebuild(*_psd_sqrt_eig(joint)), ham, duration)[2]
+def _theorem3_bound(dilations, states) -> tuple[Callable[[], list[float]], list[float]]:
+    """theorem3_bound of checked states on dilations of one shape: the ceilings, from one
+    stacked joint root, and the orbit means as a later call (TooManyLevels past the cap),
+    every orbit member of every dilation in one list of stacked chunks."""
+    dims = (dilations[0].sys_dim, dilations[0].env_dim)
+    joints = np.array([dil._joint(_lower_hermitian(state.rho))
+                       for dil, state in zip(dilations, states)])
+    rhs = [_closed_form(root, dil.hamiltonian, dil.duration)[2]
+           for root, dil in zip(_rebuild(*_psd_sqrt_eig(joints)), dilations)]
+    hams = [dil.hamiltonian for dil in dilations]
+    vecs, roots = np.array([h.eigenvectors for h in hams]), np.array([s.root for s in states])
+    t = np.array([dil.duration for dil in dilations])[:, None]
 
-    def distances(phi):
-        u = _eigenbasis_operators(ham.eigenvectors, phi)
-        out = _trace_second(u @ joint @ dagger(u), *dims)
-        return _hellinger(state.root, *_psd_sqrt_eig(hermitianize(out)))
+    def distances(phi, owner):
+        u = _eigenbasis_operators(vecs.take(owner, 0), phi)
+        out = _trace_second(u @ joints.take(owner, 0) @ dagger(u), *dims)
+        return _hellinger(roots.take(owner, 0), *_psd_sqrt_eig(hermitianize(out)))
 
-    return lambda: _orbit_mean(ham, lambda lam: np.exp(-1j * lam * duration), distances), rhs
+    return lambda: _orbit_means(hams, lambda lam, owner: np.exp(-1j * lam * t.take(owner, 0)),
+                                distances), rhs
 
 
 @dataclass(frozen=True)

@@ -344,7 +344,6 @@ def _cmd_battery(ns, config: dict) -> int:
 
 
 def _cmd_channel(ns, config: dict) -> int:
-    from jsonschema import ValidationError
     seed, tol, out, fmt = _resolve_common(ns, config, TOL_REPORT)
     section = config.get("channel", {})
     channel_spec = section.get("channel", "qutrit-equality")
@@ -353,6 +352,7 @@ def _cmd_channel(ns, config: dict) -> int:
         label = "qutrit-equality"
     else:
         label = channel_spec["path"]
+        from jsonschema import ValidationError     # a channel file is the only document read
         try:
             channel = load_channel(label)
         except ValidationError as exc:
@@ -374,9 +374,9 @@ def _cmd_channel(ns, config: dict) -> int:
            "gap": gap_report.gap, "witness": gap_report.witness,
            "witness_is_zero": gap_report.witness_is_zero}
     failure = None
-    average, rhs = _theorem3_bound(dilation, state)
+    average, (rhs,) = _theorem3_bound([dilation], [state])
     try:
-        lhs = average()
+        (lhs,) = average()
         row.update(avg_channel_distance=lhs, coherence_ceiling=rhs,
                    slack=rhs - lhs)
         if lhs > rhs + tol:

@@ -289,10 +289,14 @@ def random_hermitian(dim: int, seed, scale: float = 1.0) -> np.ndarray:
 def random_unitary(dim: int, seed) -> np.ndarray:
     """Haar-distributed unitary (QR of a Ginibre matrix with phase fix)."""
     rng = np.random.default_rng(seed)
-    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    return _haar_unitaries(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
+
+
+def _haar_unitaries(g: np.ndarray) -> np.ndarray:
+    """random_unitary's QR and phase fix of a Ginibre matrix, or of each of a stack (..., d, d)."""
     q, r = np.linalg.qr(g)
-    d = np.diagonal(r)
-    return q * (d / np.abs(d))
+    d = r.diagonal(0, -2, -1)
+    return q * (d / np.abs(d))[..., None, :]
 
 
 def _block_stack(vectors: np.ndarray, groups: Sequence[Sequence[int]]) -> np.ndarray:
@@ -578,17 +582,21 @@ def _orbit_table(m_count: int) -> np.ndarray:
     return _read_only(np.argsort(perms.reshape(-1, m_count), axis=1))
 
 
-def _orbit_diagonals(ham: SpectralHamiltonian,
-                     fn: Callable[[np.ndarray], np.ndarray]) -> Iterator[np.ndarray]:
-    """fn of the orbit's level rows, as lexicographic chunks of ORBIT_CHUNK rows.
+def _orbit_rows(hams: Sequence[SpectralHamiltonian], fn) -> Iterator[tuple]:
+    """fn of the orbits' level rows, as lexicographic chunks of ORBIT_CHUNK rows.
 
-    Row k holds the level value on each eigenvector column for the k-th
-    assignment s of itertools.permutations(range(M)), which puts level m
-    on block s[m] as permute_levels does, so that H_s = V diag(row_k) V†
-    with V = ham.eigenvectors: ``lambda lam: lam`` gives the diagonals of
-    the H_s, ``lambda lam: np.exp(-1j * lam * t)`` the phases of
-    exp(-i H_s t).  The permutation table is built once per level count.
+    The orbits of Hamiltonians of one dimension follow one another in one list, chunked as
+    one: each chunk comes as (fn(rows, owner), owner), owner the index of each row's
+    Hamiltonian.  Row k of an orbit holds the level value on each eigenvector column for
+    the k-th assignment s of itertools.permutations(range(M)), which puts level m on block
+    s[m] as permute_levels does, so that H_s = V diag(row_k) V† with V = ham.eigenvectors:
+    ``lambda lam, owner: lam`` gives the diagonals of the H_s, and with t the time
+    ``lambda lam, owner: np.exp(-1j * lam * t)`` the phases of exp(-i H_s t).  The
+    permutation table is built once per level count.
     """
-    rows = ham.levels[_orbit_table(ham.level_count)[:, ham.level_of]]
+    rows = np.concatenate([ham.levels[_orbit_table(ham.level_count)[:, ham.level_of]]
+                           for ham in hams])
+    owner = np.arange(len(hams)).repeat([math.factorial(ham.level_count) for ham in hams])
     for start in range(0, len(rows), ORBIT_CHUNK):
-        yield fn(rows[start:start + ORBIT_CHUNK])
+        chunk = slice(start, start + ORBIT_CHUNK)
+        yield fn(rows[chunk], owner[chunk]), owner[chunk]

@@ -10,13 +10,16 @@ A check is declared once, by its decorator, which names its suite, its
 salt, its default tolerance and trial count and its dimension rule, and
 registers it in SUITES: suites and their checks run in declaration order.
 
-* ``_trials(suite, name, salt=, trials=, tol=, inequality=False, dims=None)``
-  declares a check of independent trials from the body of one trial,
-  ``body(i, rng, d) -> figure``; trial i draws from child i of
-  ``SeedSequence([seed, salt])``.  The worst figure is the maximum over
-  the trials.  An identity reports a nonnegative gap and passes when
-  worst < tol; an inequality (``inequality=True``) reports lhs - rhs and
-  passes when worst <= tol.
+* ``_trials(suite, name, salt=, trials=, tol=, inequality=False, dims=None,
+  stacked=False)`` declares a check of independent trials from the body of
+  one trial, ``body(i, rng, d) -> figure``; trial i draws from child i of
+  ``SeedSequence([seed, salt])``.  A stacked check (fixed d) declares
+  ``body(rngs, d) -> figures``, one per trial in order: each trial draws
+  from its own generator, in trial order, then stacked numpy passes
+  evaluate them all, bit for bit as one by one.  The worst figure is the
+  maximum over the trials.  An identity reports a nonnegative gap and
+  passes when worst < tol; an inequality (``inequality=True``) reports
+  lhs - rhs and passes when worst <= tol.
 * ``_check(suite, name, salt=, tol=, trials=None, dims=None)`` declares
   any other check from ``body(rng, trials, dims, tol) -> (passed, worst,
   trials_run, detail)``, where rng is ``default_rng([seed, salt])``.
@@ -62,13 +65,13 @@ from .battery import (
 )
 from .channels import (
     StinespringDilation,
+    _apply_kraus,
+    _dilate,
+    _random_channels,
+    _theorem3_bound,
     apply_kraus,
-    dilate,
     equality_gap_analysis,
-    permuted_channel_apply,
     qutrit_equality_channel,
-    random_channel,
-    theorem3_bound,
 )
 from .coherence import c_half, c_l1, closest_incoherent, is_refinement
 from .dynamics import (
@@ -85,8 +88,10 @@ from .errors import UnknownSuite
 from .linalg import (
     OrthogonalDecomposition,
     SpectralHamiltonian,
+    _Density,
     _eigenbasis_operators,
-    _orbit_diagonals,
+    _orbit_rows,
+    _rebuild,
     dagger,
     haar_random_state,
     hermitianize,
@@ -157,23 +162,24 @@ def _check(suite: str, name: str, *, salt: int, tol: float, trials: int | None =
 
         check.__name__ = check.__qualname__ = body.__name__
         check.__doc__ = body.__doc__
-        check.salt, check.dims = salt, rule
+        check.salt, check.dims, check.body = salt, rule, getattr(body, "body", body)
         SUITES[suite] = SUITES.get(suite, ()) + (check,)
         return check
     return declare
 
 
 def _trials(suite: str, name: str, *, salt: int, trials: int, tol: float,
-            inequality: bool = False, dims=None):
-    """Declare a check from one trial ``body(i, rng, d)`` (module docstring)."""
+            inequality: bool = False, dims=None, stacked: bool = False):
+    """Declare a check from ``body(i, rng, d)``, or stacked ``body(rngs, d)`` (module docstring)."""
     def declare(body):
         def run(rng, n, pick, tol):
-            # child i of SeedSequence([seed, salt]), as rng was seeded with it
-            worst = max(body(i, child, pick if callable(dims) or dims is None else pick(i))
-                        for i, child in enumerate(rng.spawn(n)))
+            rngs = rng.spawn(n)     # child i of SeedSequence([seed, salt]), as rng was seeded
+            worst = max(body(rngs, pick()) if stacked else
+                        (body(i, child, pick if callable(dims) or dims is None else pick(i))
+                         for i, child in enumerate(rngs)))
             return (worst <= tol if inequality else worst < tol), worst, n, ""
 
-        run.__name__, run.__doc__ = body.__name__, body.__doc__
+        run.__name__, run.__doc__, run.body = body.__name__, body.__doc__, body
         return _check(suite, name, salt=salt, tol=tol, trials=trials, dims=dims)(run)
     return declare
 
@@ -326,73 +332,76 @@ def check_thm2_equality(i, rng, dims):
     return res.gap
 
 
-def _qubit_env_case(rng):
-    channel = random_channel(2, 2, rng)
-    dilation = dilate(channel)
-    rho = random_density(2, rank=int(rng.integers(1, 3)), seed=rng)
-    return channel, dilation, rho
+def _qubit_env_cases(rngs):
+    """Per trial, from its own generator, a 2 x 2 channel then a state; dilations and joints."""
+    channels = _random_channels(rngs, 2, 2)
+    rhos = np.array([random_density(2, rank=int(rng.integers(1, 3)), seed=rng) for rng in rngs])
+    dilations = _dilate(channels)
+    return channels, dilations, rhos, np.array([d._joint(r) for d, r in zip(dilations, rhos)])
 
 
-@_trials("thm3", "thm3-inequality", salt=31, trials=100, tol=1e-9, inequality=True, dims=2)
-def check_thm3_inequality(i, rng, d):
+@_trials("thm3", "thm3-inequality", salt=31, trials=100, tol=1e-9, inequality=True, dims=2,
+         stacked=True)
+def check_thm3_inequality(rngs, d):
     """Channel-average distance never exceeds the dilated coherence ceiling."""
-    _, dilation, rho = _qubit_env_case(rng)
-    lhs, rhs = theorem3_bound(dilation, rho)
-    return lhs - rhs
+    _, dilations, rhos, _ = _qubit_env_cases(rngs)
+    average, rhs = _theorem3_bound(dilations, [_Density.of(rho) for rho in rhos])
+    return [lhs - bound for lhs, bound in zip(average(), rhs)]
 
 
 @_trials("thm3", "thm3-dpi-per-permutation", salt=32, trials=50, tol=1e-10, inequality=True,
-         dims=2)
-def check_thm3_dpi(i, rng, d):
+         dims=2, stacked=True)
+def check_thm3_dpi(rngs, d):
     """Per-permutation contraction: system distance <= dilated distance."""
-    _, dilation, rho = _qubit_env_case(rng)
-    joint = dilation.joint_input(rho)
-    dims = (dilation.sys_dim, dilation.env_dim)
-    ham = dilation.hamiltonian
-    worst_s = -np.inf
-    for phases in _orbit_diagonals(ham, lambda lam: np.exp(-1j * lam * dilation.duration)):
-        u = _eigenbasis_operators(ham.eigenvectors, phases)
-        joint_s = u @ joint @ dagger(u)
-        sys_dist = hellinger(partial_trace(joint_s, dims, over=1), rho)
-        joint_dist = hellinger(joint_s, joint)
-        worst_s = max(worst_s, float(np.max(sys_dist - joint_dist)))
-    return worst_s
+    _, dilations, rhos, joints = _qubit_env_cases(rngs)
+    hams, worst = [dil.hamiltonian for dil in dilations], np.full(len(rngs), -np.inf)
+    vecs, t = np.array([h.eigenvectors for h in hams]), np.array([x.duration for x in dilations])
+    for phases, owner in _orbit_rows(hams, lambda lam, owner: np.exp(-1j * lam * t[owner, None])):
+        u = _eigenbasis_operators(vecs[owner], phases)
+        joint_s = u @ joints[owner] @ dagger(u)
+        sys_dist = hellinger(partial_trace(joint_s, (2, 2), over=1), rhos[owner])
+        np.maximum.at(worst, owner, sys_dist - hellinger(joint_s, joints[owner]))
+    return worst.tolist()
 
 
-@_trials("thm3", "thm3-dilation-consistency", salt=33, trials=100, tol=1e-10, dims=2)
-def check_thm3_dilation_consistency(i, rng, d):
+@_trials("thm3", "thm3-dilation-consistency", salt=33, trials=100, tol=1e-10, dims=2,
+         stacked=True)
+def check_thm3_dilation_consistency(rngs, d):
     """Kraus action and identity-permutation dilation action agree in distance."""
-    channel, dilation, rho = _qubit_env_case(rng)
-    direct = hellinger(apply_kraus(channel, rho), rho)
-    identity = tuple(range(len(dilation.levels)))
-    via_dilation = hellinger(permuted_channel_apply(dilation, identity, rho), rho)
-    return abs(direct - via_dilation)
+    channels, dilations, rhos, joints = _qubit_env_cases(rngs)
+    direct = hellinger(np.array([_apply_kraus(c, rho) for c, rho in zip(channels, rhos)]), rhos)
+    hams = [dil.hamiltonian for dil in dilations]
+    phases = np.exp(-1j * np.array([h.levels[h.level_of] for h in hams])
+                    * np.array([dil.duration for dil in dilations])[:, None])
+    u = _eigenbasis_operators(np.array([h.eigenvectors for h in hams]), phases)
+    via_dilation = hellinger(partial_trace(u @ joints @ dagger(u), (2, 2), over=1), rhos)
+    return np.abs(direct - via_dilation).tolist()
 
 
-@_trials("thm3", "thm3-product-equality", salt=34, trials=100, tol=1e-9, dims=2)
-def check_thm3_product_equality(i, rng, d):
+@_trials("thm3", "thm3-product-equality", salt=34, trials=100, tol=1e-9, dims=2, stacked=True)
+def check_thm3_product_equality(rngs, d):
     """Non-interacting dilations with the environment in a stationary state
     saturate the bound: the permutation-averaged channel distance equals the
     dilated closed form exactly."""
     eye2 = np.eye(2)
-    while True:
-        ham_a = SpectralHamiltonian.from_spectrum(
-            _spectrum(rng, 2, min_gap=1e-2), random_unitary(2, rng))
-        h_env = (np.zeros((2, 2)) if i % 4 == 0
-                 else np.diag(_spectrum(rng, 2, min_gap=1e-2)))
-        h_joint = np.kron(ham_a.matrix(), eye2) + np.kron(eye2, h_env)
-        gaps = np.diff(np.sort(np.linalg.eigvalsh(h_joint)))
-        # keep only exactly-degenerate or safely-separated joint spectra
-        if not np.any((gaps > 1e-12) & (gaps < 1e-6)):
-            break
-    dilation = StinespringDilation(
-        hamiltonian=SpectralHamiltonian.from_matrix(h_joint),
-        sys_dim=2, env_dim=2,
-        env_state=np.array([1.0, 0.0], dtype=complex),
-        duration=float(rng.uniform(0.2, 2.0)))
-    rho = random_density(2, rank=int(rng.integers(1, 3)), seed=rng)
-    lhs, rhs = theorem3_bound(dilation, rho)
-    return abs(lhs - rhs)
+    dilations, states = [], []
+    for i, rng in enumerate(rngs):
+        while True:
+            # V diag(w) V† as SpectralHamiltonian.from_spectrum(w, V).matrix() forms it
+            h_a = _rebuild(_spectrum(rng, 2, min_gap=1e-2), random_unitary(2, rng))
+            h_env = (np.zeros((2, 2)) if i % 4 == 0
+                     else np.diag(_spectrum(rng, 2, min_gap=1e-2)))
+            h_joint = np.kron(h_a, eye2) + np.kron(eye2, h_env)
+            gaps = np.diff(np.sort(np.linalg.eigvalsh(h_joint)))
+            # keep only exactly-degenerate or safely-separated joint spectra
+            if not np.any((gaps > 1e-12) & (gaps < 1e-6)):
+                break
+        dilations.append(StinespringDilation(
+            hamiltonian=SpectralHamiltonian.from_matrix(h_joint), sys_dim=2, env_dim=2,
+            env_state=np.array([1.0, 0.0]), duration=float(rng.uniform(0.2, 2.0))))
+        states.append(_Density.of(random_density(2, rank=int(rng.integers(1, 3)), seed=rng)))
+    average, rhs = _theorem3_bound(dilations, states)
+    return [abs(lhs - bound) for lhs, bound in zip(average(), rhs)]
 
 
 @_check("thm3", "qutrit-equality-construction", salt=35, tol=1e-14, dims=3)

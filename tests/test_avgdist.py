@@ -232,7 +232,7 @@ def test_qudit_battery_bound_equals_literal_permutation_loop():
 def test_every_orbit_oracle_respects_the_cap(monkeypatch):
     n = BRUTE_FORCE_CAP + 1
     orbits = []
-    monkeypatch.setattr(avgdist, "_orbit_diagonals", lambda *a: orbits.append(a) or iter(()))
+    monkeypatch.setattr(avgdist, "_orbit_rows", lambda *a: orbits.append(a) or iter(()))
     ham = SpectralHamiltonian.from_spectrum(np.arange(n, dtype=float), random_unitary(n, 50))
     rho = random_density(n, rank=2, seed=50)
     with pytest.raises(TooManyLevels, match=f"{n} levels exceed brute-force cap"):
@@ -307,7 +307,7 @@ def _computational_basis_brute(rho, ham, t):
     the orbit's phase rows, sigma_s = U_s rho U_s†, matrix_sqrt_psd of each, one trace."""
     a = linalg.matrix_sqrt_psd(rho)
     terms = []
-    for phi in linalg._orbit_diagonals(ham, lambda lam: np.exp(-1j * lam * t)):
+    for phi, _ in linalg._orbit_rows([ham], lambda lam, owner: np.exp(-1j * lam * t)):
         u = linalg._eigenbasis_operators(ham.eigenvectors, phi)
         b = linalg.matrix_sqrt_psd(u @ rho @ linalg.dagger(u))
         terms.extend(2.0 * (1.0 - np.clip((a @ b).trace(axis1=-2, axis2=-1).real, 0.0, 1.0)))

@@ -8,11 +8,34 @@ import pytest
 import scipy.linalg
 
 import coherence_speed.verification as verification
+from coherence_speed.channels import (
+    KrausChannel,
+    StinespringDilation,
+    _dilate,
+    _theorem3_bound,
+    apply_kraus,
+    dilate,
+    permuted_channel_apply,
+    random_channel,
+    theorem3_bound,
+)
 from coherence_speed.errors import UnknownSuite
+from coherence_speed.linalg import (
+    SpectralHamiltonian,
+    _Density,
+    _eigenbasis_operators,
+    _orbit_rows,
+    dagger,
+    partial_trace,
+    random_density,
+    random_unitary,
+)
+from coherence_speed.metrics import hellinger
 from coherence_speed.verification import (
     SUITES,
     CheckResult,
     _block_diag,
+    _spectrum,
     check_additivity,
     check_benchmark_identity,
     check_coefficient_grid,
@@ -24,6 +47,10 @@ from coherence_speed.verification import (
     check_qutrit_equality_construction,
     check_thm1_equality,
     check_thm2_equality,
+    check_thm3_dilation_consistency,
+    check_thm3_dpi,
+    check_thm3_inequality,
+    check_thm3_product_equality,
     check_variational_identity,
     failures_as_dicts,
     run_suite,
@@ -222,3 +249,134 @@ def test_block_diag_equals_scipy_for_mixed_sizes_and_dtypes():
             got = _block_diag(*chosen)
             assert got.dtype == want.dtype and got.shape == want.shape
             assert got.tobytes() == want.tobytes()
+
+
+# The four theorem-3 checks as per-trial bodies, one trial from its own generator through
+# the single-call library functions: the bodies the stacked checks replaced, as they were.
+def _qubit_env_case(rng):
+    channel = random_channel(2, 2, rng)
+    dilation = dilate(channel)
+    rho = random_density(2, rank=int(rng.integers(1, 3)), seed=rng)
+    return channel, dilation, rho
+
+
+def _one_inequality(i, rng):
+    _, dilation, rho = _qubit_env_case(rng)
+    lhs, rhs = theorem3_bound(dilation, rho)
+    return lhs - rhs
+
+
+def _one_dpi(i, rng):
+    _, dilation, rho = _qubit_env_case(rng)
+    joint = dilation.joint_input(rho)
+    dims = (dilation.sys_dim, dilation.env_dim)
+    ham = dilation.hamiltonian
+    worst_s = -np.inf
+    for phases, _ in _orbit_rows([ham], lambda lam, o: np.exp(-1j * lam * dilation.duration)):
+        u = _eigenbasis_operators(ham.eigenvectors, phases)
+        joint_s = u @ joint @ dagger(u)
+        sys_dist = hellinger(partial_trace(joint_s, dims, over=1), rho)
+        joint_dist = hellinger(joint_s, joint)
+        worst_s = max(worst_s, float(np.max(sys_dist - joint_dist)))
+    return worst_s
+
+
+def _one_dilation_consistency(i, rng):
+    channel, dilation, rho = _qubit_env_case(rng)
+    direct = hellinger(apply_kraus(channel, rho), rho)
+    identity = tuple(range(len(dilation.levels)))
+    via_dilation = hellinger(permuted_channel_apply(dilation, identity, rho), rho)
+    return abs(direct - via_dilation)
+
+
+def _one_product_equality(i, rng):
+    eye2 = np.eye(2)
+    while True:
+        ham_a = SpectralHamiltonian.from_spectrum(
+            _spectrum(rng, 2, min_gap=1e-2), random_unitary(2, rng))
+        h_env = (np.zeros((2, 2)) if i % 4 == 0
+                 else np.diag(_spectrum(rng, 2, min_gap=1e-2)))
+        h_joint = np.kron(ham_a.matrix(), eye2) + np.kron(eye2, h_env)
+        gaps = np.diff(np.sort(np.linalg.eigvalsh(h_joint)))
+        # keep only exactly-degenerate or safely-separated joint spectra
+        if not np.any((gaps > 1e-12) & (gaps < 1e-6)):
+            break
+    dilation = StinespringDilation(
+        hamiltonian=SpectralHamiltonian.from_matrix(h_joint),
+        sys_dim=2, env_dim=2,
+        env_state=np.array([1.0, 0.0], dtype=complex),
+        duration=float(rng.uniform(0.2, 2.0)))
+    rho = random_density(2, rank=int(rng.integers(1, 3)), seed=rng)
+    lhs, rhs = theorem3_bound(dilation, rho)
+    return abs(lhs - rhs)
+
+
+_PER_TRIAL = {check_thm3_inequality: _one_inequality, check_thm3_dpi: _one_dpi,
+              check_thm3_dilation_consistency: _one_dilation_consistency,
+              check_thm3_product_equality: _one_product_equality}
+
+
+def _per_trial_figures(check, seed, trials):
+    children = np.random.default_rng([seed, check.salt]).spawn(trials)
+    return [_PER_TRIAL[check](i, rng) for i, rng in enumerate(children)]
+
+
+@pytest.mark.parametrize("trials", [1, 7])
+@pytest.mark.parametrize("seed", [0, 1, 34, 83])
+@pytest.mark.parametrize("check", list(_PER_TRIAL), ids=lambda fn: fn.__name__)
+def test_stacked_thm3_checks_equal_their_per_trial_bodies_bit_for_bit(check, seed, trials):
+    # at 7 trials product-equality mixes degenerate draws (trials 0 and 4) with the rest
+    want = _per_trial_figures(check, seed, trials)
+    got = check.body(np.random.default_rng([seed, check.salt]).spawn(trials), 2)
+    assert [float(x).hex() for x in got] == [x.hex() for x in want]
+    res = check(seed=seed, trials=trials)
+    assert (res.passed, res.trials, res.worst.hex()) == (True, trials, max(want).hex())
+
+
+@pytest.mark.parametrize("check", list(_PER_TRIAL), ids=lambda fn: fn.__name__)
+def test_a_stacked_check_under_dim_notes_it_and_keeps_its_figures_bit_for_bit(check):
+    res = check(seed=0, trials=7, dim=3)
+    assert res.detail == "dim fixed at 2"
+    assert res.worst.hex() == max(_per_trial_figures(check, 0, 7)).hex()
+
+
+def _eigendata(dilation):
+    ham = dilation.hamiltonian
+    return (ham.eigenvalues.tobytes(), ham.eigenvectors.tobytes(), ham.levels.tobytes(),
+            ham.level_of.tobytes(), dilation.env_dim)
+
+
+def test_stacked_dilate_equals_single_calls_bit_for_bit():
+    rng = np.random.default_rng(97)
+    flip = np.diag([1.0, -1.0]).astype(complex)        # an eigenvalue -1: the fold of -pi
+    basis = random_unitary(2, rng)
+    unitary = [KrausChannel([u]) for u in (random_unitary(2, rng), flip,
+                                           basis @ flip @ dagger(basis), np.eye(2), -np.eye(2))]
+    stacks = [unitary] + [[random_channel(d, k, rng) for _ in range(5)]
+                          for d, k in ((2, 2), (2, 3), (3, 2))]
+    for channels in stacks:
+        for env_dim in (None, len(channels[0].operators) + 1):       # K and K + 1
+            stacked = [_eigendata(dil) for dil in _dilate(channels, env_dim)]
+            assert stacked == [_eigendata(dilate(c, env_dim)) for c in channels]
+    # one stack of 2, 2 (folded), 2 (folded), 1 and 1 (folded) levels
+    assert [len(dil.levels) for dil in _dilate(unitary)] == [2, 2, 2, 1, 1]
+
+
+def test_stacked_theorem3_bound_equals_single_calls_bit_for_bit():
+    rng = np.random.default_rng(98)
+    eye2 = np.eye(2)
+    # product dilations as product-equality draws them, whose degenerate environment gives
+    # 2 joint levels and a split one 4, and random channels' dilations, with 4
+    hams = [np.kron(SpectralHamiltonian.from_spectrum(_spectrum(rng, 2, min_gap=1e-2),
+                                                      random_unitary(2, rng)).matrix(), eye2)
+            + np.kron(eye2, np.zeros((2, 2)) if k % 2 else np.diag(_spectrum(rng, 2)))
+            for k in range(4)]
+    dilations = [StinespringDilation(SpectralHamiltonian.from_matrix(h), 2, 2, eye2[0],
+                                     float(rng.uniform(0.2, 2.0))) for h in hams]
+    dilations += _dilate([random_channel(2, 2, rng) for _ in range(3)])
+    assert sorted({len(dil.levels) for dil in dilations}) == [2, 4]
+    rhos = [random_density(2, rank=1 + k % 2, seed=rng) for k in range(len(dilations))]
+    average, rhs = _theorem3_bound(dilations, [_Density.of(rho) for rho in rhos])
+    stacked = [(lhs.hex(), bound.hex()) for lhs, bound in zip(average(), rhs)]
+    assert stacked == [tuple(x.hex() for x in theorem3_bound(dil, rho))
+                       for dil, rho in zip(dilations, rhos)]
