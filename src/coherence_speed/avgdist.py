@@ -19,21 +19,24 @@ respect to the eigenprojector decomposition:
 ``avg_distance_bruteforce`` evaluates the sum literally and is kept as
 an independent oracle for the closed form.  It works in the eigenbasis
 V of H, where every U_s is the diagonal phase row
-phi_s = exp(-i lambda_s t) of the orbit (``_orbit_rows``): it forms
-R = V† rho V, rho by the lower triangle its check read (``_lower_hermitian``),
-and Q = V† sqrt(rho) V once, builds every evolved state
-S_s = phi_s R phi_s† elementwise (sigma_s = U_s rho U_s† in the basis V)
+phi_s = exp(-i lambda_s t) of the orbit (``_orbit_rows``).  Its mixed-state
+kernel ``_bruteforces`` takes checked states, each with its Hamiltonian and
+time, all of one dimension (``_bruteforce``, one state, is its one-trial
+case): it forms R = V† rho V, rho by the lower triangle its check read
+(``_lower_hermitian``), and Q = V† sqrt(rho) V as one stack each, builds
+each evolved state S_s = phi_s R phi_s† elementwise (sigma_s = U_s rho U_s†
+in the basis V), every orbit member of every state in one list of chunks,
 and takes each term from S_s's own eigendecomposition, with NotPSD and the
 dead band but no second Hermiticity check (``_psd_sqrt_eig``), one stacked
-diagonalization per chunk of the orbit, with Q as the root of R.  It never uses
+diagonalization per chunk, with Q as the root of R.  It never uses
 sqrt(S_s) = phi_s Q phi_s†, i.e. sqrt(sigma_s) = U_s sqrt(rho) U_s†,
 which is the closed form's own derivation step; the change of basis V
 is fixed and applies to rho as a whole, so it removes no dependence on
-s.  ``_orbit_means`` (capped at BRUTE_FORCE_CAP levels, averaged with the
-correctly rounded ``math.fsum``) is the one loop over orbits (``_orbit_mean``
-for one), and with ``_closed_form`` also serves ``channels.theorem3_bound``
-and ``battery.qudit_battery_bound``, which build the full U_s from the same
-phase rows (``_eigenbasis_operators``).
+s.  ``_orbit_means`` (capped at BRUTE_FORCE_CAP levels, one correctly
+rounded ``math.fsum`` mean per Hamiltonian) is the one loop over orbits
+(``_orbit_mean`` for one), and with ``_closed_form`` also serves
+``channels.theorem3_bound`` and ``battery.qudit_battery_bound``, which build
+the full U_s from the same phase rows (``_eigenbasis_operators``).
 
 For a pure state rho = |psi><psi| every sigma_s is pure too, and its
 affinity with rho is |<psi|U_s|psi>|^2, so ``_bruteforce_pure`` takes
@@ -94,12 +97,19 @@ def _bruteforce(state: _Density, ham: SpectralHamiltonian, t: float) -> float:
     docstring); from the state's vector (``_bruteforce_pure``) when it keeps one."""
     if state.psi is not None:
         return _bruteforce_pure(state.psi, ham, t)
-    v = ham.eigenvectors
-    vh = dagger(v)
-    r = vh @ _lower_hermitian(state.rho) @ v
-    q = vh @ state.root @ v
-    return _orbit_mean(ham, lambda lam: np.exp(-1j * lam * t), lambda phi: _hellinger(
-        q, *_psd_sqrt_eig(phi[:, :, None] * r * phi.conj()[:, None, :])))     # S_s, its own eigh
+    return _bruteforces([state], [ham], [t])[0]
+
+
+def _bruteforces(states, hams, ts) -> list[float]:
+    """The mixed-state oracle of each checked state on its Hamiltonian at its time, all of
+    one dimension, in stacked passes (module docstring); TooManyLevels before any orbit work."""
+    v = np.array([ham.eigenvectors for ham in hams])
+    r, q = dagger(v) @ np.array([[_lower_hermitian(state.rho) for state in states],
+                                 [state.root for state in states]]) @ v
+    t = np.array(ts, dtype=float)[:, None]
+    return _orbit_means(hams, lambda lam, owner: np.exp(-1j * lam * t.take(owner, 0)),
+                        lambda phi, owner: _hellinger(q.take(owner, 0), *_psd_sqrt_eig(
+                            phi[:, :, None] * r.take(owner, 0) * phi.conj()[:, None, :])))  # S_s, own eigh
 
 
 def _bruteforce_pure(psi: np.ndarray, ham: SpectralHamiltonian, t: float) -> float:

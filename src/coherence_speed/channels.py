@@ -54,6 +54,7 @@ from .linalg import (
     SpectralHamiltonian,
     _Density,
     _eigenbasis_operators,
+    _ginibre,
     _haar_unitaries,
     _lower_hermitian,
     _psd_sqrt_eig,
@@ -139,8 +140,8 @@ def random_channel(dim: int, n_kraus: int, seed) -> KrausChannel:
 def _random_channels(rngs, dim: int, n_kraus: int) -> list[KrausChannel]:
     """random_channel of each generator, its Ginibre draw in turn, then one stacked QR."""
     n = dim * n_kraus
-    iso = _haar_unitaries(np.array([rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-                                    for rng in rngs]))[:, :, ::n_kraus]  # <s|K_j|c> at [s K + j, c]
+    # <s|K_j|c> at [s K + j, c]
+    iso = _haar_unitaries(np.array([_ginibre(rng, (n, n)) for rng in rngs]))[:, :, ::n_kraus]
     return [KrausChannel(k.reshape(dim, n_kraus, dim).swapaxes(0, 1),
                          label=f"random-{dim}x{n_kraus}") for k in iso]
 

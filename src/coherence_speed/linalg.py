@@ -197,6 +197,16 @@ class _Density:
         w.flags.writeable = v.flags.writeable = False     # the state's own arrays
         return cls(_read_only(rho), w, v, psi)
 
+    @classmethod
+    def of_stack(cls, rhos: np.ndarray) -> list["_Density"]:
+        """``of`` of each state of a stack (n, d, d) the package drew, bit for bit: one
+        ``_psd_eigh`` (NotPSD, no other check) and one rebuild of the roots."""
+        w, v = _psd_eigh(rhos)
+        states = [cls(*map(_read_only, arrays)) for arrays in zip(rhos, w, v)]
+        for state, root in zip(states, _read_only(_rebuild(_band_sqrt(w), v))):
+            state.__dict__["root"] = root       # what the cached property would build
+        return states
+
     @functools.cached_property
     def root(self) -> np.ndarray:
         return _read_only(_rebuild(_band_sqrt(self.eigenvalues), self.eigenvectors))
@@ -264,8 +274,7 @@ def _trace_second(rho: np.ndarray, d0: int, d1: int) -> np.ndarray:
 
 def haar_random_state(dim: int, seed) -> np.ndarray:
     """Haar-distributed unit vector; deterministic given an integer seed."""
-    rng = np.random.default_rng(seed)
-    v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+    v = _ginibre(np.random.default_rng(seed), dim)
     return v / np.linalg.norm(v)
 
 
@@ -273,23 +282,25 @@ def random_density(dim: int, rank: int, seed) -> np.ndarray:
     """Random density matrix of the requested rank (Ginibre construction)."""
     if not 1 <= rank <= dim:
         raise BadRank(f"rank {rank} outside 1..{dim}")
-    rng = np.random.default_rng(seed)
-    g = rng.standard_normal((dim, rank)) + 1j * rng.standard_normal((dim, rank))
+    g = _ginibre(np.random.default_rng(seed), (dim, rank))
     a = g @ g.conj().T
     return hermitianize(a / np.trace(a).real)
 
 
 def random_hermitian(dim: int, seed, scale: float = 1.0) -> np.ndarray:
     """Random Hermitian matrix with O(scale) entries (GUE-like)."""
-    rng = np.random.default_rng(seed)
-    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    g = _ginibre(np.random.default_rng(seed), (dim, dim))
     return hermitianize(g) * (scale / np.sqrt(2.0))
 
 
 def random_unitary(dim: int, seed) -> np.ndarray:
     """Haar-distributed unitary (QR of a Ginibre matrix with phase fix)."""
-    rng = np.random.default_rng(seed)
-    return _haar_unitaries(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
+    return _haar_unitaries(_ginibre(np.random.default_rng(seed), (dim, dim)))
+
+
+def _ginibre(rng, shape) -> np.ndarray:
+    """A complex Ginibre draw of one shape: its real parts, then its imaginary parts."""
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
 def _haar_unitaries(g: np.ndarray) -> np.ndarray:

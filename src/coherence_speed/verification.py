@@ -13,24 +13,26 @@ registers it in SUITES: suites and their checks run in declaration order.
 * ``_trials(suite, name, salt=, trials=, tol=, inequality=False, dims=None,
   stacked=False)`` declares a check of independent trials from the body of
   one trial, ``body(i, rng, d) -> figure``; trial i draws from child i of
-  ``SeedSequence([seed, salt])``.  A stacked check (fixed d) declares
-  ``body(rngs, d) -> figures``, one per trial in order: each trial draws
-  from its own generator, in trial order, then stacked numpy passes
-  evaluate them all, bit for bit as one by one.  The worst figure is the
-  maximum over the trials.  An identity reports a nonnegative gap and
-  passes when worst < tol; an inequality (``inequality=True``) reports
-  lhs - rhs and passes when worst <= tol.
+  ``SeedSequence([seed, salt])``.  A stacked check declares
+  ``body(rngs, dims) -> figures``, one per trial in order, and gets the
+  picker under any rule: each trial draws from its own generator, in trial
+  order, at ``dims(i)`` or at the dimension its draws set, then stacked
+  numpy passes evaluate the trials of each dimension (``_by_dim``), bit for
+  bit as one by one.  The worst figure is the maximum over the trials.  An
+  identity reports a nonnegative gap and passes when worst < tol; an
+  inequality (``inequality=True``) reports lhs - rhs and passes when
+  worst <= tol.
 * ``_check(suite, name, salt=, tol=, trials=None, dims=None)`` declares
   any other check from ``body(rng, trials, dims, tol) -> (passed, worst,
   trials_run, detail)``, where rng is ``default_rng([seed, salt])``.
 
 ``dims`` is a sequence cycled by trial or loop index, a draw ``rng -> d``
 made where the body asks, or the int a check is fixed at.  A body calls
-the picker ``dims(index=0, rng=None)``; a ``_trials`` body with a cycle or
-a fixed rule gets ``d = dims(i)``.  Only the decorator reads the caller's
-``dim``: it replaces a cycled or drawn dimension, a fixed check notes
-``dim fixed at N``, and thm2-equality (no rule: its multiplicities set its
-dimension) takes ``dims.dim`` as a floor and notes its ``dims.used``.
+the picker ``dims(index=0, rng=None)``; a per-trial ``_trials`` body with a
+cycle or a fixed rule gets ``d = dims(i)``.  Only the decorator reads the
+caller's ``dim``: it replaces a cycled or drawn dimension, a fixed check
+notes ``dim fixed at N``, and thm2-equality (no rule: its multiplicities set
+its dimension) takes ``dims.dim`` as a floor and notes its ``dims.used``.
 
 Every check declares its own salt, unique in this module, even a check
 that draws nothing, so no two checks draw the same ensemble.  Both
@@ -47,6 +49,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .avgdist import (
+    _bruteforces,
+    _closed_form,
     a_coefficient,
     avg_distance_closed,
     benchmark_overlap_check,
@@ -73,7 +77,7 @@ from .channels import (
     equality_gap_analysis,
     qutrit_equality_channel,
 )
-from .coherence import c_half, c_l1, closest_incoherent, is_refinement
+from .coherence import _c_half, c_half, c_l1, closest_incoherent, is_refinement
 from .dynamics import (
     HamiltonianPath,
     Trajectory,
@@ -90,6 +94,8 @@ from .linalg import (
     SpectralHamiltonian,
     _Density,
     _eigenbasis_operators,
+    _ginibre,
+    _haar_unitaries,
     _orbit_rows,
     _rebuild,
     dagger,
@@ -170,11 +176,11 @@ def _check(suite: str, name: str, *, salt: int, tol: float, trials: int | None =
 
 def _trials(suite: str, name: str, *, salt: int, trials: int, tol: float,
             inequality: bool = False, dims=None, stacked: bool = False):
-    """Declare a check from ``body(i, rng, d)``, or stacked ``body(rngs, d)`` (module docstring)."""
+    """Declare a check from ``body(i, rng, d)`` or ``body(rngs, dims)`` (module docstring)."""
     def declare(body):
         def run(rng, n, pick, tol):
             rngs = rng.spawn(n)     # child i of SeedSequence([seed, salt]), as rng was seeded
-            worst = max(body(rngs, pick()) if stacked else
+            worst = max(body(rngs, pick) if stacked else
                         (body(i, child, pick if callable(dims) or dims is None else pick(i))
                          for i, child in enumerate(rngs)))
             return (worst <= tol if inequality else worst < tol), worst, n, ""
@@ -229,14 +235,39 @@ def _block_unitary(rng, basis, groups) -> np.ndarray:
     return basis[:, perm] @ _block_diag(*blocks) @ basis[:, perm].conj().T
 
 
-@_trials("thm1", "thm1-equality", salt=11, trials=300, tol=1e-9, dims=range(2, 7))
-def check_thm1_equality(i, rng, d):
+def _by_dim(draws, evaluate) -> list:
+    """Figures in trial order of draws (ascending levels, Ginibre draw, *rest): per dimension,
+    one QR for the Hamiltonians (the package-built basis unchecked), then evaluate(hams, *rest)."""
+    figures = {}
+    for d in {len(draw[0]) for draw in draws}:
+        trials = [i for i, draw in enumerate(draws) if len(draw[0]) == d]
+        levels, ginibres, *rest = zip(*(draws[i] for i in trials))
+        hams = map(SpectralHamiltonian._build, levels, _haar_unitaries(np.array(ginibres)))
+        figures.update(zip(trials, evaluate(list(hams), *rest)))
+    return [figures[i] for i in range(len(draws))]
+
+
+def _equality_draw(rng, levels) -> tuple:
+    """An equality trial's (levels, Ginibre draw, rho, t), drawn on from rng after its levels."""
+    d = len(levels)
+    return (levels, _ginibre(rng, (d, d)),
+            random_density(d, rank=int(rng.integers(1, d + 1)), seed=rng),
+            float(rng.uniform(0.05, 8.0)))
+
+
+def _equality_gaps(hams, rhos, ts) -> list[float]:
+    """avg_distance_closed's |brute force - closed form|, from one eigh of the states."""
+    states = _Density.of_stack(np.array(rhos))
+    closed = [_closed_form(state.root, ham, t)[2] for state, ham, t in zip(states, hams, ts)]
+    return [abs(brute - c) for brute, c in zip(_bruteforces(states, hams, ts), closed)]
+
+
+@_trials("thm1", "thm1-equality", salt=11, trials=300, tol=1e-9, dims=range(2, 7),
+         stacked=True)
+def check_thm1_equality(rngs, dims):
     """Brute-force permutation average vs closed form, nondegenerate spectra."""
-    ham = _nondegenerate_ham(rng, d)
-    rho = random_density(d, rank=int(rng.integers(1, d + 1)), seed=rng)
-    res = avg_distance_closed(rho, ham, float(rng.uniform(0.05, 8.0)),
-                              include_brute=True)
-    return res.gap
+    return _by_dim([_equality_draw(rng, _spectrum(rng, dims(i))) for i, rng in enumerate(rngs)],
+                   _equality_gaps)
 
 
 @_trials("thm1", "benchmark-identity", salt=12, trials=100, tol=1e-10, dims=range(2, 7))
@@ -248,23 +279,31 @@ def check_benchmark_identity(i, rng, d):
     return abs(lhs - rhs)
 
 
-def _recovered_coefficient(rho, ham, t):
-    res = avg_distance_closed(rho, ham, t, include_brute=True)
-    return 1.0 - res.brute_force / (2.0 * res.coherence)
+def _recovered_gaps(hams, ts, rngs) -> list[float]:
+    """|B_1 - B_2| per trial, B = 1 - brute / (2 c_half) of each of the first two states
+    its generator draws with c_half above 1e-3."""
+    picked = []
+    for k, (ham, t, rng) in enumerate(zip(hams, ts, rngs)):
+        while len(picked) < 2 * k + 2:
+            rho = random_density(ham.dim, rank=int(rng.integers(1, ham.dim + 1)), seed=rng)
+            state = _Density.of(rho)
+            coh = _c_half(state.root, ham.decomposition)
+            if coh > 1e-3:
+                picked.append((state, ham, t, coh))
+    states, hams, ts, cohs = zip(*picked)
+    coef = [1.0 - b / (2.0 * c) for b, c in zip(_bruteforces(states, hams, ts), cohs)]
+    return [abs(a - b) for a, b in zip(coef[::2], coef[1::2])]
 
 
-@_trials("thm1", "coefficient-independence", salt=13, trials=200, tol=1e-9, dims=range(2, 7))
-def check_coefficient_independence(i, rng, d):
+@_trials("thm1", "coefficient-independence", salt=13, trials=200, tol=1e-9, dims=range(2, 7),
+         stacked=True)
+def check_coefficient_independence(rngs, dims):
     """The coefficient recovered from brute-force averages is state-independent."""
-    ham = _nondegenerate_ham(rng, d)
-    t = float(rng.uniform(0.3, 6.0))
-    states = []
-    while len(states) < 2:
-        rho = random_density(d, rank=int(rng.integers(1, d + 1)), seed=rng)
-        if c_half(rho, ham.decomposition) > 1e-3:
-            states.append(rho)
-    return abs(_recovered_coefficient(states[0], ham, t)
-               - _recovered_coefficient(states[1], ham, t))
+    draws = []
+    for i, rng in enumerate(rngs):
+        d = dims(i)
+        draws.append((_spectrum(rng, d), _ginibre(rng, (d, d)), float(rng.uniform(0.3, 6.0)), rng))
+    return _by_dim(draws, _recovered_gaps)
 
 
 @_check("thm1", "max-coherent-dominance", salt=14, tol=1e-12, trials=1000, dims=range(2, 7))
@@ -311,25 +350,21 @@ def check_coefficient_grid(rng, trials, dims, tol):
     return passed, worst, trials, f"random-spectrum excess over 1: {cap:.1e}"
 
 
-@_trials("thm2", "thm2-equality", salt=21, trials=300, tol=1e-9)
-def check_thm2_equality(i, rng, dims):
+@_trials("thm2", "thm2-equality", salt=21, trials=300, tol=1e-9, stacked=True)
+def check_thm2_equality(rngs, dims):
     """Brute force vs closed form with forced-degenerate spectra."""
-    m = 2 + i % 4
-    mult = rng.integers(1, 3, m)
-    if not np.any(mult > 1):
-        mult[int(rng.integers(m))] = 2
-    # a caller's dim is a floor: stretch multiplicities until the total reaches it
-    while int(mult.sum()) < (dims.dim or 0):
-        mult[int(rng.integers(m))] += 1
-    levels = _spectrum(rng, m)
-    vals = np.repeat(levels, mult)
-    d = len(vals)
-    dims.used.add(d)
-    ham = SpectralHamiltonian.from_spectrum(vals, random_unitary(d, rng))
-    rho = random_density(d, rank=int(rng.integers(1, d + 1)), seed=rng)
-    res = avg_distance_closed(rho, ham, float(rng.uniform(0.05, 8.0)),
-                              include_brute=True)
-    return res.gap
+    draws = []
+    for i, rng in enumerate(rngs):
+        m = 2 + i % 4
+        mult = rng.integers(1, 3, m)
+        if not np.any(mult > 1):
+            mult[int(rng.integers(m))] = 2
+        # a caller's dim is a floor: stretch multiplicities until the total reaches it
+        while int(mult.sum()) < (dims.dim or 0):
+            mult[int(rng.integers(m))] += 1
+        dims.used.add(int(mult.sum()))
+        draws.append(_equality_draw(rng, np.repeat(_spectrum(rng, m), mult)))
+    return _by_dim(draws, _equality_gaps)
 
 
 def _qubit_env_cases(rngs):
@@ -342,16 +377,16 @@ def _qubit_env_cases(rngs):
 
 @_trials("thm3", "thm3-inequality", salt=31, trials=100, tol=1e-9, inequality=True, dims=2,
          stacked=True)
-def check_thm3_inequality(rngs, d):
+def check_thm3_inequality(rngs, dims):
     """Channel-average distance never exceeds the dilated coherence ceiling."""
     _, dilations, rhos, _ = _qubit_env_cases(rngs)
-    average, rhs = _theorem3_bound(dilations, [_Density.of(rho) for rho in rhos])
+    average, rhs = _theorem3_bound(dilations, _Density.of_stack(rhos))
     return [lhs - bound for lhs, bound in zip(average(), rhs)]
 
 
 @_trials("thm3", "thm3-dpi-per-permutation", salt=32, trials=50, tol=1e-10, inequality=True,
          dims=2, stacked=True)
-def check_thm3_dpi(rngs, d):
+def check_thm3_dpi(rngs, dims):
     """Per-permutation contraction: system distance <= dilated distance."""
     _, dilations, rhos, joints = _qubit_env_cases(rngs)
     hams, worst = [dil.hamiltonian for dil in dilations], np.full(len(rngs), -np.inf)
@@ -366,7 +401,7 @@ def check_thm3_dpi(rngs, d):
 
 @_trials("thm3", "thm3-dilation-consistency", salt=33, trials=100, tol=1e-10, dims=2,
          stacked=True)
-def check_thm3_dilation_consistency(rngs, d):
+def check_thm3_dilation_consistency(rngs, dims):
     """Kraus action and identity-permutation dilation action agree in distance."""
     channels, dilations, rhos, joints = _qubit_env_cases(rngs)
     direct = hellinger(np.array([_apply_kraus(c, rho) for c, rho in zip(channels, rhos)]), rhos)
@@ -379,12 +414,12 @@ def check_thm3_dilation_consistency(rngs, d):
 
 
 @_trials("thm3", "thm3-product-equality", salt=34, trials=100, tol=1e-9, dims=2, stacked=True)
-def check_thm3_product_equality(rngs, d):
+def check_thm3_product_equality(rngs, dims):
     """Non-interacting dilations with the environment in a stationary state
     saturate the bound: the permutation-averaged channel distance equals the
     dilated closed form exactly."""
     eye2 = np.eye(2)
-    dilations, states = [], []
+    dilations, rhos = [], []
     for i, rng in enumerate(rngs):
         while True:
             # V diag(w) V† as SpectralHamiltonian.from_spectrum(w, V).matrix() forms it
@@ -399,8 +434,8 @@ def check_thm3_product_equality(rngs, d):
         dilations.append(StinespringDilation(
             hamiltonian=SpectralHamiltonian.from_matrix(h_joint), sys_dim=2, env_dim=2,
             env_state=np.array([1.0, 0.0]), duration=float(rng.uniform(0.2, 2.0))))
-        states.append(_Density.of(random_density(2, rank=int(rng.integers(1, 3)), seed=rng)))
-    average, rhs = _theorem3_bound(dilations, states)
+        rhos.append(random_density(2, rank=int(rng.integers(1, 3)), seed=rng))
+    average, rhs = _theorem3_bound(dilations, _Density.of_stack(np.array(rhos)))
     return [abs(lhs - bound) for lhs, bound in zip(average(), rhs)]
 
 

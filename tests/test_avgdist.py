@@ -244,6 +244,12 @@ def test_every_orbit_oracle_respects_the_cap(monkeypatch):
         theorem3_bound(dilation, random_density(3, rank=2, seed=51))
     with pytest.raises(TooManyLevels, match=f"{n} levels exceed brute-force cap"):
         avgdist._bruteforce_pure(haar_random_state(n, 50), ham, 0.7)
+    # a stack of states is refused when any one Hamiltonian in it is over the cap
+    two_levels = SpectralHamiltonian.from_spectrum(np.r_[0.0, np.ones(n - 1)], random_unitary(n, 51))
+    state = linalg._Density.of(rho)
+    for hams in ([two_levels, ham], [ham, two_levels]):
+        with pytest.raises(TooManyLevels, match=f"{n} levels exceed brute-force cap"):
+            avgdist._bruteforces([state, state], hams, [0.7, 1.1])
     assert orbits == []
 
 
@@ -455,3 +461,53 @@ def test_a_non_finite_time_is_rejected_where_it_enters(entry, t):
     ham = SpectralHamiltonian.from_spectrum([0.0, 0.7, 1.9])
     with pytest.raises(ValueError, match=f"t must be finite, got {t!r}"):
         entry(random_density(3, 2, 7), ham, t)
+
+
+def _stacked_cases(rng, d):
+    """(rho, ham, t) at dimension d: level counts 2..min(d, 6), degenerate below d, ranks
+    1..d in turn, and every third rho Hermitian only to within 0.9 TOL_HERM."""
+    cases = []
+    for k in range(2 * d):
+        m = 2 + k % (min(d, 6) - 1)
+        mult = np.ones(m, dtype=int)
+        np.add.at(mult, rng.integers(0, m, d - m), 1)
+        values = np.repeat(_spread_spectrum(rng, m), mult)
+        rho = random_density(d, rank=1 + k % d, seed=rng)
+        if k % 3 == 2:
+            upper = np.triu_indices(d, 1)
+            rho[upper] += 0.9 * linalg.TOL_HERM * np.exp(2j * np.pi * rng.random(len(upper[0])))
+        cases.append((rho, SpectralHamiltonian.from_spectrum(values, random_unitary(d, rng)),
+                      float(rng.uniform(0.05, 8.0))))
+    return cases
+
+
+@pytest.mark.parametrize("d", [2, 4, 6])
+def test_stacked_oracle_equals_single_calls_bit_for_bit(d):
+    cases = _stacked_cases(np.random.default_rng(60 + d), d)
+    rhos, hams, ts = zip(*cases)
+    assert sorted({ham.level_count for ham in hams}) == list(range(2, min(d, 6) + 1))
+    assert any((rho != linalg.dagger(rho)).any() for rho in rhos)     # _lower_hermitian's case
+    stacked = avgdist._bruteforces([linalg._Density.of(rho) for rho in rhos], hams, ts)
+    assert [x.hex() for x in stacked] == [avg_distance_bruteforce(*case).hex() for case in cases]
+
+
+def test_a_state_in_the_dead_band_reads_the_same_stacked_as_single_bit_for_bit():
+    # a pure state plus d - 1 eigenvalues just below TOL_PSD, which every root reads as
+    # zeros: the value is the kept dead-band fault (its gap to the closed form is 8e-11
+    # to 5e-10 here, about 1e-15 without the small eigenvalues), pinned here only as the
+    # same stacked and single, not mended
+    rng = np.random.default_rng(5)
+    for d in (4, 6):
+        cases = []
+        for _ in range(4):
+            w = np.r_[1.0, rng.uniform(8.7e-11, 9.5e-11, d - 1)]
+            u = random_unitary(d, rng)
+            rho = linalg.hermitianize((u * (w / w.sum())) @ linalg.dagger(u))
+            ham = SpectralHamiltonian.from_spectrum(_spread_spectrum(rng, d), random_unitary(d, rng))
+            cases.append((rho, ham, 0.7))
+        states = [linalg._Density.of(rho) for rho, _, _ in cases]
+        assert all(np.sum((0 < s.eigenvalues) & (s.eigenvalues < linalg.TOL_PSD)) == d - 1
+                   for s in states)
+        stacked = avgdist._bruteforces(states, [ham for _, ham, _ in cases], [0.7] * len(cases))
+        assert [x.hex() for x in stacked] == [avg_distance_bruteforce(*case).hex()
+                                              for case in cases]

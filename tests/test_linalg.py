@@ -652,6 +652,27 @@ def test_density_root_is_validate_density_then_matrix_sqrt_psd():
             assert isinstance(want, str) and _outcome(linalg._Density.of, bad) == want
 
 
+def test_a_stack_of_drawn_states_equals_their_single_checks_bit_for_bit():
+    rng = np.random.default_rng(19)
+    for d in range(1, 9):
+        # every rank, then eigenvalues inside and just outside the dead band
+        rhos = [random_density(d, rank=rank, seed=rng) for rank in range(1, d + 1)]
+        for rank in range(1, d + 1):
+            u = random_unitary(d, rng)
+            w = np.r_[np.ones(rank), np.geomspace(5e-11, 5e-10, d - rank)]
+            rhos.append(linalg.hermitianize((u * (w / w.sum())) @ u.conj().T))
+        for state, rho in zip(linalg._Density.of_stack(np.array(rhos)), rhos):
+            single = linalg._Density.of(rho)
+            for name in ("rho", "eigenvalues", "eigenvectors", "root"):
+                got = getattr(state, name)
+                assert got.tobytes() == getattr(single, name).tobytes(), (d, name)
+                assert not got.flags.writeable
+            assert state.psi is None
+    negative = linalg.hermitianize(np.diag([1.05, -0.05]) + 0j)
+    with pytest.raises(NotPSD, match="eigenvalue -5.000e-02 below"):
+        linalg._Density.of_stack(np.array([np.eye(2) / 2.0, negative]))
+
+
 def test_a_malformed_density_gets_one_message_from_every_entry():
     # one Hermiticity check (require_hermitian) and one positivity check (_psd_eigh)
     raised = set()

@@ -1,5 +1,6 @@
 """The check registry itself: determinism, overrides, registry."""
 
+import functools
 import inspect
 import itertools
 
@@ -8,6 +9,7 @@ import pytest
 import scipy.linalg
 
 import coherence_speed.verification as verification
+from coherence_speed.avgdist import avg_distance_closed
 from coherence_speed.channels import (
     KrausChannel,
     StinespringDilation,
@@ -19,6 +21,7 @@ from coherence_speed.channels import (
     random_channel,
     theorem3_bound,
 )
+from coherence_speed.coherence import c_half
 from coherence_speed.errors import UnknownSuite
 from coherence_speed.linalg import (
     SpectralHamiltonian,
@@ -39,6 +42,7 @@ from coherence_speed.verification import (
     check_additivity,
     check_benchmark_identity,
     check_coefficient_grid,
+    check_coefficient_independence,
     check_faithfulness,
     check_fd_convergence,
     check_max_coherent_dominance,
@@ -327,7 +331,8 @@ def _per_trial_figures(check, seed, trials):
 def test_stacked_thm3_checks_equal_their_per_trial_bodies_bit_for_bit(check, seed, trials):
     # at 7 trials product-equality mixes degenerate draws (trials 0 and 4) with the rest
     want = _per_trial_figures(check, seed, trials)
-    got = check.body(np.random.default_rng([seed, check.salt]).spawn(trials), 2)
+    rngs = np.random.default_rng([seed, check.salt]).spawn(trials)
+    got = check.body(rngs, verification._Dims(check.dims, None))     # the picker, as declared
     assert [float(x).hex() for x in got] == [x.hex() for x in want]
     res = check(seed=seed, trials=trials)
     assert (res.passed, res.trials, res.worst.hex()) == (True, trials, max(want).hex())
@@ -338,6 +343,103 @@ def test_a_stacked_check_under_dim_notes_it_and_keeps_its_figures_bit_for_bit(ch
     res = check(seed=0, trials=7, dim=3)
     assert res.detail == "dim fixed at 2"
     assert res.worst.hex() == max(_per_trial_figures(check, 0, 7)).hex()
+
+
+# The thm1 and thm2 checks of the mixed-state oracle as per-trial bodies, one trial from its
+# own generator through the single-call library functions: the bodies the stacked checks
+# replaced, as they were.
+def _one_thm1_equality(i, rng, d):
+    ham = SpectralHamiltonian.from_spectrum(_spectrum(rng, d), random_unitary(d, rng))
+    rho = random_density(d, rank=int(rng.integers(1, d + 1)), seed=rng)
+    res = avg_distance_closed(rho, ham, float(rng.uniform(0.05, 8.0)),
+                              include_brute=True)
+    return res.gap
+
+
+def _recovered_coefficient(rho, ham, t):
+    res = avg_distance_closed(rho, ham, t, include_brute=True)
+    return 1.0 - res.brute_force / (2.0 * res.coherence)
+
+
+def _one_coefficient_independence(i, rng, d):
+    ham = SpectralHamiltonian.from_spectrum(_spectrum(rng, d), random_unitary(d, rng))
+    t = float(rng.uniform(0.3, 6.0))
+    states = []
+    while len(states) < 2:
+        rho = random_density(d, rank=int(rng.integers(1, d + 1)), seed=rng)
+        if c_half(rho, ham.decomposition) > 1e-3:
+            states.append(rho)
+    return abs(_recovered_coefficient(states[0], ham, t)
+               - _recovered_coefficient(states[1], ham, t))
+
+
+def _one_thm2_equality(i, rng, dims):
+    m = 2 + i % 4
+    mult = rng.integers(1, 3, m)
+    if not np.any(mult > 1):
+        mult[int(rng.integers(m))] = 2
+    # a caller's dim is a floor: stretch multiplicities until the total reaches it
+    while int(mult.sum()) < (dims.dim or 0):
+        mult[int(rng.integers(m))] += 1
+    levels = _spectrum(rng, m)
+    vals = np.repeat(levels, mult)
+    d = len(vals)
+    dims.used.add(d)
+    ham = SpectralHamiltonian.from_spectrum(vals, random_unitary(d, rng))
+    rho = random_density(d, rank=int(rng.integers(1, d + 1)), seed=rng)
+    res = avg_distance_closed(rho, ham, float(rng.uniform(0.05, 8.0)),
+                              include_brute=True)
+    return res.gap
+
+
+# each check's per-trial body and default trial count
+_ORACLE_PER_TRIAL = {check_thm1_equality: (_one_thm1_equality, 300),
+                     check_coefficient_independence: (_one_coefficient_independence, 200),
+                     check_thm2_equality: (_one_thm2_equality, 300)}
+
+
+@functools.lru_cache(maxsize=None)
+def _oracle_per_trial(check, seed, dim=None):
+    """Per-trial figures at the default trial count (trial i draws from child i whatever the
+    count, so a smaller count runs a prefix) and the dimensions they ran."""
+    body, trials = _ORACLE_PER_TRIAL[check]
+    dims = verification._Dims(check.dims, dim)
+    children = np.random.default_rng([seed, check.salt]).spawn(trials)
+    figures = [body(i, rng, dims if check.dims is None else dims(i))
+               for i, rng in enumerate(children)]
+    return figures, sorted(dims.used)
+
+
+def _stacked_run(monkeypatch, check, **kwargs):
+    """check(**kwargs) and the per-trial figures its stacked body returned on the way."""
+    seen = []
+    by_dim = verification._by_dim
+    monkeypatch.setattr(verification, "_by_dim",
+                        lambda *args: seen.append(by_dim(*args)) or seen[-1])
+    res = check(**kwargs)
+    assert len(seen) == 1
+    return res, seen[0]
+
+
+@pytest.mark.parametrize("trials", [1, 7, None])
+@pytest.mark.parametrize("seed", [0, 1, 34, 83])
+@pytest.mark.parametrize("check", list(_ORACLE_PER_TRIAL), ids=lambda fn: fn.__name__)
+def test_stacked_oracle_checks_equal_their_per_trial_bodies_bit_for_bit(monkeypatch, check,
+                                                                        seed, trials):
+    n = _ORACLE_PER_TRIAL[check][1] if trials is None else trials
+    want = _oracle_per_trial(check, seed)[0][:n]
+    res, got = _stacked_run(monkeypatch, check, seed=seed, trials=trials)
+    assert [x.hex() for x in got] == [x.hex() for x in want]
+    assert (res.passed, res.trials, res.worst.hex(), res.detail) == (True, n, max(want).hex(), "")
+
+
+@pytest.mark.parametrize("dim", [2, 5])
+def test_stacked_thm2_under_dim_keeps_its_figures_and_note_bit_for_bit(monkeypatch, dim):
+    want, used = _oracle_per_trial(check_thm2_equality, 0, dim)
+    res, got = _stacked_run(monkeypatch, check_thm2_equality, seed=0, dim=dim)
+    assert [x.hex() for x in got] == [x.hex() for x in want]
+    assert res.worst.hex() == max(want).hex()
+    assert res.detail == f"ran d = {used}" == f"ran d = {list(range(max(dim, 3), 11))}"
 
 
 def _eigendata(dilation):
