@@ -34,9 +34,14 @@ which is the closed form's own derivation step; the change of basis V
 is fixed and applies to rho as a whole, so it removes no dependence on
 s.  ``_orbit_means`` (capped at BRUTE_FORCE_CAP levels, one correctly
 rounded ``math.fsum`` mean per Hamiltonian) is the one loop over orbits
-(``_orbit_mean`` for one), and with ``_closed_form`` also serves
+(``_orbit_mean`` for one), and with the closed form also serves
 ``channels.theorem3_bound`` and ``battery.qudit_battery_bound``, which build
 the full U_s from the same phase rows (``_eigenbasis_operators``).
+
+``_closed_forms``, ``_closed_form`` of many trials of one dimension bit for
+bit, takes per level count every projector family in one ``_families``
+call and every coherence in one ``_c_halves`` pass; B(t) stays one row per
+trial, since np.cos over a longer array rounds some entries apart.
 
 For a pure state rho = |psi><psi| every sigma_s is pure too, and its
 affinity with rho is |<psi|U_s|psi>|^2, so ``_bruteforce_pure`` takes
@@ -62,15 +67,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coherence import _c_half
+from .coherence import _c_half, _c_halves
 from .errors import DegenerateSpectrum, DimensionMismatch, SingleLevel, TooManyLevels
 from .linalg import (
     TOL_DEGEN,
     SpectralHamiltonian,
     _Density,
     _eigenbasis_operators,
+    _families,
     _lower_hermitian,
     _orbit_rows,
+    _owned,
     _psd_sqrt_eig,
     _read_only,
     _require_finite,
@@ -107,9 +114,9 @@ def _bruteforces(states, hams, ts) -> list[float]:
     r, q = dagger(v) @ np.array([[_lower_hermitian(state.rho) for state in states],
                                  [state.root for state in states]]) @ v
     t = np.array(ts, dtype=float)[:, None]
-    return _orbit_means(hams, lambda lam, owner: np.exp(-1j * lam * t.take(owner, 0)),
-                        lambda phi, owner: _hellinger(q.take(owner, 0), *_psd_sqrt_eig(
-                            phi[:, :, None] * r.take(owner, 0) * phi.conj()[:, None, :])))  # S_s, own eigh
+    return _orbit_means(hams, lambda lam, owner: np.exp(-1j * lam * _owned(t, owner)),
+                        lambda phi, owner: _hellinger(_owned(q, owner), *_psd_sqrt_eig(
+                            phi[:, :, None] * _owned(r, owner) * phi.conj()[:, None, :])))  # S_s, own eigh
 
 
 def _bruteforce_pure(psi: np.ndarray, ham: SpectralHamiltonian, t: float) -> float:
@@ -156,6 +163,20 @@ def _closed_form(root: np.ndarray, ham: SpectralHamiltonian, t) -> tuple[float, 
     coh = _c_half(root, ham.decomposition)
     coef = 1.0 if ham.level_count == 1 else b_coefficient(ham.levels, t)
     return coef, coh, 2.0 * (1.0 - coef) * coh
+
+
+def _closed_forms(roots, hams, ts) -> list[tuple[float, float, float]]:
+    """_closed_form of each root on its Hamiltonian at its scalar time, all of one dimension,
+    in one pass per level count (module docstring)."""
+    counts = [ham.level_count for ham in hams]
+    forms = [None] * len(hams)
+    for m in set(counts):
+        same = [i for i, count in enumerate(counts) if count == m]
+        cohs = _c_halves(np.array([roots[i] for i in same]), _families([hams[i] for i in same]))
+        for i, coh in zip(same, cohs):
+            coef = 1.0 if m == 1 else _pair_cos_mean(hams[i].levels, ts[i])
+            forms[i] = coef, coh, 2.0 * (1.0 - coef) * coh
+    return forms
 
 
 def a_coefficient(eigenvalues, t):

@@ -43,7 +43,7 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .avgdist import _closed_form, _orbit_means
+from .avgdist import _closed_forms, _orbit_means
 from .errors import DimensionMismatch, IncompleteKraus, InvalidState, TooManyKraus
 from .linalg import (
     TOL_DEGEN,
@@ -57,6 +57,7 @@ from .linalg import (
     _ginibre,
     _haar_unitaries,
     _lower_hermitian,
+    _owned,
     _psd_sqrt_eig,
     _read_only,
     _rebuild,
@@ -175,6 +176,14 @@ class StinespringDilation:
         _require_finite("duration", self.duration)
         object.__setattr__(self, "env_state", _read_only(env))
 
+    @classmethod
+    def _trusted(cls, *values) -> "StinespringDilation":
+        """From the five fields, built inside the package (env_state read-only), unchecked."""
+        dilation = cls.__new__(cls)
+        dilation.__dict__.update(zip(("hamiltonian", "sys_dim", "env_dim", "env_state",
+                                      "duration"), values))
+        return dilation
+
     @property
     def levels(self) -> np.ndarray:
         return self.hamiltonian.levels
@@ -242,9 +251,9 @@ def _dilate(channels, env_dim: int | None = None) -> list[StinespringDilation]:
         u4[..., 1:] = dagger(vh[:, d:]).reshape(len(u), n, d, d_env - 1)
     if np.abs(dagger(u) @ u - np.eye(n)).max() > TOL_ORTH:
         raise InvalidState("unitary completion failed")
-    return [StinespringDilation(hamiltonian=SpectralHamiltonian._build(w, v), sys_dim=d,
-                                env_dim=d_env, env_state=np.eye(d_env)[0], duration=1.0)
-            for w, v in _principal_log(u)]
+    env = _read_only(np.eye(d_env, dtype=complex)[0])
+    return [StinespringDilation._trusted(ham, d, d_env, env, 1.0)
+            for ham in SpectralHamiltonian._build(*map(np.array, zip(*_principal_log(u))))]
 
 
 def _principal_log(u: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
@@ -306,23 +315,23 @@ def theorem3_bound(dilation: StinespringDilation, rho) -> tuple[float, float]:
 
 def _theorem3_bound(dilations, states) -> tuple[Callable[[], list[float]], list[float]]:
     """theorem3_bound of checked states on dilations of one shape: the ceilings, from one
-    stacked joint root, and the orbit means as a later call (TooManyLevels past the cap),
-    every orbit member of every dilation in one list of stacked chunks."""
+    stacked joint root and ``_closed_forms``, and the orbit means as a later call
+    (TooManyLevels past the cap), every orbit member of every dilation in one list of
+    stacked chunks, a single dilation's operands broadcast (``_owned``)."""
     dims = (dilations[0].sys_dim, dilations[0].env_dim)
     joints = np.array([dil._joint(_lower_hermitian(state.rho))
                        for dil, state in zip(dilations, states)])
-    rhs = [_closed_form(root, dil.hamiltonian, dil.duration)[2]
-           for root, dil in zip(_rebuild(*_psd_sqrt_eig(joints)), dilations)]
-    hams = [dil.hamiltonian for dil in dilations]
+    hams, durations = [dil.hamiltonian for dil in dilations], [dil.duration for dil in dilations]
+    rhs = [form[2] for form in _closed_forms(_rebuild(*_psd_sqrt_eig(joints)), hams, durations)]
     vecs, roots = np.array([h.eigenvectors for h in hams]), np.array([s.root for s in states])
-    t = np.array([dil.duration for dil in dilations])[:, None]
+    t = np.array(durations)[:, None]
 
     def distances(phi, owner):
-        u = _eigenbasis_operators(vecs.take(owner, 0), phi)
-        out = _trace_second(u @ joints.take(owner, 0) @ dagger(u), *dims)
-        return _hellinger(roots.take(owner, 0), *_psd_sqrt_eig(hermitianize(out)))
+        u = _eigenbasis_operators(_owned(vecs, owner), phi)
+        out = _trace_second(u @ _owned(joints, owner) @ dagger(u), *dims)
+        return _hellinger(_owned(roots, owner), *_psd_sqrt_eig(hermitianize(out)))
 
-    return lambda: _orbit_means(hams, lambda lam, owner: np.exp(-1j * lam * t.take(owner, 0)),
+    return lambda: _orbit_means(hams, lambda lam, owner: np.exp(-1j * lam * _owned(t, owner)),
                                 distances), rhs
 
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DegenerateInput, DimensionMismatch
+from .errors import DimensionMismatch
 from .linalg import (
     TOL_PSD,
     TOL_STRUCT,
@@ -45,6 +45,13 @@ def _c_half(root: np.ndarray, decomposition: OrthogonalDecomposition) -> float:
     return max(0.0, 1.0 - float(np.sum(traces)))
 
 
+def _c_halves(roots: np.ndarray, projectors: np.ndarray) -> list[float]:
+    """_c_half of each root of a stack (n, d, d) against its own family, projectors (n, M, d, d)
+    of one level count: one ``_block_traces`` and one clip per row."""
+    _, traces = _block_traces(roots[:, None], projectors)
+    return [max(0.0, 1.0 - total) for total in traces.sum(axis=-1).tolist()]
+
+
 def _block_traces(s: np.ndarray, projectors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Blocks X_m = P_m S P_m of a Hermitian S and their weights Tr[X_m^2].
 
@@ -61,15 +68,14 @@ def closest_incoherent(rho, decomposition: OrthogonalDecomposition) -> np.ndarra
     """Block-diagonal state closest to rho in affinity distance.
 
     Blocks whose weight Tr[(P_m sqrt(rho) P_m)^2] falls below TOL_PSD
-    contribute nothing.
+    contribute nothing; one always stays, since Tr sqrt(rho) >= 1 and Tr X^2 >=
+    (Tr X)^2 / d put the largest weight at 1 / (M^2 d) or more.
     """
     state = _Density.of(rho)
     if len(state.rho) != decomposition.dim:
         raise DimensionMismatch("state dimension does not match decomposition")
     x, weights = _block_traces(state.root, decomposition.projectors)
     keep = weights >= TOL_PSD
-    if not keep.any():
-        raise DegenerateInput("all block weights vanish")
     x = x[keep]
     # running sum in block order: np.sum pairs terms differently from 8 on
     total = np.cumsum(weights[keep])[-1]

@@ -311,25 +311,43 @@ def _haar_unitaries(g: np.ndarray) -> np.ndarray:
 
 
 def _block_stack(vectors: np.ndarray, groups: Sequence[Sequence[int]]) -> np.ndarray:
-    """V_g V_g† for each group g of columns of V, as one (M, d, d) stack.
+    """V_g V_g† for each group g of columns of V, as one (M, d, d) stack: ``_block_stacks``
+    of the groups' columns, one basis."""
+    columns = np.concatenate([g for g in groups if len(g)] or [np.empty(0, dtype=int)])
+    return _block_stacks(vectors[:, columns], np.array([len(g) for g in groups], dtype=int))
 
-    Groups of one size are multiplied as one stack.  Padding smaller
-    groups with zero columns would make a single product, but one that
-    rounds differently from V_g V_g† itself.
-    """
-    d = len(vectors)
-    sizes = [len(g) for g in groups]
-    if len(set(sizes)) == 1 and sizes[0]:      # one size: the loop below in one pass
-        cols = vectors[:, np.concatenate(groups)]
-        blocks = cols.reshape(d, len(sizes), sizes[0]).swapaxes(0, 1)
+
+def _block_stacks(columns: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """V_g V_g† for each block g of consecutive columns of a (d, R) matrix (several bases
+    side by side), block b the next sizes[b] columns, as one (B, d, d) stack.  Blocks of one
+    size are one matmul, each laid out as ``V[:, g]`` is; zero-padding the smaller blocks
+    would make one product, but one that rounds differently from V_g V_g† itself."""
+    d = len(columns)
+    if len(set(sizes.tolist())) == 1 and sizes[0]:      # one size: the loop below in one pass
+        blocks = np.asfortranarray(columns).reshape(d, len(sizes), -1).swapaxes(0, 1)
         return blocks @ dagger(blocks)
+    block_of = np.arange(len(sizes)).repeat(sizes)      # the block of each column
     stack = np.zeros((len(sizes), d, d), dtype=complex)
-    for k in set(sizes) - {0}:
-        same = [m for m, n in enumerate(sizes) if n == k]
-        cols = vectors[:, np.concatenate([groups[m] for m in same])]
-        blocks = cols.reshape(d, len(same), k).swapaxes(0, 1)
-        stack[same] = blocks @ dagger(blocks)
+    for k in set(sizes.tolist()) - {0}:
+        blocks = columns[:, (sizes == k)[block_of]].reshape(d, -1, k).swapaxes(0, 1)
+        stack[sizes == k] = blocks @ dagger(blocks)
     return stack
+
+
+def _families(hams: Sequence["SpectralHamiltonian"]) -> np.ndarray:
+    """The decomposition projectors of Hamiltonians of one dimension and one level count, as
+    one (n, M, d, d) stack; those not built yet are built in one ``_block_stacks`` call and
+    kept, as the decomposition would keep them."""
+    todo = [ham for ham in hams if "decomposition" not in ham.__dict__]
+    if todo:
+        stack = _block_stacks(np.concatenate([ham.eigenvectors for ham in todo], axis=1),
+                              np.concatenate([np.bincount(ham.level_of) for ham in todo]))
+        stack = _read_only(stack.reshape(len(todo), -1, *stack.shape[1:]))
+        for ham, family in zip(todo, stack):
+            ham.__dict__["decomposition"] = OrthogonalDecomposition._trusted(family)
+        if len(todo) == len(hams):
+            return stack
+    return np.array([ham.decomposition.projectors for ham in hams])
 
 
 @dataclass(frozen=True, eq=False)
@@ -486,7 +504,8 @@ class SpectralHamiltonian:
     @classmethod
     def from_matrix(cls, h) -> "SpectralHamiltonian":
         """Diagonalize a Hermitian matrix and group near-degenerate eigenvalues."""
-        return cls._build(*np.linalg.eigh(require_hermitian(_square(h))))
+        w, v = np.linalg.eigh(require_hermitian(_square(h)))
+        return cls._trusted(w, v, *_cluster_levels(w))
 
     @classmethod
     def from_spectrum(cls, eigenvalues, basis: np.ndarray | None = None) -> "SpectralHamiltonian":
@@ -512,12 +531,17 @@ class SpectralHamiltonian:
             if np.max(np.abs(v.conj().T @ v - np.eye(d))) > TOL_STRUCT:
                 raise ValueError("basis columns are not orthonormal")
         order = np.argsort(w, kind="stable")
-        return cls._build(w[order], v[:, order])
+        w, v = w[order], v[:, order]
+        return cls._trusted(w, v, *_cluster_levels(w))
 
     @classmethod
-    def _build(cls, w: np.ndarray, v: np.ndarray) -> "SpectralHamiltonian":
-        """From ascending eigenvalues and the orthonormal basis that carries them."""
-        return cls._trusted(np.asarray(w, dtype=float), v, *_cluster_levels(w))
+    def _build(cls, w: np.ndarray, v: np.ndarray) -> list["SpectralHamiltonian"]:
+        """One per row of ascending eigenvalues (n, d) and the orthonormal bases (n, d, d)
+        that carry them, their levels grouped in one ``_cluster_levels`` call (the rule
+        from_matrix and from_spectrum apply to their one row)."""
+        levels, level_of = _cluster_levels(w)
+        return [cls._trusted(*row, row_levels[:row_of[-1] + 1], row_of)
+                for *row, row_levels, row_of in zip(w, v, levels, level_of)]
 
     @classmethod
     def _trusted(cls, *arrays: np.ndarray) -> "SpectralHamiltonian":
@@ -529,13 +553,10 @@ class SpectralHamiltonian:
 
     @functools.cached_property
     def decomposition(self) -> OrthogonalDecomposition:
-        """Eigenspace projectors V_m V_m†, one per level, from the ascending level_of."""
-        cols = np.arange(self.dim)
-        if self.level_count == self.dim:        # each level on its own column: no split
-            groups = cols[:, None]
-        else:
-            groups = np.split(cols, np.flatnonzero(np.diff(self.level_of)) + 1)
-        return OrthogonalDecomposition._trusted(_block_stack(self.eigenvectors, groups))
+        """Eigenspace projectors V_m V_m†, one per level: level_of ascends, so the columns
+        fill the levels in turn."""
+        return OrthogonalDecomposition._trusted(_block_stacks(self.eigenvectors,
+                                                              np.bincount(self.level_of)))
 
     @property
     def dim(self) -> int:
@@ -591,6 +612,12 @@ def _orbit_table(m_count: int) -> np.ndarray:
     perms = np.fromiter(itertools.chain.from_iterable(itertools.permutations(range(m_count))),
                         dtype=np.intp, count=math.factorial(m_count) * m_count)
     return _read_only(np.argsort(perms.reshape(-1, m_count), axis=1))
+
+
+def _owned(a: np.ndarray, owner: np.ndarray) -> np.ndarray:
+    """The entry of a stack a (one per Hamiltonian) that owns each orbit row; a stack of one
+    gives its one entry, to broadcast, with no copy."""
+    return a[0] if len(a) == 1 else a.take(owner, 0)
 
 
 def _orbit_rows(hams: Sequence[SpectralHamiltonian], fn) -> Iterator[tuple]:

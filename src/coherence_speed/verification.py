@@ -18,10 +18,10 @@ registers it in SUITES: suites and their checks run in declaration order.
   picker under any rule: each trial draws from its own generator, in trial
   order, at ``dims(i)`` or at the dimension its draws set, then stacked
   numpy passes evaluate the trials of each dimension (``_by_dim``), bit for
-  bit as one by one.  The worst figure is the maximum over the trials.  An
-  identity reports a nonnegative gap and passes when worst < tol; an
-  inequality (``inequality=True``) reports lhs - rhs and passes when
-  worst <= tol.
+  bit as one by one, redraws in rounds (``_rounds``).  The worst figure is
+  the maximum over the trials.  An identity reports a nonnegative gap and
+  passes when worst < tol; an inequality (``inequality=True``) reports
+  lhs - rhs and passes when worst <= tol.
 * ``_check(suite, name, salt=, tol=, trials=None, dims=None)`` declares
   any other check from ``body(rng, trials, dims, tol) -> (passed, worst,
   trials_run, detail)``, where rng is ``default_rng([seed, salt])``.
@@ -50,7 +50,7 @@ import numpy as np
 
 from .avgdist import (
     _bruteforces,
-    _closed_form,
+    _closed_forms,
     a_coefficient,
     avg_distance_closed,
     benchmark_overlap_check,
@@ -77,7 +77,7 @@ from .channels import (
     equality_gap_analysis,
     qutrit_equality_channel,
 )
-from .coherence import _c_half, c_half, c_l1, closest_incoherent, is_refinement
+from .coherence import _c_halves, c_half, c_l1, closest_incoherent, is_refinement
 from .dynamics import (
     HamiltonianPath,
     Trajectory,
@@ -94,9 +94,11 @@ from .linalg import (
     SpectralHamiltonian,
     _Density,
     _eigenbasis_operators,
+    _families,
     _ginibre,
     _haar_unitaries,
     _orbit_rows,
+    _read_only,
     _rebuild,
     dagger,
     haar_random_state,
@@ -242,8 +244,8 @@ def _by_dim(draws, evaluate) -> list:
     for d in {len(draw[0]) for draw in draws}:
         trials = [i for i, draw in enumerate(draws) if len(draw[0]) == d]
         levels, ginibres, *rest = zip(*(draws[i] for i in trials))
-        hams = map(SpectralHamiltonian._build, levels, _haar_unitaries(np.array(ginibres)))
-        figures.update(zip(trials, evaluate(list(hams), *rest)))
+        hams = SpectralHamiltonian._build(np.array(levels), _haar_unitaries(np.array(ginibres)))
+        figures.update(zip(trials, evaluate(hams, *rest)))
     return [figures[i] for i in range(len(draws))]
 
 
@@ -258,8 +260,8 @@ def _equality_draw(rng, levels) -> tuple:
 def _equality_gaps(hams, rhos, ts) -> list[float]:
     """avg_distance_closed's |brute force - closed form|, from one eigh of the states."""
     states = _Density.of_stack(np.array(rhos))
-    closed = [_closed_form(state.root, ham, t)[2] for state, ham, t in zip(states, hams, ts)]
-    return [abs(brute - c) for brute, c in zip(_bruteforces(states, hams, ts), closed)]
+    closed = _closed_forms([state.root for state in states], hams, ts)
+    return [abs(brute - c[2]) for brute, c in zip(_bruteforces(states, hams, ts), closed)]
 
 
 @_trials("thm1", "thm1-equality", salt=11, trials=300, tol=1e-9, dims=range(2, 7),
@@ -279,19 +281,36 @@ def check_benchmark_identity(i, rng, d):
     return abs(lhs - rhs)
 
 
+def _rounds(rngs, draw, judge) -> list:
+    """Per generator k, what judge makes of its first accepted draw(k, rng): each round draws
+    one candidate from every unfinished generator, in order, and judge(ks, candidates) gives
+    a result or None (draw again) for each in stacked passes, so each generator draws what a
+    loop of its own would."""
+    results, todo = [None] * len(rngs), range(len(rngs))
+    while todo:
+        for k, result in zip(todo, judge(todo, [draw(k, rngs[k]) for k in todo])):
+            results[k] = result
+        todo = [k for k in todo if results[k] is None]
+    return results
+
+
 def _recovered_gaps(hams, ts, rngs) -> list[float]:
     """|B_1 - B_2| per trial, B = 1 - brute / (2 c_half) of each of the first two states
-    its generator draws with c_half above 1e-3."""
-    picked = []
-    for k, (ham, t, rng) in enumerate(zip(hams, ts, rngs)):
-        while len(picked) < 2 * k + 2:
-            rho = random_density(ham.dim, rank=int(rng.integers(1, ham.dim + 1)), seed=rng)
-            state = _Density.of(rho)
-            coh = _c_half(state.root, ham.decomposition)
-            if coh > 1e-3:
-                picked.append((state, ham, t, coh))
-    states, hams, ts, cohs = zip(*picked)
-    coef = [1.0 - b / (2.0 * c) for b, c in zip(_bruteforces(states, hams, ts), cohs)]
+    its generator draws with c_half above 1e-3 (all levels distinct: one level count)."""
+    d, families = hams[0].dim, _families(hams)
+
+    def judge(trials, rhos):
+        states = _Density.of_stack(np.array(rhos))
+        cohs = _c_halves(np.array([state.root for state in states]), families[trials])
+        return [(state, coh) if coh > 1e-3 else None for state, coh in zip(states, cohs)]
+
+    def draw(k, rng):
+        return random_density(d, rank=int(rng.integers(1, d + 1)), seed=rng)
+
+    first, second = _rounds(rngs, draw, judge), _rounds(rngs, draw, judge)
+    states, cohs = zip(*itertools.chain(*zip(first, second)))
+    pairs = [(ham, t) for ham, t in zip(hams, ts) for _ in range(2)]
+    coef = [1.0 - b / (2.0 * c) for b, c in zip(_bruteforces(states, *zip(*pairs)), cohs)]
     return [abs(a - b) for a, b in zip(coef[::2], coef[1::2])]
 
 
@@ -418,24 +437,30 @@ def check_thm3_product_equality(rngs, dims):
     """Non-interacting dilations with the environment in a stationary state
     saturate the bound: the permutation-averaged channel distance equals the
     dilated closed form exactly."""
-    eye2 = np.eye(2)
-    dilations, rhos = [], []
-    for i, rng in enumerate(rngs):
-        while True:
-            # V diag(w) V† as SpectralHamiltonian.from_spectrum(w, V).matrix() forms it
-            h_a = _rebuild(_spectrum(rng, 2, min_gap=1e-2), random_unitary(2, rng))
-            h_env = (np.zeros((2, 2)) if i % 4 == 0
-                     else np.diag(_spectrum(rng, 2, min_gap=1e-2)))
-            h_joint = np.kron(h_a, eye2) + np.kron(eye2, h_env)
-            gaps = np.diff(np.sort(np.linalg.eigvalsh(h_joint)))
-            # keep only exactly-degenerate or safely-separated joint spectra
-            if not np.any((gaps > 1e-12) & (gaps < 1e-6)):
-                break
-        dilations.append(StinespringDilation(
-            hamiltonian=SpectralHamiltonian.from_matrix(h_joint), sys_dim=2, env_dim=2,
-            env_state=np.array([1.0, 0.0]), duration=float(rng.uniform(0.2, 2.0))))
-        rhos.append(random_density(2, rank=int(rng.integers(1, 3)), seed=rng))
-    average, rhs = _theorem3_bound(dilations, _Density.of_stack(np.array(rhos)))
+    eye2, env = np.eye(2), _read_only(np.eye(2, dtype=complex)[0])
+
+    def draw(i, rng):
+        return (_spectrum(rng, 2, min_gap=1e-2), _ginibre(rng, (2, 2)),
+                np.zeros((2, 2)) if i % 4 == 0 else np.diag(_spectrum(rng, 2, min_gap=1e-2)))
+
+    def judge(trials, candidates):
+        w, g, h_env = map(np.array, zip(*candidates))
+        # V diag(w) V† as from_spectrum(w, V).matrix() forms it; np.kron(h_a, eye2) +
+        # np.kron(eye2, h_env) as np.kron's broadcast products
+        h_a = _rebuild(w, _haar_unitaries(g))
+        h_joint = (h_a[:, :, None, :, None] * eye2[:, None, :]
+                   + eye2[:, None, :, None] * h_env[:, None, :, None, :]).reshape(-1, 4, 4)
+        gaps = np.diff(np.sort(np.linalg.eigvalsh(h_joint)), axis=-1)
+        # keep only exactly-degenerate or safely-separated joint spectra
+        keep = ~((gaps > 1e-12) & (gaps < 1e-6)).any(axis=-1)
+        hams = iter(SpectralHamiltonian._build(*np.linalg.eigh(h_joint[keep])))
+        return [StinespringDilation._trusted(next(hams), 2, 2, env,
+                                             float(rngs[i].uniform(0.2, 2.0)))
+                if ok else None for i, ok in zip(trials, keep)]
+
+    dilations = _rounds(rngs, draw, judge)
+    rhos = np.array([random_density(2, rank=int(rng.integers(1, 3)), seed=rng) for rng in rngs])
+    average, rhs = _theorem3_bound(dilations, _Density.of_stack(rhos))
     return [abs(lhs - bound) for lhs, bound in zip(average(), rhs)]
 
 

@@ -511,3 +511,33 @@ def test_a_state_in_the_dead_band_reads_the_same_stacked_as_single_bit_for_bit()
         stacked = avgdist._bruteforces(states, [ham for _, ham, _ in cases], [0.7] * len(cases))
         assert [x.hex() for x in stacked] == [avg_distance_bruteforce(*case).hex()
                                               for case in cases]
+
+
+@pytest.mark.parametrize("d", [3, 8])
+def test_stacked_closed_forms_equal_single_calls_bit_for_bit(d):
+    # every level count 1..d in one call, degenerate levels below d, ranks 1..d; at d = 8
+    # the level counts 5..8 are where np.cos over a whole (trials, pairs) array rounds apart
+    rng = np.random.default_rng(70 + d)
+    spectra, roots, ts = [], [], []
+    for k in range(6 * d):
+        m = 1 + k % d
+        mult = np.ones(m, dtype=int)
+        np.add.at(mult, rng.integers(0, m, d - m), 1)
+        spectra.append((np.repeat(_spread_spectrum(rng, m), mult), random_unitary(d, rng)))
+        roots.append(linalg._Density.of(random_density(d, rank=1 + k % d, seed=rng)).root)
+        ts.append(float(rng.uniform(0.05, 8.0)))
+
+    def hams():     # the same Hamiltonians, built anew: each keeps the family it builds
+        return [SpectralHamiltonian.from_spectrum(values, basis) for values, basis in spectra]
+
+    single = [tuple(float(x).hex() for x in avgdist._closed_form(root, ham, t))
+              for root, ham, t in zip(roots, hams(), ts)]
+    stacked_hams = hams()
+    assert sorted({ham.level_count for ham in stacked_hams}) == list(range(1, d + 1))
+    for ham in stacked_hams[::4]:       # some families built beforehand, the rest stacked
+        ham.decomposition
+    stacked = avgdist._closed_forms(roots, stacked_hams, ts)
+    assert [tuple(float(x).hex() for x in form) for form in stacked] == single
+    for ham, (values, basis) in zip(stacked_hams, spectra):     # the families they kept
+        alone = SpectralHamiltonian.from_spectrum(values, basis).decomposition.projectors
+        assert ham.decomposition.projectors.tobytes() == alone.tobytes()

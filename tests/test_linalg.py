@@ -13,6 +13,7 @@ from coherence_speed import avgdist, battery, channels, coherence, dynamics, lin
 from coherence_speed.channels import dilate, qutrit_equality_channel, random_channel
 from coherence_speed.errors import (
     BadPermutation,
+    BadRank,
     DimensionMismatch,
     InvalidState,
     NotHermitian,
@@ -768,8 +769,8 @@ def test_lazy_projector_stack_matches_the_eager_build_bit_for_bit():
 
 def test_only_the_projector_readers_build_the_stack(monkeypatch):
     calls = []
-    build = linalg._block_stack
-    monkeypatch.setattr(linalg, "_block_stack", lambda *a: calls.append(1) or build(*a))
+    build = linalg._block_stacks
+    monkeypatch.setattr(linalg, "_block_stacks", lambda *a: calls.append(1) or build(*a))
     rng = np.random.default_rng(20)
     psi0, psi1 = haar_random_state(4, rng), haar_random_state(4, rng)
     hams = [SpectralHamiltonian.from_matrix(random_hermitian(4, rng)),
@@ -812,3 +813,31 @@ def test_equality_of_array_holders_is_identity(name):
     assert (x == x) is True and (x != x) is False
     assert (x == other) is False and (x != other) is True
     assert len({x, other}) == 2
+
+
+def test_a_stacked_build_equals_its_rows_built_one_by_one_bit_for_bit():
+    # distinct levels, merged clusters (gaps below TOL_DEGEN), a single level and a row with
+    # fewer levels than the widest, in one _cluster_levels call
+    rng = np.random.default_rng(72)
+    d = 6
+    lam = np.sort(rng.uniform(-2.0, 2.0, (4, d)), axis=-1)
+    lam[1, 1::2] = lam[1, ::2] + 0.4 * TOL_DEGEN          # three merged pairs
+    lam[2, 1:4] = lam[2, 0] + np.array([0.2, 0.5, 0.9]) * TOL_DEGEN    # one merged cluster
+    lam[3] = 0.7 + np.arange(d) * 0.1 * TOL_DEGEN          # one level
+    vecs = linalg._haar_unitaries(linalg._ginibre(rng, (4, d, d)))
+    stacked = SpectralHamiltonian._build(lam, vecs)
+    assert [ham.level_count for ham in stacked] == [6, 3, 3, 1]
+    for ham, w, v in zip(stacked, lam, vecs):
+        alone = SpectralHamiltonian.from_spectrum(w, v)
+        for name in ("eigenvalues", "eigenvectors", "levels", "level_of"):
+            got, want = getattr(ham, name), getattr(alone, name)
+            assert got.dtype == want.dtype and got.shape == want.shape, name
+            assert got.tobytes() == want.tobytes(), name
+            assert not got.flags.writeable, name
+        assert ham.decomposition.projectors.tobytes() == alone.decomposition.projectors.tobytes()
+
+
+@pytest.mark.parametrize("rank", [0, 4])
+def test_random_density_rejects_a_rank_outside_one_to_d(rank):
+    with pytest.raises(BadRank, match=f"rank {rank} outside 1..3"):
+        random_density(3, rank=rank, seed=0)

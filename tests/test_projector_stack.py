@@ -24,6 +24,7 @@ from coherence_speed.linalg import (
     OrthogonalDecomposition,
     SpectralHamiltonian,
     _cluster_levels,
+    _families,
     haar_random_state,
     hermitianize,
     matrix_sqrt_psd,
@@ -282,3 +283,24 @@ def test_cluster_levels_groups_each_row_of_a_stack(rows):
             assert np.array_equal(got_of, want_of)
             assert np.array_equal(got_levels[:len(want_levels)], want_levels)
             assert not got_levels[len(want_levels):].any()
+
+
+def test_the_families_of_several_hamiltonians_are_their_block_products_bit_for_bit():
+    # one _block_stacks call over several bases of one dimension and level count, block
+    # sizes mixed within and across the bases
+    rng = np.random.default_rng(71)
+    for d in range(1, 9):
+        for m in range(1, d + 1):
+            hams = []
+            for _ in range(5):
+                mult = np.ones(m, dtype=int)
+                np.add.at(mult, rng.integers(0, m, d - m), 1)
+                values = np.repeat(np.cumsum(rng.uniform(0.1, 1.0, m)), mult)
+                hams.append(SpectralHamiltonian.from_spectrum(values, random_unitary(d, rng)))
+            families = _families(hams)
+            assert families.shape == (5, m, d, d)
+            for ham, family in zip(hams, families):
+                cols = [np.flatnonzero(ham.level_of == k) for k in range(m)]
+                want = _loop_basis_projectors(ham.eigenvectors, cols)
+                assert family.tobytes() == want.tobytes()
+                assert ham.decomposition.projectors.tobytes() == want.tobytes()

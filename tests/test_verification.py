@@ -482,3 +482,23 @@ def test_stacked_theorem3_bound_equals_single_calls_bit_for_bit():
     stacked = [(lhs.hex(), bound.hex()) for lhs, bound in zip(average(), rhs)]
     assert stacked == [tuple(x.hex() for x in theorem3_bound(dil, rho))
                        for dil, rho in zip(dilations, rhos)]
+
+
+def test_rounds_draw_from_each_generator_what_its_own_loop_would_bit_for_bit():
+    def own_loop(rng):
+        while (x := rng.random()) <= 0.8:
+            pass
+        return x
+
+    loops = np.random.default_rng(5).spawn(20)
+    want = [own_loop(rng) for rng in loops]
+    rngs, rounds = np.random.default_rng(5).spawn(20), []
+
+    def judge(trials, xs):      # each round judged in one call
+        rounds.append(list(trials))
+        return [x if x > 0.8 else None for x in xs]
+
+    assert verification._rounds(rngs, lambda k, rng: rng.random(), judge) == want
+    assert rounds[0] == list(range(20)) and len(rounds) > 2
+    assert all(set(later) <= set(earlier) for earlier, later in zip(rounds, rounds[1:]))
+    assert [rng.random() for rng in rngs] == [rng.random() for rng in loops]

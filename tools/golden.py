@@ -7,7 +7,8 @@ It records
   and the rotating axis, tau = 2.5), and ``verify --out`` for three
   suites, each with its exit code, stdout and stderr;
 - PASS/FAIL, trials, detail and the worst value (as ``float.hex``) of
-  every check of every suite at seeds 0, 1, 34 and 83;
+  every check of every suite at seeds 0, 1, 34 and 83, and at seed 0
+  under ``--dim`` 2, 3 and 5;
 - the exit code and stderr, or the exception and warnings, for a fixed
   list of malformed inputs to the CLI and to the library (among them
   non-finite times, pulse and axis samples, and a ``SpectralHamiltonian``
@@ -84,6 +85,7 @@ from coherence_speed.metrics import fidelity, hellinger
 from coherence_speed.verification import SUITES, run_suite
 
 SEEDS = (0, 1, 34, 83)
+DIMS = (2, 3, 5)        # verify --dim, each suite at seed 0
 NAN, INF = float("nan"), float("inf")
 _MARK = "@"         # where a case's non-finite token goes
 
@@ -410,11 +412,18 @@ def reports(tmp: Path) -> dict:
     return out
 
 
+def _results(suite: str, **kwargs) -> list[dict]:
+    return [{"check": r.name, "passed": bool(r.passed), "trials": int(r.trials),
+             "detail": r.detail, "worst": float(r.worst).hex(), "tol": float(r.tol).hex()}
+            for r in run_suite(suite, **kwargs)]
+
+
 def suites() -> dict:
-    return {f"{suite} seed {seed}": [
-        {"check": r.name, "passed": bool(r.passed), "trials": int(r.trials), "detail": r.detail,
-         "worst": float(r.worst).hex(), "tol": float(r.tol).hex()}
-        for r in run_suite(suite, seed=seed)] for suite in sorted(SUITES) for seed in SEEDS}
+    out = {f"{suite} seed {seed}": _results(suite, seed=seed)
+           for suite in sorted(SUITES) for seed in SEEDS}
+    out.update({f"{suite} seed 0 dim {dim}": _results(suite, seed=0, dim=dim)
+                for suite in sorted(SUITES) for dim in DIMS})
+    return out
 
 
 def malformed(tmp: Path) -> dict:
