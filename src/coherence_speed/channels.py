@@ -35,9 +35,10 @@ from __future__ import annotations
 
 import bisect
 import cmath
+import functools
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable, Iterator
 
@@ -83,7 +84,6 @@ class KrausChannel:
 
     operators: np.ndarray
     label: str = ""
-    completeness_residual: float = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         try:
@@ -97,12 +97,22 @@ class KrausChannel:
         # NaN fails no `> tol` residual test below, so reject it here
         if not np.isfinite(ops).all():
             raise IncompleteKraus("Kraus entries are not all finite")
-        total = (dagger(ops) @ ops).sum(axis=0)
-        defect = float(np.max(np.abs(total - np.eye(ops.shape[1]))))
-        if defect > TOL_STRUCT:
-            raise IncompleteKraus(f"sum K†K deviates from identity by {defect:.3e}")
         object.__setattr__(self, "operators", _read_only(ops))
-        object.__setattr__(self, "completeness_residual", defect)
+        if (defect := self.completeness_residual) > TOL_STRUCT:
+            raise IncompleteKraus(f"sum K†K deviates from identity by {defect:.3e}")
+
+    @classmethod
+    def _trusted(cls, operators: np.ndarray, label: str) -> "KrausChannel":
+        """A Kraus stack cut from a unitary the package drew, copied as the constructor copies
+        it (np.array, same memory order), unchecked: its residual is built on first read."""
+        channel = cls.__new__(cls)
+        channel.__dict__.update(operators=_read_only(np.array(operators)), label=label)
+        return channel
+
+    @functools.cached_property
+    def completeness_residual(self) -> float:
+        total = (dagger(self.operators) @ self.operators).sum(axis=0)
+        return float(np.max(np.abs(total - np.eye(self.dim))))
 
     @property
     def dim(self) -> int:
@@ -143,8 +153,8 @@ def _random_channels(rngs, dim: int, n_kraus: int) -> list[KrausChannel]:
     n = dim * n_kraus
     # <s|K_j|c> at [s K + j, c]
     iso = _haar_unitaries(np.array([_ginibre(rng, (n, n)) for rng in rngs]))[:, :, ::n_kraus]
-    return [KrausChannel(k.reshape(dim, n_kraus, dim).swapaxes(0, 1),
-                         label=f"random-{dim}x{n_kraus}") for k in iso]
+    return [KrausChannel._trusted(k.reshape(dim, n_kraus, dim).swapaxes(0, 1),
+                                  f"random-{dim}x{n_kraus}") for k in iso]
 
 
 @dataclass(frozen=True, eq=False)

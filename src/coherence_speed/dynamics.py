@@ -56,8 +56,6 @@ def _half_width(h: np.ndarray) -> float:
     of H, which changes only the phase, leaves it unchanged.  For a
     stack, the largest over its matrices.
     """
-    if not h.size:
-        return 0.0
     w = np.linalg.eigvalsh(h)
     return float((w[..., -1] - w[..., 0]).max()) / 2.0
 

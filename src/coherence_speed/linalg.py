@@ -80,21 +80,20 @@ def is_hermitian(a: np.ndarray) -> bool:
 
 
 def _square(a, *, stack: bool = False) -> np.ndarray:
-    """a as complex128; a square matrix, or with stack=True also a stack (..., d, d)."""
+    """a as complex128; a square matrix, or with stack=True also a stack (..., d, d); not empty."""
     a = np.asarray(a, dtype=complex)
-    if a.ndim < 2 or (a.ndim > 2 and not stack) or a.shape[-2] != a.shape[-1]:
+    if a.ndim < 2 or (a.ndim > 2 and not stack) or a.shape[-2] != a.shape[-1] or not a.size:
         raise DimensionMismatch(f"expected a square matrix, got shape {a.shape}")
     return a
 
 
-def require_hermitian(a) -> np.ndarray:
-    """a as complex128, a square matrix or a stack (..., d, d), checked Hermitian.
+def require_hermitian(a, *, stack: bool = True) -> np.ndarray:
+    """a as complex128, a square matrix or (stack=True) a stack (..., d, d), checked Hermitian.
 
-    Raises DimensionMismatch on any other shape and NotHermitian when
-    max|A - A†| exceeds TOL_HERM (for any matrix of a stack), or when
-    an entry is not finite, which is_hermitian also fails.
+    Raises DimensionMismatch on any other shape or zero size, and NotHermitian when max|A - A†|
+    exceeds TOL_HERM (for any matrix of a stack) or an entry is not finite (is_hermitian fails).
     """
-    a = _square(a, stack=True)
+    a = _square(a, stack=stack)
     if not is_hermitian(a):
         if not np.isfinite(a).all():
             raise NotHermitian("matrix entries are not all finite")
@@ -175,11 +174,11 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 class _Density:
     """A density matrix checked once, where it enters, and the eigendata of that check.
 
-    ``of`` raises NotHermitian from ``require_hermitian``, NotPSD from ``_psd_eigh``, whose
-    one eigh of rho reads the lower triangle, then InvalidState (trace beyond TOL_TRACE),
-    with the messages every other entry gives for the same matrix.  It keeps rho as
-    given, w and V, all read-only, and psi, the unit vector of a pure state, only when
-    the caller held one.  ``root``, built on first read, is matrix_sqrt_psd(rho) bit for bit.
+    ``of`` raises DimensionMismatch (not one square matrix, or zero size) and NotHermitian from
+    one ``require_hermitian`` pass, NotPSD from ``_psd_eigh`` (one eigh, reading the lower
+    triangle), then InvalidState (trace beyond TOL_TRACE), the messages every other entry gives.
+    It keeps rho as given, w and V, all read-only, and psi only when the caller held a pure
+    state's vector.  ``root``, built on first read, is matrix_sqrt_psd(rho) bit for bit.
     """
 
     rho: np.ndarray
@@ -189,9 +188,9 @@ class _Density:
 
     @classmethod
     def of(cls, rho, psi: np.ndarray | None = None) -> "_Density":
-        rho = require_hermitian(_square(rho))
+        rho = require_hermitian(rho, stack=False)
         w, v = _psd_eigh(rho)
-        tr = float(np.trace(rho).real)
+        tr = float(rho.trace().real)
         if abs(tr - 1.0) > TOL_TRACE:
             raise InvalidState(f"trace {tr!r} differs from 1 beyond {TOL_TRACE:.1e}")
         w.flags.writeable = v.flags.writeable = False     # the state's own arrays
@@ -359,12 +358,12 @@ class OrthogonalDecomposition:
     constructor takes any sequence of d x d matrices.  The class is
     frozen, so no family can be reassigned or written past its check.
 
-    Invariants: each P_m is Hermitian and idempotent, distinct
-    projectors annihilate each other, and the family sums to the
-    identity.  A family built by a caller (the constructor,
-    ``from_basis``, ``computational``) is checked on construction for
-    finite entries, then, to TOL_STRUCT, from one matrix product of the
-    stacked projectors, and last for empty blocks (trace below 1/2).
+    Invariants: each P_m is Hermitian and idempotent, distinct projectors annihilate each
+    other, and the family sums to the identity.  A caller's family (the constructor,
+    ``from_basis``, ``computational``) is copied into one stack and checked for finite entries,
+    then to TOL_STRUCT from one matrix product, and last for empty blocks (trace below 1/2).
+    It is accepted on whole-family maxima; only a failure reads the per-projector ones, to name
+    the first failing check.  A zero-size family raises DimensionMismatch.
     Eigenspace families the package builds itself from an orthonormal
     eigenbasis (``SpectralHamiltonian.from_matrix``, ``from_spectrum``,
     ``permute_levels``) hold the invariants by construction and are not
@@ -374,39 +373,50 @@ class OrthogonalDecomposition:
     projectors: np.ndarray
 
     def __post_init__(self) -> None:
-        projs = tuple(np.asarray(p, dtype=complex) for p in self.projectors)
-        if not projs:
-            raise ValueError("decomposition needs at least one projector")
-        d = projs[0].shape[0]
-        # projectors before the first one of another shape are checked first
-        m = next((k for k, p in enumerate(projs) if p.shape != (d, d)), len(projs))
-        if m:
-            rows = np.concatenate(projs[:m])
-            # NaN fails no `> tol` residual test below, so reject it here
-            if not np.isfinite(rows).all():
-                raise ValueError("projector entries are not all finite")
-            stack = rows.reshape(m, d, d)
-            # every product P_a P_b from one matrix product, as blocks (a, :, b, :)
-            prods = (rows @ np.concatenate(projs[:m], 1)).reshape(m, d, m, d)
-            diag = np.arange(m)
-            prods[diag, :, diag] -= stack
-            # bad[a, b]: max|P_a P_b - delta_ab P_a| > tol
-            bad = np.abs(prods).max(axis=(1, 3)) > TOL_STRUCT
-            herm = np.abs(stack - dagger(stack)).max(axis=(1, 2)) > TOL_STRUCT
+        try:        # one C-ordered copy of the whole family, never a caller's array
+            projs = stack = np.array(self.projectors, dtype=complex, order="C")
+        except (ValueError, TypeError):                 # ragged or not numeric
+            stack = np.empty(0)
+        if stack.ndim != 3 or stack.shape[1] != stack.shape[2] or not len(stack):
+            # projector by projector; those before the first one of another shape come first
+            projs = tuple(np.asarray(p, dtype=complex) for p in self.projectors)
+            if not projs:
+                raise ValueError("decomposition needs at least one projector")
+            d = projs[0].shape[0]
+            m = next((k for k, p in enumerate(projs) if p.shape != (d, d)), len(projs))
+            if not m:
+                raise DimensionMismatch("projectors must share one square shape")
+            stack = np.concatenate(projs[:m]).reshape(m, d, d)
+        m, d = _square(stack, stack=True).shape[:2]     # DimensionMismatch when zero-size
+        # NaN fails no `> tol` residual test below, so reject it here
+        if not np.logical_and.reduce(np.isfinite(stack), axis=None):
+            raise ValueError("projector entries are not all finite")
+        # |P_a P_b - delta_ab P_a| from one matrix product, as blocks (a, :, b, :)
+        prods = (stack.reshape(m * d, d) @ np.concatenate(stack, 1)).reshape(m, d, m, d)
+        np.einsum("aiaj->aij", prods)[...] -= stack     # blocks (a, :, a, :), a writeable view
+        prods, skew = np.abs(prods), np.abs(stack - dagger(stack))
+        total = np.maximum.reduce(np.abs(np.add.reduce(stack, 0) - np.eye(d)), axis=None)
+        traces = np.einsum("mii->m", stack).real
+        # accepted on whole-family maxima (ufunc reductions); per-projector ones name a failure
+        if m < len(projs) or not (np.maximum.reduce(prods, axis=None) <= TOL_STRUCT
+                                  and np.maximum.reduce(skew, axis=None) <= TOL_STRUCT
+                                  and total <= TOL_STRUCT and np.minimum.reduce(traces) >= 0.5):
+            herm = skew.max(axis=(1, 2)) > TOL_STRUCT
+            bad = prods.max(axis=(1, 3)) > TOL_STRUCT      # bad[a, b]: P_a P_b beyond tol
             first = np.flatnonzero(herm | bad.diagonal())
             if first.size:
                 raise ValueError("projector is not Hermitian" if herm[first[0]]
                                  else "projector is not idempotent")
-        if m < len(projs):
-            raise DimensionMismatch("projectors must share one square shape")
-        a, b = np.nonzero(bad)
-        if (a < b).any():
-            raise ValueError("projectors are not mutually orthogonal")
-        if np.abs(stack.sum(axis=0) - np.eye(d)).max() > TOL_STRUCT:
-            raise ValueError("projectors do not sum to the identity")
-        # a zero block passes every test above but adds a block to the family
-        if (np.einsum("mii->m", stack).real < 0.5).any():
-            raise ValueError("projector is empty (trace below 1/2)")
+            if m < len(projs):
+                raise DimensionMismatch("projectors must share one square shape")
+            a, b = np.nonzero(bad)
+            if (a < b).any():
+                raise ValueError("projectors are not mutually orthogonal")
+            if total > TOL_STRUCT:
+                raise ValueError("projectors do not sum to the identity")
+            # a zero block passes every test above but adds a block to the family
+            if (traces < 0.5).any():
+                raise ValueError("projector is empty (trace below 1/2)")
         object.__setattr__(self, "projectors", _read_only(stack))
 
     @classmethod
@@ -458,9 +468,9 @@ def _cluster_levels(eigvals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """
     split = eigvals[..., 1:] - eigvals[..., :-1] > TOL_DEGEN
     level_of = np.zeros(eigvals.shape, dtype=int)
-    np.cumsum(split, axis=-1, out=level_of[..., 1:])
+    split.cumsum(-1, out=level_of[..., 1:])
     levels = np.array(eigvals, dtype=float)     # each eigenvalue its own level ...
-    if not split.all():                          # ... unless some clusters merge
+    if not np.logical_and.reduce(split, axis=None):     # ... unless some clusters merge
         levels = np.zeros(eigvals.shape[:-1] + (int(level_of[..., -1].max()) + 1,))
         np.put_along_axis(levels, level_of, eigvals, axis=-1)
         # a merged cluster, found where its second member joins it, gets its mean
@@ -504,7 +514,7 @@ class SpectralHamiltonian:
     @classmethod
     def from_matrix(cls, h) -> "SpectralHamiltonian":
         """Diagonalize a Hermitian matrix and group near-degenerate eigenvalues."""
-        w, v = np.linalg.eigh(require_hermitian(_square(h)))
+        w, v = np.linalg.eigh(require_hermitian(h, stack=False))
         return cls._trusted(w, v, *_cluster_levels(w))
 
     @classmethod
@@ -517,7 +527,9 @@ class SpectralHamiltonian:
         columns carried along.
         """
         w = np.asarray(eigenvalues, dtype=float).reshape(-1)
-        if not np.isfinite(w).all():
+        if not len(w):
+            raise DimensionMismatch("expected at least one eigenvalue, got none")
+        if not np.logical_and.reduce(np.isfinite(w), axis=None):
             raise ValueError("eigenvalues are not all finite")
         d = len(w)
         if basis is None:
@@ -526,9 +538,9 @@ class SpectralHamiltonian:
             v = np.asarray(basis, dtype=complex)
             if v.shape != (d, d):
                 raise DimensionMismatch("basis shape does not match eigenvalue count")
-            if not np.isfinite(v).all():
+            if not np.logical_and.reduce(np.isfinite(v), axis=None):
                 raise ValueError("basis entries are not all finite")
-            if np.max(np.abs(v.conj().T @ v - np.eye(d))) > TOL_STRUCT:
+            if np.maximum.reduce(np.abs(v.conj().T @ v - np.eye(d)), axis=None) > TOL_STRUCT:
                 raise ValueError("basis columns are not orthonormal")
         order = np.argsort(w, kind="stable")
         w, v = w[order], v[:, order]

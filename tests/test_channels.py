@@ -57,6 +57,28 @@ def test_completeness_residual_is_kept_from_the_check():
         assert chan.completeness_residual == float(np.max(np.abs(total - np.eye(chan.dim))))
 
 
+def test_drawn_channels_skip_the_check_and_read_its_residual_bit_for_bit(monkeypatch):
+    # a channel cut from a drawn unitary is trusted: no second copy, finiteness pass or K†K
+    # sum at construction; its residual, built on first read, is the float the check keeps
+    calls = []
+    check = KrausChannel.__post_init__
+    monkeypatch.setattr(KrausChannel, "__post_init__", lambda self: calls.append(1) or check(self))
+    rng = np.random.default_rng(53)
+    drawn = [random_channel(d, k, rng) for d, k in ((1, 1), (2, 1), (2, 2), (3, 2), (4, 3))]
+    drawn += channels._random_channels([np.random.default_rng(s) for s in range(3)], 3, 3)
+    assert not calls
+    for chan in drawn:
+        assert "completeness_residual" not in vars(chan)
+        checked = KrausChannel(chan.operators, label=chan.label)
+        assert chan.completeness_residual == checked.completeness_residual
+        assert chan.operators.tobytes() == checked.operators.tobytes()
+        assert chan.operators.strides == checked.operators.strides
+        assert not chan.operators.flags.writeable
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            chan.completeness_residual = 0.0
+    assert len(calls) == len(drawn)
+
+
 def test_apply_kraus_is_cptp():
     rng = np.random.default_rng(51)
     for _ in range(15):

@@ -3,6 +3,7 @@
 import dataclasses
 import inspect
 import itertools
+import re
 import warnings
 
 import numpy as np
@@ -23,6 +24,7 @@ from coherence_speed.linalg import (
     ORBIT_CHUNK,
     TOL_DEGEN,
     TOL_PSD,
+    TOL_STRUCT,
     OrthogonalDecomposition,
     SpectralHamiltonian,
     _cluster_levels,
@@ -362,14 +364,22 @@ def test_matrix_sqrt_psd_stack_checks_every_matrix():
 
 
 def _old_loop_check(projectors, tol=1e-8):
-    """The per-projector loop check that OrthogonalDecomposition made before its stacked check.
+    """The per-projector loop check that OrthogonalDecomposition made before its stacked check,
+    with the two checks added since: finite entries of the projectors before the first one of
+    another shape come first, empty blocks (trace below 1/2) last.
 
     Returns the error (type, message) it raised, or None when it accepted.
     """
-    projs = tuple(np.asarray(p, dtype=complex) for p in projectors)
+    try:
+        projs = tuple(np.asarray(p, dtype=complex) for p in projectors)
+    except ValueError as exc:                           # a ragged projector
+        return ValueError, str(exc)
     if not projs:
         return ValueError, "decomposition needs at least one projector"
     d = projs[0].shape[0]
+    if not all(np.isfinite(p).all() for p in itertools.takewhile(lambda p: p.shape == (d, d),
+                                                                  projs)):
+        return ValueError, "projector entries are not all finite"
     for p in projs:
         if p.shape != (d, d):
             return DimensionMismatch, "projectors must share one square shape"
@@ -383,14 +393,18 @@ def _old_loop_check(projectors, tol=1e-8):
     total = sum(projs)
     if np.max(np.abs(total - np.eye(d))) > tol:
         return ValueError, "projectors do not sum to the identity"
+    if any(np.trace(p).real < 0.5 for p in projs):
+        return ValueError, "projector is empty (trace below 1/2)"
     return None
 
 
 def _new_check(projectors):
-    try:
-        OrthogonalDecomposition(tuple(projectors))
-    except (ValueError, DimensionMismatch) as exc:
-        return type(exc), str(exc)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")          # no numpy warning next to the verdict
+        try:
+            OrthogonalDecomposition(projectors)
+        except (ValueError, DimensionMismatch) as exc:
+            return type(exc), str(exc)
     return None
 
 
@@ -410,7 +424,25 @@ def _faults(projs, rng):
     within[k] = within[k] + 1e-10 * np.eye(d)          # every residual below 1e-8
     out.append(("within-tolerance", within))
     out.append(("incomplete", list(projs[:-1])))
+    for label, bad in (("nan", np.nan), ("+inf", np.inf), ("-inf", -np.inf)):
+        poisoned = [p.copy() for p in projs]
+        poisoned[k][d - 1, 0] = bad
+        out.append((label, poisoned))
+    out.append(("zero-block", list(projs) + [np.zeros((d, d))]))
+    out.append(("ragged", list(projs) + [[[1.0, 0.0], [0.0]]]))
+    out.append(("nan-behind-shape", list(projs) + [np.full((d + 1, d + 1), np.nan)]))
+    out.append(("empty", []))
     if m >= 2:
+        # delta v v† moved from the next block P_j to P_k, v in P_j: the idempotence and
+        # orthogonality residuals read delta max|v v†| = TOL_STRUCT -+ 5e-11, the sum none
+        j = (k + 1) % m
+        v = np.linalg.eigh(projs[j])[1][:, -1]
+        vv = np.outer(v, v.conj())
+        for label, edge in (("edge-below", -5e-11), ("edge-above", 5e-11)):
+            near = [p.copy() for p in projs]
+            near[k] = near[k] + (TOL_STRUCT + edge) / np.abs(vv).max() * vv
+            near[j] = near[j] - (TOL_STRUCT + edge) / np.abs(vv).max() * vv
+            out.append((label, near))
         # P_0 + P_1 and P_1 overlap; each is a projector
         merged = [projs[0] + projs[1]] + list(projs[1:])
         out.append(("overlapping", merged))
@@ -429,24 +461,94 @@ def _faults(projs, rng):
     return out
 
 
-def test_stacked_check_agrees_with_the_loop_check():
+def _excess_only_in_a_later_product():
+    """A 3 x 3 family the check accepts whose largest residual, 1.4e-8 at (P_1 P_0)[1, 0],
+    lies in a product P_b P_a with b > a, which the check never reads: every other residual
+    stays within 0.9e-8 (each projector is Hermitian to 0.9e-8, the sum to 0.8e-8)."""
+    e = np.zeros((3, 3, 3))
+    e[0, 1, 0], e[0, 0, 1] = 1.4, 0.5
+    e[1, 0, 1] = -0.9
+    e[2, 1, 0], e[2, 0, 1] = -0.6, -0.1
+    return list(np.eye(3)[:, None, :] * np.eye(3)[:, :, None] + 1e-8 * e)
+
+
+def _sum_edge(edge):
+    """The qubit family of the Hadamard basis with P_0 + delta (u_0 u_1† + u_1 u_0†): the sum
+    residual reads delta = TOL_STRUCT + edge, orthogonality delta / 2, idempotence delta^2."""
+    u = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
+    p0, p1 = np.outer(u[:, 0], u[:, 0]), np.outer(u[:, 1], u[:, 1])
+    cross = np.outer(u[:, 0], u[:, 1])
+    return [p0 + (TOL_STRUCT + edge) * (cross + cross.T), p1]
+
+
+def _herm_edge(edge):
+    """The computational qubit family with delta = TOL_STRUCT + edge added to P_0[0, 1] and
+    taken from P_1[0, 1]: the Hermiticity residual reads delta, every other residual 0."""
+    family = [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]
+    family[0][0, 1], family[1][0, 1] = TOL_STRUCT + edge, -(TOL_STRUCT + edge)
+    return family
+
+
+def _forms(family):
+    """The family as a tuple of arrays, as nested lists and, when it stacks, as one array."""
+    forms = [tuple(family), [p.tolist() if isinstance(p, np.ndarray) else p for p in family]]
+    if family and all(isinstance(p, np.ndarray) and p.shape == family[0].shape for p in family):
+        forms.append(np.array(family))
+    return forms
+
+
+def _parent_stack(family):
+    """The stack the stacked check kept before it converted the family in one pass."""
+    projs = [np.asarray(p, dtype=complex) for p in family]
+    return np.concatenate(projs).reshape(len(projs), *projs[0].shape)
+
+
+def test_stacked_check_agrees_with_the_loop_check_bit_for_bit():
     rng = np.random.default_rng(13)
     seen = set()
+    families = [("later-product", _excess_only_in_a_later_product()),
+                ("sum-edge-below", _sum_edge(-5e-11)), ("sum-edge-above", _sum_edge(5e-11)),
+                ("herm-edge-below", _herm_edge(-5e-11)), ("herm-edge-above", _herm_edge(5e-11))]
     for _ in range(60):
         d = int(rng.integers(1, 9))
         m = int(rng.integers(1, d + 1))
         cuts = np.sort(rng.choice(np.arange(1, d), size=m - 1, replace=False)) if m > 1 else []
         groups = np.split(np.arange(d), cuts)
         projs = OrthogonalDecomposition.from_basis(random_unitary(d, rng), groups).projectors
-        for label, family in _faults(projs, rng):
-            want = _old_loop_check(family)
-            assert _new_check(family) == want, (label, d, m)
-            seen.add((label, want[1] if want else "accepted"))
-    # every message and both verdicts came up
+        families += [(label, family, d, m) for label, family in _faults(projs, rng)]
+    for label, family, *shape in families:
+        want = _old_loop_check(family)
+        for form in _forms(family):
+            assert _new_check(form) == want, (label, *shape, type(form))
+            if want is None:
+                stack = OrthogonalDecomposition(form).projectors
+                assert stack.tobytes() == _parent_stack(family).tobytes()
+                assert stack.dtype == complex and stack.flags.c_contiguous
+                assert not any(np.shares_memory(stack, p) for p in (form, *form)
+                               if isinstance(p, np.ndarray))
+        seen.add((label, want[1] if want else "accepted"))
+    # every message and both verdicts came up, and each edge family on its side
     messages = {msg for _, msg in seen}
     assert {"accepted", "projector is not Hermitian", "projector is not idempotent",
             "projectors are not mutually orthogonal", "projectors do not sum to the identity",
-            "projectors must share one square shape"} <= messages
+            "projectors must share one square shape", "projector entries are not all finite",
+            "projector is empty (trace below 1/2)",
+            "decomposition needs at least one projector"} <= messages
+    assert {("later-product", "accepted"), ("edge-below", "accepted"),
+            ("edge-above", "projector is not idempotent"), ("herm-edge-below", "accepted"),
+            ("herm-edge-above", "projector is not Hermitian"), ("sum-edge-below", "accepted"),
+            ("sum-edge-above", "projectors do not sum to the identity")} <= seen
+    assert any(label == "ragged" and "inhomogeneous" in msg for label, msg in seen)
+
+
+def test_a_later_product_beyond_tolerance_is_read_only_for_the_message():
+    family = _excess_only_in_a_later_product()
+    prods = np.array([[np.abs(a @ b - (a if i == j else 0)).max()
+                       for j, b in enumerate(family)] for i, a in enumerate(family)])
+    assert prods[1, 0] > TOL_STRUCT >= max(prods[np.triu_indices(3)])
+    assert np.abs(np.sum(family, axis=0) - np.eye(3)).max() <= TOL_STRUCT
+    assert max(np.abs(p - p.conj().T).max() for p in family) <= TOL_STRUCT
+    assert len(OrthogonalDecomposition(family).projectors) == 3
 
 
 def _old_cluster_levels(eigvals, tol):
@@ -690,6 +792,98 @@ def test_a_malformed_density_gets_one_message_from_every_entry():
                 for fn in entries:
                     assert _outcome(fn, bad) == want
     assert raised == {"NotPSD", "NotHermitian"}
+
+
+_RHO = np.diag([0.5, 0.3, 0.2]).astype(complex)
+
+
+def _poisoned(i, j, value):
+    bad = _RHO.copy()
+    bad[i, j] = value
+    return bad
+
+
+# (input, the error every density entry raised for it before the entry checks were
+# merged into whole-array passes); each message is as the parent printed it
+_BAD_DENSITIES = [
+    (np.stack([_RHO, _RHO]), "DimensionMismatch: expected a square matrix, got shape (2, 3, 3)"),
+    (np.ones(3), "DimensionMismatch: expected a square matrix, got shape (3,)"),
+    (np.ones((2, 3)), "DimensionMismatch: expected a square matrix, got shape (2, 3)"),
+    (_poisoned(1, 2, np.nan), "NotHermitian: matrix entries are not all finite"),
+    (_poisoned(0, 0, np.inf), "NotHermitian: matrix entries are not all finite"),
+    (_poisoned(0, 1, 1e-3), "NotHermitian: max |H - H†| = 1.000e-03 exceeds 1.0e-09"),
+    (np.diag([1.05, -0.05, 0.0]), "NotPSD: eigenvalue -5.000e-02 below -1.0e-10"),
+    (1.5 * _RHO, "InvalidState: trace 1.5 differs from 1 beyond 1.0e-09"),
+]
+
+
+def test_density_entries_raise_the_parent_errors_bit_for_bit():
+    for bad, want in _BAD_DENSITIES:
+        for entry in (linalg._Density.of, linalg.validate_density,
+                      lambda x: coherence.c_half(x, OrthogonalDecomposition.computational(3))):
+            assert _outcome(entry, bad) == want
+        # hellinger takes stacks and checks no trace; it raises the rest from either side
+        if not want.startswith(("InvalidState", "DimensionMismatch: expected a square matrix, "
+                                                "got shape (2, 3, 3)")):
+            assert _outcome(metrics.hellinger, bad, _RHO) == want
+            assert _outcome(metrics.hellinger, _RHO, bad) == want
+    assert linalg._Density.of(_RHO).rho.tobytes() == _RHO.tobytes()
+    assert metrics.hellinger(np.stack([_RHO, _RHO]), _RHO).tolist() == [0.0, 0.0]
+
+
+def test_basis_entries_raise_the_parent_errors_bit_for_bit():
+    basis = np.eye(3, dtype=complex)
+    skewed = basis.copy()
+    skewed[0, 1] = 1e-7
+    nan = basis.copy()
+    nan[2, 2] = np.nan
+    inf = basis.copy()
+    inf[0, 2] = -np.inf
+    cases = [
+        (([0.0, 1.0, 2.0], skewed), "ValueError: basis columns are not orthonormal"),
+        (([0.0, 1.0, 2.0], nan), "ValueError: basis entries are not all finite"),
+        (([0.0, 1.0, 2.0], inf), "ValueError: basis entries are not all finite"),
+        (([0.0, np.nan, 2.0], basis), "ValueError: eigenvalues are not all finite"),
+        (([0.0, 1.0, np.inf], None), "ValueError: eigenvalues are not all finite"),
+        (([0.0, 1.0], basis), "DimensionMismatch: basis shape does not match eigenvalue count"),
+    ]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for args, want in cases:
+            assert _outcome(SpectralHamiltonian.from_spectrum, *args) == want
+    ham = SpectralHamiltonian.from_spectrum([2.0, 0.0, 1.0], basis)
+    assert ham.eigenvectors.tobytes() == basis[:, [1, 2, 0]].tobytes()
+
+
+@pytest.mark.parametrize("enter, shape", [
+    (linalg.require_hermitian, "(0, 0)"),
+    (linalg.validate_density, "(0, 0)"),
+    (linalg._Density.of, "(0, 0)"),
+    (SpectralHamiltonian.from_matrix, "(0, 0)"),
+    (matrix_sqrt_psd, "(0, 0)"),
+    (lambda z: metrics.hellinger(z, z), "(0, 0)"),
+    (lambda z: OrthogonalDecomposition([z]), "(1, 0, 0)"),
+    (lambda z: OrthogonalDecomposition([z, np.eye(2)]), "(1, 0, 0)"),
+    (lambda z: OrthogonalDecomposition(np.zeros((2, 0, 0))), "(2, 0, 0)"),
+    (lambda z: dynamics.HamiltonianPath.constant(z, 1.0), "(0, 0)"),
+    (lambda z: dynamics.HamiltonianPath.linear(z, z, 1.0), "(2, 0, 0)"),
+    (lambda z: dynamics.HamiltonianPath([0.0], z[None]), "(1, 0, 0)"),
+    (lambda z: linalg.require_hermitian(np.zeros((0, 2, 2))), "(0, 2, 2)"),
+], ids=["require_hermitian", "validate_density", "density", "from_matrix", "matrix_sqrt_psd",
+        "hellinger", "decomposition", "decomposition-ragged", "decomposition-stack", "constant",
+        "linear", "path", "empty-stack"])
+def test_zero_size_input_is_rejected_where_it_enters(enter, shape):
+    # it used to reach numpy's "zero-size array to reduction operation maximum" ValueError
+    want = f"^expected a square matrix, got shape {re.escape(shape)}$"
+    with pytest.raises(DimensionMismatch, match=want):
+        enter(np.zeros((0, 0)))
+
+
+@pytest.mark.parametrize("basis", [None, np.zeros((0, 0))])
+def test_a_spectrum_without_eigenvalues_is_rejected(basis):
+    # it used to give a Hamiltonian of 0 levels
+    with pytest.raises(DimensionMismatch, match="^expected at least one eigenvalue, got none$"):
+        SpectralHamiltonian.from_spectrum([], basis)
 
 
 def test_eigendata_rebuilds_equal_the_parent_expressions_bit_for_bit():
