@@ -151,7 +151,8 @@ def _orbit_means(hams, fn, term) -> list[float]:
     counts = [ham.level_count for ham in hams]
     if max(counts) > BRUTE_FORCE_CAP:
         raise TooManyLevels(f"{max(counts)} levels exceed brute-force cap {BRUTE_FORCE_CAP}")
-    terms = np.concatenate([term(rows, owner) for rows, owner in _orbit_rows(hams, fn)]).tolist()
+    chunks = [term(rows, owner) for rows, owner in _orbit_rows(hams, fn)]
+    terms = (chunks[0] if len(chunks) == 1 else np.concatenate(chunks)).tolist()
     ends = [0, *itertools.accumulate(math.factorial(m) for m in counts)]
     return [math.fsum(terms[a:b]) / (b - a) for a, b in zip(ends, ends[1:])]
 
@@ -166,17 +167,21 @@ def _closed_form(root: np.ndarray, ham: SpectralHamiltonian, t) -> tuple[float, 
 
 
 def _closed_forms(roots, hams, ts) -> list[tuple[float, float, float]]:
-    """_closed_form of each root on its Hamiltonian at its scalar time, all of one dimension,
-    in one pass per level count (module docstring)."""
-    counts = [ham.level_count for ham in hams]
-    forms = [None] * len(hams)
-    for m in set(counts):
-        same = [i for i, count in enumerate(counts) if count == m]
-        cohs = _c_halves(np.array([roots[i] for i in same]), _families([hams[i] for i in same]))
-        for i, coh in zip(same, cohs):
-            coef = 1.0 if m == 1 else _pair_cos_mean(hams[i].levels, ts[i])
-            forms[i] = coef, coh, 2.0 * (1.0 - coef) * coh
-    return forms
+    """_closed_form of each root (a stack, or a sequence of them) on its Hamiltonian at its
+    scalar time, all of one dimension, in one pass per level count (module docstring)."""
+    roots, counts = np.asarray(roots), [ham.level_count for ham in hams]
+    if len(set(counts)) > 1:        # one pass per level count, each in trial order
+        forms = [None] * len(hams)
+        for m in set(counts):
+            same = [i for i, count in enumerate(counts) if count == m]
+            for i, form in zip(same, _closed_forms(roots[same], [hams[i] for i in same],
+                                                   [ts[i] for i in same])):
+                forms[i] = form
+        return forms
+    coefs = [1.0 if count == 1 else _pair_cos_mean(ham.levels, t)
+             for ham, count, t in zip(hams, counts, ts)]
+    return [(coef, coh, 2.0 * (1.0 - coef) * coh)
+            for coef, coh in zip(coefs, _c_halves(roots, _families(hams)))]
 
 
 def a_coefficient(eigenvalues, t):
@@ -216,8 +221,8 @@ def _pair_cos_mean(lam: np.ndarray, t):
     """Mean of cos((lambda_m - lambda_n) t) over the pairs m < n: float, or array for array t."""
     d = len(lam)
     m, n = _upper_pairs(d)
-    mean = 2.0 * np.cos(np.multiply.outer(t, lam[m] - lam[n])).sum(axis=-1) / (d * (d - 1))
-    return float(mean) if np.ndim(mean) == 0 else mean
+    mean = 2.0 * np.add.reduce(np.cos(np.multiply.outer(t, lam[m] - lam[n])), -1) / (d * (d - 1))
+    return float(mean) if mean.ndim == 0 else mean
 
 
 @dataclass(frozen=True)

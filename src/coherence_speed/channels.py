@@ -40,7 +40,7 @@ import json
 import math
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Callable, Iterator
+from typing import Callable
 
 import numpy as np
 
@@ -55,6 +55,7 @@ from .linalg import (
     SpectralHamiltonian,
     _Density,
     _eigenbasis_operators,
+    _eye,
     _ginibre,
     _haar_unitaries,
     _lower_hermitian,
@@ -72,6 +73,8 @@ from .linalg import (
 )
 from .metrics import _hellinger
 from .schemas import _complex_array, parse_json, validate_document
+
+_EPS = np.finfo(float).eps
 
 
 @dataclass(frozen=True, eq=False)
@@ -95,9 +98,10 @@ class KrausChannel:
         if ops.ndim != 3 or ops.shape[1] != ops.shape[2]:
             raise DimensionMismatch("Kraus operators must share one square shape")
         # NaN fails no `> tol` residual test below, so reject it here
-        if not np.isfinite(ops).all():
+        if not np.logical_and.reduce(np.isfinite(ops), axis=None):
             raise IncompleteKraus("Kraus entries are not all finite")
-        object.__setattr__(self, "operators", _read_only(ops))
+        ops.flags.writeable = False         # the channel's own copy
+        object.__setattr__(self, "operators", ops)
         if (defect := self.completeness_residual) > TOL_STRUCT:
             raise IncompleteKraus(f"sum K†K deviates from identity by {defect:.3e}")
 
@@ -111,8 +115,8 @@ class KrausChannel:
 
     @functools.cached_property
     def completeness_residual(self) -> float:
-        total = (dagger(self.operators) @ self.operators).sum(axis=0)
-        return float(np.max(np.abs(total - np.eye(self.dim))))
+        total = np.add.reduce(dagger(self.operators) @ self.operators, 0)
+        return float(np.maximum.reduce(np.abs(total - _eye(self.dim)), axis=None))
 
     @property
     def dim(self) -> int:
@@ -251,23 +255,24 @@ def _dilate(channels, env_dim: int | None = None) -> list[StinespringDilation]:
     n = d * d_env
     iso = np.zeros((len(ops), n, d), dtype=complex)     # <s|K_j|c> at [s * d_env + j, c]
     iso.reshape(-1, d, d_env, d)[:, :, :n_ops] = ops.swapaxes(1, 2)
-    if not np.isfinite(iso).all():
+    if not np.logical_and.reduce(np.isfinite(iso), axis=None):
         raise InvalidState("unitary completion failed: entries are not all finite")
     u = np.zeros((len(ops), n, n), dtype=complex)   # column c * d_env + j; the complement at j >= 1
     u4 = u.reshape(-1, n, d, d_env)
     u4[..., 0] = iso
     _, s, vh = np.linalg.svd(dagger(iso))
-    if (s > s[..., :1] * (np.finfo(float).eps * n)).all():    # rank d: s descends from max(s)
+    if np.logical_and.reduce(s > s[..., :1] * (_EPS * n), axis=None):    # rank d; s descends
         u4[..., 1:] = dagger(vh[:, d:]).reshape(len(u), n, d, d_env - 1)
-    if np.abs(dagger(u) @ u - np.eye(n)).max() > TOL_ORTH:
+    if np.maximum.reduce(np.abs(dagger(u) @ u - _eye(n)), axis=None) > TOL_ORTH:
         raise InvalidState("unitary completion failed")
-    env = _read_only(np.eye(d_env, dtype=complex)[0])
+    env = _eye(d_env, complex)[0]       # |0>, a row of the cached read-only identity
     return [StinespringDilation._trusted(ham, d, d_env, env, 1.0)
-            for ham in SpectralHamiltonian._build(*map(np.array, zip(*_principal_log(u))))]
+            for ham in SpectralHamiltonian._build(*_principal_log(u))]
 
 
-def _principal_log(u: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Ascending levels and orthonormal eigenvectors of H = i log U, per U of a stack (n, N, N).
+def _principal_log(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending levels (n, N) and orthonormal eigenvectors (n, N, N) of H = i log U, per U of
+    a stack (n, N, N).
 
     The eigenphases are folded to (-pi + TOL_DEGEN, pi + TOL_DEGEN]: a
     phase within TOL_DEGEN of -pi is taken as its image near +pi, so that
@@ -289,14 +294,16 @@ def _principal_log(u: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
         gap, start = max(zip([b - a for a, b in zip(phases, phases[1:])] +
                              [phases[0] + 2.0 * math.pi - phases[-1]], phases))
         betas.append((math.pi - start - 0.5 * gap) % (2.0 * math.pi))
-    eye = np.eye(u.shape[-1])
+    eye = _eye(u.shape[-1])
     rotated = np.array([cmath.exp(1j * beta) for beta in betas])[:, None, None] * u
     taus, vs = np.linalg.eigh(1j * np.linalg.solve(eye + rotated, rotated - eye))
-    for beta, tau, v in zip(betas, taus.tolist(), vs):
+    levels, vecs = [], np.empty_like(vs)
+    for beta, tau, v, out in zip(betas, taus.tolist(), vs, vecs):
         lam = [beta + 2.0 * math.atan(t) for t in tau]
         m = bisect.bisect_right(lam, math.pi + TOL_DEGEN)
-        yield (np.array([x - 2.0 * math.pi for x in lam[m:]] + lam[:m]),
-               np.concatenate((v[:, m:], v[:, :m]), axis=1))
+        levels.append([x - 2.0 * math.pi for x in lam[m:]] + lam[:m])
+        out[:, :len(lam) - m], out[:, len(lam) - m:] = v[:, m:], v[:, :m]
+    return np.array(levels), vecs
 
 
 def permuted_channel_apply(dilation: StinespringDilation, assignment, rho) -> np.ndarray:

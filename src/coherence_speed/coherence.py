@@ -42,14 +42,15 @@ def _c_half(root: np.ndarray, decomposition: OrthogonalDecomposition) -> float:
     if len(root) != decomposition.dim:
         raise DimensionMismatch("state dimension does not match decomposition")
     _, traces = _block_traces(root, decomposition.projectors)
-    return max(0.0, 1.0 - float(np.sum(traces)))
+    # the floor max(0, c) as np.maximum, which keeps a NaN where Python's max gives 0.0
+    return float(np.maximum(1.0 - np.add.reduce(traces, axis=None), 0.0))
 
 
 def _c_halves(roots: np.ndarray, projectors: np.ndarray) -> list[float]:
     """_c_half of each root of a stack (n, d, d) against its own family, projectors (n, M, d, d)
-    of one level count: one ``_block_traces`` and one clip per row."""
+    of one level count: one ``_block_traces`` and one floor for the stack, as in _c_half."""
     _, traces = _block_traces(roots[:, None], projectors)
-    return [max(0.0, 1.0 - total) for total in traces.sum(axis=-1).tolist()]
+    return np.maximum(1.0 - np.add.reduce(traces, -1), 0.0).tolist()
 
 
 def _block_traces(s: np.ndarray, projectors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -111,7 +111,7 @@ def _psd_eigh(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     first; an operand the package built from checked values comes as it is.
     """
     w, v = np.linalg.eigh(h)
-    low = w.min() if w.ndim > 1 else w[0]
+    low = np.minimum.reduce(w, axis=None) if w.ndim > 1 else w[0]
     if low < -TOL_PSD:
         raise NotPSD(f"eigenvalue {low:.3e} below -{TOL_PSD:.1e}")
     return w, v
@@ -170,6 +170,14 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return view
 
 
+@functools.lru_cache(maxsize=32)
+def _eye(n: int, dtype=float) -> np.ndarray:
+    """np.eye(n, dtype=dtype), built once per size and dtype, read-only."""
+    eye = np.eye(n, dtype=dtype)
+    eye.flags.writeable = False
+    return eye
+
+
 @dataclass(frozen=True, eq=False)
 class _Density:
     """A density matrix checked once, where it enters, and the eigendata of that check.
@@ -217,7 +225,7 @@ def _lower_hermitian(rho: np.ndarray) -> np.ndarray:
     rho itself when it equals its conjugate transpose entry by entry; else rho's strictly
     lower triangle, its conjugate above the diagonal and the real part of rho's diagonal.
     """
-    if (rho == dagger(rho)).all():
+    if np.logical_and.reduce(rho == dagger(rho), axis=None):
         return rho
     low = np.tril(rho, -1)
     h = low + dagger(low)
@@ -336,12 +344,15 @@ def _block_stacks(columns: np.ndarray, sizes: np.ndarray) -> np.ndarray:
 def _families(hams: Sequence["SpectralHamiltonian"]) -> np.ndarray:
     """The decomposition projectors of Hamiltonians of one dimension and one level count, as
     one (n, M, d, d) stack; those not built yet are built in one ``_block_stacks`` call and
-    kept, as the decomposition would keep them."""
+    kept, as the decomposition would keep them; one Hamiltonian's is its decomposition."""
+    if len(hams) == 1:
+        return hams[0].decomposition.projectors[None]
     todo = [ham for ham in hams if "decomposition" not in ham.__dict__]
     if todo:
         stack = _block_stacks(np.concatenate([ham.eigenvectors for ham in todo], axis=1),
                               np.concatenate([np.bincount(ham.level_of) for ham in todo]))
-        stack = _read_only(stack.reshape(len(todo), -1, *stack.shape[1:]))
+        stack = stack.reshape(len(todo), -1, *stack.shape[1:])
+        stack.flags.writeable = False       # so each family, a view of it, is read-only too
         for ham, family in zip(todo, stack):
             ham.__dict__["decomposition"] = OrthogonalDecomposition._trusted(family)
         if len(todo) == len(hams):
@@ -361,9 +372,10 @@ class OrthogonalDecomposition:
     Invariants: each P_m is Hermitian and idempotent, distinct projectors annihilate each
     other, and the family sums to the identity.  A caller's family (the constructor,
     ``from_basis``, ``computational``) is copied into one stack and checked for finite entries,
-    then to TOL_STRUCT from one matrix product, and last for empty blocks (trace below 1/2).
-    It is accepted on whole-family maxima; only a failure reads the per-projector ones, to name
-    the first failing check.  A zero-size family raises DimensionMismatch.
+    then to TOL_STRUCT from one matrix product (every P_a P_b, a != b included in either
+    order), and last for empty blocks (trace below 1/2).  It is accepted on whole-family
+    maxima; only a failure reads the per-projector ones, to name the first failing check.
+    A zero-size family or basis raises DimensionMismatch.
     Eigenspace families the package builds itself from an orthonormal
     eigenbasis (``SpectralHamiltonian.from_matrix``, ``from_spectrum``,
     ``permute_levels``) hold the invariants by construction and are not
@@ -395,7 +407,7 @@ class OrthogonalDecomposition:
         prods = (stack.reshape(m * d, d) @ np.concatenate(stack, 1)).reshape(m, d, m, d)
         np.einsum("aiaj->aij", prods)[...] -= stack     # blocks (a, :, a, :), a writeable view
         prods, skew = np.abs(prods), np.abs(stack - dagger(stack))
-        total = np.maximum.reduce(np.abs(np.add.reduce(stack, 0) - np.eye(d)), axis=None)
+        total = np.maximum.reduce(np.abs(np.add.reduce(stack, 0) - _eye(d)), axis=None)
         traces = np.einsum("mii->m", stack).real
         # accepted on whole-family maxima (ufunc reductions); per-projector ones name a failure
         if m < len(projs) or not (np.maximum.reduce(prods, axis=None) <= TOL_STRUCT
@@ -409,8 +421,7 @@ class OrthogonalDecomposition:
                                  else "projector is not idempotent")
             if m < len(projs):
                 raise DimensionMismatch("projectors must share one square shape")
-            a, b = np.nonzero(bad)
-            if (a < b).any():
+            if bad.any():       # the diagonal passed above, so some P_a P_b with a != b
                 raise ValueError("projectors are not mutually orthogonal")
             if total > TOL_STRUCT:
                 raise ValueError("projectors do not sum to the identity")
@@ -421,9 +432,11 @@ class OrthogonalDecomposition:
 
     @classmethod
     def _trusted(cls, stack: np.ndarray) -> "OrthogonalDecomposition":
-        """An (M, d, d) family built inside the package from an orthonormal eigenbasis."""
+        """An (M, d, d) family built inside the package from an orthonormal eigenbasis, made
+        read-only in place (the package holds no other reference to write through)."""
         dec = cls.__new__(cls)
-        object.__setattr__(dec, "projectors", _read_only(stack))
+        stack.flags.writeable = False
+        dec.__dict__["projectors"] = stack
         return dec
 
     @property
@@ -435,6 +448,8 @@ class OrthogonalDecomposition:
                    groups: Sequence[Sequence[int]] | None = None) -> "OrthogonalDecomposition":
         """Build projectors from orthonormal columns, optionally grouped into blocks."""
         v = np.asarray(vectors, dtype=complex)
+        if not v.size:          # no column makes no projector: rejected as zero-size input
+            raise DimensionMismatch(f"expected a square matrix, got shape {v.shape}")
         return cls(_block_stack(v, np.arange(v.shape[1])[:, None] if groups is None else groups))
 
     @classmethod
@@ -468,7 +483,7 @@ def _cluster_levels(eigvals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """
     split = eigvals[..., 1:] - eigvals[..., :-1] > TOL_DEGEN
     level_of = np.zeros(eigvals.shape, dtype=int)
-    split.cumsum(-1, out=level_of[..., 1:])
+    np.add.accumulate(split, axis=-1, dtype=int, out=level_of[..., 1:])     # cumsum, unwrapped
     levels = np.array(eigvals, dtype=float)     # each eigenvalue its own level ...
     if not np.logical_and.reduce(split, axis=None):     # ... unless some clusters merge
         levels = np.zeros(eigvals.shape[:-1] + (int(level_of[..., -1].max()) + 1,))
@@ -533,14 +548,14 @@ class SpectralHamiltonian:
             raise ValueError("eigenvalues are not all finite")
         d = len(w)
         if basis is None:
-            v = np.eye(d, dtype=complex)
+            v = _eye(d, complex)
         else:
             v = np.asarray(basis, dtype=complex)
             if v.shape != (d, d):
                 raise DimensionMismatch("basis shape does not match eigenvalue count")
             if not np.logical_and.reduce(np.isfinite(v), axis=None):
                 raise ValueError("basis entries are not all finite")
-            if np.maximum.reduce(np.abs(v.conj().T @ v - np.eye(d)), axis=None) > TOL_STRUCT:
+            if np.maximum.reduce(np.abs(v.conj().T @ v - _eye(d)), axis=None) > TOL_STRUCT:
                 raise ValueError("basis columns are not orthonormal")
         order = np.argsort(w, kind="stable")
         w, v = w[order], v[:, order]
@@ -557,10 +572,12 @@ class SpectralHamiltonian:
 
     @classmethod
     def _trusted(cls, *arrays: np.ndarray) -> "SpectralHamiltonian":
-        """From eigenvalues, eigenvectors, levels and level_of built inside the package."""
+        """From eigenvalues, eigenvectors, levels and level_of built inside the package, which
+        holds no other reference to write through: each is made read-only in place."""
         ham = cls.__new__(cls)
-        for name, value in zip(("eigenvalues", "eigenvectors", "levels", "level_of"), arrays):
-            object.__setattr__(ham, name, _read_only(value))
+        for array in arrays:
+            array.flags.writeable = False
+        ham.__dict__.update(zip(("eigenvalues", "eigenvectors", "levels", "level_of"), arrays))
         return ham
 
     @functools.cached_property
@@ -644,9 +661,12 @@ def _orbit_rows(hams: Sequence[SpectralHamiltonian], fn) -> Iterator[tuple]:
     ``lambda lam, owner: np.exp(-1j * lam * t)`` the phases of exp(-i H_s t).  The
     permutation table is built once per level count.
     """
-    rows = np.concatenate([ham.levels[_orbit_table(ham.level_count)[:, ham.level_of]]
-                           for ham in hams])
-    owner = np.arange(len(hams)).repeat([math.factorial(ham.level_count) for ham in hams])
+    orbits = [ham.levels[_orbit_table(ham.level_count)[:, ham.level_of]] for ham in hams]
+    if len(orbits) == 1:            # one orbit: no copy, and every row's owner is 0
+        rows, owner = orbits[0], np.zeros(len(orbits[0]), dtype=np.intp)
+    else:
+        rows = np.concatenate(orbits)
+        owner = np.arange(len(hams)).repeat([len(orbit) for orbit in orbits])
     for start in range(0, len(rows), ORBIT_CHUNK):
-        chunk = slice(start, start + ORBIT_CHUNK)
-        yield fn(rows[chunk], owner[chunk]), owner[chunk]
+        chunk = owner[start:start + ORBIT_CHUNK]
+        yield fn(rows[start:start + ORBIT_CHUNK], chunk), chunk

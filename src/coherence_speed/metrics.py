@@ -47,9 +47,9 @@ def _overlap(a: np.ndarray, roots: np.ndarray, w: np.ndarray) -> float | np.ndar
     """affinity from sqrt(rho) = a and the ``_psd_sqrt_eig`` of sigma (or of each of a stack)."""
     if a.shape[-2:] != w.shape[-2:]:
         raise DimensionMismatch(f"shapes {a.shape} and {w.shape} differ")
-    # (W† a W)_jj = sum_i conj(W_ij) (a W)_ij
-    diag = ((a @ w) * w.conj()).sum(axis=-2).real
-    val = (roots * diag).sum(axis=-1).clip(0.0, 1.0)
+    # (W† a W)_jj = sum_i conj(W_ij) (a W)_ij; np.add.reduce is .sum without its wrapper
+    diag = np.add.reduce((a @ w) * w.conj(), -2).real
+    val = np.add.reduce(roots * diag, -1).clip(0.0, 1.0)
     return float(val) if val.ndim == 0 else val
 
 

@@ -21,7 +21,8 @@ registers it in SUITES: suites and their checks run in declaration order.
   bit as one by one, redraws in rounds (``_rounds``).  The worst figure is
   the maximum over the trials.  An identity reports a nonnegative gap and
   passes when worst < tol; an inequality (``inequality=True``) reports
-  lhs - rhs and passes when worst <= tol.
+  lhs - rhs and passes when worst <= tol.  A non-finite figure (NaN or
+  infinite) fails the check: worst is that figure, and detail names its trial.
 * ``_check(suite, name, salt=, tol=, trials=None, dims=None)`` declares
   any other check from ``body(rng, trials, dims, tol) -> (passed, worst,
   trials_run, detail)``, where rng is ``default_rng([seed, salt])``.
@@ -43,6 +44,7 @@ where None means the declared default.
 from __future__ import annotations
 
 import itertools
+import math
 import time
 from dataclasses import dataclass
 
@@ -182,9 +184,14 @@ def _trials(suite: str, name: str, *, salt: int, trials: int, tol: float,
     def declare(body):
         def run(rng, n, pick, tol):
             rngs = rng.spawn(n)     # child i of SeedSequence([seed, salt]), as rng was seeded
-            worst = max(body(rngs, pick) if stacked else
-                        (body(i, child, pick if callable(dims) or dims is None else pick(i))
-                         for i, child in enumerate(rngs)))
+            figures = list(body(rngs, pick) if stacked else
+                           (body(i, child, pick if callable(dims) or dims is None else pick(i))
+                            for i, child in enumerate(rngs)))
+            # max skips a NaN after the first figure, so a non-finite figure fails here
+            bad = next((i for i, x in enumerate(figures) if not math.isfinite(x)), None)
+            if bad is not None:
+                return False, figures[bad], n, f"trial {bad}: non-finite figure {figures[bad]}"
+            worst = max(figures)
             return (worst <= tol if inequality else worst < tol), worst, n, ""
 
         run.__name__, run.__doc__, run.body = body.__name__, body.__doc__, body

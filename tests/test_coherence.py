@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.linalg import block_diag
 
-from coherence_speed import linalg
+from coherence_speed import coherence, linalg
 from coherence_speed.coherence import (
     c_half,
     c_l1,
@@ -171,3 +171,21 @@ def test_the_lower_triangle_alone_decides_positivity():
             fn(lower_negative)
     with pytest.raises(NotPSD, match="eigenvalue -5.000e-10 below -1.0e-10"):
         linalg.matrix_sqrt_psd(lower_negative)
+
+
+def test_the_coherence_floor_keeps_nan_and_finite_bits():
+    # max(0.0, x) turned a NaN coherence into 0.0; the floor now passes NaN through
+    dec = rank1(2)
+    nan_root = np.full((2, 2), np.nan, dtype=complex)
+    assert np.isnan(coherence._c_half(nan_root, dec))
+    rng = np.random.default_rng(33)
+    roots = [linalg._Density.of(random_density(3, rank=r, seed=rng)).root for r in (1, 2, 3)]
+    roots += [linalg._Density.of(np.diag([0.2, 0.3, 0.5]).astype(complex)).root]  # incoherent
+    family = OrthogonalDecomposition.computational(3)
+    got = coherence._c_halves(np.array([np.full((3, 3), np.nan, dtype=complex)] + roots),
+                              np.array([family.projectors] * (len(roots) + 1)))
+    assert np.isnan(got[0])
+    for root, c in zip(roots, got[1:]):
+        _, traces = coherence._block_traces(root, family.projectors)
+        want = max(0.0, 1.0 - float(np.sum(traces)))      # the former floor, on finite values
+        assert c.hex() == want.hex() == coherence._c_half(root, family).hex()

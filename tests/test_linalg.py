@@ -365,8 +365,9 @@ def test_matrix_sqrt_psd_stack_checks_every_matrix():
 
 def _old_loop_check(projectors, tol=1e-8):
     """The per-projector loop check that OrthogonalDecomposition made before its stacked check,
-    with the two checks added since: finite entries of the projectors before the first one of
-    another shape come first, empty blocks (trace below 1/2) last.
+    with the checks added since: finite entries of the projectors before the first one of
+    another shape come first, orthogonality reads every ordered pair P_a P_b (a != b), empty
+    blocks (trace below 1/2) come last.
 
     Returns the error (type, message) it raised, or None when it accepted.
     """
@@ -387,7 +388,7 @@ def _old_loop_check(projectors, tol=1e-8):
             return ValueError, "projector is not Hermitian"
         if np.max(np.abs(p @ p - p)) > tol:
             return ValueError, "projector is not idempotent"
-    for pa, pb in itertools.combinations(projs, 2):
+    for pa, pb in itertools.permutations(projs, 2):
         if np.max(np.abs(pa @ pb)) > tol:
             return ValueError, "projectors are not mutually orthogonal"
     total = sum(projs)
@@ -462,9 +463,10 @@ def _faults(projs, rng):
 
 
 def _excess_only_in_a_later_product():
-    """A 3 x 3 family the check accepts whose largest residual, 1.4e-8 at (P_1 P_0)[1, 0],
-    lies in a product P_b P_a with b > a, which the check never reads: every other residual
-    stays within 0.9e-8 (each projector is Hermitian to 0.9e-8, the sum to 0.8e-8)."""
+    """A 3 x 3 family whose only residual beyond TOL_STRUCT, 1.4e-8 at (P_1 P_0)[1, 0], lies
+    in a product P_b P_a with b > a: every other residual stays within 0.9e-8 (each projector
+    is Hermitian to 0.9e-8, the sum to 0.8e-8), so only orthogonality read in both orders
+    rejects it."""
     e = np.zeros((3, 3, 3))
     e[0, 1, 0], e[0, 0, 1] = 1.4, 0.5
     e[1, 0, 1] = -0.9
@@ -534,7 +536,8 @@ def test_stacked_check_agrees_with_the_loop_check_bit_for_bit():
             "projectors must share one square shape", "projector entries are not all finite",
             "projector is empty (trace below 1/2)",
             "decomposition needs at least one projector"} <= messages
-    assert {("later-product", "accepted"), ("edge-below", "accepted"),
+    assert {("later-product", "projectors are not mutually orthogonal"),
+            ("edge-below", "accepted"),
             ("edge-above", "projector is not idempotent"), ("herm-edge-below", "accepted"),
             ("herm-edge-above", "projector is not Hermitian"), ("sum-edge-below", "accepted"),
             ("sum-edge-above", "projectors do not sum to the identity")} <= seen
@@ -548,7 +551,8 @@ def test_a_later_product_beyond_tolerance_is_read_only_for_the_message():
     assert prods[1, 0] > TOL_STRUCT >= max(prods[np.triu_indices(3)])
     assert np.abs(np.sum(family, axis=0) - np.eye(3)).max() <= TOL_STRUCT
     assert max(np.abs(p - p.conj().T).max() for p in family) <= TOL_STRUCT
-    assert len(OrthogonalDecomposition(family).projectors) == 3
+    with pytest.raises(ValueError, match="^projectors are not mutually orthogonal$"):
+        OrthogonalDecomposition(family)
 
 
 def _old_cluster_levels(eigvals, tol):
@@ -869,9 +873,12 @@ def test_basis_entries_raise_the_parent_errors_bit_for_bit():
     (lambda z: dynamics.HamiltonianPath.linear(z, z, 1.0), "(2, 0, 0)"),
     (lambda z: dynamics.HamiltonianPath([0.0], z[None]), "(1, 0, 0)"),
     (lambda z: linalg.require_hermitian(np.zeros((0, 2, 2))), "(0, 2, 2)"),
+    (OrthogonalDecomposition.from_basis, "(0, 0)"),
+    (lambda z: OrthogonalDecomposition.from_basis(np.zeros((3, 0))), "(3, 0)"),
+    (lambda z: OrthogonalDecomposition.computational(0), "(0, 0)"),
 ], ids=["require_hermitian", "validate_density", "density", "from_matrix", "matrix_sqrt_psd",
         "hellinger", "decomposition", "decomposition-ragged", "decomposition-stack", "constant",
-        "linear", "path", "empty-stack"])
+        "linear", "path", "empty-stack", "basis", "basis-no-columns", "computational"])
 def test_zero_size_input_is_rejected_where_it_enters(enter, shape):
     # it used to reach numpy's "zero-size array to reduction operation maximum" ValueError
     want = f"^expected a square matrix, got shape {re.escape(shape)}$"

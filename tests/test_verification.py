@@ -101,6 +101,37 @@ def test_failures_serialize_only_failed_checks():
     assert out[0]["worst"] == bad.worst
 
 
+def test_a_nan_in_a_later_trial_of_a_per_trial_body_fails_and_names_it(monkeypatch):
+    # max(figures) skips a NaN after the first element: trial 3's NaN used to print PASS
+    calls = itertools.count()
+    overlap = verification.benchmark_overlap_check
+
+    def nan_at_three(*args):
+        lhs, rhs = overlap(*args)
+        return (float("nan"), rhs) if next(calls) == 3 else (lhs, rhs)
+
+    monkeypatch.setattr(verification, "benchmark_overlap_check", nan_at_three)
+    res = check_benchmark_identity(seed=1, trials=6)
+    assert not res.passed and np.isnan(res.worst)
+    assert res.detail == "trial 3: non-finite figure nan"
+    assert res.line().startswith("FAIL benchmark-identity: worst nan ")
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_a_non_finite_figure_in_a_later_trial_of_a_stacked_body_fails_and_names_it(
+        monkeypatch, bad):
+    bound = verification._theorem3_bound
+
+    def spoiled(dilations, states):
+        average, rhs = bound(dilations, states)
+        return (lambda: [bad if k == 2 else lhs for k, lhs in enumerate(average())]), rhs
+
+    monkeypatch.setattr(verification, "_theorem3_bound", spoiled)
+    res = check_thm3_inequality(seed=1, trials=5)
+    assert not res.passed and str(res.worst) == str(bad)
+    assert res.detail == f"trial 2: non-finite figure {bad}"
+
+
 def test_tolerance_override_propagates():
     res = check_thm1_equality(seed=1, trials=5, tol=0.5)
     assert res.tol == 0.5 and res.passed
@@ -475,13 +506,21 @@ def test_stacked_theorem3_bound_equals_single_calls_bit_for_bit():
             for k in range(4)]
     dilations = [StinespringDilation(SpectralHamiltonian.from_matrix(h), 2, 2, eye2[0],
                                      float(rng.uniform(0.2, 2.0))) for h in hams]
-    dilations += _dilate([random_channel(2, 2, rng) for _ in range(3)])
+    channels = [random_channel(2, 2, rng) for _ in range(4)]
+    dilations += _dilate(channels)
     assert sorted({len(dil.levels) for dil in dilations}) == [2, 4]
     rhos = [random_density(2, rank=1 + k % 2, seed=rng) for k in range(len(dilations))]
     average, rhs = _theorem3_bound(dilations, [_Density.of(rho) for rho in rhos])
     stacked = [(lhs.hex(), bound.hex()) for lhs, bound in zip(average(), rhs)]
     assert stacked == [tuple(x.hex() for x in theorem3_bound(dil, rho))
                        for dil, rho in zip(dilations, rhos)]
+    # one call as the benchmark makes it: a fresh dilation of a caller's tuple of Kraus
+    # matrices, its family not built yet, at ranks 1 and 2
+    for chan, rho, want in zip(channels, rhos[4:], stacked[4:]):
+        fresh = dilate(KrausChannel(tuple(np.array(k) for k in chan.operators)))
+        assert "decomposition" not in fresh.hamiltonian.__dict__
+        assert tuple(x.hex() for x in theorem3_bound(fresh, rho)) == want
+    assert {np.linalg.matrix_rank(rho) for rho in rhos[4:]} == {1, 2}
 
 
 def test_rounds_draw_from_each_generator_what_its_own_loop_would_bit_for_bit():
