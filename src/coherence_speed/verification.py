@@ -15,8 +15,8 @@ and judges them.
 * ``_check(suite, name, salt=, tol=, trials=None, dims=None, inequality=False,
   sides=None, count=None, detail=None)`` takes ``body(rng, trials, dims) ->
   {label: figures}``, rng ``default_rng([seed, salt])``, each column in trial
-  or loop order.  A column's worst is its maximum, or its minimum under a
-  floor (gt, ge): -inf or +inf if empty.  The column not in ``sides`` is the
+  or loop order.  A column's worst is its maximum (-inf if empty), or its
+  minimum (+inf) under a floor, gt or ge.  The column not in ``sides`` is the
   headline, whose worst is the check's: a gap passes when worst < tol, an
   inequality (lhs - rhs, ``inequality=True``) when worst <= tol.  Each side
   ``label: (comparison, bound)`` must hold too; ``label: None`` is only
