@@ -23,7 +23,7 @@ phi_s = exp(-i lambda_s t) of the orbit (``_orbit_rows``).  Its mixed-state
 kernel ``_bruteforces`` takes checked states, each with its Hamiltonian and
 time, all of one dimension (``_bruteforce``, one state, is its one-trial
 case): it forms R = V† rho V, rho by the lower triangle its check read
-(``_lower_hermitian``), and Q = V† sqrt(rho) V as one stack each, builds
+(``_Density.hermitian``), and Q = V† sqrt(rho) V as one stack each, builds
 each evolved state S_s = phi_s R phi_s† elementwise (sigma_s = U_s rho U_s†
 in the basis V), every orbit member of every state in one list of chunks,
 and takes each term from S_s's own eigendecomposition, with NotPSD and the
@@ -75,7 +75,6 @@ from .linalg import (
     _Density,
     _eigenbasis_operators,
     _families,
-    _lower_hermitian,
     _orbit_rows,
     _owned,
     _psd_sqrt_eig,
@@ -111,7 +110,7 @@ def _bruteforces(states, hams, ts) -> list[float]:
     """The mixed-state oracle of each checked state on its Hamiltonian at its time, all of
     one dimension, in stacked passes (module docstring); TooManyLevels before any orbit work."""
     v = np.array([ham.eigenvectors for ham in hams])
-    r, q = dagger(v) @ np.array([[_lower_hermitian(state.rho) for state in states],
+    r, q = dagger(v) @ np.array([[state.hermitian for state in states],
                                  [state.root for state in states]]) @ v
     t = np.array(ts, dtype=float)[:, None]
     return _orbit_means(hams, lambda lam, owner: np.exp(-1j * lam * _owned(t, owner)),

@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import bisect
 import cmath
-import functools
 import json
 import math
 from dataclasses import dataclass, replace
@@ -58,7 +57,7 @@ from .linalg import (
     _eye,
     _ginibre,
     _haar_unitaries,
-    _lower_hermitian,
+    _lazy,
     _owned,
     _psd_sqrt_eig,
     _read_only,
@@ -113,7 +112,7 @@ class KrausChannel:
         channel.__dict__.update(operators=_read_only(np.array(operators)), label=label)
         return channel
 
-    @functools.cached_property
+    @_lazy
     def completeness_residual(self) -> float:
         total = np.add.reduce(dagger(self.operators) @ self.operators, 0)
         return float(np.maximum.reduce(np.abs(total - _eye(self.dim)), axis=None))
@@ -321,7 +320,7 @@ def theorem3_bound(dilation: StinespringDilation, rho) -> tuple[float, float]:
 
     rho is checked once (``_Density.of``), and the joint input is built
     from the Hermitian matrix of its lower triangle, the one whose
-    positivity that check read (``_lower_hermitian``: rho itself when
+    positivity that check read (``_Density.hermitian``: rho itself when
     exactly Hermitian).  Each orbit term is the squared-Hellinger
     distance of a channel output, made Hermitian by ``hermitianize``,
     from rho; it and the joint are rooted without a Hermiticity check.
@@ -336,7 +335,7 @@ def _theorem3_bound(dilations, states) -> tuple[Callable[[], list[float]], list[
     (TooManyLevels past the cap), every orbit member of every dilation in one list of
     stacked chunks, a single dilation's operands broadcast (``_owned``)."""
     dims = (dilations[0].sys_dim, dilations[0].env_dim)
-    joints = np.array([dil._joint(_lower_hermitian(state.rho))
+    joints = np.array([dil._joint(state.hermitian)
                        for dil, state in zip(dilations, states)])
     hams, durations = [dil.hamiltonian for dil in dilations], [dil.duration for dil in dilations]
     rhs = [form[2] for form in _closed_forms(_rebuild(*_psd_sqrt_eig(joints)), hams, durations)]
@@ -382,7 +381,7 @@ def _equality_gap(channel: KrausChannel, dilation: StinespringDilation,
     purity is read from its eigenvalues, rho taken by its lower triangle as in theorem3_bound."""
     if state.eigenvalues[-1] < 1.0 - TOL_STRUCT:
         raise InvalidState("equality analysis requires a pure input state")
-    rho = _lower_hermitian(state.rho)
+    rho = state.hermitian
     out = _apply_kraus(channel, rho)
     d_sys = _hellinger(state.root, *_psd_sqrt_eig(out))
     u = dilation.unitary()

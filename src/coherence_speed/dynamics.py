@@ -22,10 +22,21 @@ sequential mat-vec.  Speeds and spreads along the trajectory come from
 the same stacked eigendata, by the rules of ``instantaneous_speed`` and
 of ``energy_uncertainty`` on spectral input (the single-step oracles).
 The stacks hold about 48 N d^2 bytes.
+
+One ``linear`` (or ``constant``) call and one ``evolve`` call pay for
+their checks (Hermitian and finite matrices, a finite duration, an
+integer step count, the state's norm and dimension, the step guard and
+the norm drift), the grid and the samples, the one stacked eigh, the
+step unitaries, the N sequential mat-vecs and the stacked speeds and
+spreads.  The grid is np.linspace's arithmetic without its wrapper, and
+the arrays the package builds are frozen in place, not viewed; a
+caller's path or trajectory is still checked and viewed read-only.
 """
 
 from __future__ import annotations
 
+import math
+import operator
 import warnings
 from dataclasses import dataclass, fields
 
@@ -96,28 +107,45 @@ class HamiltonianPath:
         samples = require_hermitian(self.samples)
         if samples.shape[:-2] != times.shape:
             raise DimensionMismatch(f"samples {samples.shape} for a grid of {len(times)} points")
-        self._store(times, hermitianize(samples))
-
-    def _store(self, times: np.ndarray, samples: np.ndarray) -> "HamiltonianPath":
-        for name, array in (("times", times), ("samples", samples)):
-            object.__setattr__(self, name, _read_only(array))
-        return self
+        object.__setattr__(self, "times", _read_only(times))
+        object.__setattr__(self, "samples", _read_only(hermitianize(samples)))
 
     @classmethod
     def _trusted(cls, times: np.ndarray, samples: np.ndarray) -> "HamiltonianPath":
-        """A path whose samples on ``times`` the package built from checked matrices."""
-        return cls.__new__(cls)._store(times, samples)
+        """A path whose samples on ``times`` the package built from checked matrices, which
+        holds no other reference to write through: both are made read-only in place."""
+        path = cls.__new__(cls)
+        times.flags.writeable = samples.flags.writeable = False
+        path.__dict__.update(times=times, samples=samples)
+        return path
 
     @staticmethod
     def _grid(t_final: float, steps: int | None, h: np.ndarray) -> np.ndarray:
-        _finite_times(t_final)
+        """np.linspace(0.0, t_final, steps + 1) bit for bit, zero signs included; ValueError
+        for a non-finite t_final or a negative steps, TypeError for a non-integer one."""
+        if not math.isfinite(t_final):
+            raise ValueError("grid times are not all finite")
         if steps is None:
             # default grid: half spectral width * dt <= 0.01; one step for a
             # flat spectrum, whatever the duration (dt = 0 when t_final is)
             half_width = _half_width(h)
             dt = 0.01 / half_width if half_width > 0 else t_final
             steps = max(1, int(np.ceil(t_final / dt))) if dt else 1
-        return np.linspace(0.0, t_final, steps + 1)
+        else:
+            steps = operator.index(steps)
+            if steps < 0:
+                raise ValueError(f"steps must be a non-negative integer, got {steps}")
+        times = np.arange(steps + 1.0)
+        if steps:
+            step = t_final / steps
+            if step:
+                times *= step
+            else:           # t_final is zero or t_final / steps underflows
+                times /= steps
+                times *= t_final
+            times += 0.0    # linspace adds its start: a zero entry reads +0.0
+            times[-1] = t_final
+        return times
 
     @classmethod
     def constant(cls, h, t_final: float, *, steps: int | None = None) -> "HamiltonianPath":
@@ -154,6 +182,16 @@ class Trajectory:
     def __post_init__(self) -> None:
         for f in fields(self):
             object.__setattr__(self, f.name, _read_only(np.asarray(getattr(self, f.name))))
+
+    @classmethod
+    def _trusted(cls, *arrays: np.ndarray) -> "Trajectory":
+        """From times, states, speeds and uncertainties that ``evolve`` built (times the path's
+        read-only grid), each made read-only in place."""
+        traj = cls.__new__(cls)
+        for array in arrays:
+            array.flags.writeable = False
+        traj.__dict__.update(zip(("times", "states", "speeds", "uncertainties"), arrays))
+        return traj
 
     def __len__(self) -> int:
         return len(self.times)
@@ -212,9 +250,9 @@ def _moments(a: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     split below TOL_DEGEN adds its spread, as in the dense form.
     """
     x = w - w[..., :1]
-    mean = (a * x).sum(axis=-1)
+    mean = np.add.reduce(a * x, axis=-1)
     dev = x - mean[..., None]
-    return mean, np.sqrt((a * dev * dev).sum(axis=-1))
+    return mean, np.sqrt(np.add.reduce(a * dev * dev, axis=-1))
 
 
 def _propagate(psi0: np.ndarray, times: np.ndarray,
@@ -229,9 +267,9 @@ def _propagate(psi0: np.ndarray, times: np.ndarray,
     the norm drifts by more than TOL_DRIFT over the grid.
     """
     w, v = np.linalg.eigh(h)
-    dts = np.diff(times)
+    dts = times[1:] - times[:-1]
     steps = (w[:-1, -1] - w[:-1, 0]) / 2.0 * np.abs(dts)
-    worst = float(steps.max()) if steps.size else 0.0
+    worst = float(np.maximum.reduce(steps)) if len(steps) else 0.0
     if worst > _MAX_STEP:
         raise GridTooCoarse(f"half spectral width * dt = {worst:.3g} exceeds {_MAX_STEP}")
     if worst > _WARN_STEP:
@@ -245,7 +283,9 @@ def _propagate(psi0: np.ndarray, times: np.ndarray,
     rows = list(states)
     for u_k, src, dst in zip(list(u), rows, rows[1:]):
         u_k.dot(src, dst)
-    drift = float(np.max(np.abs(np.linalg.norm(states, axis=1) - 1.0)))
+    # np.linalg.norm(states, axis=1), by its own formula, without its wrapper
+    norms = np.sqrt(np.add.reduce((states.conj() * states).real, axis=1))
+    drift = float(np.maximum.reduce(np.abs(norms - 1.0)))
     if drift > TOL_DRIFT:
         raise InvalidState(f"norm drift {drift:.3e} over the grid")
     return states, w, v
@@ -282,8 +322,7 @@ def evolve(psi0, path: HamiltonianPath) -> Trajectory:
     psi0 = validate_state_vector(psi0)
     _check_dims(psi0, path.samples.shape[1:])
     states, w, v = _propagate(psi0, path.times, path.samples)
-    speeds, uncerts = _stacked_speeds(w, v, states)
-    return Trajectory(times=path.times, states=states, speeds=speeds, uncertainties=uncerts)
+    return Trajectory._trusted(path.times, states, *_stacked_speeds(w, v, states))
 
 
 def finite_difference_speed(trajectory: Trajectory, k: int) -> float:

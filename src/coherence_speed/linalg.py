@@ -67,16 +67,18 @@ def hermitianize(a: np.ndarray) -> np.ndarray:
     return (a + dagger(a)) / 2.0
 
 
-def is_hermitian(a: np.ndarray) -> bool:
-    """True when max|A - A†| <= TOL_HERM (for every matrix, for a stack).
+def is_hermitian(a: np.ndarray, *, residual: bool = False):
+    """True when max|A - A†| <= TOL_HERM (for every matrix, for a stack); with residual=True,
+    that maximum itself, inf when an entry is not finite (``_require_hermitian``).
 
     A non-finite entry fails before the residual is formed, where
     inf - inf would make numpy warn next to the caller's error.  The
     ufunc reductions skip the Python wrappers of .all() and .max(), which
     offsets part of the cost of the finiteness pass.
     """
-    return (bool(np.logical_and.reduce(np.isfinite(a), axis=None))
-            and bool(np.maximum.reduce(np.abs(a - dagger(a)), axis=None) <= TOL_HERM))
+    skew = (float(np.maximum.reduce(np.abs(a - dagger(a)), axis=None))
+            if np.logical_and.reduce(np.isfinite(a), axis=None) else math.inf)
+    return skew if residual else skew <= TOL_HERM
 
 
 def _square(a, *, stack: bool = False) -> np.ndarray:
@@ -93,13 +95,18 @@ def require_hermitian(a, *, stack: bool = True) -> np.ndarray:
     Raises DimensionMismatch on any other shape or zero size, and NotHermitian when max|A - A†|
     exceeds TOL_HERM (for any matrix of a stack) or an entry is not finite (is_hermitian fails).
     """
+    return _require_hermitian(a, stack)[0]
+
+
+def _require_hermitian(a, stack: bool) -> tuple[np.ndarray, float]:
+    """require_hermitian's array and the residual max|A - A†| its one is_hermitian pass read."""
     a = _square(a, stack=stack)
-    if not is_hermitian(a):
+    skew = is_hermitian(a, residual=True)
+    if not skew <= TOL_HERM:
         if not np.isfinite(a).all():
             raise NotHermitian("matrix entries are not all finite")
-        dev = float(np.max(np.abs(a - dagger(a))))
-        raise NotHermitian(f"max |H - H†| = {dev:.3e} exceeds {TOL_HERM:.1e}")
-    return a
+        raise NotHermitian(f"max |H - H†| = {skew:.3e} exceeds {TOL_HERM:.1e}")
+    return a, skew
 
 
 def _psd_eigh(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -178,6 +185,24 @@ def _eye(n: int, dtype=float) -> np.ndarray:
     return eye
 
 
+class _lazy:
+    """An attribute built by fn on its first read and stored in the instance ``__dict__``,
+    where later reads find it first: ``functools.cached_property`` without the lock that
+    Python 3.11 shares between all instances.  A value set there first is never built."""
+
+    def __init__(self, fn: Callable) -> None:
+        self.fn, self.__doc__ = fn, fn.__doc__
+
+    def __set_name__(self, owner, name: str) -> None:
+        self.name = name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.fn(obj)
+        return value
+
+
 @dataclass(frozen=True, eq=False)
 class _Density:
     """A density matrix checked once, where it enters, and the eigendata of that check.
@@ -186,7 +211,8 @@ class _Density:
     one ``require_hermitian`` pass, NotPSD from ``_psd_eigh`` (one eigh, reading the lower
     triangle), then InvalidState (trace beyond TOL_TRACE), the messages every other entry gives.
     It keeps rho as given, w and V, all read-only, and psi only when the caller held a pure
-    state's vector.  ``root``, built on first read, is matrix_sqrt_psd(rho) bit for bit.
+    state's vector.  ``root``, built on first read, is matrix_sqrt_psd(rho) bit for bit, and
+    ``hermitian`` is ``_lower_hermitian(rho)``: rho itself when the check's residual is zero.
     """
 
     rho: np.ndarray
@@ -196,13 +222,16 @@ class _Density:
 
     @classmethod
     def of(cls, rho, psi: np.ndarray | None = None) -> "_Density":
-        rho = require_hermitian(rho, stack=False)
+        rho, skew = _require_hermitian(rho, stack=False)
         w, v = _psd_eigh(rho)
         tr = float(rho.trace().real)
         if abs(tr - 1.0) > TOL_TRACE:
             raise InvalidState(f"trace {tr!r} differs from 1 beyond {TOL_TRACE:.1e}")
         w.flags.writeable = v.flags.writeable = False     # the state's own arrays
-        return cls(_read_only(rho), w, v, psi)
+        state = cls(_read_only(rho), w, v, psi)
+        if not skew:        # finite entries: |a - b| = 0 exactly when a == b
+            state.__dict__["hermitian"] = state.rho
+        return state
 
     @classmethod
     def of_stack(cls, rhos: np.ndarray) -> list["_Density"]:
@@ -211,12 +240,17 @@ class _Density:
         w, v = _psd_eigh(rhos)
         states = [cls(*map(_read_only, arrays)) for arrays in zip(rhos, w, v)]
         for state, root in zip(states, _read_only(_rebuild(_band_sqrt(w), v))):
-            state.__dict__["root"] = root       # what the cached property would build
+            state.__dict__["root"] = root       # what the lazy attribute would build
         return states
 
-    @functools.cached_property
+    @_lazy
     def root(self) -> np.ndarray:
         return _read_only(_rebuild(_band_sqrt(self.eigenvalues), self.eigenvectors))
+
+    @_lazy
+    def hermitian(self) -> np.ndarray:
+        """The Hermitian matrix eigh read from rho's lower triangle (``_lower_hermitian``)."""
+        return _lower_hermitian(self.rho)
 
 
 def _lower_hermitian(rho: np.ndarray) -> np.ndarray:
@@ -242,7 +276,8 @@ def _require_finite(name: str, value) -> None:
 def validate_state_vector(psi) -> np.ndarray:
     """Check finite entries and unit norm; return the vector as complex128."""
     psi = np.asarray(psi, dtype=complex).reshape(-1)
-    nrm = float(np.linalg.norm(psi))
+    x = psi.ravel(order="K")        # np.linalg.norm(psi), by its own formula
+    nrm = math.sqrt(x.real.dot(x.real) + x.imag.dot(x.imag))
     if math.isnan(nrm):             # a NaN entry; NaN fails the `>` test below
         raise InvalidState("state entries are not all finite")
     if abs(nrm - 1.0) > TOL_NORM:
@@ -580,7 +615,7 @@ class SpectralHamiltonian:
         ham.__dict__.update(zip(("eigenvalues", "eigenvectors", "levels", "level_of"), arrays))
         return ham
 
-    @functools.cached_property
+    @_lazy
     def decomposition(self) -> OrthogonalDecomposition:
         """Eigenspace projectors V_m V_m†, one per level: level_of ascends, so the columns
         fill the levels in turn."""

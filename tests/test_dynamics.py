@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from coherence_speed import dynamics
+from coherence_speed import dynamics, linalg
 from coherence_speed.dynamics import (
     HamiltonianPath,
     Trajectory,
@@ -520,3 +520,133 @@ def test_a_trajectory_cannot_be_reassigned_or_written_and_copies_nothing():
     view = Trajectory(traj.times, traj.states, speeds, speeds)
     speeds[0] = 1.0
     assert view.speeds[0] == 1.0 and np.shares_memory(view.speeds, speeds)
+
+
+@pytest.mark.parametrize("steps,outcome", [
+    (-1, "ValueError: steps must be a non-negative integer, got -1"),
+    (-5, "ValueError: steps must be a non-negative integer, got -5"),
+    (2.5, "TypeError"),
+    (0, None),
+], ids=["minus-1", "minus-5", "non-integer", "zero"])
+def test_a_step_count_is_checked_where_it_enters(steps, outcome):
+    h = np.diag([0.0, 1.0]).astype(complex)
+    for build in (lambda: HamiltonianPath.constant(h, 1.0, steps=steps),
+                  lambda: HamiltonianPath.linear(h, 2.0 * h, 1.0, steps=steps)):
+        if outcome is None:         # no step: the one-point grid, and the state as given
+            path = build()
+            assert path.times.tolist() == [0.0] and path.samples.shape == (1, 2, 2)
+            traj = evolve(np.array([1.0, 0.0]), path)
+            assert traj.states.tolist() == [[1.0, 0.0]] and traj.speeds.tolist() == [0.0]
+            continue
+        with pytest.raises((ValueError, TypeError)) as info:
+            build()
+        assert f"{type(info.value).__name__}: {info.value}".startswith(outcome)
+
+
+# The parent's grid, propagation, speeds and Trajectory build, kept as they were, so one
+# evolve call and its path can be compared with them by bytes.
+
+def _parent_grid(t_final, steps, h):
+    dynamics._finite_times(t_final)
+    if steps is None:
+        half_width = dynamics._half_width(h)
+        dt = 0.01 / half_width if half_width > 0 else t_final
+        steps = max(1, int(np.ceil(t_final / dt))) if dt else 1
+    return np.linspace(0.0, t_final, steps + 1)
+
+
+def _parent_propagate(psi0, times, h):
+    w, v = np.linalg.eigh(h)
+    dts = np.diff(times)
+    steps = (w[:-1, -1] - w[:-1, 0]) / 2.0 * np.abs(dts)
+    worst = float(steps.max()) if steps.size else 0.0
+    assert worst <= dynamics._WARN_STEP             # every case here is below the warning
+    u = linalg._eigenbasis_operators(v[:-1], np.exp(-1j * w[:-1] * dts[:, None]))
+    states = np.empty((len(times), len(psi0)), dtype=complex)
+    states[0] = psi0
+    rows = list(states)
+    for u_k, src, dst in zip(list(u), rows, rows[1:]):
+        u_k.dot(src, dst)
+    drift = float(np.max(np.abs(np.linalg.norm(states, axis=1) - 1.0)))
+    assert drift <= linalg.TOL_DRIFT
+    return states, w, v
+
+
+def _parent_stacked_speeds(w, v, states):
+    weights = np.abs(np.einsum("kji,kj->ki", v.conj(), states)) ** 2
+    levels, level_of = linalg._cluster_levels(w)
+    member = level_of[:, :, None] == np.arange(levels.shape[1])
+    r = np.einsum("kj,kjm->km", weights, member)
+    speeds = np.sqrt(np.maximum(0.0, np.einsum("kp,kpq,kq->k", r, gap_squared_matrix(levels), r)))
+    x = w - w[..., :1]
+    mean = (weights * x).sum(axis=-1)
+    dev = x - mean[..., None]
+    return speeds, np.sqrt((weights * dev * dev).sum(axis=-1))
+
+
+def _parent_evolve(psi0, times, samples):
+    """times, states, speeds, uncertainties as the parent's evolve built its Trajectory."""
+    psi0 = np.asarray(psi0, dtype=complex).reshape(-1)
+    states, w, v = _parent_propagate(psi0, times, samples)
+    return (times, states) + _parent_stacked_speeds(w, v, states)
+
+
+def _parent_cases():
+    """(label, built path, the parent's times and samples, psi0) over d = 1..6, the step
+    counts, zero and negative durations, package and caller paths, and the oracle paths."""
+    rng = np.random.default_rng(73)
+    for d in range(1, 7):
+        for steps in (None, 0, 1, 7, 20):
+            for t_final in (1.0, 0.0, -0.4):
+                # below the warning's step size on every grid
+                h0 = random_hermitian(d, rng, scale=0.01)
+                h1 = random_hermitian(d, rng, scale=0.01)
+                psi0 = haar_random_state(d, rng)
+                label = f"d={d} steps={steps} T={t_final}"
+                ends = hermitianize(np.array([h0, h1]))
+                times = _parent_grid(t_final, steps, ends)
+                linear = dynamics._linear_samples(ends, t_final, times)
+                yield f"linear {label}", HamiltonianPath.linear(h0, h1, t_final, steps=steps), \
+                    times, linear, psi0
+                yield f"caller {label}", HamiltonianPath(times.copy(), list(linear)), \
+                    times, linear, psi0
+                e0 = hermitianize(h0)
+                times = _parent_grid(t_final, steps, e0)
+                yield f"constant {label}", HamiltonianPath.constant(h0, t_final, steps=steps), \
+                    times, np.broadcast_to(e0, (len(times), d, d)), psi0
+    for label, d, path in _oracle_paths():
+        yield label, path, np.array(path.times), np.array(path.samples), \
+            haar_random_state(d, np.random.default_rng(74))
+
+
+def test_one_evolve_call_equals_the_parents_bit_for_bit():
+    labels = []
+    for label, path, times, samples, psi0 in _parent_cases():
+        if label.startswith("caller"):          # its check, then its Hermitian part
+            samples = hermitianize(samples)
+        # tobytes: the sign of a zero entry counts too
+        assert path.times.tobytes() == times.tobytes(), label
+        assert path.samples.tobytes() == np.ascontiguousarray(samples).tobytes(), label
+        traj = evolve(psi0, path)
+        want = _parent_evolve(psi0, times, samples)
+        for name, array in zip(("times", "states", "speeds", "uncertainties"), want):
+            got = getattr(traj, name)
+            assert got.tobytes() == array.tobytes() and got.dtype == array.dtype, (label, name)
+            assert not got.flags.writeable, (label, name)
+        labels.append(label)
+    assert len(labels) == 6 * 5 * 3 * 3 + 15
+
+
+def test_a_callers_trajectory_views_its_arrays_read_only_and_leaves_them_writeable():
+    path = HamiltonianPath.linear(np.diag([0.0, 1.0]), [[0.0, 0.2], [0.2, 0.3]], 1.0, steps=10)
+    traj = evolve(np.array([1.0, 0.0]), path)
+    given = {name: getattr(traj, name).copy() for name in ("times", "states", "speeds",
+                                                           "uncertainties")}
+    view = Trajectory(**given)
+    for name, array in given.items():
+        got = getattr(view, name)
+        assert np.shares_memory(got, array) and not got.flags.writeable, name
+        with pytest.raises(ValueError, match="read-only"):
+            got[0] = 0.0
+        array[0] = 7.0                  # the caller's array stays writeable, and is viewed
+        assert got[0].tolist() == array[0].tolist(), name
