@@ -59,6 +59,7 @@ from .linalg import (
     _eigenbasis_operators,
     _read_only,
     _require_finite,
+    _trusted,
     dagger,
     hermitianize,
     require_hermitian,
@@ -234,7 +235,11 @@ def _stacked_branch_work(psi: np.ndarray, epsilon: float, w: np.ndarray,
 
 @dataclass(frozen=True, eq=False)
 class BatteryRun:
-    """A battery protocol as columns, one read-only float array per grid quantity."""
+    """A battery protocol as columns, one read-only float array per grid quantity.
+
+    Each field is kept as a read-only view of the array given, not a copy, so a caller's
+    arrays stay writeable; ``simulate_battery`` installs its own (``linalg._trusted``).
+    """
 
     t: np.ndarray
     pulse_value: np.ndarray
@@ -245,7 +250,7 @@ class BatteryRun:
 
     def __post_init__(self) -> None:
         for f in fields(self):
-            getattr(self, f.name).flags.writeable = False
+            object.__setattr__(self, f.name, _read_only(np.asarray(getattr(self, f.name))))
 
 
 def _sampled(values, grid_shape: tuple, name: str) -> np.ndarray:
@@ -301,7 +306,7 @@ def simulate_battery(config: BatteryConfig, psi0) -> BatteryRun:
     a2 = np.abs(np.einsum("kji,kj->ki", basis, psi)) ** 2
     coh = np.maximum(0.0, 1.0 - (a2 * a2).sum(axis=1) / a2.sum(axis=1))
     bound = 2.0 * config.epsilon * np.sin(etas * config.dt) * np.sqrt(coh)
-    return BatteryRun(times, etas, work, bound, coh, np.cumsum(work))
+    return _trusted(BatteryRun, times, etas, work, bound, coh, np.cumsum(work))
 
 
 def qudit_battery_bound(rho, h0, v, dt: float) -> tuple[float, float]:

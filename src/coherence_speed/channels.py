@@ -21,10 +21,12 @@ dilation and the JSON form use it as a whole.
 
 Finiteness is checked where data enters and trusted inside.  A
 ``KrausChannel`` rejects a non-finite entry on construction and is
-frozen, with a read-only stack.  ``dilate`` needs numpy alone (an SVD for
+frozen, with a read-only stack.  The channels ``random_channel`` draws
+and the dilations ``dilate`` builds are installed unchecked
+(``linalg._trusted``).  ``dilate`` needs numpy alone (an SVD for
 the complement, a Cayley transform for the logarithm); it checks its
-isometry finite before the SVD, since only a stack set past the frozen
-dataclass (``object.__setattr__``) can make it otherwise.
+isometry finite before the SVD, since only a stack written past the
+frozen dataclass can make it otherwise.
 ``theorem3_bound`` and the gap analysis check their state once
 (``linalg._Density``); the channel outputs, the joint input and its
 evolution are built from checked values and are rooted without a
@@ -64,6 +66,7 @@ from .linalg import (
     _rebuild,
     _require_finite,
     _trace_second,
+    _trusted,
     dagger,
     hermitianize,
     partial_trace,
@@ -103,14 +106,6 @@ class KrausChannel:
         object.__setattr__(self, "operators", ops)
         if (defect := self.completeness_residual) > TOL_STRUCT:
             raise IncompleteKraus(f"sum K†K deviates from identity by {defect:.3e}")
-
-    @classmethod
-    def _trusted(cls, operators: np.ndarray, label: str) -> "KrausChannel":
-        """A Kraus stack cut from a unitary the package drew, copied as the constructor copies
-        it (np.array, same memory order), unchecked: its residual is built on first read."""
-        channel = cls.__new__(cls)
-        channel.__dict__.update(operators=_read_only(np.array(operators)), label=label)
-        return channel
 
     @_lazy
     def completeness_residual(self) -> float:
@@ -156,8 +151,10 @@ def _random_channels(rngs, dim: int, n_kraus: int) -> list[KrausChannel]:
     n = dim * n_kraus
     # <s|K_j|c> at [s K + j, c]
     iso = _haar_unitaries(np.array([_ginibre(rng, (n, n)) for rng in rngs]))[:, :, ::n_kraus]
-    return [KrausChannel._trusted(k.reshape(dim, n_kraus, dim).swapaxes(0, 1),
-                                  f"random-{dim}x{n_kraus}") for k in iso]
+    # each stack copied as the checked constructor copies it (np.array, same memory order);
+    # its residual is built on first read
+    return [_trusted(KrausChannel, np.array(k.reshape(dim, n_kraus, dim).swapaxes(0, 1)),
+                     f"random-{dim}x{n_kraus}") for k in iso]
 
 
 @dataclass(frozen=True, eq=False)
@@ -188,14 +185,6 @@ class StinespringDilation:
             raise InvalidState("environment state is not normalized")
         _require_finite("duration", self.duration)
         object.__setattr__(self, "env_state", _read_only(env))
-
-    @classmethod
-    def _trusted(cls, *values) -> "StinespringDilation":
-        """From the five fields, built inside the package (env_state read-only), unchecked."""
-        dilation = cls.__new__(cls)
-        dilation.__dict__.update(zip(("hamiltonian", "sys_dim", "env_dim", "env_state",
-                                      "duration"), values))
-        return dilation
 
     @property
     def levels(self) -> np.ndarray:
@@ -265,7 +254,7 @@ def _dilate(channels, env_dim: int | None = None) -> list[StinespringDilation]:
     if np.maximum.reduce(np.abs(dagger(u) @ u - _eye(n)), axis=None) > TOL_ORTH:
         raise InvalidState("unitary completion failed")
     env = _eye(d_env, complex)[0]       # |0>, a row of the cached read-only identity
-    return [StinespringDilation._trusted(ham, d, d_env, env, 1.0)
+    return [_trusted(StinespringDilation, ham, d, d_env, env, 1.0)
             for ham in SpectralHamiltonian._build(*_principal_log(u))]
 
 

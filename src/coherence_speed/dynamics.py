@@ -29,8 +29,9 @@ integer step count, the state's norm and dimension, the step guard and
 the norm drift), the grid and the samples, the one stacked eigh, the
 step unitaries, the N sequential mat-vecs and the stacked speeds and
 spreads.  The grid is np.linspace's arithmetic without its wrapper, and
-the arrays the package builds are frozen in place, not viewed; a
-caller's path or trajectory is still checked and viewed read-only.
+the paths and trajectories the package builds are installed unchecked
+(``linalg._trusted``), their own arrays frozen in place; a caller's path
+or trajectory is checked and keeps read-only views of the caller's arrays.
 """
 
 from __future__ import annotations
@@ -50,6 +51,7 @@ from .linalg import (
     _cluster_levels,
     _eigenbasis_operators,
     _read_only,
+    _trusted,
     dagger,
     hermitianize,
     require_hermitian,
@@ -110,15 +112,6 @@ class HamiltonianPath:
         object.__setattr__(self, "times", _read_only(times))
         object.__setattr__(self, "samples", _read_only(hermitianize(samples)))
 
-    @classmethod
-    def _trusted(cls, times: np.ndarray, samples: np.ndarray) -> "HamiltonianPath":
-        """A path whose samples on ``times`` the package built from checked matrices, which
-        holds no other reference to write through: both are made read-only in place."""
-        path = cls.__new__(cls)
-        times.flags.writeable = samples.flags.writeable = False
-        path.__dict__.update(times=times, samples=samples)
-        return path
-
     @staticmethod
     def _grid(t_final: float, steps: int | None, h: np.ndarray) -> np.ndarray:
         """np.linspace(0.0, t_final, steps + 1) bit for bit, zero signs included; ValueError
@@ -151,7 +144,7 @@ class HamiltonianPath:
     def constant(cls, h, t_final: float, *, steps: int | None = None) -> "HamiltonianPath":
         h = hermitianize(require_hermitian(h))
         times = cls._grid(t_final, steps, h)
-        return cls._trusted(times, np.broadcast_to(h, (len(times),) + h.shape))
+        return _trusted(cls, times, np.broadcast_to(h, (len(times),) + h.shape))
 
     @classmethod
     def linear(cls, h0, h1, t_final: float, *, steps: int | None = None) -> "HamiltonianPath":
@@ -164,7 +157,7 @@ class HamiltonianPath:
             raise DimensionMismatch(f"endpoint shapes {np.shape(h0)} and {np.shape(h1)} differ")
         ends = hermitianize(require_hermitian([h0, h1]))
         times = cls._grid(t_final, steps, ends)
-        return cls._trusted(times, _linear_samples(ends, t_final, times))
+        return _trusted(cls, times, _linear_samples(ends, t_final, times))
 
 
 @dataclass(frozen=True, eq=False)
@@ -182,16 +175,6 @@ class Trajectory:
     def __post_init__(self) -> None:
         for f in fields(self):
             object.__setattr__(self, f.name, _read_only(np.asarray(getattr(self, f.name))))
-
-    @classmethod
-    def _trusted(cls, *arrays: np.ndarray) -> "Trajectory":
-        """From times, states, speeds and uncertainties that ``evolve`` built (times the path's
-        read-only grid), each made read-only in place."""
-        traj = cls.__new__(cls)
-        for array in arrays:
-            array.flags.writeable = False
-        traj.__dict__.update(zip(("times", "states", "speeds", "uncertainties"), arrays))
-        return traj
 
     def __len__(self) -> int:
         return len(self.times)
@@ -322,7 +305,7 @@ def evolve(psi0, path: HamiltonianPath) -> Trajectory:
     psi0 = validate_state_vector(psi0)
     _check_dims(psi0, path.samples.shape[1:])
     states, w, v = _propagate(psi0, path.times, path.samples)
-    return Trajectory._trusted(path.times, states, *_stacked_speeds(w, v, states))
+    return _trusted(Trajectory, path.times, states, *_stacked_speeds(w, v, states))
 
 
 def finite_difference_speed(trajectory: Trajectory, k: int) -> float:

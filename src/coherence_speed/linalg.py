@@ -173,7 +173,7 @@ def validate_density(rho) -> np.ndarray:
 def _read_only(a: np.ndarray) -> np.ndarray:
     """A read-only view of a, which itself stays as it is."""
     view = a.view()
-    view.flags.writeable = False
+    view.setflags(write=False)
     return view
 
 
@@ -183,6 +183,25 @@ def _eye(n: int, dtype=float) -> np.ndarray:
     eye = np.eye(n, dtype=dtype)
     eye.flags.writeable = False
     return eye
+
+
+def _trusted(cls, *fields, **built):
+    """An instance of the frozen dataclass cls from values the package built, unchecked.
+
+    The one install of every package-built object: each ndarray among the fields is made
+    read-only in place (the package holds no other reference to write through), the fields
+    are set in cls's declaration order, and ``built`` pre-fills ``_lazy`` attributes.  A
+    caller's array never comes here: its checked constructor keeps a read-only view of it.
+    """
+    obj, array = cls.__new__(cls), np.ndarray
+    for value in fields:
+        if type(value) is array:            # the package builds plain arrays, no subclass
+            value.setflags(write=False)     # a third of the cost of flags.writeable = False
+    installed = obj.__dict__
+    installed.update(zip(cls.__dataclass_fields__, fields))
+    if built:
+        installed.update(built)
+    return obj
 
 
 class _lazy:
@@ -227,21 +246,19 @@ class _Density:
         tr = float(rho.trace().real)
         if abs(tr - 1.0) > TOL_TRACE:
             raise InvalidState(f"trace {tr!r} differs from 1 beyond {TOL_TRACE:.1e}")
-        w.flags.writeable = v.flags.writeable = False     # the state's own arrays
-        state = cls(_read_only(rho), w, v, psi)
-        if not skew:        # finite entries: |a - b| = 0 exactly when a == b
-            state.__dict__["hermitian"] = state.rho
-        return state
+        rho, psi = _read_only(rho), psi if psi is None else _read_only(psi)
+        if skew:
+            return _trusted(cls, rho, w, v, psi)
+        # finite entries: |a - b| = 0 exactly when a == b
+        return _trusted(cls, rho, w, v, psi, hermitian=rho)
 
     @classmethod
     def of_stack(cls, rhos: np.ndarray) -> list["_Density"]:
         """``of`` of each state of a stack (n, d, d) the package drew, bit for bit: one
         ``_psd_eigh`` (NotPSD, no other check) and one rebuild of the roots."""
         w, v = _psd_eigh(rhos)
-        states = [cls(*map(_read_only, arrays)) for arrays in zip(rhos, w, v)]
-        for state, root in zip(states, _read_only(_rebuild(_band_sqrt(w), v))):
-            state.__dict__["root"] = root       # what the lazy attribute would build
-        return states
+        return [_trusted(cls, *arrays, None, root=root)     # what the lazy root would build
+                for *arrays, root in zip(rhos, w, v, _read_only(_rebuild(_band_sqrt(w), v)))]
 
     @_lazy
     def root(self) -> np.ndarray:
@@ -389,7 +406,7 @@ def _families(hams: Sequence["SpectralHamiltonian"]) -> np.ndarray:
         stack = stack.reshape(len(todo), -1, *stack.shape[1:])
         stack.flags.writeable = False       # so each family, a view of it, is read-only too
         for ham, family in zip(todo, stack):
-            ham.__dict__["decomposition"] = OrthogonalDecomposition._trusted(family)
+            ham.__dict__["decomposition"] = _trusted(OrthogonalDecomposition, family)
         if len(todo) == len(hams):
             return stack
     return np.array([ham.decomposition.projectors for ham in hams])
@@ -465,15 +482,6 @@ class OrthogonalDecomposition:
                 raise ValueError("projector is empty (trace below 1/2)")
         object.__setattr__(self, "projectors", _read_only(stack))
 
-    @classmethod
-    def _trusted(cls, stack: np.ndarray) -> "OrthogonalDecomposition":
-        """An (M, d, d) family built inside the package from an orthonormal eigenbasis, made
-        read-only in place (the package holds no other reference to write through)."""
-        dec = cls.__new__(cls)
-        stack.flags.writeable = False
-        dec.__dict__["projectors"] = stack
-        return dec
-
     @property
     def dim(self) -> int:
         return self.projectors.shape[-1]
@@ -514,22 +522,30 @@ def _cluster_levels(eigvals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     largest level count of any row (a row with fewer holds 0.0 in the
     rest), and level_of (..., d), the level of each eigenvalue.  A level
     is valued at the mean of its cluster; a singleton keeps its
-    eigenvalue as is, which is what its mean gives.
+    eigenvalue as is, which is what its mean gives.  The merged clusters
+    of one size k are averaged together, np.mean's sum and quotient
+    without its wrapper: one add.reduce of their (n, k) rows, over k.
     """
     split = eigvals[..., 1:] - eigvals[..., :-1] > TOL_DEGEN
     level_of = np.zeros(eigvals.shape, dtype=int)
     np.add.accumulate(split, axis=-1, dtype=int, out=level_of[..., 1:])     # cumsum, unwrapped
     levels = np.array(eigvals, dtype=float)     # each eigenvalue its own level ...
     if not np.logical_and.reduce(split, axis=None):     # ... unless some clusters merge
-        levels = np.zeros(eigvals.shape[:-1] + (int(level_of[..., -1].max()) + 1,))
-        np.put_along_axis(levels, level_of, eigvals, axis=-1)
-        # a merged cluster, found where its second member joins it, gets its mean
-        joins = ~split
-        joins[..., 1:] &= split[..., :-1]
-        for *row, j in zip(*np.nonzero(joins)):
-            row = tuple(row)
-            m = level_of[row][j]
-            levels[row + (m,)] = np.mean(eigvals[row][level_of[row] == m])
+        # the flat index of each cluster's first member, then the end: a row starts a cluster
+        edges = np.ones(eigvals.size + 1, dtype=bool)
+        edges[:-1].reshape(eigvals.shape)[..., 1:] = split
+        edges = edges.nonzero()[0]
+        first, sizes, flat = edges[:-1], edges[1:] - edges[:-1], levels.reshape(-1)
+        values = flat[first]                    # a singleton's level is its eigenvalue
+        for k in set(sizes.tolist()) - {1}:
+            at = sizes == k
+            values[at] = np.add.reduce(flat[first[at, None] + np.arange(k)], -1) / k
+        last = level_of[..., -1:]               # the last level of each row
+        width = int(np.maximum.reduce(last, axis=None)) + 1
+        if len(values) == last.size * width:    # every row has that many levels
+            return values.reshape(eigvals.shape[:-1] + (width,)), level_of
+        levels = np.zeros(eigvals.shape[:-1] + (width,))
+        levels[np.arange(width) <= last] = values
     return levels, level_of
 
 
@@ -547,10 +563,10 @@ class SpectralHamiltonian:
 
     Input is validated where it enters: ``from_matrix`` checks
     Hermiticity, ``from_spectrum`` that the eigenvalues are finite and a
-    caller's basis finite and orthonormal to TOL_STRUCT.  They and
-    ``permute_levels`` are the only ways to make one (calling the class raises
-    TypeError); the class is frozen and its arrays read-only views, so
-    its eigenspace families are trusted.
+    caller's basis finite and orthonormal to TOL_STRUCT.  Calling the class
+    raises TypeError: these two, ``permute_levels`` and the package's stacked
+    ``_build`` install their own arrays read-only (``_trusted``), and the
+    class is frozen, so its eigenspace families are trusted.
     """
 
     eigenvalues: np.ndarray
@@ -565,7 +581,7 @@ class SpectralHamiltonian:
     def from_matrix(cls, h) -> "SpectralHamiltonian":
         """Diagonalize a Hermitian matrix and group near-degenerate eigenvalues."""
         w, v = np.linalg.eigh(require_hermitian(h, stack=False))
-        return cls._trusted(w, v, *_cluster_levels(w))
+        return _trusted(cls, w, v, *_cluster_levels(w))
 
     @classmethod
     def from_spectrum(cls, eigenvalues, basis: np.ndarray | None = None) -> "SpectralHamiltonian":
@@ -594,7 +610,7 @@ class SpectralHamiltonian:
                 raise ValueError("basis columns are not orthonormal")
         order = np.argsort(w, kind="stable")
         w, v = w[order], v[:, order]
-        return cls._trusted(w, v, *_cluster_levels(w))
+        return _trusted(cls, w, v, *_cluster_levels(w))
 
     @classmethod
     def _build(cls, w: np.ndarray, v: np.ndarray) -> list["SpectralHamiltonian"]:
@@ -602,25 +618,15 @@ class SpectralHamiltonian:
         that carry them, their levels grouped in one ``_cluster_levels`` call (the rule
         from_matrix and from_spectrum apply to their one row)."""
         levels, level_of = _cluster_levels(w)
-        return [cls._trusted(*row, row_levels[:row_of[-1] + 1], row_of)
+        return [_trusted(cls, *row, row_levels[:row_of[-1] + 1], row_of)
                 for *row, row_levels, row_of in zip(w, v, levels, level_of)]
-
-    @classmethod
-    def _trusted(cls, *arrays: np.ndarray) -> "SpectralHamiltonian":
-        """From eigenvalues, eigenvectors, levels and level_of built inside the package, which
-        holds no other reference to write through: each is made read-only in place."""
-        ham = cls.__new__(cls)
-        for array in arrays:
-            array.flags.writeable = False
-        ham.__dict__.update(zip(("eigenvalues", "eigenvectors", "levels", "level_of"), arrays))
-        return ham
 
     @_lazy
     def decomposition(self) -> OrthogonalDecomposition:
         """Eigenspace projectors V_m V_m†, one per level: level_of ascends, so the columns
         fill the levels in turn."""
-        return OrthogonalDecomposition._trusted(_block_stacks(self.eigenvectors,
-                                                              np.bincount(self.level_of)))
+        return _trusted(OrthogonalDecomposition,
+                        _block_stacks(self.eigenvectors, np.bincount(self.level_of)))
 
     @property
     def dim(self) -> int:
@@ -647,12 +653,11 @@ class SpectralHamiltonian:
             raise BadPermutation(f"{assignment!r} is not a permutation of 0..{m_count - 1}")
         level_of = np.argsort(s)[self.level_of]      # new level of each eigenvector column
         cols = np.argsort(level_of, kind="stable")   # regrouped by new level, in column order
-        out = SpectralHamiltonian._trusted(self.levels[level_of[cols]], self.eigenvectors[:, cols],
-                                           self.levels, level_of[cols])
-        # the parent's blocks, reordered: set in place of the lazy build
-        object.__setattr__(out, "decomposition",
-                           OrthogonalDecomposition._trusted(self.decomposition.projectors[list(s)]))
-        return out
+        level_of = level_of[cols]
+        # the parent's blocks, reordered, in place of the lazy build
+        return _trusted(SpectralHamiltonian, self.levels[level_of], self.eigenvectors[:, cols],
+                        self.levels, level_of, decomposition=_trusted(
+                            OrthogonalDecomposition, self.decomposition.projectors[list(s)]))
 
 
 def unitary_exp(ham: SpectralHamiltonian, t: float) -> np.ndarray:

@@ -107,8 +107,10 @@ from .linalg import (
     _ginibre,
     _haar_unitaries,
     _orbit_rows,
-    _read_only,
+    _psd_sqrt_eig,
     _rebuild,
+    _trace_second,
+    _trusted,
     dagger,
     haar_random_state,
     hermitianize,
@@ -118,7 +120,7 @@ from .linalg import (
     random_unitary,
     unitary_exp,
 )
-from .metrics import d_affinity_half, hellinger, qsl_bounds
+from .metrics import _hellinger, d_affinity_half, hellinger, qsl_bounds
 
 
 @dataclass(frozen=True)
@@ -430,15 +432,22 @@ def check_thm3_inequality(rngs, dims):
 @_trials("thm3", "thm3-dpi-per-permutation", salt=32, trials=50, tol=1e-10, inequality=True,
          dims=2, stacked=True)
 def check_thm3_dpi(rngs, dims):
-    """Per-permutation contraction: system distance <= dilated distance."""
+    """Per-permutation contraction: system distance <= dilated distance.
+
+    Each orbit member's distances are ``hellinger``'s, bit for bit, from the roots of its two
+    outputs and the eigendata of its trial's rho and joint, taken once per trial."""
     _, dilations, rhos, joints = _qubit_env_cases(rngs)
     hams, figures = [dil.hamiltonian for dil in dilations], np.full(len(rngs), -np.inf)
     vecs, t = np.array([h.eigenvectors for h in hams]), np.array([x.duration for x in dilations])
+    (rho_roots, rho_vecs), (joint_roots, joint_vecs) = _psd_sqrt_eig(rhos), _psd_sqrt_eig(joints)
     for phases, owner in _orbit_rows(hams, lambda lam, owner: np.exp(-1j * lam * t[owner, None])):
         u = _eigenbasis_operators(vecs[owner], phases)
         joint_s = u @ joints[owner] @ dagger(u)
-        sys_dist = hellinger(partial_trace(joint_s, (2, 2), over=1), rhos[owner])
-        np.maximum.at(figures, owner, sys_dist - hellinger(joint_s, joints[owner]))
+        sys_dist = _hellinger(_rebuild(*_psd_sqrt_eig(_trace_second(joint_s, 2, 2))),
+                              rho_roots[owner], rho_vecs[owner])
+        joint_dist = _hellinger(_rebuild(*_psd_sqrt_eig(joint_s)),
+                                joint_roots[owner], joint_vecs[owner])
+        np.maximum.at(figures, owner, sys_dist - joint_dist)
     return figures.tolist()
 
 
@@ -461,7 +470,7 @@ def check_thm3_product_equality(rngs, dims):
     """Non-interacting dilations with the environment in a stationary state
     saturate the bound: the permutation-averaged channel distance equals the
     dilated closed form exactly."""
-    eye2, env = np.eye(2), _read_only(np.eye(2, dtype=complex)[0])
+    eye2, env = np.eye(2), np.eye(2, dtype=complex)[0]
 
     def draw(i, rng):
         return (_spectrum(rng, 2, min_gap=1e-2), _ginibre(rng, (2, 2)),
@@ -478,8 +487,8 @@ def check_thm3_product_equality(rngs, dims):
         # keep only exactly-degenerate or safely-separated joint spectra
         keep = ~((gaps > 1e-12) & (gaps < 1e-6)).any(axis=-1)
         hams = iter(SpectralHamiltonian._build(*np.linalg.eigh(h_joint[keep])))
-        return [StinespringDilation._trusted(next(hams), 2, 2, env,
-                                             float(rngs[i].uniform(0.2, 2.0)))
+        return [_trusted(StinespringDilation, next(hams), 2, 2, env,
+                         float(rngs[i].uniform(0.2, 2.0)))
                 if ok else None for i, ok in zip(trials, keep)]
 
     dilations = _rounds(rngs, draw, judge)
@@ -680,7 +689,9 @@ def check_fd_convergence(rng, trials, dims):
         for _ in range(20):
             d = dims(rng=rng)
             ends = hermitianize(np.array([_nondegenerate_ham(rng, d).matrix() for _ in range(2)]))
-            shifted = HamiltonianPath(times, _linear_samples(ends, t_final, times + dt_fine / 2.0))
+            # Hermitian ends and a real x give exactly Hermitian samples: installed unchecked
+            shifted = _trusted(HamiltonianPath, times,
+                               _linear_samples(ends, t_final, times + dt_fine / 2.0))
             traj = evolve(haar_random_state(d, rng), shifted)
             slope = (traj.speeds[k_fine + 1] - traj.speeds[k_fine - 1]) / (2.0 * dt_fine)
             if abs(slope) >= _FD_SLOPE_FLOOR:

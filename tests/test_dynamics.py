@@ -650,3 +650,20 @@ def test_a_callers_trajectory_views_its_arrays_read_only_and_leaves_them_writeab
             got[0] = 0.0
         array[0] = 7.0                  # the caller's array stays writeable, and is viewed
         assert got[0].tolist() == array[0].tolist(), name
+
+
+def test_the_checked_constructor_takes_fd_convergences_8001_point_path_bit_for_bit():
+    # fd-convergence's grid and midpoint samples: Hermitian ends and a real x give exactly
+    # Hermitian samples, so the checked path (a copy of times, the samples' Hermitian part)
+    # holds the bytes the check installs unchecked
+    rng = np.random.default_rng(52)
+    times = np.linspace(0.0, 0.2, 8001)
+    for d in (2, 3, 4):
+        ends = hermitianize(np.array([random_hermitian(d, rng) for _ in range(2)]))
+        samples = dynamics._linear_samples(ends, 0.2, times + 2.5e-5 / 2.0)
+        checked = HamiltonianPath(times, samples)
+        installed = linalg._trusted(HamiltonianPath, times.copy(), samples.copy())
+        for name in ("times", "samples"):
+            got, want = getattr(checked, name), getattr(installed, name)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes(), (d, name)
+        assert times.flags.writeable and samples.flags.writeable

@@ -583,6 +583,44 @@ def test_cluster_levels_bit_identical_to_the_loop():
         assert len(levels) == len(sizes)
 
 
+def _per_cluster_levels(eigvals):
+    """_cluster_levels as it was before it averaged the clusters of one size together: a
+    Python loop over the merged clusters, each np.mean'd where its second member joins."""
+    split = eigvals[..., 1:] - eigvals[..., :-1] > TOL_DEGEN
+    level_of = np.zeros(eigvals.shape, dtype=int)
+    np.add.accumulate(split, axis=-1, dtype=int, out=level_of[..., 1:])
+    levels = np.array(eigvals, dtype=float)
+    if not np.logical_and.reduce(split, axis=None):
+        levels = np.zeros(eigvals.shape[:-1] + (int(level_of[..., -1].max()) + 1,))
+        np.put_along_axis(levels, level_of, eigvals, axis=-1)
+        joins = ~split
+        joins[..., 1:] &= split[..., :-1]
+        for *row, j in zip(*np.nonzero(joins)):
+            row = tuple(row)
+            m = level_of[row][j]
+            levels[row + (m,)] = np.mean(eigvals[row][level_of[row] == m])
+    return levels, level_of
+
+
+def test_cluster_levels_equals_the_per_cluster_mean_loop_bit_for_bit():
+    # one row or a stack, d = 1-16: clusters of every size up to 16 (pairwise summation
+    # starts at 8 terms), rows of unequal level counts, a row of one level, and -0.0
+    rng = np.random.default_rng(39)
+    for _ in range(1500):
+        d = int(rng.integers(1, 17))
+        shape = (d,) if rng.random() < 0.4 else (int(rng.choice([1, 2, 5, 40])), d)
+        w = np.round(rng.uniform(-3.0, 3.0, shape), int(rng.integers(0, 3)))
+        w = np.sort(w + rng.uniform(0.0, 0.4, shape) * TOL_DEGEN * rng.integers(0, 2, shape),
+                    axis=-1)
+        if rng.random() < 0.1:
+            w = np.sort(rng.uniform(-1.0, 1.0, shape), axis=-1) * TOL_DEGEN
+        if rng.random() < 0.05:
+            w = -np.zeros(shape)
+        got, want = _cluster_levels(w), _per_cluster_levels(w)
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
 def _assert_checked_family(dec: OrthogonalDecomposition):
     rebuilt = OrthogonalDecomposition(dec.projectors)   # raises on any broken invariant
     assert len(rebuilt.projectors) == len(dec.projectors)
@@ -1014,6 +1052,75 @@ def test_equality_of_array_holders_is_identity(name):
     assert (x == x) is True and (x != x) is False
     assert (x == other) is False and (x != other) is True
     assert len({x, other}) == 2
+
+
+def _held_arrays(obj, prefix=""):
+    """Every array an object holds: its fields and its lazy attributes, built first, and those
+    of the package objects among them."""
+    for lazy in ("decomposition", "root", "hermitian"):
+        getattr(obj, lazy, None)
+    for name, value in vars(obj).items():
+        if isinstance(value, np.ndarray):
+            yield prefix + name, value
+        elif dataclasses.is_dataclass(value):
+            yield from _held_arrays(value, f"{prefix}{name}.")
+
+
+def _package_built():
+    """The objects of _array_holders, and the other ways the package builds one unchecked."""
+    ham = SpectralHamiltonian.from_matrix(random_hermitian(4, 3))
+    rng = np.random.default_rng(4)
+    stacked = SpectralHamiltonian._build(np.sort(rng.normal(size=(2, 3)), axis=-1),
+                                         linalg._haar_unitaries(linalg._ginibre(rng, (2, 3, 3))))
+    linalg._families(stacked)          # both decompositions in one batch fill
+    built = {name: make() for name, make in _array_holders().items()}
+    built.update({
+        "SpectralHamiltonian.from_matrix": ham,
+        "SpectralHamiltonian.permute_levels": ham.permute_levels([3, 1, 0, 2]),
+        "SpectralHamiltonian._build": stacked[1],
+        "_Density.of_stack": linalg._Density.of_stack(np.array([np.eye(2) / 2.0]))[0],
+        "HamiltonianPath.constant": dynamics.HamiltonianPath.constant(np.eye(2), 1.0, steps=3),
+        "HamiltonianPath.linear": dynamics.HamiltonianPath.linear(np.eye(2), np.diag([0.0, 1.0]),
+                                                                  1.0, steps=3),
+    })
+    return built
+
+
+def _callers_arrays():
+    """Each checked constructor that takes a caller's arrays, with writeable arrays of its own."""
+    traj = dynamics.evolve([1.0, 0.0], dynamics.HamiltonianPath.constant(np.eye(2), 1.0, steps=4))
+    run = battery.simulate_battery(battery.BatteryConfig.default(tau=0.5, dt=0.05), [1.0, 0.0])
+    ham = SpectralHamiltonian.from_spectrum([0.0, 1.0, 2.0, 3.0])
+    psi = np.array([0.6, 0.8j])
+    return {
+        "OrthogonalDecomposition": (OrthogonalDecomposition, [np.eye(2, dtype=complex)[:, :, None]
+                                                              * np.eye(2)[:, None, :]]),
+        "SpectralHamiltonian.from_spectrum": (SpectralHamiltonian.from_spectrum,
+                                              [np.array([1.0, 0.0]), np.eye(2, dtype=complex)]),
+        "KrausChannel": (channels.KrausChannel, [np.eye(2, dtype=complex)[None]]),
+        "StinespringDilation": (lambda env: channels.StinespringDilation(ham, 2, 2, env),
+                                [np.array([1.0, 0.0], dtype=complex)]),
+        "HamiltonianPath": (dynamics.HamiltonianPath,
+                            [np.linspace(0.0, 1.0, 3), np.zeros((3, 2, 2), dtype=complex)]),
+        "Trajectory": (dynamics.Trajectory, [a.copy() for _, a in _held_arrays(traj)]),
+        "BatteryRun": (battery.BatteryRun, [a.copy() for _, a in _held_arrays(run)]),
+        "_Density.of": (linalg._Density.of, [np.outer(psi, psi.conj()), psi]),
+    }
+
+
+def test_package_built_arrays_are_read_only_and_a_callers_arrays_stay_writeable():
+    for name, obj in _package_built().items():
+        arrays = dict(_held_arrays(obj))
+        assert arrays, name
+        for label, array in arrays.items():
+            assert not array.flags.writeable, (name, label)
+    for name, (build, given) in _callers_arrays().items():
+        obj = build(*given)
+        for label, array in _held_arrays(obj):
+            assert not array.flags.writeable, (name, label)
+        for k, array in enumerate(given):
+            assert array.flags.writeable, (name, k)
+            array[...] = array          # and it can be written
 
 
 def test_a_stacked_build_equals_its_rows_built_one_by_one_bit_for_bit():
