@@ -127,7 +127,8 @@ def _bruteforce_pure(psi: np.ndarray, ham: SpectralHamiltonian, t: float) -> flo
     """
     def terms(phi):
         u = _eigenbasis_operators(ham.eigenvectors, phi)
-        return 2.0 * (1.0 - np.clip(np.abs((u @ psi) @ psi.conj()) ** 2, 0.0, 1.0))
+        u_psi = (u.reshape(-1, ham.dim) @ psi).reshape(phi.shape)     # every U_s psi, one product
+        return 2.0 * (1.0 - np.clip(np.abs(u_psi @ psi.conj()) ** 2, 0.0, 1.0))
 
     return _orbit_mean(ham, lambda lam: np.exp(-1j * lam * t), terms)
 

@@ -15,6 +15,7 @@ All quantities are dimensionless with hbar = 1.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -81,7 +82,10 @@ _SEED = _checked(int, lambda n: n >= 0, "at least 0")
 _TOL = _checked(float, lambda x: 0 < x < np.inf, "finite and above 0")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process: parsing, help and usage errors leave it as it is,
+    each parse_args call returns a new Namespace, and SUITES is complete on import."""
     parser = argparse.ArgumentParser(
         prog="coherence-speed",
         description="Verification-grade checks of coherence/average-distance "
@@ -228,12 +232,10 @@ def _state(spec, ham: SpectralHamiltonian, rng) -> _Density:
 
 
 def _axis(spec, tau: float):
-    if isinstance(spec, str):
-        if spec in _UNIT_AXES:
-            return constant_axis(_UNIT_AXES[spec])
-        if spec == "rotating-xy":
-            return rotating_axis(tau)
-        raise UsageError(f"unknown drive axis {spec!r}")
+    if spec == "rotating-xy":
+        return rotating_axis(tau)
+    if isinstance(spec, str):       # the config schema admits no other name than x, y and z
+        return constant_axis(_UNIT_AXES[spec])
     vec = np.asarray(spec, dtype=float)
     if math.hypot(*vec) < TOL_ZERO:     # hypot, like _unit, cannot overflow
         raise UsageError("drive axis must be a nonzero 3-vector")

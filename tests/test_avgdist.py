@@ -411,6 +411,42 @@ def test_pure_path_equals_the_literal_oracle_on_pure_states():
                        - avg_distance_bruteforce(rho, ham, t)) < 1e-14
 
 
+def _parent_bruteforce_pure(psi, ham, t):
+    """_bruteforce_pure as it was: every U_s psi a product of its own."""
+    def terms(phi):
+        u = (ham.eigenvectors * phi[:, None, :]) @ linalg.dagger(ham.eigenvectors)
+        return 2.0 * (1.0 - np.clip(np.abs((u @ psi) @ psi.conj()) ** 2, 0.0, 1.0))
+
+    return avgdist._orbit_mean(ham, lambda lam: np.exp(-1j * lam * t), terms)
+
+
+def test_pure_path_forms_every_evolved_vector_in_one_product_bit_for_bit(monkeypatch):
+    # every term of every chunk, not only the correctly rounded mean, is the parent's
+    rng = np.random.default_rng(98)
+    chunks = []
+    orbit_mean = avgdist._orbit_mean
+
+    def recording(ham, fn, term):
+        return orbit_mean(ham, fn, lambda rows: chunks.append(term(rows)) or chunks[-1])
+
+    monkeypatch.setattr(avgdist, "_orbit_mean", recording)
+    for d in range(2, 8):
+        spectra = [_spread_spectrum(rng, d)]
+        if d > 2:
+            spectra.append(np.repeat(_spread_spectrum(rng, d - 1), [2] + [1] * (d - 2)))
+        for lam in spectra:
+            ham = SpectralHamiltonian.from_spectrum(lam, random_unitary(d, rng))
+            for psi in (haar_random_state(d, rng), np.full(d, 1.0 / np.sqrt(d), dtype=complex)):
+                t = float(rng.uniform(0.05, 8.0))
+                chunks.clear()
+                got = avgdist._bruteforce_pure(psi, ham, t)
+                new = list(chunks)
+                chunks.clear()
+                assert got == _parent_bruteforce_pure(psi, ham, t)
+                assert len(new) == len(chunks) == math.ceil(math.factorial(ham.level_count) / 120)
+                assert all(a.tobytes() == b.tobytes() for a, b in zip(new, chunks))
+
+
 def test_pure_path_takes_no_square_root(monkeypatch):
     rng = np.random.default_rng(97)
     cases = list(_pure_path_cases(rng))       # building a Hamiltonian may diagonalize

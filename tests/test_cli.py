@@ -14,6 +14,7 @@ import pytest
 
 from coherence_speed import cli, dynamics, linalg, metrics
 from coherence_speed.avgdist import avg_distance_closed, b_coefficient
+from coherence_speed.battery import BatteryConfig, rotating_axis, simulate_battery, sin2_pulse
 from coherence_speed.channels import dilate, qutrit_equality_channel
 from coherence_speed.cli import main
 from coherence_speed.coherence import c_half
@@ -732,3 +733,90 @@ def test_importing_the_command_line_leaves_scipy_unloaded():
 
     for argv in ([], ["channel"], ["verify", "thm3"]):
         assert loaded(*argv) == "0 []", argv
+
+
+def test_every_call_of_the_process_shares_one_parser():
+    assert cli._build_parser() is cli._build_parser()
+
+
+def _run(argv, capsys, out=None):
+    """Exit code, stdout, stderr and report body of one in-process call, less the run
+    timestamp of a JSON report and the check times of verify lines on stdout; the body is
+    the --out file's or stdout's."""
+    code = main(argv)
+    captured = capsys.readouterr()
+    stdout = re.sub(r"trials, \d+\.\d\ds\)", "trials)", "".join(
+        l for l in captured.out.splitlines(True) if '"generated"' not in l))
+    text = out.read_text() if out else stdout
+    return code, stdout, captured.err, [l for l in text.splitlines() if not l.startswith("#")]
+
+
+def test_a_reused_parser_gives_a_fresh_parser_s_calls(tmp_path, monkeypatch, capsys):
+    # one parser serves the whole sequence; each call then runs again on a parser built
+    # for it alone, and nothing it prints or writes differs
+    cfg, out = tmp_path / "haar.json", tmp_path / "r.csv"
+    cfg.write_text(json.dumps({"battery": {"state": {"haar": True}}}))
+    monkeypatch.setenv("COHERENCE_SPEED_SEED", "7")
+    calls = [(["battery", "--seed", "5", "--out", str(out)], out),
+             (["battery", "--config", str(cfg), "--out", str(out)], out),
+             (["verify", "thm1", "--dim", "0"], None),
+             (["--help"], None),
+             (["verify", "thm3", "--trials", "1"], None),
+             (["qsl", "--format", "json"], None)]
+    parser = cli._build_parser()
+    reused = [_run(argv, capsys, path) for argv, path in calls]
+    assert cli._build_parser() is parser
+    fresh = []
+    for argv, path in calls:
+        cli._build_parser.cache_clear()
+        fresh.append(_run(argv, capsys, path))
+    assert reused == fresh
+    assert [r[0] for r in reused] == [0, 0, 2, 0, 0, 0]
+    assert "# seed: 7" in out.read_text().splitlines()
+    assert "usage: coherence-speed" in reused[3][1]
+    assert reused[4][1].startswith("PASS thm3-inequality: worst ") and "1 trials)" in reused[4][1]
+    assert "argument --dim: invalid choice: 0" in reused[2][2]
+
+
+@pytest.mark.parametrize("argv, doc, message", [
+    (["qsl"], "{", "config {cfg} is not valid JSON: line 1 column 2: "
+                   "Expecting property name enclosed in double quotes"),
+    (["qsl"], {"qsl": {"spectrum": [0, 1], "state": {"amplitudes": [[1, 0], [0, 0], [0, 0]]}}},
+     "state has 3 amplitudes, expected 2"),
+    (["qsl"], {"qsl": {"spectrum": [0, 1], "state": {"amplitudes": [[2, 0], [0, 0]]}}},
+     "state amplitudes: state norm 2.0 differs from 1 beyond 1.0e-09"),
+    (["sweep"], {"sweep": {"spectrum": [0, 1], "state": {"density_rank": 3}}},
+     "density_rank must be in 1..2"),
+    (["battery"], {"battery": {"axis": [0, 0, 0]}}, "drive axis must be a nonzero 3-vector"),
+    (["battery"], {"battery": {"axis": "w"}},     # the schema names every admitted axis
+     "config {cfg}: $.battery.axis: 'w' is not valid under any of the given schemas"),
+    (["verify"], None, "verify needs a suite name (argument or verify.suite in config)"),
+    (["sweep"], None, "sweep needs a config file with a sweep section "
+                      "(spectrum, optionally state and time grid)"),
+], ids=["not-json", "amplitude-count", "amplitude-norm", "density-rank", "zero-axis",
+        "unknown-axis", "verify-without-suite", "sweep-without-section"])
+def test_a_rejected_config_prints_its_one_error_line(tmp_path, capsys, argv, doc, message):
+    cfg = tmp_path / "cfg.json"
+    if doc is not None:
+        cfg.write_text(doc if isinstance(doc, str) else json.dumps(doc))
+        argv = [*argv, "--config", str(cfg)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message.format(cfg=cfg)}\n"
+
+
+def test_a_rotating_battery_report_is_the_rotating_axis_run(tmp_path):
+    cfg, out = tmp_path / "cfg.json", tmp_path / "bat.csv"
+    cfg.write_text(json.dumps({"battery": {"axis": "rotating-xy", "tau": 2.0, "dt": 0.01}}))
+    assert main(["battery", "--config", str(cfg), "--out", str(out)]) == 0
+    run = simulate_battery(BatteryConfig(epsilon=1.0, tau=2.0, dt=0.01,
+                                         pulse=sin2_pulse(1.0, 2.0),
+                                         drive_axis=rotating_axis(2.0)),
+                           np.array([1.0, 0.0], dtype=complex))
+    rows = rows_of(out)
+    assert len(rows) == len(run.t)
+    for name, column in [("t", run.t), ("eta", run.pulse_value), ("avg_work", run.avg_work),
+                         ("bound", run.bound), ("coherence", run.coherence),
+                         ("cumulative_work", run.cumulative_work)]:
+        assert [r[name] for r in rows] == column.tolist(), name

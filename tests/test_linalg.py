@@ -959,6 +959,29 @@ def test_eigendata_rebuilds_equal_the_parent_expressions_bit_for_bit():
         same(linalg._eigenbasis_operators(vs, x), (vs * x[:, None, :]) @ dagger(vs))
 
 
+@pytest.mark.parametrize("d", range(2, 9))
+def test_one_product_per_shared_eigenbasis_equals_the_per_matrix_products_bit_for_bit(d):
+    # rows against one V are one (n d, d) @ V† product; the per-matrix expression it
+    # replaced is kept here, with the 1-D row that still takes it
+    rng = np.random.default_rng(40 + d)
+
+    def per_matrix(v, x):
+        return (v * x[..., None, :]) @ linalg.dagger(v)
+
+    for ham in (SpectralHamiltonian.from_matrix(random_hermitian(d, rng)),
+                SpectralHamiltonian.from_spectrum(rng.uniform(-2.0, 2.0, d),
+                                                  random_unitary(d, rng))):
+        v = ham.eigenvectors
+        for n in (1, 2, 7, 24, 120, 720, 5040):
+            for x in (np.exp(-1j * rng.uniform(-3.0, 3.0, (n, d))), rng.uniform(-2.0, 2.0, (n, d))):
+                got, want = linalg._eigenbasis_operators(v, x), per_matrix(v, x)
+                assert got.shape == want.shape == (n, d, d)
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), (n, x.dtype)
+        x = np.exp(-1j * rng.uniform(-3.0, 3.0, d))
+        got, want = linalg._eigenbasis_operators(v, x), per_matrix(v, x)
+        assert got.shape == (d, d) and got.tobytes() == want.tobytes()
+
+
 def _eager_stack(w, v):
     """The projector stack SpectralHamiltonian._build made for every operator
     before the stack was built on first read, with the _block_stack of then."""
