@@ -33,15 +33,15 @@ sqrt(S_s) = phi_s Q phi_s†, i.e. sqrt(sigma_s) = U_s sqrt(rho) U_s†,
 which is the closed form's own derivation step; the change of basis V
 is fixed and applies to rho as a whole, so it removes no dependence on
 s.  ``_orbit_means`` (capped at BRUTE_FORCE_CAP levels, one correctly
-rounded ``math.fsum`` mean per Hamiltonian) is the one loop over orbits
-(``_orbit_mean`` for one), and with the closed form also serves
-``channels.theorem3_bound`` and ``battery.qudit_battery_bound``, which build
-the full U_s from the same phase rows (``_eigenbasis_operators``).
+rounded ``math.fsum`` mean per Hamiltonian) is the one loop over orbits, and
+with the closed form also serves ``channels.theorem3_bound`` and
+``battery.qudit_battery_bound``, which build the full U_s from the same phase
+rows (``_eigenbasis_operators``).  A single call passes lists of one.
 
-``_closed_forms``, ``_closed_form`` of many trials of one dimension bit for
-bit, takes per level count every projector family in one ``_families``
-call and every coherence in one ``_c_halves`` pass; B(t) stays one row per
-trial, since np.cos over a longer array rounds some entries apart.
+``_closed_forms``, the one closed form, takes per level count every
+projector family in one ``_families`` call and every coherence in one
+``_c_halves`` pass; B(t) stays one row per trial (a time or an array of
+times), since np.cos over a longer array rounds some entries apart.
 
 For a pure state rho = |psi><psi| every sigma_s is pure too, and its
 affinity with rho is |<psi|U_s|psi>|^2, so ``_bruteforce_pure`` takes
@@ -53,9 +53,7 @@ sum_m r_m exp(-i lambda_s(m) t) is one step from the closed form's own
 derivation.  Mixed states keep the eigendecomposition of every S_s; the
 path is chosen by what the checked state (``linalg._Density``) holds, a
 vector or only a matrix, never by thresholding eigenvalues of rho.
-
-``b_coefficient`` also takes an array of times and returns B at each of
-them from one (T, pairs) cosine array, bit for bit the per-point value.
+``b_coefficient`` of an array of times is bit for bit its per-point value.
 """
 
 from __future__ import annotations
@@ -67,7 +65,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coherence import _c_half, _c_halves
+from .coherence import _c_halves
 from .errors import DegenerateSpectrum, DimensionMismatch, SingleLevel, TooManyLevels
 from .linalg import (
     TOL_DEGEN,
@@ -90,12 +88,20 @@ BRUTE_FORCE_CAP = 8  # 8! = 40320 permutations
 def avg_distance_bruteforce(rho, ham: SpectralHamiltonian, t: float) -> float:
     """Literal permutation average of D(rho, U_s rho U_s†) (correctly rounded sum).
 
-    Permutations are enumerated in lexicographic order.  Raises
-    TooManyLevels when the distinct level count exceeds BRUTE_FORCE_CAP,
-    and ValueError unless t is finite.
+    Permutations are enumerated in lexicographic order.  Raises TooManyLevels
+    when the distinct level count exceeds BRUTE_FORCE_CAP, and ``_entry``'s errors.
     """
+    return _bruteforce(_entry(rho, ham, t), ham, t)
+
+
+def _entry(rho, ham: SpectralHamiltonian, t) -> _Density:
+    """The checked state of both entries: ValueError unless t is finite, then
+    ``_Density.of(rho)``, then DimensionMismatch unless rho has the dimension of ham."""
     _require_finite("t", t)
-    return _bruteforce(_Density.of(rho), ham, t)
+    state = _Density.of(rho)
+    if len(state.rho) != ham.dim:
+        raise DimensionMismatch("state dimension does not match decomposition")
+    return state
 
 
 def _bruteforce(state: _Density, ham: SpectralHamiltonian, t: float) -> float:
@@ -113,9 +119,13 @@ def _bruteforces(states, hams, ts) -> list[float]:
     r, q = dagger(v) @ np.array([[state.hermitian for state in states],
                                  [state.root for state in states]]) @ v
     t = np.array(ts, dtype=float)[:, None]
-    return _orbit_means(hams, lambda lam, owner: np.exp(-1j * lam * _owned(t, owner)),
-                        lambda phi, owner: _hellinger(_owned(q, owner), *_psd_sqrt_eig(
-                            phi[:, :, None] * _owned(r, owner) * phi.conj()[:, None, :])))  # S_s, own eigh
+
+    def distances(lam, owner):      # each S_s = phi_s R phi_s† from its own eigh
+        phi = np.exp(-1j * lam * _owned(t, owner))
+        return _hellinger(_owned(q, owner), *_psd_sqrt_eig(
+            phi[:, :, None] * _owned(r, owner) * phi.conj()[:, None, :]))
+
+    return _orbit_means(hams, distances)
 
 
 def _bruteforce_pure(psi: np.ndarray, ham: SpectralHamiltonian, t: float) -> float:
@@ -125,50 +135,34 @@ def _bruteforce_pure(psi: np.ndarray, ham: SpectralHamiltonian, t: float) -> flo
     phase rows, and clipped into [0, 1], as affinity clips.  Raises
     TooManyLevels, before any orbit work, above BRUTE_FORCE_CAP.
     """
-    def terms(phi):
+    def terms(lam, owner):
+        phi = np.exp(-1j * lam * t)
         u = _eigenbasis_operators(ham.eigenvectors, phi)
         u_psi = (u.reshape(-1, ham.dim) @ psi).reshape(phi.shape)     # every U_s psi, one product
         return 2.0 * (1.0 - np.clip(np.abs(u_psi @ psi.conj()) ** 2, 0.0, 1.0))
 
-    return _orbit_mean(ham, lambda lam: np.exp(-1j * lam * t), terms)
+    return _orbit_means([ham], terms)[0]
 
 
-def _orbit_mean(ham: SpectralHamiltonian, fn, term) -> float:
-    """Correctly rounded mean of one term per member of the permutation orbit.
-
-    term maps each chunk of ``_orbit_rows([ham], fn)``, fn of the members'
-    diagonals in the eigenbasis of ham, to their terms; a term that needs
-    the operators V diag(row) V† builds them with ``_eigenbasis_operators``.
-    Raises TooManyLevels, before any orbit work, when the distinct level
-    count exceeds BRUTE_FORCE_CAP.
-    """
-    return _orbit_means([ham], lambda lam, owner: fn(lam), lambda rows, owner: term(rows))[0]
-
-
-def _orbit_means(hams, fn, term) -> list[float]:
-    """_orbit_mean of each Hamiltonian, all of one dimension, over their orbits in one list
-    (``linalg._orbit_rows``): fn and term also take the Hamiltonian of each row, as owner."""
+def _orbit_means(hams, term) -> list[float]:
+    """Correctly rounded mean of one term per orbit member, per Hamiltonian (all of one
+    dimension): term maps each chunk (rows, owner) of ``linalg._orbit_rows(hams)`` to its
+    terms, and builds any operator V diag(row) V† with ``_eigenbasis_operators``.  Raises
+    TooManyLevels, before any orbit work, when a level count exceeds BRUTE_FORCE_CAP."""
     counts = [ham.level_count for ham in hams]
     if max(counts) > BRUTE_FORCE_CAP:
         raise TooManyLevels(f"{max(counts)} levels exceed brute-force cap {BRUTE_FORCE_CAP}")
-    chunks = [term(rows, owner) for rows, owner in _orbit_rows(hams, fn)]
+    chunks = [term(rows, owner) for rows, owner in _orbit_rows(hams)]
     terms = (chunks[0] if len(chunks) == 1 else np.concatenate(chunks)).tolist()
     ends = [0, *itertools.accumulate(math.factorial(m) for m in counts)]
     return [math.fsum(terms[a:b]) / (b - a) for a, b in zip(ends, ends[1:])]
 
 
-def _closed_form(root: np.ndarray, ham: SpectralHamiltonian, t) -> tuple[float, float, float]:
-    """(B(t), c_half(rho), 2 (1 - B(t)) c_half(rho)) from root = sqrt(rho), the root of
-    a checked state; a single level has B = 1 and distance 0.  For an array
-    of times, B and the distance are arrays, except on a single level."""
-    coh = _c_half(root, ham.decomposition)
-    coef = 1.0 if ham.level_count == 1 else b_coefficient(ham.levels, t)
-    return coef, coh, 2.0 * (1.0 - coef) * coh
-
-
 def _closed_forms(roots, hams, ts) -> list[tuple[float, float, float]]:
-    """_closed_form of each root (a stack, or a sequence of them) on its Hamiltonian at its
-    scalar time, all of one dimension, in one pass per level count (module docstring)."""
+    """(B(t), c_half(rho), 2 (1 - B(t)) c_half(rho)) of each root sqrt(rho) of a checked state
+    (a stack, or a sequence of them) on its Hamiltonian at its time, all of one dimension, in
+    one pass per level count (module docstring).  A single level has B = 1 and distance 0;
+    for an array of times, B and the distance are arrays, except on a single level."""
     roots, counts = np.asarray(roots), [ham.level_count for ham in hams]
     if len(set(counts)) > 1:        # one pass per level count, each in trial order
         forms = [None] * len(hams)
@@ -251,12 +245,10 @@ def avg_distance_closed(rho, ham: SpectralHamiltonian, t: float,
     """Closed form 2 (1 - B(t)) c_half(rho), optionally with the brute-force value.
 
     include_brute defaults to "when the level count is within the cap".
-    A single-level Hamiltonian gives coefficient 1 and distance 0.
-    ValueError unless t is finite.
+    A single-level Hamiltonian gives coefficient 1 and distance 0.  Raises ``_entry``'s errors.
     """
-    _require_finite("t", t)
-    state = _Density.of(rho)        # one root serves c_half and the oracle
-    coef, coh, closed = _closed_form(state.root, ham, t)
+    state = _entry(rho, ham, t)     # one root serves c_half and the oracle
+    coef, coh, closed = _closed_forms([state.root], [ham], [t])[0]
     if include_brute is None:
         include_brute = ham.level_count <= BRUTE_FORCE_CAP
     brute = _bruteforce(state, ham, t) if include_brute else None

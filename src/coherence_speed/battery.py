@@ -47,7 +47,7 @@ from typing import Callable
 
 import numpy as np
 
-from .avgdist import _closed_form, _orbit_mean
+from .avgdist import _closed_forms, _orbit_means
 from .coherence import c_half
 from .dynamics import _propagate
 from .errors import DimensionMismatch, InvalidState, WindowTooWide
@@ -333,11 +333,11 @@ def qudit_battery_bound(rho, h0, v, dt: float) -> tuple[float, float]:
                                 f"{ham_v.dim} and {len(rho)}")
     _require_finite("dt", dt)
 
-    def works(lam):
+    def works(lam, owner):
         w, vecs = np.linalg.eigh(h0 + _eigenbasis_operators(ham_v.eigenvectors, lam))  # h0 + V_s
         u = _eigenbasis_operators(vecs, np.exp(-1j * w * dt))
         return np.trace(h0 @ (rho - u @ rho @ dagger(u)), axis1=-2, axis2=-1).real
 
-    avg = _orbit_mean(ham_v, lambda lam: lam, works)
-    sbar = _closed_form(state.root, ham_v, dt)[2]
+    avg = _orbit_means([ham_v], works)[0]
+    sbar = _closed_forms([state.root], [ham_v], [dt])[0][2]
     return avg, float(np.linalg.norm(h0) * np.sqrt(max(0.0, sbar)))

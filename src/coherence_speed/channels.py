@@ -331,13 +331,12 @@ def _theorem3_bound(dilations, states) -> tuple[Callable[[], list[float]], list[
     vecs, roots = np.array([h.eigenvectors for h in hams]), np.array([s.root for s in states])
     t = np.array(durations)[:, None]
 
-    def distances(phi, owner):
-        u = _eigenbasis_operators(_owned(vecs, owner), phi)
+    def distances(lam, owner):
+        u = _eigenbasis_operators(_owned(vecs, owner), np.exp(-1j * lam * _owned(t, owner)))
         out = _trace_second(u @ _owned(joints, owner) @ dagger(u), *dims)
         return _hellinger(_owned(roots, owner), *_psd_sqrt_eig(hermitianize(out)))
 
-    return lambda: _orbit_means(hams, lambda lam, owner: np.exp(-1j * lam * _owned(t, owner)),
-                                distances), rhs
+    return lambda: _orbit_means(hams, distances), rhs
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,7 @@ from datetime import datetime, timezone
 import numpy as np
 
 from . import __version__
-from .avgdist import BRUTE_FORCE_CAP, _bruteforce, _closed_form
+from .avgdist import BRUTE_FORCE_CAP, _bruteforce, _closed_forms
 from .battery import (
     BatteryConfig,
     _unit,
@@ -299,7 +299,7 @@ def _cmd_sweep(ns, config: dict) -> int:
                         float(section.get("t_stop", 2.0 * np.pi)), int(section.get("t_steps", 201)))
     include_brute = (section.get("brute_force", True)
                      and ham.level_count <= BRUTE_FORCE_CAP)
-    coef, coh, closed = _closed_form(state.root, ham, times)   # B(t) over the whole grid at once
+    coef, coh, closed = _closed_forms([state.root], [ham], [times])[0]  # B(t) of the whole grid
     brute = gap = None
     if include_brute:
         brute = np.array([_bruteforce(state, ham, t) for t in times.tolist()])

@@ -34,22 +34,18 @@ from .linalg import (
 
 def c_half(rho, decomposition: OrthogonalDecomposition) -> float:
     """Affinity coherence 1 - sum_m Tr[(P_m sqrt(rho) P_m)^2], in [0, 1)."""
-    return _c_half(_Density.of(rho).root, decomposition)
-
-
-def _c_half(root: np.ndarray, decomposition: OrthogonalDecomposition) -> float:
-    """c_half from the root sqrt(rho) of a checked state (or of a package-built joint)."""
+    root = _Density.of(rho).root
     if len(root) != decomposition.dim:
         raise DimensionMismatch("state dimension does not match decomposition")
-    _, traces = _block_traces(root, decomposition.projectors)
-    # the floor max(0, c) as np.maximum, which keeps a NaN where Python's max gives 0.0
-    return float(np.maximum(1.0 - np.add.reduce(traces, axis=None), 0.0))
+    return _c_halves(root[None], decomposition.projectors[None])[0]
 
 
 def _c_halves(roots: np.ndarray, projectors: np.ndarray) -> list[float]:
-    """_c_half of each root of a stack (n, d, d) against its own family, projectors (n, M, d, d)
-    of one level count: one ``_block_traces`` and one floor for the stack, as in _c_half."""
+    """c_half of each root sqrt(rho) of a stack (n, d, d), each the root of a checked state or
+    of a package-built joint, against its own family, projectors (n, M, d, d) of one level
+    count: one ``_block_traces`` and one floor for the stack."""
     _, traces = _block_traces(roots[:, None], projectors)
+    # the floor max(0, c) as np.maximum, which keeps a NaN where Python's max gives 0.0
     return np.maximum(1.0 - np.add.reduce(traces, -1), 0.0).tolist()
 
 

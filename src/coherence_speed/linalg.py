@@ -67,18 +67,22 @@ def hermitianize(a: np.ndarray) -> np.ndarray:
     return (a + dagger(a)) / 2.0
 
 
-def is_hermitian(a: np.ndarray, *, residual: bool = False):
-    """True when max|A - A†| <= TOL_HERM (for every matrix, for a stack); with residual=True,
-    that maximum itself, inf when an entry is not finite (``_require_hermitian``).
+def is_hermitian(a: np.ndarray) -> bool:
+    """True when max|A - A†| <= TOL_HERM (for every matrix, for a stack)."""
+    return _hermitian_residual(a) <= TOL_HERM
+
+
+def _hermitian_residual(a: np.ndarray) -> float:
+    """max|A - A†| over a matrix or a stack, inf when an entry is not finite: the one
+    Hermiticity pass of ``is_hermitian`` and of ``_require_hermitian``.
 
     A non-finite entry fails before the residual is formed, where
     inf - inf would make numpy warn next to the caller's error.  The
     ufunc reductions skip the Python wrappers of .all() and .max(), which
     offsets part of the cost of the finiteness pass.
     """
-    skew = (float(np.maximum.reduce(np.abs(a - dagger(a)), axis=None))
+    return (float(np.maximum.reduce(np.abs(a - dagger(a)), axis=None))
             if np.logical_and.reduce(np.isfinite(a), axis=None) else math.inf)
-    return skew if residual else skew <= TOL_HERM
 
 
 def _square(a, *, stack: bool = False) -> np.ndarray:
@@ -99,9 +103,9 @@ def require_hermitian(a, *, stack: bool = True) -> np.ndarray:
 
 
 def _require_hermitian(a, stack: bool) -> tuple[np.ndarray, float]:
-    """require_hermitian's array and the residual max|A - A†| its one is_hermitian pass read."""
+    """require_hermitian's array and the residual max|A - A†| its one Hermiticity pass read."""
     a = _square(a, stack=stack)
-    skew = is_hermitian(a, residual=True)
+    skew = _hermitian_residual(a)
     if not skew <= TOL_HERM:
         if not np.isfinite(a).all():
             raise NotHermitian("matrix entries are not all finite")
@@ -373,13 +377,6 @@ def _haar_unitaries(g: np.ndarray) -> np.ndarray:
     return q * (d / np.abs(d))[..., None, :]
 
 
-def _block_stack(vectors: np.ndarray, groups: Sequence[Sequence[int]]) -> np.ndarray:
-    """V_g V_g† for each group g of columns of V, as one (M, d, d) stack: ``_block_stacks``
-    of the groups' columns, one basis."""
-    columns = np.concatenate([g for g in groups if len(g)] or [np.empty(0, dtype=int)])
-    return _block_stacks(vectors[:, columns], np.array([len(g) for g in groups], dtype=int))
-
-
 def _block_stacks(columns: np.ndarray, sizes: np.ndarray) -> np.ndarray:
     """V_g V_g† for each block g of consecutive columns of a (d, R) matrix (several bases
     side by side), block b the next sizes[b] columns, as one (B, d, d) stack.  Blocks of one
@@ -497,7 +494,9 @@ class OrthogonalDecomposition:
         v = np.asarray(vectors, dtype=complex)
         if not v.size:          # no column makes no projector: rejected as zero-size input
             raise DimensionMismatch(f"expected a square matrix, got shape {v.shape}")
-        return cls(_block_stack(v, np.arange(v.shape[1])[:, None] if groups is None else groups))
+        groups = np.arange(v.shape[1])[:, None] if groups is None else groups
+        columns = np.concatenate([g for g in groups if len(g)] or [np.empty(0, dtype=int)])
+        return cls(_block_stacks(v[:, columns], np.array([len(g) for g in groups], dtype=int)))
 
     @classmethod
     def computational(cls, dim: int,
@@ -693,17 +692,16 @@ def _owned(a: np.ndarray, owner: np.ndarray) -> np.ndarray:
     return a[0] if len(a) == 1 else a.take(owner, 0)
 
 
-def _orbit_rows(hams: Sequence[SpectralHamiltonian], fn) -> Iterator[tuple]:
-    """fn of the orbits' level rows, as lexicographic chunks of ORBIT_CHUNK rows.
+def _orbit_rows(hams: Sequence[SpectralHamiltonian]) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The orbits' level rows, as lexicographic chunks (rows, owner) of ORBIT_CHUNK rows.
 
     The orbits of Hamiltonians of one dimension follow one another in one list, chunked as
-    one: each chunk comes as (fn(rows, owner), owner), owner the index of each row's
-    Hamiltonian.  Row k of an orbit holds the level value on each eigenvector column for
-    the k-th assignment s of itertools.permutations(range(M)), which puts level m on block
-    s[m] as permute_levels does, so that H_s = V diag(row_k) V† with V = ham.eigenvectors:
-    ``lambda lam, owner: lam`` gives the diagonals of the H_s, and with t the time
-    ``lambda lam, owner: np.exp(-1j * lam * t)`` the phases of exp(-i H_s t).  The
-    permutation table is built once per level count.
+    one, owner the index of each row's Hamiltonian.  Row k of an orbit holds the level value
+    on each eigenvector column for the k-th assignment s of itertools.permutations(range(M)),
+    which puts level m on block s[m] as permute_levels does, so that H_s = V diag(row_k) V†
+    with V = ham.eigenvectors, and ``np.exp(-1j * rows * _owned(t, owner))``, t a column of
+    times, holds the phases of exp(-i H_s t).  The permutation table is built once per level
+    count.
     """
     orbits = [ham.levels[_orbit_table(ham.level_count)[:, ham.level_of]] for ham in hams]
     if len(orbits) == 1:            # one orbit: no copy, and every row's owner is 0
@@ -712,5 +710,4 @@ def _orbit_rows(hams: Sequence[SpectralHamiltonian], fn) -> Iterator[tuple]:
         rows = np.concatenate(orbits)
         owner = np.arange(len(hams)).repeat([len(orbit) for orbit in orbits])
     for start in range(0, len(rows), ORBIT_CHUNK):
-        chunk = owner[start:start + ORBIT_CHUNK]
-        yield fn(rows[start:start + ORBIT_CHUNK], chunk), chunk
+        yield rows[start:start + ORBIT_CHUNK], owner[start:start + ORBIT_CHUNK]

@@ -440,8 +440,8 @@ def check_thm3_dpi(rngs, dims):
     hams, figures = [dil.hamiltonian for dil in dilations], np.full(len(rngs), -np.inf)
     vecs, t = np.array([h.eigenvectors for h in hams]), np.array([x.duration for x in dilations])
     (rho_roots, rho_vecs), (joint_roots, joint_vecs) = _psd_sqrt_eig(rhos), _psd_sqrt_eig(joints)
-    for phases, owner in _orbit_rows(hams, lambda lam, owner: np.exp(-1j * lam * t[owner, None])):
-        u = _eigenbasis_operators(vecs[owner], phases)
+    for lam, owner in _orbit_rows(hams):
+        u = _eigenbasis_operators(vecs[owner], np.exp(-1j * lam * t[owner, None]))
         joint_s = u @ joints[owner] @ dagger(u)
         sys_dist = _hellinger(_rebuild(*_psd_sqrt_eig(_trace_second(joint_s, 2, 2))),
                               rho_roots[owner], rho_vecs[owner])

@@ -26,7 +26,7 @@ from coherence_speed.channels import (
     theorem3_bound,
 )
 from coherence_speed.coherence import c_half, closest_incoherent
-from coherence_speed.errors import SingleLevel, TooManyLevels
+from coherence_speed.errors import DimensionMismatch, SingleLevel, TooManyLevels
 from coherence_speed import avgdist, coherence, linalg, metrics
 from coherence_speed.linalg import (
     SpectralHamiltonian,
@@ -313,8 +313,8 @@ def _computational_basis_brute(rho, ham, t):
     the orbit's phase rows, sigma_s = U_s rho U_s†, matrix_sqrt_psd of each, one trace."""
     a = linalg.matrix_sqrt_psd(rho)
     terms = []
-    for phi, _ in linalg._orbit_rows([ham], lambda lam, owner: np.exp(-1j * lam * t)):
-        u = linalg._eigenbasis_operators(ham.eigenvectors, phi)
+    for lam, _ in linalg._orbit_rows([ham]):
+        u = linalg._eigenbasis_operators(ham.eigenvectors, np.exp(-1j * lam * t))
         b = linalg.matrix_sqrt_psd(u @ rho @ linalg.dagger(u))
         terms.extend(2.0 * (1.0 - np.clip((a @ b).trace(axis1=-2, axis2=-1).real, 0.0, 1.0)))
     return math.fsum(terms) / len(terms)
@@ -370,7 +370,7 @@ def test_avg_distance_closed_roots_rho_once(monkeypatch):
     monkeypatch.undo()
     state = linalg._Density.of(rho)
     assert res.brute_force == avgdist._bruteforce(state, ham, 1.3)
-    assert res.coherence == coherence._c_half(linalg.matrix_sqrt_psd(rho), ham.decomposition)
+    assert res.coherence == _parent_c_half(linalg.matrix_sqrt_psd(rho), ham.decomposition)
 
 
 def _pairwise_cos_mean(lam, t):
@@ -413,23 +413,24 @@ def test_pure_path_equals_the_literal_oracle_on_pure_states():
 
 def _parent_bruteforce_pure(psi, ham, t):
     """_bruteforce_pure as it was: every U_s psi a product of its own."""
-    def terms(phi):
+    def terms(lam, owner):
+        phi = np.exp(-1j * lam * t)
         u = (ham.eigenvectors * phi[:, None, :]) @ linalg.dagger(ham.eigenvectors)
         return 2.0 * (1.0 - np.clip(np.abs((u @ psi) @ psi.conj()) ** 2, 0.0, 1.0))
 
-    return avgdist._orbit_mean(ham, lambda lam: np.exp(-1j * lam * t), terms)
+    return avgdist._orbit_means([ham], terms)[0]
 
 
 def test_pure_path_forms_every_evolved_vector_in_one_product_bit_for_bit(monkeypatch):
     # every term of every chunk, not only the correctly rounded mean, is the parent's
     rng = np.random.default_rng(98)
     chunks = []
-    orbit_mean = avgdist._orbit_mean
+    orbit_means = avgdist._orbit_means
 
-    def recording(ham, fn, term):
-        return orbit_mean(ham, fn, lambda rows: chunks.append(term(rows)) or chunks[-1])
+    def recording(hams, term):
+        return orbit_means(hams, lambda *chunk: chunks.append(term(*chunk)) or chunks[-1])
 
-    monkeypatch.setattr(avgdist, "_orbit_mean", recording)
+    monkeypatch.setattr(avgdist, "_orbit_means", recording)
     for d in range(2, 8):
         spectra = [_spread_spectrum(rng, d)]
         if d > 2:
@@ -549,6 +550,19 @@ def test_a_state_in_the_dead_band_reads_the_same_stacked_as_single_bit_for_bit()
                                               for case in cases]
 
 
+def _parent_c_half(root, decomposition):
+    """coherence._c_half as it was: the floored coherence of one root against one family."""
+    _, traces = coherence._block_traces(root, decomposition.projectors)
+    return float(np.maximum(1.0 - np.add.reduce(traces, axis=None), 0.0))
+
+
+def _parent_closed_form(root, ham, t):
+    """avgdist._closed_form as it was: c_half of one root, B(t) from b_coefficient."""
+    coh = _parent_c_half(root, ham.decomposition)
+    coef = 1.0 if ham.level_count == 1 else b_coefficient(ham.levels, t)
+    return coef, coh, 2.0 * (1.0 - coef) * coh
+
+
 @pytest.mark.parametrize("d", [3, 8])
 def test_stacked_closed_forms_equal_single_calls_bit_for_bit(d):
     # every level count 1..d in one call, degenerate levels below d, ranks 1..d; at d = 8
@@ -566,8 +580,10 @@ def test_stacked_closed_forms_equal_single_calls_bit_for_bit(d):
     def hams():     # the same Hamiltonians, built anew: each keeps the family it builds
         return [SpectralHamiltonian.from_spectrum(values, basis) for values, basis in spectra]
 
-    single = [tuple(float(x).hex() for x in avgdist._closed_form(root, ham, t))
+    single = [tuple(float(x).hex() for x in _parent_closed_form(root, ham, t))
               for root, ham, t in zip(roots, hams(), ts)]
+    assert [tuple(float(x).hex() for x in avgdist._closed_forms([root], [ham], [t])[0])
+            for root, ham, t in zip(roots, hams(), ts)] == single
     stacked_hams = hams()
     assert sorted({ham.level_count for ham in stacked_hams}) == list(range(1, d + 1))
     for ham in stacked_hams[::4]:       # some families built beforehand, the rest stacked
@@ -577,3 +593,29 @@ def test_stacked_closed_forms_equal_single_calls_bit_for_bit(d):
     for ham, (values, basis) in zip(stacked_hams, spectra):     # the families they kept
         alone = SpectralHamiltonian.from_spectrum(values, basis).decomposition.projectors
         assert ham.decomposition.projectors.tobytes() == alone.tobytes()
+
+
+def test_a_closed_form_over_a_time_grid_is_the_parents_bit_for_bit():
+    # the sweep report's call: one root, one Hamiltonian, B(t) over a whole grid at once
+    rng = np.random.default_rng(102)
+    times = np.linspace(0.0, 2.0 * np.pi, 201)
+    for values in ([0.0, 0.7, 1.9], [0.0, 0.7, 0.7, 2.6], np.arange(9.0), [1.5, 1.5]):
+        d = len(values)
+        ham = SpectralHamiltonian.from_spectrum(values, random_unitary(d, rng))
+        root = linalg._Density.of(random_density(d, rank=2, seed=rng)).root
+        got = avgdist._closed_forms([root], [ham], [times])[0]
+        for x, y in zip(got, _parent_closed_form(root, ham, times)):
+            assert np.shape(x) == np.shape(y)
+            assert np.asarray(x).tobytes() == np.asarray(y).tobytes()
+
+
+@pytest.mark.parametrize("rank", [1, 2])
+def test_both_entries_refuse_a_state_of_another_dimension(rank):
+    # a rank-2 and a pure 3 x 3 density on a 4-level Hamiltonian: the package's error,
+    # not numpy's matmul ValueError
+    ham = SpectralHamiltonian.from_spectrum([0.0, 0.7, 1.9, 2.6], random_unitary(4, 103))
+    rho = random_density(3, rank=rank, seed=103)
+    for entry in (avg_distance_bruteforce, avg_distance_closed):
+        with pytest.raises(DimensionMismatch,
+                           match="^state dimension does not match decomposition$"):
+            entry(rho, ham, 0.7)

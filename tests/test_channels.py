@@ -9,7 +9,7 @@ import pytest
 import scipy.linalg
 from jsonschema import ValidationError
 
-from coherence_speed import avgdist, channels, linalg, metrics
+from coherence_speed import avgdist, channels, coherence, linalg, metrics
 from coherence_speed.avgdist import b_coefficient
 from coherence_speed.channels import (
     EqualityGapReport,
@@ -389,7 +389,8 @@ def _theorem3_composition(dilation, rho):
     validate_density and matrix_sqrt_psd of rho, np.kron for the joint,
     partial_trace and the overlap with the root of rho, from a Hermiticity-checked
     eigh (``require_hermitian``, then ``_psd_sqrt_eig``), for every orbit term, and
-    matrix_sqrt_psd of the joint for _closed_form.
+    matrix_sqrt_psd of the joint for the closed form as it was (c_half of one root against
+    one family, B(t) from b_coefficient).
     """
     rho = linalg.validate_density(rho)
     sqrt_rho = linalg.matrix_sqrt_psd(rho)
@@ -397,14 +398,18 @@ def _theorem3_composition(dilation, rho):
     dims = (dilation.sys_dim, dilation.env_dim)
     ham, duration = dilation.hamiltonian, dilation.duration
 
-    def distances(phi):
-        u = linalg._eigenbasis_operators(ham.eigenvectors, phi)
+    def distances(lam, owner):
+        u = linalg._eigenbasis_operators(ham.eigenvectors, np.exp(-1j * lam * duration))
         out = linalg.partial_trace(u @ joint @ linalg.dagger(u), dims, over=1)
         out = linalg.require_hermitian(linalg.hermitianize(out))
         return 2.0 * (1.0 - metrics._overlap(sqrt_rho, *linalg._psd_sqrt_eig(out)))
 
-    lhs = avgdist._orbit_mean(ham, lambda lam: np.exp(-1j * lam * duration), distances)
-    return lhs, avgdist._closed_form(linalg.matrix_sqrt_psd(joint), ham, duration)[2]
+    lhs = avgdist._orbit_means([ham], distances)[0]
+    _, traces = coherence._block_traces(linalg.matrix_sqrt_psd(joint),
+                                        ham.decomposition.projectors)
+    coh = float(np.maximum(1.0 - np.add.reduce(traces, axis=None), 0.0))
+    coef = 1.0 if ham.level_count == 1 else b_coefficient(ham.levels, duration)
+    return lhs, 2.0 * (1.0 - coef) * coh
 
 
 def _outcome(fn, *args):
@@ -504,7 +509,7 @@ def test_a_bound_call_checks_hermiticity_once(monkeypatch):
     # up to 5 joint levels: the orbit is one stacked eigh
     cases = [(random_channel(d, k, rng), random_density(d, rank=r, seed=rng))
              for d, k, r in ((2, 2, 1), (2, 2, 2), (3, 1, 3))]
-    counting(linalg, "is_hermitian")
+    counting(linalg, "_hermitian_residual")
     for name in ("svd", "eigvals", "solve", "eigh"):
         counting(np.linalg, name)
     for chan, rho in cases:
@@ -514,7 +519,7 @@ def test_a_bound_call_checks_hermiticity_once(monkeypatch):
         assert sorted(calls) == ["eigh", "eigvals", "solve", "svd"]
         calls.clear()
         theorem3_bound(dil, rho)
-        assert sorted(calls) == ["eigh"] * 3 + ["is_hermitian"]
+        assert sorted(calls) == ["_hermitian_residual"] + ["eigh"] * 3
 
 
 def test_a_dilation_checks_its_environment_state_once_and_keeps_it():

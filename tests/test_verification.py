@@ -366,8 +366,8 @@ def _one_dpi(i, rng):
     dims = (dilation.sys_dim, dilation.env_dim)
     ham = dilation.hamiltonian
     worst_s = -np.inf
-    for phases, _ in _orbit_rows([ham], lambda lam, o: np.exp(-1j * lam * dilation.duration)):
-        u = _eigenbasis_operators(ham.eigenvectors, phases)
+    for lam, _ in _orbit_rows([ham]):
+        u = _eigenbasis_operators(ham.eigenvectors, np.exp(-1j * lam * dilation.duration))
         joint_s = u @ joint @ dagger(u)
         sys_dist = hellinger(partial_trace(joint_s, dims, over=1), rho)
         joint_dist = hellinger(joint_s, joint)
