@@ -19,24 +19,27 @@ respect to the eigenprojector decomposition:
 ``avg_distance_bruteforce`` evaluates the sum literally and is kept as
 an independent oracle for the closed form.  It works in the eigenbasis
 V of H, where every U_s is the diagonal phase row
-phi_s = exp(-i lambda_s t) of the orbit (``_orbit_rows``).  Its mixed-state
-kernel ``_bruteforces`` takes checked states, each with its Hamiltonian and
-time, all of one dimension (``_bruteforce``, one state, is its one-trial
-case): it forms R = V† rho V, rho by the lower triangle its check read
-(``_Density.hermitian``), and Q = V† sqrt(rho) V as one stack each, builds
-each evolved state S_s = phi_s R phi_s† elementwise (sigma_s = U_s rho U_s†
-in the basis V), every orbit member of every state in one list of chunks,
-and takes each term from S_s's own eigendecomposition, with NotPSD and the
-dead band but no second Hermiticity check (``_psd_sqrt_eig``), one stacked
+phi_s = exp(-i lambda_s t) of the orbit.  ``_orbit_terms``, the one
+orbit kernel (capped at BRUTE_FORCE_CAP levels), lists the orbits of
+one or many Hamiltonians in chunks and hands each term its rows and the
+operands of each row's Hamiltonian; ``_orbit_means`` takes one
+correctly rounded ``math.fsum`` mean per Hamiltonian.  The kernel also
+serves ``channels.theorem3_bound``, ``battery.qudit_battery_bound`` and
+``thm3-dpi-per-permutation``, which build the full U_s from the same
+phase rows (``_eigenbasis_operators``).  The mixed-state kernel
+``_bruteforces`` takes checked states, each with its Hamiltonian and
+time, all of one dimension (``_bruteforce``, one state at a sequence of
+times, repeats its Hamiltonian): it forms R = V† rho V, rho by the lower
+triangle its check read (``_Density.hermitian``), and Q = V† sqrt(rho) V
+as one stack each, builds each evolved state S_s = phi_s R phi_s†
+elementwise (sigma_s = U_s rho U_s† in the basis V), and takes each
+term from S_s's own eigendecomposition, with NotPSD and the dead band
+but no second Hermiticity check (``_psd_sqrt_eig``), one stacked
 diagonalization per chunk, with Q as the root of R.  It never uses
 sqrt(S_s) = phi_s Q phi_s†, i.e. sqrt(sigma_s) = U_s sqrt(rho) U_s†,
 which is the closed form's own derivation step; the change of basis V
 is fixed and applies to rho as a whole, so it removes no dependence on
-s.  ``_orbit_means`` (capped at BRUTE_FORCE_CAP levels, one correctly
-rounded ``math.fsum`` mean per Hamiltonian) is the one loop over orbits, and
-with the closed form also serves ``channels.theorem3_bound`` and
-``battery.qudit_battery_bound``, which build the full U_s from the same phase
-rows (``_eigenbasis_operators``).  A single call passes lists of one.
+s.  A single call passes lists of one.
 
 ``_closed_forms``, the one closed form, takes per level count every
 projector family in one ``_families`` call and every coherence in one
@@ -58,6 +61,7 @@ vector or only a matrix, never by thresholding eigenvalues of rho.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
 import math
@@ -73,8 +77,6 @@ from .linalg import (
     _Density,
     _eigenbasis_operators,
     _families,
-    _orbit_rows,
-    _owned,
     _psd_sqrt_eig,
     _read_only,
     _require_finite,
@@ -91,7 +93,7 @@ def avg_distance_bruteforce(rho, ham: SpectralHamiltonian, t: float) -> float:
     Permutations are enumerated in lexicographic order.  Raises TooManyLevels
     when the distinct level count exceeds BRUTE_FORCE_CAP, and ``_entry``'s errors.
     """
-    return _bruteforce(_entry(rho, ham, t), ham, t)
+    return _bruteforce(_entry(rho, ham, t), ham, [t])[0]
 
 
 def _entry(rho, ham: SpectralHamiltonian, t) -> _Density:
@@ -104,12 +106,12 @@ def _entry(rho, ham: SpectralHamiltonian, t) -> _Density:
     return state
 
 
-def _bruteforce(state: _Density, ham: SpectralHamiltonian, t: float) -> float:
-    """avg_distance_bruteforce of a checked state, in the eigenbasis of ham (module
-    docstring); from the state's vector (``_bruteforce_pure``) when it keeps one."""
+def _bruteforce(state: _Density, ham: SpectralHamiltonian, ts) -> list[float]:
+    """avg_distance_bruteforce of a checked state at each time of ts (module docstring); from
+    the state's vector (``_bruteforce_pure``) when it keeps one."""
     if state.psi is not None:
-        return _bruteforce_pure(state.psi, ham, t)
-    return _bruteforces([state], [ham], [t])[0]
+        return _bruteforce_pure(state.psi, ham, ts)
+    return _bruteforces([state] * len(ts), [ham] * len(ts), ts)
 
 
 def _bruteforces(states, hams, ts) -> list[float]:
@@ -118,44 +120,83 @@ def _bruteforces(states, hams, ts) -> list[float]:
     v = np.array([ham.eigenvectors for ham in hams])
     r, q = dagger(v) @ np.array([[state.hermitian for state in states],
                                  [state.root for state in states]]) @ v
-    t = np.array(ts, dtype=float)[:, None]
 
-    def distances(lam, owner):      # each S_s = phi_s R phi_s† from its own eigh
-        phi = np.exp(-1j * lam * _owned(t, owner))
-        return _hellinger(_owned(q, owner), *_psd_sqrt_eig(
-            phi[:, :, None] * _owned(r, owner) * phi.conj()[:, None, :]))
+    def distances(lam, t, r, q):      # each S_s = phi_s R phi_s† from its own eigh
+        phi = np.exp(-1j * lam * t)
+        return _hellinger(q, *_psd_sqrt_eig(phi[:, :, None] * r * phi.conj()[:, None, :]))
 
-    return _orbit_means(hams, distances)
+    return _orbit_means(hams, distances, np.array(ts, dtype=float)[:, None], r, q)
 
 
-def _bruteforce_pure(psi: np.ndarray, ham: SpectralHamiltonian, t: float) -> float:
-    """_bruteforce of |psi><psi| from the unit vector psi: mean of 2 (1 - |<psi|U_s|psi>|^2).
-
-    Each overlap is taken with the full U_s, built from the orbit's
-    phase rows, and clipped into [0, 1], as affinity clips.  Raises
-    TooManyLevels, before any orbit work, above BRUTE_FORCE_CAP.
-    """
-    def terms(lam, owner):
+def _bruteforce_pure(psi: np.ndarray, ham: SpectralHamiltonian, ts) -> list[float]:
+    """_bruteforce of |psi><psi| from the unit vector psi: mean of 2 (1 - |<psi|U_s|psi>|^2),
+    each overlap taken with the full U_s and clipped into [0, 1], as affinity clips."""
+    def terms(lam, t):
         phi = np.exp(-1j * lam * t)
         u = _eigenbasis_operators(ham.eigenvectors, phi)
         u_psi = (u.reshape(-1, ham.dim) @ psi).reshape(phi.shape)     # every U_s psi, one product
         return 2.0 * (1.0 - np.clip(np.abs(u_psi @ psi.conj()) ** 2, 0.0, 1.0))
 
-    return _orbit_means([ham], terms)[0]
+    return _orbit_means([ham] * len(ts), terms, np.array(ts, dtype=float)[:, None])
 
 
-def _orbit_means(hams, term) -> list[float]:
-    """Correctly rounded mean of one term per orbit member, per Hamiltonian (all of one
-    dimension): term maps each chunk (rows, owner) of ``linalg._orbit_rows(hams)`` to its
-    terms, and builds any operator V diag(row) V† with ``_eigenbasis_operators``.  Raises
-    TooManyLevels, before any orbit work, when a level count exceeds BRUTE_FORCE_CAP."""
+# Orbit members per stacked evaluation (5!): every orbit of up to 5 levels is one chunk, and
+# 8 levels at d = 16 hold chunks of 120 d x d complex matrices (0.5 MB each) instead of one of
+# 40320 (165 MB).  The mixed-state oracle's one stacked eigh per chunk is most of its time at
+# 6 and 7 levels; larger chunks measured no faster there.
+ORBIT_CHUNK = 120
+
+
+@functools.lru_cache(maxsize=8)
+def _orbit_table(m_count: int) -> np.ndarray:
+    """Read-only (M!, M) table: row k is the inverse of the k-th assignment of
+    itertools.permutations(range(M)), i.e. the level on each block."""
+    perms = np.fromiter(itertools.chain.from_iterable(itertools.permutations(range(m_count))),
+                        dtype=np.intp, count=math.factorial(m_count) * m_count)
+    return _read_only(np.argsort(perms.reshape(-1, m_count), axis=1))
+
+
+def _orbit_terms(hams, term, *stacks) -> list[np.ndarray]:
+    """The terms of every orbit member, one array per Hamiltonian (all of one dimension).
+
+    Row k of an orbit holds the level on each eigenvector column for the k-th assignment s of
+    itertools.permutations(range(M)), level m on block s[m] as permute_levels puts it, so that
+    H_s = V diag(row_k) V†.  The orbits follow one another in one list cut into chunks of
+    ORBIT_CHUNK rows; term(rows, *entries) maps a chunk to its terms, each entry holding its
+    stack's row (one per Hamiltonian) for each row's Hamiltonian, or for a single Hamiltonian
+    that row whole, to broadcast.  TooManyLevels, before any orbit work, past BRUTE_FORCE_CAP.
+    """
     counts = [ham.level_count for ham in hams]
     if max(counts) > BRUTE_FORCE_CAP:
         raise TooManyLevels(f"{max(counts)} levels exceed brute-force cap {BRUTE_FORCE_CAP}")
-    chunks = [term(rows, owner) for rows, owner in _orbit_rows(hams)]
-    terms = (chunks[0] if len(chunks) == 1 else np.concatenate(chunks)).tolist()
-    ends = [0, *itertools.accumulate(math.factorial(m) for m in counts)]
-    return [math.fsum(terms[a:b]) / (b - a) for a, b in zip(ends, ends[1:])]
+    ends = [0, *itertools.accumulate(map(math.factorial, counts))]
+
+    def rows(i, a, b):              # rows a:b of orbit i
+        return hams[i].levels[_orbit_table(counts[i])[a:b, hams[i].level_of]]
+
+    if len(hams) == 1:              # one orbit: no owner rows, no copies of the operands
+        orbit, entries = rows(0, 0, ends[1]), [stack[0] for stack in stacks]
+        chunks = [term(orbit[k:k + ORBIT_CHUNK], *entries) for k in range(0, ends[1], ORBIT_CHUNK)]
+        return [chunks[0] if len(chunks) == 1 else np.concatenate(chunks)]
+    terms = None
+    for k in range(0, ends[-1], ORBIT_CHUNK):   # chunks of orbit pieces, never all rows at once
+        stop = min(k + ORBIT_CHUNK, ends[-1])
+        first, last = bisect.bisect_right(ends, k) - 1, bisect.bisect_left(ends, stop)
+        spans = [(i, max(k, ends[i]) - ends[i], min(stop, ends[i + 1]) - ends[i])
+                 for i in range(first, last)]
+        owner = np.arange(first, last).repeat([b - a for _, a, b in spans])
+        chunk = term(np.concatenate([rows(*span) for span in spans]),
+                     *(stack.take(owner, 0) for stack in stacks))
+        if terms is None:
+            terms = np.empty((ends[-1], *chunk.shape[1:]), chunk.dtype)
+        terms[k:stop] = chunk
+    return [terms[a:b] for a, b in zip(ends, ends[1:])]
+
+
+def _orbit_means(hams, term, *stacks) -> list[float]:
+    """Correctly rounded (``math.fsum``) mean of each Hamiltonian's ``_orbit_terms``."""
+    return [math.fsum(terms.tolist()) / len(terms)
+            for terms in _orbit_terms(hams, term, *stacks)]
 
 
 def _closed_forms(roots, hams, ts) -> list[tuple[float, float, float]]:
@@ -251,7 +292,7 @@ def avg_distance_closed(rho, ham: SpectralHamiltonian, t: float,
     coef, coh, closed = _closed_forms([state.root], [ham], [t])[0]
     if include_brute is None:
         include_brute = ham.level_count <= BRUTE_FORCE_CAP
-    brute = _bruteforce(state, ham, t) if include_brute else None
+    brute = _bruteforce(state, ham, [t])[0] if include_brute else None
     return AvgDistanceResult(t=float(t), brute_force=brute, closed_form=closed,
                              coefficient=coef, coherence=coh)
 

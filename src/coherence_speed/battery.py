@@ -333,7 +333,7 @@ def qudit_battery_bound(rho, h0, v, dt: float) -> tuple[float, float]:
                                 f"{ham_v.dim} and {len(rho)}")
     _require_finite("dt", dt)
 
-    def works(lam, owner):
+    def works(lam):
         w, vecs = np.linalg.eigh(h0 + _eigenbasis_operators(ham_v.eigenvectors, lam))  # h0 + V_s
         u = _eigenbasis_operators(vecs, np.exp(-1j * w * dt))
         return np.trace(h0 @ (rho - u @ rho @ dagger(u)), axis1=-2, axis2=-1).real

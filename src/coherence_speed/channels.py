@@ -30,7 +30,8 @@ frozen dataclass can make it otherwise.
 ``theorem3_bound`` and the gap analysis check their state once
 (``linalg._Density``); the channel outputs, the joint input and its
 evolution are built from checked values and are rooted without a
-further Hermiticity check.
+further Hermiticity check.  Its orbit average is one ``avgdist._orbit_terms``
+term, given the operands of the dilation that owns each orbit row.
 """
 
 from __future__ import annotations
@@ -60,7 +61,6 @@ from .linalg import (
     _ginibre,
     _haar_unitaries,
     _lazy,
-    _owned,
     _psd_sqrt_eig,
     _read_only,
     _rebuild,
@@ -321,22 +321,22 @@ def theorem3_bound(dilation: StinespringDilation, rho) -> tuple[float, float]:
 def _theorem3_bound(dilations, states) -> tuple[Callable[[], list[float]], list[float]]:
     """theorem3_bound of checked states on dilations of one shape: the ceilings, from one
     stacked joint root and ``_closed_forms``, and the orbit means as a later call
-    (TooManyLevels past the cap), every orbit member of every dilation in one list of
-    stacked chunks, a single dilation's operands broadcast (``_owned``)."""
+    (TooManyLevels past the cap), every orbit member of every dilation in one
+    ``avgdist._orbit_terms`` list of stacked chunks."""
     dims = (dilations[0].sys_dim, dilations[0].env_dim)
     joints = np.array([dil._joint(state.hermitian)
                        for dil, state in zip(dilations, states)])
     hams, durations = [dil.hamiltonian for dil in dilations], [dil.duration for dil in dilations]
     rhs = [form[2] for form in _closed_forms(_rebuild(*_psd_sqrt_eig(joints)), hams, durations)]
     vecs, roots = np.array([h.eigenvectors for h in hams]), np.array([s.root for s in states])
-    t = np.array(durations)[:, None]
 
-    def distances(lam, owner):
-        u = _eigenbasis_operators(_owned(vecs, owner), np.exp(-1j * lam * _owned(t, owner)))
-        out = _trace_second(u @ _owned(joints, owner) @ dagger(u), *dims)
-        return _hellinger(_owned(roots, owner), *_psd_sqrt_eig(hermitianize(out)))
+    def distances(lam, vecs, t, joint, root):
+        u = _eigenbasis_operators(vecs, np.exp(-1j * lam * t))
+        out = _trace_second(u @ joint @ dagger(u), *dims)
+        return _hellinger(root, *_psd_sqrt_eig(hermitianize(out)))
 
-    return lambda: _orbit_means(hams, distances), rhs
+    return lambda: _orbit_means(hams, distances, vecs, np.array(durations)[:, None], joints,
+                                roots), rhs
 
 
 @dataclass(frozen=True)

@@ -302,7 +302,7 @@ def _cmd_sweep(ns, config: dict) -> int:
     coef, coh, closed = _closed_forms([state.root], [ham], [times])[0]  # B(t) of the whole grid
     brute = gap = None
     if include_brute:
-        brute = np.array([_bruteforce(state, ham, t) for t in times.tolist()])
+        brute = np.array(_bruteforce(state, ham, times.tolist()))
         gap = np.abs(brute - closed)
     columns = {"t": times, "sbar_brute": brute, "sbar_closed": closed, "coefficient": coef,
                "c_half": coh, "gap": gap}

@@ -5,7 +5,7 @@ d <= 16, where exact eigendecompositions are cheap and dense storage is
 the right call.  Tensor products follow the convention that the first
 factor is the outer (slow) index: ``kron(A, B)`` acts on basis vectors
 ``|a> x |b>`` ordered as ``a * dim_B + b``.  Units are hbar = 1
-throughout the package.
+throughout the package.  Orbits of ``permute_levels`` are in ``avgdist``.
 
 Each numerical tolerance of the library is an absolute constant of this
 table, sized for d <= 16 in double precision; none is an argument.  The
@@ -29,10 +29,9 @@ verification checks declare their own.  Columns: value, bound, sites.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -666,48 +665,3 @@ class SpectralHamiltonian:
 def unitary_exp(ham: SpectralHamiltonian, t: float) -> np.ndarray:
     """Evolution operator exp(-i H t) from spectral data (hbar = 1)."""
     return _eigenbasis_operators(ham.eigenvectors, np.exp(-1j * ham.eigenvalues * t))
-
-
-# Orbit members per stacked evaluation (5!): every orbit of up to 5
-# levels is one chunk, and 8 levels at d = 16 hold chunks of 120 d x d
-# complex matrices (0.5 MB each) instead of one of 40320 (165 MB).  The
-# mixed-state oracle diagonalizes each chunk of evolved states in one
-# stacked eigh, which is most of its time at 6 and 7 levels; larger
-# chunks measured no faster there.
-ORBIT_CHUNK = 120
-
-
-@functools.lru_cache(maxsize=8)
-def _orbit_table(m_count: int) -> np.ndarray:
-    """Read-only (M!, M) table: row k is the inverse of the k-th assignment of
-    itertools.permutations(range(M)), i.e. the level on each block."""
-    perms = np.fromiter(itertools.chain.from_iterable(itertools.permutations(range(m_count))),
-                        dtype=np.intp, count=math.factorial(m_count) * m_count)
-    return _read_only(np.argsort(perms.reshape(-1, m_count), axis=1))
-
-
-def _owned(a: np.ndarray, owner: np.ndarray) -> np.ndarray:
-    """The entry of a stack a (one per Hamiltonian) that owns each orbit row; a stack of one
-    gives its one entry, to broadcast, with no copy."""
-    return a[0] if len(a) == 1 else a.take(owner, 0)
-
-
-def _orbit_rows(hams: Sequence[SpectralHamiltonian]) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """The orbits' level rows, as lexicographic chunks (rows, owner) of ORBIT_CHUNK rows.
-
-    The orbits of Hamiltonians of one dimension follow one another in one list, chunked as
-    one, owner the index of each row's Hamiltonian.  Row k of an orbit holds the level value
-    on each eigenvector column for the k-th assignment s of itertools.permutations(range(M)),
-    which puts level m on block s[m] as permute_levels does, so that H_s = V diag(row_k) V†
-    with V = ham.eigenvectors, and ``np.exp(-1j * rows * _owned(t, owner))``, t a column of
-    times, holds the phases of exp(-i H_s t).  The permutation table is built once per level
-    count.
-    """
-    orbits = [ham.levels[_orbit_table(ham.level_count)[:, ham.level_of]] for ham in hams]
-    if len(orbits) == 1:            # one orbit: no copy, and every row's owner is 0
-        rows, owner = orbits[0], np.zeros(len(orbits[0]), dtype=np.intp)
-    else:
-        rows = np.concatenate(orbits)
-        owner = np.arange(len(hams)).repeat([len(orbit) for orbit in orbits])
-    for start in range(0, len(rows), ORBIT_CHUNK):
-        yield rows[start:start + ORBIT_CHUNK], owner[start:start + ORBIT_CHUNK]

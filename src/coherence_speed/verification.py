@@ -59,6 +59,7 @@ import numpy as np
 from .avgdist import (
     _bruteforces,
     _closed_forms,
+    _orbit_terms,
     a_coefficient,
     avg_distance_closed,
     benchmark_overlap_check,
@@ -106,7 +107,6 @@ from .linalg import (
     _families,
     _ginibre,
     _haar_unitaries,
-    _orbit_rows,
     _psd_sqrt_eig,
     _rebuild,
     _trace_second,
@@ -435,20 +435,22 @@ def check_thm3_dpi(rngs, dims):
     """Per-permutation contraction: system distance <= dilated distance.
 
     Each orbit member's distances are ``hellinger``'s, bit for bit, from the roots of its two
-    outputs and the eigendata of its trial's rho and joint, taken once per trial."""
+    outputs and the eigendata of its trial's rho and joint, taken once per trial; a trial's
+    figure is the largest of its orbit terms."""
     _, dilations, rhos, joints = _qubit_env_cases(rngs)
-    hams, figures = [dil.hamiltonian for dil in dilations], np.full(len(rngs), -np.inf)
-    vecs, t = np.array([h.eigenvectors for h in hams]), np.array([x.duration for x in dilations])
-    (rho_roots, rho_vecs), (joint_roots, joint_vecs) = _psd_sqrt_eig(rhos), _psd_sqrt_eig(joints)
-    for lam, owner in _orbit_rows(hams):
-        u = _eigenbasis_operators(vecs[owner], np.exp(-1j * lam * t[owner, None]))
-        joint_s = u @ joints[owner] @ dagger(u)
-        sys_dist = _hellinger(_rebuild(*_psd_sqrt_eig(_trace_second(joint_s, 2, 2))),
-                              rho_roots[owner], rho_vecs[owner])
-        joint_dist = _hellinger(_rebuild(*_psd_sqrt_eig(joint_s)),
-                                joint_roots[owner], joint_vecs[owner])
-        np.maximum.at(figures, owner, sys_dist - joint_dist)
-    return figures.tolist()
+    shape, hams = (dilations[0].sys_dim, dilations[0].env_dim), [x.hamiltonian for x in dilations]
+
+    def excess(lam, vecs, t, joint, rho_root, rho_vecs, joint_root, joint_vecs):
+        u = _eigenbasis_operators(vecs, np.exp(-1j * lam * t))
+        joint_s = u @ joint @ dagger(u)
+        sys_dist = _hellinger(_rebuild(*_psd_sqrt_eig(_trace_second(joint_s, *shape))),
+                              rho_root, rho_vecs)
+        return sys_dist - _hellinger(_rebuild(*_psd_sqrt_eig(joint_s)), joint_root, joint_vecs)
+
+    return [float(np.max(terms)) for terms in _orbit_terms(
+        hams, excess, np.array([h.eigenvectors for h in hams]),
+        np.array([x.duration for x in dilations])[:, None], joints,
+        *_psd_sqrt_eig(rhos), *_psd_sqrt_eig(joints))]
 
 
 @_trials("thm3", "thm3-dilation-consistency", salt=33, trials=100, tol=1e-10, dims=2,
@@ -461,7 +463,8 @@ def check_thm3_dilation_consistency(rngs, dims):
     phases = np.exp(-1j * np.array([h.levels[h.level_of] for h in hams])
                     * np.array([dil.duration for dil in dilations])[:, None])
     u = _eigenbasis_operators(np.array([h.eigenvectors for h in hams]), phases)
-    via_dilation = hellinger(partial_trace(u @ joints @ dagger(u), (2, 2), over=1), rhos)
+    shape = (dilations[0].sys_dim, dilations[0].env_dim)
+    via_dilation = hellinger(partial_trace(u @ joints @ dagger(u), shape, over=1), rhos)
     return np.abs(direct - via_dilation).tolist()
 
 

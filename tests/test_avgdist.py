@@ -10,6 +10,7 @@ from scipy.linalg import expm, sqrtm
 
 from coherence_speed.avgdist import (
     BRUTE_FORCE_CAP,
+    ORBIT_CHUNK,
     a_coefficient,
     avg_distance_bruteforce,
     avg_distance_closed,
@@ -231,8 +232,8 @@ def test_qudit_battery_bound_equals_literal_permutation_loop():
 
 def test_every_orbit_oracle_respects_the_cap(monkeypatch):
     n = BRUTE_FORCE_CAP + 1
-    orbits = []
-    monkeypatch.setattr(avgdist, "_orbit_rows", lambda *a: orbits.append(a) or iter(()))
+    orbits = []         # every orbit the kernel builds starts from its permutation table
+    monkeypatch.setattr(avgdist, "_orbit_table", lambda *a: orbits.append(a) or None)
     ham = SpectralHamiltonian.from_spectrum(np.arange(n, dtype=float), random_unitary(n, 50))
     rho = random_density(n, rank=2, seed=50)
     with pytest.raises(TooManyLevels, match=f"{n} levels exceed brute-force cap"):
@@ -243,7 +244,7 @@ def test_every_orbit_oracle_respects_the_cap(monkeypatch):
     with pytest.raises(TooManyLevels, match=f"{n} levels exceed brute-force cap"):
         theorem3_bound(dilation, random_density(3, rank=2, seed=51))
     with pytest.raises(TooManyLevels, match=f"{n} levels exceed brute-force cap"):
-        avgdist._bruteforce_pure(haar_random_state(n, 50), ham, 0.7)
+        avgdist._bruteforce_pure(haar_random_state(n, 50), ham, [0.7])
     # a stack of states is refused when any one Hamiltonian in it is over the cap
     two_levels = SpectralHamiltonian.from_spectrum(np.r_[0.0, np.ones(n - 1)], random_unitary(n, 51))
     state = linalg._Density.of(rho)
@@ -251,6 +252,130 @@ def test_every_orbit_oracle_respects_the_cap(monkeypatch):
         with pytest.raises(TooManyLevels, match=f"{n} levels exceed brute-force cap"):
             avgdist._bruteforces([state, state], hams, [0.7, 1.1])
     assert orbits == []
+
+
+def _rows(lam):
+    """A term that returns its chunk of orbit rows as they came."""
+    return lam
+
+
+def test_orbit_levels_rebuild_every_permuted_hamiltonian():
+    rng = np.random.default_rng(11)
+    for m in range(1, 5):
+        for doubled in (False, True):
+            levels = np.sort(rng.uniform(0.0, 4.0, m)) + 0.1 * np.arange(m)
+            values = np.concatenate((levels, levels[-1:])) if doubled else levels
+            ham = SpectralHamiltonian.from_spectrum(values, random_unitary(len(values), rng))
+            assert ham.level_count == m
+            rows = avgdist._orbit_terms([ham], _rows)[0]
+            perms = list(itertools.permutations(range(m)))
+            assert rows.shape == (len(perms), ham.dim)
+            v = ham.eigenvectors
+            stacked = linalg._eigenbasis_operators(v, rows)
+            for k, s in enumerate(perms):
+                want = ham.permute_levels(s).matrix()
+                assert np.max(np.abs((v * rows[k]) @ v.conj().T - want)) < 1e-12
+                assert np.max(np.abs(stacked[k] - want)) < 1e-12
+
+
+def test_orbit_operators_chunk_in_lexicographic_order():
+    ham = SpectralHamiltonian.from_spectrum(np.arange(7, dtype=float))
+    chunks = []
+    avgdist._orbit_terms([ham], lambda lam: chunks.append(
+        linalg._eigenbasis_operators(ham.eigenvectors, lam)) or lam)
+    assert [len(c) for c in chunks] == [ORBIT_CHUNK] * (5040 // ORBIT_CHUNK)
+    diagonals = np.concatenate([np.diagonal(c, axis1=1, axis2=2).real for c in chunks])
+    inverse = [np.argsort(s) for s in itertools.permutations(range(7))]
+    assert np.array_equal(diagonals, np.asarray(inverse, dtype=float))
+
+
+def test_several_orbits_follow_one_another_in_one_chunked_list_bit_for_bit():
+    rng = np.random.default_rng(12)
+    # orbits of 120, 6 and 120 rows: the second chunk holds the second orbit and the
+    # start of the third; each row's entry of the stack arange(3) is its owner
+    hams = [SpectralHamiltonian.from_spectrum(rng.uniform(0.0, 4.0, 5), random_unitary(5, rng)),
+            SpectralHamiltonian.from_spectrum([0.0, 1.0, 1.0, 2.5, 2.5]),
+            SpectralHamiltonian.from_spectrum(np.arange(5.0))]
+    chunks = []
+    terms = avgdist._orbit_terms(hams, lambda lam, k: chunks.append((lam, k)) or lam,
+                                 np.arange(len(hams)))
+    assert [len(rows) for rows, _ in chunks] == [ORBIT_CHUNK, ORBIT_CHUNK, 6]
+    rows = np.concatenate([r for r, _ in chunks])
+    owner = np.concatenate([o for _, o in chunks])
+    assert all(len(o) == len(r) for r, o in chunks)
+    assert owner.tolist() == [0] * 120 + [1] * 6 + [2] * 120
+    for k, ham in enumerate(hams):
+        alone = avgdist._orbit_terms([ham], _rows)[0]
+        assert rows[owner == k].tobytes() == alone.tobytes() == terms[k].tobytes()
+
+
+def _fresh_orbit_table(m):
+    perms = np.array(list(itertools.permutations(range(m))), dtype=np.intp).reshape(-1, m)
+    return np.argsort(perms, axis=1)
+
+
+def test_the_cached_orbit_table_is_a_fresh_build_bit_for_bit_and_read_only():
+    for m in range(1, 9):
+        table = avgdist._orbit_table(m)
+        fresh = _fresh_orbit_table(m)
+        assert table.dtype == fresh.dtype and table.shape == fresh.shape
+        assert table.tobytes() == fresh.tobytes()
+        assert avgdist._orbit_table(m) is table
+        with pytest.raises(ValueError, match="read-only"):
+            table[0, 0] = 1
+    assert not any(index.flags.writeable for index in avgdist._upper_pairs(5))
+    ham = SpectralHamiltonian.from_spectrum(np.array([0.0, 1.0, 1.0, 2.5]))
+    rows = avgdist._orbit_terms([ham], _rows)[0]
+    rows[0, 0] = 9.0            # a copy, which leaves the cached table as it was
+    assert avgdist._orbit_table(3).tobytes() == _fresh_orbit_table(3).tobytes()
+
+
+def test_the_terms_of_many_orbits_equal_each_orbits_own_call_bit_for_bit():
+    # level counts 2-6 at d = 6 (degenerate below 6), each with its own basis and time;
+    # every U_s = V diag(phi_s) V†, stacked against each single call's broadcast operands
+    rng = np.random.default_rng(13)
+    hams = [SpectralHamiltonian.from_spectrum(np.repeat(_spread_spectrum(rng, m),
+                                                        [7 - m] + [1] * (m - 1)),
+                                              random_unitary(6, rng)) for m in range(2, 7)]
+    vecs = np.array([ham.eigenvectors for ham in hams])
+    t = rng.uniform(0.05, 8.0, (len(hams), 1))
+
+    def operators(lam, v, t):
+        return linalg._eigenbasis_operators(v, np.exp(-1j * lam * t))
+
+    terms = avgdist._orbit_terms(hams, operators, vecs, t)
+    assert [len(x) for x in terms] == [math.factorial(m) for m in range(2, 7)]
+    for k, ham in enumerate(hams):
+        alone = avgdist._orbit_terms([ham], operators, vecs[k:k + 1], t[k:k + 1])
+        assert terms[k].tobytes() == alone[0].tobytes()
+
+
+def _grid_cases(rng):
+    """(ham, times) at 2-6 levels, with and without a doubled level: below 5 levels each
+    chunk spans several times, at 5 and 6 the chunks align with them."""
+    for m in range(2, 7):
+        for extra in (0, 1):
+            values = _spread_spectrum(rng, m)
+            values = np.sort(np.r_[values, values[int(rng.integers(m))]]) if extra else values
+            ham = SpectralHamiltonian.from_spectrum(values, random_unitary(m + extra, rng))
+            count = {5: 3, 6: 2}.get(m, 25)
+            yield ham, np.r_[0.0, np.sort(rng.uniform(0.05, 8.0, count - 1))].tolist()
+
+
+def test_a_grid_of_times_gives_the_per_time_oracle_bit_for_bit():
+    rng = np.random.default_rng(14)
+    for ham, times in _grid_cases(rng):
+        d = ham.dim
+        for rank in (1, 2):         # a pure density and a rank-2 one: the mixed oracle
+            rho = random_density(d, rank=rank, seed=rng)
+            got = avgdist._bruteforce(linalg._Density.of(rho), ham, times)
+            assert [x.hex() for x in got] == [avg_distance_bruteforce(rho, ham, t).hex()
+                                              for t in times]
+        psi = haar_random_state(d, rng)     # a state that keeps its vector: the pure path
+        state = linalg._Density.of(pure_density(psi), psi)
+        got = avgdist._bruteforce(state, ham, times)
+        assert [x.hex() for x in got] == [avgdist._bruteforce(state, ham, [t])[0].hex()
+                                          for t in times]
 
 
 def test_eight_level_orbit_runs_in_chunks():
@@ -268,6 +393,16 @@ def test_eight_level_orbit_runs_in_chunks():
     assert peak < 32 * 2 ** 20
     closed = avg_distance_closed(rho, ham, 0.9, include_brute=False).closed_form
     assert abs(brute - closed) < 1e-9
+    # a grid of 6 times holds its terms (2 MB) but never all its orbit rows (17 MB) at once
+    psi = haar_random_state(9, 54)
+    state = linalg._Density.of(pure_density(psi), psi)
+    tracemalloc.start()
+    try:
+        grid = avgdist._bruteforce(state, ham, np.linspace(0.1, 1.2, 6).tolist())
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 12 * 2 ** 20 and len(grid) == 6
 
 
 def _counting_states(monkeypatch):
@@ -312,11 +447,13 @@ def _computational_basis_brute(rho, ham, t):
     """The orbit average as formulated before the eigenbasis oracle: U_s from
     the orbit's phase rows, sigma_s = U_s rho U_s†, matrix_sqrt_psd of each, one trace."""
     a = linalg.matrix_sqrt_psd(rho)
-    terms = []
-    for lam, _ in linalg._orbit_rows([ham]):
+
+    def terms(lam):
         u = linalg._eigenbasis_operators(ham.eigenvectors, np.exp(-1j * lam * t))
         b = linalg.matrix_sqrt_psd(u @ rho @ linalg.dagger(u))
-        terms.extend(2.0 * (1.0 - np.clip((a @ b).trace(axis1=-2, axis2=-1).real, 0.0, 1.0)))
+        return 2.0 * (1.0 - np.clip((a @ b).trace(axis1=-2, axis2=-1).real, 0.0, 1.0))
+
+    terms = avgdist._orbit_terms([ham], terms)[0].tolist()
     return math.fsum(terms) / len(terms)
 
 
@@ -336,7 +473,7 @@ def test_eigenbasis_oracle_equals_the_computational_basis_orbit():
     rng = np.random.default_rng(99)
     for rho, ham in _mixed_cases(rng):
         t = float(rng.uniform(0.05, 8.0))
-        assert abs(avgdist._bruteforce(linalg._Density.of(rho), ham, t)
+        assert abs(avgdist._bruteforce(linalg._Density.of(rho), ham, [t])[0]
                    - _computational_basis_brute(rho, ham, t)) < 1e-14
 
 
@@ -369,7 +506,7 @@ def test_avg_distance_closed_roots_rho_once(monkeypatch):
     assert states == [(4, 4)] and roots == [(4, 4)]
     monkeypatch.undo()
     state = linalg._Density.of(rho)
-    assert res.brute_force == avgdist._bruteforce(state, ham, 1.3)
+    assert res.brute_force == avgdist._bruteforce(state, ham, [1.3])[0]
     assert res.coherence == _parent_c_half(linalg.matrix_sqrt_psd(rho), ham.decomposition)
 
 
@@ -407,13 +544,13 @@ def test_pure_path_equals_the_literal_oracle_on_pure_states():
         rho = pure_density(psi)
         times = (1e-7, float(rng.uniform(0.05, 8.0))) if ham.level_count < 7 else (0.8,)
         for t in times:
-            assert abs(avgdist._bruteforce_pure(psi, ham, t)
+            assert abs(avgdist._bruteforce_pure(psi, ham, [t])[0]
                        - avg_distance_bruteforce(rho, ham, t)) < 1e-14
 
 
 def _parent_bruteforce_pure(psi, ham, t):
     """_bruteforce_pure as it was: every U_s psi a product of its own."""
-    def terms(lam, owner):
+    def terms(lam):
         phi = np.exp(-1j * lam * t)
         u = (ham.eigenvectors * phi[:, None, :]) @ linalg.dagger(ham.eigenvectors)
         return 2.0 * (1.0 - np.clip(np.abs((u @ psi) @ psi.conj()) ** 2, 0.0, 1.0))
@@ -427,8 +564,8 @@ def test_pure_path_forms_every_evolved_vector_in_one_product_bit_for_bit(monkeyp
     chunks = []
     orbit_means = avgdist._orbit_means
 
-    def recording(hams, term):
-        return orbit_means(hams, lambda *chunk: chunks.append(term(*chunk)) or chunks[-1])
+    def recording(hams, term, *stacks):
+        return orbit_means(hams, lambda *chunk: chunks.append(term(*chunk)) or chunks[-1], *stacks)
 
     monkeypatch.setattr(avgdist, "_orbit_means", recording)
     for d in range(2, 8):
@@ -440,7 +577,7 @@ def test_pure_path_forms_every_evolved_vector_in_one_product_bit_for_bit(monkeyp
             for psi in (haar_random_state(d, rng), np.full(d, 1.0 / np.sqrt(d), dtype=complex)):
                 t = float(rng.uniform(0.05, 8.0))
                 chunks.clear()
-                got = avgdist._bruteforce_pure(psi, ham, t)
+                got = avgdist._bruteforce_pure(psi, ham, [t])[0]
                 new = list(chunks)
                 chunks.clear()
                 assert got == _parent_bruteforce_pure(psi, ham, t)
@@ -461,7 +598,7 @@ def test_pure_path_takes_no_square_root(monkeypatch):
         monkeypatch.setattr(module, "matrix_sqrt_psd", counting(linalg.matrix_sqrt_psd),
                             raising=False)
     for psi, ham in cases[:8]:
-        avgdist._bruteforce_pure(psi, ham, 1.3)
+        avgdist._bruteforce_pure(psi, ham, [1.3])
     assert calls == []
     avg_distance_bruteforce(pure_density(cases[0][0]), cases[0][1], 1.3)
     assert calls                              # the literal oracle is what was counted

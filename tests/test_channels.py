@@ -398,7 +398,7 @@ def _theorem3_composition(dilation, rho):
     dims = (dilation.sys_dim, dilation.env_dim)
     ham, duration = dilation.hamiltonian, dilation.duration
 
-    def distances(lam, owner):
+    def distances(lam):
         u = linalg._eigenbasis_operators(ham.eigenvectors, np.exp(-1j * lam * duration))
         out = linalg.partial_trace(u @ joint @ linalg.dagger(u), dims, over=1)
         out = linalg.require_hermitian(linalg.hermitianize(out))

@@ -21,7 +21,6 @@ from coherence_speed.errors import (
     NotPSD,
 )
 from coherence_speed.linalg import (
-    ORBIT_CHUNK,
     TOL_DEGEN,
     TOL_PSD,
     TOL_STRUCT,
@@ -259,74 +258,6 @@ def test_random_density_rank_and_trace():
 def test_partial_trace_dimension_check():
     with pytest.raises(DimensionMismatch):
         partial_trace(np.eye(6) / 6.0, (4, 2), over=0)
-
-
-def test_orbit_levels_rebuild_every_permuted_hamiltonian():
-    rng = np.random.default_rng(11)
-    for m in range(1, 5):
-        for doubled in (False, True):
-            levels = np.sort(rng.uniform(0.0, 4.0, m)) + 0.1 * np.arange(m)
-            values = np.concatenate((levels, levels[-1:])) if doubled else levels
-            ham = SpectralHamiltonian.from_spectrum(values, random_unitary(len(values), rng))
-            assert ham.level_count == m
-            rows = np.concatenate([r for r, _ in linalg._orbit_rows([ham])])
-            perms = list(itertools.permutations(range(m)))
-            assert rows.shape == (len(perms), ham.dim)
-            v = ham.eigenvectors
-            stacked = linalg._eigenbasis_operators(v, rows)
-            for k, s in enumerate(perms):
-                want = ham.permute_levels(s).matrix()
-                assert np.max(np.abs((v * rows[k]) @ v.conj().T - want)) < 1e-12
-                assert np.max(np.abs(stacked[k] - want)) < 1e-12
-
-
-def test_orbit_operators_chunk_in_lexicographic_order():
-    ham = SpectralHamiltonian.from_spectrum(np.arange(7, dtype=float))
-    chunks = [linalg._eigenbasis_operators(ham.eigenvectors, rows)
-              for rows, _ in linalg._orbit_rows([ham])]
-    assert [len(c) for c in chunks] == [ORBIT_CHUNK] * (5040 // ORBIT_CHUNK)
-    diagonals = np.concatenate([np.diagonal(c, axis1=1, axis2=2).real for c in chunks])
-    inverse = [np.argsort(s) for s in itertools.permutations(range(7))]
-    assert np.array_equal(diagonals, np.asarray(inverse, dtype=float))
-
-
-def test_the_orbits_of_several_hamiltonians_follow_one_another_in_one_chunked_list():
-    rng = np.random.default_rng(12)
-    # orbits of 120, 6 and 120 rows: the second chunk holds the second orbit and the
-    # start of the third
-    hams = [SpectralHamiltonian.from_spectrum(rng.uniform(0.0, 4.0, 5), random_unitary(5, rng)),
-            SpectralHamiltonian.from_spectrum([0.0, 1.0, 1.0, 2.5, 2.5]),
-            SpectralHamiltonian.from_spectrum(np.arange(5.0))]
-    chunks = list(linalg._orbit_rows(hams))
-    assert [len(rows) for rows, _ in chunks] == [ORBIT_CHUNK, ORBIT_CHUNK, 6]
-    rows = np.concatenate([r for r, _ in chunks])
-    owner = np.concatenate([o for _, o in chunks])
-    assert all(len(o) == len(r) for r, o in chunks)
-    assert owner.tolist() == [0] * 120 + [1] * 6 + [2] * 120
-    for k, ham in enumerate(hams):
-        alone = np.concatenate([r for r, _ in linalg._orbit_rows([ham])])
-        assert rows[owner == k].tobytes() == alone.tobytes()
-
-
-def _fresh_orbit_table(m):
-    perms = np.array(list(itertools.permutations(range(m))), dtype=np.intp).reshape(-1, m)
-    return np.argsort(perms, axis=1)
-
-
-def test_the_cached_orbit_table_is_a_fresh_build_and_read_only():
-    for m in range(1, 9):
-        table = linalg._orbit_table(m)
-        fresh = _fresh_orbit_table(m)
-        assert table.dtype == fresh.dtype and table.shape == fresh.shape
-        assert table.tobytes() == fresh.tobytes()
-        assert linalg._orbit_table(m) is table
-        with pytest.raises(ValueError, match="read-only"):
-            table[0, 0] = 1
-    assert not any(index.flags.writeable for index in avgdist._upper_pairs(5))
-    ham = SpectralHamiltonian.from_spectrum(np.array([0.0, 1.0, 1.0, 2.5]))
-    rows, _ = next(linalg._orbit_rows([ham]))
-    rows[0, 0] = 9.0            # a copy, which leaves the cached table as it was
-    assert linalg._orbit_table(3).tobytes() == _fresh_orbit_table(3).tobytes()
 
 
 def test_matrix_sqrt_psd_stack_matches_each_matrix():

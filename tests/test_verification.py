@@ -10,7 +10,7 @@ import pytest
 import scipy.linalg
 
 import coherence_speed.verification as verification
-from coherence_speed.avgdist import avg_distance_closed
+from coherence_speed.avgdist import _orbit_terms, avg_distance_closed
 from coherence_speed.channels import (
     KrausChannel,
     StinespringDilation,
@@ -28,7 +28,6 @@ from coherence_speed.linalg import (
     SpectralHamiltonian,
     _Density,
     _eigenbasis_operators,
-    _orbit_rows,
     dagger,
     partial_trace,
     random_density,
@@ -365,14 +364,13 @@ def _one_dpi(i, rng):
     joint = dilation.joint_input(rho)
     dims = (dilation.sys_dim, dilation.env_dim)
     ham = dilation.hamiltonian
-    worst_s = -np.inf
-    for lam, _ in _orbit_rows([ham]):
+
+    def excess(lam):
         u = _eigenbasis_operators(ham.eigenvectors, np.exp(-1j * lam * dilation.duration))
         joint_s = u @ joint @ dagger(u)
-        sys_dist = hellinger(partial_trace(joint_s, dims, over=1), rho)
-        joint_dist = hellinger(joint_s, joint)
-        worst_s = max(worst_s, float(np.max(sys_dist - joint_dist)))
-    return worst_s
+        return hellinger(partial_trace(joint_s, dims, over=1), rho) - hellinger(joint_s, joint)
+
+    return float(np.max(_orbit_terms([ham], excess)[0]))
 
 
 def _one_dilation_consistency(i, rng):
