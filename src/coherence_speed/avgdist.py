@@ -20,10 +20,10 @@ respect to the eigenprojector decomposition:
 an independent oracle for the closed form.  It works in the eigenbasis
 V of H, where every U_s is the diagonal phase row
 phi_s = exp(-i lambda_s t) of the orbit.  ``_orbit_terms``, the one
-orbit kernel (capped at BRUTE_FORCE_CAP levels), lists the orbits of
-one or many Hamiltonians in chunks and hands each term its rows and the
-operands of each row's Hamiltonian; ``_orbit_means`` takes one
-correctly rounded ``math.fsum`` mean per Hamiltonian.  The kernel also
+orbit kernel (capped at BRUTE_FORCE_CAP levels), yields the terms of
+one or many orbits, each once its last chunk is done, handing a term its
+rows and their one owner's operands whole (else each row's owner's);
+``_orbit_means`` takes their ``math.fsum`` means.  The kernel also
 serves ``channels.theorem3_bound``, ``battery.qudit_battery_bound`` and
 ``thm3-dpi-per-permutation``, which build the full U_s from the same
 phase rows (``_eigenbasis_operators``).  The mixed-state kernel
@@ -66,6 +66,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -125,7 +126,7 @@ def _bruteforces(states, hams, ts) -> list[float]:
         phi = np.exp(-1j * lam * t)
         return _hellinger(q, *_psd_sqrt_eig(phi[:, :, None] * r * phi.conj()[:, None, :]))
 
-    return _orbit_means(hams, distances, np.array(ts, dtype=float)[:, None], r, q)
+    return _orbit_means(hams, distances, np.array(ts, dtype=complex)[:, None], r, q)
 
 
 def _bruteforce_pure(psi: np.ndarray, ham: SpectralHamiltonian, ts) -> list[float]:
@@ -137,7 +138,7 @@ def _bruteforce_pure(psi: np.ndarray, ham: SpectralHamiltonian, ts) -> list[floa
         u_psi = (u.reshape(-1, ham.dim) @ psi).reshape(phi.shape)     # every U_s psi, one product
         return 2.0 * (1.0 - np.clip(np.abs(u_psi @ psi.conj()) ** 2, 0.0, 1.0))
 
-    return _orbit_means([ham] * len(ts), terms, np.array(ts, dtype=float)[:, None])
+    return _orbit_means([ham] * len(ts), terms, np.array(ts, dtype=complex)[:, None])
 
 
 # Orbit members per stacked evaluation (5!): every orbit of up to 5 levels is one chunk, and
@@ -156,45 +157,45 @@ def _orbit_table(m_count: int) -> np.ndarray:
     return _read_only(np.argsort(perms.reshape(-1, m_count), axis=1))
 
 
-def _orbit_terms(hams, term, *stacks) -> list[np.ndarray]:
-    """The terms of every orbit member, one array per Hamiltonian (all of one dimension).
+def _orbit_terms(hams, term, *stacks) -> Iterator[np.ndarray]:
+    """Yield each Hamiltonian's orbit terms (all of one dimension) once its last chunk is done.
 
     Row k of an orbit holds the level on each eigenvector column for the k-th assignment s of
     itertools.permutations(range(M)), level m on block s[m] as permute_levels puts it, so that
     H_s = V diag(row_k) V†.  The orbits follow one another in one list cut into chunks of
-    ORBIT_CHUNK rows; term(rows, *entries) maps a chunk to its terms, each entry holding its
-    stack's row (one per Hamiltonian) for each row's Hamiltonian, or for a single Hamiltonian
-    that row whole, to broadcast.  TooManyLevels, before any orbit work, past BRUTE_FORCE_CAP.
+    ORBIT_CHUNK rows; term(rows, *entries) maps a chunk to its terms, each entry being its stack's
+    row (one per Hamiltonian) of a chunk's one owner, whole, to broadcast, or else the row of each
+    row's owner.  TooManyLevels at the first next(), before any orbit work, past BRUTE_FORCE_CAP.
     """
     counts = [ham.level_count for ham in hams]
     if max(counts) > BRUTE_FORCE_CAP:
         raise TooManyLevels(f"{max(counts)} levels exceed brute-force cap {BRUTE_FORCE_CAP}")
     ends = [0, *itertools.accumulate(map(math.factorial, counts))]
 
-    def rows(i, a, b):              # rows a:b of orbit i
-        return hams[i].levels[_orbit_table(counts[i])[a:b, hams[i].level_of]]
+    def rows(i, a, b):              # list positions a:b, all in orbit i
+        return hams[i].levels[_orbit_table(counts[i])[a - ends[i]:b - ends[i], hams[i].level_of]]
 
-    if len(hams) == 1:              # one orbit: no owner rows, no copies of the operands
-        orbit, entries = rows(0, 0, ends[1]), [stack[0] for stack in stacks]
-        chunks = [term(orbit[k:k + ORBIT_CHUNK], *entries) for k in range(0, ends[1], ORBIT_CHUNK)]
-        return [chunks[0] if len(chunks) == 1 else np.concatenate(chunks)]
-    terms = None
-    for k in range(0, ends[-1], ORBIT_CHUNK):   # chunks of orbit pieces, never all rows at once
+    pieces = []                     # the terms of the orbit in progress
+    for k in range(0, ends[-1], ORBIT_CHUNK):
         stop = min(k + ORBIT_CHUNK, ends[-1])
         first, last = bisect.bisect_right(ends, k) - 1, bisect.bisect_left(ends, stop)
-        spans = [(i, max(k, ends[i]) - ends[i], min(stop, ends[i + 1]) - ends[i])
-                 for i in range(first, last)]
-        owner = np.arange(first, last).repeat([b - a for _, a, b in spans])
-        chunk = term(np.concatenate([rows(*span) for span in spans]),
-                     *(stack.take(owner, 0) for stack in stacks))
-        if terms is None:
-            terms = np.empty((ends[-1], *chunk.shape[1:]), chunk.dtype)
-        terms[k:stop] = chunk
-    return [terms[a:b] for a, b in zip(ends, ends[1:])]
+        if last == first + 1:       # one owner: its operands whole, no owner rows
+            spans = [(first, k, stop)]
+            chunk = term(rows(first, k, stop), *[stack[first] for stack in stacks])
+        else:
+            spans = [(i, max(k, ends[i]), min(stop, ends[i + 1])) for i in range(first, last)]
+            owner = np.arange(first, last).repeat([b - a for _, a, b in spans])
+            chunk = term(np.concatenate([rows(*span) for span in spans]),
+                         *(stack.take(owner, 0) for stack in stacks))
+        for i, a, b in spans:
+            pieces.append(chunk[a - k:b - k])
+            if b == ends[i + 1]:
+                yield pieces[0] if len(pieces) == 1 else np.concatenate(pieces)
+                pieces = []
 
 
 def _orbit_means(hams, term, *stacks) -> list[float]:
-    """Correctly rounded (``math.fsum``) mean of each Hamiltonian's ``_orbit_terms``."""
+    """Correctly rounded (``math.fsum``) mean of each orbit's terms, one orbit held at a time."""
     return [math.fsum(terms.tolist()) / len(terms)
             for terms in _orbit_terms(hams, term, *stacks)]
 

@@ -31,7 +31,7 @@ frozen dataclass can make it otherwise.
 (``linalg._Density``); the channel outputs, the joint input and its
 evolution are built from checked values and are rooted without a
 further Hermiticity check.  Its orbit average is one ``avgdist._orbit_terms``
-term, given the operands of the dilation that owns each orbit row.
+term, given the operands of a chunk's one dilation whole, else each row's.
 """
 
 from __future__ import annotations
@@ -320,9 +320,8 @@ def theorem3_bound(dilation: StinespringDilation, rho) -> tuple[float, float]:
 
 def _theorem3_bound(dilations, states) -> tuple[Callable[[], list[float]], list[float]]:
     """theorem3_bound of checked states on dilations of one shape: the ceilings, from one
-    stacked joint root and ``_closed_forms``, and the orbit means as a later call
-    (TooManyLevels past the cap), every orbit member of every dilation in one
-    ``avgdist._orbit_terms`` list of stacked chunks."""
+    stacked joint root and ``_closed_forms``, and the orbit means (``avgdist._orbit_means``,
+    one orbit at a time) as a later call, TooManyLevels past the cap."""
     dims = (dilations[0].sys_dim, dilations[0].env_dim)
     joints = np.array([dil._joint(state.hermitian)
                        for dil, state in zip(dilations, states)])
@@ -335,8 +334,8 @@ def _theorem3_bound(dilations, states) -> tuple[Callable[[], list[float]], list[
         out = _trace_second(u @ joint @ dagger(u), *dims)
         return _hellinger(root, *_psd_sqrt_eig(hermitianize(out)))
 
-    return lambda: _orbit_means(hams, distances, vecs, np.array(durations)[:, None], joints,
-                                roots), rhs
+    return lambda: _orbit_means(hams, distances, vecs, np.array(durations, complex)[:, None],
+                                joints, roots), rhs
 
 
 @dataclass(frozen=True)

@@ -449,7 +449,7 @@ def check_thm3_dpi(rngs, dims):
 
     return [float(np.max(terms)) for terms in _orbit_terms(
         hams, excess, np.array([h.eigenvectors for h in hams]),
-        np.array([x.duration for x in dilations])[:, None], joints,
+        np.array([x.duration for x in dilations], complex)[:, None], joints,
         *_psd_sqrt_eig(rhos), *_psd_sqrt_eig(joints))]
 
 
@@ -461,7 +461,7 @@ def check_thm3_dilation_consistency(rngs, dims):
     direct = hellinger(np.array([_apply_kraus(c, rho) for c, rho in zip(channels, rhos)]), rhos)
     hams = [dil.hamiltonian for dil in dilations]
     phases = np.exp(-1j * np.array([h.levels[h.level_of] for h in hams])
-                    * np.array([dil.duration for dil in dilations])[:, None])
+                    * np.array([dil.duration for dil in dilations], complex)[:, None])
     u = _eigenbasis_operators(np.array([h.eigenvectors for h in hams]), phases)
     shape = (dilations[0].sys_dim, dilations[0].env_dim)
     via_dilation = hellinger(partial_trace(u @ joints @ dagger(u), shape, over=1), rhos)

@@ -251,6 +251,9 @@ def test_every_orbit_oracle_respects_the_cap(monkeypatch):
     for hams in ([two_levels, ham], [ham, two_levels]):
         with pytest.raises(TooManyLevels, match=f"{n} levels exceed brute-force cap"):
             avgdist._bruteforces([state, state], hams, [0.7, 1.1])
+    orbit = avgdist._orbit_terms([two_levels, ham], _rows)  # the check runs at the first next()
+    with pytest.raises(TooManyLevels, match=f"{n} levels exceed brute-force cap"):
+        next(orbit)
     assert orbits == []
 
 
@@ -267,7 +270,7 @@ def test_orbit_levels_rebuild_every_permuted_hamiltonian():
             values = np.concatenate((levels, levels[-1:])) if doubled else levels
             ham = SpectralHamiltonian.from_spectrum(values, random_unitary(len(values), rng))
             assert ham.level_count == m
-            rows = avgdist._orbit_terms([ham], _rows)[0]
+            rows = next(avgdist._orbit_terms([ham], _rows))
             perms = list(itertools.permutations(range(m)))
             assert rows.shape == (len(perms), ham.dim)
             v = ham.eigenvectors
@@ -281,8 +284,8 @@ def test_orbit_levels_rebuild_every_permuted_hamiltonian():
 def test_orbit_operators_chunk_in_lexicographic_order():
     ham = SpectralHamiltonian.from_spectrum(np.arange(7, dtype=float))
     chunks = []
-    avgdist._orbit_terms([ham], lambda lam: chunks.append(
-        linalg._eigenbasis_operators(ham.eigenvectors, lam)) or lam)
+    next(avgdist._orbit_terms([ham], lambda lam: chunks.append(
+        linalg._eigenbasis_operators(ham.eigenvectors, lam)) or lam))
     assert [len(c) for c in chunks] == [ORBIT_CHUNK] * (5040 // ORBIT_CHUNK)
     diagonals = np.concatenate([np.diagonal(c, axis1=1, axis2=2).real for c in chunks])
     inverse = [np.argsort(s) for s in itertools.permutations(range(7))]
@@ -291,22 +294,47 @@ def test_orbit_operators_chunk_in_lexicographic_order():
 
 def test_several_orbits_follow_one_another_in_one_chunked_list_bit_for_bit():
     rng = np.random.default_rng(12)
-    # orbits of 120, 6 and 120 rows: the second chunk holds the second orbit and the
-    # start of the third; each row's entry of the stack arange(3) is its owner
+    # orbits of 120, 6 and 120 rows: the first and last chunks have one owner each and get
+    # its entry of the stack arange(3) whole; only the second, which holds the second orbit
+    # and the start of the third, gets an entry per row, its owner
     hams = [SpectralHamiltonian.from_spectrum(rng.uniform(0.0, 4.0, 5), random_unitary(5, rng)),
             SpectralHamiltonian.from_spectrum([0.0, 1.0, 1.0, 2.5, 2.5]),
             SpectralHamiltonian.from_spectrum(np.arange(5.0))]
     chunks = []
-    terms = avgdist._orbit_terms(hams, lambda lam, k: chunks.append((lam, k)) or lam,
-                                 np.arange(len(hams)))
+    terms = list(avgdist._orbit_terms(hams, lambda lam, k: chunks.append((lam, k)) or lam,
+                                      np.arange(len(hams))))
     assert [len(rows) for rows, _ in chunks] == [ORBIT_CHUNK, ORBIT_CHUNK, 6]
+    assert [np.ndim(o) for _, o in chunks] == [0, 1, 0]
     rows = np.concatenate([r for r, _ in chunks])
-    owner = np.concatenate([o for _, o in chunks])
-    assert all(len(o) == len(r) for r, o in chunks)
+    owner = np.concatenate([np.broadcast_to(o, len(r)) for r, o in chunks])
     assert owner.tolist() == [0] * 120 + [1] * 6 + [2] * 120
     for k, ham in enumerate(hams):
-        alone = avgdist._orbit_terms([ham], _rows)[0]
+        alone = next(avgdist._orbit_terms([ham], _rows))
         assert rows[owner == k].tobytes() == alone.tobytes() == terms[k].tobytes()
+
+
+def test_each_orbit_leaves_the_kernel_once_its_last_chunk_is_done_bit_for_bit():
+    # three 6-level orbits of 720 rows, 6 chunks each: the first next() runs the first
+    # orbit's 6 chunks and no more, and each orbit's terms are its own call's
+    rng = np.random.default_rng(14)
+    hams = [SpectralHamiltonian.from_spectrum(_spread_spectrum(rng, 6), random_unitary(6, rng))
+            for _ in range(3)]
+    vecs = np.array([ham.eigenvectors for ham in hams])
+    t = rng.uniform(0.05, 8.0, (len(hams), 1)).astype(complex)
+    calls = []
+
+    def operators(lam, v, t):
+        calls.append(len(lam))
+        return linalg._eigenbasis_operators(v, np.exp(-1j * lam * t))
+
+    orbits = avgdist._orbit_terms(hams, operators, vecs, t)
+    terms = [next(orbits)]
+    assert calls == [ORBIT_CHUNK] * 6
+    terms += orbits
+    assert calls == [ORBIT_CHUNK] * 18
+    for k, ham in enumerate(hams):
+        alone = next(avgdist._orbit_terms([ham], operators, vecs[k:k + 1], t[k:k + 1]))
+        assert terms[k].tobytes() == alone.tobytes()
 
 
 def _fresh_orbit_table(m):
@@ -325,7 +353,7 @@ def test_the_cached_orbit_table_is_a_fresh_build_bit_for_bit_and_read_only():
             table[0, 0] = 1
     assert not any(index.flags.writeable for index in avgdist._upper_pairs(5))
     ham = SpectralHamiltonian.from_spectrum(np.array([0.0, 1.0, 1.0, 2.5]))
-    rows = avgdist._orbit_terms([ham], _rows)[0]
+    rows = next(avgdist._orbit_terms([ham], _rows))
     rows[0, 0] = 9.0            # a copy, which leaves the cached table as it was
     assert avgdist._orbit_table(3).tobytes() == _fresh_orbit_table(3).tobytes()
 
@@ -343,11 +371,11 @@ def test_the_terms_of_many_orbits_equal_each_orbits_own_call_bit_for_bit():
     def operators(lam, v, t):
         return linalg._eigenbasis_operators(v, np.exp(-1j * lam * t))
 
-    terms = avgdist._orbit_terms(hams, operators, vecs, t)
+    terms = list(avgdist._orbit_terms(hams, operators, vecs, t))
     assert [len(x) for x in terms] == [math.factorial(m) for m in range(2, 7)]
     for k, ham in enumerate(hams):
-        alone = avgdist._orbit_terms([ham], operators, vecs[k:k + 1], t[k:k + 1])
-        assert terms[k].tobytes() == alone[0].tobytes()
+        alone = next(avgdist._orbit_terms([ham], operators, vecs[k:k + 1], t[k:k + 1]))
+        assert terms[k].tobytes() == alone.tobytes()
 
 
 def _grid_cases(rng):
@@ -453,7 +481,7 @@ def _computational_basis_brute(rho, ham, t):
         b = linalg.matrix_sqrt_psd(u @ rho @ linalg.dagger(u))
         return 2.0 * (1.0 - np.clip((a @ b).trace(axis1=-2, axis2=-1).real, 0.0, 1.0))
 
-    terms = avgdist._orbit_terms([ham], terms)[0].tolist()
+    terms = next(avgdist._orbit_terms([ham], terms)).tolist()
     return math.fsum(terms) / len(terms)
 
 

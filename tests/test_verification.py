@@ -370,7 +370,7 @@ def _one_dpi(i, rng):
         joint_s = u @ joint @ dagger(u)
         return hellinger(partial_trace(joint_s, dims, over=1), rho) - hellinger(joint_s, joint)
 
-    return float(np.max(_orbit_terms([ham], excess)[0]))
+    return float(np.max(next(_orbit_terms([ham], excess))))
 
 
 def _one_dilation_consistency(i, rng):
