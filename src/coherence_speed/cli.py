@@ -126,8 +126,13 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_config(path: str) -> dict:
+def _validation_error() -> type:
+    # evaluated by an except clause only once an exception reaches it
     from jsonschema import ValidationError
+    return ValidationError
+
+
+def _load_config(path: str) -> dict:
     try:
         with open(path, encoding="utf-8") as fh:
             doc = parse_json(fh.read())
@@ -138,7 +143,7 @@ def _load_config(path: str) -> dict:
                          f"line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
     try:
         validate_document(doc, "config.schema.json")
-    except ValidationError as exc:
+    except _validation_error() as exc:
         raise UsageError(f"config {path}: {exc.json_path}: {exc.message}") from exc
     return doc
 
@@ -354,13 +359,12 @@ def _cmd_channel(ns, config: dict) -> int:
         label = "qutrit-equality"
     else:
         label = channel_spec["path"]
-        from jsonschema import ValidationError     # a channel file is the only document read
         try:
             channel = load_channel(label)
-        except ValidationError as exc:
-            raise UsageError(f"channel {label}: {exc.json_path}: {exc.message}") from exc
         except (OSError, json.JSONDecodeError, CoherenceSpeedError) as exc:
             raise UsageError(f"channel {label}: {exc}") from exc
+        except _validation_error() as exc:
+            raise UsageError(f"channel {label}: {exc.json_path}: {exc.message}") from exc
     rng = np.random.default_rng(seed)
     psi0 = _pure_state(section.get("state", "ground"), channel.dim, rng)
     dilation = dilate(channel, section.get("env_dim"))

@@ -715,10 +715,11 @@ def test_negative_seed_from_the_environment_is_a_usage_error(monkeypatch, capsys
         "error: COHERENCE_SPEED_SEED must be a nonnegative integer, got '-1'\n")
 
 
-def test_importing_the_command_line_leaves_scipy_unloaded():
-    # jsonschema is imported on the first document read, not with the package, and
-    # scipy never is: channel without a config and verify thm3 dilate, read no
-    # document, and load neither
+def test_importing_the_command_line_leaves_scipy_unloaded(tmp_path):
+    # scipy is never imported: channel without a config and verify thm3 dilate, read no
+    # document, and load neither; jsonschema is imported only for a document the
+    # package's own schema check does not accept, so valid config and channel files
+    # do not load it either
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     probe = ("import sys; from coherence_speed.cli import main; "
@@ -729,10 +730,28 @@ def test_importing_the_command_line_leaves_scipy_unloaded():
     def loaded(*argv):
         done = subprocess.run([sys.executable, "-c", probe, *argv], env=env, capture_output=True,
                               text=True, check=True)
-        return done.stderr.splitlines()[-1]
+        return done.stderr.splitlines()[-2:]
 
-    for argv in ([], ["channel"], ["verify", "thm3"]):
-        assert loaded(*argv) == "0 []", argv
+    def config(name, doc):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(doc))
+        return ["--config", str(path), "--out", str(tmp_path / f"{name}.out")]
+
+    from coherence_speed.channels import random_channel, save_channel
+    save_channel(random_channel(2, 2, 5), tmp_path / "kraus.json")
+    for argv in ([], ["channel"], ["verify", "thm3"],
+                 ["sweep", *config("sweep", {"sweep": {"spectrum": [0, 0.7, 1.9], "t_steps": 3}})],
+                 ["battery", *config("battery", {"battery": {"tau": 1.0, "dt": 0.05}})],
+                 ["qsl", *config("qsl", {"qsl": {"spectrum": [0, 1], "t_steps": 3}})],
+                 ["verify", *config("verify", {"verify": {"suite": "qsl", "trials": 1}})],
+                 ["channel", *config("channel", {"channel": {
+                     "channel": {"path": str(tmp_path / "kraus.json")}, "state": "plus"}})]):
+        assert loaded(*argv)[-1] == "0 []", argv
+    bad = config("bad", {"qsl": {"spectrum": [0.0, 1.0], "steps": 3}})
+    message, modules = loaded("qsl", *bad)
+    assert message == (f"error: config {bad[1]}: $.qsl: Additional properties are not allowed "
+                       "('steps' was unexpected)")
+    assert modules.startswith("2 ['jsonschema'"), modules
 
 
 def test_every_call_of_the_process_shares_one_parser():
