@@ -36,7 +36,6 @@ from .channels import (
     dilate,
     equality_gap_analysis,
     load_channel,
-    permuted_channel_apply,
     qutrit_equality_channel,
     random_channel,
     save_channel,

@@ -19,7 +19,8 @@ respect to the eigenprojector decomposition:
 ``avg_distance_bruteforce`` evaluates the sum literally and is kept as
 an independent oracle for the closed form.  It works in the eigenbasis
 V of H, where every U_s is the diagonal phase row
-phi_s = exp(-i lambda_s t) of the orbit.  ``_orbit_terms``, the one
+phi_s = exp(-i lambda_s t) of the orbit, from ``linalg._phases`` as every
+evolution phase of the package is.  ``_orbit_terms``, the one
 orbit kernel (capped at BRUTE_FORCE_CAP levels), yields the terms of
 one or many orbits, each once its last chunk is done, handing a term its
 rows and their one owner's operands whole (else each row's owner's);
@@ -78,6 +79,7 @@ from .linalg import (
     _Density,
     _eigenbasis_operators,
     _families,
+    _phases,
     _psd_sqrt_eig,
     _read_only,
     _require_finite,
@@ -123,7 +125,7 @@ def _bruteforces(states, hams, ts) -> list[float]:
                                  [state.root for state in states]]) @ v
 
     def distances(lam, t, r, q):      # each S_s = phi_s R phi_s† from its own eigh
-        phi = np.exp(-1j * lam * t)
+        phi = _phases(lam, t)
         return _hellinger(q, *_psd_sqrt_eig(phi[:, :, None] * r * phi.conj()[:, None, :]))
 
     return _orbit_means(hams, distances, np.array(ts, dtype=complex)[:, None], r, q)
@@ -133,7 +135,7 @@ def _bruteforce_pure(psi: np.ndarray, ham: SpectralHamiltonian, ts) -> list[floa
     """_bruteforce of |psi><psi| from the unit vector psi: mean of 2 (1 - |<psi|U_s|psi>|^2),
     each overlap taken with the full U_s and clipped into [0, 1], as affinity clips."""
     def terms(lam, t):
-        phi = np.exp(-1j * lam * t)
+        phi = _phases(lam, t)
         u = _eigenbasis_operators(ham.eigenvectors, phi)
         u_psi = (u.reshape(-1, ham.dim) @ psi).reshape(phi.shape)     # every U_s psi, one product
         return 2.0 * (1.0 - np.clip(np.abs(u_psi @ psi.conj()) ** 2, 0.0, 1.0))
@@ -313,7 +315,7 @@ def benchmark_overlap_check(eigenvalues, phases, t: float) -> tuple[float, float
         raise DimensionMismatch("one phase per eigenvalue required")
     lhs = a_coefficient(lam, t)
     amp0 = np.exp(1j * th) / np.sqrt(d)
-    ampt = amp0 * np.exp(-1j * lam * t)
+    ampt = amp0 * _phases(lam, t)
     overlap = abs(np.vdot(amp0, ampt)) ** 2
     rhs = d / (d - 1.0) * (overlap - 1.0 / d)
     return lhs, float(rhs)

@@ -57,6 +57,7 @@ from .linalg import (
     SpectralHamiltonian,
     _Density,
     _eigenbasis_operators,
+    _phases,
     _read_only,
     _require_finite,
     _trusted,
@@ -229,7 +230,7 @@ def _stacked_branch_work(psi: np.ndarray, epsilon: float, w: np.ndarray,
     Tr[|1><1| (rho - rho_next)] = |psi_1|^2 - |phi_1|^2.
     """
     a = np.einsum("kji,kj->ki", vecs.conj(), psi)
-    phi1 = np.einsum("kj,kj->k", vecs[:, 1, :], np.exp(-1j * w * dt) * a)
+    phi1 = np.einsum("kj,kj->k", vecs[:, 1, :], _phases(w, dt) * a)
     return epsilon * (np.abs(psi[:, 1]) ** 2 - np.abs(phi1) ** 2)
 
 
@@ -335,7 +336,7 @@ def qudit_battery_bound(rho, h0, v, dt: float) -> tuple[float, float]:
 
     def works(lam):
         w, vecs = np.linalg.eigh(h0 + _eigenbasis_operators(ham_v.eigenvectors, lam))  # h0 + V_s
-        u = _eigenbasis_operators(vecs, np.exp(-1j * w * dt))
+        u = _eigenbasis_operators(vecs, _phases(w, dt))
         return np.trace(h0 @ (rho - u @ rho @ dagger(u)), axis1=-2, axis2=-1).real
 
     avg = _orbit_means([ham_v], works)[0]

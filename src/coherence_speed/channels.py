@@ -40,7 +40,7 @@ import bisect
 import cmath
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
 
@@ -61,6 +61,7 @@ from .linalg import (
     _ginibre,
     _haar_unitaries,
     _lazy,
+    _phases,
     _psd_sqrt_eig,
     _read_only,
     _rebuild,
@@ -294,12 +295,6 @@ def _principal_log(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.array(levels), vecs
 
 
-def permuted_channel_apply(dilation: StinespringDilation, assignment, rho) -> np.ndarray:
-    """Channel obtained by permuting the dilation's level assignment."""
-    ham_s = dilation.hamiltonian.permute_levels(assignment)
-    return replace(dilation, hamiltonian=ham_s).apply(rho)
-
-
 def theorem3_bound(dilation: StinespringDilation, rho) -> tuple[float, float]:
     """Permutation-averaged channel distance and its closed-form ceiling.
 
@@ -330,7 +325,7 @@ def _theorem3_bound(dilations, states) -> tuple[Callable[[], list[float]], list[
     vecs, roots = np.array([h.eigenvectors for h in hams]), np.array([s.root for s in states])
 
     def distances(lam, vecs, t, joint, root):
-        u = _eigenbasis_operators(vecs, np.exp(-1j * lam * t))
+        u = _eigenbasis_operators(vecs, _phases(lam, t))
         out = _trace_second(u @ joint @ dagger(u), *dims)
         return _hellinger(root, *_psd_sqrt_eig(hermitianize(out)))
 

@@ -49,6 +49,7 @@ from .linalg import (
     TOL_ZERO,
     SpectralHamiltonian,
     _Density,
+    _phases,
     dagger,
     haar_random_state,
     pure_density,
@@ -410,7 +411,7 @@ def _cmd_qsl(ns, config: dict) -> int:
     # angle ignores; phases of w - w_0 keep their precision on a shifted spectrum.
     # Evolved in the checked eigenbasis, the rows are unit vectors and are not revalidated.
     v, w = ham.eigenvectors, ham.eigenvalues
-    phases = np.exp(-1j * np.multiply.outer(times, w - w[0]))
+    phases = _phases(w - w[0], times[:, None])
     angles, mean, stddev = _qsl_grid(psi0, ham, (phases * (dagger(v) @ psi0)) @ v.T)
     mt, ml = _limit_times(angles, mean, stddev)
     n = len(times)

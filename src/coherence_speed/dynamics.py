@@ -50,6 +50,7 @@ from .linalg import (
     SpectralHamiltonian,
     _cluster_levels,
     _eigenbasis_operators,
+    _phases,
     _read_only,
     _trusted,
     dagger,
@@ -258,7 +259,7 @@ def _propagate(psi0: np.ndarray, times: np.ndarray,
     if worst > _WARN_STEP:
         warnings.warn(f"half spectral width * dt = {worst:.3g} above {_WARN_STEP}; "
                       "grid may be coarse", stacklevel=3)
-    u = _eigenbasis_operators(v[:-1], np.exp(-1j * w[:-1] * dts[:, None]))
+    u = _eigenbasis_operators(v[:-1], _phases(w[:-1], dts[:, None]))
     states = np.empty((len(times), len(psi0)), dtype=complex)
     states[0] = psi0
     # row views taken once; ndarray.dot writes each step in place without a

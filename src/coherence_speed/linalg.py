@@ -395,21 +395,13 @@ def _block_stacks(columns: np.ndarray, sizes: np.ndarray) -> np.ndarray:
 
 def _families(hams: Sequence["SpectralHamiltonian"]) -> np.ndarray:
     """The decomposition projectors of Hamiltonians of one dimension and one level count, as
-    one (n, M, d, d) stack; those not built yet are built in one ``_block_stacks`` call and
-    kept, as the decomposition would keep them; one Hamiltonian's is its decomposition."""
+    one read-only (n, M, d, d) stack: one Hamiltonian's is its decomposition, and several are
+    built in one ``_block_stacks`` call, the bytes each decomposition holds, and not kept."""
     if len(hams) == 1:
         return hams[0].decomposition.projectors[None]
-    todo = [ham for ham in hams if "decomposition" not in ham.__dict__]
-    if todo:
-        stack = _block_stacks(np.concatenate([ham.eigenvectors for ham in todo], axis=1),
-                              np.concatenate([np.bincount(ham.level_of) for ham in todo]))
-        stack = stack.reshape(len(todo), -1, *stack.shape[1:])
-        stack.flags.writeable = False       # so each family, a view of it, is read-only too
-        for ham, family in zip(todo, stack):
-            ham.__dict__["decomposition"] = _trusted(OrthogonalDecomposition, family)
-        if len(todo) == len(hams):
-            return stack
-    return np.array([ham.decomposition.projectors for ham in hams])
+    stack = _block_stacks(np.concatenate([ham.eigenvectors for ham in hams], axis=1),
+                          np.concatenate([np.bincount(ham.level_of) for ham in hams]))
+    return _read_only(stack.reshape(len(hams), -1, *stack.shape[1:]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -662,6 +654,13 @@ class SpectralHamiltonian:
                             OrthogonalDecomposition, self.decomposition.projectors[list(s)]))
 
 
+def _phases(levels: np.ndarray, t) -> np.ndarray:
+    """The evolution phases exp(-i lambda t) of levels at t (broadcast), the one rule by which
+    the package forms them.  The operands keep this order: -1j * (levels * t) rounds the same
+    but flips the sign of some zero imaginary parts."""
+    return np.exp(-1j * levels * t)
+
+
 def unitary_exp(ham: SpectralHamiltonian, t: float) -> np.ndarray:
     """Evolution operator exp(-i H t) from spectral data (hbar = 1)."""
-    return _eigenbasis_operators(ham.eigenvectors, np.exp(-1j * ham.eigenvalues * t))
+    return _eigenbasis_operators(ham.eigenvectors, _phases(ham.eigenvalues, t))

@@ -107,6 +107,7 @@ from .linalg import (
     _families,
     _ginibre,
     _haar_unitaries,
+    _phases,
     _psd_sqrt_eig,
     _rebuild,
     _trace_second,
@@ -441,7 +442,7 @@ def check_thm3_dpi(rngs, dims):
     shape, hams = (dilations[0].sys_dim, dilations[0].env_dim), [x.hamiltonian for x in dilations]
 
     def excess(lam, vecs, t, joint, rho_root, rho_vecs, joint_root, joint_vecs):
-        u = _eigenbasis_operators(vecs, np.exp(-1j * lam * t))
+        u = _eigenbasis_operators(vecs, _phases(lam, t))
         joint_s = u @ joint @ dagger(u)
         sys_dist = _hellinger(_rebuild(*_psd_sqrt_eig(_trace_second(joint_s, *shape))),
                               rho_root, rho_vecs)
@@ -460,8 +461,8 @@ def check_thm3_dilation_consistency(rngs, dims):
     channels, dilations, rhos, joints = _qubit_env_cases(rngs)
     direct = hellinger(np.array([_apply_kraus(c, rho) for c, rho in zip(channels, rhos)]), rhos)
     hams = [dil.hamiltonian for dil in dilations]
-    phases = np.exp(-1j * np.array([h.levels[h.level_of] for h in hams])
-                    * np.array([dil.duration for dil in dilations], complex)[:, None])
+    phases = _phases(np.array([h.levels[h.level_of] for h in hams]),
+                     np.array([dil.duration for dil in dilations], complex)[:, None])
     u = _eigenbasis_operators(np.array([h.eigenvectors for h in hams]), phases)
     shape = (dilations[0].sys_dim, dilations[0].env_dim)
     via_dilation = hellinger(partial_trace(u @ joints @ dagger(u), shape, over=1), rhos)
@@ -720,7 +721,7 @@ def check_qubit_closed_form(i, rng, d):
     lam, gam = rng.uniform(-3.0, 3.0, 2)
     t = float(rng.uniform(0.0, 8.0))
     closed = qubit_closed_form(psi[0], psi[1], lam, gam, t)
-    psi_t = psi * np.exp(-1j * np.array([lam, gam]) * t)
+    psi_t = psi * _phases(np.array([lam, gam]), t)
     return abs(closed - hellinger(pure_density(psi), pure_density(psi_t)))
 
 
@@ -735,7 +736,7 @@ def check_orthogonality_time(i, rng, d):
     rho0 = pure_density(plus)
     ts = np.linspace(0.0, 1.5 * t_true, 301)
     dists = [hellinger(rho0, pure_density(
-        plus * np.exp(-1j * np.array([lam0, lam0 + gap]) * t))) for t in ts]
+        plus * _phases(np.array([lam0, lam0 + gap]), t))) for t in ts]
     t_hat = ts[int(np.argmax(dists))]
     return abs(t_hat - t_true) - (ts[1] - ts[0])
 

@@ -18,7 +18,6 @@ from coherence_speed.channels import (
     dilate,
     equality_gap_analysis,
     load_channel,
-    permuted_channel_apply,
     qutrit_equality_channel,
     random_channel,
     save_channel,
@@ -137,7 +136,7 @@ def test_identity_assignment_matches_plain_dilation():
     dil = dilate(chan)
     rho = random_density(2, rank=2, seed=rng)
     m = dil.hamiltonian.level_count
-    same = permuted_channel_apply(dil, list(range(m)), rho)
+    same = dataclasses.replace(dil, hamiltonian=dil.hamiltonian.permute_levels(range(m))).apply(rho)
     assert np.max(np.abs(same - dil.apply(rho))) < 1e-10
 
 

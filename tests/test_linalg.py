@@ -10,7 +10,17 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from coherence_speed import avgdist, battery, channels, coherence, dynamics, linalg, metrics
+from coherence_speed import (
+    avgdist,
+    battery,
+    channels,
+    cli,
+    coherence,
+    dynamics,
+    linalg,
+    metrics,
+    verification,
+)
 from coherence_speed.channels import dilate, qutrit_equality_channel, random_channel
 from coherence_speed.errors import (
     BadPermutation,
@@ -236,6 +246,63 @@ def test_unitary_exp_matches_expm():
         u = unitary_exp(ham, t)
         assert np.max(np.abs(u @ u.conj().T - np.eye(4))) < 1e-9
         assert np.max(np.abs(u - expm(-1j * t * ham.matrix()))) < 1e-8
+
+
+def test_phases_are_the_inline_expression_bit_for_bit():
+    # a 0.0 level, negative levels, t = 0.0, scalar times and the complex (n, 1) time
+    # columns (and (1,) rows) the orbit terms pass; -1j * (levels * t) would flip the sign
+    # of some zero imaginary parts
+    rng = np.random.default_rng(45)
+    levels = np.array([-2.5, -0.3, 0.0, 0.7, 1.9])
+    rows = np.concatenate([levels[None], rng.permutation(np.tile(levels, (6, 1)), axis=1)])
+    for lam, t in [(levels, 0.0), (levels, 0.7), (levels, -1.3), (levels[:1], 2.0),
+                   (rows, np.array([0.7], dtype=complex)),
+                   (rows, np.array([0.0, 0.7, 1.3, -0.2, 3.1, 8.0, 0.0], dtype=complex)[:, None]),
+                   (rows, rng.uniform(0.0, 9.0, (7, 1)))]:
+        assert linalg._phases(lam, t).tobytes() == np.exp(-1j * lam * t).tobytes()
+
+
+def test_every_evolution_phase_comes_from_the_one_phase_rule(monkeypatch, tmp_path):
+    calls = dict.fromkeys([linalg, avgdist, battery, channels, dynamics, verification, cli], 0)
+    phases_rule = linalg._phases
+
+    def counted(module):
+        def phases(levels, t):
+            calls[module] += 1
+            return phases_rule(levels, t)
+        return phases
+
+    for module in calls:
+        monkeypatch.setattr(module, "_phases", counted(module))
+    ham = SpectralHamiltonian.from_spectrum([0.0, 0.7, 1.9])
+    psi = np.array([0.6, 0.48j, -0.64])
+    path = dynamics.HamiltonianPath.constant(np.diag([0.0, 1.0]), 1.0, steps=8)
+    battery_config = battery.BatteryConfig.default(tau=0.5, dt=0.05)
+    cases = {
+        "unitary_exp": (linalg, lambda: unitary_exp(ham, 0.7)),
+        "avg_distance_bruteforce": (avgdist, lambda: avgdist.avg_distance_bruteforce(
+            random_density(3, 2, 1), ham, 0.7)),
+        "_bruteforce of a vector": (avgdist, lambda: avgdist._bruteforce(
+            linalg._Density.of(pure_density(psi), psi), ham, [0.7])),
+        "benchmark_overlap_check": (avgdist, lambda: avgdist.benchmark_overlap_check(
+            [0.0, 0.7, 1.9], [0.1, 0.2, 0.3], 0.7)),
+        "theorem3_bound": (channels, lambda: channels.theorem3_bound(
+            dilate(random_channel(2, 2, 0)), random_density(2, 2, 0))),
+        "evolve": (dynamics, lambda: dynamics.evolve([1.0, 0.0], path)),
+        "simulate_battery": (battery, lambda: battery.simulate_battery(battery_config,
+                                                                      [1.0, 0.0])),
+        "qudit_battery_bound": (battery, lambda: battery.qudit_battery_bound(
+            pure_density(psi), np.diag([0.0, 1.0, 2.5]), random_hermitian(3, 4), 0.3)),
+        "qsl report": (cli, lambda: cli.main(["qsl", "--out", str(tmp_path / "qsl.csv")])),
+        **{check: (verification, lambda check=check: getattr(verification, check)(
+            seed=0, trials=1)) for check in ("check_thm3_dpi", "check_thm3_dilation_consistency",
+                                              "check_qubit_closed_form",
+                                              "check_orthogonality_time")},
+    }
+    for name, (module, call) in cases.items():
+        before = calls[module]
+        call()
+        assert calls[module] > before, name
 
 
 def test_random_generators_seed_deterministic():
@@ -1026,7 +1093,6 @@ def _package_built():
     rng = np.random.default_rng(4)
     stacked = SpectralHamiltonian._build(np.sort(rng.normal(size=(2, 3)), axis=-1),
                                          linalg._haar_unitaries(linalg._ginibre(rng, (2, 3, 3))))
-    linalg._families(stacked)          # both decompositions in one batch fill
     built = {name: make() for name, make in _array_holders().items()}
     built.update({
         "SpectralHamiltonian.from_matrix": ham,

@@ -298,7 +298,8 @@ def test_the_families_of_several_hamiltonians_are_their_block_products_bit_for_b
                 values = np.repeat(np.cumsum(rng.uniform(0.1, 1.0, m)), mult)
                 hams.append(SpectralHamiltonian.from_spectrum(values, random_unitary(d, rng)))
             families = _families(hams)
-            assert families.shape == (5, m, d, d)
+            assert families.shape == (5, m, d, d) and not families.flags.writeable
+            assert not any("decomposition" in vars(ham) for ham in hams)  # none installed
             for ham, family in zip(hams, families):
                 cols = [np.flatnonzero(ham.level_of == k) for k in range(m)]
                 want = _loop_basis_projectors(ham.eigenvectors, cols)

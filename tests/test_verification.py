@@ -18,7 +18,6 @@ from coherence_speed.channels import (
     _theorem3_bound,
     apply_kraus,
     dilate,
-    permuted_channel_apply,
     random_channel,
     theorem3_bound,
 )
@@ -377,7 +376,9 @@ def _one_dilation_consistency(i, rng):
     channel, dilation, rho = _qubit_env_case(rng)
     direct = hellinger(apply_kraus(channel, rho), rho)
     identity = tuple(range(len(dilation.levels)))
-    via_dilation = hellinger(permuted_channel_apply(dilation, identity, rho), rho)
+    permuted = dataclasses.replace(dilation,
+                                   hamiltonian=dilation.hamiltonian.permute_levels(identity))
+    via_dilation = hellinger(permuted.apply(rho), rho)
     return abs(direct - via_dilation)
 
 

@@ -22,11 +22,20 @@ It records
   channel with the eigenvalue -1 (the -pi fold), and the outcome and
   dilated levels of the qutrit channel.
 
-Run it on two source trees back to back and diff the two files::
+Run it on two source trees back to back and compare the two files key by key::
 
     PYTHONPATH=old/src python tools/golden.py > old.json
     PYTHONPATH=src python tools/golden.py > new.json
-    diff old.json new.json
+    python tools/golden.py --compare old.json new.json --moves tools/golden_moves.txt
+
+The compare prints each moved key, one per line: ``suites/<suite seed
+...>/<check>``, ``reports/<name fmt>``, ``malformed/<name>`` or
+``theorem3/<name>``.  A key moves when its entry differs, when it exists
+on one side only, or, for a check, when its place in the suite's run
+changes.  The moves file lists the expected moves, one ``key<TAB>reason``
+line each; the compare exits 1 when a moved key is not listed or a listed
+key did not move, so with an empty file it fails on any change, as
+``diff`` does.
 
 Timestamps (the ``generated`` metadata line) and per-check times are
 dropped, and the scratch directory reads ``<tmp>``, so two runs of the
@@ -37,6 +46,7 @@ takes about 35 s on a 2-core host, most of it in the suites.
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import functools
 import io
@@ -455,7 +465,57 @@ def malformed(tmp: Path) -> dict:
     return out
 
 
-def main() -> int:
+def keyed(doc: dict) -> dict[str, str]:
+    """Each harness key of a golden document and its entry as canonical JSON text; a check's
+    entry holds its place in its suite's run, so a reorder moves it."""
+    out = {}
+    for group, entries in doc.items():
+        for name, value in entries.items():
+            if group == "suites":
+                pairs = [(f"{group}/{name}/{result['check']}", [place, result])
+                         for place, result in enumerate(value)]
+            else:
+                pairs = [(f"{group}/{name}", value)]
+            for key, entry in pairs:
+                if key in out:
+                    raise ValueError(f"harness key {key} appears twice")
+                out[key] = json.dumps(entry, sort_keys=True)
+    return out
+
+
+def compare(old: Path, new: Path, moves: Path) -> int:
+    """Print each moved key of two golden files, one per line; 1 when a moved key is not
+    listed in moves (one key<TAB>reason line per move) or a listed key did not move."""
+    before, after = (keyed(json.loads(path.read_text())) for path in (old, new))
+    moved = sorted(key for key in before.keys() | after.keys()
+                   if before.get(key) != after.get(key))
+    listed = set()
+    for line in filter(str.strip, moves.read_text().splitlines()):
+        key, tab, reason = line.partition("\t")
+        if not tab or not reason.strip():
+            print(f"{moves}: not a key<TAB>reason line: {line!r}", file=sys.stderr)
+            return 1
+        listed.add(key)
+    for key in moved:
+        print(key)
+    unlisted, unmoved = [key for key in moved if key not in listed], sorted(listed - set(moved))
+    for key in unlisted:
+        print(f"moved, not listed in {moves}: {key}", file=sys.stderr)
+    for key in unmoved:
+        print(f"listed in {moves}, did not move: {key}", file=sys.stderr)
+    return 1 if unlisted or unmoved else 0
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description="Write the golden harness JSON to stdout, "
+                                     "or compare two such files key by key.")
+    parser.add_argument("--compare", nargs=2, type=Path, metavar=("OLD", "NEW"))
+    parser.add_argument("--moves", type=Path, help="expected moves, one key<TAB>reason a line")
+    args = parser.parse_args(argv)
+    if args.compare:
+        if args.moves is None:
+            parser.error("--compare needs --moves")
+        return compare(*args.compare, args.moves)
     with tempfile.TemporaryDirectory() as scratch:
         tmp = Path(scratch)
         doc = {"reports": reports(tmp), "malformed": malformed(tmp), "suites": suites(),
