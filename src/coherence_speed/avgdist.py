@@ -77,6 +77,7 @@ from .linalg import (
     TOL_DEGEN,
     SpectralHamiltonian,
     _Density,
+    _array,
     _eigenbasis_operators,
     _families,
     _phases,
@@ -229,7 +230,7 @@ def a_coefficient(eigenvalues, t):
     requires pairwise-distinct eigenvalues.  An array of times gives an
     array of coefficients of the same shape.
     """
-    lam = np.sort(np.asarray(eigenvalues, dtype=float).reshape(-1))
+    lam = np.sort(_array(eigenvalues, float).reshape(-1))
     if len(lam) < 2:
         raise SingleLevel("need at least two eigenvalues")
     if np.min(np.diff(lam)) <= TOL_DEGEN:
@@ -243,7 +244,7 @@ def b_coefficient(levels, t):
 
     An array of times gives an array of coefficients of the same shape.
     """
-    lam = np.sort(np.asarray(levels, dtype=float).reshape(-1))
+    lam = np.sort(_array(levels, float).reshape(-1))
     if len(lam) < 2:
         raise SingleLevel("one distinct level: the averaged distance is identically 0")
     return _pair_cos_mean(lam, t)
@@ -308,8 +309,8 @@ def benchmark_overlap_check(eigenvalues, phases, t: float) -> tuple[float, float
     phases, rescaled as d/(d-1) * (|<phi_0|phi_t>|^2 - 1/d).  The result
     does not depend on the phases.
     """
-    lam = np.asarray(eigenvalues, dtype=float).reshape(-1)
-    th = np.asarray(phases, dtype=float).reshape(-1)
+    lam = _array(eigenvalues, float).reshape(-1)
+    th = _array(phases, float).reshape(-1)
     d = len(lam)
     if len(th) != d:
         raise DimensionMismatch("one phase per eigenvalue required")

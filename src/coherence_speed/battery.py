@@ -56,6 +56,7 @@ from .linalg import (
     TOL_ZERO,
     SpectralHamiltonian,
     _Density,
+    _array,
     _eigenbasis_operators,
     _phases,
     _read_only,
@@ -84,7 +85,7 @@ def spin_operator(axis) -> np.ndarray:
     A stack of axes (k, 3) gives the stack (k, 2, 2); every axis must
     be finite and unit length (InvalidState otherwise).
     """
-    n = np.asarray(axis, dtype=float)
+    n = _array(axis, float)
     if n.ndim not in (1, 2) or n.shape[-1] != 3:
         raise InvalidState("axis must be a 3-vector or a stack (k, 3) of them")
     nrm = np.linalg.norm(n, axis=-1)

@@ -56,6 +56,7 @@ from .linalg import (
     TOL_ZERO,
     SpectralHamiltonian,
     _Density,
+    _array,
     _eigenbasis_operators,
     _eye,
     _ginibre,
@@ -98,7 +99,7 @@ class KrausChannel:
             raise DimensionMismatch("Kraus operators must share one square shape") from exc
         if ops.ndim and not len(ops):
             raise IncompleteKraus("need at least one Kraus operator")
-        if ops.ndim != 3 or ops.shape[1] != ops.shape[2]:
+        if ops.ndim != 3 or ops.shape[1] != ops.shape[2] or not ops.size:
             raise DimensionMismatch("Kraus operators must share one square shape")
         # NaN fails no `> tol` residual test below, so reject it here
         if not np.logical_and.reduce(np.isfinite(ops), axis=None):
@@ -176,7 +177,7 @@ class StinespringDilation:
     def __post_init__(self) -> None:
         if self.hamiltonian.dim != self.sys_dim * self.env_dim:
             raise DimensionMismatch("Hamiltonian dimension is not sys_dim * env_dim")
-        env = np.array(self.env_state, dtype=complex).reshape(-1)
+        env = _array(self.env_state).reshape(-1).copy()
         if len(env) != self.env_dim:
             raise DimensionMismatch("environment state dimension mismatch")
         # NaN fails no `> tol` test below, so reject it here

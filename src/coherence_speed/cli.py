@@ -190,12 +190,22 @@ def _state_label(spec) -> str:
     return spec if isinstance(spec, str) else json.dumps(spec, sort_keys=True)
 
 
-def _pure_state(spec, dim: int, rng) -> np.ndarray:
-    """Resolve a config state description to a normalized vector."""
+def _pure_state(spec, dim: int, rng, ham: SpectralHamiltonian | None = None) -> np.ndarray:
+    """Resolve a config state description to a normalized vector.
+
+    'maximally-coherent' weights the level blocks of ham equally, which for a
+    nondegenerate spectrum is the uniform superposition; a command with no
+    Hamiltonian gets the uniform superposition.
+    """
     if spec == "ground":
         vec = np.zeros(dim, dtype=complex)
         vec[0] = 1.0
         return vec
+    if spec == "maximally-coherent" and ham is not None:
+        # the first eigenvector column of each level block, equally weighted
+        first = np.flatnonzero(np.diff(ham.level_of, prepend=-1))
+        vec = (ham.eigenvectors[:, first] / np.sqrt(ham.level_count)).sum(axis=1)
+        return validate_state_vector(vec / np.linalg.norm(vec))
     if spec in ("plus", "maximally-coherent"):
         return np.full(dim, 1.0 / np.sqrt(dim), dtype=complex)
     if isinstance(spec, dict) and "amplitudes" in spec:
@@ -216,24 +226,13 @@ def _pure_state(spec, dim: int, rng) -> np.ndarray:
 
 
 def _state(spec, ham: SpectralHamiltonian, rng) -> _Density:
-    """Resolve a config state description to a checked state, with psi unless a density_rank draw.
-
-    'maximally-coherent' weights the Hamiltonian's level blocks equally,
-    which for a nondegenerate spectrum reduces to the uniform
-    superposition.
-    """
-    if spec == "maximally-coherent":
-        # the first eigenvector column of each level block, equally weighted
-        first = np.flatnonzero(np.diff(ham.level_of, prepend=-1))
-        vec = (ham.eigenvectors[:, first] / np.sqrt(ham.level_count)).sum(axis=1)
-        psi = validate_state_vector(vec / np.linalg.norm(vec))
-    elif isinstance(spec, dict) and "density_rank" in spec:
+    """Resolve a config state description to a checked state, with psi unless a density_rank draw."""
+    if isinstance(spec, dict) and "density_rank" in spec:
         rank = int(spec["density_rank"])
         if not 1 <= rank <= ham.dim:
             raise UsageError(f"density_rank must be in 1..{ham.dim}")
         return _Density.of(random_density(ham.dim, rank=rank, seed=rng))
-    else:
-        psi = _pure_state(spec, ham.dim, rng)
+    psi = _pure_state(spec, ham.dim, rng, ham)
     return _Density.of(pure_density(psi), psi)
 
 
@@ -404,7 +403,7 @@ def _cmd_qsl(ns, config: dict) -> int:
     spectrum = np.asarray(section.get("spectrum", [0.0, 1.0]), dtype=float)
     ham = SpectralHamiltonian.from_spectrum(spectrum)
     rng = np.random.default_rng(seed)
-    psi0 = _pure_state(section.get("state", "plus"), ham.dim, rng)
+    psi0 = _pure_state(section.get("state", "plus"), ham.dim, rng, ham)
     times = np.linspace(float(section.get("t_start", 0.0)), float(section.get("t_stop", np.pi)),
                         int(section.get("t_steps", 101)))
     # exp(-i H t) psi0 but for the global phase exp(-i w_0 t), which the Bures

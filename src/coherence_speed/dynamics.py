@@ -48,6 +48,7 @@ from .linalg import (
     TOL_DRIFT,
     TOL_NORM,
     SpectralHamiltonian,
+    _array,
     _cluster_levels,
     _eigenbasis_operators,
     _phases,
@@ -76,7 +77,7 @@ def _half_width(h: np.ndarray) -> float:
 
 def _finite_times(times) -> np.ndarray:
     """A float copy of times; ValueError unless every entry is finite."""
-    times = np.array(times, dtype=float)
+    times = _array(times, float).copy()
     if not np.isfinite(times).all():
         raise ValueError("grid times are not all finite")
     return times
@@ -154,8 +155,9 @@ class HamiltonianPath:
         The spectral width is convex in H, so the larger endpoint half
         width bounds it along the whole path.
         """
-        if np.shape(h0) != np.shape(h1):
-            raise DimensionMismatch(f"endpoint shapes {np.shape(h0)} and {np.shape(h1)} differ")
+        h0, h1 = _array(h0), _array(h1)
+        if h0.shape != h1.shape:
+            raise DimensionMismatch(f"endpoint shapes {h0.shape} and {h1.shape} differ")
         ends = hermitianize(require_hermitian([h0, h1]))
         times = cls._grid(t_final, steps, ends)
         return _trusted(cls, times, _linear_samples(ends, t_final, times))
@@ -183,7 +185,7 @@ class Trajectory:
 
 def gap_squared_matrix(levels) -> np.ndarray:
     """Squared gaps (lambda_p - lambda_q)^2 of levels (..., M): a zero-diagonal (M, M) per row."""
-    lam = np.asarray(levels, dtype=float)
+    lam = _array(levels, float)
     d = lam[..., :, None] - lam[..., None, :]
     return d * d
 

@@ -41,10 +41,6 @@ class TooManyLevels(CoherenceSpeedError):
     """Distinct level count exceeds the brute-force permutation cap."""
 
 
-class DegenerateInput(CoherenceSpeedError):
-    """All block weights vanish; no normalizable block state exists."""
-
-
 class TooManyKraus(CoherenceSpeedError):
     """More Kraus operators than the environment dimension can absorb."""
 

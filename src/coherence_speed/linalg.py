@@ -84,9 +84,18 @@ def _hermitian_residual(a: np.ndarray) -> float:
             if np.logical_and.reduce(np.isfinite(a), axis=None) else math.inf)
 
 
+def _array(a, dtype=complex) -> np.ndarray:
+    """np.asarray(a, dtype), with DimensionMismatch where numpy refuses a ragged nesting."""
+    try:
+        return np.asarray(a, dtype=dtype)
+    except ValueError as exc:       # numpy: "setting an array element with a sequence"
+        raise DimensionMismatch("entries are not nested to one shape") from exc
+
+
 def _square(a, *, stack: bool = False) -> np.ndarray:
-    """a as complex128; a square matrix, or with stack=True also a stack (..., d, d); not empty."""
-    a = np.asarray(a, dtype=complex)
+    """a as complex128 (``_array``); a square matrix, or with stack=True also a stack
+    (..., d, d); not empty."""
+    a = _array(a)
     if a.ndim < 2 or (a.ndim > 2 and not stack) or a.shape[-2] != a.shape[-1] or not a.size:
         raise DimensionMismatch(f"expected a square matrix, got shape {a.shape}")
     return a
@@ -299,7 +308,7 @@ def _require_finite(name: str, value) -> None:
 
 def validate_state_vector(psi) -> np.ndarray:
     """Check finite entries and unit norm; return the vector as complex128."""
-    psi = np.asarray(psi, dtype=complex).reshape(-1)
+    psi = _array(psi).reshape(-1)
     x = psi.ravel(order="K")        # np.linalg.norm(psi), by its own formula
     nrm = math.sqrt(x.real.dot(x.real) + x.imag.dot(x.imag))
     if math.isnan(nrm):             # a NaN entry; NaN fails the `>` test below
@@ -481,10 +490,9 @@ class OrthogonalDecomposition:
     @classmethod
     def from_basis(cls, vectors: np.ndarray,
                    groups: Sequence[Sequence[int]] | None = None) -> "OrthogonalDecomposition":
-        """Build projectors from orthonormal columns, optionally grouped into blocks."""
-        v = np.asarray(vectors, dtype=complex)
-        if not v.size:          # no column makes no projector: rejected as zero-size input
-            raise DimensionMismatch(f"expected a square matrix, got shape {v.shape}")
+        """Build projectors from the orthonormal columns of a square matrix (DimensionMismatch
+        for any other shape or zero size), optionally grouped into blocks."""
+        v = _square(vectors)
         groups = np.arange(v.shape[1])[:, None] if groups is None else groups
         columns = np.concatenate([g for g in groups if len(g)] or [np.empty(0, dtype=int)])
         return cls(_block_stacks(v[:, columns], np.array([len(g) for g in groups], dtype=int)))
@@ -586,7 +594,7 @@ class SpectralHamiltonian:
         to TOL_STRUCT.  Eigenvalues are sorted ascending with the basis
         columns carried along.
         """
-        w = np.asarray(eigenvalues, dtype=float).reshape(-1)
+        w = _array(eigenvalues, float).reshape(-1)
         if not len(w):
             raise DimensionMismatch("expected at least one eigenvalue, got none")
         if not np.logical_and.reduce(np.isfinite(w), axis=None):
@@ -595,7 +603,7 @@ class SpectralHamiltonian:
         if basis is None:
             v = _eye(d, complex)
         else:
-            v = np.asarray(basis, dtype=complex)
+            v = _array(basis)
             if v.shape != (d, d):
                 raise DimensionMismatch("basis shape does not match eigenvalue count")
             if not np.logical_and.reduce(np.isfinite(v), axis=None):

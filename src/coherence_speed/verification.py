@@ -222,10 +222,9 @@ def _trials(suite: str, name: str, *, salt: int, trials: int, tol: float,
     return declare
 
 
-def _spectrum(rng, m: int, *, lo: float = 0.0, hi: float = 4.0,
-              min_gap: float = 1e-3) -> np.ndarray:
+def _spectrum(rng, m: int, *, min_gap: float = 1e-3) -> np.ndarray:
     while True:
-        vals = np.sort(rng.uniform(lo, hi, m))
+        vals = np.sort(rng.uniform(0.0, 4.0, m))
         if m == 1 or float(np.min(np.diff(vals))) >= min_gap:
             return vals
 
@@ -234,18 +233,17 @@ def _nondegenerate_ham(rng, d: int) -> SpectralHamiltonian:
     return SpectralHamiltonian.from_spectrum(_spectrum(rng, d), random_unitary(d, rng))
 
 
-def _random_groups(rng, d: int, m: int | None = None) -> list[list[int]]:
-    """Partition of range(d) into m nonempty contiguous index groups, shuffled."""
-    if m is None:
-        m = int(rng.integers(2, d + 1)) if d > 2 else 2
+def _random_groups(rng, d: int) -> list[list[int]]:
+    """Partition of range(d) into m nonempty contiguous index groups, shuffled, m drawn in 2..d."""
+    m = int(rng.integers(2, d + 1)) if d > 2 else 2
     idx = rng.permutation(d)
     cuts = np.sort(rng.choice(np.arange(1, d), size=m - 1, replace=False))
     return [list(g) for g in np.split(idx, cuts)]
 
 
-def _random_decomposition(rng, d: int, m: int | None = None):
+def _random_decomposition(rng, d: int):
     basis = random_unitary(d, rng)
-    groups = _random_groups(rng, d, m)
+    groups = _random_groups(rng, d)
     return basis, groups, OrthogonalDecomposition.from_basis(basis, groups)
 
 

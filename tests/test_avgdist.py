@@ -27,7 +27,7 @@ from coherence_speed.channels import (
     theorem3_bound,
 )
 from coherence_speed.coherence import c_half, closest_incoherent
-from coherence_speed.errors import DimensionMismatch, SingleLevel, TooManyLevels
+from coherence_speed.errors import SingleLevel, TooManyLevels
 from coherence_speed import avgdist, coherence, linalg, metrics
 from coherence_speed.linalg import (
     SpectralHamiltonian,
@@ -84,11 +84,6 @@ def test_coefficients_qubit_reduce_to_cosine():
     for t in np.linspace(0.0, 7.0, 15):
         assert abs(a_coefficient(np.array([0.0, 1.0]), t) - np.cos(t)) < 1e-12
         assert abs(b_coefficient(np.array([0.0, 1.0]), t) - np.cos(t)) < 1e-12
-
-
-def test_a_coefficient_rejects_degenerate_input():
-    with pytest.raises(Exception):
-        a_coefficient(np.array([1.0, 1.0, 2.0]), 0.5)
 
 
 def test_benchmark_overlap_identity_phase_free():
@@ -657,14 +652,6 @@ def test_near_hermitian_states_pass_the_mixed_oracle():
     assert worst <= 1e-12
 
 
-@pytest.mark.parametrize("t", [float("nan"), float("inf"), -float("inf")])
-@pytest.mark.parametrize("entry", [avg_distance_closed, avg_distance_bruteforce])
-def test_a_non_finite_time_is_rejected_where_it_enters(entry, t):
-    ham = SpectralHamiltonian.from_spectrum([0.0, 0.7, 1.9])
-    with pytest.raises(ValueError, match=f"t must be finite, got {t!r}"):
-        entry(random_density(3, 2, 7), ham, t)
-
-
 def _stacked_cases(rng, d):
     """(rho, ham, t) at dimension d: level counts 2..min(d, 6), degenerate below d, ranks
     1..d in turn, and every third rho Hermitian only to within 0.9 TOL_HERM."""
@@ -772,15 +759,3 @@ def test_a_closed_form_over_a_time_grid_is_the_parents_bit_for_bit():
         for x, y in zip(got, _parent_closed_form(root, ham, times)):
             assert np.shape(x) == np.shape(y)
             assert np.asarray(x).tobytes() == np.asarray(y).tobytes()
-
-
-@pytest.mark.parametrize("rank", [1, 2])
-def test_both_entries_refuse_a_state_of_another_dimension(rank):
-    # a rank-2 and a pure 3 x 3 density on a 4-level Hamiltonian: the package's error,
-    # not numpy's matmul ValueError
-    ham = SpectralHamiltonian.from_spectrum([0.0, 0.7, 1.9, 2.6], random_unitary(4, 103))
-    rho = random_density(3, rank=rank, seed=103)
-    for entry in (avg_distance_bruteforce, avg_distance_closed):
-        with pytest.raises(DimensionMismatch,
-                           match="^state dimension does not match decomposition$"):
-            entry(rho, ham, 0.7)

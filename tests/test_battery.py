@@ -23,7 +23,7 @@ from coherence_speed.battery import (
     work_bound,
 )
 from coherence_speed.dynamics import HamiltonianPath, evolve
-from coherence_speed.errors import DimensionMismatch, InvalidState, NotHermitian, WindowTooWide
+from coherence_speed.errors import InvalidState, WindowTooWide
 from coherence_speed.linalg import (
     haar_random_state,
     pure_density,
@@ -109,19 +109,6 @@ def test_rotating_axis_run_respects_the_ceiling():
     assert np.all(np.abs(run.avg_work) <= run.bound + 1e-9)
 
 
-def test_pulse_must_vanish_at_the_edges():
-    bad = BatteryConfig(epsilon=1.0, tau=1.0, dt=1e-3,
-                        pulse=lambda t: 0.3,
-                        drive_axis=constant_axis((1.0, 0.0, 0.0)))
-    with pytest.raises(InvalidState):
-        simulate_battery(bad, GROUND)
-
-
-def test_qubit_only():
-    with pytest.raises(InvalidState):
-        simulate_battery(BatteryConfig.default(), haar_random_state(3, 0))
-
-
 def test_work_bound_formula_and_window():
     rng = np.random.default_rng(72)
     v = spin_operator((1.0, 0.0, 0.0))
@@ -177,22 +164,6 @@ def test_qudit_bound_holds_and_vanishes_for_incoherent_states():
         diag = w @ np.diag(rng.dirichlet(np.ones(d))) @ w.conj().T
         avg0, _ = qudit_battery_bound(diag, h0, v, 1e-3)
         assert abs(avg0) < 1e-10
-
-
-def test_qudit_bound_rejects_a_non_hermitian_storage_hamiltonian():
-    # the 0.5 off-diagonal defect used to be averaged away by hermitianizing
-    h0 = np.array([[0.0, 0.5], [0.0, 1.0]], dtype=complex)
-    with pytest.raises(NotHermitian):
-        qudit_battery_bound(pure_density(PLUS), h0, spin_operator([1.0, 0.0, 0.0]), 1e-2)
-
-
-@pytest.mark.parametrize("h0_dim, v_dim, rho_dim", [(2, 3, 3), (3, 2, 2), (2, 2, 3)])
-def test_qudit_bound_rejects_mismatched_dimensions(h0_dim, v_dim, rho_dim):
-    h0 = np.diag(np.arange(h0_dim, dtype=float))
-    v = np.diag(np.linspace(-1.0, 1.0, v_dim))
-    rho = np.eye(rho_dim) / rho_dim
-    with pytest.raises(DimensionMismatch, match="h0, v and rho have dimensions"):
-        qudit_battery_bound(rho, h0, v, 1e-2)
 
 
 def test_battery_rows_match_the_single_step_oracles():
@@ -258,21 +229,6 @@ def test_battery_run_is_read_only_columns():
             column[0] = 1.0
     with pytest.raises(dataclasses.FrozenInstanceError):
         run.avg_work = np.zeros(21)
-
-
-@pytest.mark.parametrize("tau, dt, message", [
-    (np.inf, 1e-3, "tau must be finite and positive, got inf"),
-    (np.nan, 1e-3, "tau must be finite and positive, got nan"),
-    (-1.0, 1e-3, "tau must be finite and positive, got -1.0"),
-    (1.0, np.nan, "dt must be finite and positive, got nan"),
-    (1.0, np.inf, "dt must be finite and positive, got inf"),
-    (1.0, 0.0, "dt must be finite and positive, got 0.0"),
-    (1.0, -1e-3, "dt must be finite and positive, got -0.001")],
-    ids=["inf-tau", "nan-tau", "negative-tau", "nan-dt", "inf-dt", "zero-dt", "negative-dt"])
-def test_a_grid_that_is_not_finite_and_positive_is_rejected(tau, dt, message):
-    with pytest.raises(ValueError) as info:
-        simulate_battery(BatteryConfig.default(tau=tau, dt=dt), GROUND)
-    assert str(info.value) == message
 
 
 @pytest.mark.parametrize("tau", [1.0, 2.5, 0.7])
@@ -347,49 +303,6 @@ def test_a_scalar_pulse_value_holds_for_every_point():
     assert np.all(np.abs(run.avg_work) <= 1e-15) and not run.bound.any()
 
 
-@pytest.mark.parametrize("pulse, axis, message", [
-    (lambda t: np.zeros(len(t) - 1), constant_axis((1.0, 0.0, 0.0)),
-     r"pulse gave shape \(20,\) on a grid of 21 points; expected \(21,\) or \(\)"),
-    (lambda t: np.zeros((len(t), 1)), constant_axis((1.0, 0.0, 0.0)),
-     r"pulse gave shape \(21, 1\)"),
-    (sin2_pulse(1.0, 1.0), lambda t: np.array([1.0, 0.0]),
-     r"drive_axis gave shape \(2,\) on a grid of 21 points; expected \(21, 3\) or \(3,\)"),
-    (sin2_pulse(1.0, 1.0), lambda t: np.tile([1.0, 0.0, 0.0], (len(t) - 1, 1)),
-     r"drive_axis gave shape \(20, 3\)")],
-    ids=["short-pulse", "column-pulse", "two-vector-axis", "short-axis"])
-def test_a_callable_of_another_shape_is_rejected(pulse, axis, message):
-    with pytest.raises(DimensionMismatch, match=message):
-        simulate_battery(BatteryConfig(1.0, 1.0, 0.05, pulse, axis), PLUS)
-
-
-def _nan_at_half(t, value):
-    """value at every grid time but t = 0.5, NaN there."""
-    return np.where((t == 0.5).reshape(t.shape + (1,) * np.ndim(value)), np.nan, value)
-
-
-@pytest.mark.parametrize("fields, message", [
-    ({"pulse": lambda t: _nan_at_half(t, 0.0)}, "pulse gave samples that are not all finite"),
-    ({"pulse": lambda t: np.inf}, "pulse gave samples that are not all finite"),
-    ({"drive_axis": lambda t: _nan_at_half(t, [1.0, 0.0, 0.0])},
-     "drive_axis gave samples that are not all finite"),
-    ({"epsilon": np.nan}, "epsilon must be finite, got nan")],
-    ids=["nan-pulse-sample", "infinite-pulse", "nan-axis-sample", "nan-epsilon"])
-def test_a_non_finite_protocol_value_is_rejected_where_it_enters(fields, message):
-    # each reached the drive Hamiltonians, and only their Hermiticity check stopped it
-    config = dataclasses.replace(BatteryConfig.default(dt=0.05), **fields)
-    with pytest.raises(ValueError) as info:
-        simulate_battery(config, PLUS)
-    assert str(info.value) == message
-
-
-@pytest.mark.parametrize("axis", [[np.nan, 0.0, 0.0], [[1.0, 0.0, 0.0], [0.0, np.nan, 1.0]]],
-                         ids=["one-axis", "stack"])
-def test_a_nan_axis_is_rejected(axis):
-    # NaN fails no norm test, so n.sigma came back as a NaN matrix
-    with pytest.raises(InvalidState, match="axis entries are not all finite"):
-        spin_operator(axis)
-
-
 @pytest.mark.parametrize("n, norm", [((0.0, 0.0, 0.0), "0.0"), ((np.nan, 0.0, 0.0), "nan"),
                                      ((0.0, np.inf, 0.0), "inf")], ids=["zero", "nan", "inf"])
 def test_a_zero_or_non_finite_fixed_axis_is_rejected_where_it_enters(n, norm):
@@ -413,12 +326,6 @@ def test_a_fixed_axis_past_the_norm_range_keeps_its_direction():
     rng = np.random.default_rng(71)
     for n in rng.normal(size=(200, 3)) * np.exp2(rng.integers(-60, 60, size=(200, 1))):
         assert constant_axis(n)(0.0).tobytes() == (n / np.linalg.norm(n)).tobytes()
-
-
-@pytest.mark.parametrize("dt", [np.nan, np.inf])
-def test_a_non_finite_qudit_window_is_rejected(dt):
-    with pytest.raises(ValueError, match=f"dt must be finite, got {dt!r}"):
-        qudit_battery_bound(pure_density(PLUS), P1, spin_operator([1.0, 0.0, 0.0]), dt)
 
 
 def test_a_config_cannot_be_reassigned():

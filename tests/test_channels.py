@@ -23,14 +23,7 @@ from coherence_speed.channels import (
     save_channel,
     theorem3_bound,
 )
-from coherence_speed.errors import (
-    DimensionMismatch,
-    IncompleteKraus,
-    InvalidState,
-    NotPSD,
-    TooManyKraus,
-    TooManyLevels,
-)
+from coherence_speed.errors import DimensionMismatch, IncompleteKraus, InvalidState, NotPSD
 from coherence_speed.linalg import (
     OrthogonalDecomposition,
     haar_random_state,
@@ -124,12 +117,6 @@ def test_dilation_reproduces_the_channel():
         assert np.max(np.abs(direct - via_env)) < 1e-10
 
 
-def test_dilate_rejects_small_environment():
-    chan = random_channel(2, 3, 7)
-    with pytest.raises(TooManyKraus):
-        dilate(chan, env_dim=2)
-
-
 def test_identity_assignment_matches_plain_dilation():
     rng = np.random.default_rng(54)
     chan = random_channel(2, 2, rng)
@@ -150,13 +137,6 @@ def test_theorem3_bound_holds_on_random_qubit_channels():
         assert lhs <= rhs + 1e-9
 
 
-def test_theorem3_bound_respects_cap():
-    chan = qutrit_equality_channel()
-    dil = dilate(chan)   # 12 joint levels, over the default cap of 8
-    with pytest.raises(TooManyLevels):
-        theorem3_bound(dil, pure_density(np.array([1, 0, 0], dtype=complex)))
-
-
 def test_equality_gap_analysis_on_the_equality_channel():
     report = equality_gap_analysis(qutrit_equality_channel(),
                                    pure_density(np.array([1, 0, 0], dtype=complex)))
@@ -165,11 +145,6 @@ def test_equality_gap_analysis_on_the_equality_channel():
     assert report.witness_is_zero
     assert abs(report.gap) < 1e-10
     assert abs(report.system_distance - 2.0) < 1e-12
-
-
-def test_equality_gap_analysis_needs_pure_input():
-    with pytest.raises(InvalidState):
-        equality_gap_analysis(qutrit_equality_channel(), np.eye(3) / 3.0)
 
 
 def test_save_load_roundtrip(tmp_path):
@@ -183,13 +158,6 @@ def test_save_load_roundtrip(tmp_path):
     assert back.completeness_residual == chan.completeness_residual
 
 
-def test_load_rejects_malformed_document(tmp_path):
-    path = tmp_path / "bad.json"
-    path.write_text(json.dumps({"operators": "nope"}))
-    with pytest.raises(Exception):
-        load_channel(path)
-
-
 def test_dilation_eigenphases_at_pi_form_one_level():
     # an eigenvalue -1 of U sits on the branch cut of the logarithm, where
     # rounding gives -pi or +pi: it must still be one level, so B(1) = -1
@@ -200,16 +168,6 @@ def test_dilation_eigenphases_at_pi_form_one_level():
         assert len(dil.levels) == 2, s
         assert abs(b_coefficient(dil.levels, dil.duration) + 1.0) < 1e-12, s
         assert np.max(np.abs(dil.unitary() - u)) < 1e-12, s
-
-
-@pytest.mark.parametrize("duration", [float("nan"), float("inf")])
-def test_a_non_finite_duration_is_rejected(duration):
-    # a NaN duration gave theorem3_bound (nan, nan)
-    dil = dilate(random_channel(2, 2, 0))
-    with pytest.raises(ValueError, match=f"duration must be finite, got {duration!r}"):
-        dataclasses.replace(dil, duration=duration)
-    with pytest.raises(ValueError, match="duration must be finite"):
-        channels.StinespringDilation(dil.hamiltonian, 2, 2, [1.0, 0.0], duration)
 
 
 def test_equality_gap_analysis_validates_rho_once(monkeypatch):
@@ -353,14 +311,6 @@ def test_constructor_takes_any_sequence_of_matrices():
     for bad in ((np.eye(2), np.eye(3)), (np.eye(2), np.ones(2)), np.eye(2), (np.ones((2, 3)),)):
         with pytest.raises(DimensionMismatch):
             KrausChannel(bad)
-
-
-def test_ragged_channel_file_is_a_dimension_mismatch(tmp_path):
-    path = tmp_path / "ragged.json"
-    # the second row of the Kraus matrix is one entry short; the schema allows it
-    path.write_text(json.dumps({"kraus": [[[[1, 0], [0, 0]], [[0, 0]]]]}))
-    with pytest.raises(DimensionMismatch):
-        load_channel(path)
 
 
 @pytest.mark.parametrize("bad, where", [(np.nan, "$.kraus[0][0][0][0]"),
@@ -532,10 +482,6 @@ def test_a_dilation_checks_its_environment_state_once_and_keeps_it():
         dil.env_state = np.array([2.0, 0.0])
     with pytest.raises(ValueError, match="read-only"):
         dil.env_state[0] = 2.0
-    for bad, match in (([np.nan, 0.0], "not all finite"), ([np.inf, 0.0], "not all finite"),
-                       ([1.0, 1.0], "not normalized")):
-        with pytest.raises(InvalidState, match=match):
-            channels.StinespringDilation(ham, 2, 2, bad)
     rho = random_density(2, rank=2, seed=69)
     want = np.kron(rho, pure_density([1.0, 0.0]))
     assert dil.joint_input(rho).tobytes() == want.tobytes()

@@ -341,6 +341,15 @@ def test_qsl_grid_hits_the_orthogonality_point(tmp_path):
         assert r["mt_time"] <= r["t"] + 1e-9
 
 
+def test_qsl_weights_the_level_blocks_of_a_degenerate_spectrum_equally(tmp_path):
+    # the uniform vector on [0, 0, 1] puts 2/3 of its weight on level 0 (energy mean 1/3);
+    # one weight per level block, the state sweep resolves, puts 1/2 on each level
+    cfg, out = tmp_path / "qsl.json", tmp_path / "qsl.csv"
+    cfg.write_text(json.dumps({"qsl": {"spectrum": [0.0, 0.0, 1.0], "state": "maximally-coherent"}}))
+    assert main(["qsl", "--config", str(cfg), "--out", str(out)]) == 0
+    assert all(abs(row["energy_mean"] - 0.5) < 1e-15 for row in rows_of(out))
+
+
 def test_the_default_qsl_rows_are_the_unitary_exp_targets_bit_for_bit(tmp_path):
     # on the default spectrum [0, 1] the lowest level is 0, so dropping the
     # global phase exp(-i w_0 t) from the targets changes no bit

@@ -11,7 +11,7 @@ from coherence_speed.coherence import (
     closest_incoherent,
     is_refinement,
 )
-from coherence_speed.errors import DimensionMismatch, NotPSD
+from coherence_speed.errors import NotPSD
 from coherence_speed.linalg import (
     OrthogonalDecomposition,
     SpectralHamiltonian,
@@ -102,11 +102,6 @@ def test_l1_bound():
         d = int(rng.integers(2, 7))
         rho = random_density(d, rank=d, seed=rng)
         assert c_half(rho, rank1(d)) <= 2.0 / (d - 1.0) * c_l1(rho) + 1e-10
-
-
-def test_dimension_mismatch():
-    with pytest.raises(DimensionMismatch):
-        c_half(np.eye(3) / 3.0, rank1(2))
 
 
 def test_c_half_and_closest_incoherent_diagonalize_rho_once(monkeypatch):

@@ -3,7 +3,6 @@
 import dataclasses
 import inspect
 import itertools
-import re
 import warnings
 
 import numpy as np
@@ -22,17 +21,9 @@ from coherence_speed import (
     verification,
 )
 from coherence_speed.channels import dilate, qutrit_equality_channel, random_channel
-from coherence_speed.errors import (
-    BadPermutation,
-    BadRank,
-    DimensionMismatch,
-    InvalidState,
-    NotHermitian,
-    NotPSD,
-)
+from coherence_speed.errors import BadPermutation, DimensionMismatch, NotHermitian, NotPSD
 from coherence_speed.linalg import (
     TOL_DEGEN,
-    TOL_PSD,
     TOL_STRUCT,
     OrthogonalDecomposition,
     SpectralHamiltonian,
@@ -45,7 +36,6 @@ from coherence_speed.linalg import (
     random_hermitian,
     random_unitary,
     unitary_exp,
-    validate_state_vector,
 )
 from coherence_speed.metrics import affinity
 
@@ -103,11 +93,6 @@ def test_matrix_sqrt_exact_on_singular_input():
         assert np.max(np.abs(s - proj)) < 1e-13
 
 
-def test_matrix_sqrt_rejects_negative_eigenvalues():
-    with pytest.raises(NotPSD):
-        matrix_sqrt_psd(np.diag([1.0, -1e-6]))
-
-
 def test_tensor_partial_trace_roundtrip():
     rng = np.random.default_rng(5)
     for _ in range(10):
@@ -132,12 +117,6 @@ def test_decomposition_invariants_and_dephase():
     assert np.max(np.abs(dec.dephase(deph) - deph)) < 1e-12
     assert abs(np.trace(deph).real - 1.0) < 1e-12
     assert np.linalg.eigvalsh(deph)[0] > -1e-12
-
-
-def test_decomposition_rejects_incomplete_family():
-    e = np.eye(3, dtype=complex)
-    with pytest.raises(ValueError):
-        OrthogonalDecomposition((np.outer(e[0], e[0]), np.outer(e[1], e[1])))
 
 
 def _decompositions():
@@ -185,15 +164,6 @@ def test_a_hamiltonians_arrays_cannot_be_written_in_place():
                 getattr(ham, name)[0] = 0
             with pytest.raises(ValueError, match="read-only"):
                 getattr(ham, name)[...] *= 2
-
-
-def test_a_hamiltonian_has_no_raw_constructor():
-    # the unchecked eigenvectors 2 I gave coherence, closed form and brute force 0.0
-    with pytest.raises(TypeError, match="from_matrix or from_spectrum"):
-        SpectralHamiltonian(np.array([0.0, 1.0]), 2.0 * np.eye(2, dtype=complex),
-                            np.array([0.0, 1.0]), np.arange(2))
-    with pytest.raises(TypeError):
-        SpectralHamiltonian()
 
 
 def test_written_eigenvectors_cannot_reach_the_theorem_1_oracles():
@@ -322,11 +292,6 @@ def test_random_density_rank_and_trace():
         assert np.sum(w > 1e-10) == rank
 
 
-def test_partial_trace_dimension_check():
-    with pytest.raises(DimensionMismatch):
-        partial_trace(np.eye(6) / 6.0, (4, 2), over=0)
-
-
 def test_matrix_sqrt_psd_stack_matches_each_matrix():
     rng = np.random.default_rng(12)
     stack = np.stack([random_density(4, rank=r, seed=rng) for r in (1, 2, 4)]
@@ -342,23 +307,6 @@ def test_matrix_sqrt_psd_stack_matches_each_matrix():
         assert abs(overlaps[k] - affinity(rho, stack[::-1][k])) < 1e-14
     # affinity of a state with itself reads 1 + roundoff and is clipped
     assert np.all(affinity(stack, stack) <= 1.0)
-
-
-def test_matrix_sqrt_psd_stack_checks_every_matrix():
-    good = np.stack([np.eye(2) / 2.0] * 3)
-    bad_psd = good.copy()
-    bad_psd[1] = np.diag([1.0 + 2 * TOL_PSD, -2 * TOL_PSD])
-    with pytest.raises(NotPSD):
-        matrix_sqrt_psd(bad_psd)
-    bad_herm = good.astype(complex)
-    bad_herm[2, 0, 1] = 1e-6
-    with pytest.raises(NotHermitian):
-        matrix_sqrt_psd(bad_herm)
-    with pytest.raises(DimensionMismatch):
-        matrix_sqrt_psd(np.zeros((3, 2, 3)))
-    # a Hamiltonian is one matrix, never a stack
-    with pytest.raises(DimensionMismatch):
-        SpectralHamiltonian.from_matrix(good)
 
 
 def _old_loop_check(projectors, tol=1e-8):
@@ -669,34 +617,6 @@ def test_only_caller_families_run_the_check(monkeypatch):
     assert len(calls) == 2
 
 
-@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-def test_non_finite_families_are_rejected(bad):
-    # every residual test reads `max|...| > tol`, which NaN never passes
-    poisoned = np.eye(2, dtype=complex)
-    poisoned[0, 1] = bad
-    for family in ((np.full((2, 2), bad), np.eye(2)), (poisoned, np.zeros((2, 2)))):
-        with pytest.raises(ValueError, match="not all finite"):
-            OrthogonalDecomposition(family)
-    # an infinite basis entry times zero makes NaN (and a warning) in V V†
-    with pytest.raises(ValueError, match="not all finite"), np.errstate(invalid="ignore"):
-        OrthogonalDecomposition.from_basis(poisoned)
-
-
-def test_from_spectrum_rejects_a_nan_basis():
-    # the orthonormality residual of a NaN basis is NaN, which passes `> 1e-8`
-    basis = random_unitary(3, 17)
-    basis[1, 2] = np.nan
-    with pytest.raises(ValueError, match="not all finite"):
-        SpectralHamiltonian.from_spectrum([0.0, 1.0, 2.0], basis)
-
-
-@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-def test_from_spectrum_rejects_non_finite_eigenvalues(bad):
-    for basis in (None, random_unitary(3, 18)):
-        with pytest.raises(ValueError, match="^eigenvalues are not all finite$"):
-            SpectralHamiltonian.from_spectrum([0.0, bad, 1.0], basis)
-
-
 @pytest.mark.parametrize("bad", [
     np.diag([np.inf, 0.0]), np.array([[0.0, np.inf], [np.inf, 0.0]]),
     np.array([[0.0, np.inf], [-np.inf, 0.0]]), np.diag([np.nan, 0.0])],
@@ -723,32 +643,6 @@ def test_from_spectrum_checks_the_basis_to_1e_8(offset, accepted):
     else:
         with pytest.raises(ValueError, match="not orthonormal"):
             SpectralHamiltonian.from_spectrum([0.0, 1.0, 2.0], basis)
-
-
-@pytest.mark.parametrize("build", [
-    lambda: OrthogonalDecomposition([np.diag([1.0, 0.0]), np.diag([0.0, 1.0]),
-                                     np.zeros((2, 2))]),
-    lambda: OrthogonalDecomposition.from_basis(np.eye(2), [[0], [1], []]),
-], ids=["constructor", "from_basis"])
-def test_empty_blocks_are_rejected(build):
-    # a zero block is Hermitian, idempotent and orthogonal to every block,
-    # and would make the uniform superposition read as not maximally coherent
-    with pytest.raises(ValueError, match="projector is empty"):
-        build()
-
-
-@pytest.mark.parametrize("psi", [
-    [np.nan, 1.0],
-    [1.0, complex(0.0, np.nan)],
-    [np.inf, 0.0],
-    [complex(np.inf, np.nan), 0.0],
-], ids=["nan", "nan-imag", "inf", "inf-nan"])
-def test_non_finite_state_vector_is_rejected(psi):
-    # a NaN norm fails no `> tol` test, so only a finiteness check sees it
-    with pytest.raises(InvalidState):
-        validate_state_vector(psi)
-    with pytest.raises(InvalidState):
-        pure_density(psi)
 
 
 def _outcome(fn, *args):
@@ -893,40 +787,6 @@ def test_basis_entries_raise_the_parent_errors_bit_for_bit():
             assert _outcome(SpectralHamiltonian.from_spectrum, *args) == want
     ham = SpectralHamiltonian.from_spectrum([2.0, 0.0, 1.0], basis)
     assert ham.eigenvectors.tobytes() == basis[:, [1, 2, 0]].tobytes()
-
-
-@pytest.mark.parametrize("enter, shape", [
-    (linalg.require_hermitian, "(0, 0)"),
-    (linalg.validate_density, "(0, 0)"),
-    (linalg._Density.of, "(0, 0)"),
-    (SpectralHamiltonian.from_matrix, "(0, 0)"),
-    (matrix_sqrt_psd, "(0, 0)"),
-    (lambda z: metrics.hellinger(z, z), "(0, 0)"),
-    (lambda z: OrthogonalDecomposition([z]), "(1, 0, 0)"),
-    (lambda z: OrthogonalDecomposition([z, np.eye(2)]), "(1, 0, 0)"),
-    (lambda z: OrthogonalDecomposition(np.zeros((2, 0, 0))), "(2, 0, 0)"),
-    (lambda z: dynamics.HamiltonianPath.constant(z, 1.0), "(0, 0)"),
-    (lambda z: dynamics.HamiltonianPath.linear(z, z, 1.0), "(2, 0, 0)"),
-    (lambda z: dynamics.HamiltonianPath([0.0], z[None]), "(1, 0, 0)"),
-    (lambda z: linalg.require_hermitian(np.zeros((0, 2, 2))), "(0, 2, 2)"),
-    (OrthogonalDecomposition.from_basis, "(0, 0)"),
-    (lambda z: OrthogonalDecomposition.from_basis(np.zeros((3, 0))), "(3, 0)"),
-    (lambda z: OrthogonalDecomposition.computational(0), "(0, 0)"),
-], ids=["require_hermitian", "validate_density", "density", "from_matrix", "matrix_sqrt_psd",
-        "hellinger", "decomposition", "decomposition-ragged", "decomposition-stack", "constant",
-        "linear", "path", "empty-stack", "basis", "basis-no-columns", "computational"])
-def test_zero_size_input_is_rejected_where_it_enters(enter, shape):
-    # it used to reach numpy's "zero-size array to reduction operation maximum" ValueError
-    want = f"^expected a square matrix, got shape {re.escape(shape)}$"
-    with pytest.raises(DimensionMismatch, match=want):
-        enter(np.zeros((0, 0)))
-
-
-@pytest.mark.parametrize("basis", [None, np.zeros((0, 0))])
-def test_a_spectrum_without_eigenvalues_is_rejected(basis):
-    # it used to give a Hamiltonian of 0 levels
-    with pytest.raises(DimensionMismatch, match="^expected at least one eigenvalue, got none$"):
-        SpectralHamiltonian.from_spectrum([], basis)
 
 
 def test_eigendata_rebuilds_equal_the_parent_expressions_bit_for_bit():
@@ -1163,9 +1023,3 @@ def test_a_stacked_build_equals_its_rows_built_one_by_one_bit_for_bit():
             assert got.tobytes() == want.tobytes(), name
             assert not got.flags.writeable, name
         assert ham.decomposition.projectors.tobytes() == alone.decomposition.projectors.tobytes()
-
-
-@pytest.mark.parametrize("rank", [0, 4])
-def test_random_density_rejects_a_rank_outside_one_to_d(rank):
-    with pytest.raises(BadRank, match=f"rank {rank} outside 1..3"):
-        random_density(3, rank=rank, seed=0)

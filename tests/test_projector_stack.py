@@ -17,7 +17,6 @@ from coherence_speed.coherence import (
     is_refinement,
 )
 from coherence_speed.dynamics import gap_squared_matrix, instantaneous_speed
-from coherence_speed.errors import DegenerateInput
 from coherence_speed.linalg import (
     TOL_DEGEN,
     TOL_PSD,
@@ -55,8 +54,8 @@ def _loop_closest_incoherent(rho, projectors):
             continue
         acc += x @ x
         total += w
-    if total < TOL_PSD:
-        raise DegenerateInput("all block weights vanish")
+    if total < TOL_PSD:     # closest_incoherent's docstring: a checked state cannot get here
+        raise AssertionError("all block weights vanish")
     return hermitianize(acc / total)
 
 

@@ -22,7 +22,6 @@ from coherence_speed.channels import (
     theorem3_bound,
 )
 from coherence_speed.coherence import c_half
-from coherence_speed.errors import UnknownSuite
 from coherence_speed.linalg import (
     SpectralHamiltonian,
     _Density,
@@ -75,12 +74,6 @@ def test_every_suite_runs_and_passes_at_small_trial_counts():
             assert res.passed, f"{name}: {res.line()}"
             assert res.line().startswith("PASS ")
             assert res.trials == _OWN_COUNTS.get(res.name, 4), res.line()
-
-
-def test_unknown_suite_lists_the_valid_names():
-    with pytest.raises(UnknownSuite) as err:
-        run_suite("not-a-suite")
-    assert "thm1" in str(err.value)
 
 
 def test_same_seed_reproduces_worst_values():

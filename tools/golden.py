@@ -4,8 +4,9 @@ It records
 
 - every report body (CSV and JSON) at the default and the CI configs,
   at three more battery protocols (sin^4 and parabola pulses, a 3-vector
-  and the rotating axis, tau = 2.5), and ``verify --out`` for three
-  suites, each with its exit code, stdout and stderr;
+  and the rotating axis, tau = 2.5), at the maximally coherent ``qsl``
+  state on a degenerate and a 2-level spectrum, and ``verify --out`` for
+  three suites, each with its exit code, stdout and stderr;
 - PASS/FAIL, trials, detail and the worst value (as ``float.hex``) of
   every check of every suite at seeds 0, 1, 34 and 83, and at seed 0
   under ``--dim`` 2, 3 and 5;
@@ -131,6 +132,11 @@ REPORTS = {
     "qsl-4-level-complex": ("qsl", {"qsl": {"spectrum": [-0.6, 0.2, 0.9, 1.5], "state": {
         "amplitudes": [[0.5, 0.0], [0.0, 0.5], [-0.5, 0.0], [0.3, 0.4]]}}}),
     "qsl-one-step": ("qsl", {"qsl": {"spectrum": [0.0, 0.4, 1.7], "t_steps": 1}}),
+    # equal weight per level block, as sweep resolves it
+    "qsl-degenerate-maximally-coherent": ("qsl", {"qsl": {"spectrum": [0.0, 0.0, 1.0],
+                                                          "state": "maximally-coherent"}}),
+    "qsl-2-level-maximally-coherent": ("qsl", {"qsl": {"spectrum": [0.0, 1.0],
+                                                       "state": "maximally-coherent"}}),
 }
 VERIFY_OUT = ("thm2", "qsl", "battery-bound")
 
