@@ -77,9 +77,9 @@ from .linalg import (
     TOL_DEGEN,
     SpectralHamiltonian,
     _Density,
-    _array,
     _eigenbasis_operators,
     _families,
+    _levels,
     _phases,
     _psd_sqrt_eig,
     _read_only,
@@ -228,9 +228,10 @@ def a_coefficient(eigenvalues, t):
 
     A(t) = 2 / (d (d - 1)) * sum_{m<n} cos((lambda_m - lambda_n) t);
     requires pairwise-distinct eigenvalues.  An array of times gives an
-    array of coefficients of the same shape.
+    array of coefficients of the same shape.  Levels and times must be finite.
     """
-    lam = np.sort(_array(eigenvalues, float).reshape(-1))
+    lam = np.sort(_levels(eigenvalues))
+    _require_finite("t", t)
     if len(lam) < 2:
         raise SingleLevel("need at least two eigenvalues")
     if np.min(np.diff(lam)) <= TOL_DEGEN:
@@ -242,9 +243,10 @@ def a_coefficient(eigenvalues, t):
 def b_coefficient(levels, t):
     """Oscillatory coefficient over the distinct levels of a degenerate spectrum.
 
-    An array of times gives an array of coefficients of the same shape.
+    Finite levels; an array of finite times gives an array of coefficients of the same shape.
     """
-    lam = np.sort(_array(levels, float).reshape(-1))
+    lam = np.sort(_levels(levels))
+    _require_finite("t", t)
     if len(lam) < 2:
         raise SingleLevel("one distinct level: the averaged distance is identically 0")
     return _pair_cos_mean(lam, t)
@@ -307,10 +309,10 @@ def benchmark_overlap_check(eigenvalues, phases, t: float) -> tuple[float, float
     Left: A(t) from the pairwise-cosine sum.  Right: the survival
     probability of the uniform superposition with arbitrary fixed
     phases, rescaled as d/(d-1) * (|<phi_0|phi_t>|^2 - 1/d).  The result
-    does not depend on the phases.
+    does not depend on the phases, which like the levels and t must be finite.
     """
-    lam = _array(eigenvalues, float).reshape(-1)
-    th = _array(phases, float).reshape(-1)
+    lam, th = _levels(eigenvalues), _levels(phases)
+    _require_finite("t", t)
     d = len(lam)
     if len(th) != d:
         raise DimensionMismatch("one phase per eigenvalue required")

@@ -196,9 +196,10 @@ def avg_extracted_work(rho_t, epsilon: float, eta_t: float, v_t: np.ndarray,
     """Two-branch average work over the window [t, t + dt].
 
     Branches evolve under eps |1><1| + eta V and eps |1><1| - eta V,
-    the two members of the drive's level-permutation family.
+    the two members of the drive's level-permutation family.  v_t is checked Hermitian first.
     """
-    rho_t = validate_density(rho_t)
+    rho_t, v_t = validate_density(rho_t), require_hermitian(v_t, stack=False)
+    _require_finite("dt", dt)
     h0 = epsilon * _P1
     w_plus = _branch_work(rho_t, epsilon, h0 + eta_t * v_t, dt)
     w_minus = _branch_work(rho_t, epsilon, h0 - eta_t * v_t, dt)
@@ -215,8 +216,9 @@ def work_bound(rho_t, epsilon: float, eta_t: float, v_t: np.ndarray,
                dt: float) -> float:
     """Ceiling 2 eps sin(eta dt) sqrt(c_half_V(rho)) on the branch-averaged work.
 
-    Valid while eta * dt stays in [0, pi/2] (monotone sine window).
+    Valid while eta * dt stays in [0, pi/2] (monotone sine window); dt must be finite.
     """
+    _require_finite("dt", dt)
     x = eta_t * dt
     if x > np.pi / 2.0:
         raise WindowTooWide(f"eta * dt = {x:.3g} exceeds pi/2")

@@ -50,7 +50,6 @@ from .avgdist import _closed_forms, _orbit_means
 from .errors import DimensionMismatch, IncompleteKraus, InvalidState, TooManyKraus
 from .linalg import (
     TOL_DEGEN,
-    TOL_NORM,
     TOL_ORTH,
     TOL_STRUCT,
     TOL_ZERO,
@@ -74,6 +73,7 @@ from .linalg import (
     partial_trace,
     unitary_exp,
     validate_density,
+    validate_state_vector,
 )
 from .metrics import _hellinger
 from .schemas import _complex_array, parse_json, validate_document
@@ -93,10 +93,7 @@ class KrausChannel:
     label: str = ""
 
     def __post_init__(self) -> None:
-        try:
-            ops = np.array(self.operators, dtype=complex)
-        except ValueError as exc:       # a ragged nesting of matrices
-            raise DimensionMismatch("Kraus operators must share one square shape") from exc
+        ops = _array(self.operators).copy(order="K")     # its own copy, in the given layout
         if ops.ndim and not len(ops):
             raise IncompleteKraus("need at least one Kraus operator")
         if ops.ndim != 3 or ops.shape[1] != ops.shape[2] or not ops.size:
@@ -163,7 +160,7 @@ def _random_channels(rngs, dim: int, n_kraus: int) -> list[KrausChannel]:
 class StinespringDilation:
     """Unitary model of a channel: evolve rho x env under exp(-i H T), trace out env.
 
-    Immutable: the environment state (finite entries, unit norm, kept as a
+    Immutable: the environment state (``validate_state_vector``, kept as a
     read-only copy) and the duration (finite, ValueError otherwise) are
     checked once, on construction, and trusted from then on.
     """
@@ -177,14 +174,9 @@ class StinespringDilation:
     def __post_init__(self) -> None:
         if self.hamiltonian.dim != self.sys_dim * self.env_dim:
             raise DimensionMismatch("Hamiltonian dimension is not sys_dim * env_dim")
-        env = _array(self.env_state).reshape(-1).copy()
+        env = validate_state_vector(self.env_state).copy()
         if len(env) != self.env_dim:
             raise DimensionMismatch("environment state dimension mismatch")
-        # NaN fails no `> tol` test below, so reject it here
-        if not np.isfinite(env).all():
-            raise InvalidState("environment state entries are not all finite")
-        if abs(np.linalg.norm(env) - 1.0) > TOL_NORM:
-            raise InvalidState("environment state is not normalized")
         _require_finite("duration", self.duration)
         object.__setattr__(self, "env_state", _read_only(env))
 

@@ -36,7 +36,6 @@ or trajectory is checked and keeps read-only views of the caller's arrays.
 
 from __future__ import annotations
 
-import math
 import operator
 import warnings
 from dataclasses import dataclass, fields
@@ -51,8 +50,11 @@ from .linalg import (
     _array,
     _cluster_levels,
     _eigenbasis_operators,
+    _finite,
+    _levels,
     _phases,
     _read_only,
+    _require_finite,
     _trusted,
     dagger,
     hermitianize,
@@ -77,10 +79,7 @@ def _half_width(h: np.ndarray) -> float:
 
 def _finite_times(times) -> np.ndarray:
     """A float copy of times; ValueError unless every entry is finite."""
-    times = _array(times, float).copy()
-    if not np.isfinite(times).all():
-        raise ValueError("grid times are not all finite")
-    return times
+    return _finite(_array(times, float).copy(), "grid times")
 
 
 def _linear_samples(ends: np.ndarray, t_final: float, times: np.ndarray) -> np.ndarray:
@@ -118,8 +117,7 @@ class HamiltonianPath:
     def _grid(t_final: float, steps: int | None, h: np.ndarray) -> np.ndarray:
         """np.linspace(0.0, t_final, steps + 1) bit for bit, zero signs included; ValueError
         for a non-finite t_final or a negative steps, TypeError for a non-integer one."""
-        if not math.isfinite(t_final):
-            raise ValueError("grid times are not all finite")
+        _require_finite("t_final", t_final)
         if steps is None:
             # default grid: half spectral width * dt <= 0.01; one step for a
             # flat spectrum, whatever the duration (dt = 0 when t_final is)
@@ -184,8 +182,12 @@ class Trajectory:
 
 
 def gap_squared_matrix(levels) -> np.ndarray:
-    """Squared gaps (lambda_p - lambda_q)^2 of levels (..., M): a zero-diagonal (M, M) per row."""
-    lam = _array(levels, float)
+    """Squared gaps (lambda_p - lambda_q)^2 of finite levels, read flat: a zero-diagonal (M, M)."""
+    return _gap_squared(_levels(levels))
+
+
+def _gap_squared(lam: np.ndarray) -> np.ndarray:
+    """gap_squared_matrix of the levels the package holds (..., M): an (M, M) per row."""
     d = lam[..., :, None] - lam[..., None, :]
     return d * d
 
@@ -205,7 +207,7 @@ def instantaneous_speed(psi, ham: SpectralHamiltonian) -> float:
     psi = validate_state_vector(psi)
     _check_dims(psi, ham.eigenvectors.shape)
     r = ham.decomposition._weights(psi)
-    a = gap_squared_matrix(ham.levels)
+    a = _gap_squared(ham.levels)
     return float(np.sqrt(max(0.0, r @ a @ r)))
 
 
@@ -290,7 +292,7 @@ def _stacked_speeds(w: np.ndarray, v: np.ndarray,
     levels, level_of = _cluster_levels(w)
     member = level_of[:, :, None] == np.arange(levels.shape[1])   # (k, column, level)
     r = np.einsum("kj,kjm->km", weights, member)
-    speeds = np.sqrt(np.maximum(0.0, np.einsum("kp,kpq,kq->k", r, gap_squared_matrix(levels), r)))
+    speeds = np.sqrt(np.maximum(0.0, np.einsum("kp,kpq,kq->k", r, _gap_squared(levels), r)))
     return speeds, _moments(weights, w)[1]
 
 
@@ -328,10 +330,11 @@ def qubit_closed_form(alpha: complex, beta: complex, lam: float, gam: float,
     """Squared-Hellinger distance for a qubit pure state under diag(lam, gam).
 
     For |psi> = alpha |0> + beta |1> evolving under H = lam |0><0| +
-    gam |1><1|:  D(t) = 4 |alpha|^2 |beta|^2 (1 - cos((lam - gam) t)).
+    gam |1><1|:  D(t) = 4 |alpha|^2 |beta|^2 (1 - cos((lam - gam) t)); t must be finite.
     """
     w = abs(alpha) ** 2 + abs(beta) ** 2
     if abs(w - 1.0) > TOL_NORM:
         raise InvalidState("amplitudes are not normalized")
+    _require_finite("t", t)
     return float(4.0 * (abs(alpha) ** 2) * (abs(beta) ** 2)
                  * (1.0 - np.cos((lam - gam) * t)))

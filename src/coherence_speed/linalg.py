@@ -301,9 +301,26 @@ def _lower_hermitian(rho: np.ndarray) -> np.ndarray:
 
 
 def _require_finite(name: str, value) -> None:
-    """ValueError naming the argument unless the real scalar value is finite."""
+    """ValueError naming the argument unless the real value (or each of an array) is finite."""
+    if isinstance(value, (np.ndarray, list, tuple)):
+        value = next((x for x in np.ravel(value).tolist() if not math.isfinite(x)), 0.0)
     if not math.isfinite(value):
         raise ValueError(f"{name} must be finite, got {value!r}")
+
+
+def _finite(a: np.ndarray, what: str) -> np.ndarray:
+    """a, with ValueError("<what> are not all finite") unless every entry is finite."""
+    if not np.logical_and.reduce(np.isfinite(a), axis=None):
+        raise ValueError(f"{what} are not all finite")
+    return a
+
+
+def _levels(values) -> np.ndarray:
+    """A caller's levels read flat (``_array``), as floats; ValueError unless finite and real."""
+    w = _finite(_array(values).reshape(-1), "eigenvalues")
+    if np.logical_or.reduce(w.imag, axis=None):
+        raise ValueError("eigenvalues are not all real")
+    return w.real
 
 
 def validate_state_vector(psi) -> np.ndarray:
@@ -424,11 +441,11 @@ class OrthogonalDecomposition:
 
     Invariants: each P_m is Hermitian and idempotent, distinct projectors annihilate each
     other, and the family sums to the identity.  A caller's family (the constructor,
-    ``from_basis``, ``computational``) is copied into one stack and checked for finite entries,
-    then to TOL_STRUCT from one matrix product (every P_a P_b, a != b included in either
-    order), and last for empty blocks (trace below 1/2).  It is accepted on whole-family
-    maxima; only a failure reads the per-projector ones, to name the first failing check.
-    A zero-size family or basis raises DimensionMismatch.
+    ``from_basis``, ``computational``) is copied into one stack, DimensionMismatch unless it is
+    one non-empty (M, d, d) stack, then checked for finite entries, then to TOL_STRUCT from one
+    matrix product (every P_a P_b, a != b included in either order), and last for empty blocks
+    (trace below 1/2).  It is accepted on whole-family maxima; only a failure reads the
+    per-projector ones, to name the first failing check.
     Eigenspace families the package builds itself from an orthonormal
     eigenbasis (``SpectralHamiltonian.from_matrix``, ``from_spectrum``,
     ``permute_levels``) hold the invariants by construction and are not
@@ -438,24 +455,11 @@ class OrthogonalDecomposition:
     projectors: np.ndarray
 
     def __post_init__(self) -> None:
-        try:        # one C-ordered copy of the whole family, never a caller's array
-            projs = stack = np.array(self.projectors, dtype=complex, order="C")
-        except (ValueError, TypeError):                 # ragged or not numeric
-            stack = np.empty(0)
-        if stack.ndim != 3 or stack.shape[1] != stack.shape[2] or not len(stack):
-            # projector by projector; those before the first one of another shape come first
-            projs = tuple(np.asarray(p, dtype=complex) for p in self.projectors)
-            if not projs:
-                raise ValueError("decomposition needs at least one projector")
-            d = projs[0].shape[0]
-            m = next((k for k, p in enumerate(projs) if p.shape != (d, d)), len(projs))
-            if not m:
-                raise DimensionMismatch("projectors must share one square shape")
-            stack = np.concatenate(projs[:m]).reshape(m, d, d)
-        m, d = _square(stack, stack=True).shape[:2]     # DimensionMismatch when zero-size
-        # NaN fails no `> tol` residual test below, so reject it here
-        if not np.logical_and.reduce(np.isfinite(stack), axis=None):
-            raise ValueError("projector entries are not all finite")
+        stack = _array(self.projectors).copy()     # C-ordered, never a caller's array
+        if stack.ndim != 3:
+            raise DimensionMismatch(f"expected a stack (M, d, d), got shape {stack.shape}")
+        m, d = _square(stack, stack=True).shape[:2]     # not square, or zero size
+        _finite(stack, "projector entries")     # NaN fails no `> tol` residual test below
         # |P_a P_b - delta_ab P_a| from one matrix product, as blocks (a, :, b, :)
         prods = (stack.reshape(m * d, d) @ np.concatenate(stack, 1)).reshape(m, d, m, d)
         np.einsum("aiaj->aij", prods)[...] -= stack     # blocks (a, :, a, :), a writeable view
@@ -463,17 +467,15 @@ class OrthogonalDecomposition:
         total = np.maximum.reduce(np.abs(np.add.reduce(stack, 0) - _eye(d)), axis=None)
         traces = np.einsum("mii->m", stack).real
         # accepted on whole-family maxima (ufunc reductions); per-projector ones name a failure
-        if m < len(projs) or not (np.maximum.reduce(prods, axis=None) <= TOL_STRUCT
-                                  and np.maximum.reduce(skew, axis=None) <= TOL_STRUCT
-                                  and total <= TOL_STRUCT and np.minimum.reduce(traces) >= 0.5):
+        if not (np.maximum.reduce(prods, axis=None) <= TOL_STRUCT
+                and np.maximum.reduce(skew, axis=None) <= TOL_STRUCT
+                and total <= TOL_STRUCT and np.minimum.reduce(traces) >= 0.5):
             herm = skew.max(axis=(1, 2)) > TOL_STRUCT
             bad = prods.max(axis=(1, 3)) > TOL_STRUCT      # bad[a, b]: P_a P_b beyond tol
             first = np.flatnonzero(herm | bad.diagonal())
             if first.size:
                 raise ValueError("projector is not Hermitian" if herm[first[0]]
                                  else "projector is not idempotent")
-            if m < len(projs):
-                raise DimensionMismatch("projectors must share one square shape")
             if bad.any():       # the diagonal passed above, so some P_a P_b with a != b
                 raise ValueError("projectors are not mutually orthogonal")
             if total > TOL_STRUCT:
@@ -492,7 +494,7 @@ class OrthogonalDecomposition:
                    groups: Sequence[Sequence[int]] | None = None) -> "OrthogonalDecomposition":
         """Build projectors from the orthonormal columns of a square matrix (DimensionMismatch
         for any other shape or zero size), optionally grouped into blocks."""
-        v = _square(vectors)
+        v = _finite(_square(vectors), "basis entries")     # before any product of it
         groups = np.arange(v.shape[1])[:, None] if groups is None else groups
         columns = np.concatenate([g for g in groups if len(g)] or [np.empty(0, dtype=int)])
         return cls(_block_stacks(v[:, columns], np.array([len(g) for g in groups], dtype=int)))
@@ -564,7 +566,7 @@ class SpectralHamiltonian:
                      eigendata) and kept
 
     Input is validated where it enters: ``from_matrix`` checks
-    Hermiticity, ``from_spectrum`` that the eigenvalues are finite and a
+    Hermiticity, ``from_spectrum`` that the eigenvalues are finite and real and a
     caller's basis finite and orthonormal to TOL_STRUCT.  Calling the class
     raises TypeError: these two, ``permute_levels`` and the package's stacked
     ``_build`` install their own arrays read-only (``_trusted``), and the
@@ -589,25 +591,22 @@ class SpectralHamiltonian:
     def from_spectrum(cls, eigenvalues, basis: np.ndarray | None = None) -> "SpectralHamiltonian":
         """Assemble from eigenvalues and an optional orthonormal eigenbasis.
 
-        Defaults to the computational basis; the eigenvalues and a caller's
-        basis must be finite (ValueError otherwise), and the basis orthonormal
-        to TOL_STRUCT.  Eigenvalues are sorted ascending with the basis
+        Defaults to the computational basis; the eigenvalues must be finite
+        and real and a caller's basis finite (ValueError otherwise), and the
+        basis orthonormal to TOL_STRUCT.  Eigenvalues are sorted ascending with the basis
         columns carried along.
         """
-        w = _array(eigenvalues, float).reshape(-1)
-        if not len(w):
-            raise DimensionMismatch("expected at least one eigenvalue, got none")
-        if not np.logical_and.reduce(np.isfinite(w), axis=None):
-            raise ValueError("eigenvalues are not all finite")
+        w = _levels(eigenvalues)
         d = len(w)
+        if not d:
+            raise DimensionMismatch("expected at least one eigenvalue, got none")
         if basis is None:
             v = _eye(d, complex)
         else:
             v = _array(basis)
             if v.shape != (d, d):
                 raise DimensionMismatch("basis shape does not match eigenvalue count")
-            if not np.logical_and.reduce(np.isfinite(v), axis=None):
-                raise ValueError("basis entries are not all finite")
+            _finite(v, "basis entries")
             if np.maximum.reduce(np.abs(v.conj().T @ v - _eye(d)), axis=None) > TOL_STRUCT:
                 raise ValueError("basis columns are not orthonormal")
         order = np.argsort(w, kind="stable")
@@ -670,5 +669,6 @@ def _phases(levels: np.ndarray, t) -> np.ndarray:
 
 
 def unitary_exp(ham: SpectralHamiltonian, t: float) -> np.ndarray:
-    """Evolution operator exp(-i H t) from spectral data (hbar = 1)."""
+    """Evolution operator exp(-i H t) from spectral data (hbar = 1), for a finite t."""
+    _require_finite("t", t)
     return _eigenbasis_operators(ham.eigenvectors, _phases(ham.eigenvalues, t))

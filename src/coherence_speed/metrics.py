@@ -149,17 +149,17 @@ def _qsl_grid(psi0: np.ndarray, ham: SpectralHamiltonian,
               targets: np.ndarray) -> tuple[np.ndarray, float, float]:
     """Bures angles from psi0 to each row of targets (n, d) in one array pass, with the moments.
 
-    Returns the angles and the energy mean above the ground level and
-    the energy spread of psi0, which every row shares (``_moments``).
-    Nothing is validated: psi0 is a checked state of the Hamiltonian's
-    dimension and the rows are unit vectors, such as states evolved
-    from psi0 in the trusted eigenbasis.  Each angle equals, bit for
-    bit, the one a loop over the rows takes from np.vdot, abs and
-    np.linalg.norm: the conjugated overlaps come from the same zdotc
-    with its arguments swapped, the phases from real divisions by the
-    same hypot and the norms from the same ddot.  A single row takes
-    its phase in Python scalars, as that loop did, rather than through
-    the masked division.
+    Returns the angles and the energy mean above the ground level and the energy spread of
+    psi0, which every row shares (``_moments``).  Nothing is validated: psi0 is a checked state
+    of the Hamiltonian's dimension and the rows are unit vectors, such as states evolved from
+    psi0 in the trusted eigenbasis.  Each angle equals, bit for bit, the one a loop over the rows
+    takes from np.vdot, abs and np.linalg.norm: the conjugated overlaps come from the same zdotc
+    with its arguments swapped, the phases from real divisions by the same hypot and the norms
+    from the same ddot.  A single row, as every ``qsl_bounds`` call passes, takes its phase in
+    Python scalars.  The masked division gives it the same bits (the ``test_qsl_grid_*`` cases
+    pin both); the scalar path is kept for its cost, 0.13 us against 4.3 us, in a 22 us
+    ``qsl_bounds`` call at d = 4 (one BLAS thread, one Xeon core), and ``qsl_bounds`` is a
+    quarter of the library calls of perfbench's measure workload.
     """
     weights = np.abs(dagger(ham.eigenvectors) @ psi0) ** 2
     mean, stddev = _moments(weights, ham.eigenvalues)

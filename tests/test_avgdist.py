@@ -287,6 +287,7 @@ def test_orbit_operators_chunk_in_lexicographic_order():
     assert np.array_equal(diagonals, np.asarray(inverse, dtype=float))
 
 
+@pytest.mark.bits
 def test_several_orbits_follow_one_another_in_one_chunked_list_bit_for_bit():
     rng = np.random.default_rng(12)
     # orbits of 120, 6 and 120 rows: the first and last chunks have one owner each and get
@@ -308,6 +309,7 @@ def test_several_orbits_follow_one_another_in_one_chunked_list_bit_for_bit():
         assert rows[owner == k].tobytes() == alone.tobytes() == terms[k].tobytes()
 
 
+@pytest.mark.bits
 def test_each_orbit_leaves_the_kernel_once_its_last_chunk_is_done_bit_for_bit():
     # three 6-level orbits of 720 rows, 6 chunks each: the first next() runs the first
     # orbit's 6 chunks and no more, and each orbit's terms are its own call's
@@ -337,6 +339,7 @@ def _fresh_orbit_table(m):
     return np.argsort(perms, axis=1)
 
 
+@pytest.mark.bits
 def test_the_cached_orbit_table_is_a_fresh_build_bit_for_bit_and_read_only():
     for m in range(1, 9):
         table = avgdist._orbit_table(m)
@@ -353,6 +356,7 @@ def test_the_cached_orbit_table_is_a_fresh_build_bit_for_bit_and_read_only():
     assert avgdist._orbit_table(3).tobytes() == _fresh_orbit_table(3).tobytes()
 
 
+@pytest.mark.bits
 def test_the_terms_of_many_orbits_equal_each_orbits_own_call_bit_for_bit():
     # level counts 2-6 at d = 6 (degenerate below 6), each with its own basis and time;
     # every U_s = V diag(phi_s) V†, stacked against each single call's broadcast operands
@@ -385,6 +389,7 @@ def _grid_cases(rng):
             yield ham, np.r_[0.0, np.sort(rng.uniform(0.05, 8.0, count - 1))].tolist()
 
 
+@pytest.mark.bits
 def test_a_grid_of_times_gives_the_per_time_oracle_bit_for_bit():
     rng = np.random.default_rng(14)
     for ham, times in _grid_cases(rng):
@@ -539,6 +544,7 @@ def _pairwise_cos_mean(lam, t):
     return float(2.0 * np.sum(np.cos(gaps * t)) / (d * (d - 1)))
 
 
+@pytest.mark.bits
 def test_coefficients_equal_a_pairwise_sum_bit_for_bit():
     # level counts interleaved, so every call after the first of a count reuses its pair index
     rng = np.random.default_rng(95)
@@ -581,6 +587,7 @@ def _parent_bruteforce_pure(psi, ham, t):
     return avgdist._orbit_means([ham], terms)[0]
 
 
+@pytest.mark.bits
 def test_pure_path_forms_every_evolved_vector_in_one_product_bit_for_bit(monkeypatch):
     # every term of every chunk, not only the correctly rounded mean, is the parent's
     rng = np.random.default_rng(98)
@@ -627,6 +634,7 @@ def test_pure_path_takes_no_square_root(monkeypatch):
     assert calls                              # the literal oracle is what was counted
 
 
+@pytest.mark.bits
 def test_a_grid_of_times_gives_the_per_point_coefficients_bit_for_bit():
     rng = np.random.default_rng(98)
     times = np.r_[np.linspace(0.0, 2.0 * np.pi, 201), rng.uniform(-40.0, 40.0, 50)]
@@ -670,6 +678,7 @@ def _stacked_cases(rng, d):
     return cases
 
 
+@pytest.mark.bits
 @pytest.mark.parametrize("d", [2, 4, 6])
 def test_stacked_oracle_equals_single_calls_bit_for_bit(d):
     cases = _stacked_cases(np.random.default_rng(60 + d), d)
@@ -680,6 +689,7 @@ def test_stacked_oracle_equals_single_calls_bit_for_bit(d):
     assert [x.hex() for x in stacked] == [avg_distance_bruteforce(*case).hex() for case in cases]
 
 
+@pytest.mark.bits
 def test_a_state_in_the_dead_band_reads_the_same_stacked_as_single_bit_for_bit():
     # a pure state plus d - 1 eigenvalues just below TOL_PSD, which every root reads as
     # zeros: the value is the kept dead-band fault (its gap to the closed form is 8e-11
@@ -715,6 +725,7 @@ def _parent_closed_form(root, ham, t):
     return coef, coh, 2.0 * (1.0 - coef) * coh
 
 
+@pytest.mark.bits
 @pytest.mark.parametrize("d", [3, 8])
 def test_stacked_closed_forms_equal_single_calls_bit_for_bit(d):
     # every level count 1..d in one call, degenerate levels below d, ranks 1..d; at d = 8
@@ -747,6 +758,7 @@ def test_stacked_closed_forms_equal_single_calls_bit_for_bit(d):
         assert ham.decomposition.projectors.tobytes() == alone.tobytes()
 
 
+@pytest.mark.bits
 def test_a_closed_form_over_a_time_grid_is_the_parents_bit_for_bit():
     # the sweep report's call: one root, one Hamiltonian, B(t) over a whole grid at once
     rng = np.random.default_rng(102)

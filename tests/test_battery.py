@@ -50,6 +50,7 @@ def test_spin_operator_algebra():
         spin_operator((1.0, 1.0, 0.0))   # not unit length
 
 
+@pytest.mark.bits
 def test_spin_operator_stack_equals_one_axis_at_a_time():
     rng = np.random.default_rng(76)
     axes = rng.normal(size=(7, 3))
@@ -231,6 +232,7 @@ def test_battery_run_is_read_only_columns():
         run.avg_work = np.zeros(21)
 
 
+@pytest.mark.bits
 @pytest.mark.parametrize("tau", [1.0, 2.5, 0.7])
 def test_package_pulses_and_axes_on_a_grid_equal_their_points_bit_for_bit(tau):
     # the per-point forms are those of a scalar time: a scalar np.float64 power is libm pow
@@ -269,6 +271,7 @@ def test_a_fixed_axis_cannot_be_written_through_a_call():
     assert np.isfinite(run.avg_work).all()
 
 
+@pytest.mark.bits
 @pytest.mark.parametrize("n", [(1.0, 0.0, 0.0), (0.3, -0.5, 0.8)], ids=["x", "vector"])
 def test_a_fixed_axis_run_equals_the_per_point_axis_run_bit_for_bit(n):
     # one 3-vector gives one drive eigenbasis; the same axis repeated per point gives 2,501

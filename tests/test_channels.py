@@ -49,6 +49,7 @@ def test_completeness_residual_is_kept_from_the_check():
         assert chan.completeness_residual == float(np.max(np.abs(total - np.eye(chan.dim))))
 
 
+@pytest.mark.bits
 def test_drawn_channels_skip_the_check_and_read_its_residual_bit_for_bit(monkeypatch):
     # a channel cut from a drawn unitary is trusted: no second copy, finiteness pass or K†K
     # sum at construction; its residual, built on first read, is the float the check keeps
@@ -240,6 +241,7 @@ def _channels(seed, count):
             for _ in range(count)]
 
 
+@pytest.mark.bits
 def test_stacked_operators_match_the_loop_draw():
     for d, k, s in _channels(61, 40):
         chan = random_channel(d, k, s)
@@ -249,6 +251,7 @@ def test_stacked_operators_match_the_loop_draw():
         assert chan.completeness_residual == _loop_residual(ops)
 
 
+@pytest.mark.bits
 def test_stacked_apply_kraus_matches_the_loop():
     rng = np.random.default_rng(62)
     for d, k, s in _channels(62, 40):
@@ -269,6 +272,7 @@ def _loop_dilation(chan, env):
     return u, linalg.SpectralHamiltonian.from_matrix(linalg.hermitianize((z * lam) @ z.conj().T))
 
 
+@pytest.mark.bits
 def test_stacked_dilation_equals_the_loop_completion_bit_for_bit(monkeypatch):
     # U is the loop's completion bit for bit; its logarithm, a Cayley transform, is held
     # to scipy's Schur form: the same levels to 1e-13, grouped the same, and U rebuilt
@@ -290,6 +294,7 @@ def test_stacked_dilation_equals_the_loop_completion_bit_for_bit(monkeypatch):
             assert np.max(np.abs(rebuilt - u)) <= 1e-13, (chan.label, env)
 
 
+@pytest.mark.bits
 def test_channel_to_dict_matches_the_loop():
     for d, k, s in _channels(64, 20):
         chan = random_channel(d, k, s)
@@ -375,6 +380,7 @@ def _minus_one_channel(seed):
     return KrausChannel(((v * np.array([-1.0, -1.0, 1.0])) @ v.conj().T,))
 
 
+@pytest.mark.bits
 def test_theorem3_bound_equals_the_checked_composition_bit_for_bit():
     rng = np.random.default_rng(65)
     # (d, K, env_dim): env_dim K and K + 1, up to 6 joint levels, and 9 for 3 x 2 at env 3
@@ -447,6 +453,7 @@ def test_dilate_rejects_a_stack_that_completes_to_no_unitary():
                 dilate(chan, env)
 
 
+@pytest.mark.bits
 def test_a_bound_call_checks_hermiticity_once(monkeypatch):
     calls = []
 

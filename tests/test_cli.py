@@ -162,6 +162,7 @@ def _run_sweep(tmp_path, spectrum, state, seed, steps, fmt="csv"):
     return out
 
 
+@pytest.mark.bits
 @pytest.mark.parametrize("spectrum, rank", [
     ([0.0, 0.7, 1.9, 2.4], 2), ([0.0, 0.7, 0.7, 2.4, 3.1], 3), ([0.0, 1.3], 1)])
 def test_a_mixed_sweep_is_the_point_by_point_loop_byte_for_byte(tmp_path, spectrum, rank):
@@ -350,6 +351,7 @@ def test_qsl_weights_the_level_blocks_of_a_degenerate_spectrum_equally(tmp_path)
     assert all(abs(row["energy_mean"] - 0.5) < 1e-15 for row in rows_of(out))
 
 
+@pytest.mark.bits
 def test_the_default_qsl_rows_are_the_unitary_exp_targets_bit_for_bit(tmp_path):
     # on the default spectrum [0, 1] the lowest level is 0, so dropping the
     # global phase exp(-i w_0 t) from the targets changes no bit
@@ -451,21 +453,12 @@ def test_verify_metadata_records_dim_as_an_override(tmp_path, capsys, extra, val
     assert meta == [f"# dim_override: {value}"]
 
 
-def test_ragged_channel_file_is_a_usage_error(tmp_path, capsys):
-    chan_path = tmp_path / "ragged.json"
-    chan_path.write_text(json.dumps({"kraus": [[[[1, 0], [0, 0]], [[0, 0]]]]}))
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"channel": {"channel": {"path": str(chan_path)}}}))
-    assert main(["channel", "--config", str(cfg)]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith(f"error: channel {chan_path}: ")
-    assert "Traceback" not in captured.err
-
-
-def test_nan_kraus_entry_is_a_usage_error(tmp_path, capsys):
-    chan_path = tmp_path / "nan.json"
-    chan_path.write_text(json.dumps({"kraus": [[[[float("nan"), 0], [0, 0]], [[0, 0], [1, 0]]]]}))
+@pytest.mark.parametrize("kraus", [[[[[1, 0], [0, 0]], [[0, 0]]]],
+                                   [[[[float("nan"), 0], [0, 0]], [[0, 0], [1, 0]]]]],
+                         ids=["ragged", "nan"])
+def test_a_malformed_channel_file_is_a_usage_error(tmp_path, capsys, kraus):
+    chan_path = tmp_path / "kraus.json"
+    chan_path.write_text(json.dumps({"kraus": kraus}))
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"channel": {"channel": {"path": str(chan_path)}}}))
     assert main(["channel", "--config", str(cfg)]) == 2

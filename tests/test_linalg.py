@@ -218,6 +218,7 @@ def test_unitary_exp_matches_expm():
         assert np.max(np.abs(u - expm(-1j * t * ham.matrix()))) < 1e-8
 
 
+@pytest.mark.bits
 def test_phases_are_the_inline_expression_bit_for_bit():
     # a 0.0 level, negative levels, t = 0.0, scalar times and the complex (n, 1) time
     # columns (and (1,) rows) the orbit terms pass; -1j * (levels * t) would flip the sign
@@ -311,25 +312,24 @@ def test_matrix_sqrt_psd_stack_matches_each_matrix():
 
 def _old_loop_check(projectors, tol=1e-8):
     """The per-projector loop check that OrthogonalDecomposition made before its stacked check,
-    with the checks added since: finite entries of the projectors before the first one of
-    another shape come first, orthogonality reads every ordered pair P_a P_b (a != b), empty
-    blocks (trace below 1/2) come last.
+    with the checks added since: the family's shape comes first (one non-empty (M, d, d)
+    stack), then finite entries; orthogonality reads every ordered pair P_a P_b (a != b), and
+    empty blocks (trace below 1/2) come last.
 
     Returns the error (type, message) it raised, or None when it accepted.
     """
     try:
-        projs = tuple(np.asarray(p, dtype=complex) for p in projectors)
-    except ValueError as exc:                           # a ragged projector
-        return ValueError, str(exc)
-    if not projs:
-        return ValueError, "decomposition needs at least one projector"
-    d = projs[0].shape[0]
-    if not all(np.isfinite(p).all() for p in itertools.takewhile(lambda p: p.shape == (d, d),
-                                                                  projs)):
+        stack = np.array(projectors, dtype=complex)
+    except ValueError:                                  # ragged, or projectors of two shapes
+        return DimensionMismatch, "entries are not nested to one shape"
+    if stack.ndim != 3:
+        return DimensionMismatch, f"expected a stack (M, d, d), got shape {stack.shape}"
+    if stack.shape[1] != stack.shape[2] or not stack.size:
+        return DimensionMismatch, f"expected a square matrix, got shape {stack.shape}"
+    projs, d = tuple(stack), stack.shape[1]
+    if not np.isfinite(stack).all():
         return ValueError, "projector entries are not all finite"
     for p in projs:
-        if p.shape != (d, d):
-            return DimensionMismatch, "projectors must share one square shape"
         if np.max(np.abs(p - p.conj().T)) > tol:
             return ValueError, "projector is not Hermitian"
         if np.max(np.abs(p @ p - p)) > tol:
@@ -401,9 +401,9 @@ def _faults(projs, rng):
         both[0] = 1.001 * both[0]                      # ... behind an earlier non-idempotent
         out.append(("idempotence-before-hermiticity", both))
         shaped = list(projs)
-        shaped[m - 1] = np.eye(d + 1)                  # wrong shape after a non-Hermitian
+        shaped[m - 1] = np.eye(d + 1)                  # wrong shape, read before a non-Hermitian
         shaped[0] = shaped[0] + 1e-6 * np.triu(np.ones((d, d)), 1)
-        out.append(("hermiticity-before-shape", shaped))
+        out.append(("shape-before-hermiticity", shaped))
         out.append(("shape", list(projs[:-1]) + [np.eye(d + 1)]))
     return out
 
@@ -451,6 +451,7 @@ def _parent_stack(family):
     return np.concatenate(projs).reshape(len(projs), *projs[0].shape)
 
 
+@pytest.mark.bits
 def test_stacked_check_agrees_with_the_loop_check_bit_for_bit():
     rng = np.random.default_rng(13)
     seen = set()
@@ -479,15 +480,16 @@ def test_stacked_check_agrees_with_the_loop_check_bit_for_bit():
     messages = {msg for _, msg in seen}
     assert {"accepted", "projector is not Hermitian", "projector is not idempotent",
             "projectors are not mutually orthogonal", "projectors do not sum to the identity",
-            "projectors must share one square shape", "projector entries are not all finite",
+            "entries are not nested to one shape", "projector entries are not all finite",
             "projector is empty (trace below 1/2)",
-            "decomposition needs at least one projector"} <= messages
+            "expected a stack (M, d, d), got shape (0,)"} <= messages
     assert {("later-product", "projectors are not mutually orthogonal"),
             ("edge-below", "accepted"),
             ("edge-above", "projector is not idempotent"), ("herm-edge-below", "accepted"),
             ("herm-edge-above", "projector is not Hermitian"), ("sum-edge-below", "accepted"),
-            ("sum-edge-above", "projectors do not sum to the identity")} <= seen
-    assert any(label == "ragged" and "inhomogeneous" in msg for label, msg in seen)
+            ("sum-edge-above", "projectors do not sum to the identity"),
+            ("ragged", "entries are not nested to one shape"),
+            ("shape-before-hermiticity", "entries are not nested to one shape")} <= seen
 
 
 def test_a_later_product_beyond_tolerance_is_read_only_for_the_message():
@@ -514,6 +516,7 @@ def _old_cluster_levels(eigvals, tol):
     return levels, level_of
 
 
+@pytest.mark.bits
 def test_cluster_levels_bit_identical_to_the_loop():
     rng = np.random.default_rng(14)
     for _ in range(400):
@@ -548,6 +551,7 @@ def _per_cluster_levels(eigvals):
     return levels, level_of
 
 
+@pytest.mark.bits
 def test_cluster_levels_equals_the_per_cluster_mean_loop_bit_for_bit():
     # one row or a stack, d = 1-16: clusters of every size up to 16 (pairwise summation
     # starts at 8 terms), rows of unequal level counts, a row of one level, and -0.0
@@ -667,6 +671,7 @@ def _malformed_densities(d):
             1.5 * negative, 1.5 * skew]
 
 
+@pytest.mark.bits
 def test_density_root_is_validate_density_then_matrix_sqrt_psd():
     rng = np.random.default_rng(18)
     for d in range(1, 9):
@@ -689,6 +694,7 @@ def test_density_root_is_validate_density_then_matrix_sqrt_psd():
             assert isinstance(want, str) and _outcome(linalg._Density.of, bad) == want
 
 
+@pytest.mark.bits
 def test_a_stack_of_drawn_states_equals_their_single_checks_bit_for_bit():
     rng = np.random.default_rng(19)
     for d in range(1, 9):
@@ -751,6 +757,7 @@ _BAD_DENSITIES = [
 ]
 
 
+@pytest.mark.bits
 def test_density_entries_raise_the_parent_errors_bit_for_bit():
     for bad, want in _BAD_DENSITIES:
         for entry in (linalg._Density.of, linalg.validate_density,
@@ -765,30 +772,14 @@ def test_density_entries_raise_the_parent_errors_bit_for_bit():
     assert metrics.hellinger(np.stack([_RHO, _RHO]), _RHO).tolist() == [0.0, 0.0]
 
 
-def test_basis_entries_raise_the_parent_errors_bit_for_bit():
-    basis = np.eye(3, dtype=complex)
-    skewed = basis.copy()
-    skewed[0, 1] = 1e-7
-    nan = basis.copy()
-    nan[2, 2] = np.nan
-    inf = basis.copy()
-    inf[0, 2] = -np.inf
-    cases = [
-        (([0.0, 1.0, 2.0], skewed), "ValueError: basis columns are not orthonormal"),
-        (([0.0, 1.0, 2.0], nan), "ValueError: basis entries are not all finite"),
-        (([0.0, 1.0, 2.0], inf), "ValueError: basis entries are not all finite"),
-        (([0.0, np.nan, 2.0], basis), "ValueError: eigenvalues are not all finite"),
-        (([0.0, 1.0, np.inf], None), "ValueError: eigenvalues are not all finite"),
-        (([0.0, 1.0], basis), "DimensionMismatch: basis shape does not match eigenvalue count"),
-    ]
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        for args, want in cases:
-            assert _outcome(SpectralHamiltonian.from_spectrum, *args) == want
+@pytest.mark.bits
+def test_from_spectrum_carries_the_basis_columns_with_the_sorted_levels():
+    basis = random_unitary(3, 17)
     ham = SpectralHamiltonian.from_spectrum([2.0, 0.0, 1.0], basis)
     assert ham.eigenvectors.tobytes() == basis[:, [1, 2, 0]].tobytes()
 
 
+@pytest.mark.bits
 def test_eigendata_rebuilds_equal_the_parent_expressions_bit_for_bit():
     # every V diag(x) V† of the package is _eigenbasis_operators; here are the six
     # expressions it replaced, each written out on the arguments of its site
@@ -817,6 +808,7 @@ def test_eigendata_rebuilds_equal_the_parent_expressions_bit_for_bit():
         same(linalg._eigenbasis_operators(vs, x), (vs * x[:, None, :]) @ dagger(vs))
 
 
+@pytest.mark.bits
 @pytest.mark.parametrize("d", range(2, 9))
 def test_one_product_per_shared_eigenbasis_equals_the_per_matrix_products_bit_for_bit(d):
     # rows against one V are one (n d, d) @ V† product; the per-matrix expression it
@@ -867,6 +859,7 @@ def _spectra(rng, d):
     return out
 
 
+@pytest.mark.bits
 def test_lazy_projector_stack_matches_the_eager_build_bit_for_bit():
     rng = np.random.default_rng(19)
     merged = 0
@@ -1003,6 +996,7 @@ def test_package_built_arrays_are_read_only_and_a_callers_arrays_stay_writeable(
             array[...] = array          # and it can be written
 
 
+@pytest.mark.bits
 def test_a_stacked_build_equals_its_rows_built_one_by_one_bit_for_bit():
     # distinct levels, merged clusters (gaps below TOL_DEGEN), a single level and a row with
     # fewer levels than the widest, in one _cluster_levels call

@@ -272,6 +272,7 @@ def _qsl_angle_loop(psi0, targets) -> list[float]:
     return out
 
 
+@pytest.mark.bits
 def test_qsl_grid_equals_the_per_target_loop_bit_for_bit():
     rng = np.random.default_rng(32)
     for d in range(1, 9):
@@ -288,6 +289,7 @@ def test_qsl_grid_equals_the_per_target_loop_bit_for_bit():
                     for row in targets] == angles.tolist()
 
 
+@pytest.mark.bits
 def test_qsl_grid_edge_targets_equal_the_per_target_loop():
     rng = np.random.default_rng(33)
     ham = SpectralHamiltonian.from_spectrum([-0.3, 0.4, 0.4, 1.7])

@@ -154,6 +154,7 @@ def test_the_stack_is_the_stored_form():
     assert dec.projectors[0, 0, 0] == 1.0
 
 
+@pytest.mark.bits
 def test_block_stack_is_bit_identical_to_each_block_product():
     rng = np.random.default_rng(61)
     for d in range(1, 9):
@@ -169,6 +170,7 @@ def test_block_stack_is_bit_identical_to_each_block_product():
                                   _loop_basis_projectors(ham.eigenvectors, cols))
 
 
+@pytest.mark.bits
 def test_c_half_and_closest_incoherent_match_the_loops_bit_for_bit():
     degenerate = dropped = 0
     for _, groups, dec, states in _cases(62):
@@ -182,6 +184,7 @@ def test_c_half_and_closest_incoherent_match_the_loops_bit_for_bit():
     assert degenerate > 50 and dropped > 50
 
 
+@pytest.mark.bits
 def test_more_than_eight_blocks_sum_their_weights_in_block_order():
     # np.sum pairs the terms of 8 or more weights; the loop added them in turn
     rng = np.random.default_rng(63)
@@ -249,6 +252,7 @@ def test_is_refinement_gives_the_loop_verdicts():
     assert verdicts == {True, False}
 
 
+@pytest.mark.bits
 def test_permute_levels_matches_the_loop():
     rng = np.random.default_rng(68)
     for d in range(1, 9):
@@ -266,6 +270,7 @@ def test_permute_levels_matches_the_loop():
             assert np.array_equal(got.levels, ham.levels)
 
 
+@pytest.mark.bits
 @pytest.mark.parametrize("rows", [1, 5])
 def test_cluster_levels_groups_each_row_of_a_stack(rows):
     rng = np.random.default_rng(69 + rows)
@@ -284,6 +289,7 @@ def test_cluster_levels_groups_each_row_of_a_stack(rows):
             assert not got_levels[len(want_levels):].any()
 
 
+@pytest.mark.bits
 def test_the_families_of_several_hamiltonians_are_their_block_products_bit_for_bit():
     # one _block_stacks call over several bases of one dimension and level count, block
     # sizes mixed within and across the bases

@@ -323,6 +323,7 @@ def test_thm2_takes_a_callers_dim_as_a_floor_and_names_the_dimensions_it_ran(dim
     assert check_thm2_equality(seed=0, trials=20).detail == ""
 
 
+@pytest.mark.bits
 def test_block_diag_equals_scipy_for_mixed_sizes_and_dtypes():
     rng = np.random.default_rng(96)
     complex_block = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
@@ -407,6 +408,7 @@ def _per_trial_figures(check, seed, trials):
     return [_PER_TRIAL[check](i, rng) for i, rng in enumerate(children)]
 
 
+@pytest.mark.bits
 @pytest.mark.parametrize("trials", [1, 7])
 @pytest.mark.parametrize("seed", [0, 1, 34, 83])
 @pytest.mark.parametrize("check", list(_PER_TRIAL), ids=lambda fn: fn.__name__)
@@ -420,6 +422,7 @@ def test_stacked_thm3_checks_equal_their_per_trial_bodies_bit_for_bit(check, see
     assert (res.passed, res.trials, res.worst.hex()) == (True, trials, max(want).hex())
 
 
+@pytest.mark.bits
 @pytest.mark.parametrize("check", list(_PER_TRIAL), ids=lambda fn: fn.__name__)
 def test_a_stacked_check_under_dim_notes_it_and_keeps_its_figures_bit_for_bit(check):
     res = check(seed=0, trials=7, dim=3)
@@ -503,6 +506,7 @@ def _stacked_run(monkeypatch, check, **kwargs):
     return res, seen[0]
 
 
+@pytest.mark.bits
 @pytest.mark.parametrize("trials", [1, 7, None])
 @pytest.mark.parametrize("seed", [0, 1, 34, 83])
 @pytest.mark.parametrize("check", list(_ORACLE_PER_TRIAL), ids=lambda fn: fn.__name__)
@@ -515,6 +519,7 @@ def test_stacked_oracle_checks_equal_their_per_trial_bodies_bit_for_bit(monkeypa
     assert (res.passed, res.trials, res.worst.hex(), res.detail) == (True, n, max(want).hex(), "")
 
 
+@pytest.mark.bits
 @pytest.mark.parametrize("dim", [2, 5])
 def test_stacked_thm2_under_dim_keeps_its_figures_and_note_bit_for_bit(monkeypatch, dim):
     want, used = _oracle_per_trial(check_thm2_equality, 0, dim)
@@ -530,6 +535,7 @@ def _eigendata(dilation):
             ham.level_of.tobytes(), dilation.env_dim)
 
 
+@pytest.mark.bits
 def test_stacked_dilate_equals_single_calls_bit_for_bit():
     rng = np.random.default_rng(97)
     flip = np.diag([1.0, -1.0]).astype(complex)        # an eigenvalue -1: the fold of -pi
@@ -546,6 +552,7 @@ def test_stacked_dilate_equals_single_calls_bit_for_bit():
     assert [len(dil.levels) for dil in _dilate(unitary)] == [2, 2, 2, 1, 1]
 
 
+@pytest.mark.bits
 def test_stacked_theorem3_bound_equals_single_calls_bit_for_bit():
     rng = np.random.default_rng(98)
     eye2 = np.eye(2)
@@ -574,6 +581,7 @@ def test_stacked_theorem3_bound_equals_single_calls_bit_for_bit():
     assert {np.linalg.matrix_rank(rho) for rho in rhos[4:]} == {1, 2}
 
 
+@pytest.mark.bits
 def test_rounds_draw_from_each_generator_what_its_own_loop_would_bit_for_bit():
     def own_loop(rng):
         while (x := rng.random()) <= 0.8:
