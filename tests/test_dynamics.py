@@ -387,6 +387,23 @@ def test_a_reversed_grid_warns_and_evolves_backwards():
     assert np.max(np.abs(back.states[-1] - want)) < 1e-12
 
 
+@pytest.mark.parametrize("build", [
+    lambda: HamiltonianPath([0.0, 1.0], [np.diag([np.nan, 0.0])] * 2),
+    lambda: HamiltonianPath([0.0, 1.0], [np.array([[0.0, np.inf], [0.0, 0.0]])] * 2),
+    lambda: HamiltonianPath.constant(np.diag([np.nan, 0.0]), 1.0, steps=4),
+    lambda: HamiltonianPath.linear(np.eye(2), np.diag([0.0, np.inf]), 1.0, steps=4),
+    lambda: HamiltonianPath.linear(np.diag([np.nan, 0.0]), np.eye(2), 1.0),
+    lambda: HamiltonianPath([0.0, 1.0], [np.diag([np.inf, 0.0])] * 2),
+], ids=["caller-nan", "caller-inf", "constant-nan", "linear-inf-end", "linear-nan-start",
+        "caller-inf-diagonal"])
+def test_non_finite_samples_are_named_as_such(build):
+    # warnings as errors: inf - inf in the Hermiticity residual would warn first
+    with pytest.raises(NotHermitian, match="^matrix entries are not all finite$"), \
+            warnings.catch_warnings():
+        warnings.simplefilter("error")
+        build()
+
+
 def test_a_trajectory_cannot_be_reassigned_or_written_and_copies_nothing():
     path = HamiltonianPath.linear(np.diag([0.0, 1.0]), [[0.0, 0.2], [0.2, 0.3]], 1.0, steps=10)
     traj = evolve(np.array([1.0, 0.0]), path)

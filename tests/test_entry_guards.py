@@ -374,6 +374,9 @@ _GUARDS = {
         "eigenvalues are not pairwise distinct; group levels and use b_coefficient"),
     "a_coefficient, one eigenvalue": (
         lambda: cs.a_coefficient([0.5], 1.0), SingleLevel, "need at least two eigenvalues"),
+    "benchmark_overlap_check, one phase short": (
+        lambda: cs.benchmark_overlap_check([0.0, 1.0, 2.0], [0.0, 0.0], 1.0), DimensionMismatch,
+        "one phase per eigenvalue required"),
     **{f"{call.__name__}, a NaN in an array of times": (
         lambda call=call: call([0.0, 1.0], np.array([0.5, NAN])), ValueError,
         "t must be finite, got nan") for call in (cs.a_coefficient, cs.b_coefficient)},
