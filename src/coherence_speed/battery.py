@@ -61,6 +61,7 @@ from .linalg import (
     _phases,
     _read_only,
     _require_finite,
+    _square,
     _trusted,
     dagger,
     hermitianize,
@@ -191,14 +192,21 @@ def _branch_work(rho, epsilon: float, h_branch: np.ndarray, dt: float) -> float:
     return float(epsilon * np.trace(_P1 @ (rho - rho_next)).real)
 
 
+def _qubit(rho_t: np.ndarray, v_t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """rho_t and v_t; DimensionMismatch unless both are 2 x 2, the dimension of eps |1><1|."""
+    if rho_t.shape != (2, 2) or v_t.shape != (2, 2):
+        raise DimensionMismatch(f"rho_t and v_t are {rho_t.shape} and {v_t.shape}, not (2, 2)")
+    return rho_t, v_t
+
+
 def avg_extracted_work(rho_t, epsilon: float, eta_t: float, v_t: np.ndarray,
                        dt: float) -> float:
     """Two-branch average work over the window [t, t + dt].
 
     Branches evolve under eps |1><1| + eta V and eps |1><1| - eta V,
-    the two members of the drive's level-permutation family.  v_t is checked Hermitian first.
+    the two members of the drive's level-permutation family.  v_t is checked Hermitian, then 2 x 2.
     """
-    rho_t, v_t = validate_density(rho_t), require_hermitian(v_t, stack=False)
+    rho_t, v_t = _qubit(validate_density(rho_t), require_hermitian(v_t, stack=False))
     _require_finite("dt", dt)
     h0 = epsilon * _P1
     w_plus = _branch_work(rho_t, epsilon, h0 + eta_t * v_t, dt)
@@ -216,8 +224,10 @@ def work_bound(rho_t, epsilon: float, eta_t: float, v_t: np.ndarray,
                dt: float) -> float:
     """Ceiling 2 eps sin(eta dt) sqrt(c_half_V(rho)) on the branch-averaged work.
 
-    Valid while eta * dt stays in [0, pi/2] (monotone sine window); dt must be finite.
+    Valid while eta * dt stays in [0, pi/2] (monotone sine window); rho_t and v_t must be
+    2 x 2 matrices, checked first, and dt finite.
     """
+    rho_t, v_t = _qubit(_square(rho_t), _square(v_t))
     _require_finite("dt", dt)
     x = eta_t * dt
     if x > np.pi / 2.0:

@@ -15,12 +15,12 @@ verification checks declare their own.  Columns: value, bound, sites.
                      require_hermitian, the one NotHermitian of every entry; an operand the
                      package builds from checked values is trusted and not checked again
   TOL_NORM    1e-9   a norm vs its target: states, env_state, qubit amplitudes, spin axes, blocks
-  TOL_TRACE   1e-9   |Tr rho - 1|: _Density.of (validate_density)
+  TOL_TRACE   1e-9   |Tr rho - 1| of each matrix: _checked_density, every density entry's check
   TOL_ORTH    1e-9   max|U†U - I| of dilate's unitary completion, once U is checked finite
   TOL_PSD     1e-10  _psd_eigh, the one NotPSD (an eigenvalue below -TOL_PSD), and _band_sqrt,
                      the one dead band (below TOL_PSD reads as zero); closest_incoherent's weights
   TOL_DEGEN   1e-9   one level: _cluster_levels, a_coefficient, dilate's fold of -pi onto +pi
-  TOL_STRUCT  1e-8   caller structure: projector families, bases, Kraus sums, refinement, purity
+  TOL_STRUCT  1e-8   caller structure: projector families, bases (_basis), Kraus sums, refinement
   TOL_DRIFT   1e-10  norm drift over an evolve grid
   TOL_ZERO    1e-12  read as zero: qsl overlap and spreads, witness, pulse ends, CLI drive axis
   TOL_REPORT  1e-9   pass tolerance of the sweep, battery, channel and qsl reports without --tol
@@ -124,10 +124,9 @@ def _require_hermitian(a, stack: bool) -> tuple[np.ndarray, float]:
 def _psd_eigh(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues (ascending) and eigenvectors of a complex PSD matrix or stack (..., d, d).
 
-    The one positivity check of the package: one eigh, which reads the
-    lower triangle, and NotPSD for an eigenvalue below -TOL_PSD; no
-    Hermiticity check.  A caller's matrix passes ``require_hermitian``
-    first; an operand the package built from checked values comes as it is.
+    The one positivity check: one eigh, which reads the lower triangle, and NotPSD for an
+    eigenvalue below -TOL_PSD.  A caller's matrix is checked Hermitian first (``require_hermitian``,
+    ``_checked_density``); an operand the package built from checked values comes as it is.
     """
     w, v = np.linalg.eigh(h)
     low = np.minimum.reduce(w, axis=None) if w.ndim > 1 else w[0]
@@ -166,24 +165,31 @@ def _rebuild(roots: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 
 def matrix_sqrt_psd(rho) -> np.ndarray:
-    """Hermitian square root of a PSD matrix, or of each matrix in a stack (..., d, d).
+    """Hermitian square root of a PSD matrix of any trace, or of each matrix in a stack (..., d, d).
 
-    Rebuilt as W diag(sqrt w) W† from ``_psd_sqrt_eig`` of the checked
-    matrix (NotHermitian from ``require_hermitian``): eigenvalues within
-    TOL_PSD of zero are treated as exact zeros (sqrt amplifies eigensolver
-    noise on a singular matrix from 1e-16 to 1e-8 otherwise); anything
-    below -TOL_PSD raises NotPSD.  Every matrix of a stack gets its own
-    eigendecomposition and these checks.  Callers that only need a trace
-    against the root, as ``metrics.affinity`` does, skip the rebuild.
+    W diag(sqrt w) W† from ``_psd_sqrt_eig`` of the matrix ``require_hermitian`` checked:
+    eigenvalues within TOL_PSD of zero are exact zeros (sqrt amplifies eigensolver noise on a
+    singular matrix from 1e-16 to 1e-8 otherwise), and one below -TOL_PSD raises NotPSD.  Every
+    matrix of a stack gets its own eigendecomposition and these checks.
     """
     return _rebuild(*_psd_sqrt_eig(require_hermitian(rho)))
 
 
 def validate_density(rho) -> np.ndarray:
-    """The checks of ``_Density.of`` (Hermiticity, positivity, unit trace); return the array."""
-    rho = _square(rho)
-    _Density.of(rho)
-    return rho
+    """The check of ``_Density.of`` (``_checked_density``) of one matrix; return the array."""
+    return _checked_density(rho)[0]
+
+
+def _checked_density(rho, stack: bool = False) -> tuple[np.ndarray, float, np.ndarray, np.ndarray]:
+    """The one density check, of one matrix or (stack=True) each matrix of a stack:
+    ``_require_hermitian``, ``_psd_eigh``, then InvalidState naming the first trace beyond
+    TOL_TRACE of 1.  Returns rho as complex128, its residual max|A - A†|, w and V."""
+    rho, skew = _require_hermitian(rho, stack)
+    w, v = _psd_eigh(rho)
+    tr = rho.trace(0, -2, -1).real      # one matrix: rho.trace(), the order of sum it prints
+    if np.logical_or.reduce(off := abs(tr - 1.0) > TOL_TRACE, axis=None):
+        raise InvalidState(f"trace {float(tr[off][0])!r} differs from 1 beyond {TOL_TRACE:.1e}")
+    return rho, skew, w, v
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -240,14 +246,11 @@ class _lazy:
 
 @dataclass(frozen=True, eq=False)
 class _Density:
-    """A density matrix checked once, where it enters, and the eigendata of that check.
+    """A density matrix checked once, where it enters (``of``: ``_checked_density``).
 
-    ``of`` raises DimensionMismatch (not one square matrix, or zero size) and NotHermitian from
-    one ``require_hermitian`` pass, NotPSD from ``_psd_eigh`` (one eigh, reading the lower
-    triangle), then InvalidState (trace beyond TOL_TRACE), the messages every other entry gives.
-    It keeps rho as given, w and V, all read-only, and psi only when the caller held a pure
-    state's vector.  ``root``, built on first read, is matrix_sqrt_psd(rho) bit for bit, and
-    ``hermitian`` is ``_lower_hermitian(rho)``: rho itself when the check's residual is zero.
+    It keeps rho as given and the w and V of its check, all read-only, psi only when the caller
+    held a pure state's vector, ``root`` (built on first read: matrix_sqrt_psd(rho) bit for bit)
+    and ``hermitian`` (``_lower_hermitian(rho)``: rho itself when the check's residual is zero).
     """
 
     rho: np.ndarray
@@ -257,11 +260,7 @@ class _Density:
 
     @classmethod
     def of(cls, rho, psi: np.ndarray | None = None) -> "_Density":
-        rho, skew = _require_hermitian(rho, stack=False)
-        w, v = _psd_eigh(rho)
-        tr = float(rho.trace().real)
-        if abs(tr - 1.0) > TOL_TRACE:
-            raise InvalidState(f"trace {tr!r} differs from 1 beyond {TOL_TRACE:.1e}")
+        rho, skew, w, v = _checked_density(rho)
         rho, psi = _read_only(rho), psi if psi is None else _read_only(psi)
         if skew:
             return _trusted(cls, rho, w, v, psi)
@@ -313,6 +312,14 @@ def _finite(a: np.ndarray, what: str) -> np.ndarray:
     if not np.logical_and.reduce(np.isfinite(a), axis=None):
         raise ValueError(f"{what} are not all finite")
     return a
+
+
+def _basis(vectors) -> np.ndarray:
+    """A caller's basis: one square matrix (``_square``), finite, orthonormal to TOL_STRUCT."""
+    v = _finite(_square(vectors), "basis entries")     # before any product of it
+    if np.maximum.reduce(np.abs(dagger(v) @ v - _eye(len(v))), axis=None) > TOL_STRUCT:
+        raise ValueError("basis columns are not orthonormal")
+    return v
 
 
 def _levels(values) -> np.ndarray:
@@ -440,16 +447,13 @@ class OrthogonalDecomposition:
     frozen, so no family can be reassigned or written past its check.
 
     Invariants: each P_m is Hermitian and idempotent, distinct projectors annihilate each
-    other, and the family sums to the identity.  A caller's family (the constructor,
-    ``from_basis``, ``computational``) is copied into one stack, DimensionMismatch unless it is
-    one non-empty (M, d, d) stack, then checked for finite entries, then to TOL_STRUCT from one
-    matrix product (every P_a P_b, a != b included in either order), and last for empty blocks
-    (trace below 1/2).  It is accepted on whole-family maxima; only a failure reads the
-    per-projector ones, to name the first failing check.
-    Eigenspace families the package builds itself from an orthonormal
-    eigenbasis (``SpectralHamiltonian.from_matrix``, ``from_spectrum``,
-    ``permute_levels``) hold the invariants by construction and are not
-    checked again.
+    other, and the family sums to the identity.  A caller's own family (the constructor) is
+    copied into one stack, DimensionMismatch unless it is one non-empty (M, d, d) stack, then
+    checked for finite entries, then to TOL_STRUCT from one matrix product (every P_a P_b,
+    a != b included in either order), and last for empty blocks (trace below 1/2).  It is
+    accepted on whole-family maxima; only a failure reads the per-projector ones, to name the
+    first failing check.  A family built from a checked basis (``from_basis``,
+    ``computational``, the eigenspaces of a ``SpectralHamiltonian``) is not checked again.
     """
 
     projectors: np.ndarray
@@ -492,12 +496,18 @@ class OrthogonalDecomposition:
     @classmethod
     def from_basis(cls, vectors: np.ndarray,
                    groups: Sequence[Sequence[int]] | None = None) -> "OrthogonalDecomposition":
-        """Build projectors from the orthonormal columns of a square matrix (DimensionMismatch
-        for any other shape or zero size), optionally grouped into blocks."""
-        v = _finite(_square(vectors), "basis entries")     # before any product of it
-        groups = np.arange(v.shape[1])[:, None] if groups is None else groups
+        """V_g V_g† for each group g of the columns of a basis (``_basis``), each column its own
+        group by default; ValueError unless the groups hold each column once and none is empty.
+        The family is installed as built (``_trusted``)."""
+        v = _basis(vectors)
+        groups = np.arange(len(v))[:, None] if groups is None else groups
+        sizes = np.array([len(g) for g in groups], dtype=int)
         columns = np.concatenate([g for g in groups if len(g)] or [np.empty(0, dtype=int)])
-        return cls(_block_stacks(v[:, columns], np.array([len(g) for g in groups], dtype=int)))
+        if columns.dtype.kind not in "iu" or sorted(columns.tolist()) != list(range(len(v))):
+            raise ValueError(f"groups do not hold each column 0..{len(v) - 1} once")
+        if not np.logical_and.reduce(sizes):
+            raise ValueError("projector is empty (trace below 1/2)")
+        return _trusted(cls, _block_stacks(v[:, columns], sizes))
 
     @classmethod
     def computational(cls, dim: int,
@@ -591,24 +601,17 @@ class SpectralHamiltonian:
     def from_spectrum(cls, eigenvalues, basis: np.ndarray | None = None) -> "SpectralHamiltonian":
         """Assemble from eigenvalues and an optional orthonormal eigenbasis.
 
-        Defaults to the computational basis; the eigenvalues must be finite
-        and real and a caller's basis finite (ValueError otherwise), and the
-        basis orthonormal to TOL_STRUCT.  Eigenvalues are sorted ascending with the basis
-        columns carried along.
+        Defaults to the computational basis; the eigenvalues must be finite and real (ValueError
+        otherwise), and a caller's basis passes ``_basis`` and has one column per eigenvalue
+        (DimensionMismatch).  Eigenvalues are sorted ascending with the basis columns carried along.
         """
         w = _levels(eigenvalues)
         d = len(w)
         if not d:
             raise DimensionMismatch("expected at least one eigenvalue, got none")
-        if basis is None:
-            v = _eye(d, complex)
-        else:
-            v = _array(basis)
-            if v.shape != (d, d):
-                raise DimensionMismatch("basis shape does not match eigenvalue count")
-            _finite(v, "basis entries")
-            if np.maximum.reduce(np.abs(v.conj().T @ v - _eye(d)), axis=None) > TOL_STRUCT:
-                raise ValueError("basis columns are not orthonormal")
+        v = _eye(d, complex) if basis is None else _basis(basis)
+        if len(v) != d:
+            raise DimensionMismatch("basis shape does not match eigenvalue count")
         order = np.argsort(w, kind="stable")
         w, v = w[order], v[:, order]
         return _trusted(cls, w, v, *_cluster_levels(w))

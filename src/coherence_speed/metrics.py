@@ -21,11 +21,9 @@ from .linalg import (
     TOL_ZERO,
     SpectralHamiltonian,
     _band_sqrt,
-    _psd_eigh,
-    _psd_sqrt_eig,
+    _checked_density,
+    _rebuild,
     dagger,
-    matrix_sqrt_psd,
-    require_hermitian,
     validate_state_vector,
 )
 
@@ -33,18 +31,19 @@ from .linalg import (
 def affinity(rho, sigma) -> float | np.ndarray:
     """Overlap Tr sqrt(rho) sqrt(sigma), clipped into [0, 1].
 
-    Either state may be a stack (..., d, d), broadcast against the
-    other; the result is then an array of overlaps, each clipped.
-    sqrt(sigma) = W diag(sqrt w) W† is never formed: sigma gets its own
-    checked eigendecomposition (``_psd_sqrt_eig`` after ``require_hermitian``,
-    the checks and dead band of matrix_sqrt_psd) and the overlap is
+    Either state may be a stack (..., d, d), broadcast against the other; the result is then
+    an array of overlaps, each clipped.  Each argument, rho first, passes the one density check
+    (``_checked_density``), whose eigendata give the roots, with the dead band of matrix_sqrt_psd.
+    sqrt(sigma) = W diag(sqrt w) W† is never formed: the overlap is
     sum_j sqrt(w_j) Re (W† sqrt(rho) W)_jj.
     """
-    return _overlap(matrix_sqrt_psd(rho), *_psd_sqrt_eig(require_hermitian(sigma)))
+    w, v = _checked_density(rho, stack=True)[2:]
+    w_sigma, v_sigma = _checked_density(sigma, stack=True)[2:]
+    return _overlap(_rebuild(_band_sqrt(w), v), _band_sqrt(w_sigma), v_sigma)
 
 
 def _overlap(a: np.ndarray, roots: np.ndarray, w: np.ndarray) -> float | np.ndarray:
-    """affinity from sqrt(rho) = a and the ``_psd_sqrt_eig`` of sigma (or of each of a stack)."""
+    """affinity from sqrt(rho) = a and the roots and eigenvectors of sigma (or each of a stack)."""
     if a.shape[-2:] != w.shape[-2:]:
         raise DimensionMismatch(f"shapes {a.shape} and {w.shape} differ")
     # (W† a W)_jj = sum_i conj(W_ij) (a W)_ij; np.add.reduce is .sum without its wrapper
@@ -62,7 +61,7 @@ def hellinger(rho, sigma) -> float | np.ndarray:
 
 
 def _hellinger(a: np.ndarray, roots: np.ndarray, w: np.ndarray) -> float | np.ndarray:
-    """hellinger from sqrt(rho) = a and the ``_psd_sqrt_eig`` of sigma."""
+    """hellinger from sqrt(rho) = a and the roots and eigenvectors of sigma."""
     return 2.0 * (1.0 - _overlap(a, roots, w))
 
 
@@ -73,10 +72,11 @@ def d_affinity_half(rho, sigma) -> float:
 
 
 def fidelity(rho, sigma) -> float:
-    """Uhlmann fidelity [Tr sqrt(sqrt(rho) sigma sqrt(rho))]^2, clipped into [0, 1]."""
-    s = matrix_sqrt_psd(rho)
-    sig = require_hermitian(sigma)
-    _psd_eigh(sig)      # with require_hermitian, affinity's checks of sigma
+    """Uhlmann fidelity [Tr sqrt(sqrt(rho) sigma sqrt(rho))]^2, clipped into [0, 1], of two states
+    (DimensionMismatch for a stack: its eigenvalues would be summed across its members)."""
+    w, v = _checked_density(rho)[2:]
+    sig = _checked_density(sigma)[0]
+    s = _rebuild(_band_sqrt(w), v)
     if sig.shape != s.shape:
         raise DimensionMismatch(f"shapes {s.shape} and {sig.shape} differ")
     m = s @ sig @ s

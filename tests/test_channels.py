@@ -179,8 +179,8 @@ def test_equality_gap_analysis_validates_rho_once(monkeypatch):
                         lambda rho, psi=None: states.append(np.shape(rho)) or of(rho, psi))
     monkeypatch.setattr(channels, "_psd_sqrt_eig",
                         lambda h: sqrt_shapes.append(np.shape(h)) or psd_sqrt_eig(h))
-    for module in (linalg, metrics):
-        monkeypatch.setattr(module, "matrix_sqrt_psd", None)
+    monkeypatch.setattr(linalg, "matrix_sqrt_psd", None)
+    monkeypatch.setattr(metrics, "_checked_density", None)     # no public metric is called
     monkeypatch.setattr(np.linalg, "eigvalsh", None)
     report = equality_gap_analysis(qutrit_equality_channel(),
                                    pure_density(np.array([1, 0, 0], dtype=complex)))

@@ -119,7 +119,7 @@ BASIS = kind(
     inf=(np.diag([INF, 1.0]), Raises(ValueError, "basis entries are not all finite")),
     zero_size=(np.zeros((0, 0)), _square("(0, 0)")), ragged=([[1.0, 0.0], [0.0]], RAGGED),
     wrong_shape=(np.array([1.0, 0.0]), _square("(2,)")),
-    non_orthonormal=(2.0 * np.eye(2), Raises(ValueError, "projector is not idempotent")))
+    non_orthonormal=(2.0 * np.eye(2), Raises(ValueError, "basis columns are not orthonormal")))
 FAMILY = kind(
     [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])], "a Hermitian idempotent is PSD; no Kraus set",
     nan=([np.diag([NAN, 0.0]), np.eye(2)], Raises(ValueError, "projector entries are not all")),
@@ -150,8 +150,8 @@ TIME = kind(0.5, "one real number", nan=(NAN, Raises(ValueError, "{} must be fin
             inf=(INF, Raises(ValueError, "{} must be finite, got inf")))
 KINDS = (DENSITY, HERMITIAN, VECTOR, SPECTRUM, BASIS, FAMILY, KRAUS, GRID, TIME)
 
-# the deviations several entries share
-METRIC = DENSITY.but(wrong_trace=Passes("an overlap of PSD matrices of any trace, clipped"))
+# the two rules by which entries take a density's value without its checks
+PSD_ROOT = DENSITY.but(wrong_trace=Passes("the root of any PSD matrix, of any trace"))
 LINEAR = {c: Passes("a linear map of any square operator")
           for c in ("nan", "inf", "non_hermitian", "non_psd", "wrong_trace")}
 
@@ -166,22 +166,20 @@ def _endpoint(first: bool):
 HAM, FAM = cs.SpectralHamiltonian.from_spectrum([0, 1]), cs.OrthogonalDecomposition.computational(2)
 CHANNEL, DILATION = cs.KrausChannel([np.eye(2)]), cs.dilate(cs.random_channel(2, 2, 0))
 PATH = cs.HamiltonianPath.constant(np.diag([0.0, 1.0]), 1.0, steps=10)
-BASIS_SHAPE = Raises(DimensionMismatch, "basis shape does not match eigenvalue count")
 
 ENTRIES = {
     "require_hermitian": (linalg.require_hermitian, HERMITIAN),
     "validate_density": (linalg.validate_density, DENSITY),
     "validate_state_vector": (linalg.validate_state_vector, VECTOR),
-    "matrix_sqrt_psd": (cs.matrix_sqrt_psd, METRIC),
+    "matrix_sqrt_psd": (cs.matrix_sqrt_psd, PSD_ROOT),
     "pure_density": (cs.pure_density, VECTOR),
     "partial_trace": (cs.partial_trace, DENSITY.but(**LINEAR), (1, 2), 1),
     "unitary_exp": (cs.unitary_exp, HAM, TIME),
     "OrthogonalDecomposition": (cs.OrthogonalDecomposition, FAMILY),
     "OrthogonalDecomposition.from_basis": (cs.OrthogonalDecomposition.from_basis, BASIS),
     "SpectralHamiltonian.from_matrix": (cs.SpectralHamiltonian.from_matrix, HERMITIAN),
-    "SpectralHamiltonian.from_spectrum": (cs.SpectralHamiltonian.from_spectrum, SPECTRUM, BASIS.but(
-        good=None, zero_size=BASIS_SHAPE, wrong_shape=BASIS_SHAPE,
-        non_orthonormal=Raises(ValueError, "basis columns are not orthonormal"))),
+    "SpectralHamiltonian.from_spectrum": (cs.SpectralHamiltonian.from_spectrum, SPECTRUM,
+                                          BASIS.but(good=None)),
     "a_coefficient": (cs.a_coefficient, SPECTRUM.but(
         zero_size=Raises(SingleLevel, "need at least two")), TIME),
     "b_coefficient": (cs.b_coefficient, SPECTRUM.but(
@@ -218,7 +216,7 @@ ENTRIES = {
     "gap_squared_matrix": (cs.gap_squared_matrix, SPECTRUM.but(zero_size=Passes("no gaps"))),
     "instantaneous_speed": (cs.instantaneous_speed, VECTOR, HAM),
     "qubit_closed_form": (cs.qubit_closed_form, 0.6, 0.8, 0.0, 1.0, TIME),
-    **{name: (getattr(cs, name), METRIC, METRIC)
+    **{name: (getattr(cs, name), DENSITY, DENSITY)
        for name in ("affinity", "bures_angle", "d_affinity_half", "fidelity", "hellinger")},
     "qsl_bounds": (cs.qsl_bounds, VECTOR, HAM, VECTOR),
 }
@@ -333,6 +331,11 @@ _GUARDS = {
     "from_basis, an empty group": (
         lambda: cs.OrthogonalDecomposition.from_basis(np.eye(2), [[0], [1], []]), ValueError,
         "projector is empty (trace below 1/2)"),
+    **{f"from_basis, groups with {name} column": (
+        lambda groups=groups: cs.OrthogonalDecomposition.from_basis(np.eye(3), groups), ValueError,
+        "groups do not hold each column 0..2 once") for name, groups in [
+            ("a repeated", [[0, 1], [1, 2]]), ("a missing", [[0], [2]]),
+            ("an out-of-range", [[0, 1], [2, 3]])]},
     # zero size, or a stack where one matrix goes: numpy's reductions used to meet it first
     **{name: (call, *_square(shape)) for name, call, shape in [
         ("OrthogonalDecomposition, two empty projectors",
@@ -348,6 +351,9 @@ _GUARDS = {
          "(3, 2, 2)"),
         ("matrix_sqrt_psd, a stack of non-square matrices",
          lambda: cs.matrix_sqrt_psd(np.zeros((3, 2, 3))), "(3, 2, 3)")]},
+    "from_spectrum, a basis of another dimension": (
+        lambda: cs.SpectralHamiltonian.from_spectrum([0.0, 1.0], np.eye(3)), DimensionMismatch,
+        "basis shape does not match eigenvalue count"),
     "from_spectrum, no eigenvalues and a 0 x 0 basis": (
         lambda: cs.SpectralHamiltonian.from_spectrum([], np.zeros((0, 0))), DimensionMismatch,
         "expected at least one eigenvalue, got none"),
@@ -380,6 +386,9 @@ _GUARDS = {
     **{f"{call.__name__}, a NaN in an array of times": (
         lambda call=call: call([0.0, 1.0], np.array([0.5, NAN])), ValueError,
         "t must be finite, got nan") for call in (cs.a_coefficient, cs.b_coefficient)},
+    **{f"{call.__name__}, a stack of states": (
+        lambda call=call: call(np.stack([_QUBIT, _QUBIT]), _QUBIT), *_square("(2, 2, 2)"))
+       for call in (cs.fidelity, cs.bures_angle)},
     **{f"{call.__name__}, states of two dimensions": (
         lambda call=call: call(_QUBIT, _QUTRIT), DimensionMismatch,
         "shapes (2, 2) and (3, 3) differ") for call in (cs.fidelity, cs.hellinger)},
@@ -394,6 +403,12 @@ _GUARDS = {
             np.arange(dims[0], dtype=float)), np.diag(np.linspace(-1.0, 1.0, dims[1])), 1e-2),
         DimensionMismatch, "h0, v and rho have dimensions %d, %d and %d" % dims)
        for dims in [(2, 3, 3), (3, 2, 2), (2, 2, 3)]},
+    # eps |1><1| is 2 x 2: numpy's broadcast met the drive first, and work_bound returned 1e-9
+    **{f"{call.__name__}, a qutrit {what}": (
+        lambda call=call, rho=rho: call(rho, 1.0, 0.5, np.eye(3), 0.1), DimensionMismatch,
+        f"rho_t and v_t are {shape} and (3, 3), not (2, 2)")
+       for call, what, rho, shape in [(cs.avg_extracted_work, "drive", _QUBIT, "(2, 2)"),
+                                      (cs.work_bound, "state and drive", _QUTRIT, "(3, 3)")]},
     "work_bound, eta dt above pi/2": (
         lambda: cs.work_bound(_QUBIT, 1.0, 2.0, cs.spin_operator((1.0, 0.0, 0.0)), 1.0),
         WindowTooWide, "eta * dt = 2 exceeds pi/2"),

@@ -602,9 +602,16 @@ def test_trusted_families_pass_the_full_check():
         _assert_checked_family(dil.hamiltonian.decomposition)
         _assert_checked_family(dil.hamiltonian.permute_levels(
             rng.permutation(dil.hamiltonian.level_count)).decomposition)
+    for d in range(1, 9):
+        for _ in range(5):      # shuffled columns cut into blocks at random
+            groups = np.split(rng.permutation(d), np.flatnonzero(rng.random(d - 1) < 0.5) + 1)
+            _assert_checked_family(OrthogonalDecomposition.from_basis(random_unitary(d, rng),
+                                                                      groups))
+            _assert_checked_family(OrthogonalDecomposition.computational(d, groups))
 
 
 def test_only_caller_families_run_the_check(monkeypatch):
+    # a family built from a basis is installed as built; only a caller's projectors are checked
     calls = []
     check = OrthogonalDecomposition.__post_init__
     monkeypatch.setattr(OrthogonalDecomposition, "__post_init__",
@@ -615,10 +622,11 @@ def test_only_caller_families_run_the_check(monkeypatch):
     SpectralHamiltonian.from_spectrum([0.0, 1.0, 1.0])
     basis = random_unitary(3, rng)
     SpectralHamiltonian.from_spectrum([0.0, 1.0, 1.0], basis)   # checked as a basis
-    assert calls == []
-    OrthogonalDecomposition.from_basis(basis, [[0], [1, 2]])
+    OrthogonalDecomposition.from_basis(basis, [[0], [1, 2]])     # and so is this one
     OrthogonalDecomposition.computational(3)
-    assert len(calls) == 2
+    assert calls == []
+    OrthogonalDecomposition(list(ham.decomposition.projectors))
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("bad", [
@@ -635,18 +643,24 @@ def test_a_non_finite_matrix_fails_the_hermitian_check_without_a_warning(bad):
             linalg.validate_density(bad)
 
 
+_BASIS_ENTRIES = {
+    "from_spectrum": lambda basis: SpectralHamiltonian.from_spectrum([0.0, 1.0, 2.0],
+                                                                      basis).decomposition,
+    "from_basis": OrthogonalDecomposition.from_basis}
+
+
+@pytest.mark.parametrize("entry", list(_BASIS_ENTRIES))
 @pytest.mark.parametrize("offset, accepted", [(2e-8, False), (5e-9, True)])
-def test_from_spectrum_checks_the_basis_to_1e_8(offset, accepted):
-    # V diag(sqrt(1 + offset), 1, 1) has V†V - I = diag(offset, 0, 0)
+def test_from_spectrum_checks_the_basis_to_1e_8(offset, accepted, entry):
+    # V diag(sqrt(1 + offset), 1, 1) has V†V - I = diag(offset, 0, 0); from_basis takes the rule
     basis = random_unitary(3, 18) * np.sqrt([1.0 + offset, 1.0, 1.0])
     residual = np.max(np.abs(basis.conj().T @ basis - np.eye(3)))
     assert abs(residual - offset) < 1e-15
     if accepted:
-        ham = SpectralHamiltonian.from_spectrum([0.0, 1.0, 2.0], basis)
-        _assert_checked_family(ham.decomposition)
+        _assert_checked_family(_BASIS_ENTRIES[entry](basis))
     else:
-        with pytest.raises(ValueError, match="not orthonormal"):
-            SpectralHamiltonian.from_spectrum([0.0, 1.0, 2.0], basis)
+        with pytest.raises(ValueError, match="^basis columns are not orthonormal$"):
+            _BASIS_ENTRIES[entry](basis)
 
 
 def _outcome(fn, *args):
@@ -717,21 +731,20 @@ def test_a_stack_of_drawn_states_equals_their_single_checks_bit_for_bit():
 
 
 def test_a_malformed_density_gets_one_message_from_every_entry():
-    # one Hermiticity check (require_hermitian) and one positivity check (_psd_eigh)
+    # one density check (_checked_density); matrix_sqrt_psd roots a PSD matrix of any trace
     raised = set()
     for d in range(2, 6):
         dec = OrthogonalDecomposition.computational(d)
         mixed = np.eye(d) / d
         entries = [linalg.validate_density, lambda bad: coherence.c_half(bad, dec),
-                   matrix_sqrt_psd, lambda bad: affinity(mixed, bad),
+                   lambda bad: affinity(mixed, bad), lambda bad: affinity(bad, mixed),
                    lambda bad: metrics.fidelity(bad, mixed), lambda bad: metrics.fidelity(mixed, bad)]
         for bad in _malformed_densities(d):
             want = _outcome(linalg.validate_density, bad)
-            if want.startswith(("NotPSD: ", "NotHermitian: ")):
-                raised.add(want.split(":")[0])
-                for fn in entries:
-                    assert _outcome(fn, bad) == want
-    assert raised == {"NotPSD", "NotHermitian"}
+            raised.add(want.split(":")[0])
+            for fn in entries + [matrix_sqrt_psd] * (not want.startswith("InvalidState: ")):
+                assert _outcome(fn, bad) == want
+    assert raised == {"NotPSD", "NotHermitian", "InvalidState", "DimensionMismatch"}
 
 
 _RHO = np.diag([0.5, 0.3, 0.2]).astype(complex)
@@ -763,9 +776,8 @@ def test_density_entries_raise_the_parent_errors_bit_for_bit():
         for entry in (linalg._Density.of, linalg.validate_density,
                       lambda x: coherence.c_half(x, OrthogonalDecomposition.computational(3))):
             assert _outcome(entry, bad) == want
-        # hellinger takes stacks and checks no trace; it raises the rest from either side
-        if not want.startswith(("InvalidState", "DimensionMismatch: expected a square matrix, "
-                                                "got shape (2, 3, 3)")):
+        # hellinger takes stacks; it raises the rest from either side
+        if not want.startswith("DimensionMismatch: expected a square matrix, got shape (2, 3, 3)"):
             assert _outcome(metrics.hellinger, bad, _RHO) == want
             assert _outcome(metrics.hellinger, _RHO, bad) == want
     assert linalg._Density.of(_RHO).rho.tobytes() == _RHO.tobytes()

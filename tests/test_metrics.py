@@ -103,9 +103,9 @@ def test_the_dead_band_pair_still_reads_exactly_two():
 
 
 def test_affinity_never_forms_the_root_of_sigma(monkeypatch):
-    calls = []
-    monkeypatch.setattr(metrics, "matrix_sqrt_psd",
-                        lambda rho: calls.append(np.shape(rho)) or linalg.matrix_sqrt_psd(rho))
+    calls, rebuild = [], linalg._rebuild
+    monkeypatch.setattr(metrics, "_rebuild",
+                        lambda roots, v: calls.append(np.shape(v)) or rebuild(roots, v))
     rng = np.random.default_rng(26)
     rho, sig = random_density(4, rank=3, seed=rng), random_density(4, rank=2, seed=rng)
     affinity(rho, sig)
@@ -113,6 +113,15 @@ def test_affinity_never_forms_the_root_of_sigma(monkeypatch):
     affinity(rho, np.stack([sig, rho]))
     fidelity(rho, sig)
     assert calls == [(4, 4)] * 3
+
+
+@pytest.mark.parametrize("fn", [affinity, hellinger])
+def test_a_stack_names_the_first_trace_off_one(fn):
+    good = np.eye(2) / 2.0
+    stack = np.stack([good, 0.75 * np.eye(2), np.eye(2)])     # traces 1, 1.5 and 2
+    for args in ((stack, good), (good, stack)):
+        with pytest.raises(InvalidState, match=r"^trace 1\.5 differs from 1 beyond 1\.0e-09$"):
+            fn(*args)
 
 
 def test_hellinger_contracts_under_dephasing():

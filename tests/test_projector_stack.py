@@ -171,6 +171,23 @@ def test_block_stack_is_bit_identical_to_each_block_product():
 
 
 @pytest.mark.bits
+def test_from_basis_installs_the_family_the_full_check_keeps_bit_for_bit():
+    # from_basis checks the basis and its groups, then installs its blocks as built; the
+    # constructor's full check of the same blocks keeps these bytes, C-ordered
+    rng = np.random.default_rng(64)
+    for k in range(600):
+        d = 1 + k % 8
+        basis, groups = random_unitary(d, rng), _groups(rng, d)
+        for vectors in (basis, np.eye(d, dtype=complex)):
+            got = OrthogonalDecomposition.from_basis(vectors, groups).projectors
+            want = OrthogonalDecomposition(_loop_basis_projectors(vectors, groups)).projectors
+            assert got.tobytes() == want.tobytes() and got.shape == want.shape
+            assert got.flags.c_contiguous and not got.flags.writeable
+        assert OrthogonalDecomposition.computational(d, groups).projectors.tobytes() == (
+            want.tobytes())
+
+
+@pytest.mark.bits
 def test_c_half_and_closest_incoherent_match_the_loops_bit_for_bit():
     degenerate = dropped = 0
     for _, groups, dec, states in _cases(62):
