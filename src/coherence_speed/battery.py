@@ -13,7 +13,7 @@ a short window dt is averaged over the two drive branches
 The branch average is controlled by the coherence of rho_t in the
 instantaneous drive eigenbasis:
 
-    |wbar(t)| <= 2 eps sin(eta(t) dt) sqrt(c_half_V(rho_t)).
+    |wbar(t)| <= 2 |eps| sin(|eta(t)| dt) sqrt(c_half_V(rho_t)).
 
 A diagonal state in that basis therefore yields no branch-averaged
 work, whatever the pulse does.
@@ -25,15 +25,26 @@ a fixed axis.  The package's pulses and axes take a time or an array of
 times and give the same bits either way.  The whole protocol then runs
 on the (N+1, 2) state vectors of the trajectory, which is pure by
 construction, so it forms no density matrix and no square root.  The
-trajectory comes from the stacked propagator of ``dynamics.evolve``,
-whose eigendecomposition (w, U) of H(t_k) = H_1 also serves the plus
-branch; one stacked ``eigh`` gives the minus branch, and the drive basis
-comes from one ``eigh`` for a fixed axis or one stacked ``eigh`` per
-grid otherwise.  A branch moves psi to phi = U (exp(-i w dt) * U† psi)
-and extracts eps (|psi_1|^2 - |phi_1|^2).  With a = V† psi in the drive
-basis, c_half_V = 1 - sum_m |a_m|^4 / ||psi||^2, since
-sqrt(rho) = rho / ||psi|| for rho = psi psi†.  The run comes back as
-columns, a ``BatteryRun``.  The single-step functions below
+trajectory comes from the stacked propagator of ``dynamics.evolve``;
+the rows need no eigendecomposition.  A qubit Hamiltonian is
+(eps / 2) I + b.sigma, with b = eta n - (eps / 2) z for the branch with
+pulse eta (the other has -eta), so up to the global phase
+exp(-i eps dt / 2) a branch moves psi_1 to
+
+    phi_1 = cos(|b| dt) psi_1 - i S ((b_x + i b_y) psi_0 - b_z psi_1),
+
+with S = dt sinc(|b| dt / pi) (``np.sinc`` keeps |b| = 0 exact).  Its
+work eps (|psi_1|^2 - |phi_1|^2) is taken in closed form, free of the
+cancellation of two nearly equal weights: with Y = (n_x - i n_y) psi_0* psi_1,
+
+    eps S eta (2 cos(|b| dt) Im Y + S (2 b_z Re Y - eta (n_x^2 + n_y^2) D)),
+    D = |psi_0|^2 - |psi_1|^2,
+
+which is exactly 0 when eta or eps is.  The two eigenprojectors of
+V = n.sigma give psi the weights (N +- s) / 2, with N = ||psi||^2 and
+s = <psi|V|psi> = 2 Re Y + n_z D, and sqrt(rho) = rho / sqrt(N) for
+rho = psi psi†, so c_half_V = 1 - (N^2 + s^2) / (2 N).  The run comes
+back as columns, a ``BatteryRun``.  The single-step functions below
 (``avg_extracted_work``, ``drive_coherence``, ``work_bound``) compute
 each row on its own from the density matrix, through U rho U† and the
 square root inside ``c_half``, and serve as its oracles.
@@ -222,29 +233,42 @@ def drive_coherence(rho_t, v_t: np.ndarray) -> float:
 
 def work_bound(rho_t, epsilon: float, eta_t: float, v_t: np.ndarray,
                dt: float) -> float:
-    """Ceiling 2 eps sin(eta dt) sqrt(c_half_V(rho)) on the branch-averaged work.
+    """Ceiling 2 |eps| sin(|eta| dt) sqrt(c_half_V(rho)) on the branch-averaged work.
 
-    Valid while eta * dt stays in [0, pi/2] (monotone sine window); rho_t and v_t must be
+    Valid while |eta| * dt stays in [0, pi/2] (monotone sine window); rho_t and v_t must be
     2 x 2 matrices, checked first, and dt finite.
     """
     rho_t, v_t = _qubit(_square(rho_t), _square(v_t))
     _require_finite("dt", dt)
-    x = eta_t * dt
+    x = abs(eta_t) * dt
     if x > np.pi / 2.0:
-        raise WindowTooWide(f"eta * dt = {x:.3g} exceeds pi/2")
-    return float(2.0 * epsilon * np.sin(x) * np.sqrt(drive_coherence(rho_t, v_t)))
+        raise WindowTooWide(f"|eta| * dt = {x:.3g} exceeds pi/2")
+    return float(2.0 * abs(epsilon) * np.sin(x) * np.sqrt(drive_coherence(rho_t, v_t)))
 
 
-def _stacked_branch_work(psi: np.ndarray, epsilon: float, w: np.ndarray,
-                         vecs: np.ndarray, dt: float) -> np.ndarray:
-    """_branch_work at every grid point from the states psi (k, 2) and branch eigendata.
+def _bloch_rows(psi: np.ndarray, epsilon: float, etas: np.ndarray, n: np.ndarray,
+                dt: float) -> tuple[np.ndarray, np.ndarray]:
+    """Branch-averaged work and c_half_V at every grid point, from the Bloch vectors.
 
-    Only the |1> amplitude of phi = U (exp(-i w dt) * U† psi) enters
-    Tr[|1><1| (rho - rho_next)] = |psi_1|^2 - |phi_1|^2.
+    psi holds the states (k, 2), etas the pulse (k,), and n the drive axes (k, 3) or
+    one axis (3,); the module docstring gives the formulas.
     """
-    a = np.einsum("kji,kj->ki", vecs.conj(), psi)
-    phi1 = np.einsum("kj,kj->k", vecs[:, 1, :], _phases(w, dt) * a)
-    return epsilon * (np.abs(psi[:, 1]) ** 2 - np.abs(phi1) ** 2)
+    nx, ny, nz = n[..., 0], n[..., 1], n[..., 2]
+    x01 = psi[:, 0].conj() * psi[:, 1]
+    p0, p1 = psi[:, 0].real ** 2 + psi[:, 0].imag ** 2, psi[:, 1].real ** 2 + psi[:, 1].imag ** 2
+    d = p0 - p1
+    # Y = (n_x - i n_y) conj(psi_0) psi_1
+    re_y, im_y = nx * x01.real + ny * x01.imag, nx * x01.imag - ny * x01.real
+    perp = nx * nx + ny * ny
+    eta = np.stack((etas, -etas))       # the two branches, one row each
+    bz = eta * nz - 0.5 * epsilon
+    x = np.sqrt(eta * eta * perp + bz * bz) * dt
+    step = dt * np.sinc(x / np.pi)      # S = sin(|b| dt) / |b|
+    w_plus, w_minus = epsilon * step * eta * (
+        2.0 * np.cos(x) * im_y + step * (2.0 * bz * re_y - eta * perp * d))
+    norm2, s = p0 + p1, 2.0 * re_y + nz * d
+    coh = np.maximum(0.0, 1.0 - (norm2 * norm2 + s * s) / (2.0 * norm2))
+    return 0.5 * (w_plus + w_minus), coh
 
 
 @dataclass(frozen=True, eq=False)
@@ -289,7 +313,7 @@ def simulate_battery(config: BatteryConfig, psi0) -> BatteryRun:
     work over [t, t + dt], its coherence ceiling, and the running sum.
     The pulse and the drive axis are called once each, with that grid
     (see ``BatteryConfig``).  ValueError unless tau and dt are finite
-    and positive and epsilon is finite; the branch Hamiltonians built
+    and positive and epsilon is finite; the Hamiltonians built
     from these checked values are not checked again.
     """
     for name, value in (("tau", config.tau), ("dt", config.dt)):
@@ -308,18 +332,11 @@ def simulate_battery(config: BatteryConfig, psi0) -> BatteryRun:
         if abs(value) > TOL_ZERO:
             raise InvalidState(f"pulse must vanish at t = {edge}")
     # one axis gives one drive operator, broadcast along the grid
-    drive = spin_operator(_sampled(config.drive_axis(times), times.shape + (3,), "drive_axis"))
-    h0 = config.epsilon * _P1
-    pulsed = etas[:, None, None] * drive
-    psi, w, vecs = _propagate(psi0, times, h0 + pulsed)
-    w_minus, vecs_minus = np.linalg.eigh(h0 - pulsed)
-    work = 0.5 * (_stacked_branch_work(psi, config.epsilon, w, vecs, config.dt)
-                  + _stacked_branch_work(psi, config.epsilon, w_minus, vecs_minus, config.dt))
-    basis = np.broadcast_to(np.linalg.eigh(drive)[1].conj(), (len(times), 2, 2))
-    # |a_m|^2 in the drive basis; their sum is ||psi||^2
-    a2 = np.abs(np.einsum("kji,kj->ki", basis, psi)) ** 2
-    coh = np.maximum(0.0, 1.0 - (a2 * a2).sum(axis=1) / a2.sum(axis=1))
-    bound = 2.0 * config.epsilon * np.sin(etas * config.dt) * np.sqrt(coh)
+    axes = _sampled(config.drive_axis(times), times.shape + (3,), "drive_axis")
+    drive = spin_operator(axes)
+    psi = _propagate(psi0, times, config.epsilon * _P1 + etas[:, None, None] * drive)[0]
+    work, coh = _bloch_rows(psi, config.epsilon, etas, axes, config.dt)
+    bound = 2.0 * abs(config.epsilon) * np.sin(np.abs(etas) * config.dt) * np.sqrt(coh)
     return _trusted(BatteryRun, times, etas, work, bound, coh, np.cumsum(work))
 
 

@@ -207,6 +207,68 @@ def test_every_row_matches_the_density_matrix_oracles(state, axis):
         assert abs(run.bound[k] - work_bound(rho, 1.0, eta, v, 1e-3)) <= 1e-14
 
 
+def _tilted_axis(theta: float, period: float):
+    """An axis at polar angle theta sweeping once per period: b_z mixes eta n_z with eps / 2."""
+    def axis(t):
+        phi = 2.0 * np.pi * np.asarray(t) / period
+        return np.stack((np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi),
+                         np.full_like(phi, np.cos(theta))), axis=-1)
+    return axis
+
+
+_AXES_WITH_Z = [constant_axis(n) for n in np.random.default_rng(77).normal(size=(2, 3))] + [
+    _tilted_axis(0.6, 0.8)]
+
+
+@pytest.mark.filterwarnings("ignore:half spectral width")
+@pytest.mark.parametrize("eps", [1.3, -0.8, 1e-9, 0.0],
+                         ids=["positive", "negative", "small", "zero"])
+def test_every_row_matches_the_oracles_over_signs_axes_and_the_step_guard(eps):
+    # eta_max at the step guard: |b| dt <= (|eta| + |eps| / 2) dt = 0.99 < 1.  There
+    # 2 |eps| sin(|eta| dt) reaches 1.6, and work_bound's sqrt(c) turns the error of the
+    # oracle's own c (up to 3.9e-15 against 40-digit arithmetic; the column's 3.2e-16) into
+    # 2.3e-14 (the column's 2.6e-15), so the bound column is held to the oracle on the
+    # moderate pulse and to its formula on both
+    dt, tau = 0.02, 1.0
+    rng = np.random.default_rng(78)
+    for eta_max, make, axis in itertools.product(
+            (1.0, 0.99 / dt - abs(eps) / 2.0), (sin2_pulse, sin4_pulse, parabola_pulse),
+            _AXES_WITH_Z):
+        for sign in (1.0, -1.0):
+            pulse = make(sign * eta_max, tau)
+            psi0 = haar_random_state(2, rng)
+            run = simulate_battery(BatteryConfig(eps, tau, dt, pulse, axis), psi0)
+            drives = [spin_operator(n) for n in np.broadcast_to(axis(run.t), (len(run.t), 3))]
+            traj = evolve(psi0, HamiltonianPath(
+                run.t, [eps * P1 + eta * v for eta, v in zip(run.pulse_value, drives)]))
+            for k, (psi, eta, v) in enumerate(zip(traj.states, run.pulse_value, drives)):
+                rho = np.outer(psi, psi.conj())
+                assert abs(run.avg_work[k] - avg_extracted_work(rho, eps, eta, v, dt)) <= 1e-14
+                assert abs(run.coherence[k] - drive_coherence(rho, v)) <= 1e-14
+                if eta_max == 1.0:
+                    assert abs(run.bound[k] - work_bound(rho, eps, eta, v, dt)) <= 1e-14
+            ceiling = 2.0 * abs(eps) * np.sin(np.abs(run.pulse_value) * dt)
+            np.testing.assert_array_equal(run.bound, ceiling * np.sqrt(run.coherence))
+            assert np.all(np.abs(run.avg_work) <= run.bound + 1e-9)
+            # a row without drive or without gap extracts exactly nothing
+            assert not run.avg_work[run.pulse_value == 0.0].any()
+            assert eps != 0.0 or not run.avg_work.any()
+
+
+def test_the_ceiling_takes_the_magnitudes_of_eps_and_eta():
+    # a negative pulse or gap flipped the sign of 2 eps sin(eta dt) sqrt(c): a ceiling below 0
+    rng = np.random.default_rng(79)
+    for _ in range(10):
+        n = rng.normal(size=3)
+        v = spin_operator(n / np.linalg.norm(n))
+        rho = pure_density(haar_random_state(2, rng))
+        eps, eta = float(rng.uniform(0.2, 3.0)), float(rng.uniform(0.1, 2.0))
+        bound = work_bound(rho, eps, eta, v, 1e-3)
+        for e, h in ((-eps, eta), (eps, -eta), (-eps, -eta)):
+            assert work_bound(rho, e, h, v, 1e-3) == bound
+            assert abs(avg_extracted_work(rho, e, h, v, 1e-3)) <= bound + 1e-9
+
+
 def test_rows_without_drive_extract_no_work():
     # the pulse vanishes at both ends (exactly or to 1e-30); both branches are then the bare storage term
     tau, pulses, states, axes = _battery_grid()

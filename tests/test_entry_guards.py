@@ -409,9 +409,11 @@ _GUARDS = {
         f"rho_t and v_t are {shape} and (3, 3), not (2, 2)")
        for call, what, rho, shape in [(cs.avg_extracted_work, "drive", _QUBIT, "(2, 2)"),
                                       (cs.work_bound, "state and drive", _QUTRIT, "(3, 3)")]},
-    "work_bound, eta dt above pi/2": (
-        lambda: cs.work_bound(_QUBIT, 1.0, 2.0, cs.spin_operator((1.0, 0.0, 0.0)), 1.0),
-        WindowTooWide, "eta * dt = 2 exceeds pi/2"),
+    # the window is |eta| dt: a negative pulse past pi/2 passed and gave a negative ceiling
+    **{f"work_bound, {name}eta dt above pi/2": (
+        lambda eta=eta: cs.work_bound(_QUBIT, 1.0, eta, cs.spin_operator((1.0, 0.0, 0.0)), 1.0),
+        WindowTooWide, "|eta| * dt = 2 exceeds pi/2")
+       for name, eta in (("", 2.0), ("a negative ", -2.0))},
     "simulate_battery, a pulse that does not vanish at the edges": (
         lambda: _battery(pulse=lambda t: 0.3), InvalidState, "pulse must vanish at t = 0.0"),
     "simulate_battery, a qutrit": (

@@ -260,8 +260,8 @@ def test_every_evolution_phase_comes_from_the_one_phase_rule(monkeypatch, tmp_pa
         "theorem3_bound": (channels, lambda: channels.theorem3_bound(
             dilate(random_channel(2, 2, 0)), random_density(2, 2, 0))),
         "evolve": (dynamics, lambda: dynamics.evolve([1.0, 0.0], path)),
-        "simulate_battery": (battery, lambda: battery.simulate_battery(battery_config,
-                                                                      [1.0, 0.0])),
+        "simulate_battery": (dynamics, lambda: battery.simulate_battery(battery_config,
+                                                                       [1.0, 0.0])),
         "qudit_battery_bound": (battery, lambda: battery.qudit_battery_bound(
             pure_density(psi), np.diag([0.0, 1.0, 2.5]), random_hermitian(3, 4), 0.3)),
         "qsl report": (cli, lambda: cli.main(["qsl", "--out", str(tmp_path / "qsl.csv")])),

@@ -269,7 +269,7 @@ def test_dimension_cycle_and_dim_override(monkeypatch):
     (check_fd_convergence, 2, 2, 1.4762331097761816e-05, "ratios 2.00, 2.00, 2.00, 2.00"),
     (check_qudit_battery, 5, 10, -0.00044927678989116433,
      "reduction 3.2e-16, bound margin -4.5e-04, diagonal work 2.9e-15"),
-    (check_battery_trajectories, None, 18, 1.1102230246251565e-16,
+    (check_battery_trajectories, None, 18, 0.0,
      "zero-coherence worst work 0.0e+00"),
     (check_qutrit_equality_construction, None, 1, 2.220446049250313e-16,
      "completeness 2.2e-16, output 1.1e-16, witness 0.0e+00"),
