@@ -66,6 +66,7 @@ from .linalg import (
     _read_only,
     _rebuild,
     _require_finite,
+    _require_size,
     _trace_second,
     _trusted,
     dagger,
@@ -142,6 +143,7 @@ def qutrit_equality_channel() -> KrausChannel:
 
 def random_channel(dim: int, n_kraus: int, seed) -> KrausChannel:
     """Random CPTP map: slices of a Haar-random unitary dilation."""
+    dim, n_kraus = _require_size("dim", dim, 1), _require_size("n_kraus", n_kraus, 1)
     return _random_channels([np.random.default_rng(seed)], dim, n_kraus)[0]
 
 
@@ -231,7 +233,7 @@ def _dilate(channels, env_dim: int | None = None) -> list[StinespringDilation]:
     """dilate of each channel of one shape: one SVD, rank rule, check and logarithm."""
     ops = np.array([channel.operators for channel in channels])
     n_ops, d = ops.shape[1:3]
-    d_env = n_ops if env_dim is None else int(env_dim)
+    d_env = n_ops if env_dim is None else _require_size("env_dim", env_dim, 1)
     if n_ops > d_env:
         raise TooManyKraus(f"{n_ops} Kraus operators exceed environment dimension {d_env}")
     n = d * d_env

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -307,6 +308,15 @@ def _require_finite(name: str, value) -> None:
         raise ValueError(f"{name} must be finite, got {value!r}")
 
 
+def _require_size(name: str, value, least: int) -> int:
+    """value as an int: TypeError unless it is one (``operator.index``), ValueError naming the
+    argument below least."""
+    value = operator.index(value)
+    if value < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {value}")
+    return value
+
+
 def _finite(a: np.ndarray, what: str) -> np.ndarray:
     """a, with ValueError("<what> are not all finite") unless every entry is finite."""
     if not np.logical_and.reduce(np.isfinite(a), axis=None):
@@ -373,12 +383,14 @@ def _trace_second(rho: np.ndarray, d0: int, d1: int) -> np.ndarray:
 
 def haar_random_state(dim: int, seed) -> np.ndarray:
     """Haar-distributed unit vector; deterministic given an integer seed."""
+    dim = _require_size("dim", dim, 1)
     v = _ginibre(np.random.default_rng(seed), dim)
     return v / np.linalg.norm(v)
 
 
 def random_density(dim: int, rank: int, seed) -> np.ndarray:
     """Random density matrix of the requested rank (Ginibre construction)."""
+    dim = _require_size("dim", dim, 1)
     if not 1 <= rank <= dim:
         raise BadRank(f"rank {rank} outside 1..{dim}")
     g = _ginibre(np.random.default_rng(seed), (dim, rank))
@@ -388,12 +400,14 @@ def random_density(dim: int, rank: int, seed) -> np.ndarray:
 
 def random_hermitian(dim: int, seed, scale: float = 1.0) -> np.ndarray:
     """Random Hermitian matrix with O(scale) entries (GUE-like)."""
+    dim = _require_size("dim", dim, 1)
     g = _ginibre(np.random.default_rng(seed), (dim, dim))
     return hermitianize(g) * (scale / np.sqrt(2.0))
 
 
 def random_unitary(dim: int, seed) -> np.ndarray:
     """Haar-distributed unitary (QR of a Ginibre matrix with phase fix)."""
+    dim = _require_size("dim", dim, 1)
     return _haar_unitaries(_ginibre(np.random.default_rng(seed), (dim, dim)))
 
 

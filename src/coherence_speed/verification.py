@@ -43,7 +43,9 @@ its dimension) takes ``dims.dim`` as a floor and notes its ``dims.used``.
 Every check declares its own salt, unique in this module, even a check
 that draws nothing, so no two checks draw the same ensemble.  Both
 decorators give ``check_*(*, seed=0, trials=None, dim=None, tol=None)``,
-where None means the declared default.
+where None means the declared default.  The sizes are checked before any
+draw: seed >= 0, trials >= 1 and dim >= 2, each an integer
+(``linalg._require_size``).
 """
 
 from __future__ import annotations
@@ -110,6 +112,7 @@ from .linalg import (
     _phases,
     _psd_sqrt_eig,
     _rebuild,
+    _require_size,
     _trace_second,
     _trusted,
     dagger,
@@ -170,8 +173,9 @@ def _check(suite: str, name: str, *, salt: int, tol: float, trials: int | None =
     def declare(body):
         def check(*, seed=0, trials=None, dim=None, tol=None) -> CheckResult:
             tol = default_tol if tol is None else tol
-            n = default_trials if trials is None else trials
-            dims = _Dims(rule, dim)
+            seed = _require_size("seed", seed, 0)       # each size before any draw
+            n = default_trials if trials is None else _require_size("trials", trials, 1)
+            dims = _Dims(rule, None if dim is None else _require_size("dim", dim, 2))
             t0 = time.perf_counter()
             columns = body(np.random.default_rng([seed, salt]), n, dims)
             head = next(label for label in columns if label not in sides)

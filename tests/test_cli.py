@@ -1,6 +1,7 @@
 """End-to-end runs of the command-line interface via main(argv)."""
 
 import csv
+import io
 import json
 import os
 import re
@@ -231,13 +232,18 @@ def test_a_json_sweep_holds_the_csv_values(tmp_path, state):
     assert all(list(row) == _SWEEP_COLUMNS for row in doc["rows"])
 
 
+def _in_qubit_range(row):
+    """A ceiling >= 0, and a qubit's two-block c_half is at most 1/2."""
+    return row["bound"] >= 0.0 and 0.0 <= row["coherence"] <= 0.5 + 1e-9
+
+
 def test_battery_default_rows_and_bound(tmp_path):
     out = tmp_path / "bat.csv"
     assert main(["battery", "--out", str(out)]) == 0
     rows = rows_of(out)
     assert len(rows) == 1001
     for r in rows:
-        assert abs(r["avg_work"]) <= r["bound"] + 1e-9
+        assert abs(r["avg_work"]) <= r["bound"] + 1e-9 and _in_qubit_range(r)
     # default protocol starts in the ground state with the pulse off
     assert rows[0]["eta"] == 0.0 and rows[0]["avg_work"] == 0.0
 
@@ -281,18 +287,23 @@ def test_channel_default_audit_is_equality_case(tmp_path):
     assert len(dilation.levels) == 12 and abs(row["coherence_ceiling"] - ceiling) < 1e-12
 
 
-def test_channel_from_file_reports_slack(tmp_path):
+@pytest.mark.parametrize("seed, state", [(5, {"state": "plus"}), (7, {})],
+                         ids=["plus", "default-state"])
+def test_channel_from_file_reports_slack(tmp_path, seed, state):
     from coherence_speed.channels import random_channel, save_channel
     chan_path = tmp_path / "chan22.json"
-    save_channel(random_channel(2, 2, 5), chan_path)
+    save_channel(random_channel(2, 2, seed), chan_path)
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"channel": {"channel": {"path": str(chan_path)},
-                                           "state": "plus"}}))
-    out = tmp_path / "audit.csv"
-    assert main(["channel", "--config", str(cfg), "--out", str(out)]) == 0
-    row = rows_of(out)[0]
-    assert row["slack"] >= -1e-9
-    assert row["avg_channel_distance"] <= row["coherence_ceiling"] + 1e-9
+    cfg.write_text(json.dumps({"channel": {"channel": {"path": str(chan_path)}, **state}}))
+    bodies = []
+    for name in ("a.csv", "b.csv"):
+        out = tmp_path / name
+        assert main(["channel", "--config", str(cfg), "--seed", "0", "--out", str(out)]) == 0
+        bodies.append(body_lines(out))
+    assert bodies[0] == bodies[1]
+    (row,) = rows_of(out)
+    avg, ceiling = row["avg_channel_distance"], row["coherence_ceiling"]
+    assert avg <= ceiling and row["slack"] == ceiling - avg
 
 
 @pytest.mark.parametrize("section, dilations", [
@@ -434,6 +445,33 @@ def test_json_report_structure(tmp_path):
     assert set(doc) == {"metadata", "rows"}
     assert doc["metadata"]["command"] == "sweep"
     assert len(doc["rows"]) == 5
+
+
+_SWEEP_3 = {"sweep": {"spectrum": [0.0, 0.7, 1.9], "t_steps": 21}}
+_QSL_3 = {"qsl": {"spectrum": [0.0, 0.4, 1.7], "t_steps": 21}}
+
+
+@pytest.mark.parametrize("argv, config, fmt", [
+    (["battery"], None, "json"), (["sweep"], _SWEEP_3, "json"), (["qsl"], None, "json"),
+    (["qsl"], _QSL_3, "json"), (["channel"], None, "json"), (["verify", "thm2"], None, "json"),
+    (["battery"], None, "csv"), (["sweep"], _SWEEP_3, "csv")],
+    ids=["battery-json", "sweep-json", "qsl-json", "qsl-3-level-json", "channel-json",
+         "verify-thm2-json", "battery-csv", "sweep-csv"])
+def test_a_report_body_is_the_stdlib_rendering_of_itself(tmp_path, argv, config, fmt):
+    if config is not None:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        argv = argv + ["--config", str(cfg)]
+    out = tmp_path / f"report.{fmt}"
+    assert main(argv + ["--format", fmt, "--out", str(out)]) == 0
+    text = out.read_text()
+    if fmt == "json":
+        assert text == json.dumps(json.loads(text), indent=2) + "\n"
+    else:
+        body = "".join(line for line in text.splitlines(True) if not line.startswith("#"))
+        again = io.StringIO()
+        csv.writer(again, lineterminator="\n").writerows(csv.reader(io.StringIO(body)))
+        assert body.count("\n") > 20 and again.getvalue() == body
 
 
 def test_verify_report_written(tmp_path, capsys):
@@ -827,16 +865,30 @@ def test_a_rejected_config_prints_its_one_error_line(tmp_path, capsys, argv, doc
     assert captured.err == f"error: {message.format(cfg=cfg)}\n"
 
 
-def test_a_rotating_battery_report_is_the_rotating_axis_run(tmp_path):
-    cfg, out = tmp_path / "cfg.json", tmp_path / "bat.csv"
-    cfg.write_text(json.dumps({"battery": {"axis": "rotating-xy", "tau": 2.0, "dt": 0.01}}))
-    assert main(["battery", "--config", str(cfg), "--out", str(out)]) == 0
-    run = simulate_battery(BatteryConfig(epsilon=1.0, tau=2.0, dt=0.01,
-                                         pulse=sin2_pulse(1.0, 2.0),
-                                         drive_axis=rotating_axis(2.0)),
-                           np.array([1.0, 0.0], dtype=complex))
+_CIRCULAR = [[0.7071067811865476, 0], [0, 0.7071067811865476]]     # (|0> + i |1>) / sqrt 2
+
+
+@pytest.mark.parametrize("section, psi", [
+    ({"tau": 2.0, "dt": 0.01}, [1.0, 0.0]),
+    ({"state": {"amplitudes": _CIRCULAR}}, [0.7071067811865476, 0.7071067811865476j])],
+    ids=["ground-tau-2", "circular-default-grid"])
+def test_a_rotating_battery_report_is_the_rotating_axis_run(tmp_path, section, psi):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"battery": {"axis": "rotating-xy", **section}}))
+    bodies = []
+    for name in ("a.csv", "b.csv"):
+        out = tmp_path / name
+        assert main(["battery", "--config", str(cfg), "--seed", "0", "--out", str(out)]) == 0
+        bodies.append(body_lines(out))
+    assert bodies[0] == bodies[1]
+    assert bodies[0][0] == "t,eta,avg_work,bound,coherence,cumulative_work"
+    tau, dt, psi = section.get("tau", 1.0), section.get("dt", 1e-3), np.array(psi)
+    run = simulate_battery(BatteryConfig(epsilon=1.0, tau=tau, dt=dt,
+                                         pulse=sin2_pulse(1.0, tau),
+                                         drive_axis=rotating_axis(tau)),
+                           psi / np.linalg.norm(psi))
     rows = rows_of(out)
-    assert len(rows) == len(run.t)
+    assert len(rows) == len(run.t) and all(_in_qubit_range(r) for r in rows)
     for name, column in [("t", run.t), ("eta", run.pulse_value), ("avg_work", run.avg_work),
                          ("bound", run.bound), ("coherence", run.coherence),
                          ("cumulative_work", run.cumulative_work)]:

@@ -223,7 +223,8 @@ ENTRIES = {
 
 # every class is n/a for each of these names, for the reason given
 NOT_APPLICABLE = {
-    "no array: sizes, seeds, names, paths, tables or objects checked when they were built": (
+    "no array: sizes (each a guard row), seeds, names, paths, tables, or objects checked when "
+    "they were built": (
         "haar_random_state", "random_density", "random_hermitian", "random_unitary",
         "OrthogonalDecomposition.computational", "random_channel", "qutrit_equality_channel",
         "dilate", "load_channel", "save_channel", "is_refinement", "finite_difference_speed",
@@ -375,6 +376,32 @@ _GUARDS = {
     "run_suite, an unknown name": (
         lambda: cs.run_suite("not-a-suite"), UnknownSuite,
         "unknown suite 'not-a-suite'; choose from " + ", ".join(sorted(cs.SUITES))),
+    # a size is an integer (TypeError) in its range (ValueError naming it), checked before any
+    # draw: trials 0 passed with worst -inf, 2.5 ran 2 trials, dim 0 was ignored
+    **{f"{name}, {arg} {value!r}": (
+        lambda call=call, arg=arg, value=value: call(**{arg: value}), *outcome)
+       for name, call in [("run_suite", lambda **kw: cs.run_suite("thm1", **kw)),
+                          ("check_thm1_equality", verification.check_thm1_equality)]
+       for arg, value, outcome in [
+           ("trials", 0, (ValueError, "trials must be an integer >= 1, got 0")),
+           ("trials", -1, (ValueError, "trials must be an integer >= 1, got -1")),
+           ("trials", 2.5, (TypeError, "'float' object cannot be interpreted as an integer")),
+           ("dim", 0, (ValueError, "dim must be an integer >= 2, got 0")),
+           ("dim", 1, (ValueError, "dim must be an integer >= 2, got 1")),
+           ("seed", -1, (ValueError, "seed must be an integer >= 0, got -1"))]},
+    **{f"{call.__name__}, dim 0": (lambda call=call: call(0, 0), ValueError,
+                                    "dim must be an integer >= 1, got 0")
+       for call in (cs.haar_random_state, cs.random_unitary, cs.random_hermitian)},
+    "random_density, dim 0": (lambda: cs.random_density(0, 1, 0), ValueError,
+                              "dim must be an integer >= 1, got 0"),
+    # numpy's "slice step cannot be zero", and a (1, 0, 0) channel installed unchecked
+    "random_channel, no Kraus operators": (lambda: cs.random_channel(2, 0, 0), ValueError,
+                                           "n_kraus must be an integer >= 1, got 0"),
+    "random_channel, dim 0": (lambda: cs.random_channel(0, 1, 0), ValueError,
+                              "dim must be an integer >= 1, got 0"),
+    # int() took 2.5 as 2
+    "dilate, env_dim 2.5": (lambda: cs.dilate(CHANNEL, 2.5), TypeError,
+                            "'float' object cannot be interpreted as an integer"),
     "a_coefficient, a repeated eigenvalue": (
         lambda: cs.a_coefficient([1.0, 1.0, 2.0], 0.5), DegenerateSpectrum,
         "eigenvalues are not pairwise distinct; group levels and use b_coefficient"),
