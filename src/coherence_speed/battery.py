@@ -24,17 +24,22 @@ value for every point, an axis (N+1, 3) unit vectors or one 3-vector,
 a fixed axis.  The package's pulses and axes take a time or an array of
 times and give the same bits either way.  The whole protocol then runs
 on the (N+1, 2) state vectors of the trajectory, which is pure by
-construction, so it forms no density matrix and no square root.  The
-trajectory comes from the stacked propagator of ``dynamics.evolve``;
-the rows need no eigendecomposition.  A qubit Hamiltonian is
-(eps / 2) I + b.sigma, with b = eta n - (eps / 2) z for the branch with
-pulse eta (the other has -eta), so up to the global phase
-exp(-i eps dt / 2) a branch moves psi_1 to
+construction, so it forms no density matrix, no square root and no
+eigendecomposition.  A qubit Hamiltonian is (eps / 2) I + b.sigma, with
+b = eta n - (eps / 2) z for the branch with pulse eta (the other has
+-eta), so a step is the SU(2) rotation
 
-    phi_1 = cos(|b| dt) psi_1 - i S ((b_x + i b_y) psi_0 - b_z psi_1),
+    exp(-i H dt) = exp(-i eps dt / 2) (cos(|b| dt) I - i S b.sigma),
 
-with S = dt sinc(|b| dt / pi) (``np.sinc`` keeps |b| = 0 exact).  Its
-work eps (|psi_1|^2 - |phi_1|^2) is taken in closed form, free of the
+with S = dt sinc(|b| dt / pi) (``np.sinc`` keeps |b| = 0 exact).  The
+trajectory takes one such step per grid interval, on the grid's own
+dt_k = t_(k+1) - t_k, under the step guard and the norm-drift check of
+``dynamics.evolve`` (``_trajectory``).  Up to the global phase, a branch
+moves psi_1 to
+
+    phi_1 = cos(|b| dt) psi_1 - i S ((b_x + i b_y) psi_0 - b_z psi_1).
+
+Its work eps (|psi_1|^2 - |phi_1|^2) is taken in closed form, free of the
 cancellation of two nearly equal weights: with Y = (n_x - i n_y) psi_0* psi_1,
 
     eps S eta (2 cos(|b| dt) Im Y + S (2 b_z Re Y - eta (n_x^2 + n_y^2) D)),
@@ -52,7 +57,6 @@ square root inside ``c_half``, and serve as its oracles.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, fields
 from typing import Callable
 
@@ -60,7 +64,7 @@ import numpy as np
 
 from .avgdist import _closed_forms, _orbit_means
 from .coherence import c_half
-from .dynamics import _propagate
+from .dynamics import _drift_check, _step_guard
 from .errors import DimensionMismatch, InvalidState, WindowTooWide
 from .linalg import (
     TOL_NORM,
@@ -95,8 +99,16 @@ def spin_operator(axis) -> np.ndarray:
     """n.sigma for a unit 3-vector n (eigenvalues exactly +-1).
 
     A stack of axes (k, 3) gives the stack (k, 2, 2); every axis must
-    be finite and unit length (InvalidState otherwise).
+    be finite and unit length (InvalidState otherwise, ``_unit_axes``).
     """
+    n = _unit_axes(axis)
+    return (n[..., 0, None, None] * _SIGMA[0] + n[..., 1, None, None] * _SIGMA[1]
+            + n[..., 2, None, None] * _SIGMA[2])
+
+
+def _unit_axes(axis) -> np.ndarray:
+    """A 3-vector or a stack (k, 3) of them, as floats; InvalidState unless each is finite
+    and of unit length."""
     n = _array(axis, float)
     if n.ndim not in (1, 2) or n.shape[-1] != 3:
         raise InvalidState("axis must be a 3-vector or a stack (k, 3) of them")
@@ -106,30 +118,20 @@ def spin_operator(axis) -> np.ndarray:
     off = np.abs(nrm - 1.0) > TOL_NORM
     if off.any():
         raise InvalidState(f"axis norm {float(nrm[off].flat[0])!r} differs from 1")
-    return (n[..., 0, None, None] * _SIGMA[0] + n[..., 1, None, None] * _SIGMA[1]
-            + n[..., 2, None, None] * _SIGMA[2])
+    return n
 
 
-def _libm_pow(x, p: int) -> np.ndarray:
-    """x ** p entry by entry through libm pow (``math.pow``), for a scalar or an array.
-
-    numpy's array power rounds differently from libm pow at some points
-    (sin^4 on a 1,001-point grid at numpy 2.4: 55 of them), while a scalar
-    ``np.float64 ** p`` is libm pow; this keeps a pulse on a grid equal
-    to the pulse at each of its points.
-    """
-    x = np.asarray(x, dtype=float)
-    return np.array([math.pow(v, p) for v in x.ravel().tolist()]).reshape(x.shape)
-
+# The sine powers are products, s * s and (s * s) * (s * s) (``np.square``): one multiply
+# rounds the same for a scalar and for an array, where numpy's array power and libm pow differ.
 
 def sin2_pulse(eta_max: float, tau: float) -> Callable:
     """eta(t) = eta_max sin^2(pi t / tau), at a time t or on an array of times."""
-    return lambda t: eta_max * _libm_pow(np.sin(np.pi * t / tau), 2)
+    return lambda t: eta_max * np.square(np.sin(np.pi * t / tau))
 
 
 def sin4_pulse(eta_max: float, tau: float) -> Callable:
     """eta(t) = eta_max sin^4(pi t / tau), at a time t or on an array of times."""
-    return lambda t: eta_max * _libm_pow(np.sin(np.pi * t / tau), 4)
+    return lambda t: eta_max * np.square(np.square(np.sin(np.pi * t / tau)))
 
 
 def parabola_pulse(eta_max: float, tau: float) -> Callable:
@@ -246,6 +248,49 @@ def work_bound(rho_t, epsilon: float, eta_t: float, v_t: np.ndarray,
     return float(2.0 * abs(epsilon) * np.sin(x) * np.sqrt(drive_coherence(rho_t, v_t)))
 
 
+def _qubit_step(epsilon: float, eta, n: np.ndarray, dt) -> tuple:
+    """b_z, |b| dt and S = dt sinc(|b| dt / pi) of the qubit step exp(-i b.sigma dt).
+
+    The field is b = eta n - (eps / 2) z; eta, n (..., 3) and dt broadcast, and
+    ``np.sinc`` keeps |b| = 0 exact.
+    """
+    nx, ny = n[..., 0], n[..., 1]
+    bz = eta * n[..., 2] - 0.5 * epsilon
+    x = np.sqrt(eta * eta * (nx * nx + ny * ny) + bz * bz) * dt
+    return bz, x, dt * np.sinc(x / np.pi)
+
+
+def _trajectory(psi0: np.ndarray, times: np.ndarray, epsilon: float, etas: np.ndarray,
+                n: np.ndarray) -> np.ndarray:
+    """The states (N+1, 2) under H_k = eps |1><1| + eta_k n_k.sigma on the grid times (N+1,).
+
+    Each step is exp(-i H_k dt_k) = exp(-i eps dt_k / 2) (cos(|b| dt_k) I - i S b.sigma),
+    from ``_qubit_step`` on the grid's own dt_k = t_(k+1) - t_k > 0.  n holds the axes
+    (N+1, 3) or one axis (3,).  The step guard reads |b| dt_k, the half spectral width
+    of H_k times dt_k, and the norm drift is checked as ``evolve`` checks it.
+    """
+    dts = times[1:] - times[:-1]
+    eta, n = etas[:-1], n[:-1] if n.ndim == 2 else n
+    bz, x, step = _qubit_step(epsilon, eta, n, dts)
+    _step_guard(x, stacklevel=3)
+    # U = (1 + c) I + s b.sigma, with c = exp(-i eps dt / 2) cos(|b| dt) - 1 formed from
+    # exp(-i th) - 1 and cos(x) - 1 = -2 sin^2(x / 2): cos and exp rounded near 1 err alike
+    # at every step of an even grid, and those errors would add up over the grid
+    half = 0.5 * epsilon * dts
+    phase = -2.0 * np.sin(0.5 * half) ** 2 - 1j * np.sin(half)         # exp(-i eps dt / 2) - 1
+    c = phase * np.cos(x) - 2.0 * np.sin(0.5 * x) ** 2
+    s = -1j * (phase + 1.0) * step
+    bxy = eta * (n[..., 0] - 1j * n[..., 1])                    # b_x - i b_y
+    p0, p1 = psi0.tolist()
+    states = [p0, p1]       # flat: np.fromiter reads it far faster than a list of pairs
+    # one loop over Python complex scalars: the cheapest product of N small steps
+    for d00, u01, u10, d11 in zip((c + s * bz).tolist(), (s * bxy).tolist(),
+                                  (s * bxy.conj()).tolist(), (c - s * bz).tolist()):
+        p0, p1 = p0 + (d00 * p0 + u01 * p1), p1 + (u10 * p0 + d11 * p1)
+        states += (p0, p1)
+    return _drift_check(np.fromiter(states, complex, len(states)).reshape(-1, 2))
+
+
 def _bloch_rows(psi: np.ndarray, epsilon: float, etas: np.ndarray, n: np.ndarray,
                 dt: float) -> tuple[np.ndarray, np.ndarray]:
     """Branch-averaged work and c_half_V at every grid point, from the Bloch vectors.
@@ -254,16 +299,14 @@ def _bloch_rows(psi: np.ndarray, epsilon: float, etas: np.ndarray, n: np.ndarray
     one axis (3,); the module docstring gives the formulas.
     """
     nx, ny, nz = n[..., 0], n[..., 1], n[..., 2]
+    eta = np.stack((etas, -etas))       # the two branches, one row each
+    bz, x, step = _qubit_step(epsilon, eta, n, dt)
     x01 = psi[:, 0].conj() * psi[:, 1]
     p0, p1 = psi[:, 0].real ** 2 + psi[:, 0].imag ** 2, psi[:, 1].real ** 2 + psi[:, 1].imag ** 2
     d = p0 - p1
     # Y = (n_x - i n_y) conj(psi_0) psi_1
     re_y, im_y = nx * x01.real + ny * x01.imag, nx * x01.imag - ny * x01.real
     perp = nx * nx + ny * ny
-    eta = np.stack((etas, -etas))       # the two branches, one row each
-    bz = eta * nz - 0.5 * epsilon
-    x = np.sqrt(eta * eta * perp + bz * bz) * dt
-    step = dt * np.sinc(x / np.pi)      # S = sin(|b| dt) / |b|
     w_plus, w_minus = epsilon * step * eta * (
         2.0 * np.cos(x) * im_y + step * (2.0 * bz * re_y - eta * perp * d))
     norm2, s = p0 + p1, 2.0 * re_y + nz * d
@@ -308,13 +351,13 @@ def _sampled(values, grid_shape: tuple, name: str) -> np.ndarray:
 def simulate_battery(config: BatteryConfig, psi0) -> BatteryRun:
     """Evolve psi0 under H(t) = eps |1><1| + eta(t) V(t) and record work/bound columns.
 
-    The trajectory uses the piecewise-constant exponential on the
-    uniform grid 0..tau step dt; each row reports the branch-averaged
-    work over [t, t + dt], its coherence ceiling, and the running sum.
-    The pulse and the drive axis are called once each, with that grid
-    (see ``BatteryConfig``).  ValueError unless tau and dt are finite
-    and positive and epsilon is finite; the Hamiltonians built
-    from these checked values are not checked again.
+    The trajectory takes the exact step exp(-i H(t_k) dt_k) on the uniform
+    grid 0..tau, about dt apart (``_trajectory``); each row reports the
+    branch-averaged work over [t, t + dt], its coherence ceiling, and the
+    running sum.  The pulse and the drive axis are called once each, with
+    that grid (see ``BatteryConfig``).  ValueError unless tau and dt are
+    finite and positive and epsilon is finite; the steps built from these
+    checked values are not checked again.
     """
     for name, value in (("tau", config.tau), ("dt", config.dt)):
         if not 0 < value < np.inf:
@@ -331,10 +374,9 @@ def simulate_battery(config: BatteryConfig, psi0) -> BatteryRun:
     for value, edge in ((etas[0], 0.0), (etas[-1], config.tau)):
         if abs(value) > TOL_ZERO:
             raise InvalidState(f"pulse must vanish at t = {edge}")
-    # one axis gives one drive operator, broadcast along the grid
-    axes = _sampled(config.drive_axis(times), times.shape + (3,), "drive_axis")
-    drive = spin_operator(axes)
-    psi = _propagate(psi0, times, config.epsilon * _P1 + etas[:, None, None] * drive)[0]
+    # one fixed axis (3,) serves every grid point
+    axes = _unit_axes(_sampled(config.drive_axis(times), times.shape + (3,), "drive_axis"))
+    psi = _trajectory(psi0, times, config.epsilon, etas, axes)
     work, coh = _bloch_rows(psi, config.epsilon, etas, axes, config.dt)
     bound = 2.0 * abs(config.epsilon) * np.sin(np.abs(etas) * config.dt) * np.sqrt(coh)
     return _trusted(BatteryRun, times, etas, work, bound, coh, np.cumsum(work))

@@ -36,7 +36,6 @@ or trajectory is checked and keeps read-only views of the caller's arrays.
 
 from __future__ import annotations
 
-import operator
 import warnings
 from dataclasses import dataclass, fields
 
@@ -55,6 +54,7 @@ from .linalg import (
     _phases,
     _read_only,
     _require_finite,
+    _require_size,
     _trusted,
     dagger,
     hermitianize,
@@ -125,9 +125,7 @@ class HamiltonianPath:
             dt = 0.01 / half_width if half_width > 0 else t_final
             steps = max(1, int(np.ceil(t_final / dt))) if dt else 1
         else:
-            steps = operator.index(steps)
-            if steps < 0:
-                raise ValueError(f"steps must be a non-negative integer, got {steps}")
+            steps = _require_size("steps", steps, 0)
         times = np.arange(steps + 1.0)
         if steps:
             step = t_final / steps
@@ -243,26 +241,43 @@ def _moments(a: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return mean, np.sqrt(np.add.reduce(a * dev * dev, axis=-1))
 
 
+def _step_guard(steps: np.ndarray, stacklevel: int) -> None:
+    """The step guard on steps (N,), each step's half spectral width times |dt|.
+
+    GridTooCoarse when the largest exceeds 1, one warning above 0.1, attributed where
+    ``warnings.warn(..., stacklevel=stacklevel)`` in the calling function would attribute it.
+    """
+    worst = float(np.maximum.reduce(steps)) if len(steps) else 0.0
+    if worst > _MAX_STEP:
+        raise GridTooCoarse(f"half spectral width * dt = {worst:.3g} exceeds {_MAX_STEP}")
+    if worst > _WARN_STEP:
+        warnings.warn(f"half spectral width * dt = {worst:.3g} above {_WARN_STEP}; "
+                      "grid may be coarse", stacklevel=stacklevel + 1)
+
+
+def _drift_check(states: np.ndarray) -> np.ndarray:
+    """states (N+1, d); InvalidState when a norm differs from 1 by more than TOL_DRIFT."""
+    # np.linalg.norm(states, axis=1), by its own formula, without its wrapper
+    norms = np.sqrt(np.add.reduce((states.conj() * states).real, axis=1))
+    drift = float(np.maximum.reduce(np.abs(norms - 1.0)))
+    if drift > TOL_DRIFT:
+        raise InvalidState(f"norm drift {drift:.3e} over the grid")
+    return states
+
+
 def _propagate(psi0: np.ndarray, times: np.ndarray,
                h: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """States on the grid from the Hermitian samples h (N+1, d, d), with their eigendata (w, v).
 
     The samples were checked where they entered, or built from checked
     values.  One stacked eigh gives every step unitary V exp(-i w dt) V†.
-    The step guard is checked on the whole grid before any propagation:
-    GridTooCoarse when the half spectral width (lambda_max - lambda_min) / 2
-    times |dt| exceeds 1, one warning above 0.1.  Raises InvalidState when
-    the norm drifts by more than TOL_DRIFT over the grid.
+    The step guard (``_step_guard``) is checked on the whole grid before any
+    propagation, on the half spectral width (lambda_max - lambda_min) / 2
+    times |dt|, and the norm drift (``_drift_check``) after it.
     """
     w, v = np.linalg.eigh(h)
     dts = times[1:] - times[:-1]
-    steps = (w[:-1, -1] - w[:-1, 0]) / 2.0 * np.abs(dts)
-    worst = float(np.maximum.reduce(steps)) if len(steps) else 0.0
-    if worst > _MAX_STEP:
-        raise GridTooCoarse(f"half spectral width * dt = {worst:.3g} exceeds {_MAX_STEP}")
-    if worst > _WARN_STEP:
-        warnings.warn(f"half spectral width * dt = {worst:.3g} above {_WARN_STEP}; "
-                      "grid may be coarse", stacklevel=3)
+    _step_guard((w[:-1, -1] - w[:-1, 0]) / 2.0 * np.abs(dts), stacklevel=3)
     u = _eigenbasis_operators(v[:-1], _phases(w[:-1], dts[:, None]))
     states = np.empty((len(times), len(psi0)), dtype=complex)
     states[0] = psi0
@@ -271,12 +286,7 @@ def _propagate(psi0: np.ndarray, times: np.ndarray,
     rows = list(states)
     for u_k, src, dst in zip(list(u), rows, rows[1:]):
         u_k.dot(src, dst)
-    # np.linalg.norm(states, axis=1), by its own formula, without its wrapper
-    norms = np.sqrt(np.add.reduce((states.conj() * states).real, axis=1))
-    drift = float(np.maximum.reduce(np.abs(norms - 1.0)))
-    if drift > TOL_DRIFT:
-        raise InvalidState(f"norm drift {drift:.3e} over the grid")
-    return states, w, v
+    return _drift_check(states), w, v
 
 
 def _stacked_speeds(w: np.ndarray, v: np.ndarray,

@@ -4,9 +4,11 @@ import dataclasses
 import itertools
 import warnings
 
+import mpmath as mp
 import numpy as np
 import pytest
 
+from coherence_speed import battery
 from coherence_speed.battery import (
     BatteryConfig,
     BatteryRun,
@@ -23,18 +25,33 @@ from coherence_speed.battery import (
     work_bound,
 )
 from coherence_speed.dynamics import HamiltonianPath, evolve
-from coherence_speed.errors import InvalidState, WindowTooWide
+from coherence_speed.errors import GridTooCoarse, InvalidState, WindowTooWide
 from coherence_speed.linalg import (
     haar_random_state,
     pure_density,
     random_density,
     random_unitary,
+    validate_state_vector,
 )
 from coherence_speed.verification import _battery_grid
 
 GROUND = np.array([1.0, 0.0], dtype=complex)
 PLUS = np.full(2, 1.0 / np.sqrt(2.0), dtype=complex)
 P1 = np.diag([0.0, 1.0]).astype(complex)
+
+
+def _run_states(config, run, psi0):
+    """The states the run's rows were taken on: its own trajectory, rebuilt from its columns."""
+    return battery._trajectory(validate_state_vector(psi0), run.t, config.epsilon,
+                               run.pulse_value, np.asarray(config.drive_axis(run.t), float))
+
+
+def _evolve_states(config, run, psi0):
+    """The same protocol through evolve: one stacked eigh of the samples eps |1><1| + eta V."""
+    axes = np.broadcast_to(config.drive_axis(run.t), run.t.shape + (3,))
+    drives = [spin_operator(n) for n in axes]
+    return evolve(psi0, HamiltonianPath(run.t, [config.epsilon * P1 + eta * v for eta, v in
+                                                zip(run.pulse_value, drives)])).states
 
 
 def test_spin_operator_algebra():
@@ -175,11 +192,10 @@ def test_battery_rows_match_the_single_step_oracles():
         config = BatteryConfig(epsilon=eps, tau=tau, dt=dt, pulse=pulse, drive_axis=axis)
         run = simulate_battery(config, psi0)
         times = np.linspace(0.0, tau, len(run.t))
-        traj = evolve(psi0, HamiltonianPath(
-            times, [eps * P1 + pulse(t) * spin_operator(axis(t)) for t in times]))
+        own = _run_states(config, run, psi0)
         for k in range(0, len(times), 25):
             t = times[k]
-            rho = np.outer(traj.states[k], traj.states[k].conj())
+            rho = np.outer(own[k], own[k].conj())
             eta, v = float(pulse(t)), spin_operator(axis(t))
             assert run.t[k] == t and run.pulse_value[k] == eta
             assert abs(run.avg_work[k] - avg_extracted_work(rho, eps, eta, v, dt)) <= 1e-14
@@ -196,9 +212,7 @@ def test_every_row_matches_the_density_matrix_oracles(state, axis):
     config = BatteryConfig(epsilon=1.0, tau=1.0, dt=1e-3, pulse=sin2_pulse(1.0, 1.0),
                            drive_axis=axis)
     run = simulate_battery(config, state)
-    traj = evolve(state, HamiltonianPath(
-        run.t, [P1 + config.pulse(t) * spin_operator(axis(t)) for t in run.t]))
-    for k, psi in enumerate(traj.states):
+    for k, psi in enumerate(_run_states(config, run, state)):
         rho = np.outer(psi, psi.conj())
         eta, v = float(config.pulse(run.t[k])), spin_operator(axis(run.t[k]))
         assert run.pulse_value[k] == eta
@@ -235,13 +249,12 @@ def test_every_row_matches_the_oracles_over_signs_axes_and_the_step_guard(eps):
             (1.0, 0.99 / dt - abs(eps) / 2.0), (sin2_pulse, sin4_pulse, parabola_pulse),
             _AXES_WITH_Z):
         for sign in (1.0, -1.0):
-            pulse = make(sign * eta_max, tau)
+            config = BatteryConfig(eps, tau, dt, make(sign * eta_max, tau), axis)
             psi0 = haar_random_state(2, rng)
-            run = simulate_battery(BatteryConfig(eps, tau, dt, pulse, axis), psi0)
+            run = simulate_battery(config, psi0)
             drives = [spin_operator(n) for n in np.broadcast_to(axis(run.t), (len(run.t), 3))]
-            traj = evolve(psi0, HamiltonianPath(
-                run.t, [eps * P1 + eta * v for eta, v in zip(run.pulse_value, drives)]))
-            for k, (psi, eta, v) in enumerate(zip(traj.states, run.pulse_value, drives)):
+            for k, (psi, eta, v) in enumerate(zip(_run_states(config, run, psi0),
+                                                  run.pulse_value, drives)):
                 rho = np.outer(psi, psi.conj())
                 assert abs(run.avg_work[k] - avg_extracted_work(rho, eps, eta, v, dt)) <= 1e-14
                 assert abs(run.coherence[k] - drive_coherence(rho, v)) <= 1e-14
@@ -253,6 +266,91 @@ def test_every_row_matches_the_oracles_over_signs_axes_and_the_step_guard(eps):
             # a row without drive or without gap extracts exactly nothing
             assert not run.avg_work[run.pulse_value == 0.0].any()
             assert eps != 0.0 or not run.avg_work.any()
+
+
+@pytest.mark.filterwarnings("ignore:half spectral width")
+def test_the_trajectory_equals_evolves_to_rounding():
+    # the closed-form SU(2) steps against evolve's stacked eigh, on the battery-bound grid, on
+    # two grids whose step is not dt (tau / dt is no integer) and on the guard-grid runs of
+    # the test above
+    tau, pulses, states, axes = _battery_grid()
+    configs = [(BatteryConfig(1.0, tau, 1e-3, pulse, axis), psi0)
+               for (_, pulse), (_, psi0), (_, axis) in itertools.product(pulses, states, axes)]
+    configs += [(BatteryConfig(1.0, 1.0, 0.03, sin2_pulse(20.0, 1.0), rotating_axis(1.0)), PLUS),
+                (BatteryConfig(-0.8, 2.5, 0.07, sin4_pulse(9.0, 2.5), _AXES_WITH_Z[0]), GROUND)]
+    rng = np.random.default_rng(78)
+    for eps in (1.3, -0.8, 1e-9, 0.0):
+        for eta_max, make, axis in itertools.product(
+                (1.0, 0.99 / 0.02 - abs(eps) / 2.0), (sin2_pulse, sin4_pulse, parabola_pulse),
+                _AXES_WITH_Z):
+            configs += [(BatteryConfig(eps, 1.0, 0.02, make(sign * eta_max, 1.0), axis),
+                         haar_random_state(2, rng)) for sign in (1.0, -1.0)]
+    for config, psi0 in configs:
+        run = simulate_battery(config, psi0)
+        own = _run_states(config, run, psi0)
+        assert np.max(np.abs(own - _evolve_states(config, run, psi0))) <= 5e-14
+
+
+def test_the_step_guard_reads_the_battery_grid_as_evolve_reads_it():
+    # |b| dt is the half spectral width times dt: the same error, or the same one warning
+    # attributed to the caller
+    times = np.linspace(0.0, 1.0, 21)
+    for eta_max, coarse in ((60.0, True), (9.0, False)):     # worst |b| dt 3.0 and 0.45
+        config = BatteryConfig(1.0, 1.0, 0.05, sin2_pulse(eta_max, 1.0), rotating_axis(1.0))
+        path = HamiltonianPath(times, [P1 + eta * spin_operator(n) for eta, n in
+                                       zip(config.pulse(times), config.drive_axis(times))])
+        outcomes = []
+        for call in (lambda: simulate_battery(config, PLUS), lambda: evolve(PLUS, path)):
+            with warnings.catch_warnings(record=True) as record:
+                warnings.simplefilter("always")
+                try:
+                    call()
+                except GridTooCoarse as exc:
+                    outcomes.append(str(exc))
+                else:
+                    outcomes.append([(str(w.message), w.filename) for w in record])
+        assert outcomes[0] == outcomes[1]
+        if coarse:
+            assert outcomes[0].startswith("half spectral width * dt = 3")
+        else:
+            assert [w[1] for w in outcomes[0]] == [__file__]
+
+
+def _expm_states(config, run, psi0):
+    """The trajectory as a 40-digit product of mp.expm steps, one state per grid point."""
+    with mp.workdps(40):
+        axes = np.broadcast_to(config.drive_axis(run.t), run.t.shape + (3,))
+        psi = mp.matrix([[mp.mpc(complex(z))] for z in psi0])
+        out = [psi]
+        for k, (eta, n) in enumerate(zip(run.pulse_value[:-1].tolist(), axes[:-1].tolist())):
+            eta, (nx, ny, nz) = mp.mpf(eta), (mp.mpf(c) for c in n)
+            h = mp.matrix([[eta * nz, eta * mp.mpc(nx, -ny)],
+                           [eta * mp.mpc(nx, ny), mp.mpf(config.epsilon) - eta * nz]])
+            dt = mp.mpf(float(run.t[k + 1])) - mp.mpf(float(run.t[k]))
+            psi = mp.expm(h * mp.mpc(0, -dt)) * psi
+            out.append(psi)
+        return out
+
+
+@pytest.mark.filterwarnings("ignore:half spectral width")
+@pytest.mark.parametrize("config, psi0", [
+    (BatteryConfig(1.3, 1.0, 0.02, sin4_pulse(0.99 / 0.02 - 0.65, 1.0), _tilted_axis(0.6, 0.8)),
+     haar_random_state(2, 80)),
+    (BatteryConfig(-0.8, 1.0, 0.02, parabola_pulse(-(0.99 / 0.02 - 0.4), 1.0),
+                   constant_axis((0.3, -0.5, 0.8))), haar_random_state(2, 81)),
+    (BatteryConfig.default(), np.array([1.0, 1.0j]) / np.sqrt(2.0)),
+], ids=["guard-grid-tilted", "guard-grid-negative-pulse", "default"])
+def test_the_trajectory_is_no_less_accurate_than_evolves_in_40_digits(config, psi0):
+    # two 50-step grids at |b| dt = 0.99 and the default grid; evolve's error here is
+    # 2.9e-15 to 8.1e-15, the closed form's 3.4e-16 to 2.2e-15
+    run = simulate_battery(config, psi0)
+    exact = _expm_states(config, run, psi0)
+
+    def error(states):
+        return max(float(abs(mp.mpc(complex(z)) - e)) for psi, x in zip(states, exact)
+                   for z, e in zip(psi, x))
+
+    assert error(_run_states(config, run, psi0)) <= error(_evolve_states(config, run, psi0))
 
 
 def test_the_ceiling_takes_the_magnitudes_of_eps_and_eta():
@@ -297,12 +395,15 @@ def test_battery_run_is_read_only_columns():
 @pytest.mark.bits
 @pytest.mark.parametrize("tau", [1.0, 2.5, 0.7])
 def test_package_pulses_and_axes_on_a_grid_equal_their_points_bit_for_bit(tau):
-    # the per-point forms are those of a scalar time: a scalar np.float64 power is libm pow
+    # the per-point forms are those of a scalar time: the sine powers are products
+    def sine(t):
+        return np.sin(np.pi * t / tau)
+
     for dt in (1e-3, 0.02):
         times = np.linspace(0.0, tau, int(round(tau / dt)) + 1)
         per_point = {
-            sin2_pulse: lambda t: 1.3 * np.sin(np.pi * t / tau) ** 2,
-            sin4_pulse: lambda t: 1.3 * np.sin(np.pi * t / tau) ** 4,
+            sin2_pulse: lambda t: 1.3 * (sine(t) * sine(t)),
+            sin4_pulse: lambda t: 1.3 * ((sine(t) * sine(t)) * (sine(t) * sine(t))),
             parabola_pulse: lambda t: 1.3 * 4.0 * t * (tau - t) / (tau * tau),
         }
         for make, form in per_point.items():

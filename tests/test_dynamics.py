@@ -254,6 +254,7 @@ def test_coarse_grid_raises_before_any_step_and_warns_once():
     with pytest.warns(UserWarning, match="half spectral width") as record:
         evolve(psi, HamiltonianPath(np.linspace(0.0, 1.0, 6), np.broadcast_to(h, (6, 2, 2))))
     assert len(record) == 1          # five coarse steps, one warning
+    assert record[0].filename == __file__   # attributed to evolve's caller
 
 
 def test_near_hermitian_samples_evolve_as_their_hermitian_part():
@@ -421,8 +422,8 @@ def test_a_trajectory_cannot_be_reassigned_or_written_and_copies_nothing():
 
 
 @pytest.mark.parametrize("steps,outcome", [
-    (-1, "ValueError: steps must be a non-negative integer, got -1"),
-    (-5, "ValueError: steps must be a non-negative integer, got -5"),
+    (-1, "ValueError: steps must be an integer >= 0, got -1"),
+    (-5, "ValueError: steps must be an integer >= 0, got -5"),
     (2.5, "TypeError"),
     (0, None),
 ], ids=["minus-1", "minus-5", "non-integer", "zero"])

@@ -24,7 +24,7 @@ import pytest
 from jsonschema import ValidationError
 
 import coherence_speed as cs
-from coherence_speed import dynamics, linalg, verification
+from coherence_speed import battery, dynamics, linalg, verification
 from coherence_speed.channels import channel_from_dict
 from coherence_speed.errors import (
     BadRank,
@@ -528,6 +528,10 @@ _GUARDS = {
     "_propagate, a start state of norm 1.001": (
         lambda: dynamics._propagate(np.array([1.001, 0.0], dtype=complex),
                                     np.linspace(0.0, 1.0, 3), np.zeros((3, 2, 2), dtype=complex)),
+        InvalidState, "norm drift 1.000e-03 over the grid"),
+    "battery._trajectory, a start state of norm 1.001": (
+        lambda: battery._trajectory(np.array([1.001, 0.0], dtype=complex),
+                                    np.linspace(0.0, 1.0, 3), 0.0, np.zeros(3), np.eye(3)[0]),
         InvalidState, "norm drift 1.000e-03 over the grid"),
     "_json_default, an object JSON has no form for": (
         lambda: _json_default(object()), TypeError, "cannot serialize object"),

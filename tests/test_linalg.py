@@ -248,7 +248,6 @@ def test_every_evolution_phase_comes_from_the_one_phase_rule(monkeypatch, tmp_pa
     ham = SpectralHamiltonian.from_spectrum([0.0, 0.7, 1.9])
     psi = np.array([0.6, 0.48j, -0.64])
     path = dynamics.HamiltonianPath.constant(np.diag([0.0, 1.0]), 1.0, steps=8)
-    battery_config = battery.BatteryConfig.default(tau=0.5, dt=0.05)
     cases = {
         "unitary_exp": (linalg, lambda: unitary_exp(ham, 0.7)),
         "avg_distance_bruteforce": (avgdist, lambda: avgdist.avg_distance_bruteforce(
@@ -260,8 +259,6 @@ def test_every_evolution_phase_comes_from_the_one_phase_rule(monkeypatch, tmp_pa
         "theorem3_bound": (channels, lambda: channels.theorem3_bound(
             dilate(random_channel(2, 2, 0)), random_density(2, 2, 0))),
         "evolve": (dynamics, lambda: dynamics.evolve([1.0, 0.0], path)),
-        "simulate_battery": (dynamics, lambda: battery.simulate_battery(battery_config,
-                                                                       [1.0, 0.0])),
         "qudit_battery_bound": (battery, lambda: battery.qudit_battery_bound(
             pure_density(psi), np.diag([0.0, 1.0, 2.5]), random_hermitian(3, 4), 0.3)),
         "qsl report": (cli, lambda: cli.main(["qsl", "--out", str(tmp_path / "qsl.csv")])),
@@ -274,6 +271,10 @@ def test_every_evolution_phase_comes_from_the_one_phase_rule(monkeypatch, tmp_pa
         before = calls[module]
         call()
         assert calls[module] > before, name
+    # the battery's steps and rows are closed-form qubit steps: they form no phase
+    before = dict(calls)
+    battery.simulate_battery(battery.BatteryConfig.default(tau=0.5, dt=0.05), [1.0, 0.0])
+    assert calls == before
 
 
 def test_random_generators_seed_deterministic():

@@ -1,9 +1,11 @@
 """The check registry itself: determinism, overrides, registry."""
 
+import ast
 import dataclasses
 import functools
 import inspect
 import itertools
+import textwrap
 
 import numpy as np
 import pytest
@@ -179,13 +181,22 @@ def test_every_check_is_in_one_suite_and_has_its_own_salt():
     assert len({fn.salt for fn in registered}) == len(registered)
 
 
+def _reads_the_callers_dim(body) -> bool:
+    """Whether a check body reads ``dims.dim``, the caller's dim, anywhere in its source."""
+    tree = ast.parse(textwrap.dedent(inspect.getsource(body)))
+    return any(isinstance(node, ast.Attribute) and node.attr == "dim"
+               and isinstance(node.value, ast.Name) and node.value.id == "dims"
+               for node in ast.walk(tree))
+
+
 def test_every_check_declares_its_dimension_rule():
-    # thm2-equality alone derives its dimension (from its level multiplicities)
+    # thm2-equality alone derives its dimension (from its level multiplicities), and alone
+    # reads the caller's dim, as a floor; the decorator applies it for every other check
     for fns in SUITES.values():
         for fn in fns:
-            assert (fn.dims is None) == (fn.__name__ == "check_thm2_equality"), fn.__name__
-    # the decorator is the only place that applies a caller's dim
-    assert "dim if dim" not in inspect.getsource(verification)
+            alone = fn.__name__ == "check_thm2_equality"
+            assert (fn.dims is None) == alone, fn.__name__
+            assert _reads_the_callers_dim(fn.body) == alone, fn.__name__
 
 
 def test_only_the_decorator_reduces_and_judges_figures():
